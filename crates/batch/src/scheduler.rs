@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use qsdd_core::{Deadline, ExecContext, ShotEngine, TimedOut};
+use qsdd_core::{BackendKind, Deadline, ExecContext, ShotEngine, TimedOut};
 use qsdd_noise::ErrorPattern;
 use qsdd_telemetry::trace;
 use qsdd_telemetry::{Counter, Gauge, Stage, StageTimings};
@@ -80,10 +80,12 @@ pub struct BatchOptions {
     /// Whether jobs may deduplicate shots by presampled error pattern
     /// (on by default; results are identical either way).
     pub dedup: bool,
-    /// Fork-join width *inside* each shot (see [`qsdd_core::IntraPool`]).
-    /// `1` (the default) keeps shots serial; `0` lets big jobs borrow the
-    /// shot-workers that would otherwise idle when the batch has fewer
-    /// runnable jobs than workers. Results are bit-identical either way.
+    /// Fork-join width *inside* each statevector shot (see
+    /// [`qsdd_core::IntraPool`]; decision-diagram jobs are serial and
+    /// ignore it). `1` (the default) keeps shots serial; `0` lets big jobs
+    /// borrow the shot-workers that would otherwise idle when the batch has
+    /// fewer runnable jobs than workers. Results are bit-identical either
+    /// way.
     pub intra_threads: usize,
 }
 
@@ -403,19 +405,27 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
     // request becomes `workers / runnable` and the oversubscription clamp
     // is taken against the workers that can actually stay busy. Results
     // are bit-identical with or without the pool, so this is purely a
-    // throughput knob.
-    let runnable = runtimes
+    // throughput knob. Only dense kernels run wide, so a batch without a
+    // runnable statevector job builds no pool at all.
+    let runnable: Vec<&JobRuntime> = runtimes
         .iter()
         .flatten()
         .filter(|runtime| runtime.shots > 0)
-        .count()
-        .max(1);
+        .collect();
+    let any_dense = runnable
+        .iter()
+        .any(|runtime| runtime.engine.backend_kind() == BackendKind::Statevector);
+    let runnable = runnable.len().max(1);
     let requested_intra = if options.intra_threads == 0 {
         (workers / runnable).max(1)
     } else {
         options.intra_threads
     };
-    let intra = qsdd_core::build_intra_pool(requested_intra, workers.min(runnable));
+    let intra = if any_dense {
+        qsdd_core::build_intra_pool(requested_intra, workers.min(runnable))
+    } else {
+        None
+    };
     let trace_handle = trace::propagate();
     std::thread::scope(|scope| {
         let shared = &shared;
@@ -591,7 +601,8 @@ fn worker_loop(
     // compiles nothing and allocates almost nothing in steady state. Reuse
     // is unobservable in the results (the ShotEngine contract), so the
     // interleaving stays bit-deterministic — including with an intra-shot
-    // pool installed, by the speculation contract of `qsdd_dd`.
+    // pool installed, since the dense kernels partition on fixed chunk
+    // boundaries.
     let mut context = ExecContext::new();
     context.set_intra_pool(intra);
     // Busy time accumulates locally and is flushed once at exit (one
@@ -842,7 +853,6 @@ fn worker_loop(
 mod tests {
     use super::*;
     use crate::jobfile::{CircuitSource, JobSpec};
-    use qsdd_core::BackendKind;
     use qsdd_noise::NoiseModel;
 
     fn ghz_spec(name: &str, shots: u64, seed: u64) -> JobSpec {

@@ -3,16 +3,16 @@
 //!
 //! Runs the trajectory-deduplication and context-reuse workloads directly
 //! (no criterion harness) plus the HTTP-server load scenario, and writes
-//! `BENCH_<SCHEMA_VERSION + 3>.json` (so schema 7 writes `BENCH_10.json`
+//! `BENCH_<SCHEMA_VERSION + 3>.json` (so schema 8 writes `BENCH_11.json`
 //! — the name tracks the schema instead of being pinned by hand): one
 //! entry per benchmark with the optimized and naive
 //! mean per-shot cost in nanoseconds and the resulting speedup, a
 //! `weighted` section racing the weighted trajectory-enumeration driver
 //! against both the dedup and per-shot paths on GHZ-16 under the paper's
 //! mixed noise (the case where dedup alone only reached ~1.3x), an
-//! `intra` section racing intra-shot fork-join execution against serial
-//! on a 22-qubit dense workload and a deep decision-diagram workload
-//! (interleaved min-of-reps, outcomes cross-checked bit for bit), a
+//! `intra` section racing the chunk-partitioned dense kernels against
+//! serial on a 22-qubit statevector workload (interleaved min-of-reps,
+//! outcomes cross-checked bit for bit), a
 //! `server` section with the service's throughput and cold-vs-cache-hit
 //! latency, a `warm_restart` section comparing a cold boot's simulation
 //! cost against store-warmed GETs after a restart (byte-identity is
@@ -26,8 +26,8 @@
 //! runs the binary in `--test-mode` with tiny shot counts on every push;
 //! test mode also hard-gates the weighted row — it must beat dedup and be
 //! at least 3x over per-shot — and the intra row, with a core-count-aware
-//! dense-speedup floor: ≥ 2.0x on 8+ cores, ≥ 1.3x on 4–7, correctness
-//! only below that).
+//! dense-speedup floor: ≥ 2.0x on 8+ cores, ≥ 1.3x on 2–7, correctness
+//! only on a single core).
 //!
 //! ```text
 //! bench_summary [--test-mode] [--out <path>]
@@ -39,7 +39,7 @@
 //!   but the whole pipeline (workloads, cross-checks, server round trips,
 //!   JSON writer) is exercised.
 //! * `--out` overrides the output path (default derived from the schema
-//!   version, `BENCH_10.json` today, i.e. the repo root when invoked from
+//!   version, `BENCH_11.json` today, i.e. the repo root when invoked from
 //!   there).
 
 use std::process::ExitCode;
@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use qsdd_batch::json::{self, Value};
 use qsdd_bench::server_load::{run_load, run_warm_restart, LoadConfig};
-use qsdd_circuit::generators::{ghz, qft};
+use qsdd_circuit::generators::ghz;
 use qsdd_core::{
     run_engine, run_engine_dedup, run_engine_in, run_engine_weighted_in, BackendKind, DdSimulator,
     OptLevel, ShotEngine, StochasticBackend, WeightedOptions,
@@ -61,7 +61,7 @@ use rand::SeedableRng;
 /// gains or changes a section; the default output name derives from it
 /// (`BENCH_{SCHEMA_VERSION + 3}.json` — the offset keeps continuity with
 /// the historical hand-numbered files).
-const SCHEMA_VERSION: u32 = 7;
+const SCHEMA_VERSION: u32 = 8;
 
 /// The default output path, derived from [`SCHEMA_VERSION`] so a schema
 /// bump can never silently overwrite the previous schema's artifact.
@@ -226,27 +226,25 @@ fn main() -> ExitCode {
     }
 
     // The intra-shot fork-join comparison: serial vs parallel execution of
-    // the same engines, interleaved min-of-reps, outcomes cross-checked
+    // the same engine, interleaved min-of-reps, outcomes cross-checked
     // bit for bit (the determinism contract makes the cross-check exact).
     let intra = intra_row(test_mode);
-    for workload in [&intra.dense, &intra.dd] {
-        println!(
-            "{:<28} serial {:>12.1} ns/shot | intra({}) {:>10.1} ns/shot | speedup {:>6.2}x",
-            workload.name,
-            workload.serial_ns,
-            intra.width,
-            workload.parallel_ns,
-            workload.speedup()
-        );
-    }
+    println!(
+        "{:<28} serial {:>12.1} ns/shot | intra({}) {:>10.1} ns/shot | speedup {:>6.2}x",
+        intra.dense.name,
+        intra.dense.serial_ns,
+        intra.width,
+        intra.dense.parallel_ns,
+        intra.dense.speedup()
+    );
     if test_mode {
         // Core-count-aware hard gate on the dense workload: the flat
-        // chunk-partitioned kernels must actually scale where the machine
-        // has room, and small/virtualized runners degrade to a pure
-        // correctness check (the cross-check above already ran).
+        // chunk-partitioned kernels must actually scale wherever a second
+        // core exists; a single-core runner degrades to a pure correctness
+        // check (the cross-check above already ran).
         let floor = match intra.cores {
             cores if cores >= 8 => Some(2.0),
-            cores if cores >= 4 => Some(1.3),
+            cores if cores >= 2 => Some(1.3),
             _ => None,
         };
         if let Some(floor) = floor {
@@ -364,7 +362,6 @@ fn main() -> ExitCode {
                 ("cores".to_string(), Value::from(intra.cores)),
                 ("width".to_string(), Value::from(intra.width)),
                 ("dense".to_string(), intra_workload_json(&intra.dense)),
-                ("dd".to_string(), intra_workload_json(&intra.dd)),
             ]),
         ),
         (
@@ -725,13 +722,12 @@ impl IntraWorkload {
     }
 }
 
-/// The intra-shot fork-join comparison: both workloads plus the machine
-/// shape the gate decisions are based on.
+/// The intra-shot fork-join comparison: the dense workload plus the
+/// machine shape the gate decision is based on.
 struct IntraRow {
     cores: usize,
     width: usize,
     dense: IntraWorkload,
-    dd: IntraWorkload,
 }
 
 fn intra_workload_json(workload: &IntraWorkload) -> Value {
@@ -781,20 +777,18 @@ fn intra_workload(
     }
 }
 
-/// Races intra-shot fork-join execution against serial on the two shapes
-/// it targets: a 22-qubit dense statevector workload (the flat
-/// chunk-partitioned kernels) and a deep decision-diagram workload (QFT-16
-/// under the paper's noise, where cofactor fork-join engages above the
-/// level cutoff). The fork-join width adapts to the machine — `cores`
-/// clamped into 2..=8 — so the row is meaningful on big runners and still
-/// exercises the parallel code paths (as pure correctness evidence) on
-/// small ones.
+/// Races intra-shot fork-join execution against serial on the shape it
+/// targets: a 22-qubit dense statevector workload (the flat
+/// chunk-partitioned kernels). The fork-join width adapts to the machine
+/// — `cores` clamped into 2..=8 — so the row is meaningful on big runners
+/// and still exercises the parallel code path (as pure correctness
+/// evidence) on a single core.
 fn intra_row(test_mode: bool) -> IntraRow {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let width = cores.clamp(2, 8);
-    let (dense_shots, dd_shots, reps) = if test_mode { (2, 8, 2) } else { (6, 200, 5) };
+    let (shots, reps) = if test_mode { (2, 3) } else { (6, 5) };
     let dense = intra_workload(
         "intra_dense_ghz22",
         ShotEngine::new(
@@ -805,27 +799,13 @@ fn intra_row(test_mode: bool) -> IntraRow {
             OptLevel::O0,
         ),
         width,
-        dense_shots,
-        reps,
-    );
-    let dd = intra_workload(
-        "intra_dd_qft16_paper_noise",
-        ShotEngine::new(
-            &qft(16),
-            BackendKind::DecisionDiagram,
-            NoiseModel::paper_defaults(),
-            7,
-            OptLevel::O0,
-        ),
-        width,
-        dd_shots,
+        shots,
         reps,
     );
     IntraRow {
         cores,
         width,
         dense,
-        dd,
     }
 }
 

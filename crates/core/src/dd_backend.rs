@@ -247,14 +247,6 @@ impl DdContext {
         }
     }
 
-    /// Installs (or clears) a fork-join pool on the context's package:
-    /// subsequent diagram operations split their cofactor recursions
-    /// across the pool (see [`qsdd_dd::IntraPool`]). Results stay
-    /// bit-identical to serial execution.
-    pub fn set_intra_pool(&mut self, pool: Option<std::sync::Arc<qsdd_dd::IntraPool>>) {
-        self.package.set_intra_pool(pool);
-    }
-
     /// Read access to the context's package (e.g. to inspect statistics).
     pub fn package(&self) -> &DdPackage {
         &self.package
@@ -501,14 +493,6 @@ impl StochasticBackend for DdSimulator {
 
     fn new_context(&self) -> DdContext {
         DdContext::new()
-    }
-
-    fn set_intra_pool(
-        &self,
-        ctx: &mut DdContext,
-        pool: Option<std::sync::Arc<qsdd_dd::IntraPool>>,
-    ) {
-        ctx.set_intra_pool(pool);
     }
 
     fn run_shot(

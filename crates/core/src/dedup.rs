@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use qsdd_dd::IntraPool;
+use qsdd_statevector::IntraPool;
 
 use qsdd_noise::{ErrorPattern, PresamplePlan, Presampled};
 use qsdd_telemetry::trace;

@@ -91,7 +91,7 @@ pub struct DenseContext {
     /// Fork-join pool for chunk-partitioned kernels; kept here so seating
     /// onto a different-width program (which reallocates the buffers) can
     /// re-install it.
-    pool: Option<std::sync::Arc<qsdd_dd::IntraPool>>,
+    pool: Option<std::sync::Arc<qsdd_statevector::IntraPool>>,
 }
 
 impl DenseContext {
@@ -109,7 +109,7 @@ impl DenseContext {
     /// split their chunk-partitioned loops across the pool (see
     /// [`StateVector::set_intra_pool`]). Results stay bit-identical to
     /// serial execution.
-    pub fn set_intra_pool(&mut self, pool: Option<std::sync::Arc<qsdd_dd::IntraPool>>) {
+    pub fn set_intra_pool(&mut self, pool: Option<std::sync::Arc<qsdd_statevector::IntraPool>>) {
         self.state.set_intra_pool(pool.clone());
         self.scratch.set_intra_pool(pool.clone());
         self.pool = pool;
@@ -234,7 +234,7 @@ impl StochasticBackend for DenseSimulator {
     fn set_intra_pool(
         &self,
         ctx: &mut DenseContext,
-        pool: Option<std::sync::Arc<qsdd_dd::IntraPool>>,
+        pool: Option<std::sync::Arc<qsdd_statevector::IntraPool>>,
     ) {
         ctx.set_intra_pool(pool);
     }

@@ -81,8 +81,8 @@ pub use stochastic::{
     StochasticConfig, StochasticOutcome,
 };
 // Re-exported so callers can share one fork-join pool across contexts
-// without a direct `qsdd-dd` dependency.
-pub use qsdd_dd::IntraPool;
+// without a direct `qsdd-statevector` dependency.
+pub use qsdd_statevector::IntraPool;
 pub use weighted::{
     run_engine_weighted, run_engine_weighted_deadline, run_engine_weighted_in,
     run_engine_weighted_in_deadline, WeightedOptions, WeightedStats, MAX_WEIGHTED_QUBITS,

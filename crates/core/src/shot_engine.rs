@@ -36,8 +36,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use qsdd_circuit::Circuit;
-use qsdd_dd::{IntraPool, TableStats};
+use qsdd_dd::TableStats;
 use qsdd_noise::{ErrorPattern, NoiseModel, Presampled};
+use qsdd_statevector::IntraPool;
 use qsdd_telemetry::{Stage, StageTimings};
 use qsdd_transpile::{layout, transpile, OptLevel, TranspileResult};
 use rand::rngs::StdRng;
@@ -101,16 +102,10 @@ pub struct ExecContext {
     /// resume live in the auxiliary one.
     dd_aux: Option<Box<DdContext>>,
     dense_aux: Option<Box<DenseContext>>,
-    /// Fork-join pool for intra-shot parallelism, installed into every
-    /// inner context (existing and lazily created).
+    /// Fork-join pool for the dense kernels, installed into every
+    /// statevector context (existing and lazily created). Decision-diagram
+    /// contexts are serial and never see it.
     intra: Option<Arc<IntraPool>>,
-}
-
-/// Creates an inner DD context with the pool pre-installed.
-fn new_dd_ctx(intra: &Option<Arc<IntraPool>>) -> Box<DdContext> {
-    let mut ctx = Box::<DdContext>::default();
-    ctx.set_intra_pool(intra.clone());
-    ctx
 }
 
 /// Creates an inner dense context with the pool pre-installed.
@@ -127,10 +122,10 @@ impl ExecContext {
     }
 
     /// Requests intra-shot parallelism with `threads` workers for every
-    /// shot executed in this context (see [`IntraPool`]); `threads <= 1`
-    /// restores serial execution. The pool is created once and reused
-    /// across calls with the same width. Results are bit-identical for
-    /// every setting.
+    /// statevector shot executed in this context (see [`IntraPool`]);
+    /// `threads <= 1` restores serial execution. The pool is created once
+    /// and reused across calls with the same width. Results are
+    /// bit-identical for every setting.
     pub fn set_intra_threads(&mut self, threads: usize) {
         if threads <= 1 {
             self.set_intra_pool(None);
@@ -145,12 +140,6 @@ impl ExecContext {
     /// own (see [`crate::run_engine`]).
     pub fn set_intra_pool(&mut self, pool: Option<Arc<IntraPool>>) {
         self.intra = pool;
-        if let Some(ctx) = self.dd.as_deref_mut() {
-            ctx.set_intra_pool(self.intra.clone());
-        }
-        if let Some(ctx) = self.dd_aux.as_deref_mut() {
-            ctx.set_intra_pool(self.intra.clone());
-        }
         if let Some(ctx) = self.dense.as_deref_mut() {
             ctx.set_intra_pool(self.intra.clone());
         }
@@ -166,8 +155,7 @@ impl ExecContext {
 
     /// Borrows the decision-diagram context, creating it on first use.
     fn dd_mut(&mut self) -> &mut DdContext {
-        let intra = &self.intra;
-        self.dd.get_or_insert_with(|| new_dd_ctx(intra))
+        self.dd.get_or_insert_with(Box::default)
     }
 
     /// Borrows the statevector context, creating it on first use.
@@ -192,39 +180,14 @@ impl ExecContext {
             total.mat_unique_misses += stats.mat_unique_misses;
             total.compute_hits += stats.compute_hits;
             total.compute_misses += stats.compute_misses;
-            total.stripe_contention += stats.stripe_contention;
         }
         total
     }
 
-    /// Entries per lock stripe of the decision-diagram tables (primary and
-    /// auxiliary contexts summed per stripe), as
-    /// `(table name, occupancy per stripe)` pairs. Empty when no
-    /// decision-diagram shot ran yet.
-    pub(crate) fn dd_stripe_occupancy(&self) -> Vec<(&'static str, Vec<usize>)> {
-        let mut merged: Vec<(&'static str, Vec<usize>)> = Vec::new();
-        for ctx in [self.dd.as_deref(), self.dd_aux.as_deref()]
-            .into_iter()
-            .flatten()
-        {
-            for (at, (name, lens)) in ctx.package().stripe_occupancy().into_iter().enumerate() {
-                if merged.len() <= at {
-                    merged.push((name, lens));
-                } else {
-                    for (slot, add) in merged[at].1.iter_mut().zip(lens) {
-                        *slot += add;
-                    }
-                }
-            }
-        }
-        merged
-    }
-
     /// Borrows the decision-diagram context pair (primary + auxiliary).
     fn dd_pair(&mut self) -> (&mut DdContext, &mut DdContext) {
-        let intra = &self.intra;
-        self.dd.get_or_insert_with(|| new_dd_ctx(intra));
-        self.dd_aux.get_or_insert_with(|| new_dd_ctx(intra));
+        self.dd.get_or_insert_with(Box::default);
+        self.dd_aux.get_or_insert_with(Box::default);
         match (&mut self.dd, &mut self.dd_aux) {
             (Some(primary), Some(aux)) => (primary, aux),
             _ => unreachable!("both contexts were just created"),
@@ -288,9 +251,10 @@ pub struct ShotEngine {
     /// Wall time spent in the construction stages (transpile, compile), so
     /// runners can fold the one-off setup cost into a job's stage breakdown.
     timings: StageTimings,
-    /// Requested intra-shot parallelism width (1 = serial). Drivers resolve
-    /// this against their own worker count and core budget before building
-    /// a pool (see [`crate::run_engine`]).
+    /// Intra-shot parallelism width (1 = serial; always 1 on the
+    /// decision-diagram back-end). Drivers resolve this against their own
+    /// worker count and core budget before building a pool (see
+    /// [`crate::run_engine`]).
     intra_threads: usize,
 }
 
@@ -359,12 +323,18 @@ impl ShotEngine {
 
     /// Requests intra-shot parallelism with `threads` workers for shots
     /// driven through this engine's runners ([`crate::run_engine`] and
-    /// friends); `1` (the default) keeps execution serial. The request is
-    /// clamped against the driver's own worker count so inter-shot and
-    /// intra-shot parallelism never oversubscribe the machine. Results are
-    /// bit-identical for every setting.
+    /// friends); `1` (the default) keeps execution serial. Only the
+    /// statevector back-end has wide kernels: on the decision-diagram
+    /// back-end the request resolves to 1, so no driver builds a pool that
+    /// would sit idle. The request is clamped against the driver's own
+    /// worker count so inter-shot and intra-shot parallelism never
+    /// oversubscribe the machine. Results are bit-identical for every
+    /// setting.
     pub fn set_intra_threads(&mut self, threads: usize) {
-        self.intra_threads = threads.max(1);
+        self.intra_threads = match self.backend {
+            EngineBackend::DecisionDiagram { .. } => 1,
+            EngineBackend::Statevector { .. } => threads.max(1),
+        };
     }
 
     /// Builder form of [`set_intra_threads`](Self::set_intra_threads).
@@ -373,9 +343,21 @@ impl ShotEngine {
         self
     }
 
-    /// The requested intra-shot parallelism width (1 = serial).
+    /// The intra-shot parallelism width shots of this engine run at
+    /// (1 = serial, which the decision-diagram back-end always is).
     pub fn intra_threads(&self) -> usize {
         self.intra_threads
+    }
+
+    /// The pool this engine's shots execute on inside `ctx`: the context's
+    /// pool on the statevector back-end, none on the decision-diagram
+    /// back-end (a long-lived context may still hold the pool of an earlier
+    /// dense job).
+    pub(crate) fn wide_pool<'a>(&self, ctx: &'a ExecContext) -> Option<&'a Arc<IntraPool>> {
+        match self.backend {
+            EngineBackend::DecisionDiagram { .. } => None,
+            EngineBackend::Statevector { .. } => ctx.intra_pool(),
+        }
     }
 
     /// Wall time the construction stages took (transpile and compile), as a

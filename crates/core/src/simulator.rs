@@ -127,11 +127,11 @@ impl StochasticSimulator {
 
     /// Sets the intra-shot fork-join width (`1` = serial, the default).
     ///
-    /// Each shot's diagram/dense operations split across this many pool
-    /// workers (see [`qsdd_dd::IntraPool`]); the request is clamped against
-    /// the shot-worker count so the two parallelism layers never
-    /// oversubscribe the machine. Results are bit-identical for every
-    /// setting.
+    /// Each statevector shot's dense kernels split across this many pool
+    /// workers (see [`crate::IntraPool`]); the decision-diagram back-end is
+    /// serial and ignores the knob. The request is clamped against the
+    /// shot-worker count so the two parallelism layers never oversubscribe
+    /// the machine. Results are bit-identical for every setting.
     pub fn with_intra_threads(mut self, intra_threads: usize) -> Self {
         self.config.intra_threads = intra_threads;
         self

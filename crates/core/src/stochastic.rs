@@ -37,7 +37,7 @@ use rand::SeedableRng;
 
 use std::sync::Arc;
 
-use qsdd_dd::IntraPool;
+use qsdd_statevector::IntraPool;
 
 use crate::backend::StochasticBackend;
 use crate::deadline::{Deadline, TimedOut};
@@ -70,10 +70,11 @@ pub struct StochasticConfig {
     /// to the configured sampling path when the program does not support
     /// enumeration.
     pub weighted: Option<crate::weighted::WeightedOptions>,
-    /// Intra-shot parallelism width: the number of fork-join workers every
-    /// shot's own execution (diagram operations, dense kernels) may split
-    /// across. `1` (the default) keeps shots serial. The request is clamped
-    /// against the shot-worker count so the two levels of parallelism never
+    /// Intra-shot parallelism width: the number of fork-join workers the
+    /// dense kernels of one statevector shot may split across (the
+    /// decision-diagram back-end is serial and ignores it). `1` (the
+    /// default) keeps shots serial. The request is clamped against the
+    /// shot-worker count so the two levels of parallelism never
     /// oversubscribe the machine; results are bit-identical for every
     /// setting.
     pub intra_threads: usize,
@@ -736,13 +737,13 @@ pub fn run_engine_in_deadline(
     let mapped = engine.map_observables(observables);
     let mut outcome = run_engine_in_inner(engine, ctx, shots, &mapped, dedup, started, deadline)?;
     outcome.stage_timings.merge(&engine.stage_timings());
-    if ctx.intra_pool().is_some() {
+    if engine.wide_pool(ctx).is_some() {
         let execute_time = outcome.stage_timings.get(Stage::Execute);
         outcome
             .stage_timings
             .record(Stage::IntraExecute, execute_time);
     }
-    publish_job_metrics(&outcome, ctx.dd_table_stats().since(&dd_before), ctx);
+    publish_job_metrics(&outcome, ctx.dd_table_stats().since(&dd_before));
     Ok(outcome)
 }
 
@@ -780,13 +781,14 @@ fn run_engine_in_inner(
     }
     let bounded = !deadline.is_unbounded();
     let execute_started = Instant::now();
-    let shots_span = trace::span(if ctx.intra_pool().is_some() {
+    let pool = engine.wide_pool(ctx);
+    let shots_span = trace::span(if pool.is_some() {
         "intra_shots"
     } else {
         "shots"
     });
     trace::attr("shots", shots);
-    if let Some(pool) = ctx.intra_pool() {
+    if let Some(pool) = pool {
         trace::attr("intra_width", pool.threads());
     }
     let dd_before = trace_dd_stats(ctx);
@@ -846,17 +848,13 @@ pub(crate) fn trace_dd_attrs(ctx: &crate::ExecContext, before: Option<qsdd_dd::T
 /// traffic to the global telemetry registry. A no-op while telemetry is
 /// disabled — one relaxed atomic load — so the per-job cost off the
 /// serving path is negligible.
-pub(crate) fn publish_job_metrics(
-    outcome: &StochasticOutcome,
-    dd_delta: qsdd_dd::TableStats,
-    ctx: &crate::ExecContext,
-) {
+pub(crate) fn publish_job_metrics(outcome: &StochasticOutcome, dd_delta: qsdd_dd::TableStats) {
     if !qsdd_telemetry::enabled() {
         return;
     }
     outcome.stage_timings.publish();
     let registry = qsdd_telemetry::global();
-    let counters: [(&str, &str, u64); 9] = [
+    let counters: [(&str, &str, u64); 8] = [
         (
             "qsdd_dd_vec_unique_hits_total",
             "Vector unique-table lookups that found an existing node",
@@ -888,11 +886,6 @@ pub(crate) fn publish_job_metrics(
             dd_delta.compute_misses,
         ),
         (
-            "qsdd_dd_stripe_contention_total",
-            "Striped-table lock acquisitions that found the stripe contended",
-            dd_delta.stripe_contention,
-        ),
-        (
             "qsdd_jobs_shots_total",
             "Stochastic shots aggregated into finished jobs",
             outcome.shots as u64,
@@ -915,18 +908,6 @@ pub(crate) fn publish_job_metrics(
                 "Highest decision-diagram node count any job reached",
             )
             .set_max(outcome.dd_nodes_peak as i64);
-    }
-    for (table, lens) in ctx.dd_stripe_occupancy() {
-        for (stripe, len) in lens.into_iter().enumerate() {
-            let stripe = stripe.to_string();
-            registry
-                .gauge_with(
-                    "qsdd_dd_stripe_occupancy",
-                    "Entries per lock stripe of the striped decision-diagram tables",
-                    &[("table", table), ("stripe", &stripe)],
-                )
-                .set(len as i64);
-        }
     }
     if let Some(stats) = &outcome.dedup {
         registry

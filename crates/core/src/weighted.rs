@@ -431,12 +431,12 @@ pub fn run_engine_weighted_in_deadline(
         .stage_timings
         .record(Stage::Aggregate, aggregate_started.elapsed());
     outcome.stage_timings.merge(&engine.stage_timings());
-    if ctx.intra_pool().is_some() {
+    if engine.wide_pool(ctx).is_some() {
         outcome
             .stage_timings
             .record(Stage::IntraExecute, execute_time);
     }
-    publish_job_metrics(&outcome, ctx.dd_table_stats().since(&dd_before), ctx);
+    publish_job_metrics(&outcome, ctx.dd_table_stats().since(&dd_before));
     Ok(outcome)
 }
 

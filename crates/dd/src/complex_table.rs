@@ -27,32 +27,11 @@
 //! differently-routed computations of the same amplitude stay deep inside
 //! one matching ball and reconverge onto one id.
 //!
-//! ## Concurrency and determinism
-//!
-//! All interning operations take `&self`: the value arena supports
-//! concurrent appends, the spatial index is sharded behind per-stripe locks,
-//! and *creation* of new entries is serialised behind a single creation lock
-//! with a double-check, so racing threads can never insert two entries for
-//! one neighbourhood. Hits are pure functions of the table contents, but
-//! **which value becomes a representative depends on creation order** — a
-//! ball-matching table cannot be order-independent (any canonicalisation
-//! that is both a pure function of the value and constant on tolerance
-//! balls is a grid, see above). Byte-for-bit reproducibility across thread
-//! counts is therefore enforced one level up: [`crate::DdPackage`]'s
-//! fork-join operations run speculatively and roll back any parallel
-//! attempt that created a table entry, re-running it serially, so entry
-//! creation only ever happens in the deterministic serial order (see the
-//! module docs of [`crate::ops`]).
-//!
 //! Values within tolerance of the exact constants `0` and `1` snap to those
 //! constants so the `is_zero`/`is_one` fast paths stay reliable.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
-
 use crate::complex::Complex;
-use crate::concurrent::{ChunkedArena, StripedMap, STRIPES};
+use crate::fxhash::FxHashMap;
 
 /// Handle to an interned complex value inside a [`ComplexTable`].
 ///
@@ -89,37 +68,40 @@ impl ComplexId {
 /// Default tolerance under which two complex values are considered equal.
 pub const DEFAULT_TOLERANCE: f64 = 1e-10;
 
+/// End-of-chain marker of [`ComplexTable::next`].
+const NO_NEXT: u32 = u32::MAX;
+
 /// Interning table for complex edge weights with tolerance-ball lookup.
-///
-/// All interning operations take `&self`: the value arena supports
-/// concurrent appends and the spatial index is sharded behind per-stripe
-/// locks, so several fork-join workers can intern weights into one table.
-/// See the module docs for the determinism contract.
 ///
 /// # Examples
 ///
 /// ```
 /// use qsdd_dd::{Complex, ComplexTable};
 ///
-/// let table = ComplexTable::new();
+/// let mut table = ComplexTable::new();
 /// let a = table.lookup(Complex::new(0.5, 0.0));
 /// let b = table.lookup(Complex::new(0.5 + 1e-13, 0.0));
 /// assert_eq!(a, b); // identical within tolerance
 /// ```
 #[derive(Debug)]
 pub struct ComplexTable {
-    values: ChunkedArena<Complex>,
-    /// Spatial index: bucket cell -> indices of entries whose value lies in
-    /// that cell. Cells span `4 * tolerance`, so a ball probe only needs the
+    values: Vec<Complex>,
+    /// Spatial index: bucket cell -> oldest entry whose value lies in that
+    /// cell. Cells span `4 * tolerance`, so a ball probe only needs the
     /// cell and its eight neighbours.
-    buckets: StripedMap<(i64, i64), Vec<u32>>,
-    /// Serialises entry creation (with a double-check under the lock) so
-    /// racing threads cannot insert two representatives for one ball.
-    create_lock: Mutex<()>,
-    create_contention: AtomicU64,
+    buckets: FxHashMap<(i64, i64), u32>,
+    /// `next[i]` is the entry interned after entry `i` in the same cell
+    /// ([`NO_NEXT`] at the end), so a cell's entries are visited in
+    /// insertion order. Almost every cell holds a single entry; chaining
+    /// through this array instead of a `Vec<u32>` per cell shrinks a map
+    /// slot from 41 to 25 bytes and drops one heap allocation per cell,
+    /// which on noisy QFT-16 (~60k transient values per shot) is the
+    /// difference between the largest table of the package being 5.2 MiB
+    /// or 3.2 MiB.
+    next: Vec<u32>,
     tolerance: f64,
-    lookups: AtomicU64,
-    hits: AtomicU64,
+    lookups: u64,
+    hits: u64,
 }
 
 impl Clone for ComplexTable {
@@ -127,11 +109,10 @@ impl Clone for ComplexTable {
         ComplexTable {
             values: self.values.clone(),
             buckets: self.buckets.clone(),
-            create_lock: Mutex::new(()),
-            create_contention: AtomicU64::new(self.create_contention.load(Ordering::Relaxed)),
+            next: self.next.clone(),
             tolerance: self.tolerance,
-            lookups: AtomicU64::new(self.lookups.load(Ordering::Relaxed)),
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
+            lookups: self.lookups,
+            hits: self.hits,
         }
     }
 
@@ -140,9 +121,10 @@ impl Clone for ComplexTable {
     fn clone_from(&mut self, source: &Self) {
         self.values.clone_from(&source.values);
         self.buckets.clone_from(&source.buckets);
+        self.next.clone_from(&source.next);
         self.tolerance = source.tolerance;
-        *self.lookups.get_mut() = source.lookups.load(Ordering::Relaxed);
-        *self.hits.get_mut() = source.hits.load(Ordering::Relaxed);
+        self.lookups = source.lookups;
+        self.hits = source.hits;
     }
 }
 
@@ -160,17 +142,16 @@ impl ComplexTable {
     pub fn with_tolerance(tolerance: f64) -> Self {
         assert!(tolerance > 0.0, "tolerance must be positive");
         let mut table = ComplexTable {
-            values: ChunkedArena::new(),
-            buckets: StripedMap::new(),
-            create_lock: Mutex::new(()),
-            create_contention: AtomicU64::new(0),
+            values: Vec::new(),
+            buckets: FxHashMap::default(),
+            next: Vec::new(),
             tolerance,
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
+            lookups: 0,
+            hits: 0,
         };
         // Insert 0 and 1 at the fixed positions expected by ComplexId.
-        let zero = table.insert_exclusive(Complex::ZERO);
-        let one = table.insert_exclusive(Complex::ONE);
+        let zero = table.insert(Complex::ZERO);
+        let one = table.insert(Complex::ONE);
         debug_assert_eq!(zero, ComplexId::ZERO);
         debug_assert_eq!(one, ComplexId::ONE);
         table
@@ -217,35 +198,41 @@ impl ComplexTable {
     }
 
     /// Searches the value's cell and its eight neighbours for an entry
-    /// within tolerance. Stripe locks are taken one cell at a time and
-    /// never nested.
+    /// within tolerance.
     fn find(&self, value: Complex) -> Option<ComplexId> {
         let (kr, ki) = self.key(value);
         for dr in -1..=1 {
             for di in -1..=1 {
-                let cell = (kr + dr, ki + di);
-                let stripe = self.buckets.lock_stripe(&cell);
-                if let Some(candidates) = stripe.get(&cell) {
-                    for &idx in candidates {
-                        if self.values[idx as usize].approx_eq(value, self.tolerance) {
-                            return Some(ComplexId(idx));
-                        }
+                let mut idx = match self.buckets.get(&(kr + dr, ki + di)) {
+                    Some(&oldest) => oldest,
+                    None => continue,
+                };
+                while idx != NO_NEXT {
+                    if self.values[idx as usize].approx_eq(value, self.tolerance) {
+                        return Some(ComplexId(idx));
                     }
+                    idx = self.next[idx as usize];
                 }
             }
         }
         None
     }
 
-    /// Appends `value` without taking any lock (construction only).
-    fn insert_exclusive(&mut self, value: Complex) -> ComplexId {
-        let idx = self.values.push(value) as u32;
-        let key = self.key(value);
-        self.buckets
-            .stripe_mut(&key)
-            .entry(key)
-            .or_default()
-            .push(idx);
+    /// Appends `value` as a new representative.
+    fn insert(&mut self, value: Complex) -> ComplexId {
+        let idx = u32::try_from(self.values.len())
+            .ok()
+            .filter(|&idx| idx != NO_NEXT)
+            .expect("complex table exhausted its id space");
+        self.values.push(value);
+        self.next.push(NO_NEXT);
+        let mut tail = *self.buckets.entry(self.key(value)).or_insert(idx);
+        if tail != idx {
+            while self.next[tail as usize] != NO_NEXT {
+                tail = self.next[tail as usize];
+            }
+            self.next[tail as usize] = idx;
+        }
         ComplexId(idx)
     }
 
@@ -255,50 +242,28 @@ impl ComplexTable {
     /// # Panics
     ///
     /// Panics if `value` contains NaN components.
-    pub fn lookup(&self, value: Complex) -> ComplexId {
+    pub fn lookup(&mut self, value: Complex) -> ComplexId {
         assert!(!value.is_nan(), "cannot intern NaN complex value");
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.lookups += 1;
         // Values within tolerance of the canonical 0/1 snap to them so that
         // the fast-path identities (is_zero / is_one) stay reliable.
         if value.approx_eq(Complex::ZERO, self.tolerance) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits += 1;
             return ComplexId::ZERO;
         }
         if value.approx_eq(Complex::ONE, self.tolerance) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits += 1;
             return ComplexId::ONE;
         }
         if let Some(found) = self.find(value) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits += 1;
             return found;
         }
-        // Creation path: serialise, then re-probe under the lock — a racing
-        // thread may have created a matching entry between our miss and the
-        // lock acquisition.
-        let guard = match self.create_lock.try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.create_contention.fetch_add(1, Ordering::Relaxed);
-                self.create_lock.lock()
-            }
-        };
-        if let Some(found) = self.find(value) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return found;
-        }
-        let idx = self.values.push(value) as u32;
-        let key = self.key(value);
-        self.buckets
-            .lock_stripe(&key)
-            .entry(key)
-            .or_default()
-            .push(idx);
-        drop(guard);
-        ComplexId(idx)
+        self.insert(value)
     }
 
     /// Looks up the product of two interned values.
-    pub fn mul(&self, a: ComplexId, b: ComplexId) -> ComplexId {
+    pub fn mul(&mut self, a: ComplexId, b: ComplexId) -> ComplexId {
         if a.is_zero() || b.is_zero() {
             return ComplexId::ZERO;
         }
@@ -313,7 +278,7 @@ impl ComplexTable {
     }
 
     /// Looks up the sum of two interned values.
-    pub fn add(&self, a: ComplexId, b: ComplexId) -> ComplexId {
+    pub fn add(&mut self, a: ComplexId, b: ComplexId) -> ComplexId {
         if a.is_zero() {
             return b;
         }
@@ -325,7 +290,7 @@ impl ComplexTable {
     }
 
     /// Looks up the difference of two interned values.
-    pub fn sub(&self, a: ComplexId, b: ComplexId) -> ComplexId {
+    pub fn sub(&mut self, a: ComplexId, b: ComplexId) -> ComplexId {
         if b.is_zero() {
             return a;
         }
@@ -338,7 +303,7 @@ impl ComplexTable {
     /// # Panics
     ///
     /// Panics if `b` is the zero id.
-    pub fn div(&self, a: ComplexId, b: ComplexId) -> ComplexId {
+    pub fn div(&mut self, a: ComplexId, b: ComplexId) -> ComplexId {
         assert!(!b.is_zero(), "division by interned zero");
         if a.is_zero() {
             return ComplexId::ZERO;
@@ -354,7 +319,7 @@ impl ComplexTable {
     }
 
     /// Looks up the complex conjugate of an interned value.
-    pub fn conj(&self, a: ComplexId) -> ComplexId {
+    pub fn conj(&mut self, a: ComplexId) -> ComplexId {
         if a.is_zero() || a.is_one() {
             return a;
         }
@@ -363,7 +328,7 @@ impl ComplexTable {
     }
 
     /// Looks up the negation of an interned value.
-    pub fn neg(&self, a: ComplexId) -> ComplexId {
+    pub fn neg(&mut self, a: ComplexId) -> ComplexId {
         if a.is_zero() {
             return a;
         }
@@ -378,58 +343,41 @@ impl ComplexTable {
     }
 
     /// Lookup statistics `(lookups, hits)` since table creation.
-    ///
-    /// Counters are maintained with relaxed atomics; under intra-shot
-    /// parallelism their exact values depend on thread interleaving and
-    /// must not be part of any determinism contract.
     pub fn stats(&self) -> (u64, u64) {
-        (
-            self.lookups.load(Ordering::Relaxed),
-            self.hits.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Number of lock acquisitions (bucket stripes and the creation lock)
-    /// that had to wait.
-    pub(crate) fn contention(&self) -> u64 {
-        self.buckets.contention() + self.create_contention.load(Ordering::Relaxed)
-    }
-
-    /// Zeroes the contention counters.
-    pub(crate) fn reset_contention(&self) {
-        self.buckets.set_contention(0);
-        self.create_contention.store(0, Ordering::Relaxed);
-    }
-
-    /// Interned entries per index stripe, in stripe order.
-    pub(crate) fn stripe_lens(&self) -> [usize; STRIPES] {
-        self.buckets.stripe_lens()
+        (self.lookups, self.hits)
     }
 
     /// Forgets every value interned after the first `len` entries, keeping
     /// the map's allocations for reuse.
     ///
     /// Ids `>= len` become dangling; the caller ([`crate::DdPackage`]'s
-    /// transient reset and speculation rollback) guarantees nothing
-    /// references them afterwards.
+    /// transient reset) guarantees nothing references them afterwards.
     pub(crate) fn truncate(&mut self, len: usize) {
         if self.values.len() <= len {
             return;
         }
         for idx in len..self.values.len() {
-            // Each entry lives in exactly one bucket list — the cell of its
-            // own value — so dropping the tail means removing the tail
-            // indices from their cells.
+            // Each entry lives in exactly one chain — the cell of its own
+            // value — and chains are in insertion order, so the entries to
+            // drop are a chain's tail: cut the chain before its first
+            // dropped entry, or drop the whole cell.
             let key = self.key(self.values[idx]);
-            let stripe = self.buckets.stripe_mut(&key);
-            if let Some(list) = stripe.get_mut(&key) {
-                list.retain(|&stored| stored != idx as u32);
-                if list.is_empty() {
-                    stripe.remove(&key);
-                }
+            let oldest = match self.buckets.get(&key) {
+                Some(&oldest) => oldest,
+                None => continue, // cell already dropped by an earlier idx
+            };
+            if oldest as usize >= len {
+                self.buckets.remove(&key);
+                continue;
             }
+            let mut kept = oldest as usize;
+            while self.next[kept] != NO_NEXT && (self.next[kept] as usize) < len {
+                kept = self.next[kept] as usize;
+            }
+            self.next[kept] = NO_NEXT;
         }
         self.values.truncate(len);
+        self.next.truncate(len);
     }
 }
 
@@ -445,7 +393,7 @@ mod tests {
 
     #[test]
     fn zero_and_one_have_fixed_ids() {
-        let t = ComplexTable::new();
+        let mut t = ComplexTable::new();
         assert_eq!(t.lookup(Complex::ZERO), ComplexId::ZERO);
         assert_eq!(t.lookup(Complex::ONE), ComplexId::ONE);
         assert!(t.lookup(Complex::new(1e-14, -1e-14)).is_zero());
@@ -454,7 +402,7 @@ mod tests {
 
     #[test]
     fn nearby_values_share_an_id() {
-        let t = ComplexTable::new();
+        let mut t = ComplexTable::new();
         let a = t.lookup(Complex::new(0.25, -0.75));
         let b = t.lookup(Complex::new(0.25 + 1e-12, -0.75 - 1e-12));
         assert_eq!(a, b);
@@ -463,7 +411,7 @@ mod tests {
 
     #[test]
     fn distinct_values_get_distinct_ids() {
-        let t = ComplexTable::new();
+        let mut t = ComplexTable::new();
         let a = t.lookup(Complex::new(0.5, 0.0));
         let b = t.lookup(Complex::new(0.5, 0.5));
         let c = t.lookup(Complex::new(-0.5, 0.0));
@@ -480,11 +428,11 @@ mod tests {
         // would inject cell-scale noise into every downstream operation).
         let u = Complex::new(0.3 + 0.2e-10, 0.7);
         let v = Complex::new(0.3 - 0.2e-10, 0.7);
-        let t1 = ComplexTable::new();
+        let mut t1 = ComplexTable::new();
         let a1 = t1.lookup(u);
         assert_eq!(t1.lookup(v), a1);
         assert_eq!(t1.value(a1).re.to_bits(), u.re.to_bits());
-        let t2 = ComplexTable::new();
+        let mut t2 = ComplexTable::new();
         let a2 = t2.lookup(v);
         assert_eq!(t2.lookup(u), a2);
         assert_eq!(t2.value(a2).re.to_bits(), v.re.to_bits());
@@ -495,7 +443,7 @@ mod tests {
         // Ball matching must unify values within tolerance even when they
         // fall in different spatial index cells (the failure mode of pure
         // grid quantisation).
-        let t = ComplexTable::with_tolerance(1e-10);
+        let mut t = ComplexTable::with_tolerance(1e-10);
         let cell = 4e-10;
         for i in 1..50 {
             let near_boundary = (i as f64 + 0.5) * cell;
@@ -510,33 +458,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_lookups_agree_with_each_other() {
-        // Threads hammering one table must agree on one id per value and
-        // the creation double-check must never mint two entries for one
-        // ball. (Id *numbering* depends on creation order, so each thread
-        // records its own view and the views are compared afterwards.)
-        let t = ComplexTable::new();
-        let probe: Vec<Complex> = (0..256)
-            .map(|i| Complex::new(0.001 * i as f64, -0.002 * i as f64))
-            .collect();
-        let views: Vec<Vec<ComplexId>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let (t, probe) = (&t, &probe);
-                    s.spawn(move || probe.iter().map(|&v| t.lookup(v)).collect::<Vec<_>>())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for view in &views[1..] {
-            assert_eq!(view, &views[0], "threads disagree on interned ids");
-        }
-        assert_eq!(t.len(), 2 + 255); // i == 0 snapped to ZERO
-    }
-
-    #[test]
     fn arithmetic_helpers_match_direct_computation() {
-        let t = ComplexTable::new();
+        let mut t = ComplexTable::new();
         let a = t.lookup(Complex::new(0.3, 0.4));
         let b = t.lookup(Complex::new(-0.1, 0.9));
         let prod = t.mul(a, b);
@@ -553,7 +476,7 @@ mod tests {
 
     #[test]
     fn mul_fast_paths() {
-        let t = ComplexTable::new();
+        let mut t = ComplexTable::new();
         let a = t.lookup(Complex::new(0.3, 0.4));
         assert_eq!(t.mul(ComplexId::ZERO, a), ComplexId::ZERO);
         assert_eq!(t.mul(a, ComplexId::ZERO), ComplexId::ZERO);
@@ -565,14 +488,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "division by interned zero")]
     fn division_by_zero_panics() {
-        let t = ComplexTable::new();
+        let mut t = ComplexTable::new();
         let a = t.lookup(Complex::new(0.3, 0.4));
         let _ = t.div(a, ComplexId::ZERO);
     }
 
     #[test]
     fn table_does_not_grow_for_repeated_values() {
-        let t = ComplexTable::new();
+        let mut t = ComplexTable::new();
         for _ in 0..1000 {
             t.lookup(Complex::new(std::f64::consts::FRAC_1_SQRT_2, 0.0));
         }
@@ -600,14 +523,21 @@ mod tests {
 
     #[test]
     fn truncate_keeps_cell_mates_of_dropped_entries() {
-        // Two distinct entries can share one spatial cell (cells span four
-        // tolerances); truncating one must not evict the other.
+        // Distinct entries can share one spatial cell (cells span four
+        // tolerances); truncating the younger ones must not evict the
+        // older, and the cell's chain must accept new entries afterwards.
         let mut t = ComplexTable::with_tolerance(1e-10);
         let kept = t.lookup(Complex::new(0.5, 0.0));
         let mark = t.len();
         let dropped = t.lookup(Complex::new(0.5 + 1.5e-10, 0.0));
+        let also_dropped = t.lookup(Complex::new(0.5, 1.5e-10));
         assert_ne!(kept, dropped);
+        assert_ne!(dropped, also_dropped);
         t.truncate(mark);
         assert_eq!(t.lookup(Complex::new(0.5, 0.0)), kept);
+        let again = t.lookup(Complex::new(0.5, 1.5e-10));
+        assert_eq!(again.index(), mark);
+        assert_eq!(t.lookup(Complex::new(0.5, 1.5e-10)), again);
+        assert_eq!(t.len(), mark + 1);
     }
 }

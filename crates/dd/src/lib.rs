@@ -49,9 +49,7 @@
 
 mod complex;
 mod complex_table;
-mod concurrent;
 mod export;
-mod intra;
 mod measure;
 mod node;
 mod ops;
@@ -62,7 +60,6 @@ pub mod matrix2;
 
 pub use complex::{Complex, FRAC_1_SQRT_2};
 pub use complex_table::{ComplexId, ComplexTable, DEFAULT_TOLERANCE};
-pub use intra::IntraPool;
 pub use matrix2::Matrix2;
 pub use measure::SamplePlan;
 pub use node::{MatEdge, MatNode, MatNodeId, VecEdge, VecNode, VecNodeId};

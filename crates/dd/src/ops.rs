@@ -5,102 +5,22 @@
 //! keyed on node ids only (the incoming edge weights factor out of the
 //! bilinear operations); addition caches include the weights because addition
 //! does not factor.
-//!
-//! ## Intra-shot fork-join: speculate, detect creations, roll back
-//!
-//! `mat_vec_mul` and `vec_add` can traverse in parallel: when the package
-//! has an [`IntraPool`](crate::IntraPool) installed, the two cofactor
-//! sub-calls at each recursion level fork onto the pool until a level
-//! budget (≈ `log2(threads) + 2`) is exhausted, below which the recursion
-//! stays serial.
-//!
-//! Thread safety comes from the striped tables (unique tables hold their
-//! stripe lock across the lookup-insert sequence, so racing constructions
-//! of one node agree on one id; the complex table serialises entry
-//! creation behind a creation lock with a double-check). *Determinism* —
-//! results byte-identical to a serial run, for any thread count — needs
-//! more, because the complex table's representatives are first-comer-wins:
-//! which value anchors a tolerance ball depends on creation order, and a
-//! parallel schedule cannot reproduce the serial order.
-//!
-//! The resolution is speculative execution. Each top-level operation marks
-//! the complex-table and node-arena lengths, journals its compute-cache
-//! insertions, and runs the parallel traversal. If the attempt **created
-//! nothing** (the common case once the tables have saturated), every
-//! lookup it performed was a pure function of the pre-operation state:
-//! hits return ids determined by table contents alone, racing compute-cache
-//! inserts for one key store identical edges (idempotent), and the final
-//! cache contents equal the serial run's — so the attempt commits, and the
-//! result is provably byte-identical to serial. If anything *was* created,
-//! the attempt is rolled back exactly (journaled cache keys removed, node
-//! arena and complex table truncated to the mark) and the operation re-runs
-//! serially. Entry creation therefore only ever survives from serial
-//! execution, which makes the whole run — ids, representatives, amplitudes,
-//! node counts — deterministic by induction over operations. Only the
-//! relaxed diagnostic counters (hits/misses/contention) are outside the
-//! contract. A short cooldown after each rollback keeps creation-heavy
-//! phases from paying for doomed parallel attempts on every operation.
 
 use crate::complex::Complex;
 use crate::node::{MatEdge, VecEdge};
-use crate::package::{DdPackage, TableCounters};
-
-/// Operations to run serially after a speculation rollback before trying
-/// to parallelise again.
-const SPEC_COOLDOWN: u32 = 8;
+use crate::package::DdPackage;
 
 impl DdPackage {
-    /// Fork levels available for one traversal: the pool's budget, or zero
-    /// when no pool is installed (pure serial recursion).
-    #[inline]
-    fn fork_budget(&self) -> u32 {
-        self.intra.as_ref().map_or(0, |pool| pool.fork_budget())
-    }
-
-    /// Fork levels to attempt for the next top-level operation, accounting
-    /// for the post-rollback cooldown.
-    fn take_fork_budget(&mut self) -> u32 {
-        let budget = self.fork_budget();
-        if budget == 0 {
-            return 0;
-        }
-        if self.spec_cooldown > 0 {
-            self.spec_cooldown -= 1;
-            return 0;
-        }
-        budget
-    }
-
-    /// Runs `op` as a speculative parallel attempt, committing it when it
-    /// created no table entries and rolling back + re-running serially
-    /// otherwise (see the module docs for why this preserves bit-for-bit
-    /// determinism).
-    fn speculate(&mut self, op: impl Fn(&Self, u32) -> VecEdge, budget: u32) -> VecEdge {
-        let mark = self.begin_speculation();
-        let result = op(self, budget);
-        if self.speculation_clean(&mark) {
-            self.commit_speculation();
-            result
-        } else {
-            self.rollback_speculation(mark);
-            self.spec_cooldown = SPEC_COOLDOWN;
-            op(self, 0)
-        }
-    }
-
     /// Multiplies a matrix diagram onto a vector diagram (`m * v`).
     ///
     /// Both diagrams must have been built over the same number of qubits by
     /// this package.
     pub fn mat_vec_mul(&mut self, m: MatEdge, v: VecEdge) -> VecEdge {
         self.maybe_trim_caches();
-        match self.take_fork_budget() {
-            0 => self.mat_vec_rec(m, v, 0),
-            budget => self.speculate(|dd, b| dd.mat_vec_rec(m, v, b), budget),
-        }
+        self.mat_vec_rec(m, v)
     }
 
-    fn mat_vec_rec(&self, m: MatEdge, v: VecEdge, budget: u32) -> VecEdge {
+    fn mat_vec_rec(&mut self, m: MatEdge, v: VecEdge) -> VecEdge {
         if m.is_zero() || v.is_zero() {
             return VecEdge::zero();
         }
@@ -118,9 +38,8 @@ impl DdPackage {
         );
         let key = (m.node, v.node);
         if self.caching_enabled {
-            let cached = self.ct_mat_vec.lock_stripe(&key).get(&key).copied();
-            if let Some(cached) = cached {
-                TableCounters::bump(&self.counters.compute_hits);
+            if let Some(&cached) = self.ct_mat_vec.get(&key) {
+                self.counters.compute_hits += 1;
                 let w = self.ctable.mul(weight, cached.weight);
                 return VecEdge {
                     node: cached.node,
@@ -134,22 +53,16 @@ impl DdPackage {
             mnode.var, vnode.var,
             "operator and state decide different qubits"
         );
-        let cofactor = |r: usize, budget: u32| {
-            let p0 = self.mat_vec_rec(mnode.edges[2 * r], vnode.edges[0], budget);
-            let p1 = self.mat_vec_rec(mnode.edges[2 * r + 1], vnode.edges[1], budget);
-            self.vec_add_rec(p0, p1, budget)
-        };
-        let children = match &self.intra {
-            Some(pool) if budget > 0 => {
-                let (c0, c1) = pool.join(|| cofactor(0, budget - 1), || cofactor(1, budget - 1));
-                [c0, c1]
-            }
-            _ => [cofactor(0, 0), cofactor(1, 0)],
-        };
+        let mut children = [VecEdge::zero(); 2];
+        for (r, child) in children.iter_mut().enumerate() {
+            let p0 = self.mat_vec_rec(mnode.edges[2 * r], vnode.edges[0]);
+            let p1 = self.mat_vec_rec(mnode.edges[2 * r + 1], vnode.edges[1]);
+            *child = self.vec_add_rec(p0, p1);
+        }
         let result = self.make_vec_node(mnode.var, children);
         if self.caching_enabled {
-            TableCounters::bump(&self.counters.compute_misses);
-            self.ct_mat_vec.insert_logged(key, result);
+            self.counters.compute_misses += 1;
+            self.ct_mat_vec.insert(key, result);
         }
         VecEdge {
             node: result.node,
@@ -160,13 +73,10 @@ impl DdPackage {
     /// Adds two vector diagrams element-wise.
     pub fn vec_add(&mut self, a: VecEdge, b: VecEdge) -> VecEdge {
         self.maybe_trim_caches();
-        match self.take_fork_budget() {
-            0 => self.vec_add_rec(a, b, 0),
-            budget => self.speculate(|dd, bud| dd.vec_add_rec(a, b, bud), budget),
-        }
+        self.vec_add_rec(a, b)
     }
 
-    pub(crate) fn vec_add_rec(&self, a: VecEdge, b: VecEdge, budget: u32) -> VecEdge {
+    pub(crate) fn vec_add_rec(&mut self, a: VecEdge, b: VecEdge) -> VecEdge {
         if a.is_zero() {
             return b;
         }
@@ -192,16 +102,16 @@ impl DdPackage {
         };
         let key = (x, y);
         if self.caching_enabled {
-            let cached = self.ct_vec_add.lock_stripe(&key).get(&key).copied();
-            if let Some(cached) = cached {
-                TableCounters::bump(&self.counters.compute_hits);
+            if let Some(&cached) = self.ct_vec_add.get(&key) {
+                self.counters.compute_hits += 1;
                 return cached;
             }
         }
         let xn = self.vec_nodes[x.node.index()];
         let yn = self.vec_nodes[y.node.index()];
         debug_assert_eq!(xn.var, yn.var, "operands decide different qubits");
-        let successor = |i: usize, budget: u32| {
+        let mut children = [VecEdge::zero(); 2];
+        for (i, child) in children.iter_mut().enumerate() {
             let ex = VecEdge {
                 node: xn.edges[i].node,
                 weight: self.ctable.mul(x.weight, xn.edges[i].weight),
@@ -210,19 +120,12 @@ impl DdPackage {
                 node: yn.edges[i].node,
                 weight: self.ctable.mul(y.weight, yn.edges[i].weight),
             };
-            self.vec_add_rec(ex, ey, budget)
-        };
-        let children = match &self.intra {
-            Some(pool) if budget > 0 => {
-                let (c0, c1) = pool.join(|| successor(0, budget - 1), || successor(1, budget - 1));
-                [c0, c1]
-            }
-            _ => [successor(0, 0), successor(1, 0)],
-        };
+            *child = self.vec_add_rec(ex, ey);
+        }
         let result = self.make_vec_node(xn.var, children);
         if self.caching_enabled {
-            TableCounters::bump(&self.counters.compute_misses);
-            self.ct_vec_add.insert_logged(key, result);
+            self.counters.compute_misses += 1;
+            self.ct_vec_add.insert(key, result);
         }
         result
     }
@@ -255,7 +158,7 @@ impl DdPackage {
         };
         if self.caching_enabled {
             if let Some(&cached) = self.ct_mat_add.get(&(x, y)) {
-                TableCounters::bump(&self.counters.compute_hits);
+                self.counters.compute_hits += 1;
                 return cached;
             }
         }
@@ -276,65 +179,10 @@ impl DdPackage {
         }
         let result = self.make_mat_node(xn.var, children);
         if self.caching_enabled {
-            TableCounters::bump(&self.counters.compute_misses);
+            self.counters.compute_misses += 1;
             self.ct_mat_add.insert((x, y), result);
         }
         result
-    }
-
-    /// Multiplies two matrix diagrams (`a * b`).
-    pub fn mat_mat_mul(&mut self, a: MatEdge, b: MatEdge) -> MatEdge {
-        self.maybe_trim_caches();
-        self.mat_mat_rec(a, b)
-    }
-
-    fn mat_mat_rec(&mut self, a: MatEdge, b: MatEdge) -> MatEdge {
-        if a.is_zero() || b.is_zero() {
-            return MatEdge::zero();
-        }
-        let weight = self.ctable.mul(a.weight, b.weight);
-        if a.node.is_terminal() {
-            return MatEdge {
-                node: b.node,
-                weight,
-            };
-        }
-        if b.node.is_terminal() {
-            return MatEdge {
-                node: a.node,
-                weight,
-            };
-        }
-        if self.caching_enabled {
-            if let Some(&cached) = self.ct_mat_mat.get(&(a.node, b.node)) {
-                TableCounters::bump(&self.counters.compute_hits);
-                let w = self.ctable.mul(weight, cached.weight);
-                return MatEdge {
-                    node: cached.node,
-                    weight: w,
-                };
-            }
-        }
-        let an = self.mat_nodes[a.node.index()];
-        let bn = self.mat_nodes[b.node.index()];
-        debug_assert_eq!(an.var, bn.var, "operands decide different qubits");
-        let mut children = [MatEdge::zero(); 4];
-        for r in 0..2 {
-            for c in 0..2 {
-                let p0 = self.mat_mat_rec(an.edges[2 * r], bn.edges[c]);
-                let p1 = self.mat_mat_rec(an.edges[2 * r + 1], bn.edges[2 + c]);
-                children[2 * r + c] = self.mat_add_rec(p0, p1);
-            }
-        }
-        let result = self.make_mat_node(an.var, children);
-        if self.caching_enabled {
-            TableCounters::bump(&self.counters.compute_misses);
-            self.ct_mat_mat.insert((a.node, b.node), result);
-        }
-        MatEdge {
-            node: result.node,
-            weight: self.ctable.mul(weight, result.weight),
-        }
     }
 
     /// Computes the inner product `<a|b>` (conjugate-linear in `a`).
@@ -357,7 +205,7 @@ impl DdPackage {
         );
         if self.caching_enabled {
             if let Some(&cached) = self.ct_inner.get(&(a.node, b.node)) {
-                TableCounters::bump(&self.counters.compute_hits);
+                self.counters.compute_hits += 1;
                 return cached * w;
             }
         }
@@ -369,7 +217,7 @@ impl DdPackage {
             sum += self.inner_rec(an.edges[i], bn.edges[i]);
         }
         if self.caching_enabled {
-            TableCounters::bump(&self.counters.compute_misses);
+            self.counters.compute_misses += 1;
             self.ct_inner.insert((a.node, b.node), sum);
         }
         sum * w
@@ -481,35 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_multiplication_composes_gates() {
-        let mut dd = DdPackage::new();
-        let h = dd.single_qubit_op(1, 0, Matrix2::hadamard());
-        let hh = dd.mat_mat_mul(h, h);
-        let id = dd.identity_op(1);
-        assert_eq!(hh, id, "H * H must be the identity diagram");
-        let x = dd.single_qubit_op(1, 0, Matrix2::pauli_x());
-        let z = dd.single_qubit_op(1, 0, Matrix2::pauli_z());
-        let xz = dd.mat_mat_mul(x, z);
-        let zx = dd.mat_mat_mul(z, x);
-        assert_ne!(xz, zx, "X and Z anticommute, so XZ != ZX");
-    }
-
-    #[test]
-    fn composed_operator_equals_sequential_application() {
-        let mut dd = DdPackage::new();
-        let s = dd.zero_state(3);
-        let h = dd.single_qubit_op(3, 0, Matrix2::hadamard());
-        let cx = dd.controlled_op(3, 2, &[0], Matrix2::pauli_x());
-        let combined = dd.mat_mat_mul(cx, h);
-        let sequential = {
-            let t = dd.mat_vec_mul(h, s);
-            dd.mat_vec_mul(cx, t)
-        };
-        let at_once = dd.mat_vec_mul(combined, s);
-        assert_eq!(sequential, at_once);
-    }
-
-    #[test]
     fn inner_product_of_orthogonal_states_is_zero() {
         let mut dd = DdPackage::new();
         let a = dd.basis_state_from_index(3, 2);
@@ -556,64 +375,6 @@ mod tests {
         let vb = uncached.to_statevector(b, 2);
         for (x, y) in va.iter().zip(vb.iter()) {
             assert!(x.approx_eq(*y, 1e-12));
-        }
-    }
-
-    /// Runs an interference-heavy 6-qubit circuit and returns the final
-    /// statevector plus structural statistics.
-    fn run_circuit(pool: Option<std::sync::Arc<crate::IntraPool>>) -> (Vec<Complex>, usize, usize) {
-        let n = 6;
-        let mut dd = DdPackage::new();
-        dd.set_intra_pool(pool);
-        let mut state = dd.zero_state(n);
-        for q in 0..n {
-            let h = dd.single_qubit_op(n, q, Matrix2::hadamard());
-            state = dd.mat_vec_mul(h, state);
-        }
-        for q in 0..n - 1 {
-            let cx = dd.controlled_op(n, q + 1, &[q], Matrix2::pauli_x());
-            state = dd.mat_vec_mul(cx, state);
-        }
-        for q in 0..n {
-            let p = dd.single_qubit_op(n, q, Matrix2::phase(0.1 + 0.37 * q as f64));
-            state = dd.mat_vec_mul(p, state);
-        }
-        for q in 0..n {
-            let h = dd.single_qubit_op(n, q, Matrix2::hadamard());
-            state = dd.mat_vec_mul(h, state);
-        }
-        let stats = dd.stats();
-        (
-            dd.to_statevector(state, n),
-            stats.vec_nodes,
-            stats.complex_values,
-        )
-    }
-
-    #[test]
-    fn fork_join_matches_serial_bit_for_bit() {
-        // The speculative fork-join must reproduce the serial run exactly:
-        // same amplitudes to the bit, same node-arena and complex-table
-        // growth (creation only ever survives from serial execution).
-        let (serial, serial_nodes, serial_values) = run_circuit(None);
-        for threads in [2usize, 4, 8] {
-            let pool = std::sync::Arc::new(crate::IntraPool::new(threads));
-            let (parallel, nodes, values) = run_circuit(Some(pool));
-            assert_eq!(
-                nodes, serial_nodes,
-                "node growth differs at {threads} threads"
-            );
-            assert_eq!(
-                values, serial_values,
-                "value growth differs at {threads} threads"
-            );
-            for (i, (a, b)) in serial.iter().zip(parallel.iter()).enumerate() {
-                assert_eq!(
-                    (a.re.to_bits(), a.im.to_bits()),
-                    (b.re.to_bits(), b.im.to_bits()),
-                    "amplitude {i} differs at {threads} threads"
-                );
-            }
         }
     }
 }

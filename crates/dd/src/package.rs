@@ -5,14 +5,11 @@
 //! sub-diagrams are stored exactly once — this sharing is what makes the
 //! representation compact for structured states such as GHZ or QFT outputs.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::hash_map::Entry;
 
 use crate::complex::Complex;
 use crate::complex_table::{ComplexId, ComplexTable};
-use crate::concurrent::{ChunkedArena, StripedMap};
 use crate::fxhash::FxHashMap;
-use crate::intra::IntraPool;
 use crate::matrix2::Matrix2;
 use crate::node::{MatEdge, MatNode, MatNodeId, VecEdge, VecNode, VecNodeId};
 
@@ -58,10 +55,6 @@ pub struct TableStats {
     pub compute_hits: u64,
     /// Compute-table lookups that missed and computed.
     pub compute_misses: u64,
-    /// Stripe-lock acquisitions (unique tables, striped compute tables and
-    /// the complex table) that found the stripe held by another thread.
-    /// Always zero while `intra_threads == 1`.
-    pub stripe_contention: u64,
 }
 
 impl TableStats {
@@ -80,75 +73,16 @@ impl TableStats {
                 .saturating_sub(earlier.mat_unique_misses),
             compute_hits: self.compute_hits.saturating_sub(earlier.compute_hits),
             compute_misses: self.compute_misses.saturating_sub(earlier.compute_misses),
-            stripe_contention: self
-                .stripe_contention
-                .saturating_sub(earlier.stripe_contention),
         }
     }
 }
 
-/// Interior-mutable backing store for the hit/miss counters of
-/// [`TableStats`], so the hot lookup paths can count through `&self` while
-/// several fork-join workers traverse one package.
-///
-/// All increments and loads are `Relaxed`: the counters are diagnostics,
-/// and their exact values under intra-shot parallelism depend on thread
-/// interleaving (they are deliberately excluded from the determinism
-/// contract).
-#[derive(Debug, Default)]
-pub(crate) struct TableCounters {
-    pub(crate) vec_unique_hits: AtomicU64,
-    pub(crate) vec_unique_misses: AtomicU64,
-    pub(crate) mat_unique_hits: AtomicU64,
-    pub(crate) mat_unique_misses: AtomicU64,
-    pub(crate) compute_hits: AtomicU64,
-    pub(crate) compute_misses: AtomicU64,
-}
-
-impl TableCounters {
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> [u64; 6] {
-        [
-            self.vec_unique_hits.load(Ordering::Relaxed),
-            self.vec_unique_misses.load(Ordering::Relaxed),
-            self.mat_unique_hits.load(Ordering::Relaxed),
-            self.mat_unique_misses.load(Ordering::Relaxed),
-            self.compute_hits.load(Ordering::Relaxed),
-            self.compute_misses.load(Ordering::Relaxed),
-        ]
-    }
-
-    fn from_snapshot(values: [u64; 6]) -> Self {
-        TableCounters {
-            vec_unique_hits: AtomicU64::new(values[0]),
-            vec_unique_misses: AtomicU64::new(values[1]),
-            mat_unique_hits: AtomicU64::new(values[2]),
-            mat_unique_misses: AtomicU64::new(values[3]),
-            compute_hits: AtomicU64::new(values[4]),
-            compute_misses: AtomicU64::new(values[5]),
-        }
-    }
-
-    fn store(&mut self, values: [u64; 6]) {
-        *self.vec_unique_hits.get_mut() = values[0];
-        *self.vec_unique_misses.get_mut() = values[1];
-        *self.mat_unique_hits.get_mut() = values[2];
-        *self.mat_unique_misses.get_mut() = values[3];
-        *self.compute_hits.get_mut() = values[4];
-        *self.compute_misses.get_mut() = values[5];
-    }
-}
-
-/// Table lengths captured at the start of a speculative parallel operation
-/// (see [`DdPackage::begin_speculation`]).
-#[derive(Debug)]
-pub(crate) struct SpecMark {
-    ctable_len: usize,
-    vec_len: usize,
+/// Id of the node about to be pushed onto an arena of `len` nodes.
+#[inline]
+fn node_index(len: usize) -> u32 {
+    // `u32::MAX` is the terminal id, so the arena must stay strictly below.
+    assert!(len < u32::MAX as usize, "node arena exhausted its id space");
+    len as u32
 }
 
 /// A self-contained decision diagram manager.
@@ -188,14 +122,13 @@ pub(crate) struct SpecMark {
 #[derive(Debug)]
 pub struct DdPackage {
     pub(crate) ctable: ComplexTable,
-    pub(crate) vec_nodes: ChunkedArena<VecNode>,
-    pub(crate) mat_nodes: ChunkedArena<MatNode>,
-    pub(crate) vec_unique: StripedMap<VecNode, VecNodeId>,
-    pub(crate) mat_unique: StripedMap<MatNode, MatNodeId>,
-    pub(crate) ct_mat_vec: StripedMap<(MatNodeId, VecNodeId), VecEdge>,
-    pub(crate) ct_vec_add: StripedMap<(VecEdge, VecEdge), VecEdge>,
+    pub(crate) vec_nodes: Vec<VecNode>,
+    pub(crate) mat_nodes: Vec<MatNode>,
+    pub(crate) vec_unique: FxHashMap<VecNode, VecNodeId>,
+    pub(crate) mat_unique: FxHashMap<MatNode, MatNodeId>,
+    pub(crate) ct_mat_vec: FxHashMap<(MatNodeId, VecNodeId), VecEdge>,
+    pub(crate) ct_vec_add: FxHashMap<(VecEdge, VecEdge), VecEdge>,
     pub(crate) ct_mat_add: FxHashMap<(MatEdge, MatEdge), MatEdge>,
-    pub(crate) ct_mat_mat: FxHashMap<(MatNodeId, MatNodeId), MatEdge>,
     pub(crate) ct_inner: FxHashMap<(VecNodeId, VecNodeId), Complex>,
     pub(crate) ct_prob_one: FxHashMap<(VecNodeId, u16), f64>,
     pub(crate) ct_collapse: FxHashMap<(VecNodeId, u16, bool), VecEdge>,
@@ -214,15 +147,7 @@ pub struct DdPackage {
     pub(crate) visit_stamp: u32,
     pub(crate) visit_stack: Vec<VecNodeId>,
     /// Lifetime table hit/miss counters (diagnostics; see [`TableStats`]).
-    pub(crate) counters: TableCounters,
-    /// Worker pool for intra-shot fork-join traversal; `None` (and thus
-    /// fully serial recursion) unless installed via
-    /// [`DdPackage::set_intra_pool`].
-    pub(crate) intra: Option<Arc<IntraPool>>,
-    /// Remaining operations to run serially after a speculation rollback
-    /// (creation-heavy phases would otherwise pay for a doomed parallel
-    /// attempt on every operation).
-    pub(crate) spec_cooldown: u32,
+    pub(crate) counters: TableStats,
 }
 
 impl Clone for DdPackage {
@@ -236,7 +161,6 @@ impl Clone for DdPackage {
             ct_mat_vec: self.ct_mat_vec.clone(),
             ct_vec_add: self.ct_vec_add.clone(),
             ct_mat_add: self.ct_mat_add.clone(),
-            ct_mat_mat: self.ct_mat_mat.clone(),
             ct_inner: self.ct_inner.clone(),
             ct_prob_one: self.ct_prob_one.clone(),
             ct_collapse: self.ct_collapse.clone(),
@@ -249,11 +173,7 @@ impl Clone for DdPackage {
             visit_marks: Vec::new(),
             visit_stamp: 0,
             visit_stack: Vec::new(),
-            counters: TableCounters::from_snapshot(self.counters.snapshot()),
-            // A pool is a property of the execution context, not of the
-            // diagram contents; clones start serial until one is installed.
-            intra: None,
-            spec_cooldown: 0,
+            counters: self.counters,
         }
     }
 
@@ -269,7 +189,6 @@ impl Clone for DdPackage {
         self.ct_mat_vec.clone_from(&source.ct_mat_vec);
         self.ct_vec_add.clone_from(&source.ct_vec_add);
         self.ct_mat_add.clone_from(&source.ct_mat_add);
-        self.ct_mat_mat.clone_from(&source.ct_mat_mat);
         self.ct_inner.clone_from(&source.ct_inner);
         self.ct_prob_one.clone_from(&source.ct_prob_one);
         self.ct_collapse.clone_from(&source.ct_collapse);
@@ -287,8 +206,7 @@ impl Clone for DdPackage {
         // onto another program's template must not erase what this package
         // has already counted (the template's counters describe compile
         // time, not this worker). Simulation state is unaffected — the
-        // counters are pure diagnostics. The same goes for `intra`: the
-        // destination keeps whatever pool its execution context installed.
+        // counters are pure diagnostics.
     }
 }
 
@@ -299,14 +217,13 @@ impl DdPackage {
         let complex_watermark = ctable.len();
         DdPackage {
             ctable,
-            vec_nodes: ChunkedArena::new(),
-            mat_nodes: ChunkedArena::new(),
-            vec_unique: StripedMap::new(),
-            mat_unique: StripedMap::new(),
-            ct_mat_vec: StripedMap::new(),
-            ct_vec_add: StripedMap::new(),
+            vec_nodes: Vec::new(),
+            mat_nodes: Vec::new(),
+            vec_unique: FxHashMap::default(),
+            mat_unique: FxHashMap::default(),
+            ct_mat_vec: FxHashMap::default(),
+            ct_vec_add: FxHashMap::default(),
             ct_mat_add: FxHashMap::default(),
-            ct_mat_mat: FxHashMap::default(),
             ct_inner: FxHashMap::default(),
             ct_prob_one: FxHashMap::default(),
             ct_collapse: FxHashMap::default(),
@@ -319,9 +236,7 @@ impl DdPackage {
             visit_marks: Vec::new(),
             visit_stamp: 0,
             visit_stack: Vec::new(),
-            counters: TableCounters::default(),
-            intra: None,
-            spec_cooldown: 0,
+            counters: TableStats::default(),
         }
     }
 
@@ -354,75 +269,6 @@ impl DdPackage {
     pub fn set_cache_limit(&mut self, limit: usize) {
         assert!(limit > 0, "cache limit must be positive");
         self.cache_limit = limit;
-    }
-
-    /// Installs (or removes, with `None`) the fork-join pool used for
-    /// intra-shot parallel traversal. Without a pool every operation runs
-    /// the plain serial recursion; with one, `mat_vec_mul`/`vec_add` fork
-    /// their cofactor sub-calls above the pool's level budget. Results are
-    /// byte-identical either way: parallel attempts run speculatively and
-    /// any attempt that created a table entry is rolled back and re-run
-    /// serially, so entry creation — the only order-sensitive event —
-    /// always happens in serial order.
-    pub fn set_intra_pool(&mut self, pool: Option<Arc<IntraPool>>) {
-        self.intra = pool;
-    }
-
-    /// The currently installed fork-join pool, if any.
-    pub fn intra_pool(&self) -> Option<&Arc<IntraPool>> {
-        self.intra.as_ref()
-    }
-
-    /// Marks the table state before a speculative parallel operation and
-    /// starts journaling compute-cache insertions.
-    ///
-    /// A parallel attempt that creates **no** new complex-table entry and
-    /// **no** new vector node only ever performs lookups that are pure
-    /// functions of the pre-operation state, so its result (and every side
-    /// effect that survives, i.e. the journaled cache insertions) is
-    /// byte-identical to a serial run. If anything *was* created, the
-    /// attempt must be rolled back with
-    /// [`rollback_speculation`](Self::rollback_speculation) and re-run
-    /// serially — creation order under a parallel schedule is not
-    /// reproducible, and the complex table's first-comer representatives
-    /// depend on it.
-    pub(crate) fn begin_speculation(&self) -> SpecMark {
-        self.ct_mat_vec.begin_journal();
-        self.ct_vec_add.begin_journal();
-        SpecMark {
-            ctable_len: self.ctable.len(),
-            vec_len: self.vec_nodes.len(),
-        }
-    }
-
-    /// Returns `true` when the attempt since `mark` created nothing and can
-    /// be committed as-is.
-    pub(crate) fn speculation_clean(&self, mark: &SpecMark) -> bool {
-        self.ctable.len() == mark.ctable_len && self.vec_nodes.len() == mark.vec_len
-    }
-
-    /// Keeps the side effects of a clean speculative attempt.
-    pub(crate) fn commit_speculation(&mut self) {
-        self.ct_mat_vec.commit_journal();
-        self.ct_vec_add.commit_journal();
-    }
-
-    /// Undoes every side effect of a speculative attempt: journaled
-    /// compute-cache insertions, vector nodes created since the mark (and
-    /// their unique-table entries), and complex-table entries since the
-    /// mark. Relaxed diagnostic counters are deliberately not restored.
-    pub(crate) fn rollback_speculation(&mut self, mark: SpecMark) {
-        self.ct_mat_vec.rollback_journal();
-        self.ct_vec_add.rollback_journal();
-        for idx in mark.vec_len..self.vec_nodes.len() {
-            let node = self.vec_nodes[idx];
-            self.vec_unique.remove(&node);
-        }
-        self.vec_nodes.truncate(mark.vec_len);
-        if self.visit_marks.len() > mark.vec_len {
-            self.visit_marks.truncate(mark.vec_len);
-        }
-        self.ctable.truncate(mark.ctable_len);
     }
 
     /// Returns a read-only view of the complex table.
@@ -472,48 +318,12 @@ impl DdPackage {
     /// Lifetime unique/compute-table hit and miss counters (see
     /// [`TableStats`]).
     pub fn table_stats(&self) -> TableStats {
-        let [vu_h, vu_m, mu_h, mu_m, c_h, c_m] = self.counters.snapshot();
-        TableStats {
-            vec_unique_hits: vu_h,
-            vec_unique_misses: vu_m,
-            mat_unique_hits: mu_h,
-            mat_unique_misses: mu_m,
-            compute_hits: c_h,
-            compute_misses: c_m,
-            stripe_contention: self.stripe_contention(),
-        }
+        self.counters
     }
 
-    /// Total stripe-lock acquisitions that had to wait, across all striped
-    /// tables of this package.
-    pub fn stripe_contention(&self) -> u64 {
-        self.vec_unique.contention()
-            + self.mat_unique.contention()
-            + self.ct_mat_vec.contention()
-            + self.ct_vec_add.contention()
-            + self.ctable.contention()
-    }
-
-    /// Entries per lock stripe for each striped table, as
-    /// `(table name, occupancy per stripe)` pairs in a fixed order.
-    pub fn stripe_occupancy(&self) -> Vec<(&'static str, Vec<usize>)> {
-        vec![
-            ("vec_unique", self.vec_unique.stripe_lens().to_vec()),
-            ("mat_unique", self.mat_unique.stripe_lens().to_vec()),
-            ("mat_vec_cache", self.ct_mat_vec.stripe_lens().to_vec()),
-            ("vec_add_cache", self.ct_vec_add.stripe_lens().to_vec()),
-            ("complex_table", self.ctable.stripe_lens().to_vec()),
-        ]
-    }
-
-    /// Resets the table hit/miss counters (and stripe contention) to zero.
+    /// Resets the table hit/miss counters to zero.
     pub fn reset_table_stats(&mut self) {
-        self.counters.store([0; 6]);
-        self.vec_unique.set_contention(0);
-        self.mat_unique.set_contention(0);
-        self.ct_mat_vec.set_contention(0);
-        self.ct_vec_add.set_contention(0);
-        self.ctable.reset_contention();
+        self.counters = TableStats::default();
     }
 
     /// Clears all operation caches (not the unique tables).
@@ -521,7 +331,6 @@ impl DdPackage {
         self.ct_mat_vec.clear();
         self.ct_vec_add.clear();
         self.ct_mat_add.clear();
-        self.ct_mat_mat.clear();
         self.ct_inner.clear();
         self.ct_prob_one.clear();
         self.ct_collapse.clear();
@@ -533,17 +342,14 @@ impl DdPackage {
     /// a perfectly sized multiplication cache (and vice versa). The node
     /// norm cache is bounded by the same limit.
     pub(crate) fn maybe_trim_caches(&mut self) {
-        if self.ct_mat_vec.len_mut() > self.cache_limit {
+        if self.ct_mat_vec.len() > self.cache_limit {
             self.ct_mat_vec.clear();
         }
-        if self.ct_vec_add.len_mut() > self.cache_limit {
+        if self.ct_vec_add.len() > self.cache_limit {
             self.ct_vec_add.clear();
         }
         if self.ct_mat_add.len() > self.cache_limit {
             self.ct_mat_add.clear();
-        }
-        if self.ct_mat_mat.len() > self.cache_limit {
-            self.ct_mat_mat.clear();
         }
         if self.ct_inner.len() > self.cache_limit {
             self.ct_inner.clear();
@@ -609,7 +415,6 @@ impl DdPackage {
         self.ct_mat_vec.clear();
         self.ct_vec_add.clear();
         self.ct_mat_add.clear();
-        self.ct_mat_mat.clear();
         self.ct_inner.clear();
         self.ct_prob_one.clear();
         self.ct_collapse.clear();
@@ -643,12 +448,7 @@ impl DdPackage {
     /// magnitude (ties resolved towards edge 0) and returns that factor as
     /// the weight of the produced edge, which keeps the representation
     /// canonical. An all-zero pair of successors collapses to the zero edge.
-    ///
-    /// Takes `&self`: node construction is safe from several fork-join
-    /// workers at once. The unique-table stripe lock is held across the
-    /// lookup-miss-insert sequence, so racing constructions of the same
-    /// node always agree on one id.
-    pub fn make_vec_node(&self, var: u16, edges: [VecEdge; 2]) -> VecEdge {
+    pub fn make_vec_node(&mut self, var: u16, edges: [VecEdge; 2]) -> VecEdge {
         let mut edges = edges;
         for e in &mut edges {
             if e.weight.is_zero() {
@@ -678,17 +478,16 @@ impl DdPackage {
             var,
             edges: new_edges,
         };
-        let mut stripe = self.vec_unique.lock_stripe(&node);
-        let id = match stripe.get(&node) {
-            Some(&id) => {
-                TableCounters::bump(&self.counters.vec_unique_hits);
-                id
+        let id = match self.vec_unique.entry(node) {
+            Entry::Occupied(found) => {
+                self.counters.vec_unique_hits += 1;
+                *found.get()
             }
-            None => {
-                TableCounters::bump(&self.counters.vec_unique_misses);
-                let id = VecNodeId(self.vec_nodes.push(node) as u32);
-                stripe.insert(node, id);
-                id
+            Entry::Vacant(slot) => {
+                self.counters.vec_unique_misses += 1;
+                let id = VecNodeId(node_index(self.vec_nodes.len()));
+                self.vec_nodes.push(node);
+                *slot.insert(id)
             }
         };
         VecEdge {
@@ -701,8 +500,8 @@ impl DdPackage {
     /// pointing to it.
     ///
     /// The normalisation rule mirrors [`DdPackage::make_vec_node`] over the
-    /// four quadrant edges (and shares its `&self` concurrency contract).
-    pub fn make_mat_node(&self, var: u16, edges: [MatEdge; 4]) -> MatEdge {
+    /// four quadrant edges.
+    pub fn make_mat_node(&mut self, var: u16, edges: [MatEdge; 4]) -> MatEdge {
         let mut edges = edges;
         for e in &mut edges {
             if e.weight.is_zero() {
@@ -734,17 +533,16 @@ impl DdPackage {
             var,
             edges: new_edges,
         };
-        let mut stripe = self.mat_unique.lock_stripe(&node);
-        let id = match stripe.get(&node) {
-            Some(&id) => {
-                TableCounters::bump(&self.counters.mat_unique_hits);
-                id
+        let id = match self.mat_unique.entry(node) {
+            Entry::Occupied(found) => {
+                self.counters.mat_unique_hits += 1;
+                *found.get()
             }
-            None => {
-                TableCounters::bump(&self.counters.mat_unique_misses);
-                let id = MatNodeId(self.mat_nodes.push(node) as u32);
-                stripe.insert(node, id);
-                id
+            Entry::Vacant(slot) => {
+                self.counters.mat_unique_misses += 1;
+                let id = MatNodeId(node_index(self.mat_nodes.len()));
+                self.mat_nodes.push(node);
+                *slot.insert(id)
             }
         };
         MatEdge {
@@ -993,7 +791,7 @@ mod tests {
 
     #[test]
     fn make_vec_node_all_zero_collapses() {
-        let dd = DdPackage::new();
+        let mut dd = DdPackage::new();
         let e = dd.make_vec_node(0, [VecEdge::zero(), VecEdge::zero()]);
         assert!(e.is_zero());
     }
@@ -1225,5 +1023,33 @@ mod tests {
         assert_eq!(other.table_stats(), own, "re-seat must keep own counters");
         dd.reset_table_stats();
         assert_eq!(dd.table_stats(), TableStats::default());
+    }
+
+    #[test]
+    fn table_stats_are_deterministic_across_identical_runs() {
+        // The counters are plain integers bumped in serial recursion order,
+        // so two fresh packages doing the same work must agree exactly.
+        fn run() -> TableStats {
+            let n = 5;
+            let mut dd = DdPackage::new();
+            let mut state = dd.zero_state(n);
+            for q in 0..n {
+                let h = dd.single_qubit_op(n, q, Matrix2::hadamard());
+                state = dd.mat_vec_mul(h, state);
+                let p = dd.single_qubit_op(n, q, Matrix2::phase(0.1 + 0.37 * q as f64));
+                state = dd.mat_vec_mul(p, state);
+            }
+            for q in 0..n - 1 {
+                let cx = dd.controlled_op(n, q + 1, &[q], Matrix2::pauli_x());
+                state = dd.mat_vec_mul(cx, state);
+            }
+            let doubled = dd.vec_add(state, state);
+            let _ = dd.norm_sqr(doubled);
+            dd.table_stats()
+        }
+        let first = run();
+        assert!(first.compute_hits > 0 && first.compute_misses > 0);
+        assert!(first.vec_unique_hits > 0 && first.vec_unique_misses > 0);
+        assert_eq!(run(), first);
     }
 }

@@ -69,11 +69,13 @@ pub struct JobInput {
     /// When set, the job runs through the weighted trajectory-enumeration
     /// driver with these knobs instead of sampling every shot.
     pub weighted: Option<WeightedOptions>,
-    /// Intra-shot fork-join width for this job (`1` = serial). An
-    /// *execution* knob, not a result knob: results are bit-identical for
-    /// every width, so it is deliberately **excluded** from
-    /// [`canonical_key`](Self::canonical_key) and two submissions differing
-    /// only here share one simulation and one cached result.
+    /// Intra-shot fork-join width for this job (`1` = serial; only the
+    /// statevector back-end's kernels run wide, decision-diagram jobs are
+    /// serial at any value). An *execution* knob, not a result knob:
+    /// results are bit-identical for every width, so it is deliberately
+    /// **excluded** from [`canonical_key`](Self::canonical_key) and two
+    /// submissions differing only here share one simulation and one cached
+    /// result.
     pub intra_threads: usize,
     /// Wall-clock budget for the simulation in milliseconds; the job fails
     /// with reason `timed_out` when it cannot finish in time. Unlike

@@ -861,14 +861,6 @@ fn execute_job(state: &Arc<ServerState>, cell: &Arc<ExecutionCell>, ctx: &mut Ex
     let input: &JobInput = cell
         .input()
         .expect("queued cells always carry their input (only restored cells do not)");
-    // Per-job intra-shot width, clamped against the worker-pool size so a
-    // fully loaded pool never oversubscribes the machine. The knob never
-    // affects the payload (bit-identical by the `qsdd_dd` speculation
-    // contract), which is what keeps it safely outside the cache key.
-    ctx.set_intra_threads(qsdd_core::resolve_intra_threads(
-        input.intra_threads,
-        state.workers,
-    ));
     // The job's deadline (when it set one). Cancellation is cooperative —
     // the drivers check at chunk and trajectory boundaries — so the context
     // stays reusable after a timeout, unlike after a panic.
@@ -892,7 +884,18 @@ fn execute_job(state: &Arc<ServerState>, cell: &Arc<ExecutionCell>, ctx: &mut Ex
                     input.seed,
                     input.opt,
                 )
+                .with_intra_threads(input.intra_threads)
             };
+            // Per-job intra-shot width (1 on the decision-diagram back-end,
+            // which is serial), clamped against the worker-pool size so a
+            // fully loaded pool never oversubscribes the machine. The knob
+            // never affects the payload — the dense kernels partition on
+            // fixed chunk boundaries, so every width computes the same
+            // bits — which is what keeps it safely outside the cache key.
+            ctx.set_intra_threads(qsdd_core::resolve_intra_threads(
+                engine.intra_threads(),
+                state.workers,
+            ));
             let outcome = match &input.weighted {
                 Some(options) => qsdd_core::run_engine_weighted_in_deadline(
                     &engine,

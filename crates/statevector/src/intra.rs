@@ -1,15 +1,14 @@
 //! A small hand-rolled fork-join pool for intra-shot parallelism.
 //!
-//! The diagram traversals in [`ops`](crate::ops) and the dense statevector
-//! kernels both decompose into two independent halves at every level, so
-//! the only primitive needed is a scoped [`join`](IntraPool::join): run two
-//! closures, possibly on different threads, and return both results. The
-//! pool is deliberately tiny — a shared injector queue, `threads - 1`
+//! The dense statevector kernels sweep a fixed partition of chunk indices,
+//! and a range of chunks splits into two independent halves at every level,
+//! so the only primitive needed is a scoped [`join`](IntraPool::join): run
+//! two closures, possibly on different threads, and return both results.
+//! The pool is deliberately tiny — a shared injector queue, `threads - 1`
 //! workers (the caller is the remaining worker), and stack-allocated job
-//! records — because the recursion itself provides all the load balancing:
-//! each fork level doubles the number of outstanding jobs, and the
-//! [`fork_budget`](IntraPool::fork_budget) cutoff stops forking once every
-//! thread has work.
+//! records — because the recursive halving in
+//! [`for_each_chunk`](IntraPool::for_each_chunk) provides all the load
+//! balancing: each level doubles the number of outstanding jobs.
 //!
 //! ## Why not a library?
 //!
@@ -111,8 +110,8 @@ impl Shared {
     }
 }
 
-/// A scoped fork-join worker pool shared by the diagram and dense kernels
-/// of one simulation context (or borrowed by several idle shot workers).
+/// A scoped fork-join worker pool shared by the dense kernels of one
+/// simulation context (or borrowed by several idle shot workers).
 pub struct IntraPool {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -150,17 +149,6 @@ impl IntraPool {
     /// Total number of threads that execute work (callers + workers).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// How many fork levels keep all threads busy: `log2(threads) + 2`.
-    /// Forking deeper than this only adds queue traffic; the recursion
-    /// below the budget runs serially.
-    pub fn fork_budget(&self) -> u32 {
-        if self.threads <= 1 {
-            0
-        } else {
-            (usize::BITS - 1 - self.threads.leading_zeros()) + 2
-        }
     }
 
     /// Runs `a` and `b`, potentially in parallel, and returns both results.
@@ -298,7 +286,6 @@ mod tests {
     fn single_thread_pool_runs_inline() {
         let pool = IntraPool::new(1);
         assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.fork_budget(), 0);
         let (a, b) = pool.join(|| 1, || 2);
         assert_eq!((a, b), (1, 2));
     }
@@ -318,8 +305,8 @@ mod tests {
             }
         }
         let pool = IntraPool::new(8);
-        let n = 100_000;
-        assert_eq!(tree_sum(&pool, 0, n, pool.fork_budget()), n * (n - 1) / 2);
+        let (n, fork_levels) = (100_000, 5);
+        assert_eq!(tree_sum(&pool, 0, n, fork_levels), n * (n - 1) / 2);
     }
 
     #[test]
@@ -344,12 +331,5 @@ mod tests {
         // The pool stays usable after a propagated panic.
         let (a, b) = pool.join(|| 10, || 20);
         assert_eq!((a, b), (10, 20));
-    }
-
-    #[test]
-    fn fork_budget_scales_with_threads() {
-        assert_eq!(IntraPool::new(1).fork_budget(), 0);
-        assert_eq!(IntraPool::new(2).fork_budget(), 3);
-        assert_eq!(IntraPool::new(8).fork_budget(), 5);
     }
 }

@@ -27,7 +27,9 @@
 #![warn(rust_2018_idioms)]
 
 mod executor;
+mod intra;
 mod state;
 
 pub use executor::{apply_unitary_operation, run_noiseless, run_with_measurements};
+pub use intra::IntraPool;
 pub use state::StateVector;

@@ -16,8 +16,10 @@
 
 use std::sync::Arc;
 
-use qsdd_dd::{Complex, IntraPool, Matrix2};
+use qsdd_dd::{Complex, Matrix2};
 use rand::Rng;
+
+use crate::intra::IntraPool;
 
 /// Fixed width (in pair or amplitude indices) of one kernel chunk. Both
 /// the serial and pooled paths partition work on these boundaries, so

@@ -26,7 +26,7 @@ pub enum Stage {
     /// Shot / trajectory execution.
     Execute,
     /// Portion of execution spent with intra-shot parallelism engaged
-    /// (fork-join diagram ops / chunked dense kernels on a worker pool).
+    /// (chunked dense kernels on a worker pool).
     IntraExecute,
     /// Merging worker partials into the final outcome.
     Aggregate,

@@ -806,22 +806,20 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_and_roughly_proportional() {
-        let decisions: Vec<bool> = {
-            set_trace_sample_rate(4);
-            let out = (0..256)
-                .map(|n| sampled(&format!("j{n:016x}")))
-                .collect::<Vec<_>>();
-            set_trace_sample_rate(1);
-            out
+        // Under the gate lock: the sampling rate is process-global, and
+        // every `with_tracing` test resets it to 1.
+        let sample_at_rate_4 = || {
+            with_tracing(|| {
+                set_trace_sample_rate(4);
+                let out = (0..256)
+                    .map(|n| sampled(&format!("j{n:016x}")))
+                    .collect::<Vec<_>>();
+                set_trace_sample_rate(1);
+                out
+            })
         };
-        let repeat: Vec<bool> = {
-            set_trace_sample_rate(4);
-            let out = (0..256)
-                .map(|n| sampled(&format!("j{n:016x}")))
-                .collect::<Vec<_>>();
-            set_trace_sample_rate(1);
-            out
-        };
+        let decisions: Vec<bool> = sample_at_rate_4();
+        let repeat: Vec<bool> = sample_at_rate_4();
         assert_eq!(decisions, repeat, "sampling must be deterministic");
         let hits = decisions.iter().filter(|&&hit| hit).count();
         assert!(

@@ -128,9 +128,11 @@ usage:
 options (run / generate):
   --shots <N>          number of stochastic runs (default 1000)
   --threads <N>        worker threads, 0 = all cores (default 0)
-  --intra-threads <N>  fork-join width inside each shot (default 1 = serial);
-                       clamped against the shot-worker count, results are
-                       bit-identical for every setting
+  --intra-threads <N>  fork-join width of the dense kernels inside each
+                       shot (default 1 = serial; --backend dense only, the
+                       dd backend is serial); clamped against the
+                       shot-worker count, results are bit-identical for
+                       every setting
   --seed <N>           master seed (default 2021)
   --backend <dd|dense> simulation engine (default dd)
   --opt <0|1|2>        circuit optimization level (default 0); the gate-count
@@ -171,8 +173,9 @@ options (batch):
   --out <path>         write the report to a file instead of stdout
   --format <json|csv>  report format (default json, or inferred from --out)
   --threads <N>        worker threads shared by all jobs, 0 = all cores
-  --intra-threads <N>  fork-join width inside each shot (default 1 = serial;
-                       0 = big jobs borrow idle shot-workers)
+  --intra-threads <N>  fork-join width inside each shot of a dense-backend
+                       job (default 1 = serial; 0 = big jobs borrow idle
+                       shot-workers); dd jobs are serial
   --no-dedup           disable trajectory deduplication for every job
   --profile            print the aggregated per-stage timing breakdown of
                        the whole batch to stderr

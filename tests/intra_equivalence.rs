@@ -5,19 +5,17 @@
 //! measurements and resets, on both back-ends, through the per-shot, the
 //! deduplicating and the weighted-enumeration drivers.
 //!
-//! The mechanism under test is the speculation contract of `qsdd_dd`
-//! (`crates/dd/src/ops.rs`): parallel diagram operations run speculatively
-//! and any attempt that *created* a table entry is rolled back and re-run
-//! serially, so entry creation — the only order-sensitive event — always
-//! happens in serial order. These tests deliberately assert nothing about
-//! cache hit/miss or contention counters: those are relaxed diagnostics and
-//! explicitly outside the determinism contract.
+//! Only the statevector back-end runs wide: its kernels partition on fixed
+//! chunk boundaries and merge partial sums in chunk order, so every width
+//! computes the same bits. The decision-diagram back-end is serial — the
+//! width resolves to 1 on a DD engine and no pool is ever built — so the
+//! DD cases pin that the knob is inert there.
 
 use proptest::prelude::*;
 use qsdd::circuit::Circuit;
 use qsdd::core::{
-    run_engine, run_engine_dedup, run_engine_weighted, BackendKind, Observable, OptLevel,
-    ShotEngine, StochasticOutcome, WeightedOptions,
+    build_intra_pool, run_engine, run_engine_dedup, run_engine_weighted, BackendKind, Observable,
+    OptLevel, ShotEngine, StochasticOutcome, WeightedOptions,
 };
 use qsdd::noise::NoiseModel;
 
@@ -185,8 +183,8 @@ proptest! {
     }
 }
 
-/// A deep entangling workload (QFT) where fork-join really engages above
-/// the cutoff: node statistics and histogram must not move by one bit.
+/// A deep entangling workload (QFT): node statistics and histogram must
+/// not move by one bit.
 #[test]
 fn qft_is_identical_across_intra_widths() {
     use qsdd::circuit::generators::qft;
@@ -194,4 +192,32 @@ fn qft_is_identical_across_intra_widths() {
     for backend in [BackendKind::DecisionDiagram, BackendKind::Statevector] {
         compare_widths(&circuit, backend, NoiseModel::paper_defaults(), 2021);
     }
+}
+
+/// A decision-diagram engine asked for width 8 resolves to serial, so the
+/// drivers' pool builder returns nothing and a context seated from the
+/// engine holds no pool; the statevector engine keeps the request.
+#[test]
+fn dd_engine_with_intra_threads_holds_no_pool() {
+    use qsdd::circuit::generators::ghz;
+    let noise = NoiseModel::paper_defaults();
+    let dd = ShotEngine::new(
+        &ghz(4),
+        BackendKind::DecisionDiagram,
+        noise,
+        1,
+        OptLevel::O0,
+    )
+    .with_intra_threads(8);
+    assert_eq!(dd.intra_threads(), 1);
+    assert!(build_intra_pool(dd.intra_threads(), 1).is_none());
+    let mut ctx = dd.new_context();
+    ctx.set_intra_threads(dd.intra_threads());
+    assert!(ctx.intra_pool().is_none());
+
+    let dense = ShotEngine::new(&ghz(4), BackendKind::Statevector, noise, 1, OptLevel::O0)
+        .with_intra_threads(8);
+    assert_eq!(dense.intra_threads(), 8);
+    ctx.set_intra_threads(dense.intra_threads());
+    assert_eq!(ctx.intra_pool().map(|pool| pool.threads()), Some(8));
 }

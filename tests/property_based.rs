@@ -114,7 +114,7 @@ proptest! {
     /// The complex table never stores near-duplicate values.
     #[test]
     fn complex_table_deduplicates(values in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 1..200)) {
-        let table = ComplexTable::new();
+        let mut table = ComplexTable::new();
         let mut ids = Vec::new();
         for (re, im) in &values {
             ids.push(table.lookup(Complex::new(*re, *im)));
