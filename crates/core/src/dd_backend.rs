@@ -115,9 +115,7 @@ struct StepFF {
 /// Maximum number of vector nodes the template package may hold while the
 /// no-error trajectory is being recorded; past this budget the remaining
 /// steps are left to live execution. Bounds the persistent memory a
-/// program (and thus every worker context seated on it) can pin — the
-/// recorded region includes the damping-probe states evaluated for the
-/// branch thresholds, so the budget caps those too.
+/// program (and thus every worker context seated on it) can pin.
 const TRAJECTORY_NODE_BUDGET: usize = 1 << 19;
 
 /// A compiled circuit + noise model pair for the decision-diagram back-end.
@@ -431,8 +429,9 @@ impl StochasticBackend for DdSimulator {
                 for (channel, ops) in noise_ops.iter().enumerate() {
                     let before = state;
                     match ops.kraus[qubit] {
-                        Some([decay, keep]) => {
-                            let (p_decay, _decayed) = base.apply_kraus(decay, state);
+                        Some([_decay, keep]) => {
+                            let p_decay =
+                                decay_probability(&mut base, &channels[channel], state, qubit);
                             let (_, kept) = base.apply_kraus(keep, state);
                             state = kept;
                             exposures.push(ExposureFF {
@@ -984,6 +983,20 @@ fn fast_forward_step(
     FastForward::Clean
 }
 
+/// Probability that an amplitude-damping exposure of `qubit` decays:
+/// `γ·‖P1 v‖²`, the squared norm of the decay branch `√γ|0><1| v`, read off
+/// the diagram without building that branch. Trajectory recording and live
+/// execution both take their threshold from here, so presampled and live
+/// decisions compare the draw against the same bits.
+fn decay_probability(
+    dd: &mut DdPackage,
+    channel: &ErrorChannel,
+    state: VecEdge,
+    qubit: usize,
+) -> f64 {
+    channel.probability() * dd.excited_norm_sqr(state, qubit)
+}
+
 /// Applies a step's noise exposures by live diagram evolution, skipping the
 /// first `skip` (qubit, channel) pairs (already handled by fast-forward).
 fn apply_noise_live(
@@ -1011,17 +1024,19 @@ fn apply_noise_live(
                 SampledError::Kraus => {
                     // Amplitude damping: branch probabilities are the
                     // squared norms of the (non-unitary) branch states
-                    // (Example 6 of the paper).
+                    // (Example 6 of the paper). The decay threshold is read
+                    // off the state first, so only the branch the draw
+                    // selects is ever built.
                     let [decay, keep] = program.noise_ops[index].kraus[qubit]
                         .expect("Kraus events only come from Kraus channels");
-                    let (p_decay, decayed) = dd.apply_kraus(decay, state);
-                    if rng.gen::<f64>() < p_decay {
+                    let p_decay = decay_probability(dd, channel, state, qubit);
+                    let branch = if rng.gen::<f64>() < p_decay {
                         *error_events += 1;
-                        state = decayed;
+                        decay
                     } else {
-                        let (_, kept) = dd.apply_kraus(keep, state);
-                        state = kept;
-                    }
+                        keep
+                    };
+                    state = dd.apply_kraus(branch, state).1;
                 }
             }
         }
@@ -1236,6 +1251,34 @@ mod tests {
             let run = backend.run_shot(&program, &mut ctx, &mut rng);
             assert_eq!(run.outcome, 0, "qubit must have decayed to |0>");
             assert_eq!(run.error_events, 1);
+        }
+    }
+
+    #[test]
+    fn certain_damping_forces_decay_on_the_live_path() {
+        // The live twin of the test above: the first exposure decays through
+        // the fast path, which takes the shot live. The CX then exposes two
+        // qubits in |0> (threshold 0: the keep branch, no event) and the
+        // second X excites qubit 1 for a certain live decay. Live execution
+        // draws against the threshold first and builds only the selected
+        // branch, one draw per exposure.
+        let backend = DdSimulator::new();
+        let mut circuit = Circuit::new(2);
+        circuit.x(0).cx(0, 1).x(1);
+        let noise = NoiseModel::new(0.0, 1.0, 0.0);
+        let program = backend.compile(&circuit, &noise);
+        let mut ctx = backend.new_context();
+        for seed in 0..16 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let run = backend.run_shot(&program, &mut ctx, &mut rng);
+            assert_eq!(run.outcome, 0, "both qubits must end in |0>");
+            assert_eq!(run.error_events, 2);
+            // Four exposures and two sampled qubits, one draw each.
+            let mut reference = StdRng::seed_from_u64(seed);
+            for _ in 0..6 {
+                let _ = reference.gen::<f64>();
+            }
+            assert_eq!(rng.gen::<u64>(), reference.gen::<u64>());
         }
     }
 

@@ -125,6 +125,17 @@ impl DdPackage {
         (p1 / total).clamp(0.0, 1.0)
     }
 
+    /// Squared norm of the component of `v` with `qubit` in `|1>`, i.e.
+    /// `‖P1 v‖²` — [`probability_one`](Self::probability_one) without the
+    /// division by the state's norm. Creates no node.
+    ///
+    /// An amplitude-damping exposure decays with probability `γ·‖P1 v‖²`
+    /// (the squared norm of the decay branch `√γ|0><1| v`), so the branch
+    /// draw can be made before either branch state is built.
+    pub fn excited_norm_sqr(&mut self, v: VecEdge, qubit: usize) -> f64 {
+        self.prob_one_rec(v, qubit as u16)
+    }
+
     fn prob_one_rec(&mut self, edge: VecEdge, target: u16) -> f64 {
         if edge.is_zero() {
             return 0.0;

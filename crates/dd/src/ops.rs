@@ -3,8 +3,10 @@
 //! All operations are recursive traversals over the node structure with
 //! memoisation in the package's compute tables. Multiplication caches are
 //! keyed on node ids only (the incoming edge weights factor out of the
-//! bilinear operations); addition caches include the weights because addition
-//! does not factor.
+//! bilinear operations). Addition does not factor completely, but one
+//! operand's weight does — `x + y = w_x * (N_x + (w_y / w_x) * N_y)` — so the
+//! vector addition cache is keyed on the two nodes and the weight *ratio*:
+//! operand pairs that differ only by a common factor share one entry.
 
 use crate::complex::Complex;
 use crate::node::{MatEdge, VecEdge};
@@ -25,8 +27,11 @@ impl DdPackage {
             return VecEdge::zero();
         }
         let weight = self.ctable.mul(m.weight, v.weight);
-        if m.node.is_terminal() {
-            // Scalar operator: simply scales the vector.
+        // A scalar or identity operator only scales the vector: the levels a
+        // gate does not touch are returned as they are instead of being
+        // rebuilt node by node (rebuilding a canonical node finds itself in
+        // the unique table, so the shortcut is bit-exact).
+        if m.node.is_terminal() || self.mat_identity[m.node.index()] {
             return VecEdge {
                 node: v.node,
                 weight,
@@ -83,28 +88,49 @@ impl DdPackage {
         if b.is_zero() {
             return a;
         }
-        if a.node.is_terminal() && b.node.is_terminal() {
-            let w = self.ctable.add(a.weight, b.weight);
-            return VecEdge::terminal(w);
+        if a.node == b.node {
+            // Same node (or both terminal): only the weights add. Exact
+            // cancellation must give the canonical zero edge.
+            let weight = self.ctable.add(a.weight, b.weight);
+            return if weight.is_zero() {
+                VecEdge::zero()
+            } else {
+                VecEdge {
+                    node: a.node,
+                    weight,
+                }
+            };
         }
         debug_assert!(
             !a.node.is_terminal() && !b.node.is_terminal(),
             "cannot add vectors of different heights"
         );
-        // Addition is commutative: order the operands for better cache
-        // reuse. The swap cannot change result bits — IEEE addition of the
-        // leaf weights commutes bitwise, and the child recursion below is
-        // indexed by successor position, not by operand order.
-        let (x, y) = if (a.node, a.weight) <= (b.node, b.weight) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let key = (x, y);
+        // Factor out the weight of larger magnitude: the sum is
+        // `w_x * (N_x + ratio * N_y)` with the interned ratio inside the unit
+        // disc. Keying on `(N_x, N_y, ratio)` instead of the weighted edges
+        // is what keeps the recursion linear on product-like states, where
+        // every level between two touched qubits meets the same node pair
+        // again under a different common factor. Magnitudes equal up to the
+        // table tolerance count as a tie and order by node id: after H or
+        // SWAP both operands carry the same modulus, and letting round-off
+        // pick the factored side would split one sum over two entries whose
+        // results no longer merge.
+        let (mag_a, mag_b) = (
+            self.ctable.norm_sqr(a.weight),
+            self.ctable.norm_sqr(b.weight),
+        );
+        let tie = (mag_a - mag_b).abs() <= self.ctable.tolerance() * (mag_a + mag_b);
+        let a_first = if tie { a.node <= b.node } else { mag_a > mag_b };
+        let (x, y) = if a_first { (a, b) } else { (b, a) };
+        let ratio = self.ctable.div(y.weight, x.weight);
+        let key = (x.node, y.node, ratio);
         if self.caching_enabled {
             if let Some(&cached) = self.ct_vec_add.get(&key) {
                 self.counters.compute_hits += 1;
-                return cached;
+                return VecEdge {
+                    node: cached.node,
+                    weight: self.ctable.mul(x.weight, cached.weight),
+                };
             }
         }
         let xn = self.vec_nodes[x.node.index()];
@@ -112,22 +138,21 @@ impl DdPackage {
         debug_assert_eq!(xn.var, yn.var, "operands decide different qubits");
         let mut children = [VecEdge::zero(); 2];
         for (i, child) in children.iter_mut().enumerate() {
-            let ex = VecEdge {
-                node: xn.edges[i].node,
-                weight: self.ctable.mul(x.weight, xn.edges[i].weight),
-            };
             let ey = VecEdge {
                 node: yn.edges[i].node,
-                weight: self.ctable.mul(y.weight, yn.edges[i].weight),
+                weight: self.ctable.mul(ratio, yn.edges[i].weight),
             };
-            *child = self.vec_add_rec(ex, ey);
+            *child = self.vec_add_rec(xn.edges[i], ey);
         }
         let result = self.make_vec_node(xn.var, children);
         if self.caching_enabled {
             self.counters.compute_misses += 1;
             self.ct_vec_add.insert(key, result);
         }
-        result
+        VecEdge {
+            node: result.node,
+            weight: self.ctable.mul(x.weight, result.weight),
+        }
     }
 
     /// Adds two matrix diagrams element-wise.
@@ -326,6 +351,130 @@ mod tests {
         };
         let sum = dd.vec_add(a, neg);
         assert!(sum.is_zero());
+    }
+
+    #[test]
+    fn same_node_addition_only_adds_the_weights() {
+        let mut dd = DdPackage::new();
+        let bell = bell_state(&mut dd);
+        let third = dd.lookup_complex(Complex::new(0.25, -0.5));
+        let scaled = VecEdge {
+            node: bell.node,
+            weight: third,
+        };
+        let before = (dd.stats().vec_nodes, dd.table_stats());
+        let sum = dd.vec_add(bell, scaled);
+        assert_eq!(sum.node, bell.node);
+        let expected = dd.complex_value(bell.weight) + Complex::new(0.25, -0.5);
+        assert!(dd.complex_value(sum.weight).approx_eq(expected, 1e-12));
+        // No recursion: no node, no compute-table traffic.
+        assert_eq!((dd.stats().vec_nodes, dd.table_stats()), before);
+    }
+
+    /// `alpha * |01> + beta * |10>` operands for the ratio-key tests.
+    fn weighted(dd: &mut DdPackage, index: u64, w: Complex) -> VecEdge {
+        let basis = dd.basis_state_from_index(2, index);
+        VecEdge {
+            node: basis.node,
+            weight: dd.lookup_complex(w),
+        }
+    }
+
+    #[test]
+    fn operand_pairs_differing_by_a_common_factor_share_one_cache_entry() {
+        let mut dd = DdPackage::new();
+        let (alpha, beta) = (Complex::new(0.6, 0.1), Complex::new(-0.2, 0.3));
+        let c = Complex::new(0.3, -0.7);
+        let a = weighted(&mut dd, 1, alpha);
+        let b = weighted(&mut dd, 2, beta);
+        let ca = weighted(&mut dd, 1, c * alpha);
+        let cb = weighted(&mut dd, 2, c * beta);
+        let before = dd.table_stats();
+        let first = dd.vec_add(a, b);
+        let second = dd.vec_add(ca, cb);
+        let delta = dd.table_stats().since(&before);
+        // The first add descends one level below the root pair (the second
+        // level meets a zero operand); the second add is a single root hit.
+        assert_eq!(delta.compute_misses, 1);
+        assert_eq!(delta.compute_hits, 1);
+        assert_eq!(first.node, second.node);
+        let ratio = dd.complex_value(second.weight) / dd.complex_value(first.weight);
+        assert!(ratio.approx_eq(c, 1e-12));
+        let v = dd.to_statevector(second, 2);
+        assert!(v[1].approx_eq(c * alpha, 1e-12) && v[2].approx_eq(c * beta, 1e-12));
+    }
+
+    /// H then `phase(0.1 + 0.37 q)` on every qubit `q` of `|0...0>`: a
+    /// product state whose every level carries a different weight pair.
+    fn phased_product_state(dd: &mut DdPackage, n: usize) -> VecEdge {
+        let mut state = dd.zero_state(n);
+        for q in 0..n {
+            let h = dd.single_qubit_op(n, q, Matrix2::hadamard());
+            state = dd.mat_vec_mul(h, state);
+            let p = dd.single_qubit_op(n, q, Matrix2::phase(0.1 + 0.37 * q as f64));
+            state = dd.mat_vec_mul(p, state);
+        }
+        state
+    }
+
+    #[test]
+    fn long_range_swap_on_a_product_state_costs_linear_work() {
+        let n = 16;
+        let mut dd = DdPackage::new();
+        let state = phased_product_state(&mut dd, n);
+        let swap = dd.swap_op(n, 0, n - 1);
+        dd.clear_caches();
+        let tables = dd.table_stats();
+        let stats = dd.stats();
+        let swapped = dd.mat_vec_mul(swap, state);
+        let misses = dd.table_stats().since(&tables).compute_misses;
+        let new_values = dd.stats().complex_values - stats.complex_values;
+        let nodes = dd.vec_node_count(swapped);
+        // Keyed on weighted edges the sums between the swapped qubits met
+        // every node pair under ever new common factors: 2 803 misses, 822
+        // new values and a 1 380-node result. The swapped state is still a
+        // product state, so all three must stay linear in the qubit count.
+        assert!(misses <= 8 * n as u64, "{misses} compute misses");
+        assert!(new_values <= 4 * n, "{new_values} new complex values");
+        assert!(nodes <= 2 * n, "{nodes} nodes");
+        let reference = {
+            let mut dense = dd.to_statevector(state, n);
+            for index in 0..dense.len() {
+                let (top, bottom) = (index >> (n - 1) & 1, index & 1);
+                if top == 0 && bottom == 1 {
+                    dense.swap(index, index ^ (1 << (n - 1)) ^ 1);
+                }
+            }
+            dense
+        };
+        let got = dd.to_statevector(swapped, n);
+        assert!(got
+            .iter()
+            .zip(&reference)
+            .all(|(a, b)| a.approx_eq(*b, 1e-9)));
+    }
+
+    #[test]
+    fn identity_operator_returns_its_operand_without_any_work() {
+        let n = 16;
+        let mut dd = DdPackage::new();
+        let state = phased_product_state(&mut dd, n);
+        let identity = dd.identity_op(n);
+        let before = (dd.stats().vec_nodes, dd.table_stats());
+        assert_eq!(dd.mat_vec_mul(identity, state), state);
+        assert_eq!((dd.stats().vec_nodes, dd.table_stats()), before);
+        // A gate on the bottom qubit is not an identity anywhere above it,
+        // a gate on the top qubit is one everywhere below it.
+        let bottom = dd.single_qubit_op(n, n - 1, Matrix2::pauli_x());
+        let top = dd.single_qubit_op(n, 0, Matrix2::pauli_x());
+        let tables = dd.table_stats();
+        let _ = dd.mat_vec_mul(top, state);
+        let top_misses = dd.table_stats().since(&tables).compute_misses;
+        let tables = dd.table_stats();
+        let _ = dd.mat_vec_mul(bottom, state);
+        let bottom_misses = dd.table_stats().since(&tables).compute_misses;
+        assert_eq!(top_misses, 1, "only the touched level is rebuilt");
+        assert!(bottom_misses >= n as u64);
     }
 
     #[test]

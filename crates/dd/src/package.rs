@@ -124,10 +124,15 @@ pub struct DdPackage {
     pub(crate) ctable: ComplexTable,
     pub(crate) vec_nodes: Vec<VecNode>,
     pub(crate) mat_nodes: Vec<MatNode>,
+    /// `mat_identity[i]` is `true` when matrix node `i` represents the
+    /// identity on its own and all lower levels (parallel to `mat_nodes`);
+    /// multiplication returns its vector operand at such a node.
+    pub(crate) mat_identity: Vec<bool>,
     pub(crate) vec_unique: FxHashMap<VecNode, VecNodeId>,
     pub(crate) mat_unique: FxHashMap<MatNode, MatNodeId>,
     pub(crate) ct_mat_vec: FxHashMap<(MatNodeId, VecNodeId), VecEdge>,
-    pub(crate) ct_vec_add: FxHashMap<(VecEdge, VecEdge), VecEdge>,
+    /// `N_x + ratio * N_y`, keyed `(N_x, N_y, ratio)` (see `vec_add_rec`).
+    pub(crate) ct_vec_add: FxHashMap<(VecNodeId, VecNodeId, ComplexId), VecEdge>,
     pub(crate) ct_mat_add: FxHashMap<(MatEdge, MatEdge), MatEdge>,
     pub(crate) ct_inner: FxHashMap<(VecNodeId, VecNodeId), Complex>,
     pub(crate) ct_prob_one: FxHashMap<(VecNodeId, u16), f64>,
@@ -156,6 +161,7 @@ impl Clone for DdPackage {
             ctable: self.ctable.clone(),
             vec_nodes: self.vec_nodes.clone(),
             mat_nodes: self.mat_nodes.clone(),
+            mat_identity: self.mat_identity.clone(),
             vec_unique: self.vec_unique.clone(),
             mat_unique: self.mat_unique.clone(),
             ct_mat_vec: self.ct_mat_vec.clone(),
@@ -184,6 +190,7 @@ impl Clone for DdPackage {
         self.ctable.clone_from(&source.ctable);
         self.vec_nodes.clone_from(&source.vec_nodes);
         self.mat_nodes.clone_from(&source.mat_nodes);
+        self.mat_identity.clone_from(&source.mat_identity);
         self.vec_unique.clone_from(&source.vec_unique);
         self.mat_unique.clone_from(&source.mat_unique);
         self.ct_mat_vec.clone_from(&source.ct_mat_vec);
@@ -219,6 +226,7 @@ impl DdPackage {
             ctable,
             vec_nodes: Vec::new(),
             mat_nodes: Vec::new(),
+            mat_identity: Vec::new(),
             vec_unique: FxHashMap::default(),
             mat_unique: FxHashMap::default(),
             ct_mat_vec: FxHashMap::default(),
@@ -410,6 +418,7 @@ impl DdPackage {
             self.mat_unique.remove(&node);
         }
         self.mat_nodes.truncate(self.mat_watermark);
+        self.mat_identity.truncate(self.mat_watermark);
         self.ctable.truncate(self.complex_watermark);
         self.visit_marks.truncate(self.vec_watermark);
         self.ct_mat_vec.clear();
@@ -541,7 +550,17 @@ impl DdPackage {
             Entry::Vacant(slot) => {
                 self.counters.mat_unique_misses += 1;
                 let id = MatNodeId(node_index(self.mat_nodes.len()));
+                // Identity on this level and below: off-diagonal quadrants
+                // empty, both diagonal quadrants the same weight-one edge
+                // into the terminal or another identity node.
+                let [diag, upper, lower, diag_one] = node.edges;
+                let identity = upper.is_zero()
+                    && lower.is_zero()
+                    && diag == diag_one
+                    && diag.weight.is_one()
+                    && (diag.node.is_terminal() || self.mat_identity[diag.node.index()]);
                 self.mat_nodes.push(node);
+                self.mat_identity.push(identity);
                 *slot.insert(id)
             }
         };
@@ -1043,8 +1062,14 @@ mod tests {
                 let cx = dd.controlled_op(n, q + 1, &[q], Matrix2::pauli_x());
                 state = dd.mat_vec_mul(cx, state);
             }
-            let doubled = dd.vec_add(state, state);
-            let _ = dd.norm_sqr(doubled);
+            // Undo the CX chain: every intermediate state was built on the
+            // way in, so rebuilding it on the way out finds its nodes in the
+            // unique table (the hits asserted below).
+            for q in (0..n - 1).rev() {
+                let cx = dd.controlled_op(n, q + 1, &[q], Matrix2::pauli_x());
+                state = dd.mat_vec_mul(cx, state);
+            }
+            let _ = dd.norm_sqr(state);
             dd.table_stats()
         }
         let first = run();

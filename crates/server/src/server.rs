@@ -630,7 +630,18 @@ fn job_status(state: &Arc<ServerState>, id: &str) -> (u16, String) {
 /// the volatile ring buffer — a restart clears it until the job
 /// re-executes (results, by contrast, survive via the durable store).
 fn job_trace(state: &Arc<ServerState>, id: &str) -> (u16, String) {
-    match state.traces.get(id) {
+    // A trace is visible no later than the job's terminal status: once the
+    // status reads completed or failed, wait for the worker to file it.
+    let finished = state
+        .cache
+        .get(id)
+        .is_some_and(|cell| matches!(cell.state(), CellState::Done(_) | CellState::Failed(_)));
+    let trace = if finished {
+        state.traces.get_filed(id)
+    } else {
+        state.traces.get(id)
+    };
+    match trace {
         Some(trace) => (200, trace.to_json().to_string()),
         None => (
             404,
@@ -826,6 +837,11 @@ fn worker_loop(state: &Arc<ServerState>) {
         // wait retroactively, then trace the execution on lane 0 of this
         // worker's thread. `finish` merges and publishes the span tree.
         let tracer = cell.take_tracer();
+        // `execute_job` publishes the result before it appends to the store
+        // and before the trace is filed below; announcing the recording
+        // first lets `job_trace` wait out that gap instead of answering 404
+        // for a job whose status already reads completed.
+        let recording = tracer.as_ref().map(|_| state.traces.recording(&cell.id));
         if let Some(tracer) = &tracer {
             let picked_up = tracer.elapsed();
             tracer.record_span_at(
@@ -840,8 +856,8 @@ fn worker_loop(state: &Arc<ServerState>) {
             let _traced = tracer.as_ref().map(|tracer| tracer.install(0));
             execute_job(state, &cell, &mut ctx);
         }
-        if let Some(tracer) = tracer {
-            state.traces.insert(tracer.finish("job"));
+        if let (Some(tracer), Some(recording)) = (tracer, recording) {
+            recording.file(tracer.finish("job"));
         }
     }
 }

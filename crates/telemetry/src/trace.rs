@@ -32,7 +32,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use qsdd_json::Value;
@@ -651,7 +651,48 @@ impl Drop for SpanGuard {
 #[derive(Debug)]
 pub struct TraceStore {
     capacity: usize,
-    inner: Mutex<VecDeque<Arc<Trace>>>,
+    inner: Mutex<TraceRing>,
+    /// Signalled whenever a [`Recording`] ends.
+    filed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct TraceRing {
+    traces: VecDeque<Arc<Trace>>,
+    /// Job ids whose trace is being recorded right now.
+    recording: Vec<String>,
+}
+
+/// Marks a job's trace as being recorded (see [`TraceStore::recording`]).
+/// Ends when the trace is [filed](Recording::file) or the guard drops — so
+/// a recorder that unwinds cannot leave readers waiting.
+#[derive(Debug)]
+pub struct Recording<'a> {
+    store: &'a TraceStore,
+    job_id: String,
+}
+
+impl Recording<'_> {
+    /// Inserts the finished trace, then ends the recording: a reader woken
+    /// by the end of the recording finds the trace.
+    pub fn file(self, trace: Trace) {
+        self.store.insert(trace);
+    }
+}
+
+impl Drop for Recording<'_> {
+    fn drop(&mut self) {
+        // Poison-tolerant: a guard dropped during an unwind must not panic.
+        let mut inner = match self.store.inner.lock() {
+            Ok(inner) => inner,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        if let Some(at) = inner.recording.iter().position(|id| *id == self.job_id) {
+            inner.recording.swap_remove(at);
+        }
+        drop(inner);
+        self.store.filed.notify_all();
+    }
 }
 
 impl TraceStore {
@@ -660,7 +701,25 @@ impl TraceStore {
     pub fn new(capacity: usize) -> TraceStore {
         TraceStore {
             capacity: capacity.max(1),
-            inner: Mutex::new(VecDeque::new()),
+            inner: Mutex::new(TraceRing::default()),
+            filed: Condvar::new(),
+        }
+    }
+
+    /// Announces that `job_id`'s trace is being recorded, until the
+    /// returned guard is filed or dropped. [`get_filed`](Self::get_filed)
+    /// waits for it, which lets a recorder publish the job's result before
+    /// the trace is complete without the trace ever reading as missing
+    /// afterwards.
+    pub fn recording(&self, job_id: &str) -> Recording<'_> {
+        self.inner
+            .lock()
+            .unwrap()
+            .recording
+            .push(job_id.to_string());
+        Recording {
+            store: self,
+            job_id: job_id.to_string(),
         }
     }
 
@@ -668,18 +727,35 @@ impl TraceStore {
     /// same job id.
     pub fn insert(&self, trace: Trace) {
         let mut inner = self.inner.lock().unwrap();
-        inner.retain(|existing| existing.job_id != trace.job_id);
-        inner.push_back(Arc::new(trace));
-        while inner.len() > self.capacity {
-            inner.pop_front();
+        inner
+            .traces
+            .retain(|existing| existing.job_id != trace.job_id);
+        inner.traces.push_back(Arc::new(trace));
+        while inner.traces.len() > self.capacity {
+            inner.traces.pop_front();
         }
     }
 
     /// The trace for `job_id`, if still resident.
     pub fn get(&self, job_id: &str) -> Option<Arc<Trace>> {
-        self.inner
-            .lock()
-            .unwrap()
+        Self::find(&self.inner.lock().unwrap(), job_id)
+    }
+
+    /// [`get`](Self::get), but first waits out a
+    /// [`recording`](Self::recording) of `job_id` that is in progress.
+    pub fn get_filed(&self, job_id: &str) -> Option<Arc<Trace>> {
+        let inner = self
+            .filed
+            .wait_while(self.inner.lock().unwrap(), |inner| {
+                inner.recording.iter().any(|id| id == job_id)
+            })
+            .unwrap();
+        Self::find(&inner, job_id)
+    }
+
+    fn find(inner: &TraceRing, job_id: &str) -> Option<Arc<Trace>> {
+        inner
+            .traces
             .iter()
             .find(|trace| trace.job_id == job_id)
             .cloned()
@@ -687,12 +763,19 @@ impl TraceStore {
 
     /// Every resident trace, most recent first.
     pub fn recent(&self) -> Vec<Arc<Trace>> {
-        self.inner.lock().unwrap().iter().rev().cloned().collect()
+        self.inner
+            .lock()
+            .unwrap()
+            .traces
+            .iter()
+            .rev()
+            .cloned()
+            .collect()
     }
 
     /// Number of resident traces.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
+        self.inner.lock().unwrap().traces.len()
     }
 
     /// Whether the store holds no traces.
@@ -908,6 +991,26 @@ mod tests {
         assert_eq!(store.len(), 2, "same job id replaces, not grows");
         let recent = store.recent();
         assert_eq!(recent[0].job_id, "b", "most recent first");
+    }
+
+    #[test]
+    fn get_filed_waits_out_a_recording_in_progress() {
+        let store = TraceStore::new(4);
+        let trace = with_tracing(|| Tracer::forced("j1", "j1").finish("job"));
+        let recording = store.recording("j1");
+        assert!(store.get("j1").is_none(), "get never waits");
+        std::thread::scope(|scope| {
+            // Whether the reader arrives before or after the filing, it
+            // must never see the recorded job without its trace.
+            let reader = scope.spawn(|| store.get_filed("j1"));
+            recording.file(trace);
+            assert!(reader.join().expect("reader").is_some());
+        });
+        // An abandoned recording releases its readers empty-handed, and a
+        // job nobody records is not waited for.
+        drop(store.recording("j2"));
+        assert!(store.get_filed("j2").is_none());
+        assert!(store.get_filed("j3").is_none());
     }
 
     #[test]

@@ -1,0 +1,128 @@
+//! Count-based regression guard for the decision-diagram kernel.
+//!
+//! The paper's claim (Table Ib) is that noisy QFT trajectories stay cheap
+//! because the diagrams stay small, so the kernel's *work* per gate must
+//! track the diagram size too, not the number of weighted operand pairs a
+//! recursion can meet. This suite replays a live QFT-16 trajectory on a bare
+//! [`DdPackage`] — gate, mid-circuit Pauli-X, then per touched qubit the
+//! damping exposure exactly as the back-end's live path books it (threshold
+//! read off the state, then the one selected branch) — and bounds the
+//! deterministic integers the package keeps. There is no wall clock here:
+//! the property gated is the operation count, which cannot flake.
+
+mod common;
+
+use common::operation_diagram;
+use qsdd::circuit::generators::qft;
+use qsdd::dd::{DdPackage, MatEdge, Matrix2};
+
+const N: usize = 16;
+/// The step after which the bit flip lands: qubit 0's block (H and its 15
+/// controlled phases) is done, every other qubit is still to be rotated.
+const FLIP_AFTER: usize = N;
+/// The paper's amplitude-damping probability.
+const GAMMA: f64 = 0.002;
+
+/// What one replayed trajectory cost, in the package's own integers.
+#[derive(Debug)]
+struct Work {
+    multiplies: u64,
+    decays: usize,
+    compute_misses: u64,
+    complex_values: u64,
+    vec_nodes: u64,
+    peak_nodes: usize,
+}
+
+/// Replays QFT-16 live from `|0...0>`: every gate, a Pauli-X after step
+/// [`FLIP_AFTER`], and per touched qubit the damping exposure as
+/// `apply_noise_live` books it — the decay threshold comes off the diagram
+/// without building a branch, then only the selected branch is applied.
+/// With `decay_every = Some(k)`, every `k`-th exposure that can decay does.
+fn replay(decay_every: Option<usize>) -> Work {
+    let circuit = qft(N);
+    let mut dd = DdPackage::new();
+    let steps: Vec<(MatEdge, Vec<usize>)> = circuit
+        .iter()
+        .map(|op| (operation_diagram(&mut dd, N, op), op.qubits()))
+        .collect();
+    let kraus: Vec<[MatEdge; 2]> = (0..N)
+        .map(|qubit| {
+            [
+                Matrix2::amplitude_damping_a0(GAMMA),
+                Matrix2::amplitude_damping_a1(GAMMA),
+            ]
+            .map(|branch| dd.single_qubit_op(N, qubit, branch))
+        })
+        .collect();
+    // The bit flip lands on the last qubit while it is still in |0>: from
+    // then on it rotates every qubit it controls by a different angle, which
+    // leaves a product state whose every level carries its own phase — the
+    // input the closing swaps used to be exponential on.
+    let error = dd.single_qubit_op(N, N - 1, Matrix2::pauli_x());
+    dd.mark_persistent();
+    let tables = dd.table_stats();
+    let persistent = dd.stats();
+
+    let mut state = dd.zero_state(N);
+    let (mut multiplies, mut decays, mut excited, mut peak_nodes) = (1, 0, 0usize, 0);
+    for (index, (op, qubits)) in steps.iter().enumerate() {
+        state = dd.mat_vec_mul(*op, state);
+        if index == FLIP_AFTER {
+            state = dd.mat_vec_mul(error, state);
+        }
+        for &qubit in qubits {
+            let p_decay = GAMMA * dd.excited_norm_sqr(state, qubit);
+            assert!((0.0..=GAMMA * (1.0 + 1e-9)).contains(&p_decay));
+            excited += usize::from(p_decay > 0.0);
+            let decay =
+                p_decay > 0.0 && decay_every.is_some_and(|every| excited.is_multiple_of(every));
+            decays += usize::from(decay);
+            state = dd.apply_kraus(kraus[qubit][usize::from(!decay)], state).1;
+        }
+        multiplies += 1 + qubits.len() as u64;
+        peak_nodes = peak_nodes.max(dd.vec_node_count(state));
+    }
+    assert!((dd.norm_sqr(state) - 1.0).abs() < 1e-9);
+    Work {
+        multiplies,
+        decays,
+        compute_misses: dd.table_stats().since(&tables).compute_misses,
+        complex_values: (dd.stats().complex_values - persistent.complex_values) as u64,
+        vec_nodes: (dd.stats().vec_nodes - persistent.vec_nodes) as u64,
+        peak_nodes,
+    }
+}
+
+/// The diagrams stay within a few nodes per qubit, so a multiply may miss a
+/// few times per level and create a few nodes and values per level, but no
+/// more: a recursion that is exponential in the distance between two
+/// touched qubits cannot stay inside bounds linear in `N` per multiply.
+fn assert_linear(work: &Work) {
+    eprintln!("{work:?}");
+    let n = N as u64;
+    assert!(work.peak_nodes <= 2 * N, "{work:?}");
+    assert!(work.compute_misses <= work.multiplies * n, "{work:?}");
+    assert!(work.vec_nodes <= work.multiplies * n / 2, "{work:?}");
+    assert!(work.complex_values <= work.multiplies * 2, "{work:?}");
+}
+
+#[test]
+fn live_qft16_after_a_bit_flip_costs_linear_work() {
+    // Keyed on fully weighted edges, the additions under the eight closing
+    // swaps made this trajectory cost 92 980 compute misses and 66 350 new
+    // complex values for diagrams that never exceed 16 nodes.
+    let work = replay(None);
+    assert_eq!(work.decays, 0);
+    assert_linear(&work);
+}
+
+#[test]
+fn live_qft16_with_fired_decays_costs_linear_work() {
+    let work = replay(Some(32));
+    assert!(
+        work.decays >= 3,
+        "the schedule must exercise the decay branch"
+    );
+    assert_linear(&work);
+}
