@@ -15,9 +15,10 @@
 //! Jobs whose engine supports **trajectory deduplication** release their
 //! rounds as *pattern-group chunks* instead of plain shot ranges: the
 //! releasing worker presamples the round's shots, groups them by error
-//! pattern, and enqueues bundles of groups (each distinct trajectory is
-//! simulated once per group, fanning its outcome samples across every
-//! member shot) plus one chunk of live shots. Deduplication is
+//! pattern (shots that leave the no-error path ahead of a state-dependent
+//! site: by the event they drew) and enqueues bundles of groups — each
+//! distinct trajectory is simulated once per group, fanning its outcome
+//! samples across every member shot. Deduplication is
 //! unobservable in the results — same histograms, error counts and node
 //! statistics, for every thread count — and reported per job as
 //! `unique_trajectories` / `dedup_hit_rate`.
@@ -55,11 +56,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use qsdd_core::{BackendKind, Deadline, ExecContext, ShotEngine, TimedOut};
-use qsdd_noise::ErrorPattern;
+use qsdd_core::{BackendKind, Deadline, ExecContext, ShotEngine, TimedOut, TrajectoryWork};
 use qsdd_telemetry::trace;
 use qsdd_telemetry::{Counter, Gauge, Stage, StageTimings};
-use rand::rngs::StdRng;
 
 use crate::jobfile::JobSpec;
 use crate::report::{BatchReport, JobReport, JobStatus};
@@ -166,11 +165,10 @@ enum ChunkWork {
     /// A contiguous range of shot indices, executed per shot (jobs without
     /// deduplication).
     Range { start: u64, end: u64 },
-    /// A bundle of trajectory groups: each distinct error pattern is
-    /// simulated once, its member shots sample from the shared result.
-    Groups(Vec<(ErrorPattern, Vec<(u64, StdRng)>)>),
-    /// Shots that could not be presampled and execute live, one by one.
-    Live(Vec<u64>),
+    /// A bundle of trajectory groups and deviation buckets: each distinct
+    /// error pattern is simulated once, its member shots sample from the
+    /// shared result.
+    Groups(Vec<TrajectoryWork>),
     /// The entire job, executed in one piece by the weighted-enumeration
     /// driver (enumerate trajectories in probability order, simulate each
     /// once, sample only the residual tail).
@@ -195,8 +193,8 @@ struct JobProgress {
     dd_nodes_sum: u64,
     dd_nodes_peak: u64,
     executed: u64,
-    /// Trajectories actually simulated (pattern groups + live shots; equal
-    /// to `executed` on the per-shot path).
+    /// Evolutions actually performed (pattern replays + shots run live;
+    /// equal to `executed` on the per-shot path).
     unique_trajectories: u64,
     /// Probability mass covered by enumerated trajectories (weighted jobs
     /// only; `0.0` otherwise).
@@ -254,10 +252,9 @@ struct Shared {
 /// once per batch here, never per chunk).
 struct BatchMetrics {
     /// Chunks executed, labelled by work kind
-    /// (`range`/`groups`/`live`/`weighted`).
+    /// (`range`/`groups`/`weighted`).
     chunks_range: Arc<Counter>,
     chunks_groups: Arc<Counter>,
-    chunks_live: Arc<Counter>,
     chunks_weighted: Arc<Counter>,
     /// Member shots those chunks accounted for.
     shots: Arc<Counter>,
@@ -285,11 +282,6 @@ impl BatchMetrics {
                 "qsdd_batch_chunks_total",
                 chunks,
                 &[("kind", "groups")],
-            ),
-            chunks_live: registry.counter_with(
-                "qsdd_batch_chunks_total",
-                chunks,
-                &[("kind", "live")],
             ),
             chunks_weighted: registry.counter_with(
                 "qsdd_batch_chunks_total",
@@ -511,8 +503,8 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
 ///
 /// Jobs without deduplication release plain shot ranges. Deduplicating jobs
 /// presample the round here — once, by whichever worker closes the previous
-/// round — and release bundles of pattern groups (kept whole, so one
-/// representative execution serves every member) plus the live remainder.
+/// round — and release bundles of pattern groups and deviation buckets (kept
+/// whole, so one representative execution serves every member).
 /// Either way each chunk accounts for `chunk.shots` member shots and the
 /// round covers exactly `start..min(start + check_interval, shots)`.
 fn build_round(runtime: &JobRuntime, job: usize, start: u64) -> Vec<Chunk> {
@@ -550,17 +542,16 @@ fn build_round(runtime: &JobRuntime, job: usize, start: u64) -> Vec<Chunk> {
     let presample_span = trace::span("presample_round");
     trace::attr("job", job);
     trace::attr("shots", (end - start) as usize);
-    let (groups, live) = runtime
+    let groups = runtime
         .engine
-        .presample_range(start..end)
+        .plan_range(start..end)
         .expect("dedup rounds are only built for supporting engines");
-    trace::attr("groups", groups.len());
-    trace::attr("live_shots", live.len());
+    qsdd_core::dedup::trace_plan_attrs(&groups);
     drop(presample_span);
-    let mut bundle: Vec<(ErrorPattern, Vec<(u64, StdRng)>)> = Vec::new();
+    let mut bundle: Vec<TrajectoryWork> = Vec::new();
     let mut bundled = 0u64;
     for group in groups {
-        bundled += group.1.len() as u64;
+        bundled += group.shots() as u64;
         bundle.push(group);
         if bundled >= CHUNK_SHOTS {
             chunks.push(Chunk {
@@ -576,13 +567,6 @@ fn build_round(runtime: &JobRuntime, job: usize, start: u64) -> Vec<Chunk> {
             job,
             shots: bundled,
             work: ChunkWork::Groups(bundle),
-        });
-    }
-    for slice in live.chunks(CHUNK_SHOTS as usize) {
-        chunks.push(Chunk {
-            job,
-            shots: slice.len() as u64,
-            work: ChunkWork::Live(slice.to_vec()),
         });
     }
     chunks
@@ -667,7 +651,6 @@ fn worker_loop(
             match &chunk.work {
                 ChunkWork::Range { .. } => metrics.chunks_range.inc(),
                 ChunkWork::Groups(_) => metrics.chunks_groups.inc(),
-                ChunkWork::Live(_) => metrics.chunks_live.inc(),
                 ChunkWork::Weighted => metrics.chunks_weighted.inc(),
             }
             metrics.shots.add(chunk.shots);
@@ -681,7 +664,6 @@ fn worker_loop(
             match &chunk.work {
                 ChunkWork::Range { .. } => "range",
                 ChunkWork::Groups(_) => "groups",
-                ChunkWork::Live(_) => "live",
                 ChunkWork::Weighted => "weighted",
             },
         );
@@ -739,22 +721,25 @@ fn worker_loop(
                 }
             }
             ChunkWork::Groups(groups) => {
-                let trajectories = groups.len() as u64;
-                for (pattern, mut shots) in groups {
-                    for (_, sample, _) in
-                        runtime
-                            .engine
-                            .run_group_in(&mut context, &pattern, &mut shots, &[])
+                // The deadline rides along: a bucket's evolutions are its
+                // cancellation points.
+                let mut trajectories = 0;
+                for group in groups {
+                    match runtime
+                        .engine
+                        .run_work_in(&mut context, group, &[], &runtime.deadline)
                     {
-                        record(sample);
+                        Ok((records, stats)) => {
+                            records
+                                .into_iter()
+                                .for_each(|(_, sample, _)| record(sample));
+                            trajectories += stats.unique_trajectories;
+                        }
+                        Err(TimedOut) => {
+                            chunk_timed_out = true;
+                            break;
+                        }
                     }
-                }
-                trajectories
-            }
-            ChunkWork::Live(shots) => {
-                let trajectories = shots.len() as u64;
-                for shot in shots {
-                    record(runtime.engine.run_shot_in(&mut context, shot));
                 }
                 trajectories
             }

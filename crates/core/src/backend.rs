@@ -106,6 +106,20 @@ pub trait StochasticBackend: Sync {
     ) {
     }
 
+    /// The intra-shot width a request for `requested` fork-join workers
+    /// resolves to: 1 — no pool is worth building — on every back-end that
+    /// leaves [`set_intra_pool`](Self::set_intra_pool) a no-op.
+    fn intra_width(&self, _requested: usize) -> usize {
+        1
+    }
+
+    /// The decision-diagram table counters `ctx` accumulated so far (all
+    /// zero on back-ends without diagrams); traced drivers difference
+    /// snapshots of it around a trajectory.
+    fn table_stats(&self, _ctx: &Self::Context) -> qsdd_dd::TableStats {
+        qsdd_dd::TableStats::default()
+    }
+
     /// Phase 2: executes one stochastic shot of `program` in `ctx`.
     ///
     /// The context is rewound at shot entry; any state left over from a
@@ -156,11 +170,19 @@ pub trait StochasticBackend: Sync {
     /// end of the prefix; its `outcome` is unspecified (each member samples
     /// its own). Only called when [`dedup_support`](Self::dedup_support)
     /// returned `Some` for the program.
+    ///
+    /// With `learned`, the pattern is the shared past of shots that left
+    /// the no-error path ([`qsdd_noise::Presampled::Deviated`]): the replay
+    /// appends the decay threshold it meets at every state-dependent
+    /// exposure after the pattern's last event, in site order — what
+    /// [`qsdd_noise::PresamplePlan::resume`] continues those shots against.
+    /// Back-ends whose plans hold no state-dependent site are never asked.
     fn run_pattern(
         &self,
         _program: &Self::Program,
         _ctx: &mut Self::Context,
         _pattern: &ErrorPattern,
+        _learned: Option<&mut Vec<f64>>,
     ) -> SingleRun<Self::State> {
         unreachable!("dedup_support declined; run_pattern must not be called")
     }

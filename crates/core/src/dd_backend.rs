@@ -17,7 +17,7 @@
 use qsdd_circuit::{Circuit, Operation};
 use qsdd_dd::{DdPackage, MatEdge, Matrix2, VecEdge};
 use qsdd_noise::{
-    ErrorChannel, ErrorPattern, NoiseModel, PresamplePlan, SampledError, SiteChannel,
+    ErrorChannel, ErrorEvent, ErrorPattern, NoiseModel, PresamplePlan, SampledError, SiteChannel,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -216,11 +216,6 @@ pub struct DdContext {
     package: DdPackage,
     /// Id of the program the package currently mirrors (`0` = unseated).
     seated: u64,
-    /// Memoised outcome-sampling plan for the most recent pattern run's
-    /// final state (trajectory groups fan many samples out of one state;
-    /// the flat plan replaces per-sample norm recursion). Invalidated on
-    /// every seat/rewind, and keyed by the state edge it was built from.
-    sampler: Option<(VecEdge, qsdd_dd::SamplePlan)>,
 }
 
 impl DdContext {
@@ -229,14 +224,12 @@ impl DdContext {
         DdContext {
             package: DdPackage::new(),
             seated: 0,
-            sampler: None,
         }
     }
 
     /// Rewinds (same program) or re-seats (program switch) the package so
     /// it equals `program`'s template exactly.
     fn seat(&mut self, program: &DdProgram) {
-        self.sampler = None;
         if self.seated == program.id {
             self.package.reset_transient();
         } else {
@@ -494,6 +487,10 @@ impl StochasticBackend for DdSimulator {
         DdContext::new()
     }
 
+    fn table_stats(&self, ctx: &DdContext) -> qsdd_dd::TableStats {
+        ctx.package.table_stats()
+    }
+
     fn run_shot(
         &self,
         program: &DdProgram,
@@ -502,97 +499,10 @@ impl StochasticBackend for DdSimulator {
     ) -> SingleRun<VecEdge> {
         ctx.seat(program);
         let dd = &mut ctx.package;
-        let mut state = program.initial;
         let mut clbits = vec![false; program.num_clbits];
-        let mut error_events = 0usize;
-        let mut peak = program.initial_nodes;
-        // `false` while the shot is still on the precomputed no-error
-        // trajectory; flips to `true` at the first deviation.
-        let mut live = false;
-
-        for (index, step) in program.steps.iter().enumerate() {
-            if !live {
-                match program.trajectory.get(index) {
-                    Some(ff) => {
-                        match fast_forward_step(program, ff, dd, rng, &mut error_events) {
-                            FastForward::Clean => {
-                                state = ff.after;
-                                peak = peak.max(ff.nodes_after);
-                                continue;
-                            }
-                            FastForward::Deviated {
-                                state: deviated,
-                                resume_at,
-                            } => {
-                                // Finish the step's remaining exposures
-                                // live, then stay live for the rest of the
-                                // shot.
-                                live = true;
-                                let DdStep::Apply { noise_qubits, .. } = step else {
-                                    unreachable!("the trajectory only covers Apply steps")
-                                };
-                                state = apply_noise_live(
-                                    program,
-                                    dd,
-                                    noise_qubits,
-                                    resume_at,
-                                    deviated,
-                                    rng,
-                                    &mut error_events,
-                                );
-                                peak = peak.max(dd.vec_node_count_fast(state) as u64);
-                                continue;
-                            }
-                        }
-                    }
-                    // The trajectory ended (measurement/reset ahead):
-                    // everything from here on runs live.
-                    None => live = true,
-                }
-            }
-            match step {
-                DdStep::Apply { op, noise_qubits } => {
-                    state = dd.mat_vec_mul(*op, state);
-                    state = apply_noise_live(
-                        program,
-                        dd,
-                        noise_qubits,
-                        0,
-                        state,
-                        rng,
-                        &mut error_events,
-                    );
-                }
-                DdStep::Measure { qubit, clbit } => {
-                    let (outcome, collapsed) = dd.measure_qubit(state, *qubit, rng);
-                    state = collapsed;
-                    clbits[*clbit] = outcome;
-                }
-                DdStep::Reset { qubit, x_op } => {
-                    let (outcome, collapsed) = dd.measure_qubit(state, *qubit, rng);
-                    state = collapsed;
-                    if outcome {
-                        state = dd.mat_vec_mul(*x_op, state);
-                    }
-                }
-            }
-            peak = peak.max(dd.vec_node_count_fast(state) as u64);
-        }
-
-        let outcome = if program.measured_any {
-            pack_clbits(&clbits)
-        } else {
-            dd.sample_measurement(state, program.num_qubits, rng)
-        };
-        let dd_nodes = dd.vec_node_count_fast(state) as u64;
-        SingleRun {
-            outcome,
-            clbits,
-            error_events,
-            dd_nodes,
-            dd_nodes_peak: peak.max(dd_nodes),
-            state,
-        }
+        let steps = 0..program.steps.len();
+        let walk = Walk::start(program).run(program, dd, steps, &mut Sampled(rng), &mut clbits);
+        walk.finish_shot(program, dd, clbits, rng)
     }
 
     fn evaluate(
@@ -661,87 +571,34 @@ impl StochasticBackend for DdSimulator {
         program: &DdProgram,
         ctx: &mut DdContext,
         pattern: &ErrorPattern,
+        learned: Option<&mut Vec<f64>>,
     ) -> SingleRun<VecEdge> {
         ctx.seat(program);
         let dd = &mut ctx.package;
-        let width = program.channels.len();
-        let events = pattern.events();
-        let mut next = 0usize;
-        let mut state = program.initial;
-        let mut peak = program.initial_nodes;
-        let mut site = 0u32;
-        // `false` while the replay is still on the precomputed no-error
-        // trajectory; flips to `true` at the first pattern event (mirroring
-        // `run_shot`, so the operator sequence — and thus the resulting
-        // package state — is identical to what any member shot would have
-        // produced).
-        let mut live = false;
-
-        for (index, step) in program.steps[..program.dedup_prefix].iter().enumerate() {
-            let DdStep::Apply { op, noise_qubits } = step else {
-                unreachable!("the dedup prefix only contains Apply steps")
-            };
-            let step_end = site + (noise_qubits.len() * width) as u32;
-            if !live {
-                if let Some(ff) = program.trajectory.get(index) {
-                    if next < events.len() && events[next].site < step_end {
-                        // First deviation: apply the error onto the
-                        // exposure's precomputed resume state, then finish
-                        // the step's remaining events live.
-                        let event = events[next];
-                        let exposure = &ff.exposures[(event.site - site) as usize];
-                        let err = program.noise_ops[exposure.channel].unitaries[exposure.qubit]
-                            [event.error as usize];
-                        state = dd.mat_vec_mul(err, exposure.before);
-                        next += 1;
-                        live = true;
-                        state = apply_pattern_events(
-                            program,
-                            dd,
-                            noise_qubits,
-                            site,
-                            step_end,
-                            events,
-                            &mut next,
-                            state,
-                        );
-                        peak = peak.max(dd.vec_node_count_fast(state) as u64);
-                    } else {
-                        state = ff.after;
-                        peak = peak.max(ff.nodes_after);
-                    }
-                    site = step_end;
-                    continue;
-                }
-                // The trajectory ended (node budget): the rest of the
-                // prefix replays live.
-                live = true;
-            }
-            state = dd.mat_vec_mul(*op, state);
-            state = apply_pattern_events(
-                program,
-                dd,
-                noise_qubits,
-                site,
-                step_end,
-                events,
-                &mut next,
-                state,
-            );
-            peak = peak.max(dd.vec_node_count_fast(state) as u64);
-            site = step_end;
-        }
-        debug_assert_eq!(next, events.len(), "pattern events beyond the prefix");
-
-        let dd_nodes = dd.vec_node_count_fast(state) as u64;
+        let mut replayed = Replayed {
+            events: pattern.events(),
+            next: 0,
+            learned,
+        };
+        // The same walk `run_shot` takes, so the operator sequence — and
+        // thus the resulting package state — is identical to what any
+        // member shot would have produced.
+        let prefix = 0..program.dedup_prefix;
+        let walk = Walk::start(program).run(program, dd, prefix, &mut replayed, &mut []);
+        debug_assert_eq!(
+            replayed.next,
+            pattern.events().len(),
+            "pattern events beyond the prefix"
+        );
+        let dd_nodes = dd.vec_node_count_fast(walk.state) as u64;
         SingleRun {
             // Each member samples its own outcome; the replay has none.
             outcome: 0,
             clbits: vec![false; program.num_clbits],
-            error_events: events.len(),
+            error_events: walk.error_events,
             dd_nodes,
-            dd_nodes_peak: peak.max(dd_nodes),
-            state,
+            dd_nodes_peak: walk.peak.max(dd_nodes),
+            state: walk.state,
         }
     }
 
@@ -758,20 +615,9 @@ impl StochasticBackend for DdSimulator {
         );
         // Full-program patterns never contain explicit measurements (a
         // measurement ends the deduplicable prefix), so the outcome is
-        // always a full-register sample of the shared final state. The
-        // flat sampling plan is built once per pattern run (the `seat`
-        // inside `run_pattern` invalidates it) and is bit-identical to
-        // `sample_measurement` on the same state.
-        let cached = ctx
-            .sampler
-            .as_ref()
-            .is_some_and(|(state, _)| *state == run.state);
-        if !cached {
-            let plan = ctx.package.sample_plan(run.state, program.num_qubits);
-            ctx.sampler = Some((run.state, plan));
-        }
-        let (_, plan) = ctx.sampler.as_ref().expect("plan was just installed");
-        plan.sample(rng)
+        // always a full-register sample of the shared final state.
+        ctx.package
+            .sample_measurement(run.state, program.num_qubits, rng)
     }
 
     fn sample_outcomes(
@@ -782,18 +628,23 @@ impl StochasticBackend for DdSimulator {
         shots: &mut [(u64, StdRng)],
         mut sink: impl FnMut(u64, u64),
     ) {
+        // A lone member walks the diagram directly; flattening it into a
+        // plan first only pays off from the second draw on.
+        if let [(shot, rng)] = shots {
+            return sink(*shot, self.sample_outcome(program, ctx, run, rng));
+        }
         debug_assert_eq!(
             ctx.seated, program.id,
             "sample_outcomes must use the context the pattern ran in"
         );
-        // Build the flat plan once and keep it out of the member loop —
-        // this loop fans a whole trajectory group out of one shared state,
-        // so it is the hottest loop of a deduplicated run.
+        // The flat plan is bit-identical to `sample_measurement` on the
+        // same state and keeps norm recursion out of the member loop — this
+        // loop fans a whole trajectory group out of one shared state, so it
+        // is the hottest loop of a deduplicated run.
         let plan = ctx.package.sample_plan(run.state, program.num_qubits);
         for (shot, rng) in shots.iter_mut() {
             sink(*shot, plan.sample(rng));
         }
-        ctx.sampler = Some((run.state, plan));
     }
 
     fn outcome_distribution(
@@ -843,144 +694,298 @@ impl StochasticBackend for DdSimulator {
             work.seated = program.id;
         }
         let dd = &mut work.package;
-        let mut state = prefix.state;
         let mut clbits = vec![false; program.num_clbits];
-        let mut error_events = prefix.error_events;
-        let mut peak = prefix.dd_nodes_peak;
+        let tail = program.dedup_prefix..program.steps.len();
+        let walk = Walk {
+            state: prefix.state,
+            peak: prefix.dd_nodes_peak,
+            error_events: prefix.error_events,
+            live: true,
+        }
+        .run(program, dd, tail, &mut Sampled(rng), &mut clbits);
+        walk.finish_shot(program, dd, clbits, rng)
+    }
+}
 
-        for step in &program.steps[program.dedup_prefix..] {
-            match step {
+/// Where a walk over program steps takes its stochastic decisions from:
+/// a shot's random stream ([`Sampled`]) or a pattern's event list
+/// ([`Replayed`]). Sites are numbered from the start of the walk in
+/// protocol order, like the presample plan's.
+trait Decisions {
+    /// The unitary error a passive exposure fires, if any.
+    fn error(&mut self, site: u32, channel: &ErrorChannel) -> Option<usize>;
+    /// Whether a damping exposure whose decay branch has probability
+    /// `p_decay` decays.
+    fn decays(&mut self, site: u32, p_decay: f64) -> bool;
+    /// The generator measurements and resets draw from.
+    fn rng(&mut self) -> &mut StdRng;
+}
+
+/// Live decisions: one `sample_error` per passive exposure, one uniform
+/// draw per damping exposure (the damping channel consumes no randomness in
+/// `sample_error`; the branch decision is its single draw).
+struct Sampled<'a>(&'a mut StdRng);
+
+impl Decisions for Sampled<'_> {
+    #[inline]
+    fn error(&mut self, _site: u32, channel: &ErrorChannel) -> Option<usize> {
+        match channel.sample_error(self.0) {
+            SampledError::None => None,
+            SampledError::Unitary(u) => Some(u),
+            SampledError::Kraus => {
+                unreachable!("passive exposures come from unitary-equivalent channels")
+            }
+        }
+    }
+
+    #[inline]
+    fn decays(&mut self, _site: u32, p_decay: f64) -> bool {
+        self.0.gen::<f64>() < p_decay
+    }
+
+    fn rng(&mut self) -> &mut StdRng {
+        self.0
+    }
+}
+
+/// Decisions replayed from a pattern: an exposure deviates exactly when the
+/// next event names its site. Past the last event every damping exposure
+/// keeps, and its threshold is recorded into `learned` — what the shots
+/// sharing this pattern compare their next draws against.
+struct Replayed<'a> {
+    events: &'a [ErrorEvent],
+    next: usize,
+    learned: Option<&'a mut Vec<f64>>,
+}
+
+impl Replayed<'_> {
+    fn take(&mut self, site: u32) -> Option<u8> {
+        let event = self.events.get(self.next).filter(|e| e.site == site)?;
+        self.next += 1;
+        Some(event.error)
+    }
+}
+
+impl Decisions for Replayed<'_> {
+    fn error(&mut self, site: u32, _channel: &ErrorChannel) -> Option<usize> {
+        self.take(site).map(usize::from)
+    }
+
+    fn decays(&mut self, site: u32, p_decay: f64) -> bool {
+        if self.next == self.events.len() {
+            if let Some(learned) = &mut self.learned {
+                learned.push(p_decay);
+            }
+        }
+        self.take(site).is_some()
+    }
+
+    fn rng(&mut self) -> &mut StdRng {
+        unreachable!("the dedup prefix contains no measurement or reset")
+    }
+}
+
+/// The running state of a walk over program steps.
+struct Walk {
+    state: VecEdge,
+    /// Peak node count of the state so far.
+    peak: u64,
+    error_events: usize,
+    /// `false` while the walk is still on the precomputed no-error
+    /// trajectory; flips to `true` at the first deviation.
+    live: bool,
+}
+
+impl Walk {
+    /// A walk entering the program's first step from `|0...0>`.
+    fn start(program: &DdProgram) -> Walk {
+        Walk {
+            state: program.initial,
+            peak: program.initial_nodes,
+            error_events: 0,
+            live: false,
+        }
+    }
+
+    /// Walks `steps`: rides the trajectory with zero diagram work while the
+    /// decisions stay on the no-error path, evolves the diagram from the
+    /// first deviation (or the trajectory's end) on.
+    fn run<D: Decisions>(
+        mut self,
+        program: &DdProgram,
+        dd: &mut DdPackage,
+        steps: std::ops::Range<usize>,
+        decisions: &mut D,
+        clbits: &mut [bool],
+    ) -> Walk {
+        let mut site = 0u32;
+        for index in steps {
+            match &program.steps[index] {
                 DdStep::Apply { op, noise_qubits } => {
-                    state = dd.mat_vec_mul(*op, state);
-                    state = apply_noise_live(
-                        program,
-                        dd,
-                        noise_qubits,
-                        0,
-                        state,
-                        rng,
-                        &mut error_events,
-                    );
+                    let ff = if self.live {
+                        None
+                    } else {
+                        program.trajectory.get(index)
+                    };
+                    // How many of the step's exposures the trajectory
+                    // resolved before one deviated onto its resume state.
+                    let resolved = match ff {
+                        Some(ff) => match self.fast_forward(program, ff, dd, site, decisions) {
+                            Some(resume_at) => resume_at,
+                            None => {
+                                self.state = ff.after;
+                                self.peak = self.peak.max(ff.nodes_after);
+                                site += ff.exposures.len() as u32;
+                                continue;
+                            }
+                        },
+                        // Off the trajectory (an earlier deviation, or the
+                        // node budget ended it): the step runs live.
+                        None => {
+                            self.live = true;
+                            self.state = dd.mat_vec_mul(*op, self.state);
+                            0
+                        }
+                    };
+                    self.expose(program, dd, noise_qubits, resolved, site, decisions);
+                    site += (noise_qubits.len() * program.channels.len()) as u32;
                 }
                 DdStep::Measure { qubit, clbit } => {
-                    let (outcome, collapsed) = dd.measure_qubit(state, *qubit, rng);
-                    state = collapsed;
+                    self.live = true;
+                    let (outcome, collapsed) =
+                        dd.measure_qubit(self.state, *qubit, decisions.rng());
+                    self.state = collapsed;
                     clbits[*clbit] = outcome;
                 }
                 DdStep::Reset { qubit, x_op } => {
-                    let (outcome, collapsed) = dd.measure_qubit(state, *qubit, rng);
-                    state = collapsed;
+                    self.live = true;
+                    let (outcome, collapsed) =
+                        dd.measure_qubit(self.state, *qubit, decisions.rng());
+                    self.state = collapsed;
                     if outcome {
-                        state = dd.mat_vec_mul(*x_op, state);
+                        self.state = dd.mat_vec_mul(*x_op, self.state);
                     }
                 }
             }
-            peak = peak.max(dd.vec_node_count_fast(state) as u64);
+            self.peak = self.peak.max(dd.vec_node_count_fast(self.state) as u64);
         }
+        self
+    }
 
-        let outcome = if program.measured_any {
-            pack_clbits(&clbits)
-        } else {
-            dd.sample_measurement(state, program.num_qubits, rng)
-        };
-        let dd_nodes = dd.vec_node_count_fast(state) as u64;
-        SingleRun {
-            outcome,
-            clbits,
-            error_events,
-            dd_nodes,
-            dd_nodes_peak: peak.max(dd_nodes),
-            state,
+    /// Takes the exposures of one trajectory step, touching the diagram
+    /// only if one deviates: the error lands on the exposure's precomputed
+    /// resume state, the walk goes live, and the index of the step's next
+    /// exposure is returned. `None` means the step's precomputed outcome
+    /// stands.
+    fn fast_forward<D: Decisions>(
+        &mut self,
+        program: &DdProgram,
+        ff: &StepFF,
+        dd: &mut DdPackage,
+        first_site: u32,
+        decisions: &mut D,
+    ) -> Option<usize> {
+        for (index, exposure) in ff.exposures.iter().enumerate() {
+            let site = first_site + index as u32;
+            let ops = &program.noise_ops[exposure.channel];
+            self.state = match exposure.kind {
+                FFKind::Passive => {
+                    match decisions.error(site, &program.channels[exposure.channel]) {
+                        Some(u) => {
+                            dd.mat_vec_mul(ops.unitaries[exposure.qubit][u], exposure.before)
+                        }
+                        None => continue,
+                    }
+                }
+                FFKind::Damping { p_decay } => {
+                    if !decisions.decays(site, p_decay) {
+                        // No decay: the precomputed trajectory already
+                        // continues from the renormalised keep state.
+                        continue;
+                    }
+                    let [decay, _keep] =
+                        ops.kraus[exposure.qubit].expect("damping exposures carry Kraus operators");
+                    dd.apply_kraus(decay, exposure.before).1
+                }
+            };
+            self.error_events += 1;
+            self.live = true;
+            return Some(index + 1);
         }
+        None
     }
-}
 
-/// Applies the remaining pattern events of one step (sites in
-/// `[step_start, step_end)`, starting at `events[*next]`) by live diagram
-/// evolution, mirroring the decisions `apply_noise_live` would sample.
-#[allow(clippy::too_many_arguments)]
-fn apply_pattern_events(
-    program: &DdProgram,
-    dd: &mut DdPackage,
-    noise_qubits: &[usize],
-    step_start: u32,
-    step_end: u32,
-    events: &[qsdd_noise::ErrorEvent],
-    next: &mut usize,
-    mut state: VecEdge,
-) -> VecEdge {
-    let width = program.channels.len();
-    while *next < events.len() && events[*next].site < step_end {
-        let event = events[*next];
-        debug_assert!(event.site >= step_start, "events are consumed in order");
-        let position = (event.site - step_start) as usize;
-        let qubit = noise_qubits[position / width];
-        let channel = position % width;
-        let err = program.noise_ops[channel].unitaries[qubit][event.error as usize];
-        state = dd.mat_vec_mul(err, state);
-        *next += 1;
-    }
-    state
-}
-
-/// Result of replaying one trajectory step against the random stream.
-enum FastForward {
-    /// No exposure deviated: the step's precomputed outcome stands.
-    Clean,
-    /// An error fired at exposure `resume_at - 1`; `state` is the
-    /// post-error state and the caller must run the remaining exposures
-    /// (from `resume_at`) live.
-    Deviated { state: VecEdge, resume_at: usize },
-}
-
-/// Replays the exposures of one trajectory step, consuming the random
-/// stream exactly like live execution, without touching the diagram unless
-/// an error fires.
-fn fast_forward_step(
-    program: &DdProgram,
-    ff: &StepFF,
-    dd: &mut DdPackage,
-    rng: &mut StdRng,
-    error_events: &mut usize,
-) -> FastForward {
-    for (index, exposure) in ff.exposures.iter().enumerate() {
-        match exposure.kind {
-            FFKind::Passive => match program.channels[exposure.channel].sample_error(rng) {
-                SampledError::None => {}
-                SampledError::Unitary(u) => {
-                    *error_events += 1;
-                    let err = program.noise_ops[exposure.channel].unitaries[exposure.qubit][u];
-                    let state = dd.mat_vec_mul(err, exposure.before);
-                    return FastForward::Deviated {
-                        state,
-                        resume_at: index + 1,
-                    };
+    /// Applies a step's noise exposures by live diagram evolution, skipping
+    /// the first `resolved` (qubit, channel) pairs.
+    fn expose<D: Decisions>(
+        &mut self,
+        program: &DdProgram,
+        dd: &mut DdPackage,
+        noise_qubits: &[usize],
+        resolved: usize,
+        first_site: u32,
+        decisions: &mut D,
+    ) {
+        let width = program.channels.len();
+        for (position, &qubit) in noise_qubits.iter().enumerate() {
+            for (index, channel) in program.channels.iter().enumerate() {
+                let offset = position * width + index;
+                if offset < resolved {
+                    continue;
                 }
-                SampledError::Kraus => {
-                    unreachable!("passive exposures come from unitary-equivalent channels")
+                let site = first_site + offset as u32;
+                let ops = &program.noise_ops[index];
+                match ops.kraus[qubit] {
+                    None => {
+                        if let Some(u) = decisions.error(site, channel) {
+                            self.error_events += 1;
+                            self.state = dd.mat_vec_mul(ops.unitaries[qubit][u], self.state);
+                        }
+                    }
+                    Some([decay, keep]) => {
+                        // Amplitude damping: branch probabilities are the
+                        // squared norms of the (non-unitary) branch states
+                        // (Example 6 of the paper). The decay threshold is
+                        // read off the state first, so only the branch the
+                        // decision selects is ever built.
+                        let p_decay = decay_probability(dd, channel, self.state, qubit);
+                        let branch = if decisions.decays(site, p_decay) {
+                            self.error_events += 1;
+                            decay
+                        } else {
+                            keep
+                        };
+                        self.state = dd.apply_kraus(branch, self.state).1;
+                    }
                 }
-            },
-            FFKind::Damping { p_decay } => {
-                // The damping channel consumes no randomness in
-                // sample_error (it always takes the Kraus path); this
-                // branch decision is its single draw, exactly as in live
-                // execution.
-                if rng.gen::<f64>() < p_decay {
-                    *error_events += 1;
-                    let [decay, _keep] = program.noise_ops[exposure.channel].kraus[exposure.qubit]
-                        .expect("damping exposures carry Kraus operators");
-                    let (_, decayed) = dd.apply_kraus(decay, exposure.before);
-                    return FastForward::Deviated {
-                        state: decayed,
-                        resume_at: index + 1,
-                    };
-                }
-                // No decay: the precomputed trajectory already continues
-                // from the renormalised keep state.
             }
         }
     }
-    FastForward::Clean
+
+    /// Closes a sampled walk over the program's last step into the shot's
+    /// result.
+    fn finish_shot(
+        self,
+        program: &DdProgram,
+        dd: &mut DdPackage,
+        clbits: Vec<bool>,
+        rng: &mut StdRng,
+    ) -> SingleRun<VecEdge> {
+        let outcome = if program.measured_any {
+            pack_clbits(&clbits)
+        } else {
+            dd.sample_measurement(self.state, program.num_qubits, rng)
+        };
+        let dd_nodes = dd.vec_node_count_fast(self.state) as u64;
+        SingleRun {
+            outcome,
+            clbits,
+            error_events: self.error_events,
+            dd_nodes,
+            dd_nodes_peak: self.peak.max(dd_nodes),
+            state: self.state,
+        }
+    }
 }
 
 /// Probability that an amplitude-damping exposure of `qubit` decays:
@@ -995,53 +1000,6 @@ fn decay_probability(
     qubit: usize,
 ) -> f64 {
     channel.probability() * dd.excited_norm_sqr(state, qubit)
-}
-
-/// Applies a step's noise exposures by live diagram evolution, skipping the
-/// first `skip` (qubit, channel) pairs (already handled by fast-forward).
-fn apply_noise_live(
-    program: &DdProgram,
-    dd: &mut DdPackage,
-    noise_qubits: &[usize],
-    skip: usize,
-    mut state: VecEdge,
-    rng: &mut StdRng,
-    error_events: &mut usize,
-) -> VecEdge {
-    let width = program.channels.len();
-    for (position, &qubit) in noise_qubits.iter().enumerate() {
-        for (index, channel) in program.channels.iter().enumerate() {
-            if position * width + index < skip {
-                continue;
-            }
-            match channel.sample_error(rng) {
-                SampledError::None => {}
-                SampledError::Unitary(u) => {
-                    *error_events += 1;
-                    let err = program.noise_ops[index].unitaries[qubit][u];
-                    state = dd.mat_vec_mul(err, state);
-                }
-                SampledError::Kraus => {
-                    // Amplitude damping: branch probabilities are the
-                    // squared norms of the (non-unitary) branch states
-                    // (Example 6 of the paper). The decay threshold is read
-                    // off the state first, so only the branch the draw
-                    // selects is ever built.
-                    let [decay, keep] = program.noise_ops[index].kraus[qubit]
-                        .expect("Kraus events only come from Kraus channels");
-                    let p_decay = decay_probability(dd, channel, state, qubit);
-                    let branch = if rng.gen::<f64>() < p_decay {
-                        *error_events += 1;
-                        decay
-                    } else {
-                        keep
-                    };
-                    state = dd.apply_kraus(branch, state).1;
-                }
-            }
-        }
-    }
-    state
 }
 
 #[cfg(test)]
@@ -1280,6 +1238,66 @@ mod tests {
             }
             assert_eq!(rng.gen::<u64>(), reference.gen::<u64>());
         }
+    }
+
+    #[test]
+    fn sample_outcomes_draw_identically_for_one_member_and_for_many() {
+        // A lone member samples the diagram directly, a group through the
+        // flat plan: same outcomes, same generator positions.
+        let backend = DdSimulator::new();
+        let program = backend.compile(&ghz(5), &NoiseModel::paper_defaults());
+        let mut ctx = backend.new_context();
+        let run = backend.run_pattern(&program, &mut ctx, &ErrorPattern::default(), None);
+        let mut together: Vec<(u64, StdRng)> = (0..40)
+            .map(|shot| (shot, StdRng::seed_from_u64(shot)))
+            .collect();
+        let mut alone = together.clone();
+        let mut grouped = Vec::new();
+        backend.sample_outcomes(&program, &mut ctx, &run, &mut together, |_, outcome| {
+            grouped.push(outcome)
+        });
+        for (member, expected) in alone.chunks_mut(1).zip(&grouped) {
+            backend.sample_outcomes(&program, &mut ctx, &run, member, |_, outcome| {
+                assert_eq!(outcome, *expected)
+            });
+        }
+        for ((_, a), (_, b)) in together.iter_mut().zip(&mut alone) {
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "stream diverged");
+        }
+    }
+
+    #[test]
+    fn pattern_replays_learn_the_thresholds_past_their_last_event() {
+        let backend = DdSimulator::new();
+        let program = backend.compile(&ghz(4), &NoiseModel::paper_defaults());
+        let mut ctx = backend.new_context();
+        // The empty pattern rides the trajectory: it meets exactly the
+        // precomputed no-error thresholds, one per damping site.
+        let mut learned = Vec::new();
+        let empty = ErrorPattern::default();
+        backend.run_pattern(&program, &mut ctx, &empty, Some(&mut learned));
+        let no_error: Vec<f64> = program
+            .trajectory
+            .iter()
+            .flat_map(|step| &step.exposures)
+            .filter_map(|exposure| match exposure.kind {
+                FFKind::Damping { p_decay } => Some(p_decay),
+                FFKind::Passive => None,
+            })
+            .collect();
+        assert_eq!(learned, no_error);
+        // A decay at the first damping site (site 1, after the H on qubit
+        // 0) leaves qubit 0 in |0>: only the sites behind it are learned,
+        // and qubit 0's later exposure can no longer decay.
+        let decayed = empty.with_event(ErrorEvent {
+            site: 1,
+            error: ErrorEvent::DECAY,
+        });
+        learned.clear();
+        let run = backend.run_pattern(&program, &mut ctx, &decayed, Some(&mut learned));
+        assert_eq!(run.error_events, 1);
+        assert_eq!(learned.len(), no_error.len() - 1);
+        assert_eq!(learned[0], 0.0, "a decayed qubit has nothing left to lose");
     }
 
     #[test]

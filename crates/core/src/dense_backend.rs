@@ -231,6 +231,10 @@ impl StochasticBackend for DenseSimulator {
         DenseContext::new()
     }
 
+    fn intra_width(&self, requested: usize) -> usize {
+        requested.max(1)
+    }
+
     fn set_intra_pool(
         &self,
         ctx: &mut DenseContext,
@@ -365,6 +369,7 @@ impl StochasticBackend for DenseSimulator {
         program: &DenseProgram,
         ctx: &mut DenseContext,
         pattern: &ErrorPattern,
+        _learned: Option<&mut Vec<f64>>,
     ) -> SingleRun<()> {
         ctx.seat(program);
         let width = program.channels.len();

@@ -70,7 +70,7 @@ pub mod weighted;
 pub use backend::{SingleRun, StochasticBackend};
 pub use dd_backend::{DdContext, DdProgram, DdRunState, DdSimulator};
 pub use deadline::{Deadline, TimedOut};
-pub use dedup::{DedupStats, DedupSupport};
+pub use dedup::{DedupStats, DedupSupport, TrajectoryWork};
 pub use dense_backend::{DenseContext, DenseProgram, DenseSimulator};
 pub use estimator::{Observable, ObservableAccumulator};
 pub use shot_engine::{ExecContext, ShotEngine, ShotSample};

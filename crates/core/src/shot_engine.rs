@@ -43,10 +43,10 @@ use qsdd_telemetry::{Stage, StageTimings};
 use qsdd_transpile::{layout, transpile, OptLevel, TranspileResult};
 use rand::rngs::StdRng;
 
-use crate::backend::StochasticBackend;
+use crate::backend::{SingleRun, StochasticBackend};
 use crate::dd_backend::{DdContext, DdProgram, DdSimulator};
 use crate::deadline::{Deadline, TimedOut};
-use crate::dedup::{execute_group, run_dedup, DedupSupport};
+use crate::dedup::{plan_range, run_dedup, DedupStats, DedupSupport, Replayer, TrajectoryWork};
 use crate::dense_backend::{DenseContext, DenseProgram, DenseSimulator};
 use crate::estimator::Observable;
 use crate::simulator::BackendKind;
@@ -67,6 +67,18 @@ pub struct ShotSample {
     /// shot — the memory high-water mark, sampled after every applied
     /// operation (`0` on the dense back-end).
     pub dd_nodes_peak: u64,
+}
+
+impl ShotSample {
+    /// The aggregate-relevant part of a back-end run.
+    pub(crate) fn of<S>(run: &SingleRun<S>) -> ShotSample {
+        ShotSample {
+            outcome: run.outcome,
+            error_events: run.error_events as u64,
+            dd_nodes: run.dd_nodes,
+            dd_nodes_peak: run.dd_nodes_peak,
+        }
+    }
 }
 
 /// Monomorphised back-end + compiled-program storage (the engine must be a
@@ -167,21 +179,13 @@ impl ExecContext {
     /// Snapshot of the decision-diagram table counters accumulated by this
     /// context's packages (primary + auxiliary), for before/after deltas
     /// around a job. Zero when no decision-diagram shot ran yet.
-    pub(crate) fn dd_table_stats(&self) -> TableStats {
-        let mut total = TableStats::default();
-        for ctx in [self.dd.as_deref(), self.dd_aux.as_deref()]
+    pub fn dd_table_stats(&self) -> TableStats {
+        [self.dd.as_deref(), self.dd_aux.as_deref()]
             .into_iter()
             .flatten()
-        {
-            let stats = ctx.package().table_stats();
-            total.vec_unique_hits += stats.vec_unique_hits;
-            total.vec_unique_misses += stats.vec_unique_misses;
-            total.mat_unique_hits += stats.mat_unique_hits;
-            total.mat_unique_misses += stats.mat_unique_misses;
-            total.compute_hits += stats.compute_hits;
-            total.compute_misses += stats.compute_misses;
-        }
-        total
+            .fold(TableStats::default(), |total, ctx| {
+                total.plus(&ctx.package().table_stats())
+            })
     }
 
     /// Borrows the decision-diagram context pair (primary + auxiliary).
@@ -540,39 +544,23 @@ impl ShotEngine {
         match &self.backend {
             EngineBackend::DecisionDiagram { backend, program } => {
                 let ctx = ctx.dd_mut();
-                let mut run = backend.run_pattern(program, ctx, pattern);
+                let mut run = backend.run_pattern(program, ctx, pattern, None);
                 let values: Vec<f64> = observables
                     .iter()
                     .map(|o| backend.evaluate(program, ctx, &mut run, o))
                     .collect();
                 backend.outcome_distribution(program, ctx, &run, &mut restore);
-                (
-                    ShotSample {
-                        outcome: 0,
-                        error_events: run.error_events as u64,
-                        dd_nodes: run.dd_nodes,
-                        dd_nodes_peak: run.dd_nodes_peak,
-                    },
-                    values,
-                )
+                (ShotSample::of(&run), values)
             }
             EngineBackend::Statevector { backend, program } => {
                 let ctx = ctx.dense_mut();
-                let mut run = backend.run_pattern(program, ctx, pattern);
+                let mut run = backend.run_pattern(program, ctx, pattern, None);
                 let values: Vec<f64> = observables
                     .iter()
                     .map(|o| backend.evaluate(program, ctx, &mut run, o))
                     .collect();
                 backend.outcome_distribution(program, ctx, &run, &mut restore);
-                (
-                    ShotSample {
-                        outcome: 0,
-                        error_events: run.error_events as u64,
-                        dd_nodes: run.dd_nodes,
-                        dd_nodes_peak: run.dd_nodes_peak,
-                    },
-                    values,
-                )
+                (ShotSample::of(&run), values)
             }
         }
     }
@@ -582,34 +570,89 @@ impl ShotEngine {
     /// Returns the shot's [`ErrorPattern`] together with its generator —
     /// positioned exactly where live execution would be after the covered
     /// exposures — when the shot is deduplicable; `None` when the engine
-    /// does not support deduplication or the shot must execute live
-    /// (state-dependent decision ahead). Shots with equal patterns belong
-    /// in the same [`run_group_in`](Self::run_group_in) group.
+    /// does not support deduplication or the shot left the no-error path
+    /// with a state-dependent decision ahead. Shots with equal patterns
+    /// belong in the same [`run_group_in`](Self::run_group_in) group.
     pub fn presample_shot(&self, shot: u64) -> Option<(ErrorPattern, StdRng)> {
         let support = self.dedup.as_ref()?;
         let mut rng = shot_rng(self.seed, shot);
         match support.plan.presample(&mut rng) {
             Presampled::Pattern(pattern) => Some((pattern, rng)),
-            Presampled::Live => None,
+            Presampled::Deviated(_) => None,
         }
     }
 
-    /// Presamples a contiguous shot range and groups it by error pattern:
-    /// groups in first-appearance order (members in shot order) plus the
-    /// live shots in index order, or `None` when the engine does not
-    /// support deduplication.
+    /// Presamples a contiguous shot range into work items for
+    /// [`run_work_in`](Self::run_work_in), in first-appearance order with
+    /// members in shot order: one trajectory group per distinct pattern,
+    /// and one deviation bucket per distinct first event of the shots that
+    /// left the no-error path with a state-dependent decision ahead.
+    /// `None` when the engine does not support deduplication.
     ///
     /// This is the building block for bounded-memory consumers (the batch
-    /// scheduler presamples one round at a time with it); each group feeds
-    /// straight into [`run_group_in`](Self::run_group_in), each live shot
-    /// into [`run_shot_in`](Self::run_shot_in).
+    /// scheduler presamples one round at a time with it).
+    pub fn plan_range(&self, range: std::ops::Range<u64>) -> Option<Vec<TrajectoryWork>> {
+        let support = self.dedup.as_ref()?;
+        Some(plan_range(&support.plan, range, self.seed))
+    }
+
+    /// [`plan_range`](Self::plan_range) with the deviating shots left to
+    /// the caller: the trajectory groups in first-appearance order (members
+    /// in shot order) plus, in index order, the shots to execute live.
+    ///
+    /// Each group feeds straight into [`run_group_in`](Self::run_group_in),
+    /// each live shot into [`run_shot_in`](Self::run_shot_in).
     #[allow(clippy::type_complexity)]
     pub fn presample_range(
         &self,
         range: std::ops::Range<u64>,
     ) -> Option<(Vec<(ErrorPattern, Vec<(u64, StdRng)>)>, Vec<u64>)> {
-        let support = self.dedup.as_ref()?;
-        Some(crate::dedup::group_range(&support.plan, range, self.seed))
+        let mut groups = Vec::new();
+        let mut live = Vec::new();
+        for work in self.plan_range(range)? {
+            if work.parked {
+                live.extend(work.members.iter().map(|(shot, _)| *shot));
+            } else {
+                groups.push((work.pattern, work.members));
+            }
+        }
+        live.sort_unstable();
+        Some((groups, live))
+    }
+
+    /// A [`Replayer`] over one concrete back-end of this engine.
+    fn replayer<'a, B: StochasticBackend>(
+        &'a self,
+        backend: &'a B,
+        program: &'a B::Program,
+        (pattern_ctx, work_ctx): (&'a mut B::Context, &'a mut B::Context),
+        observables: &'a [Observable],
+    ) -> Replayer<'a, B> {
+        Replayer {
+            backend,
+            program,
+            support: self
+                .dedup
+                .as_ref()
+                .expect("trajectory replay requires an engine with dedup support"),
+            pattern_ctx,
+            work_ctx,
+            observables,
+        }
+    }
+
+    /// A replay sink collecting one record per member shot into `out`,
+    /// outcomes restored to the original qubit order.
+    fn collect_into<'a>(
+        &'a self,
+        out: &'a mut Vec<(u64, ShotSample, Vec<f64>)>,
+    ) -> impl FnMut(u64, ShotSample, &[f64]) + 'a {
+        move |shot, mut sample, values| {
+            if let Some(output_layout) = &self.output_layout {
+                sample.outcome = layout::restore_outcome(sample.outcome, output_layout);
+            }
+            out.push((shot, sample, values.to_vec()));
+        }
     }
 
     /// Executes one trajectory group: the shared `pattern` is simulated
@@ -634,65 +677,72 @@ impl ShotEngine {
         shots: &mut [(u64, StdRng)],
         observables: &[Observable],
     ) -> Vec<(u64, ShotSample, Vec<f64>)> {
-        let support = self
-            .dedup
-            .as_ref()
-            .expect("run_group_in requires an engine with dedup support");
         let mut out = Vec::with_capacity(shots.len());
-        let sink = |shot: u64, sample: ShotSample, values: &[f64]| {
-            out.push((shot, sample, values.to_vec()));
-        };
+        let sink = self.collect_into(&mut out);
         match &self.backend {
-            EngineBackend::DecisionDiagram { backend, program } => {
-                let (pattern_ctx, work_ctx) = ctx.dd_pair();
-                execute_group(
-                    backend,
-                    program,
-                    support,
-                    pattern_ctx,
-                    work_ctx,
-                    pattern,
-                    shots,
-                    observables,
-                    sink,
-                );
-            }
-            EngineBackend::Statevector { backend, program } => {
-                let (pattern_ctx, work_ctx) = ctx.dense_pair();
-                execute_group(
-                    backend,
-                    program,
-                    support,
-                    pattern_ctx,
-                    work_ctx,
-                    pattern,
-                    shots,
-                    observables,
-                    sink,
-                );
-            }
-        }
-        if let Some(output_layout) = &self.output_layout {
-            for (_, sample, _) in &mut out {
-                sample.outcome = layout::restore_outcome(sample.outcome, output_layout);
-            }
+            EngineBackend::DecisionDiagram { backend, program } => self
+                .replayer(backend, program.as_ref(), ctx.dd_pair(), observables)
+                .run_group(pattern, shots, sink),
+            EngineBackend::Statevector { backend, program } => self
+                .replayer(backend, program.as_ref(), ctx.dense_pair(), observables)
+                .run_group(pattern, shots, sink),
         }
         out
+    }
+
+    /// Executes one work item of [`plan_range`](Self::plan_range): a
+    /// trajectory group like [`run_group_in`](Self::run_group_in), or a
+    /// deviation bucket with the tree of child buckets its members drop
+    /// into (see [`crate::dedup`]).
+    ///
+    /// Returns one record per member shot, byte-identical to what
+    /// [`run_shot_in`](Self::run_shot_in) produces for that shot index,
+    /// plus the evolutions performed and the shots run live. The
+    /// `deadline` is checked between evolutions; `observables` must already
+    /// be mapped through [`map_observables`](Self::map_observables).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine does not support deduplication
+    /// ([`supports_dedup`](Self::supports_dedup)).
+    #[allow(clippy::type_complexity)]
+    pub fn run_work_in(
+        &self,
+        ctx: &mut ExecContext,
+        work: TrajectoryWork,
+        observables: &[Observable],
+        deadline: &Deadline,
+    ) -> Result<(Vec<(u64, ShotSample, Vec<f64>)>, DedupStats), TimedOut> {
+        let mut out = Vec::with_capacity(work.shots());
+        let mut stats = DedupStats::default();
+        let sink = self.collect_into(&mut out);
+        match &self.backend {
+            EngineBackend::DecisionDiagram { backend, program } => self
+                .replayer(backend, program.as_ref(), ctx.dd_pair(), observables)
+                .run_work(work, self.seed, deadline, &mut stats, sink),
+            EngineBackend::Statevector { backend, program } => self
+                .replayer(backend, program.as_ref(), ctx.dense_pair(), observables)
+                .run_work(work, self.seed, deadline, &mut stats, sink),
+        }?;
+        Ok((out, stats))
     }
 
     /// Runs the deduplicating Monte-Carlo driver over shots `0..shots`, or
     /// returns `None` when the program does not support deduplication.
     ///
     /// `threads` must already be resolved and capped at the shot count;
-    /// observables are mapped and outcomes restored to the original qubit
-    /// order internally. The inner `Result` carries the `deadline`'s
-    /// cooperative-timeout verdict.
+    /// with `inline` the job runs on the calling thread in that context
+    /// (`threads` must be 1). Observables are mapped and outcomes restored
+    /// to the original qubit order internally. The inner `Result` carries
+    /// the `deadline`'s cooperative-timeout verdict.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn dedup_outcome(
         &self,
         shots: usize,
         threads: usize,
         observables: &[Observable],
         intra: Option<&Arc<IntraPool>>,
+        inline: Option<&mut ExecContext>,
         started: Instant,
         deadline: &Deadline,
     ) -> Option<Result<StochasticOutcome, TimedOut>> {
@@ -710,6 +760,7 @@ impl ShotEngine {
                 &mapped,
                 output_layout,
                 intra,
+                inline.map(ExecContext::dd_pair),
                 started,
                 deadline,
             ),
@@ -723,6 +774,7 @@ impl ShotEngine {
                 &mapped,
                 output_layout,
                 intra,
+                inline.map(ExecContext::dense_pair),
                 started,
                 deadline,
             ),
@@ -774,7 +826,7 @@ impl EngineBackend {
 /// Runs one shot on a concrete back-end and evaluates the observables;
 /// `SingleRun` carries the diagram statistics uniformly (zero on back-ends
 /// without diagrams), so both engine arms share this body.
-fn execute<B: StochasticBackend>(
+pub(crate) fn execute<B: StochasticBackend>(
     backend: &B,
     program: &B::Program,
     ctx: &mut B::Context,
@@ -786,15 +838,7 @@ fn execute<B: StochasticBackend>(
         .iter()
         .map(|o| backend.evaluate(program, ctx, &mut run, o))
         .collect();
-    (
-        ShotSample {
-            outcome: run.outcome,
-            error_events: run.error_events as u64,
-            dd_nodes: run.dd_nodes,
-            dd_nodes_peak: run.dd_nodes_peak,
-        },
-        values,
-    )
+    (ShotSample::of(&run), values)
 }
 
 /// Re-expresses an observable over the original qubits as one over the

@@ -298,18 +298,11 @@ impl WorkerPartial {
         }
     }
 
-    pub(crate) fn record(
-        &mut self,
-        outcome: u64,
-        errors: u64,
-        nodes: u64,
-        peak: u64,
-        values: &[f64],
-    ) {
-        *self.counts.entry(outcome).or_insert(0) += 1;
-        self.errors += errors;
-        self.nodes_sum += nodes;
-        self.nodes_peak = self.nodes_peak.max(peak);
+    pub(crate) fn record(&mut self, sample: &crate::ShotSample, values: &[f64]) {
+        *self.counts.entry(sample.outcome).or_insert(0) += 1;
+        self.errors += sample.error_events;
+        self.nodes_sum += sample.dd_nodes;
+        self.nodes_peak = self.nodes_peak.max(sample.dd_nodes_peak);
         if !values.is_empty() {
             self.observables.add(values);
         }
@@ -394,7 +387,7 @@ pub fn run_stochastic<B: StochasticBackend>(
     let program = backend.compile(circuit, &config.noise);
     let compile_time = compile_started.elapsed();
     let threads = config.effective_threads().max(1).min(config.shots);
-    let intra = build_intra_pool(config.intra_threads, threads);
+    let intra = build_intra_pool(backend.intra_width(config.intra_threads), threads);
     if config.dedup {
         if let Some(support) = backend.dedup_support(&program) {
             let mut outcome = run_dedup(
@@ -407,6 +400,7 @@ pub fn run_stochastic<B: StochasticBackend>(
                 observables,
                 None,
                 intra.as_ref(),
+                None,
                 started,
                 &Deadline::unbounded(),
             )
@@ -450,13 +444,7 @@ pub fn run_stochastic<B: StochasticBackend>(
                         .iter()
                         .map(|o| backend.evaluate(program, &mut ctx, &mut run, o))
                         .collect();
-                    partial.record(
-                        run.outcome,
-                        run.error_events as u64,
-                        run.dd_nodes,
-                        run.dd_nodes_peak,
-                        &values,
-                    );
+                    partial.record(&crate::ShotSample::of(&run), &values);
                     executed += 1;
                     shot += threads;
                 }
@@ -570,13 +558,7 @@ pub fn run_engine_deadline(
                     }
                     let (sample, values) =
                         engine.run_shot_with_observables_in(&mut ctx, shot as u64, mapped);
-                    partial.record(
-                        sample.outcome,
-                        sample.error_events,
-                        sample.dd_nodes,
-                        sample.dd_nodes_peak,
-                        &values,
-                    );
+                    partial.record(&sample, &values);
                     executed += 1;
                     shot += threads;
                 }
@@ -658,6 +640,7 @@ pub fn run_engine_dedup_deadline(
         workers,
         observables,
         intra.as_ref(),
+        None,
         started,
         deadline,
     ) {
@@ -734,8 +717,8 @@ pub fn run_engine_in_deadline(
         ));
     }
     let dd_before = ctx.dd_table_stats();
-    let mapped = engine.map_observables(observables);
-    let mut outcome = run_engine_in_inner(engine, ctx, shots, &mapped, dedup, started, deadline)?;
+    let mut outcome =
+        run_engine_in_inner(engine, ctx, shots, observables, dedup, started, deadline)?;
     outcome.stage_timings.merge(&engine.stage_timings());
     if engine.wide_pool(ctx).is_some() {
         let execute_time = outcome.stage_timings.get(Stage::Execute);
@@ -754,31 +737,21 @@ fn run_engine_in_inner(
     engine: &ShotEngine,
     ctx: &mut crate::ExecContext,
     shots: usize,
-    mapped: &[Observable],
+    observables: &[Observable],
     dedup: bool,
     started: Instant,
     deadline: &Deadline,
 ) -> Result<StochasticOutcome, TimedOut> {
     if dedup {
-        let presample_started = Instant::now();
-        let presample_span = trace::span("presample");
-        let presampled = engine.presample_range(0..shots as u64);
-        trace::attr("shots", shots);
-        if let Some((groups, live)) = &presampled {
-            trace::attr("groups", groups.len());
-            trace::attr("live_shots", live.len());
-        }
-        drop(presample_span);
-        let presample_time = presample_started.elapsed();
-        if let Some((groups, live)) = presampled {
-            let mut outcome =
-                run_dedup_serial(engine, ctx, shots, mapped, groups, live, started, deadline)?;
-            outcome
-                .stage_timings
-                .record(Stage::Presample, presample_time);
-            return Ok(outcome);
+        // The deduplicating driver at one worker, run on this thread in
+        // the caller's context.
+        if let Some(result) =
+            engine.dedup_outcome(shots, 1, observables, None, Some(ctx), started, deadline)
+        {
+            return result;
         }
     }
+    let mapped = &engine.map_observables(observables);
     let bounded = !deadline.is_unbounded();
     let execute_started = Instant::now();
     let pool = engine.wide_pool(ctx);
@@ -791,22 +764,16 @@ fn run_engine_in_inner(
     if let Some(pool) = pool {
         trace::attr("intra_width", pool.threads());
     }
-    let dd_before = trace_dd_stats(ctx);
+    let dd_before = trace_dd_stats(|| ctx.dd_table_stats());
     let mut partial = WorkerPartial::new(mapped.len());
     for shot in 0..shots as u64 {
         if bounded && deadline.expired() {
             return Err(TimedOut);
         }
         let (sample, values) = engine.run_shot_with_observables_in(ctx, shot, mapped);
-        partial.record(
-            sample.outcome,
-            sample.error_events,
-            sample.dd_nodes,
-            sample.dd_nodes_peak,
-            &values,
-        );
+        partial.record(&sample, &values);
     }
-    trace_dd_attrs(ctx, dd_before);
+    trace_dd_attrs(dd_before, || ctx.dd_table_stats());
     drop(shots_span);
     let execute_time = execute_started.elapsed();
     let aggregate_started = Instant::now();
@@ -818,19 +785,24 @@ fn run_engine_in_inner(
     Ok(outcome)
 }
 
-/// Snapshot of the context's decision-diagram table counters, taken only
-/// when the calling thread is actively traced (the stats walk both
+/// Snapshot of a context's decision-diagram table counters (`stats`), taken
+/// only when the calling thread is actively traced (the stats walk both
 /// packages, so skip the work for un-traced runs).
-pub(crate) fn trace_dd_stats(ctx: &crate::ExecContext) -> Option<qsdd_dd::TableStats> {
-    trace::active().then(|| ctx.dd_table_stats())
+pub(crate) fn trace_dd_stats(
+    stats: impl FnOnce() -> qsdd_dd::TableStats,
+) -> Option<qsdd_dd::TableStats> {
+    trace::active().then(stats)
 }
 
 /// Attaches the decision-diagram table-traffic delta since `before` to
 /// the innermost open span (the per-group / per-loop node and table-hit
 /// attributes the trace vocabulary promises).
-pub(crate) fn trace_dd_attrs(ctx: &crate::ExecContext, before: Option<qsdd_dd::TableStats>) {
+pub(crate) fn trace_dd_attrs(
+    before: Option<qsdd_dd::TableStats>,
+    stats: impl FnOnce() -> qsdd_dd::TableStats,
+) {
     if let Some(before) = before {
-        let delta = ctx.dd_table_stats().since(&before);
+        let delta = stats().since(&before);
         trace::attr("dd_compute_hits", delta.compute_hits);
         trace::attr("dd_compute_misses", delta.compute_misses);
         trace::attr(
@@ -923,133 +895,6 @@ pub(crate) fn publish_job_metrics(outcome: &StochasticOutcome, dd_delta: qsdd_dd
             )
             .add(stats.live_shots);
     }
-}
-
-/// The single-context twin of the deduplicating driver: groups in
-/// first-appearance order, then live shots in index order, exactly the work
-/// order `run_dedup` deals to its only worker when `threads == 1` (so the
-/// aggregates — including the observable-sum bits, which replay the shot
-/// order — come out identical). The `deadline` is checked per group and per
-/// live shot.
-#[allow(clippy::too_many_arguments)]
-fn run_dedup_serial(
-    engine: &ShotEngine,
-    ctx: &mut crate::ExecContext,
-    shots: usize,
-    mapped: &[Observable],
-    groups: Vec<(qsdd_noise::ErrorPattern, Vec<(u64, StdRng)>)>,
-    live: Vec<u64>,
-    started: Instant,
-    deadline: &Deadline,
-) -> Result<StochasticOutcome, TimedOut> {
-    let stats = crate::dedup::DedupStats {
-        unique_trajectories: (groups.len() + live.len()) as u64,
-        live_shots: live.len() as u64,
-    };
-    let bounded = !deadline.is_unbounded();
-    let execute_started = Instant::now();
-    let mut outcome = if mapped.is_empty() {
-        // Integer-only aggregation: fold records as they are produced.
-        let mut partial = WorkerPartial::new(0);
-        for (pattern, mut members) in groups {
-            if bounded && deadline.expired() {
-                return Err(TimedOut);
-            }
-            let group_span = trace::span("trajectory_group");
-            trace::attr("members", members.len());
-            let dd_before = trace_dd_stats(ctx);
-            for (_, sample, _) in engine.run_group_in(ctx, &pattern, &mut members, &[]) {
-                partial.record(
-                    sample.outcome,
-                    sample.error_events,
-                    sample.dd_nodes,
-                    sample.dd_nodes_peak,
-                    &[],
-                );
-            }
-            trace_dd_attrs(ctx, dd_before);
-            drop(group_span);
-        }
-        let live_span = trace::span("live_shots");
-        trace::attr("shots", live.len());
-        for shot in live {
-            if bounded && deadline.expired() {
-                return Err(TimedOut);
-            }
-            let sample = engine.run_shot_in(ctx, shot);
-            partial.record(
-                sample.outcome,
-                sample.error_events,
-                sample.dd_nodes,
-                sample.dd_nodes_peak,
-                &[],
-            );
-        }
-        drop(live_span);
-        let execute_time = execute_started.elapsed();
-        let aggregate_started = Instant::now();
-        let aggregate_span = trace::span("aggregate");
-        let mut outcome = merge_partials(vec![Some(partial)], shots, 0, 1, started);
-        drop(aggregate_span);
-        outcome.stage_timings.record(Stage::Execute, execute_time);
-        outcome
-            .stage_timings
-            .record(Stage::Aggregate, aggregate_started.elapsed());
-        outcome
-    } else {
-        // Observable sums are order-sensitive: collect per-shot records,
-        // then replay them in shot-index order (the one-worker stride).
-        let mut records: Vec<Option<(crate::ShotSample, Vec<f64>)>> = Vec::new();
-        records.resize_with(shots, || None);
-        for (pattern, mut members) in groups {
-            if bounded && deadline.expired() {
-                return Err(TimedOut);
-            }
-            let group_span = trace::span("trajectory_group");
-            trace::attr("members", members.len());
-            let dd_before = trace_dd_stats(ctx);
-            for (shot, sample, values) in engine.run_group_in(ctx, &pattern, &mut members, mapped) {
-                records[shot as usize] = Some((sample, values));
-            }
-            trace_dd_attrs(ctx, dd_before);
-            drop(group_span);
-        }
-        let live_span = trace::span("live_shots");
-        trace::attr("shots", live.len());
-        for shot in live {
-            if bounded && deadline.expired() {
-                return Err(TimedOut);
-            }
-            let (sample, values) = engine.run_shot_with_observables_in(ctx, shot, mapped);
-            records[shot as usize] = Some((sample, values));
-        }
-        drop(live_span);
-        let execute_time = execute_started.elapsed();
-        let aggregate_started = Instant::now();
-        let aggregate_span = trace::span("aggregate");
-        let mut partial = WorkerPartial::new(mapped.len());
-        for record in &records {
-            let (sample, values) = record
-                .as_ref()
-                .expect("every shot is covered by exactly one group or live entry");
-            partial.record(
-                sample.outcome,
-                sample.error_events,
-                sample.dd_nodes,
-                sample.dd_nodes_peak,
-                values,
-            );
-        }
-        let mut outcome = merge_partials(vec![Some(partial)], shots, mapped.len(), 1, started);
-        drop(aggregate_span);
-        outcome.stage_timings.record(Stage::Execute, execute_time);
-        outcome
-            .stage_timings
-            .record(Stage::Aggregate, aggregate_started.elapsed());
-        outcome
-    };
-    outcome.dedup = Some(stats);
-    Ok(outcome)
 }
 
 /// Derives the per-shot random number generator from the master seed.
@@ -1200,6 +1045,22 @@ mod tests {
         let reference = run_engine_dedup(&engine, 64, 1, &[]);
         assert_eq!(in_ctx.counts, reference.counts);
         assert_eq!(in_ctx.error_events, reference.error_events);
+    }
+
+    #[test]
+    fn decision_diagram_runs_never_build_an_intra_pool() {
+        // The width request is inert on the serial back-end and honoured
+        // on the dense one (a lone worker skips the core clamp).
+        for dedup in [true, false] {
+            let config = StochasticConfig::new(32)
+                .with_threads(1)
+                .with_intra_threads(2)
+                .with_dedup(dedup);
+            let dd = run_stochastic(&DdSimulator::new(), &ghz(4), &config, &[]);
+            assert_eq!(dd.stage_timings.get(Stage::IntraExecute), Duration::ZERO);
+            let dense = run_stochastic(&DenseSimulator::new(), &ghz(4), &config, &[]);
+            assert!(dense.stage_timings.get(Stage::IntraExecute) > Duration::ZERO);
+        }
     }
 
     #[test]

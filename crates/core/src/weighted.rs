@@ -251,7 +251,7 @@ pub fn run_engine_weighted_in_deadline(
     let execute_started = Instant::now();
     let patterns_span = trace::span("weighted_patterns");
     trace::attr("patterns", patterns.len());
-    let patterns_dd_before = trace_dd_stats(ctx);
+    let patterns_dd_before = trace_dd_stats(|| ctx.dd_table_stats());
     let mut distribution: FxHashMap<u64, f64> = FxHashMap::default();
     let mut observable_sums = vec![0.0f64; mapped.len()];
     let mut error_events = 0u64;
@@ -274,7 +274,7 @@ pub fn run_engine_weighted_in_deadline(
         nodes_sum += sample.dd_nodes;
         nodes_peak = nodes_peak.max(sample.dd_nodes_peak);
     }
-    trace_dd_attrs(ctx, patterns_dd_before);
+    trace_dd_attrs(patterns_dd_before, || ctx.dd_table_stats());
     drop(patterns_span);
     let simulated = patterns.len() as u64;
 
@@ -315,42 +315,32 @@ pub fn run_engine_weighted_in_deadline(
             let mut rng = shot_rng(salted, k);
             let presampled = plan.presample(&mut rng);
             tail_presample_time += presample_started.elapsed();
-            match presampled {
+            let (sample, values) = match presampled {
+                Presampled::Pattern(pattern) if enumerated.contains(&pattern) => continue,
+                // The generator is positioned exactly after the covered
+                // exposures — the dedup group-member contract — so the
+                // member samples its outcome like any live shot would.
                 Presampled::Pattern(pattern) => {
-                    if enumerated.contains(&pattern) {
-                        continue;
-                    }
-                    // The generator is positioned exactly after the covered
-                    // exposures — the dedup group-member contract — so the
-                    // member samples its outcome like any live shot would.
-                    let mut members = vec![(accepted, rng)];
-                    for (_, sample, values) in
-                        engine.run_group_in(ctx, &pattern, &mut members, &mapped)
-                    {
-                        *tail_counts.entry(sample.outcome).or_insert(0) += 1;
-                        for (sum, value) in tail_sums.iter_mut().zip(&values) {
-                            *sum += value;
-                        }
-                        error_events += sample.error_events;
-                        nodes_sum += sample.dd_nodes;
-                        nodes_peak = nodes_peak.max(sample.dd_nodes_peak);
-                    }
+                    let (_, sample, values) = engine
+                        .run_group_in(ctx, &pattern, &mut [(accepted, rng)], &mapped)
+                        .pop()
+                        .expect("one record per member");
+                    (sample, values)
                 }
-                Presampled::Live => {
-                    // State-dependent decision ahead: replay the candidate
-                    // live from the top with a fresh generator (the stream
-                    // prefix matches what the presampler consumed).
-                    let mut rng = shot_rng(salted, k);
-                    let (sample, values) = engine.run_with_rng_in(ctx, &mut rng, &mapped);
-                    *tail_counts.entry(sample.outcome).or_insert(0) += 1;
-                    for (sum, value) in tail_sums.iter_mut().zip(&values) {
-                        *sum += value;
-                    }
-                    error_events += sample.error_events;
-                    nodes_sum += sample.dd_nodes;
-                    nodes_peak = nodes_peak.max(sample.dd_nodes_peak);
+                // State-dependent decision ahead: replay the candidate
+                // live from the top with a fresh generator (the stream
+                // prefix matches what the presampler consumed).
+                Presampled::Deviated(_) => {
+                    engine.run_with_rng_in(ctx, &mut shot_rng(salted, k), &mapped)
                 }
+            };
+            *tail_counts.entry(sample.outcome).or_insert(0) += 1;
+            for (sum, value) in tail_sums.iter_mut().zip(&values) {
+                *sum += value;
             }
+            error_events += sample.error_events;
+            nodes_sum += sample.dd_nodes;
+            nodes_peak = nodes_peak.max(sample.dd_nodes_peak);
             accepted += 1;
         }
         if accepted > 0 {

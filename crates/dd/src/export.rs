@@ -1,4 +1,4 @@
-//! Extraction of amplitudes, dense vectors/matrices, and Graphviz dumps.
+//! Extraction of amplitudes and dense vectors/matrices.
 //!
 //! These helpers are mostly used by tests, examples and documentation — they
 //! materialise exponential objects and must only be called for small qubit
@@ -193,63 +193,6 @@ impl DdPackage {
             }
         }
     }
-
-    /// Renders the vector decision diagram in Graphviz DOT format.
-    ///
-    /// Edge weights are printed with three significant digits; zero edges are
-    /// omitted, matching the "0-stub" convention of the paper's figures.
-    pub fn vec_to_dot(&self, v: VecEdge) -> String {
-        let mut out = String::from("digraph dd {\n  rankdir=TB;\n  root [shape=point];\n");
-        let mut seen = crate::fxhash::FxHashSet::default();
-        let mut stack = vec![v.node];
-        out.push_str(&format!(
-            "  root -> {} [label=\"{}\"];\n",
-            node_name(v),
-            weight_label(self.ctable.value(v.weight))
-        ));
-        while let Some(node) = stack.pop() {
-            if node.is_terminal() || !seen.insert(node) {
-                continue;
-            }
-            let data = self.vec_nodes[node.index()];
-            out.push_str(&format!(
-                "  n{} [label=\"q{}\", shape=circle];\n",
-                node.index(),
-                data.var
-            ));
-            for (i, e) in data.edges.iter().enumerate() {
-                if e.is_zero() {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "  n{} -> {} [label=\"{}: {}\"];\n",
-                    node.index(),
-                    node_name(*e),
-                    i,
-                    weight_label(self.ctable.value(e.weight))
-                ));
-                stack.push(e.node);
-            }
-        }
-        out.push_str("  terminal [label=\"1\", shape=box];\n}\n");
-        out
-    }
-}
-
-fn node_name(e: VecEdge) -> String {
-    if e.node.is_terminal() {
-        "terminal".to_string()
-    } else {
-        format!("n{}", e.node.index())
-    }
-}
-
-fn weight_label(c: Complex) -> String {
-    if c.im.abs() < 1e-9 {
-        format!("{:.3}", c.re)
-    } else {
-        format!("{:.3}{:+.3}i", c.re, c.im)
-    }
 }
 
 #[cfg(test)]
@@ -328,21 +271,6 @@ mod tests {
                 assert!(m[r][c].approx_eq(Complex::real(expected[r][c]), 1e-12));
             }
         }
-    }
-
-    #[test]
-    fn dot_export_mentions_every_qubit() {
-        let mut dd = DdPackage::new();
-        let s = dd.zero_state(2);
-        let h = dd.single_qubit_op(2, 0, Matrix2::hadamard());
-        let cx = dd.controlled_op(2, 1, &[0], Matrix2::pauli_x());
-        let s = dd.mat_vec_mul(h, s);
-        let bell = dd.mat_vec_mul(cx, s);
-        let dot = dd.vec_to_dot(bell);
-        assert!(dot.contains("q0"));
-        assert!(dot.contains("q1"));
-        assert!(dot.contains("terminal"));
-        assert!(dot.contains(&format!("{:.3}", FRAC_1_SQRT_2)));
     }
 
     #[test]

@@ -75,6 +75,18 @@ impl TableStats {
             compute_misses: self.compute_misses.saturating_sub(earlier.compute_misses),
         }
     }
+
+    /// Counter-wise `self + other`, for totals over several packages.
+    pub fn plus(&self, other: &TableStats) -> TableStats {
+        TableStats {
+            vec_unique_hits: self.vec_unique_hits + other.vec_unique_hits,
+            vec_unique_misses: self.vec_unique_misses + other.vec_unique_misses,
+            mat_unique_hits: self.mat_unique_hits + other.mat_unique_hits,
+            mat_unique_misses: self.mat_unique_misses + other.mat_unique_misses,
+            compute_hits: self.compute_hits + other.compute_hits,
+            compute_misses: self.compute_misses + other.compute_misses,
+        }
+    }
 }
 
 /// Id of the node about to be pushed onto an arena of `len` nodes.

@@ -35,8 +35,18 @@ pub struct ErrorEvent {
     /// in protocol order: step-major, then qubit-major, then channels in
     /// noise-model order).
     pub site: u32,
-    /// Index into the site channel's [`ErrorChannel::unitaries`] list.
+    /// Index into the site channel's [`ErrorChannel::unitaries`] list, or
+    /// [`ErrorEvent::DECAY`] at a damping site.
     pub error: u8,
+}
+
+impl ErrorEvent {
+    /// Reserved [`error`](Self::error) code of a damping site's decay
+    /// branch: a state change rather than one of a channel's unitaries, so
+    /// it only appears in the patterns of shots that left the no-error path
+    /// ([`Presampled::Deviated`] and what [`PresamplePlan::resume`] finds
+    /// after it).
+    pub const DECAY: u8 = u8::MAX;
 }
 
 /// The compact key of one presampled trajectory: every error that fires
@@ -85,6 +95,14 @@ impl ErrorPattern {
         &self.events
     }
 
+    /// This pattern followed by one later `event` — the key of the shots
+    /// that deviated once more after sharing this pattern.
+    pub fn with_event(&self, event: ErrorEvent) -> ErrorPattern {
+        let mut events = self.events.clone();
+        events.push(event);
+        ErrorPattern::from_events(events)
+    }
+
     /// `true` when no error fired (the no-error trajectory).
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -122,12 +140,14 @@ pub enum Presampled {
     /// pattern, and the generator is positioned exactly after the last
     /// exposure draw.
     Pattern(ErrorPattern),
-    /// The shot left the presampleable region — a damping branch decayed,
-    /// or an error fired with a state-dependent site still ahead (whose
-    /// precomputed threshold the deviation invalidates). The shot must
-    /// execute live, with a **freshly derived** generator: the one used for
-    /// presampling has been partially consumed and must be discarded.
-    Live,
+    /// The shot left the no-error path at this event — a damping branch
+    /// decayed ([`ErrorEvent::DECAY`]), or an error fired with a
+    /// state-dependent site still ahead, whose precomputed threshold the
+    /// deviation invalidates. The generator is positioned exactly after the
+    /// event's draws: the shot either continues through
+    /// [`PresamplePlan::resume`] with thresholds learned along the deviated
+    /// trajectory, or executes live with a **freshly derived** generator.
+    Deviated(ErrorEvent),
 }
 
 /// The flattened, dispatch-free form of one site (see
@@ -144,7 +164,7 @@ pub(crate) enum FlatSite {
     /// Phase flip with probability `p`: one uniform draw against `p`.
     PhaseFlip(f64),
     /// State-dependent damping with precomputed no-error-path threshold:
-    /// one uniform draw against it; decay forces the live path.
+    /// one uniform draw against it; a decay leaves the no-error path.
     Damping(f64),
     /// Any other state-independent channel: defer to
     /// [`ErrorChannel::sample_error`].
@@ -159,7 +179,7 @@ pub(crate) enum FlatSite {
 pub struct PresamplePlan {
     pub(crate) sites: Vec<FlatSite>,
     /// Index of the last state-dependent site, if any: an error firing
-    /// before it forces the shot onto the live path (the deviation
+    /// before it takes the shot off the no-error path (the deviation
     /// invalidates every later precomputed damping threshold).
     pub(crate) last_damping: Option<usize>,
 }
@@ -205,12 +225,58 @@ impl PresamplePlan {
     /// covered exposures: one [`ErrorChannel::sample_error`] per passive
     /// site, one branch draw per damping site. On [`Presampled::Pattern`]
     /// the generator is therefore positioned precisely where a live shot
-    /// would be after the last covered exposure; on [`Presampled::Live`]
-    /// the generator is partially consumed and must be re-derived.
+    /// would be after the last covered exposure; on
+    /// [`Presampled::Deviated`], right after the deviating exposure.
     #[inline]
     pub fn presample<R: Rng + ?Sized>(&self, rng: &mut R) -> Presampled {
         let mut events = Vec::new();
-        for (site, flat) in self.sites.iter().enumerate() {
+        let mut from = 0;
+        while let Some(event) = self.next_event(rng, from, |p_decay| p_decay) {
+            let site = event.site as usize;
+            if event.error == ErrorEvent::DECAY || self.last_damping.is_some_and(|last| last > site)
+            {
+                // A decay is a state change, and past any other error the
+                // state-dependent sites ahead no longer see the no-error
+                // path their thresholds were precomputed for.
+                return Presampled::Deviated(event);
+            }
+            events.push(event);
+            from = site + 1;
+        }
+        Presampled::Pattern(ErrorPattern { events })
+    }
+
+    /// Continues a deviated shot from `from_site` to its next event, or to
+    /// the end of the plan (`None`).
+    ///
+    /// `learned` holds the decay threshold of every damping site at or
+    /// after `from_site`, in site order, as read off the trajectory the
+    /// shot is now on (the plan's own thresholds only hold on the no-error
+    /// path). Stream consumption per site is that of [`presample`](Self::presample).
+    pub fn resume<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        from_site: usize,
+        learned: &[f64],
+    ) -> Option<ErrorEvent> {
+        let mut learned = learned.iter();
+        self.next_event(rng, from_site, |_| {
+            *learned
+                .next()
+                .expect("one learned threshold per damping site ahead")
+        })
+    }
+
+    /// Draws sites `from..` until one fires; `threshold` maps a damping
+    /// site's no-error-path threshold to the one to compare against.
+    #[inline]
+    fn next_event<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        from: usize,
+        mut threshold: impl FnMut(f64) -> f64,
+    ) -> Option<ErrorEvent> {
+        for (site, flat) in self.sites.iter().enumerate().skip(from) {
             // Each arm consumes the stream exactly like
             // `ErrorChannel::sample_error` for its kind (the depolarizing
             // and phase-flip arms are that method's bodies, inlined).
@@ -231,13 +297,11 @@ impl PresamplePlan {
                     0
                 }
                 FlatSite::Damping(p_decay) => {
-                    // The damping channel's single draw; the decay branch
-                    // is a state change whose successors are not
-                    // precomputed.
-                    if rng.gen::<f64>() < p_decay {
-                        return Presampled::Live;
+                    // The damping channel's single draw.
+                    if rng.gen::<f64>() >= threshold(p_decay) {
+                        continue;
                     }
-                    continue;
+                    usize::from(ErrorEvent::DECAY)
                 }
                 FlatSite::Other(channel) => match channel.sample_error(rng) {
                     SampledError::None => continue,
@@ -247,17 +311,12 @@ impl PresamplePlan {
                     }
                 },
             };
-            if self.last_damping.is_some_and(|last| last > site) {
-                // A state-dependent site lies ahead; its precomputed
-                // threshold assumed the no-error path this error just left.
-                return Presampled::Live;
-            }
-            events.push(ErrorEvent {
+            return Some(ErrorEvent {
                 site: site as u32,
                 error: error as u8,
             });
         }
-        Presampled::Pattern(ErrorPattern { events })
+        None
     }
 }
 
@@ -324,10 +383,14 @@ mod tests {
     }
 
     #[test]
-    fn damping_decay_forces_the_live_path() {
+    fn damping_decay_reports_where_the_shot_deviated() {
         let plan = PresamplePlan::new(vec![SiteChannel::Damping { p_decay: 1.0 }]);
         let mut rng = StdRng::seed_from_u64(3);
-        assert!(matches!(plan.presample(&mut rng), Presampled::Live));
+        let decay = ErrorEvent {
+            site: 0,
+            error: ErrorEvent::DECAY,
+        };
+        assert!(matches!(plan.presample(&mut rng), Presampled::Deviated(event) if event == decay));
         // A never-decaying damping site stays on the pattern path.
         let plan = PresamplePlan::new(vec![SiteChannel::Damping { p_decay: 0.0 }]);
         let Presampled::Pattern(pattern) = plan.presample(&mut rng) else {
@@ -337,15 +400,16 @@ mod tests {
     }
 
     #[test]
-    fn deviation_before_a_damping_site_forces_the_live_path() {
+    fn an_error_before_a_damping_site_deviates() {
         // A certain phase flip ahead of a damping site: the precomputed
-        // threshold is invalidated, the shot must run live.
+        // threshold is invalidated, the shot leaves the pattern path there.
         let plan = PresamplePlan::new(vec![
             passive(ErrorKind::PhaseFlip, 1.0),
             SiteChannel::Damping { p_decay: 0.0 },
         ]);
         let mut rng = StdRng::seed_from_u64(4);
-        assert!(matches!(plan.presample(&mut rng), Presampled::Live));
+        let flip = ErrorEvent { site: 0, error: 0 };
+        assert!(matches!(plan.presample(&mut rng), Presampled::Deviated(event) if event == flip));
         // The same deviation *after* the last damping site is fine.
         let plan = PresamplePlan::new(vec![
             SiteChannel::Damping { p_decay: 0.0 },
@@ -360,6 +424,75 @@ mod tests {
             "the trailing flip must be recorded"
         );
         assert_eq!(pattern.error_events(), 1);
+    }
+
+    #[test]
+    fn resuming_with_the_no_error_thresholds_reproduces_presample() {
+        // Damping sites first, so `presample` either deviates by a decay or
+        // collects the passive events behind them into a pattern.
+        let thresholds = [0.1, 0.05, 0.2];
+        let mut sites: Vec<SiteChannel> = thresholds
+            .iter()
+            .map(|&p_decay| SiteChannel::Damping { p_decay })
+            .collect();
+        sites.extend(
+            [
+                passive(ErrorKind::Depolarizing, 0.3),
+                passive(ErrorKind::PhaseFlip, 0.25),
+            ]
+            .repeat(3),
+        );
+        let plan = PresamplePlan::new(sites);
+        let (mut patterns, mut deviations) = (0, 0);
+        for seed in 0..200 {
+            let mut rng_a = StdRng::seed_from_u64(seed);
+            let mut rng_b = StdRng::seed_from_u64(seed);
+            // Resume event by event, each time from the site behind the
+            // last one with the thresholds of the damping sites still ahead.
+            let mut chained = Vec::new();
+            let mut from = 0;
+            while let Some(event) =
+                plan.resume(&mut rng_b, from, &thresholds[from.min(thresholds.len())..])
+            {
+                chained.push(event);
+                from = event.site as usize + 1;
+                if event.error == ErrorEvent::DECAY {
+                    break;
+                }
+            }
+            match plan.presample(&mut rng_a) {
+                Presampled::Pattern(pattern) => {
+                    assert_eq!(pattern.events(), chained);
+                    patterns += usize::from(chained.len() > 1);
+                }
+                Presampled::Deviated(event) => {
+                    assert_eq!(chained, [event]);
+                    deviations += 1;
+                }
+            }
+            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "stream diverged");
+        }
+        assert!(patterns > 0 && deviations > 0, "both outcomes must occur");
+    }
+
+    #[test]
+    fn learned_thresholds_force_and_forbid_the_decay() {
+        // The plan's own threshold says "coin flip"; the learned one wins.
+        let plan = PresamplePlan::new(vec![
+            passive(ErrorKind::PhaseFlip, 0.0),
+            SiteChannel::Damping { p_decay: 0.5 },
+        ]);
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let decay = ErrorEvent {
+                site: 1,
+                error: ErrorEvent::DECAY,
+            };
+            assert_eq!(plan.resume(&mut rng, 0, &[1.0]), Some(decay));
+            assert_eq!(plan.resume(&mut rng, 1, &[0.0]), None);
+            // Past the last damping site no threshold is consulted.
+            assert_eq!(plan.resume(&mut rng, 2, &[]), None);
+        }
     }
 
     #[test]

@@ -9,15 +9,18 @@
 //! The generated circuits exercise every execution mode of the dedup
 //! planner: full-program pattern groups (unitary circuits under passive
 //! noise), prefix groups with checkpointed live resume (mid-circuit
-//! measurements), live fallback (damping decays, deviations ahead of
-//! damping sites), and the declined-support path (non-unitary tails).
+//! measurements), deviation buckets (damping decays, deviations ahead of
+//! damping sites — shared per event, their children per longer pattern,
+//! singletons live), and the declined-support path (non-unitary tails).
 
 use proptest::prelude::*;
 use qsdd::circuit::Circuit;
 use qsdd::core::{
-    run_engine, run_engine_dedup, BackendKind, Observable, OptLevel, ShotEngine, StochasticOutcome,
+    run_engine, run_engine_dedup, BackendKind, Deadline, Observable, OptLevel, ShotEngine,
+    StochasticOutcome,
 };
 use qsdd::noise::NoiseModel;
+use qsdd::telemetry::trace::{self, AttrValue, Tracer};
 
 const SHOTS: usize = 48;
 
@@ -263,4 +266,110 @@ fn simulator_facade_exposes_the_dedup_switch() {
     assert_eq!(on.counts, off.counts);
     assert_eq!(on.error_events, off.error_events);
     assert_eq!(on.dd_nodes_peak, off.dd_nodes_peak);
+}
+
+/// Circuits whose shots deviate often enough that deviation buckets grow
+/// children and grandchildren: the paper's channels at ten times their
+/// strength on GHZ-16, QFT-8 and measured BV-6 (prefix deduplication), and
+/// at a hundred times on GHZ-4, where few sites and many events make even
+/// three-event patterns coincide.
+fn deep_tree_engines() -> Vec<(&'static str, ShotEngine)> {
+    use qsdd::circuit::generators::{bernstein_vazirani, ghz, qft};
+    let tenfold = NoiseModel::new(0.01, 0.02, 0.01);
+    [
+        ("ghz16", ghz(16), tenfold),
+        ("qft8", qft(8), tenfold),
+        ("bv6", bernstein_vazirani(6, 0b10101), tenfold),
+        ("ghz4", ghz(4), NoiseModel::new(0.1, 0.2, 0.1)),
+    ]
+    .into_iter()
+    .map(|(name, circuit, noise)| {
+        let engine = ShotEngine::new(
+            &circuit,
+            BackendKind::DecisionDiagram,
+            noise,
+            2021,
+            OptLevel::O0,
+        );
+        assert!(engine.supports_dedup(), "{name} must deduplicate");
+        (name, engine)
+    })
+    .collect()
+}
+
+const DEEP_SHOTS: usize = 1_500;
+
+#[test]
+fn deep_bucket_trees_match_per_shot_execution() {
+    let observables = [
+        Observable::BasisProbability(0),
+        Observable::QubitExcitation(1),
+    ];
+    for (name, engine) in deep_tree_engines() {
+        for observables in [&observables[..], &[]] {
+            for threads in [1usize, 2, 3] {
+                let reference = run_engine(&engine, DEEP_SHOTS, threads, observables);
+                let dedup = run_engine_dedup(&engine, DEEP_SHOTS, threads, observables);
+                assert_identical(&dedup, &reference);
+                let stats = dedup.dedup.expect("the dedup driver ran");
+                assert!(stats.unique_trajectories >= stats.live_shots, "{name}");
+                assert!(
+                    stats.unique_trajectories < DEEP_SHOTS as u64,
+                    "{name}: {stats:?} shares nothing"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_bucket_shot_equals_its_live_execution() {
+    let unbounded = Deadline::unbounded();
+    trace::set_trace_enabled(true);
+    for (name, engine) in deep_tree_engines() {
+        let observables = engine.map_observables(&[Observable::QubitExcitation(0)]);
+        let mut shared = engine.new_context();
+        let mut alone = engine.new_context();
+        let mut seen = vec![false; DEEP_SHOTS];
+        let tracer = Tracer::forced(name, name);
+        let install = tracer.install(0);
+        for work in engine.plan_range(0..DEEP_SHOTS as u64).expect("dedup") {
+            let members = work.shots();
+            let (records, stats) = engine
+                .run_work_in(&mut shared, work, &observables, &unbounded)
+                .expect("an unbounded deadline never expires");
+            assert_eq!(records.len(), members, "{name}: one record per member");
+            assert!(stats.unique_trajectories >= stats.live_shots.max(1));
+            for (shot, sample, values) in records {
+                assert!(!std::mem::replace(&mut seen[shot as usize], true));
+                let (live, live_values) =
+                    engine.run_shot_with_observables_in(&mut alone, shot, &observables);
+                assert_eq!(sample, live, "{name}: shot {shot} diverged");
+                assert_eq!(values[0].to_bits(), live_values[0].to_bits(), "{name}");
+            }
+        }
+        drop(install);
+        assert!(seen.iter().all(|&covered| covered), "{name}: shots lost");
+
+        // The longest pattern any replay shared between two or more shots.
+        let attr = |span: &trace::SpanRecord, key: &str| {
+            span.attrs.iter().find_map(|(name, value)| match value {
+                AttrValue::U64(value) if *name == key => Some(*value),
+                _ => None,
+            })
+        };
+        let deepest = tracer
+            .finish("job")
+            .spans
+            .iter()
+            .filter(|span| span.name == "trajectory_group" && attr(span, "members") >= Some(2))
+            .filter_map(|span| attr(span, "events"))
+            .max();
+        // Every case replays children; the dense one grandchildren too.
+        let expected = if name == "ghz4" { 3 } else { 2 };
+        assert!(
+            deepest >= Some(expected),
+            "{name}: deepest shared pattern {deepest:?}"
+        );
+    }
 }

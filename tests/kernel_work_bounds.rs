@@ -7,14 +7,20 @@
 //! [`DdPackage`] — gate, mid-circuit Pauli-X, then per touched qubit the
 //! damping exposure exactly as the back-end's live path books it (threshold
 //! read off the state, then the one selected branch) — and bounds the
-//! deterministic integers the package keeps. There is no wall clock here:
-//! the property gated is the operation count, which cannot flake.
+//! deterministic integers the package keeps. A second bound holds the
+//! deduplicating driver to sharing trajectories past the first deviation:
+//! evolutions and compute misses of a GHZ-32 job against the same job with
+//! every deviating shot run alone. There is no wall clock here: the
+//! property gated is the operation count, which cannot flake.
 
 mod common;
 
 use common::operation_diagram;
-use qsdd::circuit::generators::qft;
+use qsdd::circuit::generators::{ghz, qft};
+use qsdd::core::{run_engine_dedup, BackendKind, OptLevel, ShotEngine};
 use qsdd::dd::{DdPackage, MatEdge, Matrix2};
+use qsdd::noise::NoiseModel;
+use qsdd::telemetry::trace::{self, AttrValue, Tracer};
 
 const N: usize = 16;
 /// The step after which the bit flip lands: qubit 0's block (H and its 15
@@ -36,7 +42,7 @@ struct Work {
 
 /// Replays QFT-16 live from `|0...0>`: every gate, a Pauli-X after step
 /// [`FLIP_AFTER`], and per touched qubit the damping exposure as
-/// `apply_noise_live` books it — the decay threshold comes off the diagram
+/// the back-end's live walk books it — the decay threshold comes off the diagram
 /// without building a branch, then only the selected branch is applied.
 /// With `decay_every = Some(k)`, every `k`-th exposure that can decay does.
 fn replay(decay_every: Option<usize>) -> Work {
@@ -125,4 +131,68 @@ fn live_qft16_with_fired_decays_costs_linear_work() {
         "the schedule must exercise the decay branch"
     );
     assert_linear(&work);
+}
+
+/// Shots that leave the no-error path share their trajectories past the
+/// first deviation: a GHZ-32 job under paper noise draws its single events
+/// from a few hundred possibilities, so the deduplicating driver must
+/// evolve far fewer trajectories than shots deviated, and spend at most
+/// half the decision-diagram work of running each deviating shot alone.
+#[test]
+fn deviating_ghz32_shots_share_their_evolution() {
+    const SHOTS: usize = 8_000;
+    let engine = ShotEngine::new(
+        &ghz(32),
+        BackendKind::DecisionDiagram,
+        NoiseModel::paper_defaults(),
+        2021,
+        OptLevel::O0,
+    );
+
+    // The yardstick: the same job with every deviating shot run on its own.
+    let (mut groups, deviating) = engine
+        .presample_range(0..SHOTS as u64)
+        .expect("GHZ under paper noise deduplicates");
+    let mut ctx = engine.new_context();
+    for (pattern, members) in &mut groups {
+        engine.run_group_in(&mut ctx, pattern, members, &[]);
+    }
+    for &shot in &deviating {
+        engine.run_shot_in(&mut ctx, shot);
+    }
+    let alone = ctx.dd_table_stats().compute_misses;
+    assert!(deviating.len() > SHOTS / 10, "the job must deviate often");
+
+    trace::set_trace_enabled(true);
+    for threads in [1, 2] {
+        let tracer = Tracer::forced("work-bound", "work-bound");
+        let outcome = {
+            let _install = tracer.install(0);
+            run_engine_dedup(&engine, SHOTS, threads, &[])
+        };
+        let shared: u64 = tracer
+            .finish("job")
+            .spans
+            .iter()
+            .filter(|span| span.name == "worker_trajectories")
+            .flat_map(|span| &span.attrs)
+            .filter_map(|(key, value)| match value {
+                AttrValue::U64(misses) if *key == "dd_compute_misses" => Some(*misses),
+                _ => None,
+            })
+            .sum();
+        let stats = outcome.dedup.expect("the dedup driver ran");
+        eprintln!(
+            "{threads} threads: {} deviating shots, {stats:?}, compute misses {shared} vs {alone} alone",
+            deviating.len()
+        );
+        assert!(
+            stats.unique_trajectories as f64 <= 0.45 * deviating.len() as f64,
+            "{stats:?} for {} deviating shots",
+            deviating.len()
+        );
+        assert!(shared > 0, "the workers must report their table traffic");
+        assert!(2 * shared <= alone, "{shared} shared vs {alone} alone");
+    }
+    trace::set_trace_enabled(false);
 }
