@@ -25,10 +25,10 @@
 //!
 //! Jobs with `weighted = true` bypass rounds entirely: the whole job is
 //! released as one **weighted chunk** and executed in a single piece by
-//! the worker that steals it, through the weighted-enumeration driver
-//! ([`qsdd_core::run_engine_weighted_in`]). Weighted jobs report
-//! `covered_mass` / `enumerated_trajectories` and never early-stop (the
-//! job file forbids combining `weighted` with `epsilon`).
+//! the worker that steals it, as an [`ExecMode::Weighted`] plan placed
+//! inline in the worker's context ([`qsdd_core::execute`]). Weighted jobs
+//! report `covered_mass` / `enumerated_trajectories` and never early-stop
+//! (the job file forbids combining `weighted` with `epsilon`).
 //!
 //! Each job's shots are released in **rounds** of
 //! [`JobSpec::check_interval`] shots. When the last chunk of a round
@@ -56,7 +56,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use qsdd_core::{BackendKind, Deadline, ExecContext, ShotEngine, TimedOut, TrajectoryWork};
+use qsdd_core::{
+    execute, BackendKind, Deadline, ExecContext, ExecMode, ExecPlan, Placement, ShotEngine,
+    TimedOut, TrajectoryWork,
+};
 use qsdd_telemetry::trace;
 use qsdd_telemetry::{Counter, Gauge, Stage, StageTimings};
 
@@ -122,13 +125,7 @@ impl BatchOptions {
 
     /// Resolves the effective worker count.
     pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+        qsdd_core::resolve_threads(self.threads)
     }
 }
 
@@ -697,14 +694,10 @@ fn worker_loop(
                 // along because this chunk *is* the job — trajectory-level
                 // checks inside the driver are its only cancellation
                 // points.
-                match qsdd_core::run_engine_weighted_in_deadline(
-                    &runtime.engine,
-                    &mut context,
-                    runtime.shots as usize,
-                    &[],
-                    &qsdd_core::WeightedOptions::default(),
-                    &runtime.deadline,
-                ) {
+                let mode = ExecMode::Weighted(qsdd_core::WeightedOptions::default());
+                let plan = ExecPlan::new(mode, runtime.shots as usize, &[])
+                    .with_deadline(runtime.deadline.clone());
+                match execute(&runtime.engine, &plan, Placement::Inline(&mut context)) {
                     Ok(outcome) => {
                         let trajectories = match (&outcome.weighted, &outcome.dedup) {
                             (Some(stats), _) => stats.enumerated_trajectories + stats.tail_shots,

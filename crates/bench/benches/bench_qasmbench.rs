@@ -5,21 +5,17 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsdd_circuit::generators::qasmbench_suite;
-use qsdd_core::{run_stochastic, DdSimulator, DenseSimulator, StochasticConfig};
-use qsdd_noise::NoiseModel;
+use qsdd_core::{BackendKind, StochasticSimulator};
 
 const SHOTS: usize = 5;
 
-fn config() -> StochasticConfig {
-    StochasticConfig {
-        shots: SHOTS,
-        threads: 1,
-        seed: 1,
-        noise: NoiseModel::paper_defaults(),
-        dedup: true,
-        weighted: None,
-        intra_threads: 1,
-    }
+/// Paper noise, trajectory sharing on: the simulator's defaults.
+fn simulator(backend: BackendKind) -> StochasticSimulator {
+    StochasticSimulator::new()
+        .with_backend(backend)
+        .with_shots(SHOTS)
+        .with_threads(1)
+        .with_seed(1)
 }
 
 fn bench_qasmbench(c: &mut Criterion) {
@@ -41,8 +37,8 @@ fn bench_qasmbench(c: &mut Criterion) {
             BenchmarkId::new("proposed_dd", entry.name),
             &entry.circuit,
             |b, circuit| {
-                let backend = DdSimulator::new();
-                b.iter(|| run_stochastic(&backend, circuit, &config(), &[]));
+                let simulator = simulator(BackendKind::DecisionDiagram);
+                b.iter(|| simulator.run(circuit));
             },
         );
         if entry.num_qubits <= 12 {
@@ -50,8 +46,8 @@ fn bench_qasmbench(c: &mut Criterion) {
                 BenchmarkId::new("dense_baseline", entry.name),
                 &entry.circuit,
                 |b, circuit| {
-                    let backend = DenseSimulator::new();
-                    b.iter(|| run_stochastic(&backend, circuit, &config(), &[]));
+                    let simulator = simulator(BackendKind::Statevector);
+                    b.iter(|| simulator.run(circuit));
                 },
             );
         }

@@ -2,7 +2,7 @@
 //! simulation throughput at `O0` vs `O2` on the GHZ, QFT and Grover
 //! generators, plus the cost of transpilation itself.
 //!
-//! Because the Monte-Carlo runner executes the same circuit once per shot,
+//! Because the job driver executes the same circuit once per trajectory,
 //! every gate the transpiler removes is saved `shots` times — the gate-count
 //! report printed before the timings quantifies the expected advantage.
 //!
@@ -20,50 +20,37 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsdd_circuit::generators::{ghz, grover, qft};
 use qsdd_circuit::Circuit;
-use qsdd_core::{run_stochastic, DdSimulator, DenseSimulator, StochasticBackend, StochasticConfig};
-use qsdd_noise::NoiseModel;
+use qsdd_core::{BackendKind, StochasticSimulator};
 use qsdd_transpile::{transpile, OptLevel};
 
 const SHOTS: usize = 16;
-
-fn config() -> StochasticConfig {
-    StochasticConfig {
-        shots: SHOTS,
-        threads: 1,
-        seed: 1,
-        noise: NoiseModel::paper_defaults(),
-        dedup: true,
-        weighted: None,
-        intra_threads: 1,
-    }
-}
 
 fn workloads() -> Vec<Circuit> {
     vec![ghz(16), qft(10), grover(6, 5, None)]
 }
 
-fn bench_engine<B: StochasticBackend>(
+fn bench_engine(
     group: &mut criterion::BenchmarkGroup,
-    backend: B,
-    engine: &str,
+    backend: BackendKind,
     name: &str,
     original: &Circuit,
     optimized: &Circuit,
 ) {
-    group.bench_with_input(
-        BenchmarkId::new(format!("{engine}_o0"), name),
-        original,
-        |b, circuit| {
-            b.iter(|| run_stochastic(&backend, circuit, &config(), &[]));
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new(format!("{engine}_o2"), name),
-        optimized,
-        |b, circuit| {
-            b.iter(|| run_stochastic(&backend, circuit, &config(), &[]));
-        },
-    );
+    // Paper noise, trajectory sharing on: the simulator's defaults.
+    let simulator = StochasticSimulator::new()
+        .with_backend(backend)
+        .with_shots(SHOTS)
+        .with_threads(1)
+        .with_seed(1);
+    for (level, circuit) in [("o0", original), ("o2", optimized)] {
+        group.bench_with_input(
+            BenchmarkId::new(format!("{backend}_{level}"), name),
+            circuit,
+            |b, circuit| {
+                b.iter(|| simulator.run(circuit));
+            },
+        );
+    }
 }
 
 fn bench_shot_throughput(c: &mut Criterion) {
@@ -82,22 +69,9 @@ fn bench_shot_throughput(c: &mut Criterion) {
             optimized.circuit.stats().gate_count,
             100.0 * optimized.report.reduction(),
         );
-        bench_engine(
-            &mut group,
-            DdSimulator::new(),
-            "dd",
-            &name,
-            &circuit,
-            &optimized.circuit,
-        );
-        bench_engine(
-            &mut group,
-            DenseSimulator::new(),
-            "dense",
-            &name,
-            &circuit,
-            &optimized.circuit,
-        );
+        for backend in [BackendKind::DecisionDiagram, BackendKind::Statevector] {
+            bench_engine(&mut group, backend, &name, &circuit, &optimized.circuit);
+        }
     }
     group.finish();
 }

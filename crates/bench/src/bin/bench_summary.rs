@@ -49,8 +49,8 @@ use qsdd_batch::json::{self, Value};
 use qsdd_bench::server_load::{run_load, run_warm_restart, LoadConfig};
 use qsdd_circuit::generators::ghz;
 use qsdd_core::{
-    run_engine, run_engine_dedup, run_engine_in, run_engine_weighted_in, BackendKind, DdSimulator,
-    OptLevel, ShotEngine, StochasticBackend, WeightedOptions,
+    execute, BackendKind, DdSimulator, ExecMode, ExecPlan, OptLevel, Placement, ShotEngine,
+    StochasticBackend, StochasticOutcome, WeightedOptions,
 };
 use qsdd_noise::NoiseModel;
 use qsdd_telemetry::{Stage, StageTimings};
@@ -484,7 +484,12 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Times the deduplicating runner against the per-shot path on one engine
+/// One unbounded observable-free job through the driver.
+fn run(engine: &ShotEngine, mode: ExecMode, shots: usize, on: Placement<'_>) -> StochasticOutcome {
+    execute(engine, &ExecPlan::new(mode, shots, &[]), on).expect("no deadline is set")
+}
+
+/// Times the deduplicating mode against the per-shot path on one engine
 /// (interleaved repetitions, minimum per path) and cross-checks that both
 /// produce identical results.
 fn dedup_row(name: &'static str, engine: ShotEngine, shots: usize, reps: usize) -> Row {
@@ -492,10 +497,10 @@ fn dedup_row(name: &'static str, engine: ShotEngine, shots: usize, reps: usize) 
     let mut best_per_shot = f64::INFINITY;
     for _ in 0..reps {
         let started = Instant::now();
-        let dedup = run_engine_dedup(&engine, shots, 1, &[]);
+        let dedup = run(&engine, ExecMode::Dedup, shots, Placement::Threads(1));
         best_dedup = best_dedup.min(started.elapsed().as_secs_f64());
         let started = Instant::now();
-        let per_shot = run_engine(&engine, shots, 1, &[]);
+        let per_shot = run(&engine, ExecMode::PerShot, shots, Placement::Threads(1));
         best_per_shot = best_per_shot.min(started.elapsed().as_secs_f64());
         assert_eq!(dedup.counts, per_shot.counts, "{name}: histogram mismatch");
         assert_eq!(dedup.error_events, per_shot.error_events, "{name}");
@@ -552,23 +557,33 @@ fn weighted_row(shots: usize, reps: usize) -> WeightedRow {
         7,
         OptLevel::O0,
     );
-    let options = WeightedOptions::default();
+    let weighted_mode = ExecMode::Weighted(WeightedOptions::default());
     let mut ctx = engine.new_context();
     // Warm the context (program seating, operator caches) off the clock.
-    let _ = run_engine_in(&engine, &mut ctx, 1, &[], false);
+    let _ = run(&engine, ExecMode::PerShot, 1, Placement::Inline(&mut ctx));
     let mut best_per_shot = f64::INFINITY;
     let mut best_dedup = f64::INFINITY;
     let mut best_weighted = f64::INFINITY;
     let mut coverage = (0.0, 0, 0);
     for _ in 0..reps {
         let started = Instant::now();
-        let per_shot = run_engine_in(&engine, &mut ctx, shots, &[], false);
+        let per_shot = run(
+            &engine,
+            ExecMode::PerShot,
+            shots,
+            Placement::Inline(&mut ctx),
+        );
         best_per_shot = best_per_shot.min(started.elapsed().as_secs_f64());
         let started = Instant::now();
-        let dedup = run_engine_in(&engine, &mut ctx, shots, &[], true);
+        let dedup = run(&engine, ExecMode::Dedup, shots, Placement::Inline(&mut ctx));
         best_dedup = best_dedup.min(started.elapsed().as_secs_f64());
         let started = Instant::now();
-        let weighted = run_engine_weighted_in(&engine, &mut ctx, shots, &[], &options);
+        let weighted = run(
+            &engine,
+            weighted_mode.clone(),
+            shots,
+            Placement::Inline(&mut ctx),
+        );
         best_weighted = best_weighted.min(started.elapsed().as_secs_f64());
 
         assert_eq!(dedup.counts, per_shot.counts, "dedup oracle mismatch");
@@ -757,12 +772,12 @@ fn intra_workload(
     for _ in 0..reps {
         engine.set_intra_threads(1);
         let started = Instant::now();
-        let serial = run_engine(&engine, shots, 1, &[]);
+        let serial = run(&engine, ExecMode::PerShot, shots, Placement::Threads(1));
         best_serial = best_serial.min(started.elapsed().as_secs_f64());
 
         engine.set_intra_threads(width);
         let started = Instant::now();
-        let parallel = run_engine(&engine, shots, 1, &[]);
+        let parallel = run(&engine, ExecMode::PerShot, shots, Placement::Threads(1));
         best_parallel = best_parallel.min(started.elapsed().as_secs_f64());
 
         assert_eq!(parallel.counts, serial.counts, "{name}: histogram moved");

@@ -16,8 +16,8 @@
 //!
 //! Reuse is an optimisation, never an observable: a shot executed in a
 //! reused context is bit-identical to the same shot executed in a freshly
-//! created context, for every seed and shot index. The Monte-Carlo runner in
-//! [`crate::stochastic`] drives any back-end concurrently by sharing the
+//! created context, for every seed and shot index. The job driver in
+//! [`crate::stochastic`] runs either back-end concurrently by sharing the
 //! program across workers and giving each worker its own context; the
 //! paper's contribution is the decision-diagram back-end, the dense
 //! statevector back-end reproduces the baseline simulators.
@@ -77,9 +77,6 @@ pub trait StochasticBackend: Sync {
     /// Reusable per-worker scratch state (arenas, amplitude buffers).
     type Context: Send;
 
-    /// Human-readable name used in benchmark reports.
-    fn name(&self) -> &'static str;
-
     /// Phase 1: resolves `circuit` under `noise` into an executable program,
     /// performing all per-circuit work (operator construction, noise table
     /// resolution) exactly once.
@@ -104,13 +101,6 @@ pub trait StochasticBackend: Sync {
         _ctx: &mut Self::Context,
         _pool: Option<std::sync::Arc<qsdd_statevector::IntraPool>>,
     ) {
-    }
-
-    /// The intra-shot width a request for `requested` fork-join workers
-    /// resolves to: 1 — no pool is worth building — on every back-end that
-    /// leaves [`set_intra_pool`](Self::set_intra_pool) a no-op.
-    fn intra_width(&self, _requested: usize) -> usize {
-        1
     }
 
     /// The decision-diagram table counters `ctx` accumulated so far (all

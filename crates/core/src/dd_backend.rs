@@ -298,10 +298,6 @@ impl StochasticBackend for DdSimulator {
     type Program = DdProgram;
     type Context = DdContext;
 
-    fn name(&self) -> &'static str {
-        "decision-diagram"
-    }
-
     fn compile(&self, circuit: &Circuit, noise: &NoiseModel) -> DdProgram {
         let n = circuit.num_qubits();
         let mut base = DdPackage::new();

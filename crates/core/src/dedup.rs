@@ -80,9 +80,10 @@ use crate::backend::{SingleRun, StochasticBackend};
 use crate::deadline::{Deadline, TimedOut};
 use crate::estimator::Observable;
 use crate::fxhash::FxHashMap;
-use crate::shot_engine::{execute, ShotSample};
+use crate::shot_engine::{run_live, ShotEngine, ShotSample};
 use crate::stochastic::{
-    merge_partials, shot_rng, trace_dd_attrs, trace_dd_stats, StochasticOutcome, WorkerPartial,
+    merge_partials, shot_rng, trace_dd_attrs, trace_dd_stats, ExecPlan, StochasticOutcome,
+    WorkerPartial,
 };
 
 /// How a compiled program supports trajectory deduplication.
@@ -366,7 +367,7 @@ impl<B: StochasticBackend> Replayer<'_, B> {
                 // Presampling left this shot's stream partially consumed;
                 // live execution re-derives it.
                 let mut rng = shot_rng(seed, *shot);
-                let (sample, values) = execute(
+                let (sample, values) = run_live(
                     backend,
                     program,
                     self.pattern_ctx,
@@ -442,45 +443,45 @@ enum Sink {
     Records(Vec<(u64, ShotSample, Vec<f64>)>),
 }
 
-/// The deduplicating Monte-Carlo driver: presample → group → replay.
+/// The deduplicating body of [`execute`](crate::execute): presample →
+/// group → replay, on `engine`'s concrete back-end.
 ///
-/// `threads` must already be resolved (positive, capped at the shot count);
-/// `observables` must already be mapped onto the executed circuit;
-/// `output_layout`, when present, restores each outcome to the original
-/// qubit order (the transpiler's elided-SWAP relabeling). The result is
-/// byte-identical to the per-shot runner for the same seed and thread
-/// count, including the bit patterns of the observable sums.
+/// `threads` must already be resolved (positive, capped at the shot count).
+/// The plan's observables are mapped onto the executed circuit and every
+/// outcome is restored to the original qubit order (the transpiler's
+/// elided-SWAP relabeling) here. The result is byte-identical to the
+/// per-shot body for the same seed and thread count, including the bit
+/// patterns of the observable sums.
 ///
 /// With `inline` — the caller's own context pair — the whole job runs on
 /// the calling thread (`threads` must be 1) and no worker is spawned: the
 /// entry long-lived server workers execute through, so state from previous
-/// jobs is rewound, not rebuilt.
+/// jobs is rewound, not rebuilt. Otherwise every worker builds a fresh pair
+/// sharing the `intra` pool.
 ///
 /// Memory: the driver holds one presampled generator per shot (tens of
 /// bytes each), so its transient footprint is `O(shots)` where the per-shot
-/// runner's is `O(threads)`. For shot counts where that matters, the batch
+/// body's is `O(threads)`. For shot counts where that matters, the batch
 /// scheduler provides the bounded alternative: it presamples and executes
 /// one `check`-interval round at a time.
 ///
-/// The `deadline` is checked between evolutions (one pattern replay or one
-/// live shot); on expiry the whole run returns [`TimedOut`] before the
+/// The plan's deadline is checked between evolutions (one pattern replay or
+/// one live shot); on expiry the whole run returns [`TimedOut`] before the
 /// aggregation phase, which requires complete shot coverage.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_dedup<B: StochasticBackend>(
+    engine: &ShotEngine,
     backend: &B,
     program: &B::Program,
-    support: &DedupSupport,
-    shots: usize,
+    plan: &ExecPlan<'_>,
     threads: usize,
-    seed: u64,
-    observables: &[Observable],
-    output_layout: Option<&[usize]>,
     intra: Option<&Arc<IntraPool>>,
     inline: Option<(&mut B::Context, &mut B::Context)>,
-    started: Instant,
-    deadline: &Deadline,
 ) -> Result<StochasticOutcome, TimedOut> {
     debug_assert!(inline.is_none() || threads == 1);
+    let (shots, seed, deadline) = (plan.shots, engine.seed(), &plan.deadline);
+    let support = engine.dedup_support();
+    let observables = &engine.map_observables(plan.observables)[..];
+    let output_layout = engine.output_layout();
     // Phase 1 + 2: presample every shot, group by pattern.
     let presample_started = Instant::now();
     let presample_span = trace::span("presample");
@@ -618,7 +619,7 @@ pub(crate) fn run_dedup<B: StochasticBackend>(
             Some(partial)
         }));
     }
-    let mut outcome = merge_partials(partials, shots, observables.len(), threads, started);
+    let mut outcome = merge_partials(partials, shots, observables.len(), threads);
     drop(aggregate_span);
     outcome.dedup = Some(dedup);
     outcome

@@ -159,10 +159,6 @@ impl StochasticBackend for DenseSimulator {
     type Program = DenseProgram;
     type Context = DenseContext;
 
-    fn name(&self) -> &'static str {
-        "statevector"
-    }
-
     fn compile(&self, circuit: &Circuit, noise: &NoiseModel) -> DenseProgram {
         let channels = noise.channels();
         let mut steps = Vec::with_capacity(circuit.len());
@@ -229,10 +225,6 @@ impl StochasticBackend for DenseSimulator {
 
     fn new_context(&self) -> DenseContext {
         DenseContext::new()
-    }
-
-    fn intra_width(&self, requested: usize) -> usize {
-        requested.max(1)
     }
 
     fn set_intra_pool(

@@ -8,9 +8,9 @@
 //!    run represents the state and the applied operators as decision diagrams
 //!    (via `qsdd-dd`), which keeps structured states compact and lets noisy
 //!    simulations scale to dozens of qubits ([`DdSimulator`]).
-//! 2. **Concurrency across simulation runs** — the Monte-Carlo runner
-//!    ([`stochastic::run_stochastic`]) executes the independent runs on
-//!    multiple threads and merges histograms and observable estimates.
+//! 2. **Concurrency across simulation runs** — the one job driver
+//!    ([`execute`]) spreads the independent runs of an [`ExecPlan`] over
+//!    worker threads and merges histograms and observable estimates.
 //!
 //! Shot execution follows a **compile / execute** split: a circuit + noise
 //! model pair is compiled once into an immutable program (operator
@@ -76,17 +76,13 @@ pub use estimator::{Observable, ObservableAccumulator};
 pub use shot_engine::{ExecContext, ShotEngine, ShotSample};
 pub use simulator::{BackendKind, StochasticSimulator};
 pub use stochastic::{
-    build_intra_pool, resolve_intra_threads, run_engine, run_engine_deadline, run_engine_dedup,
-    run_engine_dedup_deadline, run_engine_in, run_engine_in_deadline, run_stochastic,
-    StochasticConfig, StochasticOutcome,
+    build_intra_pool, execute, resolve_intra_threads, resolve_threads, ExecMode, ExecPlan,
+    Placement, StochasticOutcome,
 };
 // Re-exported so callers can share one fork-join pool across contexts
 // without a direct `qsdd-statevector` dependency.
 pub use qsdd_statevector::IntraPool;
-pub use weighted::{
-    run_engine_weighted, run_engine_weighted_deadline, run_engine_weighted_in,
-    run_engine_weighted_in_deadline, WeightedOptions, WeightedStats, MAX_WEIGHTED_QUBITS,
-};
+pub use weighted::{WeightedOptions, WeightedStats, MAX_WEIGHTED_QUBITS};
 // Re-exported so `StochasticSimulator::with_opt_level` is usable without a
 // direct `qsdd-transpile` dependency.
 pub use qsdd_transpile::OptLevel;

@@ -20,9 +20,9 @@
 //!
 //! Two consumers share this API:
 //!
-//! * [`StochasticSimulator`](crate::StochasticSimulator) builds an engine
-//!   per `run` call and drives it with the strided Monte-Carlo loop in
-//!   [`crate::stochastic::run_engine`];
+//! * the job driver [`crate::execute`] — behind
+//!   [`StochasticSimulator`](crate::StochasticSimulator), the CLI and the
+//!   server's workers — runs whole jobs on one engine;
 //! * the `qsdd-batch` scheduler builds one engine per job and lets its
 //!   worker pool pull arbitrary `(job, shot)` pairs from a global queue,
 //!   each worker reusing one long-lived context per back-end kind.
@@ -50,7 +50,7 @@ use crate::dedup::{plan_range, run_dedup, DedupStats, DedupSupport, Replayer, Tr
 use crate::dense_backend::{DenseContext, DenseProgram, DenseSimulator};
 use crate::estimator::Observable;
 use crate::simulator::BackendKind;
-use crate::stochastic::{shot_rng, StochasticOutcome};
+use crate::stochastic::{shot_rng, ExecPlan, StochasticOutcome};
 
 /// The aggregate-relevant result of one stochastic shot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,7 +149,7 @@ impl ExecContext {
     /// Installs (or clears) a shared fork-join pool for intra-shot
     /// parallelism. Drivers that run several contexts concurrently hand
     /// every worker a clone of one pool instead of letting each build its
-    /// own (see [`crate::run_engine`]).
+    /// own (see [`crate::build_intra_pool`]).
     pub fn set_intra_pool(&mut self, pool: Option<Arc<IntraPool>>) {
         self.intra = pool;
         if let Some(ctx) = self.dense.as_deref_mut() {
@@ -258,7 +258,7 @@ pub struct ShotEngine {
     /// Intra-shot parallelism width (1 = serial; always 1 on the
     /// decision-diagram back-end). Drivers resolve this against their own
     /// worker count and core budget before building a pool (see
-    /// [`crate::run_engine`]).
+    /// [`crate::resolve_intra_threads`]).
     intra_threads: usize,
 }
 
@@ -325,15 +325,14 @@ impl ShotEngine {
         }
     }
 
-    /// Requests intra-shot parallelism with `threads` workers for shots
-    /// driven through this engine's runners ([`crate::run_engine`] and
-    /// friends); `1` (the default) keeps execution serial. Only the
-    /// statevector back-end has wide kernels: on the decision-diagram
-    /// back-end the request resolves to 1, so no driver builds a pool that
-    /// would sit idle. The request is clamped against the driver's own
-    /// worker count so inter-shot and intra-shot parallelism never
-    /// oversubscribe the machine. Results are bit-identical for every
-    /// setting.
+    /// Requests intra-shot parallelism with `threads` workers for jobs
+    /// driven through [`crate::execute`]; `1` (the default) keeps execution
+    /// serial. Only the statevector back-end has wide kernels: on the
+    /// decision-diagram back-end the request resolves to 1 here, so no
+    /// driver builds a pool that would sit idle. The request is clamped
+    /// against the driver's own worker count so inter-shot and intra-shot
+    /// parallelism never oversubscribe the machine. Results are
+    /// bit-identical for every setting.
     pub fn set_intra_threads(&mut self, threads: usize) {
         self.intra_threads = match self.backend {
             EngineBackend::DecisionDiagram { .. } => 1,
@@ -457,10 +456,10 @@ impl ShotEngine {
     ) -> (ShotSample, Vec<f64>) {
         let (mut sample, values) = match &self.backend {
             EngineBackend::DecisionDiagram { backend, program } => {
-                execute(backend, program, ctx.dd_mut(), rng, observables)
+                run_live(backend, program, ctx.dd_mut(), rng, observables)
             }
             EngineBackend::Statevector { backend, program } => {
-                execute(backend, program, ctx.dense_mut(), rng, observables)
+                run_live(backend, program, ctx.dense_mut(), rng, observables)
             }
         };
         if let Some(output_layout) = &self.output_layout {
@@ -631,10 +630,7 @@ impl ShotEngine {
         Replayer {
             backend,
             program,
-            support: self
-                .dedup
-                .as_ref()
-                .expect("trajectory replay requires an engine with dedup support"),
+            support: self.dedup_support(),
             pattern_ctx,
             work_ctx,
             observables,
@@ -727,58 +723,40 @@ impl ShotEngine {
         Ok((out, stats))
     }
 
-    /// Runs the deduplicating Monte-Carlo driver over shots `0..shots`, or
-    /// returns `None` when the program does not support deduplication.
-    ///
-    /// `threads` must already be resolved and capped at the shot count;
-    /// with `inline` the job runs on the calling thread in that context
-    /// (`threads` must be 1). Observables are mapped and outcomes restored
-    /// to the original qubit order internally. The inner `Result` carries
-    /// the `deadline`'s cooperative-timeout verdict.
-    #[allow(clippy::too_many_arguments)]
+    /// How the compiled program supports trajectory deduplication; panics
+    /// if it does not ([`supports_dedup`](Self::supports_dedup)).
+    pub(crate) fn dedup_support(&self) -> &DedupSupport {
+        self.dedup
+            .as_ref()
+            .expect("trajectory replay requires an engine with dedup support")
+    }
+
+    /// The transpiler's output layout, unless it is the identity.
+    pub(crate) fn output_layout(&self) -> Option<&[usize]> {
+        self.output_layout.as_deref()
+    }
+
+    /// The deduplicating body of [`execute`](crate::execute): [`run_dedup`]
+    /// on this engine's concrete back-end. `threads` must already be
+    /// resolved and capped at the shot count; with `inline` the job runs on
+    /// the calling thread in that context (`threads` must be 1).
     pub(crate) fn dedup_outcome(
         &self,
-        shots: usize,
+        plan: &ExecPlan<'_>,
         threads: usize,
-        observables: &[Observable],
         intra: Option<&Arc<IntraPool>>,
         inline: Option<&mut ExecContext>,
-        started: Instant,
-        deadline: &Deadline,
-    ) -> Option<Result<StochasticOutcome, TimedOut>> {
-        let support = self.dedup.as_ref()?;
-        let mapped = self.map_observables(observables);
-        let output_layout = self.output_layout.as_deref();
-        Some(match &self.backend {
-            EngineBackend::DecisionDiagram { backend, program } => run_dedup(
-                backend,
-                program.as_ref(),
-                support,
-                shots,
-                threads,
-                self.seed,
-                &mapped,
-                output_layout,
-                intra,
-                inline.map(ExecContext::dd_pair),
-                started,
-                deadline,
-            ),
-            EngineBackend::Statevector { backend, program } => run_dedup(
-                backend,
-                program.as_ref(),
-                support,
-                shots,
-                threads,
-                self.seed,
-                &mapped,
-                output_layout,
-                intra,
-                inline.map(ExecContext::dense_pair),
-                started,
-                deadline,
-            ),
-        })
+    ) -> Result<StochasticOutcome, TimedOut> {
+        match &self.backend {
+            EngineBackend::DecisionDiagram { backend, program } => {
+                let inline = inline.map(ExecContext::dd_pair);
+                run_dedup(self, backend, program, plan, threads, intra, inline)
+            }
+            EngineBackend::Statevector { backend, program } => {
+                let inline = inline.map(ExecContext::dense_pair);
+                run_dedup(self, backend, program, plan, threads, intra, inline)
+            }
+        }
     }
 
     /// Re-expresses observables over the original qubits as observables over
@@ -826,7 +804,7 @@ impl EngineBackend {
 /// Runs one shot on a concrete back-end and evaluates the observables;
 /// `SingleRun` carries the diagram statistics uniformly (zero on back-ends
 /// without diagrams), so both engine arms share this body.
-pub(crate) fn execute<B: StochasticBackend>(
+pub(crate) fn run_live<B: StochasticBackend>(
     backend: &B,
     program: &B::Program,
     ctx: &mut B::Context,

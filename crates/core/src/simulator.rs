@@ -2,19 +2,17 @@
 //!
 //! Most users interact with [`StochasticSimulator`]: pick a back-end, set
 //! the shot count and noise model, and run circuits. The lower-level pieces
-//! ([`crate::backend`], [`crate::stochastic`]) remain public for users who
-//! need custom observables or their own aggregation.
+//! ([`crate::ShotEngine`], [`crate::execute`]) remain public for users who
+//! need deadlines, their own contexts or their own aggregation.
 
 use qsdd_circuit::Circuit;
 use qsdd_noise::NoiseModel;
-use qsdd_transpile::{OptLevel, TranspileResult};
+use qsdd_transpile::OptLevel;
 
-use crate::deadline::{Deadline, TimedOut};
 use crate::estimator::Observable;
 use crate::shot_engine::ShotEngine;
-use crate::stochastic::{
-    run_engine_deadline, run_engine_dedup_deadline, StochasticConfig, StochasticOutcome,
-};
+use crate::stochastic::{execute, ExecMode, ExecPlan, Placement, StochasticOutcome};
+use crate::weighted::WeightedOptions;
 
 /// Which simulation engine executes the individual runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -69,18 +67,31 @@ impl std::fmt::Display for BackendKind {
 #[derive(Clone, Debug)]
 pub struct StochasticSimulator {
     backend: BackendKind,
-    config: StochasticConfig,
     opt_level: OptLevel,
+    shots: usize,
+    threads: usize,
+    seed: u64,
+    noise: NoiseModel,
+    dedup: bool,
+    weighted: Option<WeightedOptions>,
+    intra_threads: usize,
 }
 
 impl StochasticSimulator {
     /// Creates a simulator with the decision-diagram back-end, the paper's
-    /// noise model, 1024 shots and no circuit optimization.
+    /// noise model, 1024 shots on all available cores, trajectory
+    /// deduplication on and no circuit optimization.
     pub fn new() -> Self {
         StochasticSimulator {
             backend: BackendKind::DecisionDiagram,
-            config: StochasticConfig::default(),
             opt_level: OptLevel::O0,
+            shots: 1024,
+            threads: 0,
+            seed: 0xD1CE_5EED,
+            noise: NoiseModel::paper_defaults(),
+            dedup: true,
+            weighted: None,
+            intra_threads: 1,
         }
     }
 
@@ -90,27 +101,28 @@ impl StochasticSimulator {
         self
     }
 
-    /// Sets the number of stochastic runs.
+    /// Sets the number of independent stochastic runs (samples).
     pub fn with_shots(mut self, shots: usize) -> Self {
-        self.config.shots = shots;
+        self.shots = shots;
         self
     }
 
     /// Sets the number of worker threads (`0` = all available cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
+        self.threads = threads;
         self
     }
 
-    /// Sets the master seed.
+    /// Sets the master seed; every shot derives its own generator from it,
+    /// so results are reproducible and independent of the thread count.
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
+        self.seed = seed;
         self
     }
 
-    /// Sets the noise model.
+    /// Sets the noise model applied after every gate.
     pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.config.noise = noise;
+        self.noise = noise;
         self
     }
 
@@ -121,7 +133,7 @@ impl StochasticSimulator {
     /// [`crate::dedup`]); results are byte-identical either way, so
     /// disabling it is only useful for benchmarking the per-shot path.
     pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.config.dedup = dedup;
+        self.dedup = dedup;
         self
     }
 
@@ -133,17 +145,17 @@ impl StochasticSimulator {
     /// shot-worker count so the two parallelism layers never oversubscribe
     /// the machine. Results are bit-identical for every setting.
     pub fn with_intra_threads(mut self, intra_threads: usize) -> Self {
-        self.config.intra_threads = intra_threads;
+        self.intra_threads = intra_threads;
         self
     }
 
-    /// Enables the weighted-enumeration driver (see [`crate::weighted`]):
-    /// error patterns are enumerated in probability order and their exact
+    /// Enables weighted enumeration (see [`crate::weighted`]): error
+    /// patterns are enumerated in probability order and their exact
     /// outcome distributions weighted, with sampled shots covering only the
-    /// residual mass. Falls back to the configured sampling path when the
-    /// circuit does not support enumeration.
-    pub fn with_weighted(mut self, options: crate::weighted::WeightedOptions) -> Self {
-        self.config.weighted = Some(options);
+    /// residual mass. Falls back to deduplicated sampling when the circuit
+    /// does not support enumeration.
+    pub fn with_weighted(mut self, options: WeightedOptions) -> Self {
+        self.weighted = Some(options);
         self
     }
 
@@ -169,11 +181,6 @@ impl StochasticSimulator {
         self.opt_level
     }
 
-    /// The current run configuration.
-    pub fn config(&self) -> &StochasticConfig {
-        &self.config
-    }
-
     /// Runs the circuit and returns the aggregated measurement statistics.
     pub fn run(&self, circuit: &Circuit) -> StochasticOutcome {
         self.run_with_observables(circuit, &[])
@@ -184,114 +191,34 @@ impl StochasticSimulator {
     ///
     /// With an optimization level above [`OptLevel::O0`] the circuit is
     /// transpiled once before the shot loop; outcomes and observables are
-    /// reported in the original circuit's qubit order regardless.
+    /// reported in the original circuit's qubit order regardless. For a
+    /// [`Deadline`](crate::Deadline), an existing
+    /// [`TranspileResult`](qsdd_transpile::TranspileResult) or a context of
+    /// the caller's own, hand [`Self::engine`] to [`execute`] directly.
     pub fn run_with_observables(
         &self,
         circuit: &Circuit,
         observables: &[Observable],
     ) -> StochasticOutcome {
-        self.drive_deadline(&self.engine(circuit), observables, &Deadline::unbounded())
-            .expect("an unbounded deadline never expires")
-    }
-
-    /// [`Self::run_with_observables`] under a cooperative [`Deadline`]: the
-    /// run bails out with [`TimedOut`] (no partial results) once the budget
-    /// expires, checked at trajectory boundaries. Transpilation happens
-    /// before the budget is consulted, so very short budgets still pay for
-    /// the one-time compile.
-    pub fn run_with_observables_deadline(
-        &self,
-        circuit: &Circuit,
-        observables: &[Observable],
-        deadline: &Deadline,
-    ) -> Result<StochasticOutcome, TimedOut> {
-        self.drive_deadline(&self.engine(circuit), observables, deadline)
-    }
-
-    /// Runs an already-transpiled circuit, remapping outcomes and
-    /// observables through its output layout so results are reported in the
-    /// *original* circuit's qubit order.
-    ///
-    /// Use this when the [`TranspileResult`] is needed anyway (e.g. to print
-    /// its report) to avoid transpiling twice; [`Self::run_with_observables`]
-    /// with an opt level is the convenience path that transpiles internally.
-    pub fn run_transpiled(
-        &self,
-        transpiled: &TranspileResult,
-        observables: &[Observable],
-    ) -> StochasticOutcome {
-        self.run_transpiled_deadline(transpiled, observables, &Deadline::unbounded())
-            .expect("an unbounded deadline never expires")
-    }
-
-    /// [`Self::run_transpiled`] under a cooperative [`Deadline`] (see
-    /// [`Self::run_with_observables_deadline`] for the timeout contract).
-    pub fn run_transpiled_deadline(
-        &self,
-        transpiled: &TranspileResult,
-        observables: &[Observable],
-        deadline: &Deadline,
-    ) -> Result<StochasticOutcome, TimedOut> {
-        let engine = ShotEngine::from_transpiled(
-            transpiled,
-            self.backend,
-            self.config.noise,
-            self.config.seed,
+        let mode = ExecMode::from_switches(self.dedup, self.weighted.clone());
+        let plan = ExecPlan::new(mode, self.shots, observables);
+        execute(
+            &self.engine(circuit),
+            &plan,
+            Placement::Threads(self.threads),
         )
-        .with_intra_threads(self.config.intra_threads);
-        self.drive_deadline(&engine, observables, deadline)
+        .expect("an unbounded deadline never expires")
     }
 
     /// Builds the re-entrant [`ShotEngine`] this simulator would execute
     /// `circuit` on (transpiling at the configured opt level).
     ///
     /// The engine is the shareable execution primitive: the batch scheduler
-    /// pulls single shots from it, while [`Self::run`] drives it through the
-    /// strided Monte-Carlo loop. Either way, shot `i` yields the same sample.
+    /// pulls single shots from it, while [`Self::run`] hands it to the job
+    /// driver. Either way, shot `i` yields the same sample.
     pub fn engine(&self, circuit: &Circuit) -> ShotEngine {
-        ShotEngine::new(
-            circuit,
-            self.backend,
-            self.config.noise,
-            self.config.seed,
-            self.opt_level,
-        )
-        .with_intra_threads(self.config.intra_threads)
-    }
-
-    fn drive_deadline(
-        &self,
-        engine: &ShotEngine,
-        observables: &[Observable],
-        deadline: &Deadline,
-    ) -> Result<StochasticOutcome, TimedOut> {
-        if let Some(options) = &self.config.weighted {
-            return crate::weighted::run_engine_weighted_deadline(
-                engine,
-                self.config.shots,
-                self.config.threads,
-                observables,
-                options,
-                deadline,
-            );
-        }
-        if self.config.dedup {
-            run_engine_dedup_deadline(
-                engine,
-                self.config.shots,
-                self.config.threads,
-                observables,
-                deadline,
-            )
-        } else {
-            run_engine_deadline(
-                engine,
-                self.config.shots,
-                self.config.threads,
-                observables,
-                deadline,
-            )
-        }
+        ShotEngine::new(circuit, self.backend, self.noise, self.seed, self.opt_level)
+            .with_intra_threads(self.intra_threads)
     }
 }
 
@@ -304,6 +231,7 @@ impl Default for StochasticSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::{Deadline, TimedOut};
     use qsdd_circuit::generators::{ghz, qft};
     use qsdd_circuit::Circuit;
 
@@ -413,22 +341,17 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadlines_time_out_every_driver() {
+    fn expired_deadlines_time_out_every_mode() {
         use std::time::Duration;
-        let circuit = ghz(5);
+        let engine = StochasticSimulator::new().with_seed(2).engine(&ghz(5));
         let spent = Deadline::within(Duration::ZERO);
-        for simulator in [
-            StochasticSimulator::new().with_shots(200).with_seed(2),
-            StochasticSimulator::new()
-                .with_shots(200)
-                .with_seed(2)
-                .with_dedup(false),
-            StochasticSimulator::new()
-                .with_shots(200)
-                .with_seed(2)
-                .with_weighted(crate::weighted::WeightedOptions::default()),
+        for mode in [
+            ExecMode::Dedup,
+            ExecMode::PerShot,
+            ExecMode::Weighted(WeightedOptions::default()),
         ] {
-            let result = simulator.run_with_observables_deadline(&circuit, &[], &spent);
+            let plan = ExecPlan::new(mode, 200, &[]).with_deadline(spent.clone());
+            let result = execute(&engine, &plan, Placement::Threads(0));
             assert_eq!(result.unwrap_err(), TimedOut);
         }
     }
@@ -442,12 +365,9 @@ mod tests {
             .with_seed(7)
             .with_threads(2);
         let unbounded = simulator.run(&circuit);
-        let bounded = simulator
-            .run_with_observables_deadline(
-                &circuit,
-                &[],
-                &Deadline::within(Duration::from_secs(600)),
-            )
+        let plan = ExecPlan::new(ExecMode::Dedup, 300, &[])
+            .with_deadline(Deadline::within(Duration::from_secs(600)));
+        let bounded = execute(&simulator.engine(&circuit), &plan, Placement::Threads(2))
             .expect("a ten-minute budget outlives a 300-shot GHZ");
         assert_eq!(bounded.counts, unbounded.counts);
         assert_eq!(bounded.error_events, unbounded.error_events);

@@ -1,16 +1,20 @@
-//! The concurrent Monte-Carlo runner.
+//! The job driver: one plan-driven [`execute`] for every Monte-Carlo run.
 //!
 //! Stochastic quantum circuit simulation needs many independent runs to form
 //! accurate empirical averages (Theorem 1). Because the runs are i.i.d.,
-//! they parallelise perfectly: the runner compiles the circuit **once**
-//! (resolving every operator the shots will need), partitions the requested
-//! shot count over worker threads, hands each worker one reusable execution
-//! context (rewound, not rebuilt, between shots), gives every *shot* its
-//! own deterministically derived random number generator (so results do not
-//! depend on the thread count), and merges the per-worker histograms and
-//! observable sums in worker order at the end. This is the "concurrency
-//! across simulation runs" idea of Section IV-C of the paper, with the
-//! per-circuit work amortised across the whole shot loop.
+//! they parallelise perfectly: the circuit is compiled **once** (into a
+//! [`ShotEngine`]), the requested shot count is partitioned over worker
+//! threads, each worker gets one reusable execution context (rewound, not
+//! rebuilt, between shots), every *shot* gets its own deterministically
+//! derived random number generator (so results do not depend on the thread
+//! count), and the per-worker histograms and observable sums are merged in
+//! worker order at the end. This is the "concurrency across simulation
+//! runs" idea of Section IV-C of the paper, with the per-circuit work
+//! amortised across the whole shot loop.
+//!
+//! A job is an [`ExecPlan`] — shots, observables, an [`ExecMode`] and a
+//! [`Deadline`] — executed at a [`Placement`]: on scoped worker threads, or
+//! inline in a context the caller owns (the server and batch entry).
 //!
 //! # Determinism
 //!
@@ -23,129 +27,113 @@
 //!   merged in worker-index order, never in completion order.
 //! * Context reuse never affects any of the above: a reused context
 //!   produces bit-identical shots to a fresh one.
+//! * The mode never affects any of the above either: [`ExecMode::Dedup`]
+//!   is byte-identical to [`ExecMode::PerShot`], and `Inline` equals
+//!   `Threads(1)` down to the bit patterns of the observable sums.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qsdd_circuit::Circuit;
-use qsdd_noise::NoiseModel;
+use qsdd_statevector::IntraPool;
 use qsdd_telemetry::trace;
 use qsdd_telemetry::{Stage, StageTimings};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use std::sync::Arc;
-
-use qsdd_statevector::IntraPool;
-
-use crate::backend::StochasticBackend;
 use crate::deadline::{Deadline, TimedOut};
-use crate::dedup::{run_dedup, DedupStats};
+use crate::dedup::DedupStats;
 use crate::estimator::{Observable, ObservableAccumulator};
-use crate::shot_engine::ShotEngine;
+use crate::shot_engine::{ExecContext, ShotEngine};
+use crate::weighted::{run_weighted, WeightedOptions};
 
-/// Configuration of a stochastic simulation.
+/// How a job's shots become results.
 #[derive(Clone, Debug, PartialEq)]
-pub struct StochasticConfig {
-    /// Number of independent simulation runs (samples).
+pub enum ExecMode {
+    /// Every shot executes live: the reference the equivalence suites
+    /// compare the other modes against.
+    PerShot,
+    /// Shots are presampled and grouped by error pattern and each distinct
+    /// trajectory is simulated once (see [`crate::dedup`]). Byte-identical
+    /// to [`PerShot`](Self::PerShot) — histograms, error counts, node
+    /// statistics and the bit patterns of the observable sums — so callers
+    /// pick purely by expected performance. Programs that do not support
+    /// deduplication run per shot.
+    Dedup,
+    /// Error patterns are enumerated in probability order and their exact
+    /// outcome distributions weighted, with sampled shots covering only
+    /// the residual mass (see [`crate::weighted`]). Engines that do not
+    /// support enumeration fall back to [`Dedup`](Self::Dedup).
+    Weighted(WeightedOptions),
+}
+
+impl ExecMode {
+    /// The mode the two user-facing switches select: weighted enumeration
+    /// when options are given, else the deduplication on/off switch.
+    pub fn from_switches(dedup: bool, weighted: Option<WeightedOptions>) -> Self {
+        match weighted {
+            Some(options) => ExecMode::Weighted(options),
+            None if dedup => ExecMode::Dedup,
+            None => ExecMode::PerShot,
+        }
+    }
+}
+
+/// One job for [`execute`]: what to run, not where.
+#[derive(Clone, Debug)]
+pub struct ExecPlan<'a> {
+    /// How the shots become results.
+    pub mode: ExecMode,
+    /// Number of independent simulation runs (samples). The weighted mode
+    /// only sizes its residual tail and the integer histogram with it.
     pub shots: usize,
-    /// Number of worker threads; `0` uses the machine's available
-    /// parallelism.
-    pub threads: usize,
-    /// Master seed; every shot derives its own generator from it, so results
-    /// are reproducible and independent of the thread count.
-    pub seed: u64,
-    /// The noise model applied after every gate.
-    pub noise: NoiseModel,
-    /// Whether to deduplicate shots by presampled error pattern (see
-    /// [`crate::dedup`]). On by default; results are byte-identical either
-    /// way, so turning it off is only useful for benchmarking the per-shot
-    /// path.
-    pub dedup: bool,
-    /// When set, runs the weighted-enumeration driver (see
-    /// [`crate::weighted`]): error patterns are enumerated in probability
-    /// order and their outcome distributions weighted exactly, with
-    /// rejection-sampled shots covering only the residual mass. Falls back
-    /// to the configured sampling path when the program does not support
-    /// enumeration.
-    pub weighted: Option<crate::weighted::WeightedOptions>,
-    /// Intra-shot parallelism width: the number of fork-join workers the
-    /// dense kernels of one statevector shot may split across (the
-    /// decision-diagram back-end is serial and ignores it). `1` (the
-    /// default) keeps shots serial. The request is clamped against the
-    /// shot-worker count so the two levels of parallelism never
-    /// oversubscribe the machine; results are bit-identical for every
-    /// setting.
-    pub intra_threads: usize,
+    /// Quadratic observables to estimate, over the original circuit's
+    /// qubits (the driver remaps them through the engine's output layout).
+    pub observables: &'a [Observable],
+    /// Cooperative wall-clock budget, checked per shot, per trajectory
+    /// evolution, per enumerated pattern and per tail candidate. On expiry
+    /// the job returns [`TimedOut`] — no partial aggregates — and every
+    /// context it ran in stays reusable.
+    pub deadline: Deadline,
 }
 
-impl StochasticConfig {
-    /// A configuration with the paper's noise model and a given shot count.
-    pub fn new(shots: usize) -> Self {
-        StochasticConfig {
+impl<'a> ExecPlan<'a> {
+    /// A plan with an unbounded deadline.
+    pub fn new(mode: ExecMode, shots: usize, observables: &'a [Observable]) -> Self {
+        ExecPlan {
+            mode,
             shots,
-            threads: 0,
-            seed: 0xD1CE_5EED,
-            noise: NoiseModel::paper_defaults(),
-            dedup: true,
-            weighted: None,
-            intra_threads: 1,
+            observables,
+            deadline: Deadline::unbounded(),
         }
     }
 
-    /// Sets the number of worker threads.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Puts the job under a cooperative [`Deadline`].
+    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
+        self.deadline = deadline;
         self
-    }
-
-    /// Sets the master seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the noise model.
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
-        self
-    }
-
-    /// Enables or disables trajectory deduplication.
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
-        self
-    }
-
-    /// Enables the weighted-enumeration driver with the given options
-    /// (see [`crate::weighted`]).
-    pub fn with_weighted(mut self, options: crate::weighted::WeightedOptions) -> Self {
-        self.weighted = Some(options);
-        self
-    }
-
-    /// Sets the intra-shot parallelism width (`1` = serial shots).
-    pub fn with_intra_threads(mut self, intra_threads: usize) -> Self {
-        self.intra_threads = intra_threads.max(1);
-        self
-    }
-
-    /// Resolves the effective number of worker threads.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
     }
 }
 
-impl Default for StochasticConfig {
-    fn default() -> Self {
-        StochasticConfig::new(1024)
+/// Where [`execute`] runs a job.
+#[derive(Debug)]
+pub enum Placement<'a> {
+    /// On this many scoped worker threads (`0` = all available cores), each
+    /// with a fresh context. The weighted body is serial: it runs on the
+    /// calling thread whatever the count.
+    Threads(usize),
+    /// On the calling thread, inside the caller's execution context — the
+    /// entry long-lived `qsdd-server` and `qsdd-batch` workers run whole
+    /// jobs through, so per-circuit state from previous jobs is rewound,
+    /// not rebuilt. Byte-identical to `Threads(1)`.
+    Inline(&'a mut ExecContext),
+}
+
+/// Resolves a requested worker count: `0` means all available cores.
+pub fn resolve_threads(requested: usize) -> usize {
+    match requested {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        threads => threads,
     }
 }
 
@@ -160,10 +148,7 @@ pub fn resolve_intra_threads(requested: usize, workers: usize) -> usize {
     if requested == 1 || workers <= 1 {
         return requested;
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    requested.min((cores / workers).max(1))
+    requested.min((resolve_threads(0) / workers).max(1))
 }
 
 /// Builds the shared fork-join pool of a run — every shot-worker installs a
@@ -217,7 +202,7 @@ pub struct StochasticOutcome {
 
 impl StochasticOutcome {
     /// An empty outcome (zero shots) reporting the given thread count.
-    fn empty(observables: usize, threads: usize, wall_time: Duration) -> Self {
+    pub(crate) fn empty(observables: usize, threads: usize, wall_time: Duration) -> Self {
         StochasticOutcome {
             counts: HashMap::new(),
             shots: 0,
@@ -316,7 +301,6 @@ pub(crate) fn merge_partials(
     shots: usize,
     observables: usize,
     threads: usize,
-    started: Instant,
 ) -> StochasticOutcome {
     let mut counts: HashMap<u64, u64> = HashMap::new();
     let mut merged = ObservableAccumulator::new(observables);
@@ -343,441 +327,175 @@ pub(crate) fn merge_partials(
             nodes_sum as f64 / shots as f64
         },
         dd_nodes_peak: nodes_peak,
-        wall_time: started.elapsed(),
-        threads,
-        dedup: None,
-        weighted: None,
-        stage_timings: StageTimings::new(),
+        // The driver's epilogue stamps the wall time.
+        ..StochasticOutcome::empty(0, threads, Duration::ZERO)
     }
 }
 
-/// Runs `config.shots` independent stochastic simulations of `circuit` on
-/// `backend`, estimating the given observables along the way.
+/// Runs one job on a prepared [`ShotEngine`]: the workspace's only driver.
 ///
-/// The circuit is compiled once ([`StochasticBackend::compile`]); shots are
-/// distributed over worker threads ([`StochasticConfig::threads`]), each
-/// worker executing its strided share through one reusable context. Every
-/// shot uses a random number generator derived deterministically from the
-/// master seed and the shot index, so the histogram is independent of how
-/// shots are assigned to threads.
+/// Everything is decided once, here. The worker count is resolved from the
+/// placement. The mode is resolved against the engine:
+/// [`ExecMode::Weighted`] falls back to [`ExecMode::Dedup`] when the engine
+/// does not support enumeration (mid-circuit measurement/reset, too many
+/// qubits, an unsupported channel kind), and `Dedup` to
+/// [`ExecMode::PerShot`] when the program does not support deduplication.
+/// A sampling job of zero shots returns the empty outcome without touching
+/// a context (a weighted job of zero shots still enumerates). Then one of
+/// three bodies runs — weighted enumeration, presample → group → replay,
+/// or the strided per-shot loop — and one epilogue stamps the wall time
+/// and folds the engine's construction timings into the stage breakdown.
 ///
-/// When [`StochasticConfig::dedup`] is on (the default) and the compiled
-/// program supports it, shots are deduplicated by presampled error pattern
-/// (see [`crate::dedup`]): each distinct trajectory is simulated once and
-/// fanned out over its shots. The results — histograms, error counts, node
-/// statistics and the bit patterns of the observable sums — are identical
-/// either way.
-pub fn run_stochastic<B: StochasticBackend>(
-    backend: &B,
-    circuit: &Circuit,
-    config: &StochasticConfig,
-    observables: &[Observable],
-) -> StochasticOutcome {
-    let started = Instant::now();
-    if config.shots == 0 {
-        // Nothing to run: return an empty outcome without spawning workers,
-        // still reporting the resolved worker count for consistency.
-        return StochasticOutcome::empty(
-            observables.len(),
-            config.effective_threads(),
-            started.elapsed(),
-        );
-    }
-    let compile_started = Instant::now();
-    let program = backend.compile(circuit, &config.noise);
-    let compile_time = compile_started.elapsed();
-    let threads = config.effective_threads().max(1).min(config.shots);
-    let intra = build_intra_pool(backend.intra_width(config.intra_threads), threads);
-    if config.dedup {
-        if let Some(support) = backend.dedup_support(&program) {
-            let mut outcome = run_dedup(
-                backend,
-                &program,
-                &support,
-                config.shots,
-                threads,
-                config.seed,
-                observables,
-                None,
-                intra.as_ref(),
-                None,
-                started,
-                &Deadline::unbounded(),
-            )
-            .expect("an unbounded deadline never expires");
-            outcome.stage_timings.record(Stage::Compile, compile_time);
-            if intra.is_some() {
-                let execute_time = outcome.stage_timings.get(Stage::Execute);
-                outcome
-                    .stage_timings
-                    .record(Stage::IntraExecute, execute_time);
-            }
-            return outcome;
-        }
-    }
-    let mut partials: Vec<Option<WorkerPartial>> = (0..threads).map(|_| None).collect();
-    let execute_started = Instant::now();
-
-    let trace_handle = trace::propagate();
-    std::thread::scope(|scope| {
-        for (worker, slot) in partials.iter_mut().enumerate() {
-            let program = &program;
-            let observables = &observables;
-            let config = &config;
-            let intra = intra.as_ref();
-            let trace_handle = trace_handle.clone();
-            scope.spawn(move || {
-                let _lane = trace_handle.as_ref().map(|h| h.install(worker as u32 + 1));
-                let _span = trace::span("worker_shots");
-                trace::attr("worker", worker);
-                let mut ctx = backend.new_context();
-                if let Some(pool) = intra {
-                    backend.set_intra_pool(&mut ctx, Some(Arc::clone(pool)));
-                }
-                let mut partial = WorkerPartial::new(observables.len());
-                let mut executed = 0usize;
-                let mut shot = worker;
-                while shot < config.shots {
-                    let mut rng = shot_rng(config.seed, shot as u64);
-                    let mut run = backend.run_shot(program, &mut ctx, &mut rng);
-                    let values: Vec<f64> = observables
-                        .iter()
-                        .map(|o| backend.evaluate(program, &mut ctx, &mut run, o))
-                        .collect();
-                    partial.record(&crate::ShotSample::of(&run), &values);
-                    executed += 1;
-                    shot += threads;
-                }
-                trace::attr("shots", executed);
-                *slot = Some(partial);
-            });
-        }
-    });
-    let execute_time = execute_started.elapsed();
-
-    let aggregate_started = Instant::now();
-    let mut outcome = merge_partials(partials, config.shots, observables.len(), threads, started);
-    outcome.stage_timings.record(Stage::Compile, compile_time);
-    outcome.stage_timings.record(Stage::Execute, execute_time);
-    if intra.is_some() {
-        outcome
-            .stage_timings
-            .record(Stage::IntraExecute, execute_time);
-    }
-    outcome
-        .stage_timings
-        .record(Stage::Aggregate, aggregate_started.elapsed());
-    outcome
-}
-
-/// Runs `shots` independent stochastic shots on a prepared [`ShotEngine`],
-/// estimating the given observables along the way.
-///
-/// This is the engine-driven twin of [`run_stochastic`]: the same strided
-/// shot loop, but executing through the re-entrant [`ShotEngine`] API that
-/// the batch scheduler shares, with one reusable
-/// [`ExecContext`](crate::ExecContext) per worker. Observables are remapped
-/// through the engine's output layout once, outcomes arrive already
-/// restored to the original circuit's qubit order, so no post-processing is
-/// required.
-///
-/// `threads == 0` uses all available cores. Histograms are identical for
-/// every thread count because each shot derives its generator from the
-/// engine seed and the shot index alone.
-pub fn run_engine(
+/// Outcomes arrive in the original circuit's qubit order and observables
+/// are remapped through the engine's output layout, so no post-processing
+/// is required. [`StochasticOutcome::threads`] reports the workers spawned
+/// (the request capped at the shot count; the resolved request on a
+/// zero-shot run; `1` for `Inline` and the weighted body).
+pub fn execute(
     engine: &ShotEngine,
-    shots: usize,
-    threads: usize,
-    observables: &[Observable],
-) -> StochasticOutcome {
-    run_engine_deadline(engine, shots, threads, observables, &Deadline::unbounded())
-        .expect("an unbounded deadline never expires")
-}
-
-/// [`run_engine`] under a cooperative [`Deadline`]: workers check the
-/// budget before every shot and the run returns [`TimedOut`] — no partial
-/// aggregates — when any worker observed expiry before finishing. With
-/// [`Deadline::unbounded`] the check is a hoisted boolean, so this *is*
-/// [`run_engine`].
-pub fn run_engine_deadline(
-    engine: &ShotEngine,
-    shots: usize,
-    threads: usize,
-    observables: &[Observable],
-    deadline: &Deadline,
+    plan: &ExecPlan<'_>,
+    on: Placement<'_>,
 ) -> Result<StochasticOutcome, TimedOut> {
     let started = Instant::now();
-    let threads = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    let mode = match &plan.mode {
+        ExecMode::Weighted(_) if engine.weighted_plan().is_none() => &ExecMode::Dedup,
+        mode => mode,
     };
-    if shots == 0 {
-        // Nothing to run: return an empty outcome without spawning workers,
-        // still reporting the resolved worker count for consistency.
+    let mode = match mode {
+        ExecMode::Dedup if !engine.supports_dedup() => &ExecMode::PerShot,
+        mode => mode,
+    };
+    let mut own;
+    let (threads, mut inline) = match (on, mode) {
+        (Placement::Inline(ctx), _) => (1, Some(ctx)),
+        // The weighted body is serial, so it gets a context of its own with
+        // the engine's requested intra-shot width as-is (one worker).
+        (Placement::Threads(_), ExecMode::Weighted(_)) => {
+            own = engine.new_context();
+            own.set_intra_threads(engine.intra_threads());
+            (1, Some(&mut own))
+        }
+        (Placement::Threads(requested), _) => (resolve_threads(requested), None),
+    };
+    if plan.shots == 0 && !matches!(mode, ExecMode::Weighted(_)) {
+        // Nothing to sample: no worker is spawned, but the resolved worker
+        // count is still reported for consistency.
         return Ok(StochasticOutcome::empty(
-            observables.len(),
+            plan.observables.len(),
             threads,
             started.elapsed(),
         ));
     }
-    let threads = threads.min(shots);
-    let intra = build_intra_pool(engine.intra_threads(), threads);
-    let mapped = engine.map_observables(observables);
-    let mut partials: Vec<Option<WorkerPartial>> = (0..threads).map(|_| None).collect();
-    let aborted = AtomicBool::new(false);
-
-    let execute_started = Instant::now();
-    let trace_handle = trace::propagate();
-    std::thread::scope(|scope| {
-        for (worker, slot) in partials.iter_mut().enumerate() {
-            let mapped = &mapped;
-            let intra = intra.as_ref();
-            let aborted = &aborted;
-            let trace_handle = trace_handle.clone();
-            scope.spawn(move || {
-                let _lane = trace_handle.as_ref().map(|h| h.install(worker as u32 + 1));
-                let _span = trace::span("worker_shots");
-                trace::attr("worker", worker);
-                let mut ctx = engine.new_context();
-                if let Some(pool) = intra {
-                    ctx.set_intra_pool(Some(Arc::clone(pool)));
-                }
-                let bounded = !deadline.is_unbounded();
-                let mut partial = WorkerPartial::new(mapped.len());
-                let mut executed = 0usize;
-                let mut shot = worker;
-                while shot < shots {
-                    if bounded && deadline.expired() {
-                        // `expired` latched the shared flag, so sibling
-                        // workers exit on their next check too.
-                        aborted.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    let (sample, values) =
-                        engine.run_shot_with_observables_in(&mut ctx, shot as u64, mapped);
-                    partial.record(&sample, &values);
-                    executed += 1;
-                    shot += threads;
-                }
-                trace::attr("shots", executed);
-                *slot = Some(partial);
-            });
-        }
-    });
-    if aborted.load(Ordering::Relaxed) {
-        return Err(TimedOut);
-    }
-    let execute_time = execute_started.elapsed();
-
-    let aggregate_started = Instant::now();
-    let mut outcome = merge_partials(partials, shots, observables.len(), threads, started);
-    outcome.stage_timings = engine.stage_timings();
-    outcome.stage_timings.record(Stage::Execute, execute_time);
-    if intra.is_some() {
-        outcome
-            .stage_timings
-            .record(Stage::IntraExecute, execute_time);
-    }
-    outcome
-        .stage_timings
-        .record(Stage::Aggregate, aggregate_started.elapsed());
-    Ok(outcome)
-}
-
-/// The deduplicating twin of [`run_engine`]: shots are presampled and
-/// grouped by error pattern, each distinct trajectory is simulated once,
-/// and the results fan out per shot (see [`crate::dedup`]).
-///
-/// Falls back to [`run_engine`] when the engine's program does not support
-/// deduplication (a state-dependent channel outside the precomputed
-/// trajectory, or a dominating non-unitary tail). Results are byte-identical
-/// to [`run_engine`] for every seed and thread count — including the bit
-/// patterns of the observable sums — so callers may pick purely by
-/// expected performance.
-pub fn run_engine_dedup(
-    engine: &ShotEngine,
-    shots: usize,
-    threads: usize,
-    observables: &[Observable],
-) -> StochasticOutcome {
-    run_engine_dedup_deadline(engine, shots, threads, observables, &Deadline::unbounded())
-        .expect("an unbounded deadline never expires")
-}
-
-/// [`run_engine_dedup`] under a cooperative [`Deadline`]: workers check
-/// the budget between trajectory work items (one group or one live shot)
-/// and the run returns [`TimedOut`] when it expired before completion.
-/// The per-shot fallback inherits the same deadline.
-pub fn run_engine_dedup_deadline(
-    engine: &ShotEngine,
-    shots: usize,
-    threads: usize,
-    observables: &[Observable],
-    deadline: &Deadline,
-) -> Result<StochasticOutcome, TimedOut> {
-    let started = Instant::now();
-    let resolved = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    let workers = threads.min(plan.shots);
+    let intra = match inline {
+        Some(_) => None,
+        None => build_intra_pool(engine.intra_threads(), workers),
     };
-    if shots == 0 {
-        return Ok(StochasticOutcome::empty(
-            observables.len(),
-            resolved,
-            started.elapsed(),
-        ));
-    }
-    let workers = resolved.min(shots);
-    let intra = build_intra_pool(engine.intra_threads(), workers);
-    match engine.dedup_outcome(
-        shots,
-        workers,
-        observables,
-        intra.as_ref(),
-        None,
-        started,
-        deadline,
-    ) {
-        Some(result) => result.map(|mut outcome| {
-            outcome.stage_timings.merge(&engine.stage_timings());
-            if intra.is_some() {
-                let execute_time = outcome.stage_timings.get(Stage::Execute);
-                outcome
-                    .stage_timings
-                    .record(Stage::IntraExecute, execute_time);
-            }
-            outcome
-        }),
-        None => run_engine_deadline(engine, shots, threads, observables, deadline),
-    }
-}
+    let dd_before = inline.as_deref().map(ExecContext::dd_table_stats);
 
-/// Runs a whole job — `shots` stochastic shots plus observable estimation —
-/// **inside the caller's execution context**, on the calling thread.
-///
-/// This is the job-execution entry the long-lived `qsdd-server` worker pool
-/// runs on: a worker owns one [`ExecContext`](crate::ExecContext) for its
-/// whole lifetime and executes every job it picks up through this function,
-/// so per-circuit state from previous jobs is rewound — not rebuilt — and
-/// the PR-3 context-reuse path amortises across requests. Unlike
-/// [`run_engine`] / [`run_engine_dedup`] it spawns no threads of its own;
-/// callers that want parallelism run several jobs on several workers.
-///
-/// With `dedup` enabled (and supported by the engine's program) the
-/// trajectory-deduplicating driver executes each distinct presampled error
-/// pattern once (see [`crate::dedup`]); otherwise every shot runs live. The
-/// result is **byte-identical** to `run_engine_dedup(engine, shots, 1,
-/// observables)` respectively `run_engine(engine, shots, 1, observables)` —
-/// histograms, error counts, node statistics, dedup statistics and the bit
-/// patterns of the observable sums all match the single-threaded runner —
-/// which is what lets the server's result cache serve byte-stable reports.
-pub fn run_engine_in(
-    engine: &ShotEngine,
-    ctx: &mut crate::ExecContext,
-    shots: usize,
-    observables: &[Observable],
-    dedup: bool,
-) -> StochasticOutcome {
-    run_engine_in_deadline(
-        engine,
-        ctx,
-        shots,
-        observables,
-        dedup,
-        &Deadline::unbounded(),
-    )
-    .expect("an unbounded deadline never expires")
-}
+    let mut outcome = match (mode, inline.as_deref_mut()) {
+        (ExecMode::Weighted(options), Some(ctx)) => run_weighted(engine, ctx, plan, options),
+        (ExecMode::Weighted(_), None) => unreachable!("weighted jobs were given a context above"),
+        (ExecMode::Dedup, ctx) => engine.dedup_outcome(plan, workers, intra.as_ref(), ctx),
+        (ExecMode::PerShot, ctx) => run_per_shot(engine, plan, workers, intra.as_ref(), ctx),
+    }?;
 
-/// [`run_engine_in`] under a cooperative [`Deadline`] — the server
-/// worker-pool entry for jobs carrying a `timeout_ms`. The budget is
-/// checked between shots (and between trajectory groups on the dedup
-/// path); on expiry the job returns [`TimedOut`] with no partial results
-/// and the context remains reusable for the next job.
-pub fn run_engine_in_deadline(
-    engine: &ShotEngine,
-    ctx: &mut crate::ExecContext,
-    shots: usize,
-    observables: &[Observable],
-    dedup: bool,
-    deadline: &Deadline,
-) -> Result<StochasticOutcome, TimedOut> {
-    let started = Instant::now();
-    if shots == 0 {
-        return Ok(StochasticOutcome::empty(
-            observables.len(),
-            1,
-            started.elapsed(),
-        ));
-    }
-    let dd_before = ctx.dd_table_stats();
-    let mut outcome =
-        run_engine_in_inner(engine, ctx, shots, observables, dedup, started, deadline)?;
+    outcome.wall_time = started.elapsed();
     outcome.stage_timings.merge(&engine.stage_timings());
-    if engine.wide_pool(ctx).is_some() {
+    let wide = match &inline {
+        Some(ctx) => engine.wide_pool(ctx).is_some(),
+        None => intra.is_some(),
+    };
+    if wide {
         let execute_time = outcome.stage_timings.get(Stage::Execute);
         outcome
             .stage_timings
             .record(Stage::IntraExecute, execute_time);
     }
-    publish_job_metrics(&outcome, ctx.dd_table_stats().since(&dd_before));
+    if let Some((ctx, dd_before)) = inline.zip(dd_before) {
+        publish_job_metrics(&outcome, ctx.dd_table_stats().since(&dd_before));
+    }
     Ok(outcome)
 }
 
-/// The timed body of [`run_engine_in`]: executes the shots and fills the
-/// presample/execute/aggregate entries of the outcome's stage breakdown
-/// (the engine's own transpile/compile times are merged by the caller).
-fn run_engine_in_inner(
+/// The per-shot body of [`execute`]: lane `l` of `workers` runs shots `l`,
+/// `l + workers`, … — inline that is the one lane `0..shots` in the
+/// caller's context, threaded each lane is a scoped worker with a fresh
+/// context sharing the `intra` pool.
+fn run_per_shot(
     engine: &ShotEngine,
-    ctx: &mut crate::ExecContext,
-    shots: usize,
-    observables: &[Observable],
-    dedup: bool,
-    started: Instant,
-    deadline: &Deadline,
+    plan: &ExecPlan<'_>,
+    workers: usize,
+    intra: Option<&Arc<IntraPool>>,
+    inline: Option<&mut ExecContext>,
 ) -> Result<StochasticOutcome, TimedOut> {
-    if dedup {
-        // The deduplicating driver at one worker, run on this thread in
-        // the caller's context.
-        if let Some(result) =
-            engine.dedup_outcome(shots, 1, observables, None, Some(ctx), started, deadline)
-        {
-            return result;
+    let shots = plan.shots;
+    let mapped = &engine.map_observables(plan.observables);
+    let bounded = !plan.deadline.is_unbounded();
+    let run_lane = |lane: usize, ctx: &mut ExecContext| {
+        let mut partial = WorkerPartial::new(mapped.len());
+        let mut shot = lane;
+        while shot < shots {
+            if bounded && plan.deadline.expired() {
+                // `expired` latched the shared flag, so sibling lanes exit
+                // on their next check too.
+                return Err(TimedOut);
+            }
+            let (sample, values) = engine.run_shot_with_observables_in(ctx, shot as u64, mapped);
+            partial.record(&sample, &values);
+            shot += workers;
         }
-    }
-    let mapped = &engine.map_observables(observables);
-    let bounded = !deadline.is_unbounded();
+        Ok(partial)
+    };
+    let mut partials: Vec<Option<WorkerPartial>> = (0..workers).map(|_| None).collect();
     let execute_started = Instant::now();
-    let pool = engine.wide_pool(ctx);
-    let shots_span = trace::span(if pool.is_some() {
-        "intra_shots"
-    } else {
-        "shots"
-    });
-    trace::attr("shots", shots);
-    if let Some(pool) = pool {
-        trace::attr("intra_width", pool.threads());
-    }
-    let dd_before = trace_dd_stats(|| ctx.dd_table_stats());
-    let mut partial = WorkerPartial::new(mapped.len());
-    for shot in 0..shots as u64 {
-        if bounded && deadline.expired() {
-            return Err(TimedOut);
+    match inline {
+        Some(ctx) => {
+            let pool = engine.wide_pool(ctx);
+            let _span = trace::span(if pool.is_some() {
+                "intra_shots"
+            } else {
+                "shots"
+            });
+            trace::attr("shots", shots);
+            if let Some(pool) = pool {
+                trace::attr("intra_width", pool.threads());
+            }
+            let dd_before = trace_dd_stats(|| ctx.dd_table_stats());
+            partials[0] = Some(run_lane(0, ctx)?);
+            trace_dd_attrs(dd_before, || ctx.dd_table_stats());
         }
-        let (sample, values) = engine.run_shot_with_observables_in(ctx, shot, mapped);
-        partial.record(&sample, &values);
+        None => {
+            let trace_handle = trace::propagate();
+            let run_lane = &run_lane;
+            std::thread::scope(|scope| {
+                for (worker, slot) in partials.iter_mut().enumerate() {
+                    let trace_handle = trace_handle.clone();
+                    scope.spawn(move || {
+                        let _lane = trace_handle.as_ref().map(|h| h.install(worker as u32 + 1));
+                        let _span = trace::span("worker_shots");
+                        trace::attr("worker", worker);
+                        let mut ctx = engine.new_context();
+                        if let Some(pool) = intra {
+                            ctx.set_intra_pool(Some(Arc::clone(pool)));
+                        }
+                        if let Ok(partial) = run_lane(worker, &mut ctx) {
+                            trace::attr("shots", (worker..shots).step_by(workers).len());
+                            *slot = Some(partial);
+                        }
+                    });
+                }
+            });
+            // A lane without a partial saw the deadline expire.
+            if partials.iter().any(Option::is_none) {
+                return Err(TimedOut);
+            }
+        }
     }
-    trace_dd_attrs(dd_before, || ctx.dd_table_stats());
-    drop(shots_span);
     let execute_time = execute_started.elapsed();
+
     let aggregate_started = Instant::now();
-    let mut outcome = merge_partials(vec![Some(partial)], shots, mapped.len(), 1, started);
+    let mut outcome = merge_partials(partials, shots, mapped.len(), workers);
     outcome.stage_timings.record(Stage::Execute, execute_time);
     outcome
         .stage_timings
@@ -900,8 +618,8 @@ pub(crate) fn publish_job_metrics(outcome: &StochasticOutcome, dd_delta: qsdd_dd
 /// Derives the per-shot random number generator from the master seed.
 ///
 /// This derivation is the determinism contract shared by every shot-executing
-/// path in the workspace ([`run_stochastic`], [`ShotEngine`], and through it
-/// the batch scheduler): shot `i` under seed `s` always sees the same
+/// path in the workspace ([`execute`], [`ShotEngine`], and through it the
+/// batch scheduler): shot `i` under seed `s` always sees the same
 /// generator, regardless of threads or scheduling.
 pub(crate) fn shot_rng(seed: u64, shot: u64) -> StdRng {
     // SplitMix64-style mixing keeps neighbouring shot seeds uncorrelated.
@@ -910,19 +628,61 @@ pub(crate) fn shot_rng(seed: u64, shot: u64) -> StdRng {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     StdRng::seed_from_u64(z ^ (z >> 31))
 }
-
 #[cfg(test)]
 mod tests {
+    use super::ExecMode::{Dedup, PerShot, Weighted};
+    use super::Placement::{Inline, Threads};
     use super::*;
-    use crate::dd_backend::DdSimulator;
-    use crate::dense_backend::DenseSimulator;
-    use qsdd_circuit::generators::ghz;
+    use crate::BackendKind::{self, DecisionDiagram as DD, Statevector as DENSE};
+    use qsdd_circuit::generators::{ghz, qft};
+    use qsdd_circuit::Circuit;
+    use qsdd_noise::NoiseModel;
+
+    const SEED: u64 = 0xD1CE_5EED;
+
+    fn engine(kind: BackendKind, circuit: &Circuit, noise: NoiseModel, seed: u64) -> ShotEngine {
+        ShotEngine::new(circuit, kind, noise, seed, crate::OptLevel::O0)
+    }
+
+    fn paper() -> NoiseModel {
+        NoiseModel::paper_defaults()
+    }
+
+    /// One job without a deadline.
+    fn run(
+        engine: &ShotEngine,
+        mode: ExecMode,
+        shots: usize,
+        observables: &[Observable],
+        on: Placement<'_>,
+    ) -> StochasticOutcome {
+        execute(engine, &ExecPlan::new(mode, shots, observables), on).expect("no deadline is set")
+    }
+
+    /// Every deterministic aggregate of an outcome but the observable sums.
+    fn aggregates(outcome: &StochasticOutcome) -> impl PartialEq + std::fmt::Debug {
+        (
+            outcome.counts.clone(),
+            (outcome.error_events, outcome.dd_nodes_peak),
+            outcome.dd_nodes_avg.to_bits(),
+            (outcome.dedup, outcome.weighted.clone()),
+        )
+    }
+
+    fn observable_bits(outcome: &StochasticOutcome) -> Vec<u64> {
+        let estimates = outcome.observable_estimates.iter();
+        estimates.map(|value| value.to_bits()).collect()
+    }
 
     #[test]
     fn histogram_counts_sum_to_shots() {
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(500).with_threads(4);
-        let outcome = run_stochastic(&backend, &ghz(6), &config, &[]);
+        let outcome = run(
+            &engine(DD, &ghz(6), paper(), SEED),
+            Dedup,
+            500,
+            &[],
+            Threads(4),
+        );
         let total: u64 = outcome.counts.values().sum();
         assert_eq!(total, 500);
         assert_eq!(outcome.shots, 500);
@@ -933,10 +693,9 @@ mod tests {
 
     #[test]
     fn results_are_independent_of_thread_count() {
-        let backend = DdSimulator::new();
-        let base = StochasticConfig::new(200).with_seed(7);
-        let single = run_stochastic(&backend, &ghz(4), &base.clone().with_threads(1), &[]);
-        let multi = run_stochastic(&backend, &ghz(4), &base.with_threads(4), &[]);
+        let engine = engine(DD, &ghz(4), paper(), 7);
+        let single = run(&engine, Dedup, 200, &[], Threads(1));
+        let multi = run(&engine, Dedup, 200, &[], Threads(4));
         assert_eq!(single.counts, multi.counts);
         assert_eq!(single.dd_nodes_peak, multi.dd_nodes_peak);
         assert!((single.dd_nodes_avg - multi.dd_nodes_avg).abs() < 1e-12);
@@ -944,30 +703,21 @@ mod tests {
 
     #[test]
     fn observable_sums_are_bit_stable_for_a_fixed_thread_count() {
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(240).with_seed(3).with_threads(3);
+        let engine = engine(DD, &ghz(4), paper(), 3);
         let observables = vec![
             Observable::BasisProbability(0),
             Observable::QubitExcitation(2),
         ];
-        let first = run_stochastic(&backend, &ghz(4), &config, &observables);
-        let second = run_stochastic(&backend, &ghz(4), &config, &observables);
-        for (a, b) in first
-            .observable_estimates
-            .iter()
-            .zip(&second.observable_estimates)
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "merge order leaked into sums");
-        }
+        let first = run(&engine, Dedup, 240, &observables, Threads(3));
+        let second = run(&engine, Dedup, 240, &observables, Threads(3));
+        let (first, second) = (observable_bits(&first), observable_bits(&second));
+        assert_eq!(first, second, "merge order leaked into sums");
     }
 
     #[test]
     fn noiseless_ghz_splits_between_the_two_peaks() {
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(400)
-            .with_noise(NoiseModel::noiseless())
-            .with_threads(2);
-        let outcome = run_stochastic(&backend, &ghz(5), &config, &[]);
+        let engine = engine(DD, &ghz(5), NoiseModel::noiseless(), SEED);
+        let outcome = run(&engine, Dedup, 400, &[], Threads(2));
         let all_ones = (1u64 << 5) - 1;
         let p0 = outcome.frequency(0);
         let p1 = outcome.frequency(all_ones);
@@ -981,15 +731,12 @@ mod tests {
 
     #[test]
     fn observable_estimates_track_exact_values() {
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(300)
-            .with_noise(NoiseModel::noiseless())
-            .with_threads(3);
+        let engine = engine(DD, &ghz(4), NoiseModel::noiseless(), SEED);
         let observables = vec![
             Observable::BasisProbability(0),
             Observable::QubitExcitation(1),
         ];
-        let outcome = run_stochastic(&backend, &ghz(4), &config, &observables);
+        let outcome = run(&engine, Dedup, 300, &observables, Threads(3));
         assert_eq!(outcome.observable_estimates.len(), 2);
         assert!((outcome.observable_estimates[0] - 0.5).abs() < 1e-9);
         assert!((outcome.observable_estimates[1] - 0.5).abs() < 1e-9);
@@ -998,9 +745,20 @@ mod tests {
     #[test]
     fn dense_and_dd_backends_agree_statistically() {
         let circuit = ghz(4);
-        let config = StochasticConfig::new(600).with_seed(21).with_threads(2);
-        let dd = run_stochastic(&DdSimulator::new(), &circuit, &config, &[]);
-        let dense = run_stochastic(&DenseSimulator::new(), &circuit, &config, &[]);
+        let dd = run(
+            &engine(DD, &circuit, paper(), 21),
+            Dedup,
+            600,
+            &[],
+            Threads(2),
+        );
+        let dense = run(
+            &engine(DENSE, &circuit, paper(), 21),
+            Dedup,
+            600,
+            &[],
+            Threads(2),
+        );
         let all_ones = (1u64 << 4) - 1;
         for outcome in [0, all_ones] {
             let diff = (dd.frequency(outcome) - dense.frequency(outcome)).abs();
@@ -1014,35 +772,24 @@ mod tests {
     }
 
     #[test]
-    fn stage_timings_cover_the_pipeline_on_every_runner() {
-        use crate::{BackendKind, ShotEngine};
-        use qsdd_transpile::OptLevel;
-
-        // Threaded runner: compile + execute are always timed.
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(64).with_threads(2).with_seed(5);
-        let outcome = run_stochastic(&backend, &ghz(4), &config, &[]);
+    fn stage_timings_cover_the_pipeline_on_every_placement() {
+        // Threaded: compile + execute are always timed.
+        let outcome = run(&engine(DD, &ghz(4), paper(), 5), Dedup, 64, &[], Threads(2));
         assert!(outcome.stage_timings.get(Stage::Execute) > Duration::ZERO);
         assert!(outcome.stage_timings.total() >= outcome.stage_timings.get(Stage::Execute));
 
-        // In-context runner (the server path): the engine's compile time is
-        // merged in, the dedup driver fills presample, and the
-        // instrumentation never alters results.
-        let engine = ShotEngine::new(
-            &ghz(4),
-            BackendKind::DecisionDiagram,
-            NoiseModel::noiseless().with_depolarizing(0.05),
-            9,
-            OptLevel::O1,
-        );
-        let mut ctx = engine.new_context();
-        let in_ctx = run_engine_in(&engine, &mut ctx, 64, &[], true);
+        // In-context (the server path): the engine's compile time is merged
+        // in, the dedup body fills presample, and the instrumentation never
+        // alters results.
+        let noise = NoiseModel::noiseless().with_depolarizing(0.05);
+        let engine = ShotEngine::new(&ghz(4), DD, noise, 9, crate::OptLevel::O1);
+        let in_ctx = run(&engine, Dedup, 64, &[], Inline(&mut engine.new_context()));
         assert!(in_ctx.stage_timings.get(Stage::Compile) > Duration::ZERO);
         assert!(in_ctx.stage_timings.get(Stage::Execute) > Duration::ZERO);
         if in_ctx.dedup.is_some() {
             assert!(in_ctx.stage_timings.get(Stage::Presample) > Duration::ZERO);
         }
-        let reference = run_engine_dedup(&engine, 64, 1, &[]);
+        let reference = run(&engine, Dedup, 64, &[], Threads(1));
         assert_eq!(in_ctx.counts, reference.counts);
         assert_eq!(in_ctx.error_events, reference.error_events);
     }
@@ -1051,15 +798,14 @@ mod tests {
     fn decision_diagram_runs_never_build_an_intra_pool() {
         // The width request is inert on the serial back-end and honoured
         // on the dense one (a lone worker skips the core clamp).
-        for dedup in [true, false] {
-            let config = StochasticConfig::new(32)
-                .with_threads(1)
-                .with_intra_threads(2)
-                .with_dedup(dedup);
-            let dd = run_stochastic(&DdSimulator::new(), &ghz(4), &config, &[]);
-            assert_eq!(dd.stage_timings.get(Stage::IntraExecute), Duration::ZERO);
-            let dense = run_stochastic(&DenseSimulator::new(), &ghz(4), &config, &[]);
-            assert!(dense.stage_timings.get(Stage::IntraExecute) > Duration::ZERO);
+        for mode in [Dedup, PerShot] {
+            let intra_time = |kind| {
+                let engine = engine(kind, &ghz(4), paper(), SEED).with_intra_threads(2);
+                let outcome = run(&engine, mode.clone(), 32, &[], Threads(1));
+                outcome.stage_timings.get(Stage::IntraExecute)
+            };
+            assert_eq!(intra_time(DD), Duration::ZERO);
+            assert!(intra_time(DENSE) > Duration::ZERO);
         }
     }
 
@@ -1068,15 +814,7 @@ mod tests {
         let outcome = StochasticOutcome {
             counts: HashMap::from([(7u64, 5u64), (2, 5), (4, 5), (9, 3)]),
             shots: 18,
-            observable_estimates: Vec::new(),
-            error_events: 0,
-            dd_nodes_avg: 0.0,
-            dd_nodes_peak: 0,
-            wall_time: Duration::ZERO,
-            threads: 1,
-            dedup: None,
-            weighted: None,
-            stage_timings: StageTimings::new(),
+            ..StochasticOutcome::empty(0, 1, Duration::ZERO)
         };
         // All of 2, 4, 7 are tied at 5 counts: the smallest index wins,
         // independent of hash-map iteration order.
@@ -1087,10 +825,14 @@ mod tests {
 
     #[test]
     fn zero_shots_yield_an_empty_outcome() {
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(0).with_threads(4);
         let observables = [Observable::QubitExcitation(0)];
-        let outcome = run_stochastic(&backend, &ghz(3), &config, &observables);
+        let outcome = run(
+            &engine(DD, &ghz(3), paper(), SEED),
+            Dedup,
+            0,
+            &observables,
+            Threads(4),
+        );
         assert_eq!(outcome.shots, 0);
         assert!(outcome.counts.is_empty());
         // Even with no workers spawned the resolved thread count is reported.
@@ -1103,107 +845,43 @@ mod tests {
     }
 
     #[test]
-    fn run_engine_matches_run_stochastic_exactly() {
-        // Both runners share the per-shot rng derivation, so histograms and
-        // error counts must agree bit for bit, whatever the thread count.
-        let circuit = ghz(5);
-        let config = StochasticConfig::new(300)
-            .with_seed(13)
-            .with_threads(3)
-            .with_noise(NoiseModel::paper_defaults());
-        let generic = run_stochastic(&DdSimulator::new(), &circuit, &config, &[]);
-        let engine = ShotEngine::new(
-            &circuit,
-            crate::BackendKind::DecisionDiagram,
-            config.noise,
-            config.seed,
-            crate::OptLevel::O0,
-        );
-        for threads in [1, 2, 5] {
-            let via_engine = run_engine(&engine, 300, threads, &[]);
-            assert_eq!(via_engine.counts, generic.counts);
-            assert_eq!(via_engine.error_events, generic.error_events);
-            assert_eq!(via_engine.shots, 300);
-            assert_eq!(via_engine.dd_nodes_peak, generic.dd_nodes_peak);
-        }
-    }
-
-    #[test]
-    fn run_engine_in_matches_the_single_threaded_runners_bit_for_bit() {
+    fn inline_matches_the_single_threaded_placement_bit_for_bit() {
         // Paper noise mixes pattern groups with live (damping) shots, which
         // exercises both arms of the serial dedup driver.
-        let circuit = ghz(6);
-        let engine = ShotEngine::new(
-            &circuit,
-            crate::BackendKind::DecisionDiagram,
-            NoiseModel::paper_defaults(),
-            17,
-            crate::OptLevel::O0,
-        );
+        let engine = engine(DD, &ghz(6), paper(), 17);
         let observables = vec![
             Observable::BasisProbability(0),
             Observable::QubitExcitation(2),
         ];
         let mut ctx = engine.new_context();
-        for dedup in [true, false] {
-            let serial = run_engine_in(&engine, &mut ctx, 300, &observables, dedup);
-            let reference = if dedup {
-                run_engine_dedup(&engine, 300, 1, &observables)
-            } else {
-                run_engine(&engine, 300, 1, &observables)
-            };
-            assert_eq!(serial.counts, reference.counts, "dedup={dedup}");
-            assert_eq!(serial.error_events, reference.error_events);
-            assert_eq!(serial.dd_nodes_peak, reference.dd_nodes_peak);
-            assert_eq!(
-                serial.dd_nodes_avg.to_bits(),
-                reference.dd_nodes_avg.to_bits()
-            );
-            assert_eq!(serial.dedup, reference.dedup, "dedup={dedup}");
+        for mode in [Dedup, PerShot] {
+            let serial = run(&engine, mode.clone(), 300, &observables, Inline(&mut ctx));
+            let reference = run(&engine, mode.clone(), 300, &observables, Threads(1));
+            assert_eq!(aggregates(&serial), aggregates(&reference), "{mode:?}");
             assert_eq!(serial.threads, 1);
-            for (a, b) in serial
-                .observable_estimates
-                .iter()
-                .zip(&reference.observable_estimates)
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "observable sums drifted");
-            }
+            let (serial, reference) = (observable_bits(&serial), observable_bits(&reference));
+            assert_eq!(serial, reference, "observable sums drifted");
         }
     }
 
     #[test]
-    fn run_engine_in_reuses_one_context_across_jobs() {
+    fn inline_reuses_one_context_across_jobs() {
         // The same context serves jobs of both backend kinds back to back —
         // the server worker-pool pattern — without affecting results.
-        let mut ctx = crate::ExecContext::new();
-        for kind in [
-            crate::BackendKind::DecisionDiagram,
-            crate::BackendKind::Statevector,
-        ] {
-            let engine = ShotEngine::new(
-                &ghz(4),
-                kind,
-                NoiseModel::paper_defaults(),
-                3,
-                crate::OptLevel::O0,
-            );
-            let warm = run_engine_in(&engine, &mut ctx, 120, &[], true);
-            let fresh = run_engine_in(&engine, &mut engine.new_context(), 120, &[], true);
+        let mut ctx = ExecContext::new();
+        for kind in [DD, DENSE] {
+            let engine = engine(kind, &ghz(4), paper(), 3);
+            let warm = run(&engine, Dedup, 120, &[], Inline(&mut ctx));
+            let fresh = run(&engine, Dedup, 120, &[], Inline(&mut engine.new_context()));
             assert_eq!(warm.counts, fresh.counts);
             assert_eq!(warm.dedup, fresh.dedup);
         }
     }
 
     #[test]
-    fn run_engine_in_handles_zero_shots() {
-        let engine = ShotEngine::new(
-            &ghz(3),
-            crate::BackendKind::DecisionDiagram,
-            NoiseModel::noiseless(),
-            1,
-            crate::OptLevel::O0,
-        );
-        let outcome = run_engine_in(&engine, &mut engine.new_context(), 0, &[], true);
+    fn inline_handles_zero_shots() {
+        let engine = engine(DD, &ghz(3), NoiseModel::noiseless(), 1);
+        let outcome = run(&engine, Dedup, 0, &[], Inline(&mut engine.new_context()));
         assert_eq!(outcome.shots, 0);
         assert!(outcome.counts.is_empty());
         assert_eq!(outcome.threads, 1);
@@ -1211,12 +889,127 @@ mod tests {
 
     #[test]
     fn noise_produces_error_events() {
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(200)
-            .with_noise(NoiseModel::new(0.05, 0.05, 0.05))
-            .with_threads(2);
-        let outcome = run_stochastic(&backend, &ghz(8), &config, &[]);
+        let engine = engine(DD, &ghz(8), NoiseModel::new(0.05, 0.05, 0.05), SEED);
+        let outcome = run(&engine, Dedup, 200, &[], Threads(2));
         assert!(outcome.error_events > 0);
         assert!(outcome.error_rate() > 0.0);
+    }
+
+    /// The mode × placement matrix: what "one driver" promises, cell by
+    /// cell. Three engines cover the whole fallback chain — full dedup and
+    /// weighted support, neither (dense under damping noise runs every mode
+    /// per shot), and prefix dedup without weighted support.
+    #[test]
+    fn every_mode_agrees_across_every_placement() {
+        const SHOTS: usize = 240;
+        let mut measured = Circuit::new(3);
+        measured.h(0).cx(0, 1).cx(1, 2).measure(0, 0).x(1);
+        let engines = [
+            engine(DD, &ghz(6), paper(), 17),
+            engine(DENSE, &ghz(4), paper(), 17),
+            engine(DD, &measured, paper(), 17),
+        ];
+        assert!(engines[0].supports_weighted() && engines[0].supports_dedup());
+        assert!(!engines[1].supports_dedup());
+        assert!(engines[2].supports_dedup() && !engines[2].supports_weighted());
+        let warm_ups = [
+            engine(DD, &qft(3), paper(), 3),
+            engine(DENSE, &qft(3), paper(), 3),
+        ];
+        let observables = [
+            Observable::BasisProbability(0),
+            Observable::QubitExcitation(1),
+        ];
+        let options = WeightedOptions::default();
+        for engine in &engines {
+            let mut references = Vec::new();
+            for mode in [PerShot, Dedup, Weighted(options.clone())] {
+                let cell = format!("{} / {mode:?}", engine.circuit().name());
+                let enumerates = matches!(mode, Weighted(_)) && engine.supports_weighted();
+                let dedups = mode != PerShot && !enumerates && engine.supports_dedup();
+                let plan = ExecPlan::new(mode.clone(), SHOTS, &observables);
+                let reference = execute(engine, &plan, Threads(1)).unwrap();
+                assert_eq!(reference.weighted.is_some(), enumerates, "{cell}");
+                assert_eq!(reference.dedup.is_some(), dedups, "{cell}");
+                let same = |other: StochasticOutcome, bits: bool, what: &str| {
+                    assert_eq!(aggregates(&other), aggregates(&reference), "{cell}: {what}");
+                    let bits = bits.then(|| observable_bits(&other));
+                    let expected = bits.is_some().then(|| observable_bits(&reference));
+                    assert_eq!(bits, expected, "{cell}: {what}");
+                };
+                let mut fresh = engine.new_context();
+                let mut warm = ExecContext::new();
+                for other in &warm_ups {
+                    run(other, Dedup, 40, &[], Inline(&mut warm));
+                }
+
+                // (a) Every placement computes the reference result.
+                let threaded = execute(engine, &plan, Threads(3)).unwrap();
+                assert_eq!(threaded.threads, if enumerates { 1 } else { 3 }, "{cell}");
+                same(threaded, false, "three threads");
+                for (ctx, what) in [(&mut fresh, "fresh"), (&mut warm, "warm")] {
+                    let inline = execute(engine, &plan, Inline(ctx)).unwrap();
+                    assert_eq!(inline.threads, 1, "{cell}");
+                    same(inline, true, what);
+                }
+
+                // (b) A spent deadline times every cell out, and a context
+                // that saw the timeout stays reusable.
+                let spent = plan.clone().with_deadline(Deadline::within(Duration::ZERO));
+                for threads in [1, 3] {
+                    let result = execute(engine, &spent, Threads(threads));
+                    assert_eq!(result.unwrap_err(), TimedOut, "{cell}");
+                }
+                for (ctx, what) in [(&mut fresh, "fresh"), (&mut warm, "warm")] {
+                    let result = execute(engine, &spent, Inline(ctx));
+                    assert_eq!(result.unwrap_err(), TimedOut, "{cell}: {what}");
+                    same(
+                        execute(engine, &plan, Inline(ctx)).unwrap(),
+                        true,
+                        "after a timeout",
+                    );
+                }
+
+                // (c) Zero shots: the sampling bodies return the empty
+                // outcome reporting the resolved worker count; an
+                // exact-histogram enumeration still happens.
+                let exact = Weighted(options.clone().with_exact_histogram(true));
+                let empty = ExecPlan::new(if enumerates { exact } else { mode }, 0, &observables);
+                for (on, threads) in [
+                    (Threads(3), 3),
+                    (Threads(0), resolve_threads(0)),
+                    (Inline(&mut fresh), 1),
+                ] {
+                    let outcome = execute(engine, &empty, on).unwrap();
+                    assert_eq!(outcome.shots, 0, "{cell}");
+                    assert!(
+                        outcome.counts.is_empty() && outcome.dedup.is_none(),
+                        "{cell}"
+                    );
+                    assert_eq!(outcome.weighted.is_some(), enumerates, "{cell}");
+                    if let Some(stats) = &outcome.weighted {
+                        assert!(stats.enumerated_trajectories > 0, "{cell}");
+                        assert_eq!(outcome.threads, 1, "{cell}");
+                    } else {
+                        assert_eq!(outcome.threads, threads, "{cell}");
+                        assert_eq!(outcome.observable_estimates, vec![0.0; 2], "{cell}");
+                    }
+                }
+                references.push(reference);
+            }
+
+            // Dedup is an optimisation of per-shot execution, never an
+            // observable; an unsupported weighted job *is* the dedup job.
+            let [per_shot, dedup, weighted] = &mut references[..] else {
+                unreachable!("three modes ran");
+            };
+            assert_eq!(observable_bits(dedup), observable_bits(per_shot));
+            if weighted.weighted.is_none() {
+                assert_eq!(aggregates(weighted), aggregates(dedup));
+                assert_eq!(observable_bits(weighted), observable_bits(dedup));
+            }
+            dedup.dedup = None;
+            assert_eq!(aggregates(dedup), aggregates(per_shot));
+        }
     }
 }

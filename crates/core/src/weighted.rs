@@ -1,6 +1,6 @@
 //! Weighted trajectory enumeration: exact mixtures instead of samples.
 //!
-//! The Monte-Carlo drivers ([`crate::stochastic`], [`crate::dedup`]) *sample*
+//! The sampling modes ([`crate::stochastic`], [`crate::dedup`]) *sample*
 //! error trajectories: every shot draws a pattern and the histogram converges
 //! at the usual `1/sqrt(shots)` rate. Under realistic noise strengths that is
 //! wasteful — a handful of patterns (no error, one error, …) carries almost
@@ -36,7 +36,7 @@
 //!
 //! # Determinism
 //!
-//! The whole driver is serial, so results are bit-identical across repeat
+//! The whole body is serial, so results are bit-identical across repeat
 //! runs and independent of any requested thread count. Tail shot `k`
 //! derives its generator from the engine seed XOR a fixed salt — disjoint
 //! from the ordinary shot streams, and stable under re-runs.
@@ -48,14 +48,10 @@ use qsdd_noise::{ErrorPattern, PatternEnumerator, Presampled, WeightedPattern};
 use qsdd_telemetry::trace;
 use qsdd_telemetry::Stage;
 
-use crate::deadline::{Deadline, TimedOut};
-use crate::estimator::Observable;
+use crate::deadline::TimedOut;
 use crate::fxhash::FxHashMap;
 use crate::shot_engine::{ExecContext, ShotEngine};
-use crate::stochastic::{
-    publish_job_metrics, run_engine_dedup_deadline, run_engine_in_deadline, shot_rng,
-    trace_dd_attrs, trace_dd_stats, StochasticOutcome,
-};
+use crate::stochastic::{shot_rng, trace_dd_attrs, trace_dd_stats, ExecPlan, StochasticOutcome};
 
 /// Largest circuit (in qubits) the weighted driver accepts: beyond this the
 /// exact histogram can outgrow memory, so the engine falls back to sampling.
@@ -139,97 +135,30 @@ pub struct WeightedStats {
     pub distribution: Vec<(u64, f64)>,
 }
 
-/// Runs the weighted-enumeration driver on a prepared [`ShotEngine`].
+/// The weighted-enumeration body of [`execute`](crate::execute), serial on
+/// the calling thread in `ctx`.
 ///
 /// Enumerates error patterns in descending probability order (bounded by
 /// `options`), simulates each once for its exact outcome distribution, and
 /// covers the un-enumerated mass with `~residual^2 * shots` rejection-sampled
 /// tail shots (see the module docs for the estimator and its sizing).
-/// `shots` also sizes the integer histogram synthesised from the final
-/// distribution.
-///
-/// Falls back to [`run_engine_dedup`] — same inputs, sampled estimator —
-/// when the engine does not support weighted enumeration (mid-circuit
-/// measurement/reset, more than [`MAX_WEIGHTED_QUBITS`] qubits, or an
-/// unsupported channel kind); `threads` is only used by that fallback, the
-/// weighted path itself is serial and bit-deterministic.
-pub fn run_engine_weighted(
-    engine: &ShotEngine,
-    shots: usize,
-    threads: usize,
-    observables: &[Observable],
-    options: &WeightedOptions,
-) -> StochasticOutcome {
-    run_engine_weighted_deadline(
-        engine,
-        shots,
-        threads,
-        observables,
-        options,
-        &Deadline::unbounded(),
-    )
-    .expect("an unbounded deadline never expires")
-}
-
-/// [`run_engine_weighted`] under a cooperative [`Deadline`], checked per
-/// enumerated pattern and per tail candidate; on expiry the run returns
-/// [`TimedOut`] with no partial results.
-pub fn run_engine_weighted_deadline(
-    engine: &ShotEngine,
-    shots: usize,
-    threads: usize,
-    observables: &[Observable],
-    options: &WeightedOptions,
-    deadline: &Deadline,
-) -> Result<StochasticOutcome, TimedOut> {
-    if engine.weighted_plan().is_none() {
-        return run_engine_dedup_deadline(engine, shots, threads, observables, deadline);
-    }
-    let mut ctx = engine.new_context();
-    // The weighted driver is serial (one worker), so the engine's requested
-    // intra-shot width is honoured as-is.
-    ctx.set_intra_threads(engine.intra_threads());
-    run_engine_weighted_in_deadline(engine, &mut ctx, shots, observables, options, deadline)
-}
-
-/// The in-context twin of [`run_engine_weighted`], for callers that own a
-/// long-lived [`ExecContext`] (the server worker pool). Serial, on the
-/// calling thread; results are bit-identical to [`run_engine_weighted`].
-pub fn run_engine_weighted_in(
+/// `job.shots` also sizes the integer histogram synthesised from the final
+/// distribution; the deadline is checked per enumerated pattern and per
+/// tail candidate. Fills the presample/execute/aggregate entries of the
+/// outcome's stage breakdown. Panics if the engine does not support
+/// enumeration: the driver resolves such plans to the deduplicating sampler.
+pub(crate) fn run_weighted(
     engine: &ShotEngine,
     ctx: &mut ExecContext,
-    shots: usize,
-    observables: &[Observable],
+    job: &ExecPlan<'_>,
     options: &WeightedOptions,
-) -> StochasticOutcome {
-    run_engine_weighted_in_deadline(
-        engine,
-        ctx,
-        shots,
-        observables,
-        options,
-        &Deadline::unbounded(),
-    )
-    .expect("an unbounded deadline never expires")
-}
-
-/// [`run_engine_weighted_in`] under a cooperative [`Deadline`] (see
-/// [`run_engine_weighted_deadline`] for the check sites).
-pub fn run_engine_weighted_in_deadline(
-    engine: &ShotEngine,
-    ctx: &mut ExecContext,
-    shots: usize,
-    observables: &[Observable],
-    options: &WeightedOptions,
-    deadline: &Deadline,
 ) -> Result<StochasticOutcome, TimedOut> {
-    let started = Instant::now();
+    let (shots, deadline) = (job.shots, &job.deadline);
     let bounded = !deadline.is_unbounded();
-    let Some(plan) = engine.weighted_plan() else {
-        return run_engine_in_deadline(engine, ctx, shots, observables, true, deadline);
-    };
-    let dd_before = ctx.dd_table_stats();
-    let mapped = engine.map_observables(observables);
+    let mapped = engine.map_observables(job.observables);
+    let plan = engine
+        .weighted_plan()
+        .expect("the driver resolved the mode against the engine");
 
     // Enumeration books under the presample stage: it is the weighted
     // counterpart of resolving shots' error decisions up front.
@@ -402,16 +331,14 @@ pub fn run_engine_weighted_in_deadline(
             0.0
         },
         dd_nodes_peak: nodes_peak,
-        wall_time: started.elapsed(),
-        threads: 1,
-        dedup: None,
         weighted: Some(WeightedStats {
             covered_mass: covered,
             enumerated_trajectories: simulated,
             tail_shots,
             distribution: entries,
         }),
-        stage_timings: qsdd_telemetry::StageTimings::new(),
+        // One serial worker; the driver's epilogue stamps the wall time.
+        ..StochasticOutcome::empty(0, 1, std::time::Duration::ZERO)
     };
     outcome
         .stage_timings
@@ -420,13 +347,6 @@ pub fn run_engine_weighted_in_deadline(
     outcome
         .stage_timings
         .record(Stage::Aggregate, aggregate_started.elapsed());
-    outcome.stage_timings.merge(&engine.stage_timings());
-    if engine.wide_pool(ctx).is_some() {
-        outcome
-            .stage_timings
-            .record(Stage::IntraExecute, execute_time);
-    }
-    publish_job_metrics(&outcome, ctx.dd_table_stats().since(&dd_before));
     Ok(outcome)
 }
 
@@ -468,6 +388,7 @@ fn synthesize_counts(distribution: &[(u64, f64)], shots: usize) -> HashMap<u64, 
 mod tests {
     use super::*;
     use crate::simulator::BackendKind;
+    use crate::stochastic::{execute, ExecMode, Placement};
     use qsdd_circuit::generators::ghz;
     use qsdd_noise::NoiseModel;
     use qsdd_transpile::OptLevel;
@@ -482,13 +403,17 @@ mod tests {
         )
     }
 
+    fn plan(shots: usize, options: &WeightedOptions) -> ExecPlan<'static> {
+        ExecPlan::new(ExecMode::Weighted(options.clone()), shots, &[])
+    }
+
     #[test]
     fn full_coverage_is_exact_and_needs_no_tail() {
         let engine = engine(4, NoiseModel::noiseless().with_depolarizing(0.01));
         let options = WeightedOptions::default()
             .with_mass_cutoff(1.0)
             .with_max_patterns(u64::MAX);
-        let outcome = run_engine_weighted(&engine, 1000, 1, &[], &options);
+        let outcome = execute(&engine, &plan(1000, &options), Placement::Threads(1)).unwrap();
         let stats = outcome.weighted.expect("weighted path must engage");
         assert!((stats.covered_mass - 1.0).abs() < 1e-9);
         assert_eq!(stats.tail_shots, 0);
@@ -502,8 +427,8 @@ mod tests {
     fn weighted_runs_are_bit_identical_across_repeats() {
         let engine = engine(5, NoiseModel::paper_defaults());
         let options = WeightedOptions::default();
-        let first = run_engine_weighted(&engine, 500, 1, &[], &options);
-        let second = run_engine_weighted(&engine, 500, 8, &[], &options);
+        let first = execute(&engine, &plan(500, &options), Placement::Threads(1)).unwrap();
+        let second = execute(&engine, &plan(500, &options), Placement::Threads(8)).unwrap();
         assert_eq!(first.counts, second.counts);
         let (a, b) = (first.weighted.unwrap(), second.weighted.unwrap());
         assert_eq!(a.distribution.len(), b.distribution.len());
@@ -529,7 +454,8 @@ mod tests {
             OptLevel::O0,
         );
         assert!(!engine.supports_weighted());
-        let outcome = run_engine_weighted(&engine, 200, 1, &[], &WeightedOptions::default());
+        let options = WeightedOptions::default();
+        let outcome = execute(&engine, &plan(200, &options), Placement::Threads(1)).unwrap();
         assert!(outcome.weighted.is_none());
         assert_eq!(outcome.counts.values().sum::<u64>(), 200);
     }

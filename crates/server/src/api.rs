@@ -592,6 +592,7 @@ pub fn result_payload(input: &JobInput, outcome: &StochasticOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsdd_core::{execute, ExecMode, ExecPlan, Placement};
 
     fn ghz_request(extra: &str) -> String {
         format!(r#"{{"circuit":{{"generator":"ghz","qubits":5}},"shots":200,"seed":7{extra}}}"#)
@@ -872,11 +873,10 @@ mod tests {
             input.opt,
         );
         let mut ctx = engine.new_context();
-        let outcome =
-            qsdd_core::run_engine_in(&engine, &mut ctx, input.shots, &input.observables, true);
+        let plan = ExecPlan::new(ExecMode::Dedup, input.shots, &input.observables);
+        let outcome = execute(&engine, &plan, Placement::Inline(&mut ctx)).unwrap();
         let payload = result_payload(&input, &outcome);
-        let again =
-            qsdd_core::run_engine_in(&engine, &mut ctx, input.shots, &input.observables, true);
+        let again = execute(&engine, &plan, Placement::Inline(&mut ctx)).unwrap();
         assert_eq!(payload, result_payload(&input, &again));
         let parsed = qsdd_json::parse(&payload).unwrap();
         assert_eq!(

@@ -12,10 +12,10 @@
 //!    execution queue** — or rejected with `429` when the queue is full.
 //! 3. **Worker** threads pop cells off the queue. Each worker owns one
 //!    long-lived [`ExecContext`] for its entire lifetime and executes every
-//!    job through [`run_engine_in`], so decision-diagram arenas, amplitude
-//!    buffers and operator caches are rewound — never rebuilt — across
-//!    requests (the PR-3 reuse path), and the PR-4 trajectory-dedup driver
-//!    runs whenever the job allows it.
+//!    job through [`execute`] at [`Placement::Inline`] in it, so
+//!    decision-diagram arenas, amplitude buffers and operator caches are
+//!    rewound — never rebuilt — across requests (the PR-3 reuse path), and
+//!    the PR-4 trajectory-dedup body runs whenever the job allows it.
 //! 4. Completion publishes the deterministic result payload to the cell
 //!    (waking every coalesced submission at once) and registers it with the
 //!    cache's LRU for eviction accounting.
@@ -34,7 +34,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qsdd_core::{run_engine_in_deadline, Deadline, ExecContext, ShotEngine, TimedOut};
+use qsdd_core::{
+    execute, Deadline, ExecContext, ExecMode, ExecPlan, Placement, ShotEngine, TimedOut,
+};
 use qsdd_json::Value;
 use qsdd_telemetry::trace::{self, AttrValue, TraceStore, Tracer};
 use qsdd_telemetry::{log_kv, Level, SpanTimer, Stage, StageTimings};
@@ -183,13 +185,7 @@ impl Server {
         qsdd_store::fault::init_from_env();
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let workers = if config.threads > 0 {
-            config.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
+        let workers = qsdd_core::resolve_threads(config.threads);
         // Open the durable store (when configured) and replay every
         // surviving record into the cache as an already-completed entry, so
         // a restarted server answers previously finished jobs byte-for-byte
@@ -912,24 +908,9 @@ fn execute_job(state: &Arc<ServerState>, cell: &Arc<ExecutionCell>, ctx: &mut Ex
                 engine.intra_threads(),
                 state.workers,
             ));
-            let outcome = match &input.weighted {
-                Some(options) => qsdd_core::run_engine_weighted_in_deadline(
-                    &engine,
-                    ctx,
-                    input.shots,
-                    &input.observables,
-                    options,
-                    &deadline,
-                )?,
-                None => run_engine_in_deadline(
-                    &engine,
-                    ctx,
-                    input.shots,
-                    &input.observables,
-                    input.dedup,
-                    &deadline,
-                )?,
-            };
+            let mode = ExecMode::from_switches(input.dedup, input.weighted.clone());
+            let plan = ExecPlan::new(mode, input.shots, &input.observables).with_deadline(deadline);
+            let outcome = execute(&engine, &plan, Placement::Inline(ctx))?;
             // The payload is timing-free by contract (byte-identical cache
             // serving); the breakdown rides alongside into the job envelope.
             Ok((api::result_payload(input, &outcome), outcome.stage_timings))

@@ -22,7 +22,8 @@ use std::process::ExitCode;
 use qsdd::batch::{jobfile, json::Value, run_batch, BatchOptions, BatchReport, JobStatus};
 use qsdd::circuit::{generators, qasm, Circuit};
 use qsdd::core::{
-    BackendKind, OptLevel, Stage, StageTimings, StochasticSimulator, WeightedOptions,
+    execute, BackendKind, ExecMode, ExecPlan, OptLevel, Placement, ShotEngine, Stage, StageTimings,
+    WeightedOptions,
 };
 use qsdd::noise::NoiseModel;
 use qsdd::server::{serve_forever, ServerConfig};
@@ -664,17 +665,6 @@ fn run(options: Options) -> ExitCode {
         }
     }
 
-    let mut simulator = StochasticSimulator::new()
-        .with_backend(options.backend)
-        .with_shots(options.shots)
-        .with_threads(options.threads)
-        .with_intra_threads(options.intra_threads)
-        .with_seed(options.seed)
-        .with_noise(options.noise)
-        .with_dedup(options.dedup);
-    if let Some(weighted) = options.weighted.clone() {
-        simulator = simulator.with_weighted(weighted);
-    }
     // The run's deadline (when --timeout set one). Cancellation is
     // cooperative — checked between shots — so a timed-out run exits
     // promptly without leaving partial results on stdout.
@@ -691,10 +681,15 @@ fn run(options: Options) -> ExitCode {
         qsdd::telemetry::trace::Tracer::forced(options.circuit.name(), options.circuit.name())
     });
     let traced = tracer.as_ref().map(|tracer| tracer.install(0));
-    let result = match &transpiled {
-        Some(transpiled) => simulator.run_transpiled_deadline(transpiled, &[], &deadline),
-        None => simulator.run_with_observables_deadline(&options.circuit, &[], &deadline),
-    };
+    let (backend, noise, seed) = (options.backend, options.noise, options.seed);
+    let engine = match &transpiled {
+        Some(transpiled) => ShotEngine::from_transpiled(transpiled, backend, noise, seed),
+        None => ShotEngine::new(&options.circuit, backend, noise, seed, OptLevel::O0),
+    }
+    .with_intra_threads(options.intra_threads);
+    let mode = ExecMode::from_switches(options.dedup, options.weighted.clone());
+    let plan = ExecPlan::new(mode, options.shots, &[]).with_deadline(deadline);
+    let result = execute(&engine, &plan, Placement::Threads(options.threads));
     drop(traced);
     let result = match result {
         Ok(result) => result,

@@ -9,7 +9,9 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use qsdd::circuit::Circuit;
-use qsdd::core::{run_engine, BackendKind, Observable, OptLevel, ShotEngine};
+use qsdd::core::{
+    execute, BackendKind, ExecMode, ExecPlan, Observable, OptLevel, Placement, ShotEngine,
+};
 use qsdd::noise::NoiseModel;
 
 const SHOTS: usize = 48;
@@ -74,7 +76,7 @@ fn arb_noisy_circuit(qubits: usize, max_len: usize) -> impl Strategy<Value = Cir
     })
 }
 
-/// Aggregates shots `0..shots` exactly like `run_engine`'s strided worker
+/// Aggregates shots `0..shots` exactly like `execute`'s strided per-shot
 /// loop, but with a **fresh throwaway context for every shot** — the
 /// reference the reused-context paths must reproduce byte for byte.
 fn fresh_reference(
@@ -86,7 +88,7 @@ fn fresh_reference(
     let mapped = engine.map_observables(observables);
     let mut counts: HashMap<u64, u64> = HashMap::new();
     let mut errors = 0u64;
-    // Per-worker partial sums merged in worker order, mirroring run_engine.
+    // Per-worker partial sums merged in worker order, mirroring execute.
     let mut sums = vec![0.0f64; observables.len()];
     let mut samples = 0u64;
     for worker in 0..threads {
@@ -171,7 +173,8 @@ proptest! {
         ];
         let mut histograms = Vec::new();
         for threads in [1usize, 2, 8] {
-            let outcome = run_engine(&engine, SHOTS, threads, &observables);
+            let plan = ExecPlan::new(ExecMode::PerShot, SHOTS, &observables);
+            let outcome = execute(&engine, &plan, Placement::Threads(threads)).unwrap();
             let (fresh_counts, fresh_means, fresh_errors) =
                 fresh_reference(&engine, SHOTS, threads, &observables);
             prop_assert_eq!(&outcome.counts, &fresh_counts, "histogram diverged");

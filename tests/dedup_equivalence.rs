@@ -16,13 +16,24 @@
 use proptest::prelude::*;
 use qsdd::circuit::Circuit;
 use qsdd::core::{
-    run_engine, run_engine_dedup, BackendKind, Deadline, Observable, OptLevel, ShotEngine,
-    StochasticOutcome,
+    execute, BackendKind, Deadline, ExecMode, ExecPlan, Observable, OptLevel, Placement,
+    ShotEngine, StochasticOutcome,
 };
 use qsdd::noise::NoiseModel;
 use qsdd::telemetry::trace::{self, AttrValue, Tracer};
 
 const SHOTS: usize = 48;
+
+fn run(
+    mode: ExecMode,
+    engine: &ShotEngine,
+    shots: usize,
+    threads: usize,
+    observables: &[Observable],
+) -> StochasticOutcome {
+    let plan = ExecPlan::new(mode, shots, observables);
+    execute(engine, &plan, Placement::Threads(threads)).expect("no deadline is set")
+}
 
 /// Strategy: a random circuit over `qubits` qubits mixing unitary gates
 /// with mid-circuit measurements and resets (`clbits == qubits`).
@@ -107,8 +118,8 @@ fn assert_identical(dedup: &StochasticOutcome, reference: &StochasticOutcome) {
 
 fn compare_engine(engine: &ShotEngine, observables: &[Observable]) {
     for threads in [1usize, 2, 8] {
-        let reference = run_engine(engine, SHOTS, threads, observables);
-        let dedup = run_engine_dedup(engine, SHOTS, threads, observables);
+        let reference = run(ExecMode::PerShot, engine, SHOTS, threads, observables);
+        let dedup = run(ExecMode::Dedup, engine, SHOTS, threads, observables);
         assert_identical(&dedup, &reference);
         if let Some(stats) = &dedup.dedup {
             assert!(stats.unique_trajectories <= SHOTS as u64);
@@ -213,7 +224,7 @@ fn dedup_groups_dominate_at_realistic_noise() {
         2021,
         OptLevel::O0,
     );
-    let outcome = run_engine_dedup(&engine, 10_000, 0, &[]);
+    let outcome = run(ExecMode::Dedup, &engine, 10_000, 0, &[]);
     let stats = outcome.dedup.expect("dedup must engage on this workload");
     assert_eq!(stats.live_shots, 0, "passive noise never goes live");
     assert!(
@@ -223,7 +234,7 @@ fn dedup_groups_dominate_at_realistic_noise() {
     );
     assert!(outcome.dedup_hit_rate() > 0.9);
     // And the shared trajectories reproduce the per-shot histogram exactly.
-    let reference = run_engine(&engine, 10_000, 0, &[]);
+    let reference = run(ExecMode::PerShot, &engine, 10_000, 0, &[]);
     assert_eq!(outcome.counts, reference.counts);
     assert_eq!(outcome.error_events, reference.error_events);
 }
@@ -243,8 +254,8 @@ fn transpiled_engines_dedup_through_the_output_layout() {
         OptLevel::O2,
     );
     for threads in [1usize, 3] {
-        let reference = run_engine(&engine, 400, threads, &[]);
-        let dedup = run_engine_dedup(&engine, 400, threads, &[]);
+        let reference = run(ExecMode::PerShot, &engine, 400, threads, &[]);
+        let dedup = run(ExecMode::Dedup, &engine, 400, threads, &[]);
         assert_eq!(dedup.counts, reference.counts);
         assert_eq!(dedup.error_events, reference.error_events);
     }
@@ -308,8 +319,8 @@ fn deep_bucket_trees_match_per_shot_execution() {
     for (name, engine) in deep_tree_engines() {
         for observables in [&observables[..], &[]] {
             for threads in [1usize, 2, 3] {
-                let reference = run_engine(&engine, DEEP_SHOTS, threads, observables);
-                let dedup = run_engine_dedup(&engine, DEEP_SHOTS, threads, observables);
+                let reference = run(ExecMode::PerShot, &engine, DEEP_SHOTS, threads, observables);
+                let dedup = run(ExecMode::Dedup, &engine, DEEP_SHOTS, threads, observables);
                 assert_identical(&dedup, &reference);
                 let stats = dedup.dedup.expect("the dedup driver ran");
                 assert!(stats.unique_trajectories >= stats.live_shots, "{name}");

@@ -14,8 +14,8 @@
 use proptest::prelude::*;
 use qsdd::circuit::Circuit;
 use qsdd::core::{
-    build_intra_pool, run_engine, run_engine_dedup, run_engine_weighted, BackendKind, Observable,
-    OptLevel, ShotEngine, StochasticOutcome, WeightedOptions,
+    build_intra_pool, execute, BackendKind, ExecMode, ExecPlan, Observable, OptLevel, Placement,
+    ShotEngine, StochasticOutcome, WeightedOptions,
 };
 use qsdd::noise::NoiseModel;
 
@@ -103,10 +103,10 @@ fn assert_identical(outcome: &StochasticOutcome, reference: &StochasticOutcome, 
     }
 }
 
-/// Runs the per-shot, dedup and weighted drivers at every intra width and
+/// Runs the per-shot, dedup and weighted modes at every intra width and
 /// compares each against its own width-1 reference.
 ///
-/// The drivers run on **one** shot-worker: a single worker's intra request
+/// The jobs run on **one** shot-worker: a single worker's intra request
 /// is honoured as-is (several workers clamp against `cores / workers`,
 /// which would quietly serialise the whole matrix on small CI machines).
 fn compare_widths(circuit: &Circuit, backend: BackendKind, noise: NoiseModel, seed: u64) {
@@ -114,20 +114,24 @@ fn compare_widths(circuit: &Circuit, backend: BackendKind, noise: NoiseModel, se
         Observable::BasisProbability(0),
         Observable::QubitExcitation(1),
     ];
-    let weighted_options = WeightedOptions::default();
+    let weighted_mode = ExecMode::Weighted(WeightedOptions::default());
     let mut engine = ShotEngine::new(circuit, backend, noise, seed, OptLevel::O0);
+    let run = |engine: &ShotEngine, mode: &ExecMode| {
+        let plan = ExecPlan::new(mode.clone(), SHOTS, &observables);
+        execute(engine, &plan, Placement::Threads(1)).expect("no deadline is set")
+    };
 
-    let per_shot_ref = run_engine(&engine, SHOTS, 1, &observables);
-    let dedup_ref = run_engine_dedup(&engine, SHOTS, 1, &observables);
-    let weighted_ref = run_engine_weighted(&engine, SHOTS, 1, &observables, &weighted_options);
+    let per_shot_ref = run(&engine, &ExecMode::PerShot);
+    let dedup_ref = run(&engine, &ExecMode::Dedup);
+    let weighted_ref = run(&engine, &weighted_mode);
 
     for intra in [2usize, 8] {
         engine.set_intra_threads(intra);
-        let per_shot = run_engine(&engine, SHOTS, 1, &observables);
+        let per_shot = run(&engine, &ExecMode::PerShot);
         assert_identical(&per_shot, &per_shot_ref, &format!("per-shot@{intra}"));
-        let dedup = run_engine_dedup(&engine, SHOTS, 1, &observables);
+        let dedup = run(&engine, &ExecMode::Dedup);
         assert_identical(&dedup, &dedup_ref, &format!("dedup@{intra}"));
-        let weighted = run_engine_weighted(&engine, SHOTS, 1, &observables, &weighted_options);
+        let weighted = run(&engine, &weighted_mode);
         assert_identical(&weighted, &weighted_ref, &format!("weighted@{intra}"));
     }
 }

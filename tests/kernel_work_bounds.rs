@@ -17,7 +17,7 @@ mod common;
 
 use common::operation_diagram;
 use qsdd::circuit::generators::{ghz, qft};
-use qsdd::core::{run_engine_dedup, BackendKind, OptLevel, ShotEngine};
+use qsdd::core::{execute, BackendKind, ExecMode, ExecPlan, OptLevel, Placement, ShotEngine};
 use qsdd::dd::{DdPackage, MatEdge, Matrix2};
 use qsdd::noise::NoiseModel;
 use qsdd::telemetry::trace::{self, AttrValue, Tracer};
@@ -168,7 +168,8 @@ fn deviating_ghz32_shots_share_their_evolution() {
         let tracer = Tracer::forced("work-bound", "work-bound");
         let outcome = {
             let _install = tracer.install(0);
-            run_engine_dedup(&engine, SHOTS, threads, &[])
+            let plan = ExecPlan::new(ExecMode::Dedup, SHOTS, &[]);
+            execute(&engine, &plan, Placement::Threads(threads)).unwrap()
         };
         let shared: u64 = tracer
             .finish("job")

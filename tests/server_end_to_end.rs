@@ -12,7 +12,9 @@ use std::time::{Duration, Instant};
 
 use qsdd::batch::{JobReport, JobStatus};
 use qsdd::circuit::generators::ghz;
-use qsdd::core::{run_engine_dedup, BackendKind, OptLevel, ShotEngine, StochasticSimulator};
+use qsdd::core::{
+    execute, BackendKind, ExecMode, ExecPlan, OptLevel, Placement, ShotEngine, StochasticSimulator,
+};
 use qsdd::json::{self, Value};
 use qsdd::noise::NoiseModel;
 use qsdd::server::{client, Server, ServerConfig};
@@ -236,15 +238,12 @@ fn observable_sums_match_the_serial_runner_bit_for_bit() {
         21,
         OptLevel::O0,
     );
-    let reference = run_engine_dedup(
-        &engine,
-        300,
-        1,
-        &[
-            qsdd::core::Observable::BasisProbability(0),
-            qsdd::core::Observable::QubitExcitation(2),
-        ],
-    );
+    let observables = [
+        qsdd::core::Observable::BasisProbability(0),
+        qsdd::core::Observable::QubitExcitation(2),
+    ];
+    let plan = ExecPlan::new(ExecMode::Dedup, 300, &observables);
+    let reference = execute(&engine, &plan, Placement::Threads(1)).unwrap();
     assert_eq!(estimates.len(), 2);
     for (http, direct) in estimates.iter().zip(&reference.observable_estimates) {
         assert_eq!(http.to_bits(), direct.to_bits(), "sums drifted over HTTP");
@@ -269,10 +268,10 @@ fn concurrent_identical_submissions_coalesce_to_one_simulation() {
         input.seed,
         input.opt,
     );
-    let reference = qsdd::server::result_payload(
-        &input,
-        &qsdd::core::run_engine_in(&engine, &mut engine.new_context(), input.shots, &[], true),
-    );
+    let plan = ExecPlan::new(ExecMode::Dedup, input.shots, &[]);
+    let mut ctx = engine.new_context();
+    let inline = Placement::Inline(&mut ctx);
+    let reference = qsdd::server::result_payload(&input, &execute(&engine, &plan, inline).unwrap());
 
     for threads in [1usize, 2, 8] {
         let server = boot(threads);
@@ -502,16 +501,11 @@ fn cached_weighted_results_are_byte_identical() {
         input.seed,
         input.opt,
     );
-    let reference = qsdd::server::result_payload(
-        &input,
-        &qsdd::core::run_engine_weighted_in(
-            &engine,
-            &mut engine.new_context(),
-            input.shots,
-            &[],
-            input.weighted.as_ref().expect("weighted options parsed"),
-        ),
-    );
+    let options = input.weighted.clone().expect("weighted options parsed");
+    let plan = ExecPlan::new(ExecMode::Weighted(options), input.shots, &[]);
+    let mut ctx = engine.new_context();
+    let inline = Placement::Inline(&mut ctx);
+    let reference = qsdd::server::result_payload(&input, &execute(&engine, &plan, inline).unwrap());
 
     let mut results = Vec::new();
     for _ in 0..2 {

@@ -17,11 +17,33 @@
 use proptest::prelude::*;
 use qsdd::circuit::Circuit;
 use qsdd::core::{
-    run_engine, run_engine_dedup, run_engine_weighted, BackendKind, Observable, OptLevel,
-    ShotEngine, StochasticOutcome, WeightedOptions,
+    execute, BackendKind, ExecMode, ExecPlan, Observable, OptLevel, Placement, ShotEngine,
+    StochasticOutcome, WeightedOptions,
 };
 use qsdd::density;
 use qsdd::noise::NoiseModel;
+
+fn run(
+    mode: ExecMode,
+    engine: &ShotEngine,
+    shots: usize,
+    threads: usize,
+    observables: &[Observable],
+) -> StochasticOutcome {
+    let plan = ExecPlan::new(mode, shots, observables);
+    execute(engine, &plan, Placement::Threads(threads)).expect("no deadline is set")
+}
+
+fn run_weighted(
+    engine: &ShotEngine,
+    shots: usize,
+    threads: usize,
+    observables: &[Observable],
+    options: &WeightedOptions,
+) -> StochasticOutcome {
+    let mode = ExecMode::Weighted(options.clone());
+    run(mode, engine, shots, threads, observables)
+}
 
 /// Strategy: a random unitary circuit over `qubits` qubits (no mid-circuit
 /// measurements — the density oracle compares final populations).
@@ -118,7 +140,7 @@ fn check_full_coverage(circuit: &Circuit, noise: NoiseModel, seed: u64, backend:
     let options = WeightedOptions::default()
         .with_mass_cutoff(1.0)
         .with_max_patterns(1 << 20);
-    let outcome = run_engine_weighted(&engine, 512, 1, &[], &options);
+    let outcome = run_weighted(&engine, 512, 1, &[], &options);
     let stats = outcome.weighted.as_ref().expect("weighted stats");
     assert!(
         stats.covered_mass > 1.0 - 1e-9,
@@ -142,9 +164,9 @@ fn check_full_coverage(circuit: &Circuit, noise: NoiseModel, seed: u64, backend:
     // Determinism: repeats and thread counts reproduce the result bit for
     // bit (the driver is serial; `threads` only affects the fallback).
     let observables = [Observable::BasisProbability(0)];
-    let reference = run_engine_weighted(&engine, 512, 1, &observables, &options);
+    let reference = run_weighted(&engine, 512, 1, &observables, &options);
     for threads in [1usize, 2, 8] {
-        let again = run_engine_weighted(&engine, 512, threads, &observables, &options);
+        let again = run_weighted(&engine, 512, threads, &observables, &options);
         assert_bit_identical(&again, &reference);
     }
 }
@@ -199,11 +221,11 @@ proptest! {
             OptLevel::O0,
         );
         let shots = 1500;
-        let reference = run_engine(&engine, shots, 0, &[]);
+        let reference = run(ExecMode::PerShot, &engine, shots, 0, &[]);
         let options = WeightedOptions::default();
-        let baseline = run_engine_weighted(&engine, shots, 1, &[], &options);
+        let baseline = run_weighted(&engine, shots, 1, &[], &options);
         for threads in [2usize, 8] {
-            let again = run_engine_weighted(&engine, shots, threads, &[], &options);
+            let again = run_weighted(&engine, shots, threads, &[], &options);
             assert_bit_identical(&again, &baseline);
         }
         let stats = baseline.weighted.as_ref().expect("weighted stats");
@@ -239,14 +261,14 @@ fn measured_circuits_fall_back_to_the_dedup_sampler() {
     assert!(!engine.supports_weighted());
     let observables = [Observable::QubitExcitation(2)];
     for threads in [1usize, 2, 8] {
-        let weighted = run_engine_weighted(
+        let weighted = run_weighted(
             &engine,
             300,
             threads,
             &observables,
             &WeightedOptions::default(),
         );
-        let dedup = run_engine_dedup(&engine, 300, threads, &observables);
+        let dedup = run(ExecMode::Dedup, &engine, 300, threads, &observables);
         assert!(weighted.weighted.is_none(), "fallback carries no stats");
         assert_eq!(weighted.counts, dedup.counts);
         assert_eq!(weighted.error_events, dedup.error_events);
@@ -274,8 +296,8 @@ fn exact_histogram_mode_skips_the_tail_and_renormalises() {
         7,
         OptLevel::O0,
     );
-    let sampled = run_engine_weighted(&engine, 2000, 1, &[], &WeightedOptions::default());
-    let exact = run_engine_weighted(
+    let sampled = run_weighted(&engine, 2000, 1, &[], &WeightedOptions::default());
+    let exact = run_weighted(
         &engine,
         2000,
         1,
@@ -321,7 +343,7 @@ fn weighted_matches_density_on_the_ghz_workload_with_depolarizing_noise() {
     let options = WeightedOptions::default()
         .with_mass_cutoff(1.0)
         .with_max_patterns(1 << 22);
-    let outcome = run_engine_weighted(&engine, 1000, 1, &[], &options);
+    let outcome = run_weighted(&engine, 1000, 1, &[], &options);
     let stats = outcome.weighted.as_ref().unwrap();
     assert!(stats.covered_mass > 1.0 - 1e-9);
     let exact = density::outcome_distribution(&circuit, &noise);
