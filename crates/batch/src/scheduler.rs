@@ -6,11 +6,12 @@
 //! so shots from different jobs interleave and a giant job cannot starve
 //! small ones.
 //!
-//! Each job's circuit is compiled once, into its [`ShotEngine`]'s program;
-//! each worker keeps one long-lived [`ExecContext`] (which internally
-//! caches per-back-end-kind state) and reuses it across every chunk of
-//! every job it steals, so per-shot cost is pure execution — no operator
-//! rebuilding, no per-shot allocation churn.
+//! Each job's circuit is compiled once, into its [`ShotEngine`]'s program
+//! (the engines are built before the first chunk runs, on as many threads
+//! as the pool has workers); each worker keeps one long-lived
+//! [`ExecContext`] (which internally caches per-back-end-kind state) and
+//! reuses it across every chunk of every job it steals, so per-shot cost is
+//! pure execution — no operator rebuilding, no per-shot allocation churn.
 //!
 //! Jobs whose engine supports **trajectory deduplication** release their
 //! rounds as *pattern-group chunks* instead of plain shot ranges: the
@@ -53,7 +54,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use qsdd_core::{
@@ -231,6 +232,32 @@ struct JobRuntime {
     progress: Mutex<JobProgress>,
 }
 
+impl JobRuntime {
+    /// Loads, transpiles and compiles one job (`Err`: why it did not load).
+    fn build(spec: &JobSpec, options: &BatchOptions) -> Result<JobRuntime, String> {
+        let circuit = spec.load_circuit()?;
+        let engine = ShotEngine::new(&circuit, spec.backend, spec.noise, spec.seed, spec.opt);
+        let progress = JobProgress {
+            // Transpile/compile happened inside the engine build.
+            stage_timings: engine.stage_timings(),
+            ..JobProgress::default()
+        };
+        Ok(JobRuntime {
+            dedup: options.dedup && engine.supports_dedup(),
+            weighted: spec.weighted,
+            engine,
+            shots: spec.shots,
+            epsilon: spec.epsilon,
+            check_interval: spec.check_interval,
+            deadline: match spec.timeout_ms {
+                Some(ms) => Deadline::from_millis(ms),
+                None => Deadline::unbounded(),
+            },
+            progress: Mutex::new(progress),
+        })
+    }
+}
+
 /// Everything the worker pool shares.
 struct Shared {
     queue: Mutex<VecDeque<Chunk>>,
@@ -316,40 +343,27 @@ impl BatchMetrics {
 /// prevent the remaining jobs from running.
 pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
     let started = Instant::now();
-    // Build one engine per job up front; transpilation happens here, once.
-    let mut runtimes: Vec<Option<JobRuntime>> = Vec::with_capacity(specs.len());
-    let mut failures: Vec<Option<String>> = Vec::with_capacity(specs.len());
-    for spec in specs {
-        match spec.load_circuit() {
-            Ok(circuit) => {
-                let engine =
-                    ShotEngine::new(&circuit, spec.backend, spec.noise, spec.seed, spec.opt);
-                let progress = JobProgress {
-                    // Transpile/compile happened inside the engine build.
-                    stage_timings: engine.stage_timings(),
-                    ..JobProgress::default()
-                };
-                runtimes.push(Some(JobRuntime {
-                    dedup: options.dedup && engine.supports_dedup(),
-                    weighted: spec.weighted,
-                    engine,
-                    shots: spec.shots,
-                    epsilon: spec.epsilon,
-                    check_interval: spec.check_interval,
-                    deadline: match spec.timeout_ms {
-                        Some(ms) => Deadline::from_millis(ms),
-                        None => Deadline::unbounded(),
-                    },
-                    progress: Mutex::new(progress),
-                }));
-                failures.push(None);
-            }
-            Err(message) => {
-                runtimes.push(None);
-                failures.push(Some(message));
-            }
+    let workers = options.effective_threads().max(1);
+    // Build one engine per job up front — load, transpile, compile, once
+    // each — on as many scoped workers as will execute the batch, claiming
+    // spec indices off one counter and filling the spec's own slot.
+    let next_spec = AtomicUsize::new(0);
+    let built: Vec<OnceLock<Result<JobRuntime, String>>> =
+        specs.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(specs.len()) {
+            scope.spawn(|| loop {
+                // Relaxed: the counter hands out indices, nothing else.
+                let index = next_spec.fetch_add(1, Ordering::Relaxed);
+                let Some(spec) = specs.get(index) else { break };
+                built[index].get_or_init(|| JobRuntime::build(spec, options));
+            });
         }
-    }
+    });
+    let runtimes: Vec<Result<JobRuntime, String>> = built
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every spec is claimed once"))
+        .collect();
 
     let shared = Shared {
         queue: Mutex::new(VecDeque::new()),
@@ -364,7 +378,7 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
     {
         let mut queue = shared.queue.lock().expect("queue lock");
         for (index, runtime) in runtimes.iter().enumerate() {
-            let Some(runtime) = runtime else { continue };
+            let Ok(runtime) = runtime else { continue };
             if runtime.shots == 0 {
                 let mut progress = runtime.progress.lock().expect("progress lock");
                 progress.finished = true;
@@ -387,7 +401,6 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
         }
     }
 
-    let workers = options.effective_threads().max(1);
     // Intra-shot fork-join pool, shared by every worker. In auto mode
     // (`intra_threads == 0`) big jobs borrow the shot-workers that would
     // idle when the batch has fewer runnable jobs than workers: the
@@ -432,9 +445,8 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
     let jobs = specs
         .iter()
         .zip(runtimes.iter())
-        .zip(failures.iter())
-        .map(|((spec, runtime), failure)| match runtime {
-            Some(runtime) => {
+        .map(|(spec, runtime)| match runtime {
+            Ok(runtime) => {
                 let progress = runtime.progress.lock().expect("progress lock");
                 if progress.timed_out {
                     // Deliberately drop the partial aggregates: a truncated
@@ -480,11 +492,11 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
                     }
                 }
             }
-            None => JobReport::failed(
+            Err(message) => JobReport::failed(
                 &spec.name,
                 &spec.backend.to_string(),
                 spec.shots,
-                failure.clone().expect("failed jobs carry a message"),
+                message.clone(),
             ),
         })
         .collect();
@@ -571,7 +583,7 @@ fn build_round(runtime: &JobRuntime, job: usize, start: u64) -> Vec<Chunk> {
 
 fn worker_loop(
     shared: &Shared,
-    runtimes: &[Option<JobRuntime>],
+    runtimes: &[Result<JobRuntime, String>],
     worker: usize,
     intra: Option<Arc<qsdd_core::IntraPool>>,
 ) {

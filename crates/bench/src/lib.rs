@@ -24,9 +24,12 @@ use qsdd_noise::NoiseModel;
 /// Which engine a table cell is measured with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// The dense statevector baseline (the "Qiskit"/"QLM" columns).
+    /// The dense statevector baseline (the "Qiskit"/"QLM" columns). Like
+    /// those simulators it evolves every run ([`ExecMode::PerShot`]), even
+    /// though the statevector back-end could share trajectories too.
     Dense,
-    /// The decision-diagram simulator (the "Proposed" column).
+    /// The decision-diagram simulator (the "Proposed" column), sharing
+    /// equal trajectories ([`ExecMode::Dedup`]).
     DecisionDiagram,
 }
 
@@ -142,14 +145,18 @@ pub fn run_cell(engine: Engine, circuit: &Circuit, config: &HarnessConfig) -> Ce
     if engine == Engine::Dense && circuit.num_qubits() > config.dense_limit {
         return CellOutcome::Skipped;
     }
-    let (backend, threads) = match engine {
-        Engine::Dense => (BackendKind::Statevector, 1),
-        Engine::DecisionDiagram => (BackendKind::DecisionDiagram, config.threads),
+    let (backend, mode, threads) = match engine {
+        Engine::Dense => (BackendKind::Statevector, ExecMode::PerShot, 1),
+        Engine::DecisionDiagram => (
+            BackendKind::DecisionDiagram,
+            ExecMode::Dedup,
+            config.threads,
+        ),
     };
     let started = Instant::now();
     let deadline = Deadline::within(config.budget);
     let engine = ShotEngine::new(circuit, backend, config.noise, config.seed, OptLevel::O0);
-    let plan = ExecPlan::new(ExecMode::Dedup, config.shots, &[]).with_deadline(deadline);
+    let plan = ExecPlan::new(mode, config.shots, &[]).with_deadline(deadline);
     match execute(&engine, &plan, Placement::Threads(threads)) {
         Ok(_) => CellOutcome::Seconds(started.elapsed().as_secs_f64()),
         Err(TimedOut) => CellOutcome::TimedOut(config.budget.as_secs_f64()),

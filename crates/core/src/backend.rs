@@ -146,7 +146,10 @@ pub trait StochasticBackend: Sync {
     /// [`run_pattern`](Self::run_pattern) /
     /// [`sample_outcome`](Self::sample_outcome) /
     /// [`resume_pattern`](Self::resume_pattern). The default declines, which
-    /// keeps every existing back-end correct on the ordinary per-shot path.
+    /// keeps a back-end correct on the ordinary per-shot path. State-dependent
+    /// channels are no reason to decline: record the threshold each damping
+    /// exposure meets along the no-error path at compile time and hand it
+    /// over as a [`qsdd_noise::SiteChannel::Damping`] site.
     fn dedup_support(&self, _program: &Self::Program) -> Option<DedupSupport> {
         None
     }
@@ -166,7 +169,11 @@ pub trait StochasticBackend: Sync {
     /// appends the decay threshold it meets at every state-dependent
     /// exposure after the pattern's last event, in site order — what
     /// [`qsdd_noise::PresamplePlan::resume`] continues those shots against.
-    /// Back-ends whose plans hold no state-dependent site are never asked.
+    /// Only plans with a [`qsdd_noise::SiteChannel::Damping`] site lead
+    /// here, which both in-tree back-ends build under amplitude damping;
+    /// each answers by running its one step walker over the crate's
+    /// `Replayed` decision source, so the thresholds are the bits a live
+    /// shot on the same path computes.
     fn run_pattern(
         &self,
         _program: &Self::Program,
@@ -199,8 +206,9 @@ pub trait StochasticBackend: Sync {
     ///
     /// Semantically exactly a loop over
     /// [`sample_outcome`](Self::sample_outcome); back-ends may override it
-    /// to hoist per-state preparation (e.g. a flattened sampling plan) out
-    /// of the member loop, which is the hottest loop of a deduplicated run.
+    /// to hoist per-state preparation (a flattened sampling plan, a
+    /// running-sum table) out of the member loop, which is the hottest loop
+    /// of a deduplicated run.
     fn sample_outcomes(
         &self,
         program: &Self::Program,
@@ -295,6 +303,41 @@ pub(crate) fn pack_clbits(clbits: &[bool]) -> u64 {
     clbits
         .iter()
         .fold(0u64, |acc, &bit| (acc << 1) | u64::from(bit))
+}
+
+/// Assertions every back-end's unit tests share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+
+    /// Fans the no-error state of `program` out over forty members at once
+    /// and one by one: whatever per-state preparation
+    /// [`StochasticBackend::sample_outcomes`] hoists for a group, both ways
+    /// must draw the same outcomes and leave the same generator positions.
+    pub(crate) fn assert_groups_draw_like_lone_members<B: StochasticBackend>(
+        backend: &B,
+        program: &B::Program,
+    ) {
+        let mut ctx = backend.new_context();
+        let run = backend.run_pattern(program, &mut ctx, &ErrorPattern::default(), None);
+        let mut together: Vec<(u64, StdRng)> = (0..40)
+            .map(|shot| (shot, StdRng::seed_from_u64(shot)))
+            .collect();
+        let mut alone = together.clone();
+        let mut grouped = Vec::new();
+        backend.sample_outcomes(program, &mut ctx, &run, &mut together, |_, outcome| {
+            grouped.push(outcome)
+        });
+        for (member, expected) in alone.chunks_mut(1).zip(&grouped) {
+            backend.sample_outcomes(program, &mut ctx, &run, member, |_, outcome| {
+                assert_eq!(outcome, *expected)
+            });
+        }
+        for ((_, a), (_, b)) in together.iter_mut().zip(&mut alone) {
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "stream diverged");
+        }
+    }
 }
 
 #[cfg(test)]

@@ -16,13 +16,11 @@
 
 use qsdd_circuit::{Circuit, Operation};
 use qsdd_dd::{DdPackage, MatEdge, Matrix2, VecEdge};
-use qsdd_noise::{
-    ErrorChannel, ErrorEvent, ErrorPattern, NoiseModel, PresamplePlan, SampledError, SiteChannel,
-};
+use qsdd_noise::{ErrorChannel, ErrorPattern, NoiseModel, PresamplePlan, SiteChannel};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::backend::{next_program_id, pack_clbits, SingleRun, StochasticBackend};
+use crate::decisions::{Decisions, Replayed, Sampled};
 use crate::dedup::DedupSupport;
 use crate::estimator::Observable;
 
@@ -571,21 +569,13 @@ impl StochasticBackend for DdSimulator {
     ) -> SingleRun<VecEdge> {
         ctx.seat(program);
         let dd = &mut ctx.package;
-        let mut replayed = Replayed {
-            events: pattern.events(),
-            next: 0,
-            learned,
-        };
+        let mut replayed = Replayed::new(pattern, learned);
         // The same walk `run_shot` takes, so the operator sequence — and
         // thus the resulting package state — is identical to what any
         // member shot would have produced.
         let prefix = 0..program.dedup_prefix;
         let walk = Walk::start(program).run(program, dd, prefix, &mut replayed, &mut []);
-        debug_assert_eq!(
-            replayed.next,
-            pattern.events().len(),
-            "pattern events beyond the prefix"
-        );
+        debug_assert!(replayed.exhausted(), "pattern events beyond the prefix");
         let dd_nodes = dd.vec_node_count_fast(walk.state) as u64;
         SingleRun {
             // Each member samples its own outcome; the replay has none.
@@ -700,84 +690,6 @@ impl StochasticBackend for DdSimulator {
         }
         .run(program, dd, tail, &mut Sampled(rng), &mut clbits);
         walk.finish_shot(program, dd, clbits, rng)
-    }
-}
-
-/// Where a walk over program steps takes its stochastic decisions from:
-/// a shot's random stream ([`Sampled`]) or a pattern's event list
-/// ([`Replayed`]). Sites are numbered from the start of the walk in
-/// protocol order, like the presample plan's.
-trait Decisions {
-    /// The unitary error a passive exposure fires, if any.
-    fn error(&mut self, site: u32, channel: &ErrorChannel) -> Option<usize>;
-    /// Whether a damping exposure whose decay branch has probability
-    /// `p_decay` decays.
-    fn decays(&mut self, site: u32, p_decay: f64) -> bool;
-    /// The generator measurements and resets draw from.
-    fn rng(&mut self) -> &mut StdRng;
-}
-
-/// Live decisions: one `sample_error` per passive exposure, one uniform
-/// draw per damping exposure (the damping channel consumes no randomness in
-/// `sample_error`; the branch decision is its single draw).
-struct Sampled<'a>(&'a mut StdRng);
-
-impl Decisions for Sampled<'_> {
-    #[inline]
-    fn error(&mut self, _site: u32, channel: &ErrorChannel) -> Option<usize> {
-        match channel.sample_error(self.0) {
-            SampledError::None => None,
-            SampledError::Unitary(u) => Some(u),
-            SampledError::Kraus => {
-                unreachable!("passive exposures come from unitary-equivalent channels")
-            }
-        }
-    }
-
-    #[inline]
-    fn decays(&mut self, _site: u32, p_decay: f64) -> bool {
-        self.0.gen::<f64>() < p_decay
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        self.0
-    }
-}
-
-/// Decisions replayed from a pattern: an exposure deviates exactly when the
-/// next event names its site. Past the last event every damping exposure
-/// keeps, and its threshold is recorded into `learned` — what the shots
-/// sharing this pattern compare their next draws against.
-struct Replayed<'a> {
-    events: &'a [ErrorEvent],
-    next: usize,
-    learned: Option<&'a mut Vec<f64>>,
-}
-
-impl Replayed<'_> {
-    fn take(&mut self, site: u32) -> Option<u8> {
-        let event = self.events.get(self.next).filter(|e| e.site == site)?;
-        self.next += 1;
-        Some(event.error)
-    }
-}
-
-impl Decisions for Replayed<'_> {
-    fn error(&mut self, site: u32, _channel: &ErrorChannel) -> Option<usize> {
-        self.take(site).map(usize::from)
-    }
-
-    fn decays(&mut self, site: u32, p_decay: f64) -> bool {
-        if self.next == self.events.len() {
-            if let Some(learned) = &mut self.learned {
-                learned.push(p_decay);
-            }
-        }
-        self.take(site).is_some()
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        unreachable!("the dedup prefix contains no measurement or reset")
     }
 }
 
@@ -1002,7 +914,8 @@ fn decay_probability(
 mod tests {
     use super::*;
     use qsdd_circuit::generators::{ghz, qft};
-    use rand::SeedableRng;
+    use qsdd_noise::ErrorEvent;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn noiseless_ghz_only_yields_all_zero_or_all_one() {
@@ -1239,27 +1152,10 @@ mod tests {
     #[test]
     fn sample_outcomes_draw_identically_for_one_member_and_for_many() {
         // A lone member samples the diagram directly, a group through the
-        // flat plan: same outcomes, same generator positions.
+        // flat plan.
         let backend = DdSimulator::new();
         let program = backend.compile(&ghz(5), &NoiseModel::paper_defaults());
-        let mut ctx = backend.new_context();
-        let run = backend.run_pattern(&program, &mut ctx, &ErrorPattern::default(), None);
-        let mut together: Vec<(u64, StdRng)> = (0..40)
-            .map(|shot| (shot, StdRng::seed_from_u64(shot)))
-            .collect();
-        let mut alone = together.clone();
-        let mut grouped = Vec::new();
-        backend.sample_outcomes(&program, &mut ctx, &run, &mut together, |_, outcome| {
-            grouped.push(outcome)
-        });
-        for (member, expected) in alone.chunks_mut(1).zip(&grouped) {
-            backend.sample_outcomes(&program, &mut ctx, &run, member, |_, outcome| {
-                assert_eq!(outcome, *expected)
-            });
-        }
-        for ((_, a), (_, b)) in together.iter_mut().zip(&mut alone) {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "stream diverged");
-        }
+        crate::backend::testing::assert_groups_draw_like_lone_members(&backend, &program);
     }
 
     #[test]

@@ -1,0 +1,105 @@
+//! Where a walk over program steps takes its stochastic decisions from.
+//!
+//! Each back-end evolves its state through one step walker generic over a
+//! [`Decisions`] source: a shot's random stream ([`Sampled`]) or a pattern's
+//! event list ([`Replayed`]). The operator sequence is the same either way,
+//! so a replay reaches the state, and reads the damping thresholds, of every
+//! shot that draws the pattern's decisions live — bit for bit. Sites are
+//! numbered from the walk's start in protocol order, like the presample
+//! plan's.
+
+use qsdd_noise::{ErrorChannel, ErrorEvent, ErrorPattern, SampledError};
+use rand::rngs::StdRng;
+use rand::Rng;
+
+/// The source of a walk's stochastic decisions.
+pub(crate) trait Decisions {
+    /// The unitary error a passive exposure fires, if any.
+    fn error(&mut self, site: u32, channel: &ErrorChannel) -> Option<usize>;
+    /// Whether a damping exposure whose decay branch has probability
+    /// `p_decay` decays.
+    fn decays(&mut self, site: u32, p_decay: f64) -> bool;
+    /// The generator measurements and resets draw from.
+    fn rng(&mut self) -> &mut StdRng;
+}
+
+/// Live decisions: one `sample_error` per passive exposure, one uniform
+/// draw per damping exposure (the damping channel consumes no randomness in
+/// `sample_error`; the branch decision is its single draw).
+pub(crate) struct Sampled<'a>(pub(crate) &'a mut StdRng);
+
+impl Decisions for Sampled<'_> {
+    #[inline]
+    fn error(&mut self, _site: u32, channel: &ErrorChannel) -> Option<usize> {
+        match channel.sample_error(self.0) {
+            SampledError::None => None,
+            SampledError::Unitary(u) => Some(u),
+            SampledError::Kraus => {
+                unreachable!("passive exposures come from unitary-equivalent channels")
+            }
+        }
+    }
+
+    #[inline]
+    fn decays(&mut self, _site: u32, p_decay: f64) -> bool {
+        self.0.gen::<f64>() < p_decay
+    }
+
+    fn rng(&mut self) -> &mut StdRng {
+        self.0
+    }
+}
+
+/// Decisions replayed from a pattern: an exposure deviates exactly when the
+/// next event names its site. Past the last event every damping exposure
+/// keeps, and its threshold is recorded into `learned` — what the shots
+/// sharing this pattern compare their next draws against.
+pub(crate) struct Replayed<'a> {
+    events: &'a [ErrorEvent],
+    next: usize,
+    learned: Option<&'a mut Vec<f64>>,
+}
+
+impl<'a> Replayed<'a> {
+    /// A replay of `pattern` from its first event.
+    pub(crate) fn new(pattern: &'a ErrorPattern, learned: Option<&'a mut Vec<f64>>) -> Self {
+        Replayed {
+            events: pattern.events(),
+            next: 0,
+            learned,
+        }
+    }
+
+    /// `true` once every event of the pattern has been taken.
+    pub(crate) fn exhausted(&self) -> bool {
+        self.next == self.events.len()
+    }
+
+    #[inline]
+    fn take(&mut self, site: u32) -> Option<u8> {
+        let event = self.events.get(self.next).filter(|e| e.site == site)?;
+        self.next += 1;
+        Some(event.error)
+    }
+}
+
+impl Decisions for Replayed<'_> {
+    #[inline]
+    fn error(&mut self, site: u32, _channel: &ErrorChannel) -> Option<usize> {
+        self.take(site).map(usize::from)
+    }
+
+    #[inline]
+    fn decays(&mut self, site: u32, p_decay: f64) -> bool {
+        if self.exhausted() {
+            if let Some(learned) = &mut self.learned {
+                learned.push(p_decay);
+            }
+        }
+        self.take(site).is_some()
+    }
+
+    fn rng(&mut self) -> &mut StdRng {
+        unreachable!("the dedup prefix contains no measurement or reset")
+    }
+}

@@ -8,20 +8,25 @@
 //!
 //! Compilation resolves every gate to its concrete matrix once (no per-shot
 //! trigonometry) and snapshots the noise-channel operator tables; the
-//! execution context keeps two amplitude buffers — the live state and a
-//! scratch vector for the amplitude-damping branch probe — that are rewound
-//! in place between shots instead of being reallocated.
+//! execution context keeps one amplitude buffer that is rewound in place
+//! between shots instead of being reallocated. An amplitude-damping
+//! exposure reads both branch weights off the state, takes its decision and
+//! applies only the selected branch in place, so no probe copy exists.
+//!
+//! One step walker (`walk`) serves live shots, pattern replays and the
+//! compile-time pass that records the no-error path's damping thresholds,
+//! each with its own `Decisions` source — which is what lets this back-end
+//! share trajectories exactly like the decision-diagram one (see
+//! [`crate::dedup`]).
 
 use qsdd_circuit::{Circuit, Operation};
 use qsdd_dd::Matrix2;
-use qsdd_noise::{
-    ErrorChannel, ErrorPattern, NoiseModel, PresamplePlan, SampledError, SiteChannel,
-};
-use qsdd_statevector::StateVector;
+use qsdd_noise::{ErrorChannel, ErrorPattern, NoiseModel, PresamplePlan, SiteChannel};
+use qsdd_statevector::{sample_cumulative, StateVector};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::backend::{next_program_id, pack_clbits, SingleRun, StochasticBackend};
+use crate::decisions::{Decisions, Replayed, Sampled};
 use crate::dedup::DedupSupport;
 use crate::estimator::Observable;
 
@@ -49,7 +54,8 @@ enum DenseStep {
 }
 
 /// A compiled circuit + noise model pair for the dense back-end: the
-/// resolved step list plus per-channel operator tables.
+/// resolved step list, per-channel operator tables and — for unitary
+/// programs — the presampleable exposure sites.
 #[derive(Clone, Debug)]
 pub struct DenseProgram {
     id: u64,
@@ -60,13 +66,11 @@ pub struct DenseProgram {
     channels: Vec<ErrorChannel>,
     /// `unitaries[channel][i]`: the channel's `i`-th unitary error matrix.
     unitaries: Vec<Vec<Matrix2>>,
-    /// `kraus[channel]`: the `[decay, keep]` Kraus pair, if any.
-    kraus: Vec<Option<[Matrix2; 2]>>,
-    /// Whether every shot's error decisions are presampleable: no
-    /// measurement or reset consumes randomness mid-shot, and every channel
-    /// is state-independent (the dense back-end precomputes no damping
-    /// thresholds, so any state-dependent channel forces the live path).
-    dedupable: bool,
+    /// The program's noise-exposure sites in protocol order, damping sites
+    /// carrying the decay threshold recorded along the no-error path;
+    /// `None` when a measurement or reset consumes randomness mid-shot, so
+    /// the shots' error decisions cannot be presampled.
+    sites: Option<Vec<SiteChannel>>,
 }
 
 impl DenseProgram {
@@ -79,14 +83,113 @@ impl DenseProgram {
     pub fn step_count(&self) -> usize {
         self.steps.len()
     }
+
+    /// The exposure sites of a unitary program (see `sites`). With a
+    /// state-dependent channel in the noise model this walks the no-error
+    /// path once — one shot's cost, in a buffer freed on return — and
+    /// records the decay threshold every damping exposure meets there,
+    /// through the same walker and kernels every shot runs.
+    fn record_sites(&self) -> Option<Vec<SiteChannel>> {
+        let mut exposures = 0;
+        for step in &self.steps {
+            match step {
+                DenseStep::Gate { noise_qubits, .. } | DenseStep::Swap { noise_qubits, .. } => {
+                    exposures += noise_qubits.len()
+                }
+                DenseStep::Measure { .. } | DenseStep::Reset { .. } => return None,
+            }
+        }
+        let mut thresholds = Vec::new();
+        if self.channels.iter().any(ErrorChannel::state_dependent) {
+            let no_error = ErrorPattern::default();
+            let mut recording = Replayed::new(&no_error, Some(&mut thresholds));
+            let mut state = StateVector::new(self.num_qubits);
+            walk(self, &mut state, &mut recording, &mut []);
+        }
+        let mut thresholds = thresholds.into_iter();
+        let sites = (0..exposures)
+            .flat_map(|_| &self.channels)
+            .map(|channel| {
+                if channel.state_dependent() {
+                    let p_decay = thresholds.next().expect("one threshold per damping site");
+                    SiteChannel::Damping { p_decay }
+                } else {
+                    SiteChannel::Passive(*channel)
+                }
+            })
+            .collect();
+        Some(sites)
+    }
+}
+
+/// Walks every step of `program` over `state`, taking each stochastic
+/// decision from `decisions`, and returns the number of error events that
+/// fired. The one place this back-end applies gates and exposes qubits to
+/// noise: live shots, pattern replays and threshold recording differ only
+/// in their decision source, so equal decisions give equal bits.
+fn walk<D: Decisions>(
+    program: &DenseProgram,
+    state: &mut StateVector,
+    decisions: &mut D,
+    clbits: &mut [bool],
+) -> usize {
+    let mut error_events = 0;
+    let mut site = 0u32;
+    for step in &program.steps {
+        let noise_qubits: &[usize] = match step {
+            DenseStep::Gate {
+                matrix,
+                target,
+                controls,
+                noise_qubits,
+            } => {
+                state.apply_controlled(controls, *target, matrix);
+                noise_qubits
+            }
+            DenseStep::Swap { a, b, noise_qubits } => {
+                state.apply_swap(*a, *b);
+                noise_qubits
+            }
+            DenseStep::Measure { qubit, clbit } => {
+                clbits[*clbit] = state.measure_qubit(*qubit, decisions.rng());
+                continue;
+            }
+            DenseStep::Reset { qubit } => {
+                state.reset_qubit(*qubit, decisions.rng());
+                continue;
+            }
+        };
+        for &qubit in noise_qubits {
+            for (channel, unitaries) in program.channels.iter().zip(&program.unitaries) {
+                if channel.state_dependent() {
+                    // Amplitude damping (Example 6 of the paper): the decay
+                    // branch `√γ|0><1|` has relative weight `γ·one/(zero +
+                    // one)`. The threshold is read off the state first, so
+                    // only the branch the decision selects is ever applied.
+                    let gamma = channel.probability();
+                    let (zero, one) = state.branch_weights(qubit);
+                    if decisions.decays(site, gamma * one / (zero + one)) {
+                        error_events += 1;
+                        state.damping_decay(qubit, one);
+                    } else {
+                        state.damping_keep(qubit, gamma, (zero, one));
+                    }
+                } else if let Some(u) = decisions.error(site, channel) {
+                    error_events += 1;
+                    state.apply_single(qubit, &unitaries[u]);
+                }
+                site += 1;
+            }
+        }
+    }
+    error_events
 }
 
 /// A reusable per-worker execution context for the dense back-end: the live
-/// amplitude buffer plus a damping scratch buffer, both rewound in place.
+/// amplitude buffer, rewound in place.
 #[derive(Clone, Debug)]
 pub struct DenseContext {
     state: StateVector,
-    scratch: StateVector,
     seated: u64,
     /// Fork-join pool for chunk-partitioned kernels; kept here so seating
     /// onto a different-width program (which reallocates the buffers) can
@@ -99,7 +202,6 @@ impl DenseContext {
     pub fn new() -> Self {
         DenseContext {
             state: StateVector::new(1),
-            scratch: StateVector::new(1),
             seated: 0,
             pool: None,
         }
@@ -111,7 +213,6 @@ impl DenseContext {
     /// serial execution.
     pub fn set_intra_pool(&mut self, pool: Option<std::sync::Arc<qsdd_statevector::IntraPool>>) {
         self.state.set_intra_pool(pool.clone());
-        self.scratch.set_intra_pool(pool.clone());
         self.pool = pool;
     }
 
@@ -177,21 +278,13 @@ impl StochasticBackend for DenseSimulator {
                         matrix,
                         target: *target,
                         controls: controls.clone(),
-                        noise_qubits: if channels.is_empty() {
-                            Vec::new()
-                        } else {
-                            op.qubits()
-                        },
+                        noise_qubits: op.qubits(),
                     });
                 }
                 Operation::Swap { a, b } => steps.push(DenseStep::Swap {
                     a: *a,
                     b: *b,
-                    noise_qubits: if channels.is_empty() {
-                        Vec::new()
-                    } else {
-                        op.qubits()
-                    },
+                    noise_qubits: op.qubits(),
                 }),
                 Operation::Measure { qubit, clbit } => {
                     measured_any = true;
@@ -205,12 +298,7 @@ impl StochasticBackend for DenseSimulator {
             }
         }
         let unitaries = channels.iter().map(ErrorChannel::unitaries).collect();
-        let kraus = channels.iter().map(ErrorChannel::kraus_branches).collect();
-        let dedupable = steps
-            .iter()
-            .all(|step| matches!(step, DenseStep::Gate { .. } | DenseStep::Swap { .. }))
-            && !channels.iter().any(ErrorChannel::state_dependent);
-        DenseProgram {
+        let mut program = DenseProgram {
             id: next_program_id(),
             num_qubits: circuit.num_qubits(),
             num_clbits: circuit.num_clbits(),
@@ -218,9 +306,10 @@ impl StochasticBackend for DenseSimulator {
             steps,
             channels,
             unitaries,
-            kraus,
-            dedupable,
-        }
+            sites: None,
+        };
+        program.sites = program.record_sites();
+        program
     }
 
     fn new_context(&self) -> DenseContext {
@@ -243,58 +332,7 @@ impl StochasticBackend for DenseSimulator {
     ) -> SingleRun<()> {
         ctx.seat(program);
         let mut clbits = vec![false; program.num_clbits];
-        let mut error_events = 0usize;
-
-        for step in &program.steps {
-            let noise_qubits: &[usize] = match step {
-                DenseStep::Gate {
-                    matrix,
-                    target,
-                    controls,
-                    noise_qubits,
-                } => {
-                    ctx.state.apply_controlled(controls, *target, matrix);
-                    noise_qubits
-                }
-                DenseStep::Swap { a, b, noise_qubits } => {
-                    ctx.state.apply_swap(*a, *b);
-                    noise_qubits
-                }
-                DenseStep::Measure { qubit, clbit } => {
-                    clbits[*clbit] = ctx.state.measure_qubit(*qubit, rng);
-                    continue;
-                }
-                DenseStep::Reset { qubit } => {
-                    ctx.state.reset_qubit(*qubit, rng);
-                    continue;
-                }
-            };
-            for &qubit in noise_qubits {
-                for (index, channel) in program.channels.iter().enumerate() {
-                    match channel.sample_error(rng) {
-                        SampledError::None => {}
-                        SampledError::Unitary(u) => {
-                            error_events += 1;
-                            ctx.state.apply_single(qubit, &program.unitaries[index][u]);
-                        }
-                        SampledError::Kraus => {
-                            let branches = program.kraus[index]
-                                .as_ref()
-                                .expect("Kraus events only come from Kraus channels");
-                            apply_damping(
-                                &mut ctx.state,
-                                &mut ctx.scratch,
-                                qubit,
-                                branches,
-                                rng,
-                                &mut error_events,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
+        let error_events = walk(program, &mut ctx.state, &mut Sampled(rng), &mut clbits);
         let outcome = if program.measured_any {
             pack_clbits(&clbits)
         } else {
@@ -332,23 +370,7 @@ impl StochasticBackend for DenseSimulator {
     }
 
     fn dedup_support(&self, program: &DenseProgram) -> Option<DedupSupport> {
-        if !program.dedupable {
-            return None;
-        }
-        let mut sites = Vec::new();
-        for step in &program.steps {
-            let noise_qubits = match step {
-                DenseStep::Gate { noise_qubits, .. } | DenseStep::Swap { noise_qubits, .. } => {
-                    noise_qubits
-                }
-                DenseStep::Measure { .. } | DenseStep::Reset { .. } => {
-                    unreachable!("dedupable programs contain no measurements or resets")
-                }
-            };
-            for _ in noise_qubits {
-                sites.extend(program.channels.iter().copied().map(SiteChannel::Passive));
-            }
-        }
+        let sites = program.sites.clone()?;
         Some(DedupSupport {
             plan: PresamplePlan::new(sites),
             prefix_steps: program.steps.len(),
@@ -361,50 +383,17 @@ impl StochasticBackend for DenseSimulator {
         program: &DenseProgram,
         ctx: &mut DenseContext,
         pattern: &ErrorPattern,
-        _learned: Option<&mut Vec<f64>>,
+        learned: Option<&mut Vec<f64>>,
     ) -> SingleRun<()> {
         ctx.seat(program);
-        let width = program.channels.len();
-        let events = pattern.events();
-        let mut next = 0usize;
-        let mut site = 0u32;
-        for step in &program.steps {
-            let noise_qubits: &[usize] = match step {
-                DenseStep::Gate {
-                    matrix,
-                    target,
-                    controls,
-                    noise_qubits,
-                } => {
-                    ctx.state.apply_controlled(controls, *target, matrix);
-                    noise_qubits
-                }
-                DenseStep::Swap { a, b, noise_qubits } => {
-                    ctx.state.apply_swap(*a, *b);
-                    noise_qubits
-                }
-                DenseStep::Measure { .. } | DenseStep::Reset { .. } => {
-                    unreachable!("dedupable programs contain no measurements or resets")
-                }
-            };
-            let step_end = site + (noise_qubits.len() * width) as u32;
-            while next < events.len() && events[next].site < step_end {
-                let event = events[next];
-                let position = (event.site - site) as usize;
-                let qubit = noise_qubits[position / width];
-                let channel = position % width;
-                ctx.state
-                    .apply_single(qubit, &program.unitaries[channel][event.error as usize]);
-                next += 1;
-            }
-            site = step_end;
-        }
-        debug_assert_eq!(next, events.len(), "pattern events beyond the program");
+        let mut replayed = Replayed::new(pattern, learned);
+        let error_events = walk(program, &mut ctx.state, &mut replayed, &mut []);
+        debug_assert!(replayed.exhausted(), "pattern events beyond the program");
         SingleRun {
             // Each member samples its own outcome from the shared state.
             outcome: 0,
             clbits: vec![false; program.num_clbits],
-            error_events: events.len(),
+            error_events,
             dd_nodes: 0,
             dd_nodes_peak: 0,
             state: (),
@@ -423,6 +412,32 @@ impl StochasticBackend for DenseSimulator {
             "sample_outcome must use the context the pattern ran in"
         );
         ctx.state.sample_measurement(rng)
+    }
+
+    fn sample_outcomes(
+        &self,
+        program: &DenseProgram,
+        ctx: &mut DenseContext,
+        run: &SingleRun<()>,
+        shots: &mut [(u64, StdRng)],
+        mut sink: impl FnMut(u64, u64),
+    ) {
+        // A lone member scans the amplitudes directly; tabulating the
+        // running sums first only pays off from the second draw on.
+        if let [(shot, rng)] = shots {
+            return sink(*shot, self.sample_outcome(program, ctx, run, rng));
+        }
+        debug_assert_eq!(
+            ctx.seated, program.id,
+            "sample_outcomes must use the context the pattern ran in"
+        );
+        // The table holds the running sums `sample_measurement` forms, so
+        // every member draws the index it would have drawn alone — by
+        // binary search instead of two passes over the shared state.
+        let cumulative = ctx.state.cumulative_probabilities();
+        for (shot, rng) in shots.iter_mut() {
+            sink(*shot, sample_cumulative(&cumulative, rng));
+        }
     }
 
     fn outcome_distribution(
@@ -447,36 +462,12 @@ impl StochasticBackend for DenseSimulator {
     }
 }
 
-/// Applies the state-dependent amplitude-damping channel: the decay branch
-/// fires with probability equal to the squared norm of `A0 |psi>`. The
-/// probe state is built in `scratch` (reusing its allocation) and swapped
-/// into place when the decay branch wins.
-fn apply_damping(
-    state: &mut StateVector,
-    scratch: &mut StateVector,
-    qubit: usize,
-    branches: &[Matrix2; 2],
-    rng: &mut StdRng,
-    error_events: &mut usize,
-) {
-    scratch.clone_from(state);
-    scratch.apply_single(qubit, &branches[0]);
-    let p_decay = scratch.norm_sqr();
-    if rng.gen::<f64>() < p_decay {
-        *error_events += 1;
-        scratch.normalize();
-        std::mem::swap(state, scratch);
-    } else {
-        state.apply_single(qubit, &branches[1]);
-        state.normalize();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qsdd_circuit::generators::ghz;
-    use rand::SeedableRng;
+    use qsdd_noise::ErrorEvent;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn noiseless_ghz_yields_correlated_outcomes() {
@@ -542,6 +533,76 @@ mod tests {
         }
         // With 200 damping opportunities at 5% each, decay is near certain.
         assert!(decays >= 48, "only {decays} of 50 runs decayed");
+    }
+
+    #[test]
+    fn certain_damping_forces_decay_on_the_live_path() {
+        // p = 1 amplitude damping: the first X excites qubit 0 for a
+        // certain decay, the CX then exposes two qubits in |0> (threshold
+        // 0: the keep branch, no event) and the second X excites qubit 1
+        // for another certain decay. Every exposure draws against the
+        // threshold first and applies only the selected branch.
+        let backend = DenseSimulator::new();
+        let mut circuit = Circuit::new(2);
+        circuit.x(0).cx(0, 1).x(1);
+        let noise = NoiseModel::new(0.0, 1.0, 0.0);
+        let program = backend.compile(&circuit, &noise);
+        let mut ctx = backend.new_context();
+        for seed in 0..16 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let run = backend.run_shot(&program, &mut ctx, &mut rng);
+            assert_eq!(run.outcome, 0, "both qubits must end in |0>");
+            assert_eq!(run.error_events, 2);
+            // Four exposures and one full-register sample, one draw each.
+            let mut reference = StdRng::seed_from_u64(seed);
+            for _ in 0..5 {
+                let _ = reference.gen::<f64>();
+            }
+            assert_eq!(rng.gen::<u64>(), reference.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn pattern_replays_learn_the_thresholds_past_their_last_event() {
+        let backend = DenseSimulator::new();
+        let program = backend.compile(&ghz(4), &NoiseModel::paper_defaults());
+        let mut ctx = backend.new_context();
+        // The empty pattern walks the no-error path: it meets exactly the
+        // thresholds compilation recorded, one per damping site.
+        let mut learned = Vec::new();
+        let empty = ErrorPattern::default();
+        backend.run_pattern(&program, &mut ctx, &empty, Some(&mut learned));
+        let sites = program.sites.as_ref().expect("unitary programs presample");
+        let no_error: Vec<f64> = sites
+            .iter()
+            .filter_map(|site| match site {
+                SiteChannel::Damping { p_decay } => Some(*p_decay),
+                SiteChannel::Passive(_) => None,
+            })
+            .collect();
+        assert_eq!(learned, no_error);
+        assert_eq!(no_error.len() * 3, sites.len(), "one damping site in three");
+        // A decay at the first damping site (site 1, after the H on qubit
+        // 0) leaves qubit 0 in |0>: only the sites behind it are learned,
+        // and qubit 0's later exposure can no longer decay.
+        let decayed = empty.with_event(ErrorEvent {
+            site: 1,
+            error: ErrorEvent::DECAY,
+        });
+        learned.clear();
+        let run = backend.run_pattern(&program, &mut ctx, &decayed, Some(&mut learned));
+        assert_eq!(run.error_events, 1);
+        assert_eq!(learned.len(), no_error.len() - 1);
+        assert_eq!(learned[0], 0.0, "a decayed qubit has nothing left to lose");
+    }
+
+    #[test]
+    fn sample_outcomes_draw_identically_for_one_member_and_for_many() {
+        // A lone member scans the amplitudes, a group binary-searches the
+        // running-sum table.
+        let backend = DenseSimulator::new();
+        let program = backend.compile(&ghz(5), &NoiseModel::paper_defaults());
+        crate::backend::testing::assert_groups_draw_like_lone_members(&backend, &program);
     }
 
     #[test]

@@ -57,6 +57,7 @@
 pub mod backend;
 pub mod dd_backend;
 pub mod deadline;
+mod decisions;
 pub mod dedup;
 pub mod dense_backend;
 pub mod estimator;

@@ -896,9 +896,10 @@ mod tests {
     }
 
     /// The mode × placement matrix: what "one driver" promises, cell by
-    /// cell. Three engines cover the whole fallback chain — full dedup and
-    /// weighted support, neither (dense under damping noise runs every mode
-    /// per shot), and prefix dedup without weighted support.
+    /// cell. Four engines cover the whole fallback chain — full dedup and
+    /// weighted support on either back-end (damping noise included),
+    /// neither (a dense program with a mid-circuit measurement runs every
+    /// mode per shot), and prefix dedup without weighted support.
     #[test]
     fn every_mode_agrees_across_every_placement() {
         const SHOTS: usize = 240;
@@ -907,11 +908,13 @@ mod tests {
         let engines = [
             engine(DD, &ghz(6), paper(), 17),
             engine(DENSE, &ghz(4), paper(), 17),
+            engine(DENSE, &measured, paper(), 17),
             engine(DD, &measured, paper(), 17),
         ];
         assert!(engines[0].supports_weighted() && engines[0].supports_dedup());
-        assert!(!engines[1].supports_dedup());
-        assert!(engines[2].supports_dedup() && !engines[2].supports_weighted());
+        assert!(engines[1].supports_weighted() && engines[1].supports_dedup());
+        assert!(!engines[2].supports_dedup());
+        assert!(engines[3].supports_dedup() && !engines[3].supports_weighted());
         let warm_ups = [
             engine(DD, &qft(3), paper(), 3),
             engine(DENSE, &qft(3), paper(), 3),
@@ -924,7 +927,8 @@ mod tests {
         for engine in &engines {
             let mut references = Vec::new();
             for mode in [PerShot, Dedup, Weighted(options.clone())] {
-                let cell = format!("{} / {mode:?}", engine.circuit().name());
+                let (name, kind) = (engine.circuit().name(), engine.backend_kind());
+                let cell = format!("{name} on {kind} / {mode:?}");
                 let enumerates = matches!(mode, Weighted(_)) && engine.supports_weighted();
                 let dedups = mode != PerShot && !enumerates && engine.supports_dedup();
                 let plan = ExecPlan::new(mode.clone(), SHOTS, &observables);

@@ -32,4 +32,4 @@ mod state;
 
 pub use executor::{apply_unitary_operation, run_noiseless, run_with_measurements};
 pub use intra::IntraPool;
-pub use state::StateVector;
+pub use state::{sample_cumulative, StateVector};

@@ -118,6 +118,38 @@ unsafe fn swap_pairs(amps: *mut Complex, ma: usize, mb: usize, lo: usize, hi: us
     }
 }
 
+/// Scales the `|0>` amplitude of every pair in `lo..hi` by `s0` and the
+/// `|1>` amplitude by `s1`: a real diagonal operator.
+///
+/// # Safety
+///
+/// Same contract as [`single_qubit_pairs`].
+unsafe fn scale_pairs(amps: *mut Complex, mask: usize, s0: f64, s1: f64, lo: usize, hi: usize) {
+    let low = mask - 1;
+    for p in lo..hi {
+        let i = ((p & !low) << 1) | (p & low);
+        let j = i | mask;
+        *amps.add(i) = (*amps.add(i)).scale(s0);
+        *amps.add(j) = (*amps.add(j)).scale(s1);
+    }
+}
+
+/// Moves the `|1>` amplitude of every pair in `lo..hi` onto the `|0>`
+/// amplitude, scaled by `s`, and clears it.
+///
+/// # Safety
+///
+/// Same contract as [`single_qubit_pairs`].
+unsafe fn lower_pairs(amps: *mut Complex, mask: usize, s: f64, lo: usize, hi: usize) {
+    let low = mask - 1;
+    for p in lo..hi {
+        let i = ((p & !low) << 1) | (p & low);
+        let j = i | mask;
+        *amps.add(i) = (*amps.add(j)).scale(s);
+        *amps.add(j) = Complex::ZERO;
+    }
+}
+
 /// A dense `2^n` amplitude vector.
 ///
 /// Qubit 0 is the most significant bit of the basis-state index, matching
@@ -135,7 +167,7 @@ unsafe fn swap_pairs(amps: *mut Complex, ma: usize, mb: usize, lo: usize, hi: us
 /// assert!((state.probability_of_index(0b00) - 0.5).abs() < 1e-12);
 /// assert!((state.probability_of_index(0b11) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct StateVector {
     num_qubits: usize,
     amplitudes: Vec<Complex>,
@@ -146,24 +178,6 @@ impl PartialEq for StateVector {
     // The pool is an execution detail, not part of the state's value.
     fn eq(&self, other: &Self) -> bool {
         self.num_qubits == other.num_qubits && self.amplitudes == other.amplitudes
-    }
-}
-
-impl Clone for StateVector {
-    fn clone(&self) -> Self {
-        StateVector {
-            num_qubits: self.num_qubits,
-            amplitudes: self.amplitudes.clone(),
-            pool: self.pool.clone(),
-        }
-    }
-
-    // Hand-rolled so per-shot scratch copies (e.g. the amplitude-damping
-    // branch probe) reuse their existing allocation.
-    fn clone_from(&mut self, source: &Self) {
-        self.num_qubits = source.num_qubits;
-        self.amplitudes.clone_from(&source.amplitudes);
-        self.pool.clone_from(&source.pool);
     }
 }
 
@@ -328,39 +342,50 @@ impl StateVector {
         });
     }
 
-    /// Sums `f(index, amplitude)` over all amplitudes by fixed chunks,
-    /// merging the per-chunk partial sums in chunk order. Serial and
+    /// Reduces `0..len` by fixed chunks: `reduce(lo, hi)` per chunk, the
+    /// partials returned in chunk order for the caller to merge. Serial and
     /// pooled paths produce bit-identical results because the chunk
     /// boundaries and both summation orders are independent of the pool.
-    fn chunked_sum(&self, f: impl Fn(usize, Complex) -> f64 + Sync) -> f64 {
-        let len = self.amplitudes.len();
+    fn chunk_partials<T: Copy + Default + Send>(
+        &self,
+        len: usize,
+        reduce: impl Fn(usize, usize) -> T + Sync,
+    ) -> Vec<T> {
         let chunks = len.div_ceil(CHUNK);
-        let mut partials = vec![0.0f64; chunks];
-        let amps = &self.amplitudes;
-        let sum_chunk = |c: usize| -> f64 {
+        let mut partials = vec![T::default(); chunks];
+        let reduce_chunk = |c: usize| {
             let lo = c * CHUNK;
-            let hi = (lo + CHUNK).min(len);
-            let mut acc = 0.0;
-            for (offset, a) in amps[lo..hi].iter().enumerate() {
-                acc += f(lo + offset, *a);
-            }
-            acc
+            reduce(lo, (lo + CHUNK).min(len))
         };
         match self.active_pool() {
             Some(pool) => {
                 let out = SendPtr(partials.as_mut_ptr());
                 pool.for_each_chunk(chunks, &|c| {
                     // SAFETY: each chunk index writes only its own slot.
-                    unsafe { *out.get().add(c) = sum_chunk(c) };
+                    unsafe { *out.get().add(c) = reduce_chunk(c) };
                 });
             }
             None => {
                 for (c, slot) in partials.iter_mut().enumerate() {
-                    *slot = sum_chunk(c);
+                    *slot = reduce_chunk(c);
                 }
             }
         }
-        partials.iter().sum()
+        partials
+    }
+
+    /// Sums `f(index, amplitude)` over all amplitudes by fixed chunks,
+    /// merging the per-chunk partial sums in chunk order.
+    fn chunked_sum(&self, f: impl Fn(usize, Complex) -> f64 + Sync) -> f64 {
+        let amps = &self.amplitudes;
+        let sum_chunk = |lo: usize, hi: usize| {
+            let mut acc = 0.0;
+            for (offset, a) in amps[lo..hi].iter().enumerate() {
+                acc += f(lo + offset, *a);
+            }
+            acc
+        };
+        self.chunk_partials(amps.len(), sum_chunk).iter().sum()
     }
 
     /// Squared Euclidean norm of the state.
@@ -393,17 +418,94 @@ impl StateVector {
         }
     }
 
-    /// Draws one complete measurement outcome without collapsing the state.
+    /// Squared norms of the `|0>` and `|1>` halves of `qubit`,
+    /// `(‖P0 ψ‖², ‖P1 ψ‖²)`, in one read-only pass over the pair space
+    /// (per-chunk partials merged in chunk order, like every reduction).
+    /// All an amplitude-damping exposure needs before it touches the state:
+    /// the decay branch `√γ|0><1| ψ` has relative weight `γ·one / (zero +
+    /// one)`, and the weights fix the norm of whichever branch is applied.
+    pub fn branch_weights(&self, qubit: usize) -> (f64, f64) {
+        let mask = self.bit_mask(qubit);
+        let low = mask - 1;
+        let amps = &self.amplitudes;
+        let weigh_chunk = |lo: usize, hi: usize| {
+            let (mut zero, mut one) = (0.0, 0.0);
+            for p in lo..hi {
+                let i = ((p & !low) << 1) | (p & low);
+                zero += amps[i].norm_sqr();
+                one += amps[i | mask].norm_sqr();
+            }
+            (zero, one)
+        };
+        self.chunk_partials(amps.len() >> 1, weigh_chunk)
+            .iter()
+            .fold((0.0, 0.0), |(zero, one), part| {
+                (zero + part.0, one + part.1)
+            })
+    }
+
+    /// Applies the no-decay branch `diag(1, √(1-γ))` of amplitude damping
+    /// to `qubit` and renormalises, in one in-place pass. `(zero, one)` are
+    /// the state's [`branch_weights`](Self::branch_weights) on `qubit`.
+    pub fn damping_keep(&mut self, qubit: usize, gamma: f64, (zero, one): (f64, f64)) {
+        let mask = self.bit_mask(qubit);
+        let norm = (zero + (1.0 - gamma) * one).sqrt();
+        let (s0, s1) = (1.0 / norm, (1.0 - gamma).sqrt() / norm);
+        // SAFETY: as in `apply_single`.
+        self.run_pair_kernel(self.amplitudes.len() >> 1, |amps, lo, hi| unsafe {
+            scale_pairs(amps, mask, s0, s1, lo, hi)
+        });
+    }
+
+    /// Applies the decay branch `√γ|0><1|` of amplitude damping to `qubit`
+    /// and renormalises, in one in-place pass: the `|1>` half moves onto
+    /// the `|0>` half scaled by `1/√one` (`γ` cancels against the norm),
+    /// where `one` is the `|1>` weight of
+    /// [`branch_weights`](Self::branch_weights).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `one` is not positive: a qubit in `|0>` cannot decay.
+    pub fn damping_decay(&mut self, qubit: usize, one: f64) {
+        assert!(one > 0.0, "a qubit without |1> weight cannot decay");
+        let mask = self.bit_mask(qubit);
+        let scale = 1.0 / one.sqrt();
+        // SAFETY: as in `apply_single`.
+        self.run_pair_kernel(self.amplitudes.len() >> 1, |amps, lo, hi| unsafe {
+            lower_pairs(amps, mask, scale, lo, hi)
+        });
+    }
+
+    /// Draws one complete measurement outcome without collapsing the state:
+    /// the first basis index whose running probability sum exceeds
+    /// `r · total` (`r` one uniform draw, `total` the last running sum).
+    /// [`sample_cumulative`] applies the same rule to the tabulated sums.
     pub fn sample_measurement<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let total = self.norm_sqr();
-        let mut threshold = rng.gen::<f64>() * total;
+        let total = self
+            .amplitudes
+            .iter()
+            .fold(0.0, |running, a| running + a.norm_sqr());
+        let target = rng.gen::<f64>() * total;
+        let mut running = 0.0;
         for (i, a) in self.amplitudes.iter().enumerate() {
-            threshold -= a.norm_sqr();
-            if threshold <= 0.0 {
+            running += a.norm_sqr();
+            if running > target {
                 return i as u64;
             }
         }
         (self.amplitudes.len() - 1) as u64
+    }
+
+    /// The running sums `Σ_{k ≤ i} |a_k|²` in basis order: one pass builds
+    /// the table [`sample_cumulative`] draws any number of outcomes from,
+    /// where [`sample_measurement`](Self::sample_measurement) takes two per
+    /// draw.
+    pub fn cumulative_probabilities(&self) -> Vec<f64> {
+        let sums = self.amplitudes.iter().scan(0.0, |running, a| {
+            *running += a.norm_sqr();
+            Some(*running)
+        });
+        sums.collect()
     }
 
     /// Projects onto `qubit = outcome` without renormalising; the squared
@@ -494,6 +596,17 @@ impl StateVector {
     pub fn fidelity(&self, other: &StateVector) -> f64 {
         self.inner_product(other).norm_sqr()
     }
+}
+
+/// Draws one measurement outcome from a state's
+/// [`cumulative_probabilities`](StateVector::cumulative_probabilities) by
+/// binary search — [`StateVector::sample_measurement`]'s rule, so both pick
+/// the same index from the same draw.
+pub fn sample_cumulative<R: Rng + ?Sized>(cumulative: &[f64], rng: &mut R) -> u64 {
+    let total = *cumulative.last().expect("a state's table is never empty");
+    let target = rng.gen::<f64>() * total;
+    let index = cumulative.partition_point(|&running| running <= target);
+    index.min(cumulative.len() - 1) as u64
 }
 
 #[cfg(test)]
@@ -621,11 +734,11 @@ mod tests {
         s.apply_single(5, &Matrix2::pauli_x());
     }
 
-    /// Runs the same non-trivial circuit with and without a pool on a
-    /// state large enough to span several kernel chunks (17 qubits =
-    /// 2^17 amplitudes = 8 chunks), then compares every amplitude and
-    /// both reductions bit for bit — the core determinism contract of
-    /// the intra-shot parallel kernels.
+    /// Runs the same non-trivial circuit (both damping branches included)
+    /// with and without a pool on a state large enough to span several
+    /// kernel chunks (17 qubits = 2^17 amplitudes = 8 chunks), then
+    /// compares every amplitude and all three reductions bit for bit — the
+    /// core determinism contract of the intra-shot parallel kernels.
     #[test]
     fn pooled_kernels_are_bit_identical_to_serial() {
         fn build(pool: Option<Arc<IntraPool>>) -> StateVector {
@@ -641,6 +754,10 @@ mod tests {
             s.apply_controlled(&[0, 8], 16, &Matrix2::ry(0.81));
             s.apply_swap(0, n - 1);
             s.apply_single(3, &Matrix2::u3(0.4, 1.1, -0.6));
+            let weights = s.branch_weights(5);
+            s.damping_keep(5, 0.2, weights);
+            let (_, one) = s.branch_weights(11);
+            s.damping_decay(11, one);
             s
         }
         let serial = build(None);
@@ -655,7 +772,78 @@ mod tests {
                 serial.probability_one(5).to_bits(),
                 pooled.probability_one(5).to_bits()
             );
+            let (serial, pooled) = (serial.branch_weights(2), pooled.branch_weights(2));
+            assert_eq!(serial.0.to_bits(), pooled.0.to_bits());
+            assert_eq!(serial.1.to_bits(), pooled.1.to_bits());
         }
+    }
+
+    /// A normalised pseudo-random state (every amplitude non-zero).
+    fn random_state(n: usize, seed: u64) -> StateVector {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let amplitudes = (0..1usize << n)
+            .map(|_| Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+            .collect();
+        let mut state = StateVector::from_amplitudes(amplitudes);
+        state.normalize();
+        state
+    }
+
+    #[test]
+    fn branch_weights_agree_with_the_two_pass_probability() {
+        let mut state = random_state(10, 1);
+        // Off unit norm, so the relative and absolute weights differ.
+        state.apply_single(4, &Matrix2::amplitude_damping_a1(0.3));
+        let total = state.norm_sqr();
+        for qubit in 0..10 {
+            let (zero, one) = state.branch_weights(qubit);
+            assert!((one - state.probability_one(qubit) * total).abs() < 1e-12);
+            assert!((zero + one - total).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn damping_kernels_agree_with_the_kraus_operators() {
+        let gamma = 0.37;
+        let state = random_state(10, 2);
+        for qubit in [0, 4, 9] {
+            let weights = state.branch_weights(qubit);
+            let mut kept = state.clone();
+            kept.damping_keep(qubit, gamma, weights);
+            let mut decayed = state.clone();
+            decayed.damping_decay(qubit, weights.1);
+            let references = [
+                Matrix2::amplitude_damping_a1(gamma),
+                Matrix2::amplitude_damping_a0(gamma),
+            ]
+            .map(|kraus| {
+                let mut reference = state.clone();
+                reference.apply_single(qubit, &kraus);
+                reference.normalize();
+                reference
+            });
+            for (fused, reference) in [kept, decayed].iter().zip(&references) {
+                for (a, b) in fused.amplitudes().iter().zip(reference.amplitudes()) {
+                    assert!((*a - *b).abs() < 1e-12, "qubit {qubit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_and_scan_pick_the_same_outcome_from_the_same_draw() {
+        // A sparse state: zero-probability indices are never drawn.
+        let mut state = random_state(6, 4);
+        state.project(2, true);
+        let cumulative = state.cumulative_probabilities();
+        let mut scan_rng = StdRng::seed_from_u64(5);
+        let mut table_rng = StdRng::seed_from_u64(5);
+        for _ in 0..2_000 {
+            let outcome = state.sample_measurement(&mut scan_rng);
+            assert_eq!(outcome, sample_cumulative(&cumulative, &mut table_rng));
+            assert!(state.probability_of_index(outcome) > 0.0);
+        }
+        assert_eq!(scan_rng.gen::<u64>(), table_rng.gen::<u64>());
     }
 
     /// A 1-thread pool must behave exactly like no pool at all.

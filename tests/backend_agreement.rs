@@ -103,6 +103,35 @@ fn dense_monte_carlo_tracks_exact_density_matrix() {
     }
 }
 
+/// The dense back-end shares trajectories under damping noise; whatever it
+/// shares, its histogram must stay the exact one's. (The repository
+/// benchmark's oracle twins only exercise the decision-diagram back-end.)
+#[test]
+fn dense_trajectory_sharing_tracks_exact_density_matrix() {
+    const SHOTS: usize = 20_000;
+    let tenfold = NoiseModel::new(0.01, 0.02, 0.01);
+    for (name, circuit) in [("ghz6", ghz(6)), ("qft5", qft(5))] {
+        for noise in [NoiseModel::paper_defaults(), tenfold] {
+            let exact = density::outcome_distribution(&circuit, &noise);
+            let result = StochasticSimulator::new()
+                .with_backend(BackendKind::Statevector)
+                .with_shots(SHOTS)
+                .with_noise(noise)
+                .with_seed(2021)
+                .run(&circuit);
+            let stats = result.dedup.expect("unitary dense programs deduplicate");
+            assert!(stats.unique_trajectories < SHOTS as u64 / 2, "{stats:?}");
+            let tv: f64 = exact
+                .iter()
+                .enumerate()
+                .map(|(index, p_exact)| (result.frequency(index as u64) - p_exact).abs())
+                .sum::<f64>()
+                / 2.0;
+            assert!(tv < 0.03, "{name} under {noise:?}: total variation {tv}");
+        }
+    }
+}
+
 #[test]
 fn both_stochastic_backends_agree_under_noise() {
     let circuit = qft(5);

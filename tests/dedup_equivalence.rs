@@ -195,9 +195,10 @@ proptest! {
         compare_engine(&engine, &[Observable::BasisProbability(1)]);
     }
 
-    /// The dense statevector back-end deduplicates full unitary programs
-    /// and declines everything else; both paths must match per-shot
-    /// execution byte for byte.
+    /// The dense statevector back-end deduplicates full unitary programs —
+    /// under state-dependent amplitude damping too, with thresholds
+    /// recorded at compile time and learned past a deviation — and must
+    /// match per-shot execution byte for byte.
     #[test]
     fn dense_dedup_matches_per_shot(
         circuit in arb_circuit(3, 14, false),
@@ -206,11 +207,12 @@ proptest! {
         let engine = ShotEngine::new(
             &circuit,
             BackendKind::Statevector,
-            NoiseModel::new(0.03, 0.0, 0.03),
+            NoiseModel::new(0.03, 0.04, 0.03),
             seed,
             OptLevel::O0,
         );
         compare_engine(&engine, &[Observable::QubitExcitation(0)]);
+        prop_assert!(engine.supports_dedup());
     }
 }
 
@@ -283,29 +285,39 @@ fn simulator_facade_exposes_the_dedup_switch() {
 /// children and grandchildren: the paper's channels at ten times their
 /// strength on GHZ-16, QFT-8 and measured BV-6 (prefix deduplication), and
 /// at a hundred times on GHZ-4, where few sites and many events make even
-/// three-event patterns coincide.
+/// three-event patterns coincide. The unitary ones run on the statevector
+/// back-end too (it declines measured programs).
 fn deep_tree_engines() -> Vec<(&'static str, ShotEngine)> {
     use qsdd::circuit::generators::{bernstein_vazirani, ghz, qft};
+    use BackendKind::{DecisionDiagram, Statevector};
     let tenfold = NoiseModel::new(0.01, 0.02, 0.01);
-    [
-        ("ghz16", ghz(16), tenfold),
-        ("qft8", qft(8), tenfold),
-        ("bv6", bernstein_vazirani(6, 0b10101), tenfold),
-        ("ghz4", ghz(4), NoiseModel::new(0.1, 0.2, 0.1)),
-    ]
-    .into_iter()
-    .map(|(name, circuit, noise)| {
-        let engine = ShotEngine::new(
-            &circuit,
-            BackendKind::DecisionDiagram,
-            noise,
-            2021,
-            OptLevel::O0,
-        );
-        assert!(engine.supports_dedup(), "{name} must deduplicate");
-        (name, engine)
-    })
-    .collect()
+    let hundredfold = NoiseModel::new(0.1, 0.2, 0.1);
+    let mut cases = vec![
+        ("ghz16", DecisionDiagram, ghz(16), tenfold),
+        ("qft8", DecisionDiagram, qft(8), tenfold),
+        (
+            "bv6",
+            DecisionDiagram,
+            bernstein_vazirani(6, 0b10101),
+            tenfold,
+        ),
+        ("ghz4", DecisionDiagram, ghz(4), hundredfold),
+        ("dense-qft8", Statevector, qft(8), tenfold),
+        ("dense-ghz4", Statevector, ghz(4), hundredfold),
+    ];
+    // An unoptimised dense GHZ-16 shot takes ~40 ms and the suites below
+    // run some ten thousand of them: CI's release step covers this case.
+    if !cfg!(debug_assertions) {
+        cases.push(("dense-ghz16", Statevector, ghz(16), tenfold));
+    }
+    cases
+        .into_iter()
+        .map(|(name, backend, circuit, noise)| {
+            let engine = ShotEngine::new(&circuit, backend, noise, 2021, OptLevel::O0);
+            assert!(engine.supports_dedup(), "{name} must deduplicate");
+            (name, engine)
+        })
+        .collect()
 }
 
 const DEEP_SHOTS: usize = 1_500;
@@ -376,8 +388,8 @@ fn every_bucket_shot_equals_its_live_execution() {
             .filter(|span| span.name == "trajectory_group" && attr(span, "members") >= Some(2))
             .filter_map(|span| attr(span, "events"))
             .max();
-        // Every case replays children; the dense one grandchildren too.
-        let expected = if name == "ghz4" { 3 } else { 2 };
+        // Every case replays children; the GHZ-4 ones grandchildren too.
+        let expected = if name.ends_with("ghz4") { 3 } else { 2 };
         assert!(
             deepest >= Some(expected),
             "{name}: deepest shared pattern {deepest:?}"

@@ -10,8 +10,10 @@
 //! deterministic integers the package keeps. A second bound holds the
 //! deduplicating driver to sharing trajectories past the first deviation:
 //! evolutions and compute misses of a GHZ-32 job against the same job with
-//! every deviating shot run alone. There is no wall clock here: the
-//! property gated is the operation count, which cannot flake.
+//! every deviating shot run alone — and, on the statevector back-end, the
+//! evolutions of a GHZ-14 job under the paper's (damping) noise. There is
+//! no wall clock here: the property gated is the operation count, which
+//! cannot flake.
 
 mod common;
 
@@ -196,4 +198,27 @@ fn deviating_ghz32_shots_share_their_evolution() {
         assert!(2 * shared <= alone, "{shared} shared vs {alone} alone");
     }
     trace::set_trace_enabled(false);
+}
+
+/// The dense baseline shares trajectories under the paper's noise model
+/// too: a statevector GHZ-14 job evolves a few dozen states, not one per
+/// shot, and the same ones on any number of workers.
+#[test]
+fn dense_ghz14_shots_share_their_evolution() {
+    const SHOTS: usize = 300;
+    let engine = ShotEngine::new(
+        &ghz(14),
+        BackendKind::Statevector,
+        NoiseModel::paper_defaults(),
+        2021,
+        OptLevel::O0,
+    );
+    let plan = ExecPlan::new(ExecMode::Dedup, SHOTS, &[]);
+    let [serial, threaded] = [1, 2].map(|threads| {
+        let outcome = execute(&engine, &plan, Placement::Threads(threads)).unwrap();
+        outcome.dedup.expect("unitary dense programs deduplicate")
+    });
+    eprintln!("{SHOTS} dense shots: {serial:?}");
+    assert!(serial.unique_trajectories <= 30, "{serial:?}");
+    assert_eq!(serial, threaded);
 }

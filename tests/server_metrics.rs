@@ -212,12 +212,15 @@ fn exact_hit_and_miss_counters_across_thread_counts() {
 #[test]
 fn deterministic_backpressure_counts_under_concurrent_load() {
     // Scripted 429s: fill every worker with a slow job, put one more in the
-    // 1-deep queue, then probe. The blockers run ~seconds (debug-profile
-    // dense simulation) while the probe phase takes milliseconds, so the
-    // counts below are deterministic, not timing-lucky.
+    // 1-deep queue, then probe. A blocker's duration comes from the job, not
+    // from kernel speed: a million per-shot dense QFT-10 runs take minutes
+    // in any profile, and the deadline — checked between shots — ends the
+    // job after `BLOCK_MS`. The probe phase takes tens of milliseconds, so
+    // the counts below are deterministic, not timing-lucky.
+    const BLOCK_MS: u64 = 2000;
     let blocker = |seed: usize| {
         format!(
-            r#"{{"circuit":{{"generator":"qft","qubits":9}},"backend":"dense","dedup":false,"shots":300,"seed":{seed}}}"#
+            r#"{{"circuit":{{"generator":"qft","qubits":10}},"backend":"dense","dedup":false,"shots":1000000,"timeout_ms":{BLOCK_MS},"seed":{seed}}}"#
         )
     };
     for threads in [1usize, 2, 8] {
