@@ -236,6 +236,7 @@ impl JobRuntime {
     /// Loads, transpiles and compiles one job (`Err`: why it did not load).
     fn build(spec: &JobSpec, options: &BatchOptions) -> Result<JobRuntime, String> {
         let circuit = spec.load_circuit()?;
+        spec.backend.check_width(circuit.num_qubits())?;
         let engine = ShotEngine::new(&circuit, spec.backend, spec.noise, spec.seed, spec.opt);
         let progress = JobProgress {
             // Transpile/compile happened inside the engine build.

@@ -20,7 +20,7 @@ use qsdd_noise::{ErrorChannel, ErrorPattern, NoiseModel, PresamplePlan, SiteChan
 use rand::rngs::StdRng;
 
 use crate::backend::{next_program_id, pack_clbits, SingleRun, StochasticBackend};
-use crate::decisions::{Decisions, Replayed, Sampled};
+use crate::decisions::{Decisions, NoError, Replayed, Sampled};
 use crate::dedup::DedupSupport;
 use crate::estimator::Observable;
 
@@ -141,6 +141,18 @@ const TRAJECTORY_NODE_BUDGET: usize = 1 << 19;
 /// package exceeds a node budget, so programs for circuits with large
 /// noise-free states stay memory-bounded (the tail of such circuits just
 /// runs live).
+///
+/// # The unrecorded continuation
+///
+/// The trajectory ends at the first measurement or reset, the template does
+/// not: compilation walks the remaining steps once more, error-free (every
+/// damping exposure keeps, measurements draw from a fixed-seed generator),
+/// within the same node budget. Nothing of that walk enters the program —
+/// `trajectory`, the deduplicable prefix and every shot's stream consumption
+/// are unchanged — but [`DdPackage::mark_persistent`] freezes its table
+/// entries with the rest of the template, so a shot on the no-error path
+/// finds its measure / project / normalise chains instead of rebuilding
+/// them, and any other shot rebuilds only the levels above its errors.
 #[derive(Clone, Debug)]
 pub struct DdProgram {
     id: u64,
@@ -204,9 +216,10 @@ impl DdProgram {
 ///
 /// The context owns one [`DdPackage`]. When asked to run a shot of the
 /// program it is already seated on, the package is rewound to the program's
-/// persistent watermark — an O(transient) truncation. When handed a
-/// different program, it re-seats by copying that program's template into
-/// its existing allocations. Either way the package state at shot entry is
+/// persistent watermark — a truncation plus a clear of the live table
+/// layers. When handed a different program, it re-seats by copying that
+/// program's template into its existing allocations (the frozen table layer
+/// is shared, not copied). Either way the package state at shot entry is
 /// exactly the compiled template, which is what makes context reuse
 /// unobservable in the results.
 #[derive(Clone, Debug)]
@@ -460,8 +473,7 @@ impl StochasticBackend for DdSimulator {
             first_nonapply
         };
 
-        base.mark_persistent();
-        DdProgram {
+        let mut program = DdProgram {
             id: next_program_id(),
             num_qubits: n,
             num_clbits: circuit.num_clbits(),
@@ -473,8 +485,26 @@ impl StochasticBackend for DdSimulator {
             dedup_prefix,
             initial,
             initial_nodes,
-            base,
+            base: DdPackage::new(),
+        };
+
+        // The trajectory's unrecorded continuation (see the `DdProgram`
+        // docs): error-free, within the recording's node budget, kept only
+        // as the table entries the mark below freezes.
+        let mut walk = Walk::start(&program);
+        (walk.state, walk.live) = (state, true);
+        let mut decisions = NoError(rand::SeedableRng::seed_from_u64(0));
+        let mut clbits = vec![false; program.num_clbits];
+        for index in program.trajectory.len()..program.steps.len() {
+            if base.stats().vec_nodes > TRAJECTORY_NODE_BUDGET {
+                break;
+            }
+            let step = index..index + 1;
+            walk = walk.run(&program, &mut base, step, &mut decisions, &mut clbits);
         }
+        base.mark_persistent();
+        program.base = base;
+        program
     }
 
     fn new_context(&self) -> DdContext {
@@ -1100,6 +1130,39 @@ mod tests {
         let program = backend.compile(&circuit, &NoiseModel::paper_defaults());
         assert_eq!(program.step_count(), 3);
         assert_eq!(program.trajectory_steps(), 1);
+    }
+
+    #[test]
+    fn the_no_error_continuation_is_found_not_rebuilt() {
+        // The trajectory ends at the first measurement, but compile walked
+        // on: a shot without an error finds its whole measure / project
+        // chain in the frozen table layer, where it used to build a few
+        // nodes per measured qubit and level.
+        let backend = DdSimulator::new();
+        let circuit = qsdd_circuit::generators::bernstein_vazirani(8, 0b101_0101);
+        let program = backend.compile(&circuit, &NoiseModel::paper_defaults());
+        let measurements = program.step_count() - program.trajectory_steps();
+        assert_eq!(measurements, 7);
+        let mut reused = backend.new_context();
+        let mut clean_shots = 0;
+        for seed in 0..32u64 {
+            let run = backend.run_shot(&program, &mut reused, &mut StdRng::seed_from_u64(seed));
+            let mut fresh = backend.new_context();
+            let twin = backend.run_shot(&program, &mut fresh, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(
+                (run.outcome, run.state, run.dd_nodes_peak),
+                (twin.outcome, twin.state, twin.dd_nodes_peak)
+            );
+            assert_eq!(reused.package().stats(), fresh.package().stats());
+            if run.error_events == 0 {
+                clean_shots += 1;
+                // The secret in clbits 0..7, the ancilla's unused bit last.
+                assert_eq!(run.outcome, 0b1010_1010);
+                let created = reused.package().transient_vec_nodes();
+                assert!(created < measurements * program.num_qubits(), "{created}");
+            }
+        }
+        assert!(clean_shots > 16);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Where a walk over program steps takes its stochastic decisions from.
 //!
 //! Each back-end evolves its state through one step walker generic over a
-//! [`Decisions`] source: a shot's random stream ([`Sampled`]) or a pattern's
-//! event list ([`Replayed`]). The operator sequence is the same either way,
-//! so a replay reaches the state, and reads the damping thresholds, of every
-//! shot that draws the pattern's decisions live — bit for bit. Sites are
-//! numbered from the walk's start in protocol order, like the presample
-//! plan's.
+//! [`Decisions`] source: a shot's random stream ([`Sampled`]), a pattern's
+//! event list ([`Replayed`]) or, once per program, none ([`NoError`]). The
+//! operator sequence is the same either way, so a replay reaches the state,
+//! and reads the damping thresholds, of every shot that draws the pattern's
+//! decisions live — bit for bit. Sites are numbered from the walk's start
+//! in protocol order, like the presample plan's.
 
 use qsdd_noise::{ErrorChannel, ErrorEvent, ErrorPattern, SampledError};
 use rand::rngs::StdRng;
@@ -47,6 +47,24 @@ impl Decisions for Sampled<'_> {
 
     fn rng(&mut self) -> &mut StdRng {
         self.0
+    }
+}
+
+/// Compile's one walk past the recorded trajectory: no error fires, every
+/// damping exposure keeps, measurements draw from a generator of their own.
+pub(crate) struct NoError(pub(crate) StdRng);
+
+impl Decisions for NoError {
+    fn error(&mut self, _site: u32, _channel: &ErrorChannel) -> Option<usize> {
+        None
+    }
+
+    fn decays(&mut self, _site: u32, _p_decay: f64) -> bool {
+        false
+    }
+
+    fn rng(&mut self) -> &mut StdRng {
+        &mut self.0
     }
 }
 

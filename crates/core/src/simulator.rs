@@ -24,6 +24,25 @@ pub enum BackendKind {
     Statevector,
 }
 
+impl BackendKind {
+    /// The widest circuit the engine executes: decision-diagram outcomes
+    /// are `u64` basis indices, the dense buffer holds `2^n` amplitudes.
+    pub fn max_qubits(self) -> usize {
+        match self {
+            BackendKind::DecisionDiagram => 64,
+            BackendKind::Statevector => 30,
+        }
+    }
+
+    /// The one-line reason a circuit of `qubits` qubits cannot run here, if
+    /// it is wider than [`max_qubits`](Self::max_qubits).
+    pub fn check_width(self, qubits: usize) -> Result<(), String> {
+        let limit = self.max_qubits();
+        let refusal = || format!("{qubits} qubits exceed the `{self}` back-end's limit of {limit}");
+        (qubits <= limit).then_some(()).ok_or_else(refusal)
+    }
+}
+
 impl std::str::FromStr for BackendKind {
     type Err = String;
 

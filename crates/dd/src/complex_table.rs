@@ -87,8 +87,8 @@ const NO_NEXT: u32 = u32::MAX;
 pub struct ComplexTable {
     values: Vec<Complex>,
     /// Spatial index: bucket cell -> oldest entry whose value lies in that
-    /// cell. Cells span `4 * tolerance`, so a ball probe only needs the
-    /// cell and its eight neighbours.
+    /// cell. Cells span `4 * tolerance`, so a ball probe only needs those
+    /// of the cell and its eight neighbours the ball overlaps.
     buckets: FxHashMap<(i64, i64), u32>,
     /// `next[i]` is the entry interned after entry `i` in the same cell
     /// ([`NO_NEXT`] at the end), so a cell's entries are visited in
@@ -184,26 +184,45 @@ impl ComplexTable {
         self.values[id.0 as usize]
     }
 
-    /// Bucket-cell coordinates of `value`.
+    /// Position of one component in units of bucket cells.
     ///
-    /// A cell spans several tolerances so that near-boundary values only
+    /// A cell spans four tolerances so that near-boundary values only
     /// require inspecting the immediate neighbour cells.
     #[inline]
-    fn key(&self, value: Complex) -> (i64, i64) {
-        let cell = self.tolerance * 4.0;
-        (
-            (value.re / cell).round() as i64,
-            (value.im / cell).round() as i64,
-        )
+    fn cell_position(&self, x: f64) -> f64 {
+        x / (self.tolerance * 4.0)
     }
 
-    /// Searches the value's cell and its eight neighbours for an entry
-    /// within tolerance.
+    /// Bucket-cell coordinates of `value`.
+    #[inline]
+    fn key(&self, value: Complex) -> (i64, i64) {
+        let cell = |x: f64| self.cell_position(x).round() as i64;
+        (cell(value.re), cell(value.im))
+    }
+
+    /// The cells along one axis that can hold a component within tolerance
+    /// of `x`: its own and, when `x` lies within a tolerance of a boundary —
+    /// a quarter cell, plus a few ulps for the rounding of both positions
+    /// and of the difference `approx_eq` takes — the neighbour behind it.
+    #[inline]
+    fn cells(&self, x: f64) -> std::ops::RangeInclusive<i64> {
+        let at = self.cell_position(x);
+        let home = at.round();
+        let reach = 0.25 + 4.0 * f64::EPSILON * (at.abs() + 1.0);
+        let (below, above) = (at - home < reach - 0.5, at - home > 0.5 - reach);
+        let home = home as i64;
+        home - i64::from(below)..=home + i64::from(above)
+    }
+
+    /// Searches the cells the tolerance box of `value` overlaps — one, two
+    /// or four of the value's cell and its eight neighbours, in the order a
+    /// scan of all nine visits them, so the first match is the same — for
+    /// an entry within tolerance.
     fn find(&self, value: Complex) -> Option<ComplexId> {
-        let (kr, ki) = self.key(value);
-        for dr in -1..=1 {
-            for di in -1..=1 {
-                let mut idx = match self.buckets.get(&(kr + dr, ki + di)) {
+        let im_cells = self.cells(value.im);
+        for kr in self.cells(value.re) {
+            for ki in im_cells.clone() {
+                let mut idx = match self.buckets.get(&(kr, ki)) {
                     Some(&oldest) => oldest,
                     None => continue,
                 };
@@ -390,6 +409,7 @@ impl Default for ComplexTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn zero_and_one_have_fixed_ids() {
@@ -539,5 +559,86 @@ mod tests {
         assert_eq!(again.index(), mark);
         assert_eq!(t.lookup(Complex::new(0.5, 1.5e-10)), again);
         assert_eq!(t.len(), mark + 1);
+    }
+
+    /// The scan [`ComplexTable::find`] narrows: the value's cell and all
+    /// eight neighbours.
+    fn nine_cell_scan(table: &ComplexTable, value: Complex) -> Option<ComplexId> {
+        let (kr, ki) = table.key(value);
+        for dr in -1..=1 {
+            for di in -1..=1 {
+                let Some(&oldest) = table.buckets.get(&(kr + dr, ki + di)) else {
+                    continue;
+                };
+                let mut idx = oldest;
+                while idx != NO_NEXT {
+                    if table.values[idx as usize].approx_eq(value, table.tolerance) {
+                        return Some(ComplexId(idx));
+                    }
+                    idx = table.next[idx as usize];
+                }
+            }
+        }
+        None
+    }
+
+    /// `x` moved by `ulps` representable values.
+    fn step(x: f64, ulps: i32) -> f64 {
+        (0..ulps.abs()).fold(x, |x, _| if ulps < 0 { x.next_down() } else { x.next_up() })
+    }
+
+    /// One component of a stored value and of a value looked up next to
+    /// it. The stored one lies anywhere in the unit range, at a large
+    /// magnitude, or within a few ulps of a cell boundary (either sign,
+    /// small and large cell indices); the looked-up one lies a tolerance
+    /// away from it, give or take a hair — a few ulps, or a relative 1e-12
+    /// — so that matches come from the farthest cell a match can sit in.
+    fn component() -> impl Strategy<Value = (f64, f64)> {
+        let cells = -40_000_000i64..40_000_000;
+        (
+            0..4u8,
+            -1.0f64..1.0,
+            cells,
+            -3..=3i32,
+            -3..=3i32,
+            -1.0f64..1.0,
+        )
+            .prop_map(|(kind, uniform, cell, on_boundary, on_reach, hair)| {
+                let boundary = (cell as f64 + 0.5) * 4.0 * DEFAULT_TOLERANCE;
+                let stored = match kind {
+                    0 => uniform,
+                    1 => uniform * 1e8,
+                    _ => step(boundary, on_boundary),
+                };
+                let reach = match kind {
+                    2 => DEFAULT_TOLERANCE * (1.0 + 1e-12 * hair),
+                    _ => DEFAULT_TOLERANCE,
+                };
+                (stored, step(stored + reach.copysign(uniform), on_reach))
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn narrow_probe_finds_what_the_nine_cell_scan_finds(
+            values in collection::vec((component(), component()), 1..32),
+        ) {
+            let mut table = ComplexTable::new();
+            for ((stored_re, near_re), (stored_im, near_im)) in values {
+                let probe = |table: &ComplexTable| {
+                    for re in [stored_re, near_re] {
+                        for im in [stored_im, near_im] {
+                            let value = Complex::new(re, im);
+                            prop_assert_eq!(table.find(value), nine_cell_scan(table, value));
+                        }
+                    }
+                };
+                probe(&table);
+                table.lookup(Complex::new(stored_re, stored_im));
+                probe(&table);
+            }
+        }
     }
 }

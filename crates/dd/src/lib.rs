@@ -50,6 +50,7 @@
 mod complex;
 mod complex_table;
 mod export;
+mod layered;
 mod measure;
 mod node;
 mod ops;

@@ -154,13 +154,14 @@ impl DdPackage {
             let sub = self.ctable.norm_sqr(e1.weight) * self.node_norm(e1.node);
             return wsq * sub;
         }
-        if let Some(&cached) = self.ct_prob_one.get(&(edge.node, target)) {
+        let persistent = self.vec_kept(edge.node);
+        if let Some(&cached) = self.ct_prob_one.get(&(edge.node, target), persistent) {
             return wsq * cached;
         }
         let p = self.prob_one_rec(node.edges[0], target) + self.prob_one_rec(node.edges[1], target);
         // Cache the probability of the node with unit incoming weight.
         if self.caching_enabled {
-            self.ct_prob_one.insert((edge.node, target), p);
+            self.ct_prob_one.live.insert((edge.node, target), p);
         }
         wsq * p
     }
@@ -334,7 +335,8 @@ impl DdPackage {
         if edge.node.is_terminal() {
             return edge;
         }
-        if let Some(&cached) = self.ct_collapse.get(&(edge.node, target, outcome)) {
+        let key = (edge.node, target, outcome);
+        if let Some(&cached) = self.ct_collapse.get(&key, self.vec_kept(edge.node)) {
             return VecEdge {
                 node: cached.node,
                 weight: self.ctable.mul(edge.weight, cached.weight),
@@ -351,8 +353,7 @@ impl DdPackage {
             self.make_vec_node(node.var, [c0, c1])
         };
         if self.caching_enabled {
-            self.ct_collapse
-                .insert((edge.node, target, outcome), result);
+            self.ct_collapse.live.insert(key, result);
         }
         VecEdge {
             node: result.node,

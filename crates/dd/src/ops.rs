@@ -43,7 +43,8 @@ impl DdPackage {
         );
         let key = (m.node, v.node);
         if self.caching_enabled {
-            if let Some(&cached) = self.ct_mat_vec.get(&key) {
+            let persistent = self.mat_kept(m.node) && self.vec_kept(v.node);
+            if let Some(&cached) = self.ct_mat_vec.get(&key, persistent) {
                 self.counters.compute_hits += 1;
                 let w = self.ctable.mul(weight, cached.weight);
                 return VecEdge {
@@ -67,7 +68,7 @@ impl DdPackage {
         let result = self.make_vec_node(mnode.var, children);
         if self.caching_enabled {
             self.counters.compute_misses += 1;
-            self.ct_mat_vec.insert(key, result);
+            self.ct_mat_vec.live.insert(key, result);
         }
         VecEdge {
             node: result.node,
@@ -125,7 +126,9 @@ impl DdPackage {
         let ratio = self.ctable.div(y.weight, x.weight);
         let key = (x.node, y.node, ratio);
         if self.caching_enabled {
-            if let Some(&cached) = self.ct_vec_add.get(&key) {
+            let persistent =
+                self.vec_kept(x.node) && self.vec_kept(y.node) && self.weight_kept(ratio);
+            if let Some(&cached) = self.ct_vec_add.get(&key, persistent) {
                 self.counters.compute_hits += 1;
                 return VecEdge {
                     node: cached.node,
@@ -147,7 +150,7 @@ impl DdPackage {
         let result = self.make_vec_node(xn.var, children);
         if self.caching_enabled {
             self.counters.compute_misses += 1;
-            self.ct_vec_add.insert(key, result);
+            self.ct_vec_add.live.insert(key, result);
         }
         VecEdge {
             node: result.node,
@@ -229,7 +232,8 @@ impl DdPackage {
             "cannot take inner product of vectors of different heights"
         );
         if self.caching_enabled {
-            if let Some(&cached) = self.ct_inner.get(&(a.node, b.node)) {
+            let persistent = self.vec_kept(a.node) && self.vec_kept(b.node);
+            if let Some(&cached) = self.ct_inner.get(&(a.node, b.node), persistent) {
                 self.counters.compute_hits += 1;
                 return cached * w;
             }
@@ -243,7 +247,7 @@ impl DdPackage {
         }
         if self.caching_enabled {
             self.counters.compute_misses += 1;
-            self.ct_inner.insert((a.node, b.node), sum);
+            self.ct_inner.live.insert((a.node, b.node), sum);
         }
         sum * w
     }
@@ -280,7 +284,7 @@ impl DdPackage {
         if node.is_terminal() {
             return 1.0;
         }
-        if let Some(&n) = self.norm_cache.get(&node) {
+        if let Some(&n) = self.norm_cache.get(&node, self.vec_kept(node)) {
             return n;
         }
         let data = self.vec_nodes[node.index()];
@@ -291,7 +295,7 @@ impl DdPackage {
             }
             total += self.ctable.norm_sqr(e.weight) * self.node_norm(e.node);
         }
-        self.norm_cache.insert(node, total);
+        self.norm_cache.live.insert(node, total);
         total
     }
 }

@@ -5,11 +5,10 @@
 //! sub-diagrams are stored exactly once — this sharing is what makes the
 //! representation compact for structured states such as GHZ or QFT outputs.
 
-use std::collections::hash_map::Entry;
-
 use crate::complex::Complex;
 use crate::complex_table::{ComplexId, ComplexTable};
 use crate::fxhash::FxHashMap;
+use crate::layered::Layered;
 use crate::matrix2::Matrix2;
 use crate::node::{MatEdge, MatNode, MatNodeId, VecEdge, VecNode, VecNodeId};
 
@@ -25,10 +24,13 @@ pub struct PackageStats {
     pub mat_nodes: usize,
     /// Number of interned complex values.
     pub complex_values: usize,
-    /// Current number of matrix-vector multiplication cache entries.
+    /// Matrix-vector multiplication cache entries made since the mark.
     pub mat_vec_cache: usize,
-    /// Current number of vector addition cache entries.
+    /// Vector addition cache entries made since the mark.
     pub vec_add_cache: usize,
+    /// Entries of the frozen layer, summed over the unique and compute
+    /// tables (see [`DdPackage::mark_persistent`]).
+    pub frozen_entries: usize,
 }
 
 /// Lifetime hit/miss counters of a package's unique and compute tables.
@@ -107,14 +109,16 @@ fn node_index(len: usize) -> u32 {
 /// # Persistent and transient regions
 ///
 /// A package can be split into a **persistent region** (precompiled operator
-/// diagrams, their interned weights) and a **transient region** (everything
-/// created afterwards — per-shot states, scratch values):
-/// [`DdPackage::mark_persistent`] freezes the current contents as the
-/// persistent region, and [`DdPackage::reset_transient`] cheaply rolls the
-/// package back to exactly that frozen state — a watermark truncation that
-/// neither frees nor re-hashes the persistent diagrams. This is what lets
-/// the simulator compile a circuit's operators once and then run thousands
-/// of shots against the same package without rebuilding them.
+/// diagrams, recorded states, their interned weights) and a **transient
+/// region** (everything created afterwards — per-shot states, scratch
+/// values): [`DdPackage::mark_persistent`] freezes the current contents —
+/// arenas up to a watermark plus every unique- and compute-table entry, the
+/// latter as an immutable layer shared by all clones — and
+/// [`DdPackage::reset_transient`] rolls the package back to exactly that
+/// frozen state by truncating the arenas and clearing what the tables
+/// gained since. This is what lets the simulator compile a circuit once and
+/// then run thousands of shots against the same package, each re-deriving
+/// only what its errors changed.
 ///
 /// # Examples
 ///
@@ -140,16 +144,18 @@ pub struct DdPackage {
     /// identity on its own and all lower levels (parallel to `mat_nodes`);
     /// multiplication returns its vector operand at such a node.
     pub(crate) mat_identity: Vec<bool>,
-    pub(crate) vec_unique: FxHashMap<VecNode, VecNodeId>,
-    pub(crate) mat_unique: FxHashMap<MatNode, MatNodeId>,
-    pub(crate) ct_mat_vec: FxHashMap<(MatNodeId, VecNodeId), VecEdge>,
+    pub(crate) vec_unique: Layered<VecNode, VecNodeId>,
+    pub(crate) mat_unique: Layered<MatNode, MatNodeId>,
+    pub(crate) ct_mat_vec: Layered<(MatNodeId, VecNodeId), VecEdge>,
     /// `N_x + ratio * N_y`, keyed `(N_x, N_y, ratio)` (see `vec_add_rec`).
-    pub(crate) ct_vec_add: FxHashMap<(VecNodeId, VecNodeId, ComplexId), VecEdge>,
+    pub(crate) ct_vec_add: Layered<(VecNodeId, VecNodeId, ComplexId), VecEdge>,
+    /// Matrices are built before the mark, which frees this table; it is
+    /// neither frozen nor cloned.
     pub(crate) ct_mat_add: FxHashMap<(MatEdge, MatEdge), MatEdge>,
-    pub(crate) ct_inner: FxHashMap<(VecNodeId, VecNodeId), Complex>,
-    pub(crate) ct_prob_one: FxHashMap<(VecNodeId, u16), f64>,
-    pub(crate) ct_collapse: FxHashMap<(VecNodeId, u16, bool), VecEdge>,
-    pub(crate) norm_cache: FxHashMap<VecNodeId, f64>,
+    pub(crate) ct_inner: Layered<(VecNodeId, VecNodeId), Complex>,
+    pub(crate) ct_prob_one: Layered<(VecNodeId, u16), f64>,
+    pub(crate) ct_collapse: Layered<(VecNodeId, u16, bool), VecEdge>,
+    pub(crate) norm_cache: Layered<VecNodeId, f64>,
     pub(crate) cache_limit: usize,
     pub(crate) caching_enabled: bool,
     /// Vector nodes below this index belong to the persistent region.
@@ -169,35 +175,16 @@ pub struct DdPackage {
 
 impl Clone for DdPackage {
     fn clone(&self) -> Self {
-        DdPackage {
-            ctable: self.ctable.clone(),
-            vec_nodes: self.vec_nodes.clone(),
-            mat_nodes: self.mat_nodes.clone(),
-            mat_identity: self.mat_identity.clone(),
-            vec_unique: self.vec_unique.clone(),
-            mat_unique: self.mat_unique.clone(),
-            ct_mat_vec: self.ct_mat_vec.clone(),
-            ct_vec_add: self.ct_vec_add.clone(),
-            ct_mat_add: self.ct_mat_add.clone(),
-            ct_inner: self.ct_inner.clone(),
-            ct_prob_one: self.ct_prob_one.clone(),
-            ct_collapse: self.ct_collapse.clone(),
-            norm_cache: self.norm_cache.clone(),
-            cache_limit: self.cache_limit,
-            caching_enabled: self.caching_enabled,
-            vec_watermark: self.vec_watermark,
-            mat_watermark: self.mat_watermark,
-            complex_watermark: self.complex_watermark,
-            visit_marks: Vec::new(),
-            visit_stamp: 0,
-            visit_stack: Vec::new(),
-            counters: self.counters,
-        }
+        let mut copy = DdPackage::new();
+        copy.clone_from(self);
+        copy.counters = self.counters;
+        copy
     }
 
     // Hand-rolled so re-seating a worker's package onto another program's
     // template reuses the arena and table allocations already sized by
-    // earlier work instead of reallocating from scratch.
+    // earlier work instead of reallocating from scratch. The frozen table
+    // layer is shared, not copied.
     fn clone_from(&mut self, source: &Self) {
         self.ctable.clone_from(&source.ctable);
         self.vec_nodes.clone_from(&source.vec_nodes);
@@ -207,7 +194,7 @@ impl Clone for DdPackage {
         self.mat_unique.clone_from(&source.mat_unique);
         self.ct_mat_vec.clone_from(&source.ct_mat_vec);
         self.ct_vec_add.clone_from(&source.ct_vec_add);
-        self.ct_mat_add.clone_from(&source.ct_mat_add);
+        self.ct_mat_add.clear();
         self.ct_inner.clone_from(&source.ct_inner);
         self.ct_prob_one.clone_from(&source.ct_prob_one);
         self.ct_collapse.clone_from(&source.ct_collapse);
@@ -239,15 +226,15 @@ impl DdPackage {
             vec_nodes: Vec::new(),
             mat_nodes: Vec::new(),
             mat_identity: Vec::new(),
-            vec_unique: FxHashMap::default(),
-            mat_unique: FxHashMap::default(),
-            ct_mat_vec: FxHashMap::default(),
-            ct_vec_add: FxHashMap::default(),
+            vec_unique: Layered::default(),
+            mat_unique: Layered::default(),
+            ct_mat_vec: Layered::default(),
+            ct_vec_add: Layered::default(),
             ct_mat_add: FxHashMap::default(),
-            ct_inner: FxHashMap::default(),
-            ct_prob_one: FxHashMap::default(),
-            ct_collapse: FxHashMap::default(),
-            norm_cache: FxHashMap::default(),
+            ct_inner: Layered::default(),
+            ct_prob_one: Layered::default(),
+            ct_collapse: Layered::default(),
+            norm_cache: Layered::default(),
             cache_limit: DEFAULT_CACHE_LIMIT,
             caching_enabled: true,
             vec_watermark: 0,
@@ -330,8 +317,16 @@ impl DdPackage {
             vec_nodes: self.vec_nodes.len(),
             mat_nodes: self.mat_nodes.len(),
             complex_values: self.ctable.len(),
-            mat_vec_cache: self.ct_mat_vec.len(),
-            vec_add_cache: self.ct_vec_add.len(),
+            mat_vec_cache: self.ct_mat_vec.live.len(),
+            vec_add_cache: self.ct_vec_add.live.len(),
+            frozen_entries: self.vec_unique.frozen().len()
+                + self.mat_unique.frozen().len()
+                + self.ct_mat_vec.frozen().len()
+                + self.ct_vec_add.frozen().len()
+                + self.ct_inner.frozen().len()
+                + self.ct_prob_one.frozen().len()
+                + self.ct_collapse.frozen().len()
+                + self.norm_cache.frozen().len(),
         }
     }
 
@@ -346,43 +341,32 @@ impl DdPackage {
         self.counters = TableStats::default();
     }
 
-    /// Clears all operation caches (not the unique tables).
+    /// Clears all operation caches, both layers (not the unique tables).
     pub fn clear_caches(&mut self) {
-        self.ct_mat_vec.clear();
-        self.ct_vec_add.clear();
+        self.ct_mat_vec = Layered::default();
+        self.ct_vec_add = Layered::default();
         self.ct_mat_add.clear();
-        self.ct_inner.clear();
-        self.ct_prob_one.clear();
-        self.ct_collapse.clear();
-        self.norm_cache.clear();
+        self.ct_inner = Layered::default();
+        self.ct_prob_one = Layered::default();
+        self.ct_collapse = Layered::default();
+        self.norm_cache = Layered::default();
     }
 
-    /// Bounds every memoisation table individually: only a table that grew
-    /// beyond the limit is cleared, so a runaway addition cache cannot wipe
-    /// a perfectly sized multiplication cache (and vice versa). The node
-    /// norm cache is bounded by the same limit.
+    /// Bounds every memoisation table individually: only a table whose live
+    /// layer grew beyond the limit loses it, so a runaway addition cache
+    /// cannot wipe a perfectly sized multiplication cache (and vice versa).
+    /// The node norm cache is bounded by the same limit.
     pub(crate) fn maybe_trim_caches(&mut self) {
-        if self.ct_mat_vec.len() > self.cache_limit {
-            self.ct_mat_vec.clear();
-        }
-        if self.ct_vec_add.len() > self.cache_limit {
-            self.ct_vec_add.clear();
-        }
-        if self.ct_mat_add.len() > self.cache_limit {
+        let limit = self.cache_limit;
+        self.ct_mat_vec.trim(limit);
+        self.ct_vec_add.trim(limit);
+        if self.ct_mat_add.len() > limit {
             self.ct_mat_add.clear();
         }
-        if self.ct_inner.len() > self.cache_limit {
-            self.ct_inner.clear();
-        }
-        if self.ct_prob_one.len() > self.cache_limit {
-            self.ct_prob_one.clear();
-        }
-        if self.ct_collapse.len() > self.cache_limit {
-            self.ct_collapse.clear();
-        }
-        if self.norm_cache.len() > self.cache_limit {
-            self.norm_cache.clear();
-        }
+        self.ct_inner.trim(limit);
+        self.ct_prob_one.trim(limit);
+        self.ct_collapse.trim(limit);
+        self.norm_cache.trim(limit);
     }
 
     // ------------------------------------------------------------------
@@ -392,18 +376,72 @@ impl DdPackage {
     /// Freezes the current package contents as the **persistent region**.
     ///
     /// Everything created so far — nodes, interned complex values — survives
-    /// every subsequent [`reset_transient`](Self::reset_transient) call.
-    /// The memoisation caches are cleared so that the frozen state is
-    /// exactly reproducible: a fresh clone of the package and a package
-    /// rolled back by `reset_transient` are indistinguishable.
+    /// every subsequent [`reset_transient`](Self::reset_transient) call, and
+    /// so does what the tables know about it: the unique tables and every
+    /// memoised result move into an immutable **frozen layer** that copies
+    /// of the package share. From then on a lookup whose key mentions only
+    /// persistent ids consults the frozen layer first, so repeating what the
+    /// template evaluated costs one probe; new entries go to a private live
+    /// layer and die at the rewind — what a result is interned against
+    /// depends on the table's history, so keeping one would make a warmed
+    /// package differ from a fresh clone. Marking again extends the frozen
+    /// layer. The matrix addition cache, which only operator construction
+    /// reads, is freed.
     ///
     /// The compile phase of the simulator calls this once, after building
-    /// all operator diagrams of a circuit.
+    /// all operator diagrams of a circuit and evaluating its error-free
+    /// path.
     pub fn mark_persistent(&mut self) {
-        self.clear_caches();
         self.vec_watermark = self.vec_nodes.len();
         self.mat_watermark = self.mat_nodes.len();
         self.complex_watermark = self.ctable.len();
+        self.ct_mat_add = FxHashMap::default();
+        self.vec_unique.freeze();
+        self.mat_unique.freeze();
+        self.ct_mat_vec.freeze();
+        self.ct_vec_add.freeze();
+        self.ct_inner.freeze();
+        self.ct_prob_one.freeze();
+        self.ct_collapse.freeze();
+        self.norm_cache.freeze();
+        debug_assert!(self.frozen_ids_are_persistent());
+    }
+
+    /// Whether an id lies in the persistent region (the terminal does): one
+    /// integer comparison with its watermark.
+    pub(crate) fn vec_kept(&self, id: VecNodeId) -> bool {
+        id.0.wrapping_add(1) as usize <= self.vec_watermark
+    }
+
+    pub(crate) fn mat_kept(&self, id: MatNodeId) -> bool {
+        id.0.wrapping_add(1) as usize <= self.mat_watermark
+    }
+
+    pub(crate) fn weight_kept(&self, id: ComplexId) -> bool {
+        id.index() < self.complex_watermark
+    }
+
+    fn vec_edge_kept(&self, edge: &VecEdge) -> bool {
+        self.vec_kept(edge.node) && self.weight_kept(edge.weight)
+    }
+
+    /// Whether every id a frozen entry mentions is persistent (a unique
+    /// table's nodes were built before their ids, which settles their edges).
+    fn frozen_ids_are_persistent(&self) -> bool {
+        let (vec, weight) = (|id| self.vec_kept(id), |id| self.weight_kept(id));
+        let edge = |e: &VecEdge| self.vec_edge_kept(e);
+        let (nodes, mat_nodes) = (self.vec_unique.frozen(), self.mat_unique.frozen());
+        let (mat_vec, vec_add) = (self.ct_mat_vec.frozen(), self.ct_vec_add.frozen());
+        let (collapse, inner) = (self.ct_collapse.frozen(), self.ct_inner.frozen());
+        let (prob_one, norms) = (self.ct_prob_one.frozen(), self.norm_cache.frozen());
+        (nodes.values()).all(|&id| vec(id))
+            && (mat_nodes.values()).all(|&id| self.mat_kept(id))
+            && (mat_vec.iter()).all(|(&(m, v), r)| self.mat_kept(m) && vec(v) && edge(r))
+            && (vec_add.iter()).all(|(&(x, y, w), r)| vec(x) && vec(y) && weight(w) && edge(r))
+            && (collapse.iter()).all(|(&(n, ..), r)| vec(n) && edge(r))
+            && (inner.keys()).all(|&(a, b)| vec(a) && vec(b))
+            && (prob_one.keys()).all(|&(n, _)| vec(n))
+            && (norms.keys()).all(|&n| vec(n))
     }
 
     /// Rolls the package back to the state frozen by
@@ -411,8 +449,10 @@ impl DdPackage {
     ///
     /// All nodes and complex values created after the mark are forgotten
     /// (their ids become dangling — any [`VecEdge`] / [`MatEdge`] obtained
-    /// after the mark must not be used again), the memoisation caches are
-    /// cleared, and the persistent diagrams stay untouched: no hashing, no
+    /// after the mark must not be used again) and so is every table entry
+    /// made since: the arenas are truncated at their watermarks and the
+    /// live table layers cleared, without visiting a node. The persistent
+    /// diagrams and the frozen layer stay untouched: no hashing, no
     /// reconstruction, no freeing of their storage. Table and arena
     /// capacities are retained, so a shot loop that resets between shots
     /// stops allocating once it has warmed up.
@@ -420,26 +460,20 @@ impl DdPackage {
     /// On a package without a mark this simply wipes everything back to the
     /// empty state.
     pub fn reset_transient(&mut self) {
-        for idx in self.vec_watermark..self.vec_nodes.len() {
-            let node = self.vec_nodes[idx];
-            self.vec_unique.remove(&node);
-        }
         self.vec_nodes.truncate(self.vec_watermark);
-        for idx in self.mat_watermark..self.mat_nodes.len() {
-            let node = self.mat_nodes[idx];
-            self.mat_unique.remove(&node);
-        }
         self.mat_nodes.truncate(self.mat_watermark);
         self.mat_identity.truncate(self.mat_watermark);
         self.ctable.truncate(self.complex_watermark);
         self.visit_marks.truncate(self.vec_watermark);
-        self.ct_mat_vec.clear();
-        self.ct_vec_add.clear();
+        self.vec_unique.live.clear();
+        self.mat_unique.live.clear();
+        self.ct_mat_vec.live.clear();
+        self.ct_vec_add.live.clear();
         self.ct_mat_add.clear();
-        self.ct_inner.clear();
-        self.ct_prob_one.clear();
-        self.ct_collapse.clear();
-        self.norm_cache.clear();
+        self.ct_inner.live.clear();
+        self.ct_prob_one.live.clear();
+        self.ct_collapse.live.clear();
+        self.norm_cache.live.clear();
     }
 
     /// Number of vector nodes in the transient region (created since the
@@ -499,16 +533,18 @@ impl DdPackage {
             var,
             edges: new_edges,
         };
-        let id = match self.vec_unique.entry(node) {
-            Entry::Occupied(found) => {
+        let persistent = new_edges.iter().all(|e| self.vec_edge_kept(e));
+        let id = match self.vec_unique.get(&node, persistent) {
+            Some(&found) => {
                 self.counters.vec_unique_hits += 1;
-                *found.get()
+                found
             }
-            Entry::Vacant(slot) => {
+            None => {
                 self.counters.vec_unique_misses += 1;
                 let id = VecNodeId(node_index(self.vec_nodes.len()));
                 self.vec_nodes.push(node);
-                *slot.insert(id)
+                self.vec_unique.live.insert(node, id);
+                id
             }
         };
         VecEdge {
@@ -554,12 +590,14 @@ impl DdPackage {
             var,
             edges: new_edges,
         };
-        let id = match self.mat_unique.entry(node) {
-            Entry::Occupied(found) => {
+        let persistent =
+            (new_edges.iter()).all(|e| self.mat_kept(e.node) && self.weight_kept(e.weight));
+        let id = match self.mat_unique.get(&node, persistent) {
+            Some(&found) => {
                 self.counters.mat_unique_hits += 1;
-                *found.get()
+                found
             }
-            Entry::Vacant(slot) => {
+            None => {
                 self.counters.mat_unique_misses += 1;
                 let id = MatNodeId(node_index(self.mat_nodes.len()));
                 // Identity on this level and below: off-diagonal quadrants
@@ -573,7 +611,8 @@ impl DdPackage {
                     && (diag.node.is_terminal() || self.mat_identity[diag.node.index()]);
                 self.mat_nodes.push(node);
                 self.mat_identity.push(identity);
-                *slot.insert(id)
+                self.mat_unique.live.insert(node, id);
+                id
             }
         };
         MatEdge {
@@ -938,6 +977,158 @@ mod tests {
         // same edges (ids and weights), i.e. reuse is unobservable.
         let replay = evolve_bell(&mut dd, h, cx);
         assert_eq!(replay, reference);
+
+        // The same with a template that evaluated its error-free path
+        // before the mark, so lookups are answered from the frozen layer:
+        // a rewound package and a fresh clone agree on every counter, node
+        // id and interned bit after a shot with an error in it.
+        let (mut dd, ops) = ghz_template(4);
+        assert!(dd.stats().frozen_entries > 0);
+        let template = dd.clone();
+        let mut fresh = dd.clone();
+        let reference = noisy_shot(&mut fresh, &ops);
+        let values = |dd: &DdPackage| -> Vec<(u64, u64)> {
+            (0..dd.ctable.len() as u32)
+                .map(|id| dd.complex_value(ComplexId(id)))
+                .map(|value| (value.re.to_bits(), value.im.to_bits()))
+                .collect()
+        };
+        for _ in 0..3 {
+            assert_eq!(noisy_shot(&mut dd, &ops), reference);
+            assert!(dd.transient_vec_nodes() > 0);
+            assert_eq!(dd.stats(), fresh.stats());
+            assert_eq!(values(&dd), values(&fresh));
+            assert_eq!(dd.vec_nodes, fresh.vec_nodes);
+            dd.reset_transient();
+            assert_eq!(dd.stats(), template.stats());
+        }
+    }
+
+    /// The operators of a noisy GHZ-`n` shot: H, the CX chain, a bit flip
+    /// and the amplitude-damping keep branch on qubit 1.
+    struct GhzOps {
+        n: usize,
+        gates: Vec<MatEdge>,
+        flip: MatEdge,
+        keep: MatEdge,
+    }
+
+    /// A marked template that evaluated the error-free GHZ path (with its
+    /// damping exposure and the measures a shot takes) before the mark.
+    fn ghz_template(n: usize) -> (DdPackage, GhzOps) {
+        let mut dd = DdPackage::new();
+        let mut gates = vec![dd.single_qubit_op(n, 0, Matrix2::hadamard())];
+        for target in 1..n {
+            gates.push(dd.controlled_op(n, target, &[target - 1], Matrix2::pauli_x()));
+        }
+        let ops = GhzOps {
+            n,
+            gates,
+            flip: dd.single_qubit_op(n, 1, Matrix2::pauli_x()),
+            keep: dd.single_qubit_op(n, 1, Matrix2::amplitude_damping_a1(0.002)),
+        };
+        shot(&mut dd, &ops, None);
+        dd.mark_persistent();
+        (dd, ops)
+    }
+
+    /// One shot from `|0...0>`: the gates, `flip_after` one of them the bit
+    /// flip, then the keep branch, a threshold read, an addition and a
+    /// projection. Returns every edge and number it computed.
+    fn shot(
+        dd: &mut DdPackage,
+        ops: &GhzOps,
+        flip_after: Option<usize>,
+    ) -> (Vec<VecEdge>, [f64; 2]) {
+        let zero = dd.zero_state(ops.n);
+        let mut edges = vec![zero];
+        let mut state = zero;
+        for (index, gate) in ops.gates.iter().enumerate() {
+            state = dd.mat_vec_mul(*gate, state);
+            if flip_after == Some(index) {
+                state = dd.mat_vec_mul(ops.flip, state);
+            }
+            edges.push(state);
+        }
+        let excited = dd.excited_norm_sqr(state, 1);
+        let (kept_norm, kept) = dd.apply_kraus(ops.keep, state);
+        edges.push(kept);
+        edges.push(dd.vec_add(zero, kept));
+        edges.push(dd.project(kept, ops.n - 1, true));
+        (edges, [excited, kept_norm])
+    }
+
+    fn noisy_shot(dd: &mut DdPackage, ops: &GhzOps) -> (Vec<VecEdge>, [f64; 2]) {
+        shot(dd, ops, Some(1))
+    }
+
+    #[test]
+    fn repeating_what_the_template_evaluated_costs_no_work() {
+        let (mut dd, ops) = ghz_template(6);
+        let template = (dd.stats(), dd.table_stats());
+        // The error-free shot again: every multiply, add, norm, threshold
+        // and projection is a frozen hit — no miss, no node, no value, no
+        // live entry.
+        let _ = shot(&mut dd, &ops, None);
+        let traffic = dd.table_stats().since(&template.1);
+        assert!(traffic.compute_hits > 0 && traffic.vec_unique_hits > 0);
+        assert_eq!((traffic.compute_misses, traffic.vec_unique_misses), (0, 0));
+        assert_eq!(dd.stats(), template.0);
+        assert!(dd.transient_is_empty());
+
+        // With an error after the second gate only the levels above it are
+        // new: the shot costs less than on cold tables ...
+        let mut cold = dd.clone();
+        cold.clear_caches();
+        let before = (dd.table_stats(), cold.table_stats());
+        assert_eq!(noisy_shot(&mut dd, &ops).1, noisy_shot(&mut cold, &ops).1);
+        let warm_misses = dd.table_stats().since(&before.0).compute_misses;
+        let cold_misses = cold.table_stats().since(&before.1).compute_misses;
+        assert!(0 < warm_misses && warm_misses < cold_misses);
+
+        // ... while a state the template never met, transient from the
+        // top node down, costs what it costs without a frozen compute
+        // layer: its keys probe the live maps alone.
+        dd.reset_transient();
+        cold.reset_transient();
+        let before = (dd.table_stats(), cold.table_stats());
+        for package in [&mut dd, &mut cold] {
+            let mut state = package.basis_state_from_index(ops.n, 0b101101);
+            for gate in &ops.gates {
+                state = package.mat_vec_mul(*gate, state);
+            }
+            let zero = package.zero_state(ops.n);
+            let _ = package.vec_add(state, zero);
+        }
+        let warm = dd.table_stats().since(&before.0);
+        assert!(warm.compute_misses > 0);
+        assert_eq!(warm, cold.table_stats().since(&before.1));
+    }
+
+    #[test]
+    fn marking_twice_extends_the_frozen_layer() {
+        let (mut dd, ops) = ghz_template(5);
+        let first = dd.stats().frozen_entries;
+        let sibling = dd.clone();
+        let reference = noisy_shot(&mut dd, &ops);
+        let live = dd.stats().mat_vec_cache;
+        assert!(live > 0);
+        dd.mark_persistent();
+        // Old ∪ new, in this package only: the sibling keeps the layer it
+        // shared before.
+        assert!(dd.stats().frozen_entries >= first + live);
+        assert_eq!(dd.stats().mat_vec_cache, 0);
+        assert_eq!(sibling.stats().frozen_entries, first);
+        // The noisy shot is part of the template now, and stays across
+        // rewinds; the first template's entries are still there.
+        for _ in 0..2 {
+            let before = (dd.stats(), dd.table_stats());
+            assert_eq!(noisy_shot(&mut dd, &ops), reference);
+            let _ = shot(&mut dd, &ops, None);
+            assert_eq!(dd.table_stats().since(&before.1).compute_misses, 0);
+            assert_eq!(dd.stats(), before.0);
+            dd.reset_transient();
+        }
     }
 
     #[test]
@@ -1006,11 +1197,11 @@ mod tests {
             let s = dd.basis_state_from_index(3, idx);
             let _ = dd.norm_sqr(s);
         }
-        assert!(dd.norm_cache.len() > 2);
+        assert!(dd.norm_cache.live.len() > 2);
         let s = dd.zero_state(3);
         let id = dd.identity_op(3);
         let _ = dd.mat_vec_mul(id, s);
-        assert!(dd.norm_cache.len() <= 2, "norm cache was not trimmed");
+        assert!(dd.norm_cache.live.len() <= 2, "norm cache was not trimmed");
     }
 
     #[test]

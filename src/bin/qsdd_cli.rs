@@ -619,6 +619,10 @@ fn parse_probability(text: &str) -> Result<f64, String> {
 }
 
 fn run(options: Options) -> ExitCode {
+    if let Err(message) = options.backend.check_width(options.circuit.num_qubits()) {
+        eprintln!("error: {message}");
+        return ExitCode::FAILURE;
+    }
     if options.profile {
         // Profiling opts into process-wide telemetry (stage histograms,
         // DD table counters); the per-job table works either way.

@@ -166,6 +166,36 @@ fn csv_report_parses_back() {
     }
 }
 
+/// A job wider than its back-end used to panic a worker inside the engine
+/// and leave the scheduler waiting forever; it fails at build time instead
+/// and the batch returns.
+#[test]
+fn over_wide_jobs_fail_cleanly_while_the_others_complete() {
+    let text = "
+[job wide]
+circuit = generate ghz 70
+shots = 10
+
+[job fine]
+circuit = generate ghz 3
+shots = 50
+seed = 4
+";
+    let jobs = jobfile::parse_str(text, None).expect("parses");
+    let started = std::time::Instant::now();
+    let report = run_batch(&jobs, &BatchOptions::with_threads(2));
+    assert!(started.elapsed().as_secs() < 10, "the batch must not hang");
+    assert!(!report.all_completed());
+    match &report.jobs[0].status {
+        JobStatus::Failed(message) => {
+            assert_eq!(message, "70 qubits exceed the `dd` back-end's limit of 64")
+        }
+        other => panic!("expected failure, got {other:?}"),
+    }
+    assert!(report.jobs[1].status.is_completed());
+    assert_eq!(report.jobs[1].shots_executed, 50);
+}
+
 #[test]
 fn failing_jobs_surface_in_the_report_without_blocking_others() {
     let text = "

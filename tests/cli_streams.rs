@@ -107,3 +107,32 @@ fn batch_report_on_stdout_parses_with_summary_on_stderr() {
     assert!(stderr.contains("shots total on"), "{stderr}");
     assert!(stderr.contains("profile: stage breakdown"), "{stderr}");
 }
+
+/// A circuit wider than its back-end fails like every other CLI error: one
+/// `error:` line, a failure exit code, no panic from inside the engine.
+#[test]
+fn over_wide_circuits_fail_with_one_error_line() {
+    for (args, message) in [
+        (
+            &["generate", "ghz", "70", "--shots", "10"][..],
+            "error: 70 qubits exceed the `dd` back-end's limit of 64\n",
+        ),
+        (
+            &[
+                "generate",
+                "ghz",
+                "31",
+                "--backend",
+                "dense",
+                "--shots",
+                "1",
+            ][..],
+            "error: 31 qubits exceed the `dense` back-end's limit of 30\n",
+        ),
+    ] {
+        let output = cli(args);
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+        assert_eq!(String::from_utf8(output.stderr).unwrap(), message);
+    }
+}

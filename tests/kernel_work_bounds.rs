@@ -11,15 +11,21 @@
 //! deduplicating driver to sharing trajectories past the first deviation:
 //! evolutions and compute misses of a GHZ-32 job against the same job with
 //! every deviating shot run alone — and, on the statevector back-end, the
-//! evolutions of a GHZ-14 job under the paper's (damping) noise. There is
+//! evolutions of a GHZ-14 job under the paper's (damping) noise. A third
+//! holds whole benchmark-workload jobs (GHZ-64, QFT-16, measured BV-12) to
+//! what the frozen table layer leaves to do: an evolution recomputes what
+//! its errors changed, not what compile already evaluated. There is
 //! no wall clock here: the property gated is the operation count, which
 //! cannot flake.
 
 mod common;
 
 use common::operation_diagram;
-use qsdd::circuit::generators::{ghz, qft};
-use qsdd::core::{execute, BackendKind, ExecMode, ExecPlan, OptLevel, Placement, ShotEngine};
+use qsdd::circuit::generators::{bernstein_vazirani, ghz, qft};
+use qsdd::circuit::Circuit;
+use qsdd::core::{
+    execute, BackendKind, DedupStats, ExecMode, ExecPlan, OptLevel, Placement, ShotEngine,
+};
 use qsdd::dd::{DdPackage, MatEdge, Matrix2};
 use qsdd::noise::NoiseModel;
 use qsdd::telemetry::trace::{self, AttrValue, Tracer};
@@ -165,26 +171,12 @@ fn deviating_ghz32_shots_share_their_evolution() {
     let alone = ctx.dd_table_stats().compute_misses;
     assert!(deviating.len() > SHOTS / 10, "the job must deviate often");
 
-    trace::set_trace_enabled(true);
     for threads in [1, 2] {
-        let tracer = Tracer::forced("work-bound", "work-bound");
-        let outcome = {
-            let _install = tracer.install(0);
-            let plan = ExecPlan::new(ExecMode::Dedup, SHOTS, &[]);
-            execute(&engine, &plan, Placement::Threads(threads)).unwrap()
-        };
-        let shared: u64 = tracer
-            .finish("job")
-            .spans
-            .iter()
-            .filter(|span| span.name == "worker_trajectories")
-            .flat_map(|span| &span.attrs)
-            .filter_map(|(key, value)| match value {
-                AttrValue::U64(misses) if *key == "dd_compute_misses" => Some(*misses),
-                _ => None,
-            })
-            .sum();
-        let stats = outcome.dedup.expect("the dedup driver ran");
+        let JobWork {
+            stats,
+            compute_misses: shared,
+            ..
+        } = traced_job(&engine, SHOTS, threads);
         eprintln!(
             "{threads} threads: {} deviating shots, {stats:?}, compute misses {shared} vs {alone} alone",
             deviating.len()
@@ -197,7 +189,85 @@ fn deviating_ghz32_shots_share_their_evolution() {
         assert!(shared > 0, "the workers must report their table traffic");
         assert!(2 * shared <= alone, "{shared} shared vs {alone} alone");
     }
-    trace::set_trace_enabled(false);
+}
+
+/// What a deduplicated job did, and what it cost its workers' packages.
+#[derive(Debug, PartialEq)]
+struct JobWork {
+    stats: DedupStats,
+    error_events: u64,
+    compute_misses: u64,
+    nodes_created: u64,
+}
+
+/// Runs `shots` deduplicated shots on `threads` workers and sums the table
+/// traffic the workers report on their `worker_trajectories` spans.
+fn traced_job(engine: &ShotEngine, shots: usize, threads: usize) -> JobWork {
+    // Never switched off again: the tests of this binary run concurrently,
+    // and only a job with a tracer installed reads the switch.
+    trace::set_trace_enabled(true);
+    let tracer = Tracer::forced("work-bound", "work-bound");
+    let outcome = {
+        let _install = tracer.install(0);
+        let plan = ExecPlan::new(ExecMode::Dedup, shots, &[]);
+        execute(engine, &plan, Placement::Threads(threads)).unwrap()
+    };
+    let spans = tracer.finish("job").spans;
+    let sum = |name: &str| -> u64 {
+        spans
+            .iter()
+            .filter(|span| span.name == "worker_trajectories")
+            .flat_map(|span| &span.attrs)
+            .filter_map(|(key, value)| match value {
+                AttrValue::U64(count) if *key == name => Some(*count),
+                _ => None,
+            })
+            .sum()
+    };
+    JobWork {
+        stats: outcome.dedup.expect("the dedup driver ran"),
+        error_events: outcome.error_events,
+        compute_misses: sum("dd_compute_misses"),
+        nodes_created: sum("dd_unique_misses"),
+    }
+}
+
+/// The paper-noise job of a benchmark workload, on one worker and on two:
+/// every evolution starts from the rewound template, so the work must not
+/// depend on which worker ran it.
+fn workload_job(circuit: &Circuit, shots: usize) -> JobWork {
+    let engine = ShotEngine::new(
+        circuit,
+        BackendKind::DecisionDiagram,
+        NoiseModel::paper_defaults(),
+        2021,
+        OptLevel::O0,
+    );
+    let serial = traced_job(&engine, shots, 1);
+    eprintln!("{} x {shots}: {serial:?}", circuit.name());
+    assert_eq!(serial, traced_job(&engine, shots, 2));
+    serial
+}
+
+/// After an error only the levels above it are new: what compile already
+/// evaluated below — the frozen table layer — is found, not recomputed.
+/// With cold tables per evolution these jobs took 8 290 737 (GHZ-64) and
+/// 1 872 022 (QFT-16) compute misses.
+#[test]
+fn evolutions_recompute_only_what_their_errors_changed() {
+    let ghz64 = workload_job(&ghz(64), 30_000);
+    assert!(ghz64.compute_misses <= 3_500_000, "{ghz64:?}");
+    let qft16 = workload_job(&qft(16), 2_000);
+    assert!(qft16.compute_misses <= 1_000_000, "{qft16:?}");
+}
+
+/// The no-error path continues through the measurements at compile time,
+/// so the shots that stay on it find their measure/project chains in the
+/// frozen layer: without it this job created 215 527 vector nodes.
+#[test]
+fn measured_bv12_shots_share_the_no_error_measurement_chain() {
+    let bv12 = workload_job(&bernstein_vazirani(12, 0x5555_5555_5555_5555), 2_000);
+    assert!(bv12.nodes_created <= 120_000, "{bv12:?}");
 }
 
 /// The dense baseline shares trajectories under the paper's noise model
