@@ -50,6 +50,10 @@ enum DdStep {
     /// qubits to the noise channels.
     Apply {
         op: MatEdge,
+        /// The kept operator `(⊗_touched diag(1, √(1−γ)))·op` (see the
+        /// [`DdProgram`] docs); `None` when the step touches three or more
+        /// qubits or the model's damping channel does not have `0 < γ < 1`.
+        kept: Option<MatEdge>,
         /// Qubits touched by the operation, in the order the stochastic
         /// noise protocol visits them (controls before target; swap
         /// operands in declaration order). Empty when the program is
@@ -75,35 +79,13 @@ struct ChannelOps {
     kraus: Vec<Option<[MatEdge; 2]>>,
 }
 
-/// One precomputed noise exposure along the no-error trajectory.
-#[derive(Clone, Debug)]
-struct ExposureFF {
-    qubit: usize,
-    channel: usize,
-    /// The state entering this exposure (an edge into the persistent
-    /// region) — the point live evolution resumes from if the exposure
-    /// deviates.
-    before: VecEdge,
-    kind: FFKind,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum FFKind {
-    /// Unitary-equivalent channel (depolarizing, phase flip): the state is
-    /// unchanged unless an error fires.
-    Passive,
-    /// Amplitude damping: the channel applies on every exposure, but along
-    /// the no-decay path both the branch threshold and the renormalised
-    /// keep state are deterministic, so they are precomputed.
-    Damping { p_decay: f64 },
-}
-
-/// Fast-forward data for one step of the no-error trajectory.
+/// One step of the no-error trajectory: what a shot meets that does not
+/// deviate in it.
 #[derive(Clone, Debug)]
 struct StepFF {
-    /// The step's noise exposures, flattened in protocol order
-    /// (qubit-major, channels in model order).
-    exposures: Vec<ExposureFF>,
+    /// The decay thresholds of the step's damping exposures, in protocol
+    /// order (qubit-major, channels in model order).
+    p_decay: Vec<f64>,
     /// The state after the whole step when nothing deviated.
     after: VecEdge,
     /// Node count of `after`, precomputed for O(1) peak tracking.
@@ -125,22 +107,42 @@ const TRAJECTORY_NODE_BUDGET: usize = 1 << 19;
 /// threads; each worker's [`DdContext`] carries its own copy of the
 /// template.
 ///
+/// # Kept operators: a live step is a one-step trajectory
+///
+/// The paper exposes every qubit a gate touched to amplitude damping after
+/// the gate (Example 6); along the no-decay branch that is the Kraus
+/// operator `diag(1, √(1−γ))` on each of them. For a step touching one or
+/// two qubits, compilation folds those keeps into the gate once —
+/// `F = (⊗_touched diag(1, √(1−γ)))·G`, built by
+/// [`DdPackage::scale_rows`] — and one step kernel takes the step: `F·v`,
+/// one excitation walk of that state ([`DdPackage::excitations`]), the
+/// folded factors divided back out to get the gate output's joint
+/// populations, each decay threshold as `γ·P(qubit = 1 | the earlier keeps
+/// of this step)`, one normalisation. Trajectory recording, the
+/// fast-forward and live steps all take kept steps through it, and draw
+/// their decisions through one loop; an exposure that deviates rebuilds the
+/// step from its entering state (the gate, the keeps before it, the event)
+/// and finishes it exposure by exposure. Steps touching three or more
+/// qubits, and `γ = 1` (where the kept state is zero and nothing can be
+/// unfolded), evolve exposure by exposure throughout.
+///
 /// # The no-error trajectory
 ///
 /// With realistic error rates almost every exposure of almost every shot
 /// samples "no error", and the state along that path is fully
-/// deterministic — including the amplitude-damping branch thresholds and
-/// renormalised keep states (the channel is state-dependent, but the state
-/// is known). Compilation therefore simulates the error-free path once and
-/// records, per step, the resulting state and its node count, and per
-/// exposure, the resume state and decay threshold. At shot time the
-/// executor replays this trajectory with zero diagram work — consuming the
-/// random number stream exactly as live execution would — and drops to
-/// live evolution only at the first deviation (an error fires, or a
-/// measurement/reset is reached). Recording stops once the template
-/// package exceeds a node budget, so programs for circuits with large
-/// noise-free states stay memory-bounded (the tail of such circuits just
-/// runs live).
+/// deterministic — including the amplitude-damping branch thresholds (the
+/// channel is state-dependent, but the state is known). Compilation
+/// therefore takes each step once, as a live shot that draws no error
+/// would, and records the thresholds it met and the state and node count
+/// it reached. At shot time the executor replays this trajectory with zero
+/// diagram work — consuming the random number stream exactly as live
+/// execution would — and drops to live evolution only at the first
+/// deviation (an error fires, or a measurement/reset is reached). Because
+/// recording applied the kept operators a live step applies, a live state
+/// that only differs from the trajectory below some level finds the rest in
+/// the frozen tables. Recording stops once the template package exceeds a
+/// node budget, so programs for circuits with large noise-free states stay
+/// memory-bounded (the tail of such circuits just runs live).
 ///
 /// # The unrecorded continuation
 ///
@@ -164,6 +166,8 @@ pub struct DdProgram {
     steps: Vec<DdStep>,
     channels: Vec<ErrorChannel>,
     noise_ops: Vec<ChannelOps>,
+    /// The damping probability `γ` the kept operators fold in.
+    damping: f64,
     /// Fast-forward data for the leading run of unitary steps (the
     /// trajectory ends at the first measurement or reset).
     trajectory: Vec<StepFF>,
@@ -319,10 +323,17 @@ impl StochasticBackend for DdSimulator {
         let mut measured_any = false;
         let mut touched = vec![false; n];
 
+        // The keep factor folded into the operators of one- and two-qubit
+        // steps (see the `DdProgram` docs).
+        let damping = (channels.iter())
+            .find(|channel| channel.state_dependent())
+            .map_or(0.0, ErrorChannel::probability);
+        let keep = (damping > 0.0 && damping < 1.0).then(|| (1.0 - damping).sqrt());
+
         // Operator diagrams are built in circuit order; hash-consing in the
         // template package shares structure between repeated gates for free.
         for op in circuit {
-            match op {
+            let op_dd = match op {
                 Operation::Gate {
                     gate,
                     target,
@@ -331,41 +342,16 @@ impl StochasticBackend for DdSimulator {
                     let m = gate
                         .matrix()
                         .expect("non-swap gates always provide a matrix");
-                    let op_dd = base.controlled_op(n, *target, controls, m);
-                    let noise_qubits = if channels.is_empty() {
-                        Vec::new()
-                    } else {
-                        op.qubits()
-                    };
-                    for &q in &noise_qubits {
-                        touched[q] = true;
-                    }
-                    steps.push(DdStep::Apply {
-                        op: op_dd,
-                        noise_qubits,
-                    });
+                    base.controlled_op(n, *target, controls, m)
                 }
-                Operation::Swap { a, b } => {
-                    let op_dd = base.swap_op(n, *a, *b);
-                    let noise_qubits = if channels.is_empty() {
-                        Vec::new()
-                    } else {
-                        op.qubits()
-                    };
-                    for &q in &noise_qubits {
-                        touched[q] = true;
-                    }
-                    steps.push(DdStep::Apply {
-                        op: op_dd,
-                        noise_qubits,
-                    });
-                }
+                Operation::Swap { a, b } => base.swap_op(n, *a, *b),
                 Operation::Measure { qubit, clbit } => {
                     measured_any = true;
                     steps.push(DdStep::Measure {
                         qubit: *qubit,
                         clbit: *clbit,
                     });
+                    continue;
                 }
                 Operation::Reset { qubit } => {
                     let x_op = base.single_qubit_op(n, *qubit, Matrix2::pauli_x());
@@ -373,9 +359,25 @@ impl StochasticBackend for DdSimulator {
                         qubit: *qubit,
                         x_op,
                     });
+                    continue;
                 }
-                Operation::Barrier => {}
+                Operation::Barrier => continue,
+            };
+            let noise_qubits = if channels.is_empty() {
+                Vec::new()
+            } else {
+                op.qubits()
+            };
+            for &q in &noise_qubits {
+                touched[q] = true;
             }
+            let kept = (keep.filter(|_| noise_qubits.len() <= 2))
+                .map(|factor| base.scale_rows(op_dd, &noise_qubits, factor));
+            steps.push(DdStep::Apply {
+                op: op_dd,
+                kept,
+                noise_qubits,
+            });
         }
 
         // Error operators, resolved once per (channel, touched qubit).
@@ -403,76 +405,7 @@ impl StochasticBackend for DdSimulator {
             noise_ops.push(ChannelOps { unitaries, kraus });
         }
 
-        // Simulate the no-error path once, recording per-step resume states
-        // and damping thresholds (see the [`DdProgram`] docs). Everything
-        // interned here lands in the persistent region, so the recorded
-        // edges stay valid across every transient reset.
-        let mut trajectory = Vec::new();
-        let mut state = initial;
-        for step in &steps {
-            // The trajectory pins every recorded intermediate state into
-            // the persistent region, which each worker context copies once.
-            // For circuits whose noise-free states grow large this would
-            // trade unbounded memory for speed, so recording stops at a
-            // node budget and the remaining steps simply execute live.
-            if base.stats().vec_nodes > TRAJECTORY_NODE_BUDGET {
-                break;
-            }
-            let DdStep::Apply { op, noise_qubits } = step else {
-                // Measurements and resets consume randomness; the
-                // deterministic trajectory ends here.
-                break;
-            };
-            state = base.mat_vec_mul(*op, state);
-            let mut exposures = Vec::with_capacity(noise_qubits.len() * channels.len());
-            for &qubit in noise_qubits {
-                for (channel, ops) in noise_ops.iter().enumerate() {
-                    let before = state;
-                    match ops.kraus[qubit] {
-                        Some([_decay, keep]) => {
-                            let p_decay =
-                                decay_probability(&mut base, &channels[channel], state, qubit);
-                            let (_, kept) = base.apply_kraus(keep, state);
-                            state = kept;
-                            exposures.push(ExposureFF {
-                                qubit,
-                                channel,
-                                before,
-                                kind: FFKind::Damping { p_decay },
-                            });
-                        }
-                        None => exposures.push(ExposureFF {
-                            qubit,
-                            channel,
-                            before,
-                            kind: FFKind::Passive,
-                        }),
-                    }
-                }
-            }
-            let nodes_after = base.vec_node_count_fast(state) as u64;
-            trajectory.push(StepFF {
-                exposures,
-                after: state,
-                nodes_after,
-            });
-        }
         let initial_nodes = base.vec_node_count_fast(initial) as u64;
-
-        // The deduplicable prefix: unitary steps up to the first
-        // measurement/reset; state-dependent (damping) channels additionally
-        // cap it at the trajectory coverage, because only the trajectory
-        // knows their branch thresholds in advance.
-        let first_nonapply = steps
-            .iter()
-            .position(|step| !matches!(step, DdStep::Apply { .. }))
-            .unwrap_or(steps.len());
-        let dedup_prefix = if channels.iter().any(ErrorChannel::state_dependent) {
-            first_nonapply.min(trajectory.len())
-        } else {
-            first_nonapply
-        };
-
         let mut program = DdProgram {
             id: next_program_id(),
             num_qubits: n,
@@ -481,18 +414,62 @@ impl StochasticBackend for DdSimulator {
             steps,
             channels,
             noise_ops,
-            trajectory,
-            dedup_prefix,
+            damping,
+            trajectory: Vec::new(),
+            dedup_prefix: 0,
             initial,
             initial_nodes,
             base: DdPackage::new(),
         };
 
+        // Record the no-error trajectory (see the [`DdProgram`] docs): each
+        // step is walked live, as a shot off the trajectory walks it, by a
+        // replay of the empty pattern, which learns every threshold it
+        // meets. Everything interned here lands in the persistent region,
+        // so the recorded edges stay valid across every transient reset.
+        let no_events = ErrorPattern::default();
+        let mut walk = Walk::start(&program);
+        let mut trajectory = Vec::new();
+        for (index, step) in program.steps.iter().enumerate() {
+            // Recording pins every step's state into the persistent region,
+            // which each worker context copies once. For circuits whose
+            // noise-free states grow large this would trade unbounded memory
+            // for speed, so recording stops at a node budget and the
+            // remaining steps simply execute live. Measurements and resets
+            // consume randomness; the deterministic trajectory ends there.
+            if base.stats().vec_nodes > TRAJECTORY_NODE_BUDGET
+                || !matches!(step, DdStep::Apply { .. })
+            {
+                break;
+            }
+            let mut p_decay = Vec::new();
+            let mut learn = Replayed::new(&no_events, Some(&mut p_decay));
+            walk = walk.run(&program, &mut base, index..index + 1, &mut learn, &mut []);
+            let nodes_after = base.vec_node_count_fast(walk.state) as u64;
+            trajectory.push(StepFF {
+                p_decay,
+                after: walk.state,
+                nodes_after,
+            });
+        }
+
+        // The deduplicable prefix: unitary steps up to the first
+        // measurement/reset; state-dependent (damping) channels additionally
+        // cap it at the trajectory coverage, because only the trajectory
+        // knows their branch thresholds in advance.
+        let first_nonapply = (program.steps.iter())
+            .position(|step| !matches!(step, DdStep::Apply { .. }))
+            .unwrap_or(program.steps.len());
+        program.dedup_prefix = if program.channels.iter().any(ErrorChannel::state_dependent) {
+            first_nonapply.min(trajectory.len())
+        } else {
+            first_nonapply
+        };
+        program.trajectory = trajectory;
+
         // The trajectory's unrecorded continuation (see the `DdProgram`
         // docs): error-free, within the recording's node budget, kept only
         // as the table entries the mark below freezes.
-        let mut walk = Walk::start(&program);
-        (walk.state, walk.live) = (state, true);
         let mut decisions = NoError(rand::SeedableRng::seed_from_u64(0));
         let mut clbits = vec![false; program.num_clbits];
         for index in program.trajectory.len()..program.steps.len() {
@@ -564,22 +541,22 @@ impl StochasticBackend for DdSimulator {
         }
         let mut sites = Vec::new();
         for (index, step) in program.steps[..prefix].iter().enumerate() {
-            match program.trajectory.get(index) {
-                // Trajectory-covered steps carry per-exposure kinds,
-                // including the precomputed damping thresholds.
-                Some(ff) => sites.extend(ff.exposures.iter().map(|exposure| match exposure.kind {
-                    FFKind::Passive => SiteChannel::Passive(program.channels[exposure.channel]),
-                    FFKind::Damping { p_decay } => SiteChannel::Damping { p_decay },
-                })),
-                // Beyond the trajectory the prefix only extends when every
-                // channel is state-independent (see `compile`).
-                None => {
-                    let DdStep::Apply { noise_qubits, .. } = step else {
-                        unreachable!("the dedup prefix only contains Apply steps")
-                    };
-                    for _ in noise_qubits {
-                        sites.extend(program.channels.iter().copied().map(SiteChannel::Passive));
-                    }
+            let DdStep::Apply { noise_qubits, .. } = step else {
+                unreachable!("the dedup prefix only contains Apply steps")
+            };
+            // Trajectory-covered steps carry their damping thresholds;
+            // beyond the trajectory the prefix only extends when every
+            // channel is state-independent (see `compile`).
+            let mut p_decay =
+                (program.trajectory.get(index).into_iter()).flat_map(|ff| &ff.p_decay);
+            for _ in noise_qubits {
+                for &channel in &program.channels {
+                    sites.push(if channel.state_dependent() {
+                        let p_decay = *p_decay.next().expect("recorded damping threshold");
+                        SiteChannel::Damping { p_decay }
+                    } else {
+                        SiteChannel::Passive(channel)
+                    });
                 }
             }
         }
@@ -759,34 +736,48 @@ impl Walk {
         let mut site = 0u32;
         for index in steps {
             match &program.steps[index] {
-                DdStep::Apply { op, noise_qubits } => {
-                    let ff = if self.live {
-                        None
-                    } else {
-                        program.trajectory.get(index)
-                    };
-                    // How many of the step's exposures the trajectory
-                    // resolved before one deviated onto its resume state.
-                    let resolved = match ff {
-                        Some(ff) => match self.fast_forward(program, ff, dd, site, decisions) {
-                            Some(resume_at) => resume_at,
-                            None => {
-                                self.state = ff.after;
-                                self.peak = self.peak.max(ff.nodes_after);
-                                site += ff.exposures.len() as u32;
-                                continue;
-                            }
-                        },
-                        // Off the trajectory (an earlier deviation, or the
-                        // node budget ended it): the step runs live.
-                        None => {
+                DdStep::Apply {
+                    op,
+                    kept,
+                    noise_qubits,
+                } => {
+                    let first_site = site;
+                    site += (noise_qubits.len() * program.channels.len()) as u32;
+                    // The step's no-deviation outcome: recorded on the
+                    // trajectory, or built by the step kernel.
+                    let recorded = program.trajectory.get(index).filter(|_| !self.live);
+                    let live_step;
+                    let (p_decay, after) = match (recorded, kept) {
+                        (Some(ff), _) => (&ff.p_decay[..], ff.after),
+                        (None, Some(kept)) => {
+                            self.live = true;
+                            live_step = kept_step(dd, *kept, self.state, noise_qubits, program);
+                            (&live_step.0[..noise_qubits.len()], live_step.1)
+                        }
+                        // Not kept (three or more qubits, γ = 1, passive
+                        // noise only): the gate, then one exposure at a time.
+                        (None, None) => {
                             self.live = true;
                             self.state = dd.mat_vec_mul(*op, self.state);
-                            0
+                            self.expose(program, dd, noise_qubits, 0, first_site, decisions);
+                            self.peak = self.peak.max(dd.vec_node_count_fast(self.state) as u64);
+                            continue;
                         }
                     };
-                    self.expose(program, dd, noise_qubits, resolved, site, decisions);
-                    site += (noise_qubits.len() * program.channels.len()) as u32;
+                    match fast_forward(program, noise_qubits, p_decay, first_site, decisions) {
+                        None => {
+                            self.state = after;
+                            if let Some(ff) = recorded {
+                                self.peak = self.peak.max(ff.nodes_after);
+                                continue;
+                            }
+                        }
+                        Some((offset, unitary)) => {
+                            self.deviate(program, dd, *op, noise_qubits, offset, unitary);
+                            let resolved = offset + 1;
+                            self.expose(program, dd, noise_qubits, resolved, first_site, decisions);
+                        }
+                    }
                 }
                 DdStep::Measure { qubit, clbit } => {
                     self.live = true;
@@ -810,47 +801,40 @@ impl Walk {
         self
     }
 
-    /// Takes the exposures of one trajectory step, touching the diagram
-    /// only if one deviates: the error lands on the exposure's precomputed
-    /// resume state, the walk goes live, and the index of the step's next
-    /// exposure is returned. `None` means the step's precomputed outcome
-    /// stands.
-    fn fast_forward<D: Decisions>(
+    /// Rebuilds a step that deviated at exposure `offset` from the state
+    /// entering it: the gate, the keeps of the damping exposures before
+    /// `offset`, then the event — the channel's unitary error `unitary`, or
+    /// a decay when `None`. The walk goes live; [`Walk::expose`] finishes
+    /// the step.
+    fn deviate(
         &mut self,
         program: &DdProgram,
-        ff: &StepFF,
         dd: &mut DdPackage,
-        first_site: u32,
-        decisions: &mut D,
-    ) -> Option<usize> {
-        for (index, exposure) in ff.exposures.iter().enumerate() {
-            let site = first_site + index as u32;
-            let ops = &program.noise_ops[exposure.channel];
-            self.state = match exposure.kind {
-                FFKind::Passive => {
-                    match decisions.error(site, &program.channels[exposure.channel]) {
-                        Some(u) => {
-                            dd.mat_vec_mul(ops.unitaries[exposure.qubit][u], exposure.before)
-                        }
-                        None => continue,
-                    }
-                }
-                FFKind::Damping { p_decay } => {
-                    if !decisions.decays(site, p_decay) {
-                        // No decay: the precomputed trajectory already
-                        // continues from the renormalised keep state.
-                        continue;
-                    }
-                    let [decay, _keep] =
-                        ops.kraus[exposure.qubit].expect("damping exposures carry Kraus operators");
-                    dd.apply_kraus(decay, exposure.before).1
-                }
-            };
-            self.error_events += 1;
-            self.live = true;
-            return Some(index + 1);
+        op: MatEdge,
+        noise_qubits: &[usize],
+        offset: usize,
+        unitary: Option<usize>,
+    ) {
+        let width = program.channels.len();
+        let exposure = |offset: usize| {
+            let ops = &program.noise_ops[offset % width];
+            (noise_qubits[offset / width], ops)
+        };
+        let mut state = dd.mat_vec_mul(op, self.state);
+        for earlier in 0..offset {
+            let (qubit, ops) = exposure(earlier);
+            if let Some([_decay, keep]) = ops.kraus[qubit] {
+                state = dd.apply_kraus(keep, state).1;
+            }
         }
-        None
+        let (qubit, ops) = exposure(offset);
+        self.state = match (unitary, ops.kraus[qubit]) {
+            (Some(u), _) => dd.mat_vec_mul(ops.unitaries[qubit][u], state),
+            (None, Some([decay, _keep])) => dd.apply_kraus(decay, state).1,
+            (None, None) => unreachable!("decays come from damping exposures"),
+        };
+        self.error_events += 1;
+        self.live = true;
     }
 
     /// Applies a step's noise exposures by live diagram evolution, skipping
@@ -926,11 +910,76 @@ impl Walk {
     }
 }
 
+/// Draws one step's decisions against its no-deviation outcome — the decay
+/// thresholds `p_decay` of its damping exposures, in protocol order — and
+/// returns the first deviation: its exposure offset and the unitary error
+/// that fired (`None`: a decay). `None` means the outcome stands.
+fn fast_forward<D: Decisions>(
+    program: &DdProgram,
+    noise_qubits: &[usize],
+    p_decay: &[f64],
+    first_site: u32,
+    decisions: &mut D,
+) -> Option<(usize, Option<usize>)> {
+    let width = program.channels.len();
+    let mut thresholds = p_decay.iter();
+    for offset in 0..noise_qubits.len() * width {
+        let site = first_site + offset as u32;
+        let (qubit, channel) = (noise_qubits[offset / width], offset % width);
+        if program.noise_ops[channel].kraus[qubit].is_some() {
+            let p_decay = *thresholds
+                .next()
+                .expect("one threshold per damping exposure");
+            if decisions.decays(site, p_decay) {
+                return Some((offset, None));
+            }
+        } else if let Some(u) = decisions.error(site, &program.channels[channel]) {
+            return Some((offset, Some(u)));
+        }
+    }
+    None
+}
+
+/// The step kernel of a kept step (see the [`DdProgram`] docs): applies the
+/// kept operator to `state` once, reads the touched qubits' excitations off
+/// the result in one walk, unfolds the gate output's populations and
+/// normalises once. Returns the decay thresholds in protocol order (the
+/// second only for two qubits) and the state after the step.
+fn kept_step(
+    dd: &mut DdPackage,
+    kept: MatEdge,
+    state: VecEdge,
+    qubits: &[usize],
+    program: &DdProgram,
+) -> ([f64; 2], VecEdge) {
+    let folded = dd.mat_vec_mul(kept, state);
+    let (a, b) = (qubits[0], qubits[qubits.len() - 1]);
+    let [a1, b1, both] = dd.excitations(folded, a, b);
+    let total = dd.norm_sqr(folded);
+    // Every |1> of a touched qubit carries one keep factor `s` in the
+    // populations: dividing them out recovers the gate output's.
+    let (gamma, s) = (program.damping, 1.0 - program.damping);
+    let p_decay = if a == b {
+        let one = a1 / s;
+        [gamma * one / (total - a1 + one), 0.0]
+    } else {
+        let w11 = both / (s * s);
+        let w10 = (a1 - both).max(0.0) / s;
+        let w01 = (b1 - both).max(0.0) / s;
+        let w00 = (total - a1 - b1 + both).max(0.0);
+        // `a` decays off the gate output, `b` off what `a`'s keep left.
+        [
+            gamma * (w10 + w11) / (w00 + w01 + w10 + w11),
+            gamma * (w01 + s * w11) / (w00 + w01 + s * (w10 + w11)),
+        ]
+    };
+    (p_decay, dd.normalize(folded))
+}
+
 /// Probability that an amplitude-damping exposure of `qubit` decays:
 /// `γ·‖P1 v‖²`, the squared norm of the decay branch `√γ|0><1| v`, read off
-/// the diagram without building that branch. Trajectory recording and live
-/// execution both take their threshold from here, so presampled and live
-/// decisions compare the draw against the same bits.
+/// the diagram without building that branch — the threshold of an exposure
+/// taken one at a time (see [`Walk::expose`]).
 fn decay_probability(
     dd: &mut DdPackage,
     channel: &ErrorChannel,
@@ -1234,11 +1283,7 @@ mod tests {
         let no_error: Vec<f64> = program
             .trajectory
             .iter()
-            .flat_map(|step| &step.exposures)
-            .filter_map(|exposure| match exposure.kind {
-                FFKind::Damping { p_decay } => Some(p_decay),
-                FFKind::Passive => None,
-            })
+            .flat_map(|step| step.p_decay.iter().copied())
             .collect();
         assert_eq!(learned, no_error);
         // A decay at the first damping site (site 1, after the H on qubit
@@ -1253,6 +1298,99 @@ mod tests {
         assert_eq!(run.error_events, 1);
         assert_eq!(learned.len(), no_error.len() - 1);
         assert_eq!(learned[0], 0.0, "a decayed qubit has nothing left to lose");
+    }
+
+    #[test]
+    fn a_kept_step_is_the_exposure_by_exposure_step_it_replaces() {
+        use qsdd_circuit::Gate;
+        let n = 6;
+        let mut circuit = Circuit::new(n);
+        let one_qubit = [
+            Gate::I,
+            Gate::H,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::S,
+            Gate::Sdg,
+            Gate::T,
+            Gate::Tdg,
+            Gate::Sx,
+            Gate::Rx(0.3),
+            Gate::Ry(0.4),
+            Gate::Rz(0.5),
+            Gate::Phase(0.6),
+            Gate::U2(0.1, 0.2),
+            Gate::U3(0.3, 0.4, 0.5),
+        ];
+        for (index, gate) in one_qubit.into_iter().enumerate() {
+            circuit.gate(gate, index % n);
+        }
+        // Two-qubit gates with the control above and below the target.
+        circuit.cx(1, 4).cx(5, 0).cy(2, 3).cz(3, 1).ch(0, 5);
+        circuit.cp(0.7, 4, 2).crz(0.9, 1, 3).swap(0, 4).swap(5, 2);
+        // A large γ, so the keeps are far from the identity.
+        let noise = NoiseModel::new(0.01, 0.3, 0.02);
+        let program = DdSimulator::new().compile(&circuit, &noise);
+        let mut dd = program.base.clone();
+        let mut rng = StdRng::seed_from_u64(17);
+        let width = program.channels.len();
+        let walk = |state| Walk {
+            state,
+            peak: 0,
+            error_events: 0,
+            live: true,
+        };
+        let close = |dd: &DdPackage, a: VecEdge, b: VecEdge| {
+            let (a, b) = (dd.to_statevector(a, n), dd.to_statevector(b, n));
+            a.iter().zip(&b).all(|(x, y)| x.approx_eq(*y, 1e-12))
+        };
+        for (index, step) in program.steps.iter().enumerate() {
+            let DdStep::Apply {
+                op,
+                kept: Some(kept),
+                noise_qubits,
+            } = step
+            else {
+                panic!("step {index} is not kept");
+            };
+            let amplitudes: Vec<qsdd_dd::Complex> = (0..1 << n)
+                .map(|_| qsdd_dd::Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+                .collect();
+            let entering = dd.from_statevector(&amplitudes);
+            let entering = dd.normalize(entering);
+            // The step it replaces: the gate, then one exposure at a time,
+            // the empty pattern learning the thresholds it meets.
+            let (mut sequential, mut thresholds) = (walk(dd.mat_vec_mul(*op, entering)), vec![]);
+            let no_events = ErrorPattern::default();
+            let mut learn = Replayed::new(&no_events, Some(&mut thresholds));
+            sequential.expose(&program, &mut dd, noise_qubits, 0, 0, &mut learn);
+            let (p_decay, after) = kept_step(&mut dd, *kept, entering, noise_qubits, &program);
+            assert_eq!(thresholds.len(), noise_qubits.len());
+            for (kept_p, sequential_p) in p_decay.iter().zip(&thresholds) {
+                assert!((kept_p - sequential_p).abs() < 1e-12, "step {index}");
+            }
+            assert!(close(&dd, after, sequential.state), "step {index}");
+            // A deviation at any exposure lands where the sequential step
+            // with the same event lands.
+            for offset in 0..noise_qubits.len() * width {
+                let decay = program.channels[offset % width].state_dependent();
+                let error = if decay { ErrorEvent::DECAY } else { 0 };
+                let site = offset as u32;
+                let pattern = ErrorPattern::default().with_event(ErrorEvent { site, error });
+                let mut replayed = Replayed::new(&pattern, None);
+                let deviated =
+                    walk(entering).run(&program, &mut dd, index..index + 1, &mut replayed, &mut []);
+                let mut sequential = walk(dd.mat_vec_mul(*op, entering));
+                let mut replayed = Replayed::new(&pattern, None);
+                sequential.expose(&program, &mut dd, noise_qubits, 0, 0, &mut replayed);
+                assert_eq!(deviated.error_events, 1);
+                assert_eq!(
+                    deviated.state, sequential.state,
+                    "step {index} offset {offset}"
+                );
+            }
+        }
     }
 
     #[test]

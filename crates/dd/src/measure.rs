@@ -4,7 +4,7 @@
 //! Sampling a complete computational-basis measurement only requires a walk
 //! from the root to the terminal: at each node the branch is chosen with
 //! probability proportional to the squared norm of the corresponding
-//! sub-diagram (which is cached per node). This is what makes drawing
+//! sub-diagram (which every node carries). This is what makes drawing
 //! measurement outcomes from a decision diagram cheap even for many qubits.
 
 use rand::Rng;
@@ -121,7 +121,7 @@ impl DdPackage {
         if total <= 0.0 {
             return 0.0;
         }
-        let p1 = self.prob_one_rec(v, qubit as u16);
+        let p1 = self.excited_norm_sqr(v, qubit);
         (p1 / total).clamp(0.0, 1.0)
     }
 
@@ -133,37 +133,60 @@ impl DdPackage {
     /// (the squared norm of the decay branch `√γ|0><1| v`), so the branch
     /// draw can be made before either branch state is built.
     pub fn excited_norm_sqr(&mut self, v: VecEdge, qubit: usize) -> f64 {
-        self.prob_one_rec(v, qubit as u16)
+        self.excitations(v, qubit, qubit)[0]
     }
 
-    fn prob_one_rec(&mut self, edge: VecEdge, target: u16) -> f64 {
-        if edge.is_zero() {
-            return 0.0;
+    /// The excitations of two qubits in one walk:
+    /// `[‖P1(a) v‖², ‖P1(b) v‖², ‖P1(a) P1(b) v‖²]` (all three equal when
+    /// `a == b`). Creates no node.
+    ///
+    /// The simulator reads every decay threshold of a two-qubit step off
+    /// the state the step's kept operator produced, with one call.
+    pub fn excitations(&mut self, v: VecEdge, a: usize, b: usize) -> [f64; 3] {
+        let [top, bottom, both] = self.excitations_rec(v, a.min(b) as u16, a.max(b) as u16);
+        if a <= b {
+            [top, bottom, both]
+        } else {
+            [bottom, top, both]
+        }
+    }
+
+    fn excitations_rec(&mut self, edge: VecEdge, top: u16, bottom: u16) -> [f64; 3] {
+        if edge.is_zero() || edge.node.is_terminal() {
+            // A qubit below the terminal does not exist.
+            return [0.0; 3];
         }
         let wsq = self.ctable.norm_sqr(edge.weight);
-        if edge.node.is_terminal() {
-            // The target qubit does not exist below the terminal.
-            return 0.0;
-        }
         let node = self.vec_nodes[edge.node.index()];
-        if node.var == target {
-            let e1 = node.edges[1];
-            if e1.is_zero() {
-                return 0.0;
-            }
-            let sub = self.ctable.norm_sqr(e1.weight) * self.node_norm(e1.node);
-            return wsq * sub;
+        let one = node.edges[1];
+        let excited = if one.is_zero() {
+            0.0
+        } else {
+            self.ctable.norm_sqr(one.weight) * self.node_norm(one.node)
+        };
+        if node.var == top && top == bottom {
+            return [wsq * excited; 3];
         }
-        let persistent = self.vec_kept(edge.node);
-        if let Some(&cached) = self.ct_prob_one.get(&(edge.node, target), persistent) {
-            return wsq * cached;
+        let key = (edge.node, top, bottom);
+        if let Some(cached) = self.ct_excited.get(&key, self.vec_kept(edge.node)) {
+            return cached.map(|p| wsq * p);
         }
-        let p = self.prob_one_rec(node.edges[0], target) + self.prob_one_rec(node.edges[1], target);
-        // Cache the probability of the node with unit incoming weight.
+        // Values of the node with unit incoming weight.
+        let p = if node.var == top {
+            // The top qubit is decided here: all of its |1> branch is
+            // excited on top; the bottom qubit's excitation lies below.
+            let [zero_bottom, ..] = self.excitations_rec(node.edges[0], bottom, bottom);
+            let [one_bottom, ..] = self.excitations_rec(one, bottom, bottom);
+            [excited, zero_bottom + one_bottom, one_bottom]
+        } else {
+            let [a0, b0, c0] = self.excitations_rec(node.edges[0], top, bottom);
+            let [a1, b1, c1] = self.excitations_rec(one, top, bottom);
+            [a0 + a1, b0 + b1, c0 + c1]
+        };
         if self.caching_enabled {
-            self.ct_prob_one.live.insert((edge.node, target), p);
+            self.ct_excited.live.insert(key, p);
         }
-        wsq * p
+        p.map(|p| wsq * p)
     }
 
     /// Draws one complete computational-basis measurement outcome from the
@@ -485,6 +508,7 @@ impl DdPackage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::Complex;
     use crate::matrix2::Matrix2;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -579,6 +603,40 @@ mod tests {
         let v1 = dd.to_statevector(s1, 2);
         assert!((v1[0].norm_sqr() - 1.0 / (2.0 - p)).abs() < 1e-12);
         assert!((v1[3].norm_sqr() - (1.0 - p) / (2.0 - p)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn excitations_are_the_dense_marginals() {
+        let n = 6;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut dd = DdPackage::new();
+        for zero_qubit in [None, Some(0), Some(3), Some(5)] {
+            // A random state; with `zero_qubit` its |1> branch is empty.
+            let amplitudes: Vec<Complex> = (0..1usize << n)
+                .map(|index| match zero_qubit {
+                    Some(q) if index >> (n - 1 - q) & 1 == 1 => Complex::ZERO,
+                    _ => Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
+                })
+                .collect();
+            let state = dd.from_statevector(&amplitudes);
+            let excited = |index: usize, q: usize| index >> (n - 1 - q) & 1 == 1;
+            for a in 0..n {
+                for b in 0..n {
+                    let mut dense = [0.0; 3];
+                    for (index, amplitude) in amplitudes.iter().enumerate() {
+                        let p = amplitude.norm_sqr();
+                        let (x, y) = (excited(index, a), excited(index, b));
+                        dense[0] += if x { p } else { 0.0 };
+                        dense[1] += if y { p } else { 0.0 };
+                        dense[2] += if x && y { p } else { 0.0 };
+                    }
+                    let got = dd.excitations(state, a, b);
+                    for (g, d) in got.iter().zip(dense) {
+                        assert!((g - d).abs() < 1e-12, "{zero_qubit:?} ({a}, {b}): {got:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -252,7 +252,8 @@ impl DdPackage {
         sum * w
     }
 
-    /// Squared Euclidean norm of the vector represented by `v`.
+    /// Squared Euclidean norm of the vector represented by `v`: one read of
+    /// the norm its root node was made with.
     pub fn norm_sqr(&mut self, v: VecEdge) -> f64 {
         let w = self.ctable.norm_sqr(v.weight);
         w * self.node_norm(v.node)
@@ -276,27 +277,6 @@ impl DdPackage {
             node: v.node,
             weight: self.ctable.lookup(value),
         }
-    }
-
-    /// Squared norm of the sub-vector represented by a node with an incoming
-    /// weight of one. Cached per node (nodes are immutable).
-    pub(crate) fn node_norm(&mut self, node: crate::node::VecNodeId) -> f64 {
-        if node.is_terminal() {
-            return 1.0;
-        }
-        if let Some(&n) = self.norm_cache.get(&node, self.vec_kept(node)) {
-            return n;
-        }
-        let data = self.vec_nodes[node.index()];
-        let mut total = 0.0;
-        for e in data.edges {
-            if e.is_zero() {
-                continue;
-            }
-            total += self.ctable.norm_sqr(e.weight) * self.node_norm(e.node);
-        }
-        self.norm_cache.live.insert(node, total);
-        total
     }
 }
 
@@ -456,6 +436,33 @@ mod tests {
             .iter()
             .zip(&reference)
             .all(|(a, b)| a.approx_eq(*b, 1e-9)));
+    }
+
+    #[test]
+    fn equal_modulus_children_normalise_canonically() {
+        // After the swap both children of many nodes carry the same modulus;
+        // an exact comparison let round-off pick the normalising side, so
+        // the swapped state came out as 22 nodes with a root of its own
+        // instead of the 16-node state built with the swapped phases.
+        let n = 16;
+        let mut dd = DdPackage::new();
+        let state = phased_product_state(&mut dd, n);
+        let swap = dd.swap_op(n, 0, n - 1);
+        let swapped = dd.mat_vec_mul(swap, state);
+        let mut direct = dd.zero_state(n);
+        for q in 0..n {
+            let h = dd.single_qubit_op(n, q, Matrix2::hadamard());
+            direct = dd.mat_vec_mul(h, direct);
+            let phased = match q {
+                0 => n - 1,
+                q if q == n - 1 => 0,
+                q => q,
+            };
+            let p = dd.single_qubit_op(n, q, Matrix2::phase(0.1 + 0.37 * phased as f64));
+            direct = dd.mat_vec_mul(p, direct);
+        }
+        assert_eq!(dd.vec_node_count(swapped), n);
+        assert_eq!(swapped.node, direct.node);
     }
 
     #[test]

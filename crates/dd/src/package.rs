@@ -5,6 +5,8 @@
 //! sub-diagrams are stored exactly once — this sharing is what makes the
 //! representation compact for structured states such as GHZ or QFT outputs.
 
+use std::sync::Arc;
+
 use crate::complex::Complex;
 use crate::complex_table::{ComplexId, ComplexTable};
 use crate::fxhash::FxHashMap;
@@ -139,11 +141,16 @@ fn node_index(len: usize) -> u32 {
 pub struct DdPackage {
     pub(crate) ctable: ComplexTable,
     pub(crate) vec_nodes: Vec<VecNode>,
-    pub(crate) mat_nodes: Vec<MatNode>,
+    /// `vec_norms[i]` is the squared norm of the sub-vector below vector
+    /// node `i` with a unit incoming weight, filled when the node is made.
+    pub(crate) vec_norms: Vec<f64>,
+    /// Matrices are built before the mark, so copies of a package share
+    /// the matrix arena, copy-on-write.
+    pub(crate) mat_nodes: Arc<Vec<MatNode>>,
     /// `mat_identity[i]` is `true` when matrix node `i` represents the
     /// identity on its own and all lower levels (parallel to `mat_nodes`);
     /// multiplication returns its vector operand at such a node.
-    pub(crate) mat_identity: Vec<bool>,
+    pub(crate) mat_identity: Arc<Vec<bool>>,
     pub(crate) vec_unique: Layered<VecNode, VecNodeId>,
     pub(crate) mat_unique: Layered<MatNode, MatNodeId>,
     pub(crate) ct_mat_vec: Layered<(MatNodeId, VecNodeId), VecEdge>,
@@ -153,9 +160,10 @@ pub struct DdPackage {
     /// neither frozen nor cloned.
     pub(crate) ct_mat_add: FxHashMap<(MatEdge, MatEdge), MatEdge>,
     pub(crate) ct_inner: Layered<(VecNodeId, VecNodeId), Complex>,
-    pub(crate) ct_prob_one: Layered<(VecNodeId, u16), f64>,
+    /// `[‖P1(a)‖², ‖P1(b)‖², ‖P1(a)P1(b)‖²]` of a node, keyed `(node, a, b)`
+    /// with `a <= b` (see `DdPackage::excitations`).
+    pub(crate) ct_excited: Layered<(VecNodeId, u16, u16), [f64; 3]>,
     pub(crate) ct_collapse: Layered<(VecNodeId, u16, bool), VecEdge>,
-    pub(crate) norm_cache: Layered<VecNodeId, f64>,
     pub(crate) cache_limit: usize,
     pub(crate) caching_enabled: bool,
     /// Vector nodes below this index belong to the persistent region.
@@ -184,21 +192,21 @@ impl Clone for DdPackage {
     // Hand-rolled so re-seating a worker's package onto another program's
     // template reuses the arena and table allocations already sized by
     // earlier work instead of reallocating from scratch. The frozen table
-    // layer is shared, not copied.
+    // layer and the matrix arena are shared, not copied.
     fn clone_from(&mut self, source: &Self) {
         self.ctable.clone_from(&source.ctable);
         self.vec_nodes.clone_from(&source.vec_nodes);
-        self.mat_nodes.clone_from(&source.mat_nodes);
-        self.mat_identity.clone_from(&source.mat_identity);
+        self.vec_norms.clone_from(&source.vec_norms);
+        self.mat_nodes = Arc::clone(&source.mat_nodes);
+        self.mat_identity = Arc::clone(&source.mat_identity);
         self.vec_unique.clone_from(&source.vec_unique);
         self.mat_unique.clone_from(&source.mat_unique);
         self.ct_mat_vec.clone_from(&source.ct_mat_vec);
         self.ct_vec_add.clone_from(&source.ct_vec_add);
         self.ct_mat_add.clear();
         self.ct_inner.clone_from(&source.ct_inner);
-        self.ct_prob_one.clone_from(&source.ct_prob_one);
+        self.ct_excited.clone_from(&source.ct_excited);
         self.ct_collapse.clone_from(&source.ct_collapse);
-        self.norm_cache.clone_from(&source.norm_cache);
         self.cache_limit = source.cache_limit;
         self.caching_enabled = source.caching_enabled;
         self.vec_watermark = source.vec_watermark;
@@ -224,17 +232,17 @@ impl DdPackage {
         DdPackage {
             ctable,
             vec_nodes: Vec::new(),
-            mat_nodes: Vec::new(),
-            mat_identity: Vec::new(),
+            vec_norms: Vec::new(),
+            mat_nodes: Arc::default(),
+            mat_identity: Arc::default(),
             vec_unique: Layered::default(),
             mat_unique: Layered::default(),
             ct_mat_vec: Layered::default(),
             ct_vec_add: Layered::default(),
             ct_mat_add: FxHashMap::default(),
             ct_inner: Layered::default(),
-            ct_prob_one: Layered::default(),
+            ct_excited: Layered::default(),
             ct_collapse: Layered::default(),
-            norm_cache: Layered::default(),
             cache_limit: DEFAULT_CACHE_LIMIT,
             caching_enabled: true,
             vec_watermark: 0,
@@ -267,8 +275,8 @@ impl DdPackage {
 
     /// Overrides the per-table memoisation cache limit (entries).
     ///
-    /// Each compute table (and the node norm cache) is cleared individually
-    /// once it exceeds the limit; see [`DEFAULT_CACHE_LIMIT`].
+    /// Each compute table is cleared individually once it exceeds the
+    /// limit; see [`DEFAULT_CACHE_LIMIT`].
     ///
     /// # Panics
     ///
@@ -324,9 +332,8 @@ impl DdPackage {
                 + self.ct_mat_vec.frozen().len()
                 + self.ct_vec_add.frozen().len()
                 + self.ct_inner.frozen().len()
-                + self.ct_prob_one.frozen().len()
-                + self.ct_collapse.frozen().len()
-                + self.norm_cache.frozen().len(),
+                + self.ct_excited.frozen().len()
+                + self.ct_collapse.frozen().len(),
         }
     }
 
@@ -347,15 +354,13 @@ impl DdPackage {
         self.ct_vec_add = Layered::default();
         self.ct_mat_add.clear();
         self.ct_inner = Layered::default();
-        self.ct_prob_one = Layered::default();
+        self.ct_excited = Layered::default();
         self.ct_collapse = Layered::default();
-        self.norm_cache = Layered::default();
     }
 
     /// Bounds every memoisation table individually: only a table whose live
     /// layer grew beyond the limit loses it, so a runaway addition cache
     /// cannot wipe a perfectly sized multiplication cache (and vice versa).
-    /// The node norm cache is bounded by the same limit.
     pub(crate) fn maybe_trim_caches(&mut self) {
         let limit = self.cache_limit;
         self.ct_mat_vec.trim(limit);
@@ -364,9 +369,8 @@ impl DdPackage {
             self.ct_mat_add.clear();
         }
         self.ct_inner.trim(limit);
-        self.ct_prob_one.trim(limit);
+        self.ct_excited.trim(limit);
         self.ct_collapse.trim(limit);
-        self.norm_cache.trim(limit);
     }
 
     // ------------------------------------------------------------------
@@ -386,7 +390,9 @@ impl DdPackage {
     /// depends on the table's history, so keeping one would make a warmed
     /// package differ from a fresh clone. Marking again extends the frozen
     /// layer. The matrix addition cache, which only operator construction
-    /// reads, is freed.
+    /// reads, is freed; the matrix arena, which only operator construction
+    /// grows, is shared by every copy (see `clone_from`) until one builds a
+    /// matrix node after the mark.
     ///
     /// The compile phase of the simulator calls this once, after building
     /// all operator diagrams of a circuit and evaluating its error-free
@@ -401,9 +407,8 @@ impl DdPackage {
         self.ct_mat_vec.freeze();
         self.ct_vec_add.freeze();
         self.ct_inner.freeze();
-        self.ct_prob_one.freeze();
+        self.ct_excited.freeze();
         self.ct_collapse.freeze();
-        self.norm_cache.freeze();
         debug_assert!(self.frozen_ids_are_persistent());
     }
 
@@ -433,15 +438,14 @@ impl DdPackage {
         let (nodes, mat_nodes) = (self.vec_unique.frozen(), self.mat_unique.frozen());
         let (mat_vec, vec_add) = (self.ct_mat_vec.frozen(), self.ct_vec_add.frozen());
         let (collapse, inner) = (self.ct_collapse.frozen(), self.ct_inner.frozen());
-        let (prob_one, norms) = (self.ct_prob_one.frozen(), self.norm_cache.frozen());
+        let excited = self.ct_excited.frozen();
         (nodes.values()).all(|&id| vec(id))
             && (mat_nodes.values()).all(|&id| self.mat_kept(id))
             && (mat_vec.iter()).all(|(&(m, v), r)| self.mat_kept(m) && vec(v) && edge(r))
             && (vec_add.iter()).all(|(&(x, y, w), r)| vec(x) && vec(y) && weight(w) && edge(r))
             && (collapse.iter()).all(|(&(n, ..), r)| vec(n) && edge(r))
             && (inner.keys()).all(|&(a, b)| vec(a) && vec(b))
-            && (prob_one.keys()).all(|&(n, _)| vec(n))
-            && (norms.keys()).all(|&n| vec(n))
+            && (excited.keys()).all(|&(n, ..)| vec(n))
     }
 
     /// Rolls the package back to the state frozen by
@@ -453,7 +457,8 @@ impl DdPackage {
     /// made since: the arenas are truncated at their watermarks and the
     /// live table layers cleared, without visiting a node. The persistent
     /// diagrams and the frozen layer stay untouched: no hashing, no
-    /// reconstruction, no freeing of their storage. Table and arena
+    /// reconstruction, no freeing of their storage (a shared matrix arena
+    /// is not even touched unless it grew past its watermark). Table and arena
     /// capacities are retained, so a shot loop that resets between shots
     /// stops allocating once it has warmed up.
     ///
@@ -461,8 +466,11 @@ impl DdPackage {
     /// empty state.
     pub fn reset_transient(&mut self) {
         self.vec_nodes.truncate(self.vec_watermark);
-        self.mat_nodes.truncate(self.mat_watermark);
-        self.mat_identity.truncate(self.mat_watermark);
+        self.vec_norms.truncate(self.vec_watermark);
+        if self.mat_nodes.len() > self.mat_watermark {
+            Arc::make_mut(&mut self.mat_nodes).truncate(self.mat_watermark);
+            Arc::make_mut(&mut self.mat_identity).truncate(self.mat_watermark);
+        }
         self.ctable.truncate(self.complex_watermark);
         self.visit_marks.truncate(self.vec_watermark);
         self.vec_unique.live.clear();
@@ -471,9 +479,8 @@ impl DdPackage {
         self.ct_vec_add.live.clear();
         self.ct_mat_add.clear();
         self.ct_inner.live.clear();
-        self.ct_prob_one.live.clear();
+        self.ct_excited.live.clear();
         self.ct_collapse.live.clear();
-        self.norm_cache.live.clear();
     }
 
     /// Number of vector nodes in the transient region (created since the
@@ -500,9 +507,13 @@ impl DdPackage {
     /// pointing to it.
     ///
     /// Normalisation divides both successor weights by the weight of largest
-    /// magnitude (ties resolved towards edge 0) and returns that factor as
-    /// the weight of the produced edge, which keeps the representation
-    /// canonical. An all-zero pair of successors collapses to the zero edge.
+    /// magnitude and returns that factor as the weight of the produced edge,
+    /// which keeps the representation canonical. Magnitudes equal up to the
+    /// complex-table tolerance are a tie, resolved towards edge 0 (the rule
+    /// `vec_add_rec` uses for its factor): after H or SWAP both successors
+    /// carry the same modulus, and letting round-off pick the side would give
+    /// one vector two nodes. An all-zero pair of successors collapses to the
+    /// zero edge.
     pub fn make_vec_node(&mut self, var: u16, edges: [VecEdge; 2]) -> VecEdge {
         let mut edges = edges;
         for e in &mut edges {
@@ -513,10 +524,9 @@ impl DdPackage {
         if edges[0].is_zero() && edges[1].is_zero() {
             return VecEdge::zero();
         }
-        // Pick the normalisation weight: larger magnitude, ties -> edge 0.
         let mag0 = self.ctable.norm_sqr(edges[0].weight);
         let mag1 = self.ctable.norm_sqr(edges[1].weight);
-        let norm_idx = if mag0 >= mag1 { 0 } else { 1 };
+        let norm_idx = usize::from(!self.ties_or_beats(mag0, mag1));
         let norm_weight = edges[norm_idx].weight;
         debug_assert!(!norm_weight.is_zero());
         let new_edges = [
@@ -542,7 +552,11 @@ impl DdPackage {
             None => {
                 self.counters.vec_unique_misses += 1;
                 let id = VecNodeId(node_index(self.vec_nodes.len()));
+                let norm = (new_edges.iter().filter(|e| !e.is_zero())).fold(0.0, |total, e| {
+                    total + self.ctable.norm_sqr(e.weight) * self.node_norm(e.node)
+                });
                 self.vec_nodes.push(node);
+                self.vec_norms.push(norm);
                 self.vec_unique.live.insert(node, id);
                 id
             }
@@ -557,7 +571,7 @@ impl DdPackage {
     /// pointing to it.
     ///
     /// The normalisation rule mirrors [`DdPackage::make_vec_node`] over the
-    /// four quadrant edges.
+    /// four quadrant edges (ties resolved towards the lowest index).
     pub fn make_mat_node(&mut self, var: u16, edges: [MatEdge; 4]) -> MatEdge {
         let mut edges = edges;
         for e in &mut edges {
@@ -569,10 +583,10 @@ impl DdPackage {
             return MatEdge::zero();
         }
         let mut norm_idx = 0;
-        let mut best = -1.0f64;
-        for (i, e) in edges.iter().enumerate() {
+        let mut best = self.ctable.norm_sqr(edges[0].weight);
+        for (i, e) in edges.iter().enumerate().skip(1) {
             let mag = self.ctable.norm_sqr(e.weight);
-            if mag > best {
+            if !self.ties_or_beats(best, mag) {
                 best = mag;
                 norm_idx = i;
             }
@@ -609,8 +623,8 @@ impl DdPackage {
                     && diag == diag_one
                     && diag.weight.is_one()
                     && (diag.node.is_terminal() || self.mat_identity[diag.node.index()]);
-                self.mat_nodes.push(node);
-                self.mat_identity.push(identity);
+                Arc::make_mut(&mut self.mat_nodes).push(node);
+                Arc::make_mut(&mut self.mat_identity).push(identity);
                 self.mat_unique.live.insert(node, id);
                 id
             }
@@ -618,6 +632,23 @@ impl DdPackage {
         MatEdge {
             node: id,
             weight: norm_weight,
+        }
+    }
+
+    /// Whether a weight of squared modulus `mag` normalises a node ahead of
+    /// one of `other`: it is larger, or equal up to the table tolerance.
+    fn ties_or_beats(&self, mag: f64, other: f64) -> bool {
+        mag >= other || other - mag <= self.ctable.tolerance() * (mag + other)
+    }
+
+    /// Squared norm of the sub-vector below `node` with a unit incoming
+    /// weight: node data, read in O(1).
+    #[inline]
+    pub(crate) fn node_norm(&self, node: VecNodeId) -> f64 {
+        if node.is_terminal() {
+            1.0
+        } else {
+            self.vec_norms[node.index()]
         }
     }
 
@@ -769,6 +800,56 @@ impl DdPackage {
         let s = self.mat_add(t00, t01);
         let s = self.mat_add(s, t10);
         self.mat_add(s, t11)
+    }
+
+    /// `(⊗_{q ∈ qubits} diag(1, factor))·m`: scales every row of `m` by
+    /// `factor` once per listed qubit that is `|1>` in it.
+    ///
+    /// One pass over the diagram with a memo of its own and no
+    /// matrix-matrix multiply: a node deciding a listed qubit has its
+    /// lower-row quadrants scaled, and the levels below the deepest listed
+    /// qubit are shared, not rebuilt. The simulator folds the no-decay
+    /// branch of amplitude damping, `diag(1, √(1−γ))` on every qubit a gate
+    /// touched, into the gate this way.
+    pub fn scale_rows(&mut self, m: MatEdge, qubits: &[usize], factor: f64) -> MatEdge {
+        let factor = self.ctable.lookup(Complex::real(factor));
+        self.scale_rows_rec(m, qubits, factor, &mut FxHashMap::default())
+    }
+
+    fn scale_rows_rec(
+        &mut self,
+        m: MatEdge,
+        qubits: &[usize],
+        factor: ComplexId,
+        memo: &mut FxHashMap<MatNodeId, MatEdge>,
+    ) -> MatEdge {
+        if m.is_zero() || m.node.is_terminal() {
+            return m;
+        }
+        let node = self.mat_nodes[m.node.index()];
+        let var = usize::from(node.var);
+        if qubits.iter().all(|&q| q < var) {
+            return m;
+        }
+        let scaled = match memo.get(&m.node) {
+            Some(&scaled) => scaled,
+            None => {
+                let mut edges = node.edges;
+                for (quadrant, edge) in edges.iter_mut().enumerate() {
+                    *edge = self.scale_rows_rec(*edge, qubits, factor, memo);
+                    if quadrant >= 2 && qubits.contains(&var) {
+                        edge.weight = self.ctable.mul(edge.weight, factor);
+                    }
+                }
+                let scaled = self.make_mat_node(node.var, edges);
+                memo.insert(m.node, scaled);
+                scaled
+            }
+        };
+        MatEdge {
+            node: scaled.node,
+            weight: self.ctable.mul(m.weight, scaled.weight),
+        }
     }
 
     fn stack_mat_level(&mut self, var: u16, m: &Matrix2, below: MatEdge) -> MatEdge {
@@ -1187,21 +1268,97 @@ mod tests {
         assert!(dd.stats().vec_add_cache >= add_entries);
     }
 
-    #[test]
-    fn norm_cache_is_bounded_by_the_cache_limit() {
-        let mut dd = DdPackage::new();
-        dd.set_cache_limit(2);
-        // Computing norms of several distinct states fills the norm cache
-        // beyond the limit; the next trimmed operation must clear it.
-        for idx in 0..4u64 {
-            let s = dd.basis_state_from_index(3, idx);
-            let _ = dd.norm_sqr(s);
+    /// The squared norm below `node`, summed from scratch.
+    fn recursive_norm(dd: &DdPackage, node: VecNodeId) -> f64 {
+        if node.is_terminal() {
+            return 1.0;
         }
-        assert!(dd.norm_cache.live.len() > 2);
-        let s = dd.zero_state(3);
-        let id = dd.identity_op(3);
-        let _ = dd.mat_vec_mul(id, s);
-        assert!(dd.norm_cache.live.len() <= 2, "norm cache was not trimmed");
+        (dd.vec_nodes[node.index()].edges.iter())
+            .filter(|e| !e.is_zero())
+            .fold(0.0, |total, e| {
+                total + dd.ctable.norm_sqr(e.weight) * recursive_norm(dd, e.node)
+            })
+    }
+
+    #[test]
+    fn node_norms_are_the_recursive_sums_bit_for_bit() {
+        // A noisy QFT-8 package: gates, a bit flip and damping keeps, with
+        // shots after the mark and rewinds between them.
+        let n = 8;
+        let mut dd = DdPackage::new();
+        let mut gates = Vec::new();
+        for target in 0..n {
+            gates.push(dd.single_qubit_op(n, target, Matrix2::hadamard()));
+            for control in target + 1..n {
+                let angle = std::f64::consts::PI / f64::from(1 << (control - target));
+                gates.push(dd.controlled_op(n, target, &[control], Matrix2::phase(angle)));
+            }
+        }
+        for q in 0..n / 2 {
+            gates.push(dd.swap_op(n, q, n - 1 - q));
+        }
+        let keep: Vec<MatEdge> = (0..n)
+            .map(|q| dd.single_qubit_op(n, q, Matrix2::amplitude_damping_a1(0.05)))
+            .collect();
+        let flip = dd.single_qubit_op(n, n - 1, Matrix2::pauli_x());
+        let shot = |dd: &mut DdPackage, flip_after: Option<usize>| {
+            let mut state = dd.zero_state(n);
+            for (index, gate) in gates.iter().enumerate() {
+                state = dd.mat_vec_mul(*gate, state);
+                if flip_after == Some(index) {
+                    state = dd.mat_vec_mul(flip, state);
+                }
+                state = dd.apply_kraus(keep[index % n], state).1;
+            }
+        };
+        shot(&mut dd, None);
+        dd.mark_persistent();
+        for flip_after in [3, 9, 17, 3] {
+            shot(&mut dd, Some(flip_after));
+            assert!(dd.transient_vec_nodes() > 0);
+            assert_eq!(dd.vec_norms.len(), dd.vec_nodes.len());
+            for id in 0..dd.vec_nodes.len() as u32 {
+                let node = VecNodeId(id);
+                assert_eq!(
+                    dd.node_norm(node).to_bits(),
+                    recursive_norm(&dd, node).to_bits()
+                );
+            }
+            dd.reset_transient();
+            assert_eq!(dd.vec_norms.len(), dd.vec_watermark);
+        }
+    }
+
+    #[test]
+    fn scale_rows_is_the_diagonal_times_the_gate() {
+        let n = 5;
+        let s = (1.0f64 - 0.3).sqrt();
+        let mut dd = DdPackage::new();
+        let gates = [
+            (dd.single_qubit_op(n, 2, Matrix2::hadamard()), vec![2]),
+            (dd.controlled_op(n, 3, &[1], Matrix2::pauli_x()), vec![1, 3]),
+            (dd.controlled_op(n, 0, &[4], Matrix2::pauli_x()), vec![4, 0]),
+            (
+                dd.controlled_op(n, 1, &[3], Matrix2::phase(0.7)),
+                vec![3, 1],
+            ),
+            (dd.swap_op(n, 0, 3), vec![0, 3]),
+            (
+                dd.controlled_op(n, 2, &[0, 4], Matrix2::u3(0.3, 0.8, -0.2)),
+                vec![0, 4, 2],
+            ),
+        ];
+        for (gate, qubits) in gates {
+            let kept = dd.scale_rows(gate, &qubits, s);
+            let (dense, got) = (dd.to_matrix(gate, n), dd.to_matrix(kept, n));
+            for (row, (expected, got)) in dense.iter().zip(&got).enumerate() {
+                let excited = qubits.iter().filter(|&&q| row >> (n - 1 - q) & 1 == 1);
+                let scale = s.powi(excited.count() as i32);
+                for (e, g) in expected.iter().zip(got) {
+                    assert!(e.scale(scale).approx_eq(*g, 1e-12), "{qubits:?} row {row}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,16 +5,18 @@
 //! track the diagram size too, not the number of weighted operand pairs a
 //! recursion can meet. This suite replays a live QFT-16 trajectory on a bare
 //! [`DdPackage`] — gate, mid-circuit Pauli-X, then per touched qubit the
-//! damping exposure exactly as the back-end's live path books it (threshold
-//! read off the state, then the one selected branch) — and bounds the
-//! deterministic integers the package keeps. A second bound holds the
+//! damping exposure one at a time, as the back-end takes the exposures it
+//! does not fold into a kept operator (threshold read off the state, then
+//! the one selected branch) — and bounds the deterministic integers the
+//! package keeps. A second bound holds the
 //! deduplicating driver to sharing trajectories past the first deviation:
 //! evolutions and compute misses of a GHZ-32 job against the same job with
 //! every deviating shot run alone — and, on the statevector back-end, the
 //! evolutions of a GHZ-14 job under the paper's (damping) noise. A third
 //! holds whole benchmark-workload jobs (GHZ-64, QFT-16, measured BV-12) to
-//! what the frozen table layer leaves to do: an evolution recomputes what
-//! its errors changed, not what compile already evaluated. There is
+//! what the frozen table layer and the kept operators leave to do: an
+//! evolution recomputes what its errors changed, not what compile already
+//! evaluated, and builds each step's state once. There is
 //! no wall clock here: the property gated is the operation count, which
 //! cannot flake.
 
@@ -49,9 +51,11 @@ struct Work {
 }
 
 /// Replays QFT-16 live from `|0...0>`: every gate, a Pauli-X after step
-/// [`FLIP_AFTER`], and per touched qubit the damping exposure as
-/// the back-end's live walk books it — the decay threshold comes off the diagram
-/// without building a branch, then only the selected branch is applied.
+/// [`FLIP_AFTER`], and per touched qubit the damping exposure one at a
+/// time, as the back-end's walk takes the exposures of a step it does not
+/// fold (three or more qubits, `γ = 1`, the rest of a deviated step) — the
+/// decay threshold comes off the diagram without building a branch, then
+/// only the selected branch is applied.
 /// With `decay_every = Some(k)`, every `k`-th exposure that can decay does.
 fn replay(decay_every: Option<usize>) -> Work {
     let circuit = qft(N);
@@ -259,6 +263,11 @@ fn evolutions_recompute_only_what_their_errors_changed() {
     assert!(ghz64.compute_misses <= 3_500_000, "{ghz64:?}");
     let qft16 = workload_job(&qft(16), 2_000);
     assert!(qft16.compute_misses <= 1_000_000, "{qft16:?}");
+    // A one- or two-qubit step applies its kept operator once where it
+    // applied the gate and a keep per touched qubit (2 706 009 and 774 078
+    // misses).
+    assert!(ghz64.compute_misses <= 2_300_000, "{ghz64:?}");
+    assert!(qft16.compute_misses <= 450_000, "{qft16:?}");
 }
 
 /// The no-error path continues through the measurements at compile time,
@@ -268,6 +277,8 @@ fn evolutions_recompute_only_what_their_errors_changed() {
 fn measured_bv12_shots_share_the_no_error_measurement_chain() {
     let bv12 = workload_job(&bernstein_vazirani(12, 0x5555_5555_5555_5555), 2_000);
     assert!(bv12.nodes_created <= 120_000, "{bv12:?}");
+    // Each step's state is built once, not once per operator (93 080).
+    assert!(bv12.nodes_created <= 80_000, "{bv12:?}");
 }
 
 /// The dense baseline shares trajectories under the paper's noise model
