@@ -28,7 +28,8 @@ use qsdd_circuit::Circuit;
 use qsdd_noise::{ErrorPattern, NoiseModel};
 use rand::rngs::StdRng;
 
-use crate::dedup::DedupSupport;
+use crate::deadline::TimedOut;
+use crate::dedup::{DedupSupport, Evolutions, TrajectoryWork};
 use crate::estimator::Observable;
 
 /// The result of a single stochastic simulation run.
@@ -145,7 +146,8 @@ pub trait StochasticBackend: Sync {
     /// then presamples shots against it, groups equal patterns, and drives
     /// [`run_pattern`](Self::run_pattern) /
     /// [`sample_outcome`](Self::sample_outcome) /
-    /// [`resume_pattern`](Self::resume_pattern). The default declines, which
+    /// [`resume_members`](Self::resume_members) /
+    /// [`run_bucket`](Self::run_bucket). The default declines, which
     /// keeps a back-end correct on the ordinary per-shot path. State-dependent
     /// channels are no reason to decline: record the threshold each damping
     /// exposure meets along the no-error path at compile time and hand it
@@ -243,23 +245,42 @@ pub trait StochasticBackend: Sync {
         unreachable!("dedup_support declined; outcome_distribution must not be called")
     }
 
-    /// Resumes one member shot live from a checkpointed prefix run.
-    ///
-    /// `checkpoint` is the context [`run_pattern`](Self::run_pattern)
-    /// executed in — it must be left untouched so further members can
-    /// resume from it; the member executes the remaining program steps in
-    /// `work` (typically seeded from a clone of the checkpoint) with its
-    /// own generator. Only called when the program's [`DedupSupport::full`]
-    /// is `false`.
-    fn resume_pattern(
+    /// Finishes a prefix run for the member shots that followed it to the
+    /// end of the deduplicable prefix: each resumes live from there with its
+    /// own generator and reports its shot through `out`. `prefix` is a run
+    /// [`run_pattern`](Self::run_pattern) (or a bucket walk) left in `ctx`.
+    /// Only called when the program's [`DedupSupport::full`] is `false`.
+    fn resume_members(
         &self,
         _program: &Self::Program,
-        _checkpoint: &Self::Context,
+        _ctx: &mut Self::Context,
         _prefix: &SingleRun<Self::State>,
-        _work: &mut Self::Context,
-        _rng: &mut StdRng,
-    ) -> SingleRun<Self::State> {
-        unreachable!("dedup_support declined; resume_pattern must not be called")
+        _members: &mut [(u64, StdRng)],
+        _out: &mut Evolutions<'_>,
+    ) {
+        unreachable!("dedup_support declined a prefix; resume_members must not be called")
+    }
+
+    /// Executes one deviation bucket — shots that left the no-error path at
+    /// `work`'s one event, generators parked right after it — and the tree of
+    /// child buckets its members drop into, reporting every shot through
+    /// `out` (see [`crate::dedup`]).
+    ///
+    /// The default replays every evolution of the tree from the rewound
+    /// template and runs a bucket of one live with its generator derived
+    /// afresh. A back-end that can checkpoint its context forks each child
+    /// off its parent's walk instead.
+    fn run_bucket(
+        &self,
+        program: &Self::Program,
+        ctx: &mut Self::Context,
+        work: TrajectoryWork,
+        out: &mut Evolutions<'_>,
+    ) -> Result<(), TimedOut>
+    where
+        Self: Sized,
+    {
+        crate::dedup::replay_bucket(self, program, ctx, work, out)
     }
 
     /// Convenience single-shot path: compiles `circuit`, creates a fresh

@@ -14,15 +14,20 @@
 //! because the rewound package is indistinguishable from a fresh clone of
 //! the template, a reused context produces bit-identical shots.
 
+use std::collections::BTreeMap;
+
 use qsdd_circuit::{Circuit, Operation};
 use qsdd_dd::{DdPackage, MatEdge, Matrix2, VecEdge};
-use qsdd_noise::{ErrorChannel, ErrorPattern, NoiseModel, PresamplePlan, SiteChannel};
+use qsdd_noise::{ErrorChannel, ErrorEvent, ErrorPattern, NoiseModel, PresamplePlan, SiteChannel};
+use qsdd_telemetry::trace;
 use rand::rngs::StdRng;
 
 use crate::backend::{next_program_id, pack_clbits, SingleRun, StochasticBackend};
+use crate::deadline::TimedOut;
 use crate::decisions::{Decisions, NoError, Replayed, Sampled};
-use crate::dedup::DedupSupport;
+use crate::dedup::{group_span, DedupSupport, Evolutions, Members, TrajectoryWork};
 use crate::estimator::Observable;
+use crate::stochastic::{trace_dd_attrs, trace_dd_stats};
 
 /// A self-contained noiseless simulation result: the package owning the
 /// diagram and the edge of the final state.
@@ -212,6 +217,32 @@ impl DdProgram {
     /// (all precompiled operator diagrams combined).
     pub fn persistent_mat_nodes(&self) -> usize {
         self.base.stats().mat_nodes
+    }
+
+    /// The step and the exposure offset in it of exposure site `site`.
+    fn exposure(&self, site: u32) -> (usize, usize) {
+        let mut site = site as usize;
+        for (index, step) in self.steps.iter().enumerate() {
+            if let DdStep::Apply { noise_qubits, .. } = step {
+                match site.checked_sub(noise_qubits.len() * self.channels.len()) {
+                    Some(later) => site = later,
+                    None => return (index, site),
+                }
+            }
+        }
+        unreachable!("exposure site beyond the program")
+    }
+
+    /// The operator, kept operator and exposed qubits of Apply step `index`.
+    fn apply(&self, index: usize) -> (MatEdge, Option<MatEdge>, &[usize]) {
+        match &self.steps[index] {
+            DdStep::Apply {
+                op,
+                kept,
+                noise_qubits,
+            } => (*op, *kept, noise_qubits),
+            _ => unreachable!("members deviate in Apply steps, the prefix holds only them"),
+        }
     }
 }
 
@@ -499,11 +530,7 @@ impl StochasticBackend for DdSimulator {
         rng: &mut StdRng,
     ) -> SingleRun<VecEdge> {
         ctx.seat(program);
-        let dd = &mut ctx.package;
-        let mut clbits = vec![false; program.num_clbits];
-        let steps = 0..program.steps.len();
-        let walk = Walk::start(program).run(program, dd, steps, &mut Sampled(rng), &mut clbits);
-        walk.finish_shot(program, dd, clbits, rng)
+        Walk::start(program).finish_live(program, &mut ctx.package, 0, rng)
     }
 
     fn evaluate(
@@ -583,16 +610,7 @@ impl StochasticBackend for DdSimulator {
         let prefix = 0..program.dedup_prefix;
         let walk = Walk::start(program).run(program, dd, prefix, &mut replayed, &mut []);
         debug_assert!(replayed.exhausted(), "pattern events beyond the prefix");
-        let dd_nodes = dd.vec_node_count_fast(walk.state) as u64;
-        SingleRun {
-            // Each member samples its own outcome; the replay has none.
-            outcome: 0,
-            clbits: vec![false; program.num_clbits],
-            error_events: walk.error_events,
-            dd_nodes,
-            dd_nodes_peak: walk.peak.max(dd_nodes),
-            state: walk.state,
-        }
+        walk.prefix_run(program, dd)
     }
 
     fn sample_outcome(
@@ -659,48 +677,237 @@ impl StochasticBackend for DdSimulator {
             .outcome_probabilities(run.state, program.num_qubits, sink);
     }
 
-    fn resume_pattern(
+    fn resume_members(
         &self,
         program: &DdProgram,
-        checkpoint: &DdContext,
+        ctx: &mut DdContext,
         prefix: &SingleRun<VecEdge>,
-        work: &mut DdContext,
-        rng: &mut StdRng,
-    ) -> SingleRun<VecEdge> {
+        members: &mut [(u64, StdRng)],
+        out: &mut Evolutions<'_>,
+    ) {
         debug_assert_eq!(
-            checkpoint.seated, program.id,
-            "resume_pattern must be given the context the pattern ran in"
+            ctx.seated, program.id,
+            "members resume where the prefix ran"
         );
-        // Seed the working context with the checkpointed prefix state. When
-        // the pattern created no diagram content (the empty pattern riding
-        // the precomputed trajectory), the checkpoint equals the program
-        // template and the cheap seat/rewind path replaces the full
-        // package clone. Either way the working package is
-        // indistinguishable from the one a per-shot execution would hold
-        // at this point, which keeps the resumed tail byte-identical.
-        if checkpoint.package.transient_is_empty() {
-            work.seat(program);
-        } else {
-            work.package.clone_from(&checkpoint.package);
-            // The cloned persistent region is the program's template, so
-            // the ordinary rewind contract keeps holding for this context.
-            work.seated = program.id;
-        }
-        let dd = &mut work.package;
-        let mut clbits = vec![false; program.num_clbits];
-        let tail = program.dedup_prefix..program.steps.len();
         let walk = Walk {
             state: prefix.state,
             peak: prefix.dd_nodes_peak,
             error_events: prefix.error_events,
             live: true,
+        };
+        // Each member but the last resumes from a checkpoint at the end of
+        // the prefix: the package a per-shot execution holds there.
+        for index in 0..members.len() {
+            let checkpoint = (index + 1 < members.len()).then(|| ctx.package.checkpoint());
+            let (shot, rng) = &mut members[index];
+            let run = walk.finish_live(program, &mut ctx.package, program.dedup_prefix, rng);
+            out.emit_live(self, program, ctx, run, *shot);
+            if checkpoint.is_some_and(|checkpoint| !ctx.package.rollback(checkpoint)) {
+                for &(shot, _) in &members[index + 1..] {
+                    out.rerun(self, program, ctx, shot);
+                }
+                return;
+            }
         }
-        .run(program, dd, tail, &mut Sampled(rng), &mut clbits);
-        walk.finish_shot(program, dd, clbits, rng)
+    }
+
+    fn run_bucket(
+        &self,
+        program: &DdProgram,
+        ctx: &mut DdContext,
+        work: TrajectoryWork,
+        out: &mut Evolutions<'_>,
+    ) -> Result<(), TimedOut> {
+        out.evolve()?;
+        ctx.seat(program);
+        let [event] = work.pattern.events() else {
+            unreachable!("a deviation bucket opens with one event")
+        };
+        // The shared past rides the recorded trajectory up to the event's
+        // step, which deviates like a live shot's.
+        let (index, offset) = program.exposure(event.site);
+        let (dd, mut replayed) = (&mut ctx.package, Replayed::new(&work.pattern, None));
+        let mut walk = Walk::start(program).run(program, dd, 0..index, &mut replayed, &mut []);
+        let unitary = (event.error != ErrorEvent::DECAY).then_some(usize::from(event.error));
+        let (op, _, qubits) = program.apply(index);
+        walk.deviate(program, dd, op, qubits, offset, unitary);
+        let mut tree = Tree {
+            backend: self,
+            program,
+            ctx,
+            out,
+        };
+        tree.carry(walk, (index, offset + 1), 1, work.members)
+    }
+}
+
+/// The members that deviated at one decision point, keyed by what they
+/// drew: the exposure offset in the step and the unitary error that fired
+/// (`None`: a decay).
+type Forks = BTreeMap<(usize, Option<usize>), Members>;
+
+/// Moves every member for which `draw` returns an event into its child.
+fn split(
+    members: &mut Members,
+    mut draw: impl FnMut(&mut StdRng) -> Option<(usize, Option<usize>)>,
+) -> Forks {
+    let mut children = Forks::new();
+    members.retain_mut(|(shot, rng)| {
+        let event = draw(rng);
+        if let Some(event) = event {
+            children
+                .entry(event)
+                .or_default()
+                .push((*shot, rng.clone()));
+        }
+        event.is_none()
+    });
+    children
+}
+
+/// A bucket tree walked in one context, each child forked off its parent.
+struct Tree<'a, 'o> {
+    backend: &'a DdSimulator,
+    program: &'a DdProgram,
+    ctx: &'a mut DdContext,
+    out: &'a mut Evolutions<'o>,
+}
+
+impl Tree<'_, '_> {
+    /// Carries the members of a bucket along its walk, from exposure
+    /// `resolved` of step `index` to the end of the deduplicable prefix,
+    /// where they fan out of the shared state.
+    ///
+    /// At every decision point — after a kept step's kernel, and at each
+    /// exposure of a step taken exposure by exposure — each member makes
+    /// the draw its live shot makes there; the members that fire an event
+    /// form a child bucket of `events + 1` events, forked off the walk right
+    /// there ([`fork`](Self::fork)). A bucket of one continues live from its
+    /// parked generator. (Live draws read no site number: sites are 0.)
+    fn carry(
+        &mut self,
+        mut walk: Walk,
+        at: (usize, usize),
+        events: usize,
+        mut members: Members,
+    ) -> Result<(), TimedOut> {
+        let (program, (mut index, mut resolved)) = (self.program, at);
+        let width = program.channels.len();
+        if let [(shot, rng)] = &mut members[..] {
+            self.out.stats.live_shots += 1;
+            let (dd, (_, _, qubits)) = (&mut self.ctx.package, program.apply(index));
+            walk.expose(program, dd, qubits, resolved, 0, &mut Sampled(rng));
+            walk.peak = walk.peak.max(dd.vec_node_count_fast(walk.state) as u64);
+            let run = walk.finish_live(program, dd, index + 1, rng);
+            (self.out).emit_live(self.backend, program, self.ctx, run, *shot);
+            return Ok(());
+        }
+        let _span = group_span(members.len(), events);
+        let dd_before = trace_dd_stats(|| self.ctx.package.table_stats());
+        let mut forks = 0;
+        let finished = 'walk: {
+            while index < program.dedup_prefix {
+                let (op, kept, qubits) = program.apply(index);
+                let exposures = qubits.len() * width;
+                match kept.filter(|_| resolved == 0) {
+                    Some(kept) => {
+                        let (entering, dd) = (walk, &mut self.ctx.package);
+                        let (p_decay, after) = kept_step(dd, kept, walk.state, qubits, program);
+                        let p_decay = &p_decay[..qubits.len()];
+                        let children = split(&mut members, |rng| {
+                            fast_forward(program, qubits, p_decay, 0, &mut Sampled(rng))
+                        });
+                        forks += children.len();
+                        let deviate = |dd: &mut DdPackage, offset, unitary| {
+                            let mut child = entering;
+                            child.deviate(program, dd, op, qubits, offset, unitary);
+                            child
+                        };
+                        if !self.fork(children, (index, events), &mut members, deviate)? {
+                            break 'walk None;
+                        }
+                        (walk.state, resolved) = (after, exposures);
+                    }
+                    None if resolved == 0 => {
+                        walk.state = self.ctx.package.mat_vec_mul(op, walk.state)
+                    }
+                    None => {}
+                }
+                for offset in resolved..exposures {
+                    let (qubit, channel) = (qubits[offset / width], offset % width);
+                    let keep = program.noise_ops[channel].kraus[qubit].map(|[_decay, keep]| keep);
+                    let channel = &program.channels[channel];
+                    let dd = &mut self.ctx.package;
+                    let p_decay = keep.map(|_| decay_probability(dd, channel, walk.state, qubit));
+                    let children = split(&mut members, |rng| match p_decay {
+                        None => Sampled(rng).error(0, channel).map(|u| (offset, Some(u))),
+                        Some(p_decay) => Sampled(rng).decays(0, p_decay).then_some((offset, None)),
+                    });
+                    forks += children.len();
+                    let fire = |dd: &mut DdPackage, offset, unitary| {
+                        let mut child = walk;
+                        child.fire(program, dd, qubits, offset, unitary);
+                        child
+                    };
+                    if !self.fork(children, (index, events), &mut members, fire)? {
+                        break 'walk None;
+                    }
+                    if let Some(keep) = keep {
+                        walk.state = self.ctx.package.apply_kraus(keep, walk.state).1;
+                    }
+                }
+                let nodes = self.ctx.package.vec_node_count_fast(walk.state) as u64;
+                (walk.peak, index, resolved) = (walk.peak.max(nodes), index + 1, 0);
+            }
+            Some(walk)
+        };
+        if let Some(walk) = finished {
+            let run = walk.prefix_run(program, &mut self.ctx.package);
+            (self.out).finish(self.backend, program, self.ctx, run, &mut members);
+        }
+        trace::attr("forks", forks);
+        trace_dd_attrs(dd_before, || self.ctx.package.table_stats());
+        Ok(())
+    }
+
+    /// Runs each child bucket of a decision point in step `index` of a walk
+    /// along `events` events from a checkpoint taken there: `deviate`
+    /// applies its event, the child finishes the step and walks on, and the
+    /// package is rolled back before the next child — or the parent — moves
+    /// on. A child that leaves the parent without members needs none.
+    ///
+    /// Returns whether the parent walks on: not once it has no member left,
+    /// nor when a rollback was not exact (a trim emptied the tables under
+    /// the checkpoint) — the shots of the later children and of the parent
+    /// then run live from the template.
+    fn fork(
+        &mut self,
+        children: Forks,
+        (index, events): (usize, usize),
+        members: &mut Members,
+        deviate: impl Fn(&mut DdPackage, usize, Option<usize>) -> Walk,
+    ) -> Result<bool, TimedOut> {
+        let mut children = children.into_iter();
+        while let Some(((offset, unitary), child)) = children.next() {
+            self.out.evolve()?;
+            let last = members.is_empty() && children.len() == 0;
+            let checkpoint = (!last).then(|| self.ctx.package.checkpoint());
+            let walk = deviate(&mut self.ctx.package, offset, unitary);
+            self.carry(walk, (index, offset + 1), events + 1, child)?;
+            if checkpoint.is_some_and(|checkpoint| !self.ctx.package.rollback(checkpoint)) {
+                let rest = children.flat_map(|(_, members)| members);
+                for (shot, _) in rest.chain(members.drain(..)) {
+                    (self.out).rerun(self.backend, self.program, self.ctx, shot);
+                }
+                return Ok(false);
+            }
+        }
+        Ok(!members.is_empty())
     }
 }
 
 /// The running state of a walk over program steps.
+#[derive(Clone, Copy, Debug)]
 struct Walk {
     state: VecEdge,
     /// Peak node count of the state so far.
@@ -827,10 +1034,29 @@ impl Walk {
                 state = dd.apply_kraus(keep, state).1;
             }
         }
-        let (qubit, ops) = exposure(offset);
+        self.state = state;
+        self.fire(program, dd, noise_qubits, offset, unitary);
+    }
+
+    /// Fires the event of exposure `offset` of a step exposing
+    /// `noise_qubits`: the channel's unitary error `unitary`, or a decay
+    /// when `None`. The walk is live from here on.
+    fn fire(
+        &mut self,
+        program: &DdProgram,
+        dd: &mut DdPackage,
+        noise_qubits: &[usize],
+        offset: usize,
+        unitary: Option<usize>,
+    ) {
+        let width = program.channels.len();
+        let (qubit, ops) = (
+            noise_qubits[offset / width],
+            &program.noise_ops[offset % width],
+        );
         self.state = match (unitary, ops.kraus[qubit]) {
-            (Some(u), _) => dd.mat_vec_mul(ops.unitaries[qubit][u], state),
-            (None, Some([decay, _keep])) => dd.apply_kraus(decay, state).1,
+            (Some(u), _) => dd.mat_vec_mul(ops.unitaries[qubit][u], self.state),
+            (None, Some([decay, _keep])) => dd.apply_kraus(decay, self.state).1,
             (None, None) => unreachable!("decays come from damping exposures"),
         };
         self.error_events += 1;
@@ -849,38 +1075,58 @@ impl Walk {
         decisions: &mut D,
     ) {
         let width = program.channels.len();
-        for (position, &qubit) in noise_qubits.iter().enumerate() {
-            for (index, channel) in program.channels.iter().enumerate() {
-                let offset = position * width + index;
-                if offset < resolved {
-                    continue;
-                }
-                let site = first_site + offset as u32;
-                let ops = &program.noise_ops[index];
-                match ops.kraus[qubit] {
-                    None => {
-                        if let Some(u) = decisions.error(site, channel) {
-                            self.error_events += 1;
-                            self.state = dd.mat_vec_mul(ops.unitaries[qubit][u], self.state);
-                        }
+        for offset in resolved..noise_qubits.len() * width {
+            let (qubit, index) = (noise_qubits[offset / width], offset % width);
+            let (channel, site) = (&program.channels[index], first_site + offset as u32);
+            let fired = match program.noise_ops[index].kraus[qubit] {
+                None => decisions.error(site, channel).map(Some),
+                Some([_decay, keep]) => {
+                    // Amplitude damping: branch probabilities are the
+                    // squared norms of the (non-unitary) branch states
+                    // (Example 6 of the paper). The decay threshold is read
+                    // off the state first, so only the branch the decision
+                    // selects is ever built.
+                    let p_decay = decay_probability(dd, channel, self.state, qubit);
+                    let decays = decisions.decays(site, p_decay);
+                    if !decays {
+                        self.state = dd.apply_kraus(keep, self.state).1;
                     }
-                    Some([decay, keep]) => {
-                        // Amplitude damping: branch probabilities are the
-                        // squared norms of the (non-unitary) branch states
-                        // (Example 6 of the paper). The decay threshold is
-                        // read off the state first, so only the branch the
-                        // decision selects is ever built.
-                        let p_decay = decay_probability(dd, channel, self.state, qubit);
-                        let branch = if decisions.decays(site, p_decay) {
-                            self.error_events += 1;
-                            decay
-                        } else {
-                            keep
-                        };
-                        self.state = dd.apply_kraus(branch, self.state).1;
-                    }
+                    decays.then_some(None)
                 }
+            };
+            if let Some(unitary) = fired {
+                self.fire(program, dd, noise_qubits, offset, unitary);
             }
+        }
+    }
+
+    /// Walks steps `from..` live with the shot's generator `rng` and closes
+    /// the walk into the shot's result.
+    fn finish_live(
+        self,
+        program: &DdProgram,
+        dd: &mut DdPackage,
+        from: usize,
+        rng: &mut StdRng,
+    ) -> SingleRun<VecEdge> {
+        let mut clbits = vec![false; program.num_clbits];
+        let steps = from..program.steps.len();
+        let walk = self.run(program, dd, steps, &mut Sampled(rng), &mut clbits);
+        walk.finish_shot(program, dd, clbits, rng)
+    }
+
+    /// The run a walk that reached the end of the deduplicable prefix
+    /// shares with the shots that followed it; each samples, or resumes
+    /// to, its own outcome.
+    fn prefix_run(self, program: &DdProgram, dd: &mut DdPackage) -> SingleRun<VecEdge> {
+        let dd_nodes = dd.vec_node_count_fast(self.state) as u64;
+        SingleRun {
+            outcome: 0,
+            clbits: vec![false; program.num_clbits],
+            error_events: self.error_events,
+            dd_nodes,
+            dd_nodes_peak: self.peak.max(dd_nodes),
+            state: self.state,
         }
     }
 
@@ -1390,6 +1636,54 @@ mod tests {
                     "step {index} offset {offset}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn forked_buckets_equal_per_shot_execution_even_when_tables_trim() {
+        use crate::dedup::{plan_range, run_work, Evolutions};
+        use crate::shot_engine::ShotSample;
+        use crate::stochastic::shot_rng;
+        use crate::Deadline;
+        // The paper's channels at ten times their strength: buckets grow
+        // children and grandchildren. With a tiny cache limit the tables
+        // trim inside forks, rollbacks fail and the fallback runs.
+        let backend = DdSimulator::new();
+        let (tenfold, shots, seed) = (NoiseModel::new(0.01, 0.02, 0.01), 4_000, 2021);
+        for circuit in [ghz(8), qft(6)] {
+            let mut evolutions = Vec::new();
+            for limit in [qsdd_dd::DEFAULT_CACHE_LIMIT, 64] {
+                let mut program = backend.compile(&circuit, &tenfold);
+                program.base.set_cache_limit(limit);
+                let support = backend
+                    .dedup_support(&program)
+                    .expect("unitary programs dedup");
+                let mut records = vec![None; shots];
+                let mut sink = |shot: u64, sample, _: &[f64]| records[shot as usize] = Some(sample);
+                let (deadline, mut ctx) = (Deadline::unbounded(), backend.new_context());
+                let mut out = Evolutions::new(&support, &[], seed, &deadline, &mut sink);
+                for work in plan_range(&support.plan, 0..shots as u64, seed) {
+                    run_work(&backend, &program, &mut ctx, work, &mut out).unwrap();
+                }
+                evolutions.push(out.stats.unique_trajectories);
+                let mut alone = backend.new_context();
+                for (shot, record) in records.into_iter().enumerate() {
+                    let live =
+                        backend.run_shot(&program, &mut alone, &mut shot_rng(seed, shot as u64));
+                    let sample = record.expect("every shot is reported");
+                    assert_eq!(
+                        sample,
+                        ShotSample::of(&live),
+                        "{} shot {shot}",
+                        circuit.name()
+                    );
+                }
+            }
+            // Children the fallback ran live from scratch are no evolutions.
+            assert!(
+                evolutions[1] < evolutions[0],
+                "{evolutions:?}: no rollback failed"
+            );
         }
     }
 

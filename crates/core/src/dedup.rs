@@ -25,32 +25,38 @@
 //! # The bucket tree
 //!
 //! Trajectories that made the same jumps are the same trajectory. A
-//! deviation bucket's one-event pattern is replayed once as well, and the
-//! replay reads the decay threshold off the state at every state-dependent
-//! exposure past the event — the thresholds the bucket's members would
-//! have met live. Each member then continues presampling from its parked
-//! generator against them ([`PresamplePlan::resume`]): members that reach
-//! the end of the plan fan out of the shared state like a group; members
-//! that deviate again drop into a child bucket keyed by the longer
-//! pattern, which is handled the same way.
+//! deviation bucket's members share one walk past their event, and every
+//! member makes, at every decision point of that walk, the draw its live
+//! shot makes there: members that reach the end of the prefix fan out of
+//! the shared state like a group; members that fire another event drop
+//! into a child bucket keyed by it, which is handled the same way
+//! ([`StochasticBackend::run_bucket`]).
 //!
-//! * **Children rewind.** Every replay — a child's included — starts from
-//!   the rewound template and applies the whole pattern, never from its
-//!   parent's evolved context: the complex table interns by tolerance, so
-//!   what a value snaps to depends on what was interned before it, and only
-//!   the operator sequence a live shot performs is guaranteed to reproduce
-//!   the live shot's bits.
-//! * **Singletons run live.** A bucket of one has nobody to share with; its
-//!   shot re-derives its generator and executes through
-//!   [`StochasticBackend::run_shot`], so jobs whose deviations rarely
-//!   coincide pay only the bucketing. Whether to evolve once or run live is
-//!   read off the bucket, not configured.
+//! * **Children fork.** On the decision-diagram back-end a child starts
+//!   from a package checkpoint taken at its decision point
+//!   ([`qsdd_dd::DdPackage::checkpoint`]): it deviates, finishes the step
+//!   and walks on, and the rollback restores the parent's package exactly
+//!   before the parent — or the next child — moves on. The complex table
+//!   interns by tolerance, so what a value snaps to depends on what was
+//!   interned before it; the walk up to the decision point is the operator
+//!   sequence each member's live shot performs, and the exact rollback is
+//!   what keeps the package a child starts from the one that shot holds.
+//!   The statevector back-end has no package to checkpoint: it replays every
+//!   child's whole pattern from the template, reading the thresholds past
+//!   the last event, and resumes the members' presampling against them
+//!   ([`PresamplePlan::resume`]).
+//! * **Singletons run live.** A bucket of one has nobody to share with: on
+//!   the decision-diagram back-end its shot continues live from its parked
+//!   generator where the bucket walk (or the parent's) left it; the
+//!   statevector back-end re-derives the generator and runs the shot
+//!   through [`StochasticBackend::run_shot`]. Whether to share or run live
+//!   is read off the bucket, not configured.
 //!
 //! For programs whose deduplicable region is only a *prefix* (a mid-circuit
-//! measurement or an uncovered state-dependent exposure ahead), the group
-//! representative executes the prefix once, the execution context is
-//! checkpointed, and every member resumes live from a clone of that
-//! checkpoint ([`StochasticBackend::resume_pattern`]).
+//! measurement or an uncovered state-dependent exposure ahead), the group's
+//! or bucket's walk ends at the prefix and every member resumes live from
+//! there in the same context — from a checkpoint, rolled back after it
+//! ([`StochasticBackend::resume_members`]).
 //!
 //! # Determinism
 //!
@@ -59,11 +65,12 @@
 //! bit pattern of every observable sum are identical to per-shot execution.
 //! This hinges on three invariants: presampling consumes each shot's random
 //! stream exactly like live execution (so post-pattern sampling continues
-//! from the right position), a pattern replay performs the identical
-//! operator sequence a member shot would have performed (so the shared
-//! state, the thresholds read off it — and the context it lives in — are
-//! bit-identical), and the final aggregation replays the per-worker strided
-//! summation order of the non-deduplicated runner.
+//! from the right position), a shared walk performs the identical operator
+//! sequence a member shot would have performed, in a context a rollback
+//! returned to exactly (so the shared state, the thresholds read off it —
+//! and the context it lives in — are bit-identical), and the final
+//! aggregation replays the per-worker strided summation order of the
+//! non-deduplicated runner.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,7 +87,7 @@ use crate::backend::{SingleRun, StochasticBackend};
 use crate::deadline::{Deadline, TimedOut};
 use crate::estimator::Observable;
 use crate::fxhash::FxHashMap;
-use crate::shot_engine::{run_live, ShotEngine, ShotSample};
+use crate::shot_engine::{ShotEngine, ShotSample};
 use crate::stochastic::{
     merge_partials, shot_rng, trace_dd_attrs, trace_dd_stats, ExecPlan, StochasticOutcome,
     WorkerPartial,
@@ -116,7 +123,7 @@ pub struct DedupStats {
 }
 
 /// Member shots of one pattern: shot index plus the shot's generator.
-type Members = Vec<(u64, StdRng)>;
+pub(crate) type Members = Vec<(u64, StdRng)>;
 
 /// One unit of deduplicated work: the shots that drew `pattern`.
 #[derive(Debug)]
@@ -251,183 +258,215 @@ pub fn trace_plan_attrs(work: &[TrajectoryWork]) {
     );
 }
 
-/// Everything the executors need to run trajectories of one program in one
-/// worker's context pair: the representative pattern run happens in
-/// `pattern_ctx`; for prefix deduplication each member resumes live in
-/// `work_ctx` from a clone of the checkpointed `pattern_ctx`.
+/// Where the evolutions of one worker report: the records of the shots
+/// they finish and the [`DedupStats`] they count, under the deadline they
+/// check.
 ///
-/// Observables must already be expressed over the executed circuit's
-/// qubits; outcomes are reported in the executed circuit's qubit order
-/// (callers restore transpiler layouts themselves).
-pub(crate) struct Replayer<'a, B: StochasticBackend> {
-    pub(crate) backend: &'a B,
-    pub(crate) program: &'a B::Program,
+/// Handed to [`StochasticBackend::run_bucket`] and
+/// [`StochasticBackend::resume_members`]; built by the deduplicating driver
+/// alone.
+pub struct Evolutions<'a> {
     pub(crate) support: &'a DedupSupport,
-    pub(crate) pattern_ctx: &'a mut B::Context,
-    pub(crate) work_ctx: &'a mut B::Context,
     pub(crate) observables: &'a [Observable],
+    pub(crate) seed: u64,
+    pub(crate) deadline: &'a Deadline,
+    pub(crate) stats: DedupStats,
+    sink: &'a mut dyn FnMut(u64, ShotSample, &[f64]),
 }
 
-impl<B: StochasticBackend> Replayer<'_, B> {
-    /// Decision-diagram table traffic of the context pair so far.
-    fn table_stats(&self) -> qsdd_dd::TableStats {
-        let backend = self.backend;
-        backend
-            .table_stats(self.pattern_ctx)
-            .plus(&backend.table_stats(self.work_ctx))
-    }
-
-    /// Executes one trajectory group, feeding one record per member shot
-    /// into `sink` (shot index, sample, observable values).
-    pub(crate) fn run_group(
-        &mut self,
-        pattern: &ErrorPattern,
-        shots: &mut [(u64, StdRng)],
-        sink: impl FnMut(u64, ShotSample, &[f64]),
-    ) {
-        let prefix = self
-            .backend
-            .run_pattern(self.program, self.pattern_ctx, pattern, None);
-        self.fan_out(prefix, shots, sink);
-    }
-
-    /// Fans a completed pattern run out over the shots that followed it to
-    /// the end of the deduplicable prefix.
-    fn fan_out(
-        &mut self,
-        mut prefix: SingleRun<B::State>,
-        shots: &mut [(u64, StdRng)],
-        mut sink: impl FnMut(u64, ShotSample, &[f64]),
-    ) {
-        let (backend, program) = (self.backend, self.program);
-        if self.support.full {
-            // The shared final state: the observable values are evaluated
-            // once, then every member samples its own outcome from it (the
-            // generators continue their streams exactly where live
-            // execution would). Evaluation happens per group regardless of
-            // order — its values and the sampled outcomes are both pure
-            // functions of the shared state.
-            let values: Vec<f64> = self
-                .observables
-                .iter()
-                .map(|observable| {
-                    backend.evaluate(program, self.pattern_ctx, &mut prefix, observable)
-                })
-                .collect();
-            let sample = ShotSample::of(&prefix);
-            backend.sample_outcomes(
-                program,
-                self.pattern_ctx,
-                &prefix,
-                shots,
-                |shot, outcome| sink(shot, ShotSample { outcome, ..sample }, &values),
-            );
-        } else {
-            // Prefix deduplication: every member resumes live from a clone
-            // of the checkpointed context.
-            for (shot, rng) in shots.iter_mut() {
-                let mut run =
-                    backend.resume_pattern(program, self.pattern_ctx, &prefix, self.work_ctx, rng);
-                let values: Vec<f64> = self
-                    .observables
-                    .iter()
-                    .map(|observable| {
-                        backend.evaluate(program, self.work_ctx, &mut run, observable)
-                    })
-                    .collect();
-                sink(*shot, ShotSample::of(&run), &values);
-            }
-        }
-    }
-
-    /// Executes one work item — a trajectory group, or a deviation bucket
-    /// with the whole tree of child buckets its members drop into (see the
-    /// module docs) — feeding one record per member shot into `sink` and
-    /// counting evolutions and live shots into `stats`.
-    ///
-    /// The `deadline` is checked between evolutions.
-    pub(crate) fn run_work(
-        &mut self,
-        work: TrajectoryWork,
+impl<'a> Evolutions<'a> {
+    /// Reports to `sink` (shot index, sample, observable values).
+    pub(crate) fn new(
+        support: &'a DedupSupport,
+        observables: &'a [Observable],
         seed: u64,
-        deadline: &Deadline,
-        stats: &mut DedupStats,
-        mut sink: impl FnMut(u64, ShotSample, &[f64]),
-    ) -> Result<(), TimedOut> {
-        let (backend, program) = (self.backend, self.program);
-        let bounded = !deadline.is_unbounded();
-        let mut learned = Vec::new();
-        let mut pending = vec![work];
-        while let Some(mut work) = pending.pop() {
-            if bounded && deadline.expired() {
-                return Err(TimedOut);
-            }
-            stats.unique_trajectories += 1;
-            if let (true, [(shot, _)]) = (work.parked, work.members.as_slice()) {
-                // Presampling left this shot's stream partially consumed;
-                // live execution re-derives it.
-                let mut rng = shot_rng(seed, *shot);
-                let (sample, values) = run_live(
-                    backend,
-                    program,
-                    self.pattern_ctx,
-                    &mut rng,
-                    self.observables,
-                );
-                sink(*shot, sample, &values);
-                stats.live_shots += 1;
-                continue;
-            }
-            let _span = trace::span("trajectory_group");
-            trace::attr("members", work.members.len());
-            trace::attr("events", work.pattern.events().len());
-            let dd_before = trace_dd_stats(|| self.table_stats());
-            learned.clear();
-            let prefix = backend.run_pattern(
-                program,
-                self.pattern_ctx,
-                &work.pattern,
-                work.parked.then_some(&mut learned),
-            );
-            let mut children: BTreeMap<ErrorEvent, Members> = BTreeMap::new();
-            if work.parked {
-                let resume_at = work
-                    .pattern
-                    .events()
-                    .last()
-                    .map_or(0, |e| e.site as usize + 1);
-                let plan = &self.support.plan;
-                work.members.retain_mut(|(shot, rng)| {
-                    match plan.resume(rng, resume_at, &learned) {
-                        None => true,
-                        Some(event) => {
-                            children
-                                .entry(event)
-                                .or_default()
-                                .push((*shot, rng.clone()));
-                            false
-                        }
-                    }
-                });
-            }
-            if !work.members.is_empty() {
-                self.fan_out(prefix, &mut work.members, &mut sink);
-            }
-            trace_dd_attrs(dd_before, || self.table_stats());
-            // Last in, first out: reversed, the smallest child runs next.
-            pending.extend(
-                children
-                    .into_iter()
-                    .rev()
-                    .map(|(event, members)| TrajectoryWork {
-                        pattern: work.pattern.with_event(event),
-                        members,
-                        parked: true,
-                    }),
-            );
+        deadline: &'a Deadline,
+        sink: &'a mut dyn FnMut(u64, ShotSample, &[f64]),
+    ) -> Self {
+        let stats = DedupStats::default();
+        Evolutions {
+            support,
+            observables,
+            seed,
+            deadline,
+            stats,
+            sink,
         }
+    }
+
+    /// Counts one more evolution, unless the deadline expired.
+    pub(crate) fn evolve(&mut self) -> Result<(), TimedOut> {
+        if !self.deadline.is_unbounded() && self.deadline.expired() {
+            return Err(TimedOut);
+        }
+        self.stats.unique_trajectories += 1;
         Ok(())
     }
+
+    /// Reports the shot `run` finished, with the observables evaluated on
+    /// its final state.
+    pub(crate) fn emit_live<B: StochasticBackend>(
+        &mut self,
+        backend: &B,
+        program: &B::Program,
+        ctx: &mut B::Context,
+        mut run: SingleRun<B::State>,
+        shot: u64,
+    ) {
+        let values: Vec<f64> = (self.observables.iter())
+            .map(|observable| backend.evaluate(program, ctx, &mut run, observable))
+            .collect();
+        (self.sink)(shot, ShotSample::of(&run), &values);
+    }
+
+    /// Runs shot `shot` live from the rewound template with its generator
+    /// derived afresh, like per-shot execution.
+    pub(crate) fn rerun<B: StochasticBackend>(
+        &mut self,
+        backend: &B,
+        program: &B::Program,
+        ctx: &mut B::Context,
+        shot: u64,
+    ) {
+        let run = backend.run_shot(program, ctx, &mut shot_rng(self.seed, shot));
+        self.emit_live(backend, program, ctx, run, shot);
+    }
+
+    /// Fans a run that reached the end of the deduplicable prefix out over
+    /// the shots that followed it there: each samples its outcome from the
+    /// shared final state, or — when the prefix is not the whole program —
+    /// resumes live from it ([`StochasticBackend::resume_members`]).
+    pub(crate) fn finish<B: StochasticBackend>(
+        &mut self,
+        backend: &B,
+        program: &B::Program,
+        ctx: &mut B::Context,
+        mut run: SingleRun<B::State>,
+        members: &mut [(u64, StdRng)],
+    ) {
+        if !self.support.full {
+            return backend.resume_members(program, ctx, &run, members, self);
+        }
+        // The observable values are evaluated once, then every member
+        // samples its own outcome (the generators continue their streams
+        // exactly where live execution would). Both are pure functions of
+        // the shared state.
+        let values: Vec<f64> = (self.observables.iter())
+            .map(|observable| backend.evaluate(program, ctx, &mut run, observable))
+            .collect();
+        let sample = ShotSample::of(&run);
+        let sink = &mut self.sink;
+        backend.sample_outcomes(program, ctx, &run, members, |shot, outcome| {
+            sink(shot, ShotSample { outcome, ..sample }, &values)
+        });
+    }
+}
+
+/// Opens the `trajectory_group` span of an evolution that `members` shots
+/// share along a pattern of `events` events.
+pub(crate) fn group_span(members: usize, events: usize) -> trace::SpanGuard {
+    let span = trace::span("trajectory_group");
+    trace::attr("members", members);
+    trace::attr("events", events);
+    span
+}
+
+/// Executes one work item — a trajectory group, or a deviation bucket with
+/// the tree of child buckets its members drop into (see the module docs) —
+/// in `ctx`, reporting to `out`.
+pub(crate) fn run_work<B: StochasticBackend>(
+    backend: &B,
+    program: &B::Program,
+    ctx: &mut B::Context,
+    mut work: TrajectoryWork,
+    out: &mut Evolutions<'_>,
+) -> Result<(), TimedOut> {
+    if work.parked {
+        return backend.run_bucket(program, ctx, work, out);
+    }
+    out.evolve()?;
+    let _span = group_span(work.members.len(), work.pattern.events().len());
+    let dd_before = trace_dd_stats(|| backend.table_stats(ctx));
+    run_group(backend, program, ctx, &work.pattern, &mut work.members, out);
+    trace::attr("forks", 0u64);
+    trace_dd_attrs(dd_before, || backend.table_stats(ctx));
+    Ok(())
+}
+
+/// Executes one trajectory group: `pattern` once, then every member shot
+/// from its final state.
+pub(crate) fn run_group<B: StochasticBackend>(
+    backend: &B,
+    program: &B::Program,
+    ctx: &mut B::Context,
+    pattern: &ErrorPattern,
+    members: &mut [(u64, StdRng)],
+    out: &mut Evolutions<'_>,
+) {
+    let run = backend.run_pattern(program, ctx, pattern, None);
+    out.finish(backend, program, ctx, run, members);
+}
+
+/// The default [`StochasticBackend::run_bucket`]: every evolution of the
+/// bucket tree replays its whole pattern from the rewound template.
+///
+/// The bucket's replay reads the decay threshold at every state-dependent
+/// exposure past its event; each member continues presampling from its
+/// parked generator against them ([`PresamplePlan::resume`]), and members
+/// that deviate again form a child bucket, replayed the same way. A bucket
+/// of one runs its shot live with its generator derived afresh.
+pub(crate) fn replay_bucket<B: StochasticBackend>(
+    backend: &B,
+    program: &B::Program,
+    ctx: &mut B::Context,
+    work: TrajectoryWork,
+    out: &mut Evolutions<'_>,
+) -> Result<(), TimedOut> {
+    let mut learned = Vec::new();
+    let mut pending = vec![work];
+    while let Some(mut work) = pending.pop() {
+        out.evolve()?;
+        if let [(shot, _)] = work.members[..] {
+            out.stats.live_shots += 1;
+            out.rerun(backend, program, ctx, shot);
+            continue;
+        }
+        let _span = group_span(work.members.len(), work.pattern.events().len());
+        let dd_before = trace_dd_stats(|| backend.table_stats(ctx));
+        learned.clear();
+        let run = backend.run_pattern(program, ctx, &work.pattern, Some(&mut learned));
+        let resume_at = work
+            .pattern
+            .events()
+            .last()
+            .map_or(0, |e| e.site as usize + 1);
+        let mut children: BTreeMap<ErrorEvent, Members> = BTreeMap::new();
+        work.members.retain_mut(|(shot, rng)| {
+            let event = out.support.plan.resume(rng, resume_at, &learned);
+            if let Some(event) = event {
+                children
+                    .entry(event)
+                    .or_default()
+                    .push((*shot, rng.clone()));
+            }
+            event.is_none()
+        });
+        if !work.members.is_empty() {
+            out.finish(backend, program, ctx, run, &mut work.members);
+        }
+        trace::attr("forks", children.len());
+        trace_dd_attrs(dd_before, || backend.table_stats(ctx));
+        // Last in, first out: reversed, the smallest child runs next.
+        pending.extend(children.into_iter().rev().map(|(event, members)| {
+            let pattern = work.pattern.with_event(event);
+            TrajectoryWork {
+                pattern,
+                members,
+                parked: true,
+            }
+        }));
+    }
+    Ok(())
 }
 
 /// Where a worker of the deduplicating driver puts its records.
@@ -453,10 +492,10 @@ enum Sink {
 /// per-shot body for the same seed and thread count, including the bit
 /// patterns of the observable sums.
 ///
-/// With `inline` — the caller's own context pair — the whole job runs on
-/// the calling thread (`threads` must be 1) and no worker is spawned: the
-/// entry long-lived server workers execute through, so state from previous
-/// jobs is rewound, not rebuilt. Otherwise every worker builds a fresh pair
+/// With `inline` — the caller's own context — the whole job runs on the
+/// calling thread (`threads` must be 1) and no worker is spawned: the entry
+/// long-lived server workers execute through, so state from previous jobs
+/// is rewound, not rebuilt. Otherwise every worker builds a fresh context
 /// sharing the `intra` pool.
 ///
 /// Memory: the driver holds one presampled generator per shot (tens of
@@ -475,7 +514,7 @@ pub(crate) fn run_dedup<B: StochasticBackend>(
     plan: &ExecPlan<'_>,
     threads: usize,
     intra: Option<&Arc<IntraPool>>,
-    inline: Option<(&mut B::Context, &mut B::Context)>,
+    inline: Option<&mut B::Context>,
 ) -> Result<StochasticOutcome, TimedOut> {
     debug_assert!(inline.is_none() || threads == 1);
     let (shots, seed, deadline) = (plan.shots, engine.seed(), &plan.deadline);
@@ -510,51 +549,43 @@ pub(crate) fn run_dedup<B: StochasticBackend>(
         })
         .collect();
     let aborted = AtomicBool::new(false);
-    // One worker's share, in the context pair it is handed.
-    let run_worker = |worker: usize,
-                      (sink, stats): &mut (Sink, DedupStats),
-                      pattern_ctx: &mut B::Context,
-                      work_ctx: &mut B::Context| {
-        let _span = trace::span("worker_trajectories");
-        trace::attr("worker", worker);
-        let mut replayer = Replayer {
-            backend,
-            program,
-            support,
-            pattern_ctx,
-            work_ctx,
-            observables,
+    // One worker's share, in the context it is handed.
+    let run_worker =
+        |worker: usize, (sink, stats): &mut (Sink, DedupStats), ctx: &mut B::Context| {
+            let _span = trace::span("worker_trajectories");
+            trace::attr("worker", worker);
+            let dd_before = trace_dd_stats(|| backend.table_stats(ctx));
+            let mut emit = |shot: u64, mut sample: ShotSample, values: &[f64]| {
+                if let Some(output_layout) = output_layout {
+                    sample.outcome =
+                        qsdd_transpile::layout::restore_outcome(sample.outcome, output_layout);
+                }
+                match sink {
+                    Sink::Partial(partial) => partial.record(&sample, &[]),
+                    Sink::Records(records) => records.push((shot, sample, values.to_vec())),
+                }
+            };
+            let mut out = Evolutions::new(support, observables, seed, deadline, &mut emit);
+            // The guard is a temporary of the closure body: items run unlocked.
+            let claim = || queue.lock().expect("claiming cannot panic").next();
+            let mut items = 0usize;
+            while let Some(item) = claim() {
+                items += 1;
+                if let Err(TimedOut) = run_work(backend, program, ctx, item, &mut out) {
+                    return aborted.store(true, Ordering::Relaxed);
+                }
+            }
+            *stats = out.stats;
+            trace::attr("items", items);
+            trace::attr("evolutions", stats.unique_trajectories);
+            trace::attr("live_shots", stats.live_shots);
+            // Every evolution but the work items' own is a child bucket.
+            trace::attr("forks", stats.unique_trajectories - items as u64);
+            trace_dd_attrs(dd_before, || backend.table_stats(ctx));
         };
-        let dd_before = trace_dd_stats(|| replayer.table_stats());
-        let mut emit = |shot: u64, mut sample: ShotSample, values: &[f64]| {
-            if let Some(output_layout) = output_layout {
-                sample.outcome =
-                    qsdd_transpile::layout::restore_outcome(sample.outcome, output_layout);
-            }
-            match sink {
-                Sink::Partial(partial) => partial.record(&sample, &[]),
-                Sink::Records(records) => records.push((shot, sample, values.to_vec())),
-            }
-        };
-        // The guard is a temporary of the closure body: items run unlocked.
-        let claim = || queue.lock().expect("claiming cannot panic").next();
-        let mut items = 0usize;
-        while let Some(item) = claim() {
-            items += 1;
-            if let Err(TimedOut) = replayer.run_work(item, seed, deadline, stats, &mut emit) {
-                return aborted.store(true, Ordering::Relaxed);
-            }
-        }
-        trace::attr("items", items);
-        trace::attr("evolutions", stats.unique_trajectories);
-        trace::attr("live_shots", stats.live_shots);
-        trace_dd_attrs(dd_before, || replayer.table_stats());
-    };
     let execute_started = Instant::now();
     match inline {
-        Some((pattern_ctx, work_ctx)) => {
-            run_worker(0, &mut sinks[0], pattern_ctx, work_ctx);
-        }
+        Some(ctx) => run_worker(0, &mut sinks[0], ctx),
         None => {
             let trace_handle = trace::propagate();
             let run_worker = &run_worker;
@@ -563,13 +594,11 @@ pub(crate) fn run_dedup<B: StochasticBackend>(
                     let trace_handle = trace_handle.clone();
                     scope.spawn(move || {
                         let _lane = trace_handle.as_ref().map(|h| h.install(worker as u32 + 1));
-                        let mut pattern_ctx = backend.new_context();
-                        let mut work_ctx = backend.new_context();
+                        let mut ctx = backend.new_context();
                         if let Some(pool) = intra {
-                            backend.set_intra_pool(&mut pattern_ctx, Some(Arc::clone(pool)));
-                            backend.set_intra_pool(&mut work_ctx, Some(Arc::clone(pool)));
+                            backend.set_intra_pool(&mut ctx, Some(Arc::clone(pool)));
                         }
-                        run_worker(worker, sink, &mut pattern_ctx, &mut work_ctx);
+                        run_worker(worker, sink, &mut ctx);
                     });
                 }
             });

@@ -46,7 +46,10 @@ use rand::rngs::StdRng;
 use crate::backend::{SingleRun, StochasticBackend};
 use crate::dd_backend::{DdContext, DdProgram, DdSimulator};
 use crate::deadline::{Deadline, TimedOut};
-use crate::dedup::{plan_range, run_dedup, DedupStats, DedupSupport, Replayer, TrajectoryWork};
+use crate::dedup::{
+    plan_range, run_dedup, run_group, run_work, DedupStats, DedupSupport, Evolutions,
+    TrajectoryWork,
+};
 use crate::dense_backend::{DenseContext, DenseProgram, DenseSimulator};
 use crate::estimator::Observable;
 use crate::simulator::BackendKind;
@@ -109,11 +112,6 @@ enum EngineBackend {
 pub struct ExecContext {
     dd: Option<Box<DdContext>>,
     dense: Option<Box<DenseContext>>,
-    /// Secondary contexts for trajectory-group execution: the primary
-    /// context holds a group's checkpointed pattern run while member shots
-    /// resume live in the auxiliary one.
-    dd_aux: Option<Box<DdContext>>,
-    dense_aux: Option<Box<DenseContext>>,
     /// Fork-join pool for the dense kernels, installed into every
     /// statevector context (existing and lazily created). Decision-diagram
     /// contexts are serial and never see it.
@@ -155,9 +153,6 @@ impl ExecContext {
         if let Some(ctx) = self.dense.as_deref_mut() {
             ctx.set_intra_pool(self.intra.clone());
         }
-        if let Some(ctx) = self.dense_aux.as_deref_mut() {
-            ctx.set_intra_pool(self.intra.clone());
-        }
     }
 
     /// The currently installed fork-join pool, if any.
@@ -177,36 +172,10 @@ impl ExecContext {
     }
 
     /// Snapshot of the decision-diagram table counters accumulated by this
-    /// context's packages (primary + auxiliary), for before/after deltas
-    /// around a job. Zero when no decision-diagram shot ran yet.
+    /// context's package, for before/after deltas around a job. Zero when no
+    /// decision-diagram shot ran yet.
     pub fn dd_table_stats(&self) -> TableStats {
-        [self.dd.as_deref(), self.dd_aux.as_deref()]
-            .into_iter()
-            .flatten()
-            .fold(TableStats::default(), |total, ctx| {
-                total.plus(&ctx.package().table_stats())
-            })
-    }
-
-    /// Borrows the decision-diagram context pair (primary + auxiliary).
-    fn dd_pair(&mut self) -> (&mut DdContext, &mut DdContext) {
-        self.dd.get_or_insert_with(Box::default);
-        self.dd_aux.get_or_insert_with(Box::default);
-        match (&mut self.dd, &mut self.dd_aux) {
-            (Some(primary), Some(aux)) => (primary, aux),
-            _ => unreachable!("both contexts were just created"),
-        }
-    }
-
-    /// Borrows the statevector context pair (primary + auxiliary).
-    fn dense_pair(&mut self) -> (&mut DenseContext, &mut DenseContext) {
-        let intra = &self.intra;
-        self.dense.get_or_insert_with(|| new_dense_ctx(intra));
-        self.dense_aux.get_or_insert_with(|| new_dense_ctx(intra));
-        match (&mut self.dense, &mut self.dense_aux) {
-            (Some(primary), Some(aux)) => (primary, aux),
-            _ => unreachable!("both contexts were just created"),
-        }
+        (self.dd.as_deref()).map_or_else(TableStats::default, |ctx| ctx.package().table_stats())
     }
 }
 
@@ -619,24 +588,6 @@ impl ShotEngine {
         Some((groups, live))
     }
 
-    /// A [`Replayer`] over one concrete back-end of this engine.
-    fn replayer<'a, B: StochasticBackend>(
-        &'a self,
-        backend: &'a B,
-        program: &'a B::Program,
-        (pattern_ctx, work_ctx): (&'a mut B::Context, &'a mut B::Context),
-        observables: &'a [Observable],
-    ) -> Replayer<'a, B> {
-        Replayer {
-            backend,
-            program,
-            support: self.dedup_support(),
-            pattern_ctx,
-            work_ctx,
-            observables,
-        }
-    }
-
     /// A replay sink collecting one record per member shot into `out`,
     /// outcomes restored to the original qubit order.
     fn collect_into<'a>(
@@ -673,17 +624,21 @@ impl ShotEngine {
         shots: &mut [(u64, StdRng)],
         observables: &[Observable],
     ) -> Vec<(u64, ShotSample, Vec<f64>)> {
-        let mut out = Vec::with_capacity(shots.len());
-        let sink = self.collect_into(&mut out);
+        let mut records = Vec::with_capacity(shots.len());
+        let mut sink = self.collect_into(&mut records);
+        let unbounded = Deadline::unbounded();
+        let (support, seed) = (self.dedup_support(), self.seed);
+        let mut out = Evolutions::new(support, observables, seed, &unbounded, &mut sink);
         match &self.backend {
-            EngineBackend::DecisionDiagram { backend, program } => self
-                .replayer(backend, program.as_ref(), ctx.dd_pair(), observables)
-                .run_group(pattern, shots, sink),
-            EngineBackend::Statevector { backend, program } => self
-                .replayer(backend, program.as_ref(), ctx.dense_pair(), observables)
-                .run_group(pattern, shots, sink),
+            EngineBackend::DecisionDiagram { backend, program } => {
+                run_group(backend, program, ctx.dd_mut(), pattern, shots, &mut out)
+            }
+            EngineBackend::Statevector { backend, program } => {
+                run_group(backend, program, ctx.dense_mut(), pattern, shots, &mut out)
+            }
         }
-        out
+        drop(sink); // it borrows `records`
+        records
     }
 
     /// Executes one work item of [`plan_range`](Self::plan_range): a
@@ -709,18 +664,21 @@ impl ShotEngine {
         observables: &[Observable],
         deadline: &Deadline,
     ) -> Result<(Vec<(u64, ShotSample, Vec<f64>)>, DedupStats), TimedOut> {
-        let mut out = Vec::with_capacity(work.shots());
-        let mut stats = DedupStats::default();
-        let sink = self.collect_into(&mut out);
+        let mut records = Vec::with_capacity(work.shots());
+        let mut sink = self.collect_into(&mut records);
+        let (support, seed) = (self.dedup_support(), self.seed);
+        let mut out = Evolutions::new(support, observables, seed, deadline, &mut sink);
         match &self.backend {
-            EngineBackend::DecisionDiagram { backend, program } => self
-                .replayer(backend, program.as_ref(), ctx.dd_pair(), observables)
-                .run_work(work, self.seed, deadline, &mut stats, sink),
-            EngineBackend::Statevector { backend, program } => self
-                .replayer(backend, program.as_ref(), ctx.dense_pair(), observables)
-                .run_work(work, self.seed, deadline, &mut stats, sink),
+            EngineBackend::DecisionDiagram { backend, program } => {
+                run_work(backend, program.as_ref(), ctx.dd_mut(), work, &mut out)
+            }
+            EngineBackend::Statevector { backend, program } => {
+                run_work(backend, program.as_ref(), ctx.dense_mut(), work, &mut out)
+            }
         }?;
-        Ok((out, stats))
+        let stats = out.stats;
+        drop(sink); // it borrows `records`
+        Ok((records, stats))
     }
 
     /// How the compiled program supports trajectory deduplication; panics
@@ -749,11 +707,11 @@ impl ShotEngine {
     ) -> Result<StochasticOutcome, TimedOut> {
         match &self.backend {
             EngineBackend::DecisionDiagram { backend, program } => {
-                let inline = inline.map(ExecContext::dd_pair);
+                let inline = inline.map(ExecContext::dd_mut);
                 run_dedup(self, backend, program, plan, threads, intra, inline)
             }
             EngineBackend::Statevector { backend, program } => {
-                let inline = inline.map(ExecContext::dense_pair);
+                let inline = inline.map(ExecContext::dense_mut);
                 run_dedup(self, backend, program, plan, threads, intra, inline)
             }
         }
@@ -804,7 +762,7 @@ impl EngineBackend {
 /// Runs one shot on a concrete back-end and evaluates the observables;
 /// `SingleRun` carries the diagram statistics uniformly (zero on back-ends
 /// without diagrams), so both engine arms share this body.
-pub(crate) fn run_live<B: StochasticBackend>(
+fn run_live<B: StochasticBackend>(
     backend: &B,
     program: &B::Program,
     ctx: &mut B::Context,

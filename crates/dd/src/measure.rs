@@ -9,6 +9,7 @@
 
 use rand::Rng;
 
+use crate::layered::Age;
 use crate::node::VecEdge;
 use crate::package::DdPackage;
 
@@ -168,7 +169,7 @@ impl DdPackage {
             return [wsq * excited; 3];
         }
         let key = (edge.node, top, bottom);
-        if let Some(cached) = self.ct_excited.get(&key, self.vec_kept(edge.node)) {
+        if let Some(cached) = self.ct_excited.get(&key, Age::default().node(edge.node.0)) {
             return cached.map(|p| wsq * p);
         }
         // Values of the node with unit incoming weight.
@@ -359,7 +360,7 @@ impl DdPackage {
             return edge;
         }
         let key = (edge.node, target, outcome);
-        if let Some(&cached) = self.ct_collapse.get(&key, self.vec_kept(edge.node)) {
+        if let Some(&cached) = self.ct_collapse.get(&key, Age::default().node(edge.node.0)) {
             return VecEdge {
                 node: cached.node,
                 weight: self.ctable.mul(edge.weight, cached.weight),

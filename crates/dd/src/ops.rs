@@ -9,6 +9,7 @@
 //! operand pairs that differ only by a common factor share one entry.
 
 use crate::complex::Complex;
+use crate::layered::Age;
 use crate::node::{MatEdge, VecEdge};
 use crate::package::DdPackage;
 
@@ -43,8 +44,11 @@ impl DdPackage {
         );
         let key = (m.node, v.node);
         if self.caching_enabled {
-            let persistent = self.mat_kept(m.node) && self.vec_kept(v.node);
-            if let Some(&cached) = self.ct_mat_vec.get(&key, persistent) {
+            let age = match self.mat_kept(m.node) {
+                true => Age::default().node(v.node.0),
+                false => Age::NEWEST,
+            };
+            if let Some(&cached) = self.ct_mat_vec.get(&key, age) {
                 self.counters.compute_hits += 1;
                 let w = self.ctable.mul(weight, cached.weight);
                 return VecEdge {
@@ -126,9 +130,8 @@ impl DdPackage {
         let ratio = self.ctable.div(y.weight, x.weight);
         let key = (x.node, y.node, ratio);
         if self.caching_enabled {
-            let persistent =
-                self.vec_kept(x.node) && self.vec_kept(y.node) && self.weight_kept(ratio);
-            if let Some(&cached) = self.ct_vec_add.get(&key, persistent) {
+            let age = Age::default().node(x.node.0).node(y.node.0).weight(ratio);
+            if let Some(&cached) = self.ct_vec_add.get(&key, age) {
                 self.counters.compute_hits += 1;
                 return VecEdge {
                     node: cached.node,
@@ -232,8 +235,8 @@ impl DdPackage {
             "cannot take inner product of vectors of different heights"
         );
         if self.caching_enabled {
-            let persistent = self.vec_kept(a.node) && self.vec_kept(b.node);
-            if let Some(&cached) = self.ct_inner.get(&(a.node, b.node), persistent) {
+            let age = Age::default().node(a.node.0).node(b.node.0);
+            if let Some(&cached) = self.ct_inner.get(&(a.node, b.node), age) {
                 self.counters.compute_hits += 1;
                 return cached * w;
             }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use crate::complex::Complex;
 use crate::complex_table::{ComplexId, ComplexTable};
 use crate::fxhash::FxHashMap;
-use crate::layered::Layered;
+use crate::layered::{Age, Layered};
 use crate::matrix2::Matrix2;
 use crate::node::{MatEdge, MatNode, MatNodeId, VecEdge, VecNode, VecNodeId};
 
@@ -91,6 +91,17 @@ impl TableStats {
             compute_misses: self.compute_misses + other.compute_misses,
         }
     }
+}
+
+/// A nested mark on a package: see [`DdPackage::checkpoint`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[must_use = "a checkpoint is only useful to roll back to"]
+pub struct Checkpoint {
+    /// Open checkpoints, this one included.
+    depth: usize,
+    vec_nodes: usize,
+    complex_values: usize,
+    epoch: u64,
 }
 
 /// Id of the node about to be pushed onto an arena of `len` nodes.
@@ -179,6 +190,9 @@ pub struct DdPackage {
     pub(crate) visit_stack: Vec<VecNodeId>,
     /// Lifetime table hit/miss counters (diagnostics; see [`TableStats`]).
     pub(crate) counters: TableStats,
+    /// Bumped whenever the layers under the open checkpoints change other
+    /// than by a rollback: a trim, a rewind, a re-seat.
+    epoch: u64,
 }
 
 impl Clone for DdPackage {
@@ -194,6 +208,7 @@ impl Clone for DdPackage {
     // earlier work instead of reallocating from scratch. The frozen table
     // layer and the matrix arena are shared, not copied.
     fn clone_from(&mut self, source: &Self) {
+        self.epoch += 1;
         self.ctable.clone_from(&source.ctable);
         self.vec_nodes.clone_from(&source.vec_nodes);
         self.vec_norms.clone_from(&source.vec_norms);
@@ -252,6 +267,7 @@ impl DdPackage {
             visit_stamp: 0,
             visit_stack: Vec::new(),
             counters: TableStats::default(),
+            epoch: 0,
         }
     }
 
@@ -325,8 +341,8 @@ impl DdPackage {
             vec_nodes: self.vec_nodes.len(),
             mat_nodes: self.mat_nodes.len(),
             complex_values: self.ctable.len(),
-            mat_vec_cache: self.ct_mat_vec.live.len(),
-            vec_add_cache: self.ct_vec_add.live.len(),
+            mat_vec_cache: self.ct_mat_vec.transient_len(),
+            vec_add_cache: self.ct_vec_add.transient_len(),
             frozen_entries: self.vec_unique.frozen().len()
                 + self.mat_unique.frozen().len()
                 + self.ct_mat_vec.frozen().len()
@@ -348,29 +364,33 @@ impl DdPackage {
         self.counters = TableStats::default();
     }
 
-    /// Clears all operation caches, both layers (not the unique tables).
+    /// Clears all operation caches, every layer (not the unique tables).
     pub fn clear_caches(&mut self) {
-        self.ct_mat_vec = Layered::default();
-        self.ct_vec_add = Layered::default();
+        self.ct_mat_vec.clear();
+        self.ct_vec_add.clear();
         self.ct_mat_add.clear();
-        self.ct_inner = Layered::default();
-        self.ct_excited = Layered::default();
-        self.ct_collapse = Layered::default();
+        self.ct_inner.clear();
+        self.ct_excited.clear();
+        self.ct_collapse.clear();
+        self.epoch += 1;
     }
 
-    /// Bounds every memoisation table individually: only a table whose live
-    /// layer grew beyond the limit loses it, so a runaway addition cache
-    /// cannot wipe a perfectly sized multiplication cache (and vice versa).
+    /// Bounds every memoisation table individually: only a table whose
+    /// layers since the mark together grew beyond the limit loses them, so
+    /// a runaway addition cache cannot wipe a perfectly sized
+    /// multiplication cache (and vice versa). A trim invalidates the open
+    /// checkpoints (see [`rollback`](Self::rollback)).
     pub(crate) fn maybe_trim_caches(&mut self) {
         let limit = self.cache_limit;
-        self.ct_mat_vec.trim(limit);
-        self.ct_vec_add.trim(limit);
+        let mut trimmed = self.ct_mat_vec.trim(limit);
+        trimmed |= self.ct_vec_add.trim(limit);
         if self.ct_mat_add.len() > limit {
             self.ct_mat_add.clear();
         }
-        self.ct_inner.trim(limit);
-        self.ct_excited.trim(limit);
-        self.ct_collapse.trim(limit);
+        trimmed |= self.ct_inner.trim(limit);
+        trimmed |= self.ct_excited.trim(limit);
+        trimmed |= self.ct_collapse.trim(limit);
+        self.epoch += u64::from(trimmed);
     }
 
     // ------------------------------------------------------------------
@@ -402,14 +422,77 @@ impl DdPackage {
         self.mat_watermark = self.mat_nodes.len();
         self.complex_watermark = self.ctable.len();
         self.ct_mat_add = FxHashMap::default();
-        self.vec_unique.freeze();
-        self.mat_unique.freeze();
-        self.ct_mat_vec.freeze();
-        self.ct_vec_add.freeze();
-        self.ct_inner.freeze();
-        self.ct_excited.freeze();
-        self.ct_collapse.freeze();
+        let weights = self.complex_watermark as u32;
+        let seal = Age(self.vec_watermark as u32, weights);
+        self.vec_unique.freeze(seal);
+        (self.mat_unique).freeze(Age(self.mat_watermark as u32, weights));
+        self.ct_mat_vec.freeze(seal);
+        self.ct_vec_add.freeze(seal);
+        self.ct_inner.freeze(seal);
+        self.ct_excited.freeze(seal);
+        self.ct_collapse.freeze(seal);
         debug_assert!(self.frozen_ids_are_persistent());
+    }
+
+    /// Opens a **checkpoint**: seals the live layer of every table a shot
+    /// writes at the current arena and complex-table lengths and opens an
+    /// empty one above it, for [`rollback`](Self::rollback) to return to.
+    /// Checkpoints nest. A sealed layer holds only keys older than its seal,
+    /// so a lookup probes it for those alone — the age rule the frozen layer
+    /// applies at the watermarks. No matrix node may be built, and no mark
+    /// or copy taken, while a checkpoint is open.
+    pub fn checkpoint(&mut self) -> Checkpoint {
+        debug_assert_eq!(self.mat_nodes.len(), self.mat_watermark);
+        let (vec_nodes, complex_values) = (self.vec_nodes.len(), self.ctable.len());
+        let seal = Age(vec_nodes as u32, complex_values as u32);
+        self.vec_unique.seal(seal);
+        self.ct_mat_vec.seal(seal);
+        self.ct_vec_add.seal(seal);
+        self.ct_inner.seal(seal);
+        self.ct_excited.seal(seal);
+        self.ct_collapse.seal(seal);
+        Checkpoint {
+            depth: self.ct_mat_vec.depth(),
+            vec_nodes,
+            complex_values,
+            epoch: self.epoch,
+        }
+    }
+
+    /// Returns the package to its state at `checkpoint`, bit for bit, and
+    /// says so: the arenas and the complex table are truncated to their
+    /// lengths then and the newest layer of every table is dropped whole, at
+    /// a cost that depends on the work since, not on what came before.
+    ///
+    /// Exact or not at all: a result found in a cache skips interning the
+    /// intermediates a recomputation adds, so a package that kept or lost
+    /// one entry would intern differently from then on. After a trim (which
+    /// empties the layers under the open checkpoints), a rewind or a copy,
+    /// nothing is restored and `false` is returned; the caller starts over
+    /// from the rewound template.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an inner checkpoint is still open.
+    pub fn rollback(&mut self, checkpoint: Checkpoint) -> bool {
+        if checkpoint.epoch != self.epoch {
+            return false;
+        }
+        assert_eq!(
+            checkpoint.depth,
+            self.ct_mat_vec.depth(),
+            "inner checkpoint open"
+        );
+        self.vec_nodes.truncate(checkpoint.vec_nodes);
+        self.vec_norms.truncate(checkpoint.vec_nodes);
+        self.ctable.truncate(checkpoint.complex_values);
+        self.vec_unique.unseal();
+        self.ct_mat_vec.unseal();
+        self.ct_vec_add.unseal();
+        self.ct_inner.unseal();
+        self.ct_excited.unseal();
+        self.ct_collapse.unseal();
+        true
     }
 
     /// Whether an id lies in the persistent region (the terminal does): one
@@ -455,7 +538,8 @@ impl DdPackage {
     /// (their ids become dangling — any [`VecEdge`] / [`MatEdge`] obtained
     /// after the mark must not be used again) and so is every table entry
     /// made since: the arenas are truncated at their watermarks and the
-    /// live table layers cleared, without visiting a node. The persistent
+    /// live table layers (the sealed ones of open checkpoints too, which
+    /// are closed) cleared, without visiting a node. The persistent
     /// diagrams and the frozen layer stay untouched: no hashing, no
     /// reconstruction, no freeing of their storage (a shared matrix arena
     /// is not even touched unless it grew past its watermark). Table and arena
@@ -465,6 +549,7 @@ impl DdPackage {
     /// On a package without a mark this simply wipes everything back to the
     /// empty state.
     pub fn reset_transient(&mut self) {
+        self.epoch += 1;
         self.vec_nodes.truncate(self.vec_watermark);
         self.vec_norms.truncate(self.vec_watermark);
         if self.mat_nodes.len() > self.mat_watermark {
@@ -473,14 +558,14 @@ impl DdPackage {
         }
         self.ctable.truncate(self.complex_watermark);
         self.visit_marks.truncate(self.vec_watermark);
-        self.vec_unique.live.clear();
-        self.mat_unique.live.clear();
-        self.ct_mat_vec.live.clear();
-        self.ct_vec_add.live.clear();
+        self.vec_unique.rewind();
+        self.mat_unique.rewind();
+        self.ct_mat_vec.rewind();
+        self.ct_vec_add.rewind();
         self.ct_mat_add.clear();
-        self.ct_inner.live.clear();
-        self.ct_excited.live.clear();
-        self.ct_collapse.live.clear();
+        self.ct_inner.rewind();
+        self.ct_excited.rewind();
+        self.ct_collapse.rewind();
     }
 
     /// Number of vector nodes in the transient region (created since the
@@ -543,8 +628,9 @@ impl DdPackage {
             var,
             edges: new_edges,
         };
-        let persistent = new_edges.iter().all(|e| self.vec_edge_kept(e));
-        let id = match self.vec_unique.get(&node, persistent) {
+        let age =
+            (new_edges.iter()).fold(Age::default(), |age, e| age.node(e.node.0).weight(e.weight));
+        let id = match self.vec_unique.get(&node, age) {
             Some(&found) => {
                 self.counters.vec_unique_hits += 1;
                 found
@@ -604,9 +690,9 @@ impl DdPackage {
             var,
             edges: new_edges,
         };
-        let persistent =
-            (new_edges.iter()).all(|e| self.mat_kept(e.node) && self.weight_kept(e.weight));
-        let id = match self.mat_unique.get(&node, persistent) {
+        let age =
+            (new_edges.iter()).fold(Age::default(), |age, e| age.node(e.node.0).weight(e.weight));
+        let id = match self.mat_unique.get(&node, age) {
             Some(&found) => {
                 self.counters.mat_unique_hits += 1;
                 found
@@ -1141,6 +1227,70 @@ mod tests {
 
     fn noisy_shot(dd: &mut DdPackage, ops: &GhzOps) -> (Vec<VecEdge>, [f64; 2]) {
         shot(dd, ops, Some(1))
+    }
+
+    /// Everything a rollback must restore, bit for bit.
+    #[allow(clippy::type_complexity)]
+    fn contents(dd: &DdPackage) -> (PackageStats, Vec<VecNode>, Vec<u64>, Vec<(u64, u64)>) {
+        let values = (0..dd.ctable.len() as u32).map(|id| dd.complex_value(ComplexId(id)));
+        (
+            dd.stats(),
+            dd.vec_nodes.clone(),
+            dd.vec_norms.iter().map(|norm| norm.to_bits()).collect(),
+            values.map(|v| (v.re.to_bits(), v.im.to_bits())).collect(),
+        )
+    }
+
+    #[test]
+    fn rollback_restores_the_checkpointed_package_exactly() {
+        let (template, ops) = ghz_template(4);
+        // Three checkpoints deep, a different shot before each and inside
+        // the innermost; the twin does the same shots and never forks.
+        // Each shot interns a value of its own too.
+        let work = |dd: &mut DdPackage, level: usize| {
+            let own = dd.lookup_complex(Complex::new(0.3, 0.01 * level as f64 + 0.001));
+            (shot(dd, &ops, Some(level)), own)
+        };
+        let (mut dd, mut twin) = (template.clone(), template.clone());
+        let mut opened = Vec::new();
+        for level in 0..3 {
+            assert_eq!(work(&mut dd, level), work(&mut twin, level));
+            opened.push((dd.checkpoint(), twin.clone()));
+        }
+        let _ = work(&mut dd, 3);
+        for (checkpoint, mut twin) in opened.into_iter().rev() {
+            assert!(dd.rollback(checkpoint));
+            assert_eq!(contents(&dd), contents(&twin));
+            // The same follow-up work: the same edges, numbers and traffic.
+            let before = (dd.table_stats(), twin.table_stats());
+            assert_eq!(noisy_shot(&mut dd, &ops), noisy_shot(&mut twin, &ops));
+            let traffic = dd.table_stats().since(&before.0);
+            assert_eq!(traffic, twin.table_stats().since(&before.1));
+            assert_eq!(contents(&dd), contents(&twin));
+        }
+
+        // A rewind with checkpoints open is the template again.
+        let mut fresh = template.clone();
+        let _ = dd.checkpoint();
+        let _ = noisy_shot(&mut dd, &ops);
+        let _ = dd.checkpoint();
+        dd.reset_transient();
+        assert_eq!(contents(&dd), contents(&fresh));
+        let before = (dd.table_stats(), fresh.table_stats());
+        assert_eq!(noisy_shot(&mut dd, &ops), noisy_shot(&mut fresh, &ops));
+        let traffic = dd.table_stats().since(&before.0);
+        assert_eq!(traffic, fresh.table_stats().since(&before.1));
+
+        // A trim inside a checkpoint empties the layers below it: the
+        // rollback says so instead of restoring half a package.
+        dd.reset_transient();
+        let checkpoint = dd.checkpoint();
+        dd.set_cache_limit(1);
+        let _ = noisy_shot(&mut dd, &ops);
+        assert!(!dd.rollback(checkpoint));
+        dd.reset_transient();
+        let checkpoint = dd.checkpoint();
+        assert!(dd.rollback(checkpoint));
     }
 
     #[test]

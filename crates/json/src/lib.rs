@@ -282,6 +282,7 @@ pub const MAX_DEPTH: usize = 128;
 /// parse error instead of risking a stack overflow.
 pub fn parse(source: &str) -> Result<Value, ParseError> {
     let mut parser = Parser {
+        source,
         bytes: source.as_bytes(),
         pos: 0,
         depth: 0,
@@ -296,6 +297,7 @@ pub fn parse(source: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    source: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -426,12 +428,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar value.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // The run of plain characters up to the next quote or
+                    // backslash, in one copy: both are ASCII, so the run
+                    // ends on a character boundary of the source.
+                    let rest = &self.bytes[self.pos..];
+                    let run =
+                        (rest.iter().position(|&b| b == b'"' || b == b'\\')).unwrap_or(rest.len());
+                    out.push_str(&self.source[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }

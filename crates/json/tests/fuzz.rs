@@ -201,3 +201,21 @@ fn truncated_documents_error_cleanly() {
     }
     parse(document).expect("the full document parses");
 }
+
+/// Long strings parse in time linear in their length: a document holding an
+/// 8 MiB string (multi-byte characters and escapes spread through it) and
+/// an array of 100 000 short strings round-trips. Decoding that validates
+/// the whole remaining input per character is quadratic and never gets
+/// through it.
+#[test]
+fn long_strings_round_trip() {
+    let chunk = "plain text, é中🦀 and an \"escaped\" \\ line\n";
+    let long: String = chunk.repeat(8 << 20 >> 5).chars().take(8 << 20).collect();
+    let short = (0..100_000).map(|i| Value::String(format!("s{i}")));
+    let document = Value::Object(vec![
+        ("long".to_string(), Value::String(long)),
+        ("short".to_string(), Value::Array(short.collect())),
+    ]);
+    let parsed = parse(&document.to_string()).expect("the document parses");
+    assert_eq!(parsed, document);
+}

@@ -202,6 +202,8 @@ struct JobWork {
     error_events: u64,
     compute_misses: u64,
     nodes_created: u64,
+    /// Child buckets forked off their parent's walk.
+    forks: u64,
 }
 
 /// Runs `shots` deduplicated shots on `threads` workers and sums the table
@@ -233,6 +235,7 @@ fn traced_job(engine: &ShotEngine, shots: usize, threads: usize) -> JobWork {
         error_events: outcome.error_events,
         compute_misses: sum("dd_compute_misses"),
         nodes_created: sum("dd_unique_misses"),
+        forks: sum("forks"),
     }
 }
 
@@ -268,6 +271,16 @@ fn evolutions_recompute_only_what_their_errors_changed() {
     // misses).
     assert!(ghz64.compute_misses <= 2_300_000, "{ghz64:?}");
     assert!(qft16.compute_misses <= 450_000, "{qft16:?}");
+    // A child bucket forks off its parent's walk where its members
+    // deviated instead of replaying the shared past from the template
+    // (1 985 549 and 378 691 misses, 870 012 nodes) — with the same
+    // evolutions as before.
+    assert!(ghz64.compute_misses <= 1_700_000, "{ghz64:?}");
+    assert!(ghz64.nodes_created <= 700_000, "{ghz64:?}");
+    assert!(qft16.compute_misses <= 365_000, "{qft16:?}");
+    let shared = |job: &JobWork| (job.stats.unique_trajectories, job.stats.live_shots);
+    assert_eq!(shared(&ghz64), (2_107, 1_467));
+    assert_eq!(shared(&qft16), (746, 524));
 }
 
 /// The no-error path continues through the measurements at compile time,
@@ -279,6 +292,38 @@ fn measured_bv12_shots_share_the_no_error_measurement_chain() {
     assert!(bv12.nodes_created <= 120_000, "{bv12:?}");
     // Each step's state is built once, not once per operator (93 080).
     assert!(bv12.nodes_created <= 80_000, "{bv12:?}");
+    let shared = (bv12.stats.unique_trajectories, bv12.stats.live_shots);
+    assert_eq!(shared, (114, 60));
+}
+
+/// The paper's central quantity, in integers: a GHZ-n diagram never holds
+/// more than `2n − 1` nodes (Table Ia) and a QFT-n one exactly one node per
+/// qubit (Table Ib), noiseless and under the paper's noise — peaks tracked
+/// over every trajectory, the forked ones included.
+#[test]
+fn ghz_and_qft_diagrams_keep_the_papers_node_counts() {
+    let peak = |circuit: &Circuit, noise: NoiseModel, shots: usize| {
+        let engine = ShotEngine::new(
+            circuit,
+            BackendKind::DecisionDiagram,
+            noise,
+            2021,
+            OptLevel::O0,
+        );
+        let plan = ExecPlan::new(ExecMode::Dedup, shots, &[]);
+        let outcome = execute(&engine, &plan, Placement::Threads(2)).unwrap();
+        outcome.dd_nodes_peak
+    };
+    let (noiseless, paper) = (NoiseModel::noiseless(), NoiseModel::paper_defaults());
+    for n in [8, 16, 32, 64] {
+        let widest = 2 * n as u64 - 1;
+        assert_eq!(peak(&ghz(n), noiseless, 2_000), widest, "GHZ-{n}");
+        assert!(peak(&ghz(n), paper, 2_000) <= widest, "GHZ-{n}");
+        assert_eq!(peak(&qft(n), noiseless, 500), n as u64, "QFT-{n}");
+    }
+    for n in [8, 16, 32] {
+        assert_eq!(peak(&qft(n), paper, 500), n as u64, "QFT-{n}");
+    }
 }
 
 /// The dense baseline shares trajectories under the paper's noise model
