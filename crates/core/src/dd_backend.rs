@@ -43,7 +43,7 @@ pub struct DdRunState {
 
 impl DdRunState {
     /// Size of the final state's decision diagram (number of nodes).
-    pub fn node_count(&self) -> usize {
+    pub fn node_count(&mut self) -> usize {
         self.package.vec_node_count(self.state)
     }
 }
@@ -93,7 +93,9 @@ struct StepFF {
     p_decay: Vec<f64>,
     /// The state after the whole step when nothing deviated.
     after: VecEdge,
-    /// Node count of `after`, precomputed for O(1) peak tracking.
+    /// Node count of `after`, counted at compile time: a walk riding the
+    /// trajectory raises its peak to it exactly, with neither a bound nor a
+    /// deferred count.
     nodes_after: u64,
 }
 
@@ -119,17 +121,29 @@ const TRAJECTORY_NODE_BUDGET: usize = 1 << 19;
 /// operator `diag(1, √(1−γ))` on each of them. For a step touching one or
 /// two qubits, compilation folds those keeps into the gate once —
 /// `F = (⊗_touched diag(1, √(1−γ)))·G`, built by
-/// [`DdPackage::scale_rows`] — and one step kernel takes the step: `F·v`,
-/// one excitation walk of that state ([`DdPackage::excitations`]), the
-/// folded factors divided back out to get the gate output's joint
-/// populations, each decay threshold as `γ·P(qubit = 1 | the earlier keeps
-/// of this step)`, one normalisation. Trajectory recording, the
-/// fast-forward and live steps all take kept steps through it, and draw
-/// their decisions through one loop; an exposure that deviates rebuilds the
-/// step from its entering state (the gate, the keeps before it, the event)
-/// and finishes it exposure by exposure. Steps touching three or more
-/// qubits, and `γ = 1` (where the kept state is zero and nothing can be
-/// unfolded), evolve exposure by exposure throughout.
+/// [`DdPackage::scale_rows`] — and one step kernel takes the step: `F·v`
+/// and one normalisation. The step's decay thresholds come off `F·v` in one
+/// excitation walk ([`DdPackage::excitations`]), the folded factors divided
+/// back out to get the gate output's joint populations, each threshold as
+/// `γ·P(qubit = 1 | the earlier keeps of this step)` — but only when a draw
+/// needs them: a threshold is at most `γ` up to round-off (`decay_bound`),
+/// so a uniform at or above that bound keeps without it (under the paper's
+/// γ = 0.002, all but ~0.2 % of draws). Trajectory recording, the fast-forward and live steps all take
+/// kept steps through the kernel, and draw their decisions through one
+/// loop; an exposure that deviates rebuilds the step from its entering
+/// state (the gate, the keeps before it, the event) and finishes it
+/// exposure by exposure. Steps touching three or more qubits, and `γ = 1`
+/// (where the kept state is zero and nothing can be unfolded), evolve
+/// exposure by exposure throughout.
+///
+/// # Peak tracking
+///
+/// A shot reports the largest diagram it held after any step. Every vector
+/// node carries an upper bound of its sub-diagram's size
+/// ([`DdPackage::vec_size_bound`]); a live walk defers the count of a state
+/// whose bound exceeds its peak so far and settles the deferred counts at
+/// its end — or before it forks a child — newest first, so a later,
+/// larger state usually spares counting the earlier ones.
 ///
 /// # The no-error trajectory
 ///
@@ -436,7 +450,7 @@ impl StochasticBackend for DdSimulator {
             noise_ops.push(ChannelOps { unitaries, kraus });
         }
 
-        let initial_nodes = base.vec_node_count_fast(initial) as u64;
+        let initial_nodes = base.vec_node_count(initial) as u64;
         let mut program = DdProgram {
             id: next_program_id(),
             num_qubits: n,
@@ -476,7 +490,7 @@ impl StochasticBackend for DdSimulator {
             let mut p_decay = Vec::new();
             let mut learn = Replayed::new(&no_events, Some(&mut p_decay));
             walk = walk.run(&program, &mut base, index..index + 1, &mut learn, &mut []);
-            let nodes_after = base.vec_node_count_fast(walk.state) as u64;
+            let nodes_after = base.vec_node_count(walk.state) as u64;
             trajectory.push(StepFF {
                 p_decay,
                 after: walk.state,
@@ -692,6 +706,7 @@ impl StochasticBackend for DdSimulator {
         let walk = Walk {
             state: prefix.state,
             peak: prefix.dd_nodes_peak,
+            pending: 0,
             error_events: prefix.error_events,
             live: true,
         };
@@ -797,7 +812,7 @@ impl Tree<'_, '_> {
             self.out.stats.live_shots += 1;
             let (dd, (_, _, qubits)) = (&mut self.ctx.package, program.apply(index));
             walk.expose(program, dd, qubits, resolved, 0, &mut Sampled(rng));
-            walk.peak = walk.peak.max(dd.vec_node_count_fast(walk.state) as u64);
+            walk.note(dd);
             let run = walk.finish_live(program, dd, index + 1, rng);
             (self.out).emit_live(self.backend, program, self.ctx, run, *shot);
             return Ok(());
@@ -811,19 +826,24 @@ impl Tree<'_, '_> {
                 let exposures = qubits.len() * width;
                 match kept.filter(|_| resolved == 0) {
                     Some(kept) => {
-                        let (entering, dd) = (walk, &mut self.ctx.package);
-                        let (p_decay, after) = kept_step(dd, kept, walk.state, qubits, program);
-                        let p_decay = &p_decay[..qubits.len()];
-                        let children = split(&mut members, |rng| {
-                            fast_forward(program, qubits, p_decay, 0, &mut Sampled(rng))
-                        });
+                        let dd = &mut self.ctx.package;
+                        let (folded, after) = kept_step(dd, kept, walk.state);
+                        let children = {
+                            // Read once, by the first member whose draw needs it.
+                            let mut read =
+                                read_once(|| kept_thresholds(dd, folded, qubits, program));
+                            split(&mut members, |rng| {
+                                let mut p_decay = |k: usize| read()[k];
+                                fast_forward(program, qubits, &mut p_decay, 0, &mut Sampled(rng))
+                            })
+                        };
                         forks += children.len();
-                        let deviate = |dd: &mut DdPackage, offset, unitary| {
-                            let mut child = entering;
+                        let deviate = |dd: &mut DdPackage, mut child: Walk, offset, unitary| {
                             child.deviate(program, dd, op, qubits, offset, unitary);
                             child
                         };
-                        if !self.fork(children, (index, events), &mut members, deviate)? {
+                        let at = (index, events);
+                        if !self.fork(children, at, &mut members, &mut walk, deviate)? {
                             break 'walk None;
                         }
                         (walk.state, resolved) = (after, exposures);
@@ -837,27 +857,33 @@ impl Tree<'_, '_> {
                     let (qubit, channel) = (qubits[offset / width], offset % width);
                     let keep = program.noise_ops[channel].kraus[qubit].map(|[_decay, keep]| keep);
                     let channel = &program.channels[channel];
-                    let dd = &mut self.ctx.package;
-                    let p_decay = keep.map(|_| decay_probability(dd, channel, walk.state, qubit));
-                    let children = split(&mut members, |rng| match p_decay {
-                        None => Sampled(rng).error(0, channel).map(|u| (offset, Some(u))),
-                        Some(p_decay) => Sampled(rng).decays(0, p_decay).then_some((offset, None)),
-                    });
+                    let (dd, state) = (&mut self.ctx.package, walk.state);
+                    let bound = decay_bound(channel.probability());
+                    let children = {
+                        let mut p_decay =
+                            read_once(|| decay_probability(dd, channel, state, qubit));
+                        split(&mut members, |rng| match keep {
+                            None => Sampled(rng).error(0, channel).map(|u| (offset, Some(u))),
+                            Some(_) => {
+                                let decays = Sampled(rng).decays(0, bound, &mut p_decay);
+                                decays.then_some((offset, None))
+                            }
+                        })
+                    };
                     forks += children.len();
-                    let fire = |dd: &mut DdPackage, offset, unitary| {
-                        let mut child = walk;
+                    let fire = |dd: &mut DdPackage, mut child: Walk, offset, unitary| {
                         child.fire(program, dd, qubits, offset, unitary);
                         child
                     };
-                    if !self.fork(children, (index, events), &mut members, fire)? {
+                    if !self.fork(children, (index, events), &mut members, &mut walk, fire)? {
                         break 'walk None;
                     }
                     if let Some(keep) = keep {
                         walk.state = self.ctx.package.apply_kraus(keep, walk.state).1;
                     }
                 }
-                let nodes = self.ctx.package.vec_node_count_fast(walk.state) as u64;
-                (walk.peak, index, resolved) = (walk.peak.max(nodes), index + 1, 0);
+                walk.note(&mut self.ctx.package);
+                (index, resolved) = (index + 1, 0);
             }
             Some(walk)
         };
@@ -870,11 +896,13 @@ impl Tree<'_, '_> {
         Ok(())
     }
 
-    /// Runs each child bucket of a decision point in step `index` of a walk
+    /// Runs each child bucket of a decision point in step `index` of `walk`
     /// along `events` events from a checkpoint taken there: `deviate`
-    /// applies its event, the child finishes the step and walks on, and the
-    /// package is rolled back before the next child — or the parent — moves
-    /// on. A child that leaves the parent without members needs none.
+    /// applies its event to a copy of the walk, the child finishes the step
+    /// and walks on, and the package is rolled back before the next child —
+    /// or the parent — moves on. A child that leaves the parent without
+    /// members needs none. The walk settles its deferred counts first, so
+    /// each child starts from its exact peak and owns the deferred stack.
     ///
     /// Returns whether the parent walks on: not once it has no member left,
     /// nor when a rollback was not exact (a trim emptied the tables under
@@ -885,15 +913,19 @@ impl Tree<'_, '_> {
         children: Forks,
         (index, events): (usize, usize),
         members: &mut Members,
-        deviate: impl Fn(&mut DdPackage, usize, Option<usize>) -> Walk,
+        walk: &mut Walk,
+        deviate: impl Fn(&mut DdPackage, Walk, usize, Option<usize>) -> Walk,
     ) -> Result<bool, TimedOut> {
+        if !children.is_empty() {
+            walk.settle(&mut self.ctx.package);
+        }
         let mut children = children.into_iter();
         while let Some(((offset, unitary), child)) = children.next() {
             self.out.evolve()?;
             let last = members.is_empty() && children.len() == 0;
             let checkpoint = (!last).then(|| self.ctx.package.checkpoint());
-            let walk = deviate(&mut self.ctx.package, offset, unitary);
-            self.carry(walk, (index, offset + 1), events + 1, child)?;
+            let forked = deviate(&mut self.ctx.package, *walk, offset, unitary);
+            self.carry(forked, (index, offset + 1), events + 1, child)?;
             if checkpoint.is_some_and(|checkpoint| !self.ctx.package.rollback(checkpoint)) {
                 let rest = children.flat_map(|(_, members)| members);
                 for (shot, _) in rest.chain(members.drain(..)) {
@@ -910,8 +942,12 @@ impl Tree<'_, '_> {
 #[derive(Clone, Copy, Debug)]
 struct Walk {
     state: VecEdge,
-    /// Peak node count of the state so far.
+    /// Peak node count of the state so far, once the deferred counts settle
+    /// (see the [`DdProgram`] docs).
     peak: u64,
+    /// Number of states whose counts this walk deferred: the bottom of the
+    /// package's deferred stack ([`DdPackage::defer_count`]).
+    pending: u32,
     error_events: usize,
     /// `false` while the walk is still on the precomputed no-error
     /// trajectory; flips to `true` at the first deviation.
@@ -924,9 +960,21 @@ impl Walk {
         Walk {
             state: program.initial,
             peak: program.initial_nodes,
+            pending: 0,
             error_events: 0,
             live: false,
         }
+    }
+
+    /// Tracks the state a step left for the peak: its count is deferred if
+    /// its size bound exceeds the peak so far, dropped otherwise.
+    fn note(&mut self, dd: &mut DdPackage) {
+        self.pending = dd.defer_count(self.pending, self.peak, self.state);
+    }
+
+    /// Settles the deferred counts into the peak.
+    fn settle(&mut self, dd: &mut DdPackage) {
+        (self.peak, self.pending) = (dd.settle_counts(self.pending, self.peak), 0);
     }
 
     /// Walks `steps`: rides the trajectory with zero diagram work while the
@@ -950,16 +998,22 @@ impl Walk {
                 } => {
                     let first_site = site;
                     site += (noise_qubits.len() * program.channels.len()) as u32;
-                    // The step's no-deviation outcome: recorded on the
-                    // trajectory, or built by the step kernel.
+                    // The step's no-deviation outcome, recorded on the
+                    // trajectory or built by the step kernel, and the first
+                    // deviation drawn against its thresholds — which the
+                    // kernel reads only if a draw needs them.
                     let recorded = program.trajectory.get(index).filter(|_| !self.live);
-                    let live_step;
-                    let (p_decay, after) = match (recorded, kept) {
-                        (Some(ff), _) => (&ff.p_decay[..], ff.after),
+                    let mut draw = |p_decay: &mut dyn FnMut(usize) -> f64| {
+                        fast_forward(program, noise_qubits, p_decay, first_site, decisions)
+                    };
+                    let (after, deviation) = match (recorded, kept) {
+                        (Some(ff), _) => (ff.after, draw(&mut |k| ff.p_decay[k])),
                         (None, Some(kept)) => {
                             self.live = true;
-                            live_step = kept_step(dd, *kept, self.state, noise_qubits, program);
-                            (&live_step.0[..noise_qubits.len()], live_step.1)
+                            let (folded, after) = kept_step(dd, *kept, self.state);
+                            let mut read =
+                                read_once(|| kept_thresholds(dd, folded, noise_qubits, program));
+                            (after, draw(&mut |k| read()[k]))
                         }
                         // Not kept (three or more qubits, γ = 1, passive
                         // noise only): the gate, then one exposure at a time.
@@ -967,11 +1021,11 @@ impl Walk {
                             self.live = true;
                             self.state = dd.mat_vec_mul(*op, self.state);
                             self.expose(program, dd, noise_qubits, 0, first_site, decisions);
-                            self.peak = self.peak.max(dd.vec_node_count_fast(self.state) as u64);
+                            self.note(dd);
                             continue;
                         }
                     };
-                    match fast_forward(program, noise_qubits, p_decay, first_site, decisions) {
+                    match deviation {
                         None => {
                             self.state = after;
                             if let Some(ff) = recorded {
@@ -1003,7 +1057,7 @@ impl Walk {
                     }
                 }
             }
-            self.peak = self.peak.max(dd.vec_node_count_fast(self.state) as u64);
+            self.note(dd);
         }
         self
     }
@@ -1084,10 +1138,11 @@ impl Walk {
                     // Amplitude damping: branch probabilities are the
                     // squared norms of the (non-unitary) branch states
                     // (Example 6 of the paper). The decay threshold is read
-                    // off the state first, so only the branch the decision
-                    // selects is ever built.
-                    let p_decay = decay_probability(dd, channel, self.state, qubit);
-                    let decays = decisions.decays(site, p_decay);
+                    // off the state, if the draw needs it, before either
+                    // branch: only the branch the decision selects is built.
+                    let (bound, state) = (decay_bound(channel.probability()), self.state);
+                    let p_decay = || decay_probability(dd, channel, state, qubit);
+                    let decays = decisions.decays(site, bound, p_decay);
                     if !decays {
                         self.state = dd.apply_kraus(keep, self.state).1;
                     }
@@ -1119,15 +1174,7 @@ impl Walk {
     /// shares with the shots that followed it; each samples, or resumes
     /// to, its own outcome.
     fn prefix_run(self, program: &DdProgram, dd: &mut DdPackage) -> SingleRun<VecEdge> {
-        let dd_nodes = dd.vec_node_count_fast(self.state) as u64;
-        SingleRun {
-            outcome: 0,
-            clbits: vec![false; program.num_clbits],
-            error_events: self.error_events,
-            dd_nodes,
-            dd_nodes_peak: self.peak.max(dd_nodes),
-            state: self.state,
-        }
+        self.close(dd, 0, vec![false; program.num_clbits])
     }
 
     /// Closes a sampled walk over the program's last step into the shot's
@@ -1144,68 +1191,96 @@ impl Walk {
         } else {
             dd.sample_measurement(self.state, program.num_qubits, rng)
         };
-        let dd_nodes = dd.vec_node_count_fast(self.state) as u64;
+        self.close(dd, outcome, clbits)
+    }
+
+    /// The walk's result: the final state is counted, as its size is
+    /// reported, before the deferred counts settle against it.
+    fn close(mut self, dd: &mut DdPackage, outcome: u64, clbits: Vec<bool>) -> SingleRun<VecEdge> {
+        let dd_nodes = dd.vec_node_count(self.state) as u64;
+        self.peak = self.peak.max(dd_nodes);
+        self.settle(dd);
         SingleRun {
             outcome,
             clbits,
             error_events: self.error_events,
             dd_nodes,
-            dd_nodes_peak: self.peak.max(dd_nodes),
+            dd_nodes_peak: self.peak,
             state: self.state,
         }
     }
 }
 
-/// Draws one step's decisions against its no-deviation outcome — the decay
-/// thresholds `p_decay` of its damping exposures, in protocol order — and
-/// returns the first deviation: its exposure offset and the unitary error
-/// that fired (`None`: a decay). `None` means the outcome stands.
+/// Draws one step's decisions against its no-deviation outcome —
+/// `p_decay(k)` reads the decay threshold of its `k`-th damping exposure, in
+/// protocol order, for a draw that needs it — and returns the first
+/// deviation: its exposure offset and the unitary error that fired (`None`:
+/// a decay). `None` means the outcome stands.
 fn fast_forward<D: Decisions>(
     program: &DdProgram,
     noise_qubits: &[usize],
-    p_decay: &[f64],
+    p_decay: &mut dyn FnMut(usize) -> f64,
     first_site: u32,
     decisions: &mut D,
 ) -> Option<(usize, Option<usize>)> {
     let width = program.channels.len();
-    let mut thresholds = p_decay.iter();
+    let mut damping = 0;
     for offset in 0..noise_qubits.len() * width {
         let site = first_site + offset as u32;
-        let (qubit, channel) = (noise_qubits[offset / width], offset % width);
-        if program.noise_ops[channel].kraus[qubit].is_some() {
-            let p_decay = *thresholds
-                .next()
-                .expect("one threshold per damping exposure");
-            if decisions.decays(site, p_decay) {
+        let (qubit, index) = (noise_qubits[offset / width], offset % width);
+        let channel = &program.channels[index];
+        if program.noise_ops[index].kraus[qubit].is_some() {
+            let k = damping;
+            damping += 1;
+            if decisions.decays(site, decay_bound(channel.probability()), || p_decay(k)) {
                 return Some((offset, None));
             }
-        } else if let Some(u) = decisions.error(site, &program.channels[channel]) {
+        } else if let Some(u) = decisions.error(site, channel) {
             return Some((offset, Some(u)));
         }
     }
     None
 }
 
+/// `read`, evaluated at the first call only: a step's thresholds are read
+/// once however many draws need them.
+fn read_once<T: Copy>(mut read: impl FnMut() -> T) -> impl FnMut() -> T {
+    let mut value = None;
+    move || *value.get_or_insert_with(&mut read)
+}
+
+/// An upper bound of every decay threshold of a damping channel of
+/// probability `gamma`: a threshold is `γ` times a population share, which
+/// round-off may lift a hair above one.
+fn decay_bound(gamma: f64) -> f64 {
+    gamma * (1.0 + 1e-9)
+}
+
 /// The step kernel of a kept step (see the [`DdProgram`] docs): applies the
-/// kept operator to `state` once, reads the touched qubits' excitations off
-/// the result in one walk, unfolds the gate output's populations and
-/// normalises once. Returns the decay thresholds in protocol order (the
-/// second only for two qubits) and the state after the step.
-fn kept_step(
+/// kept operator to `state` once and normalises once. Returns the folded
+/// state, which [`kept_thresholds`] reads the step's decay thresholds off,
+/// and the state after the step.
+fn kept_step(dd: &mut DdPackage, kept: MatEdge, state: VecEdge) -> (VecEdge, VecEdge) {
+    let folded = dd.mat_vec_mul(kept, state);
+    (folded, dd.normalize(folded))
+}
+
+/// The decay thresholds of a kept step in protocol order (the second only
+/// for two qubits): the touched qubits' excitations read off the folded
+/// state in one walk, the gate output's populations unfolded from them.
+fn kept_thresholds(
     dd: &mut DdPackage,
-    kept: MatEdge,
-    state: VecEdge,
+    folded: VecEdge,
     qubits: &[usize],
     program: &DdProgram,
-) -> ([f64; 2], VecEdge) {
-    let folded = dd.mat_vec_mul(kept, state);
+) -> [f64; 2] {
     let (a, b) = (qubits[0], qubits[qubits.len() - 1]);
     let [a1, b1, both] = dd.excitations(folded, a, b);
     let total = dd.norm_sqr(folded);
     // Every |1> of a touched qubit carries one keep factor `s` in the
     // populations: dividing them out recovers the gate output's.
     let (gamma, s) = (program.damping, 1.0 - program.damping);
-    let p_decay = if a == b {
+    if a == b {
         let one = a1 / s;
         [gamma * one / (total - a1 + one), 0.0]
     } else {
@@ -1218,8 +1293,7 @@ fn kept_step(
             gamma * (w10 + w11) / (w00 + w01 + w10 + w11),
             gamma * (w01 + s * w11) / (w00 + w01 + s * (w10 + w11)),
         ]
-    };
-    (p_decay, dd.normalize(folded))
+    }
 }
 
 /// Probability that an amplitude-damping exposure of `qubit` decays:
@@ -1238,9 +1312,188 @@ fn decay_probability(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsdd_circuit::generators::{ghz, qft};
+    use qsdd_circuit::generators::{bernstein_vazirani, ghz, qft, random_circuit, w_state};
     use qsdd_noise::ErrorEvent;
     use rand::{Rng, SeedableRng};
+
+    /// A live walk at `state`.
+    fn live_walk(state: VecEdge) -> Walk {
+        Walk {
+            state,
+            peak: 0,
+            pending: 0,
+            error_events: 0,
+            live: true,
+        }
+    }
+
+    /// A random normalised `n`-qubit state.
+    fn random_state(dd: &mut DdPackage, n: usize, rng: &mut StdRng) -> VecEdge {
+        let amplitudes: Vec<qsdd_dd::Complex> = (0..1 << n)
+            .map(|_| qsdd_dd::Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+            .collect();
+        let state = dd.from_statevector(&amplitudes);
+        dd.normalize(state)
+    }
+
+    /// What a shot reports, comparable.
+    type Reported = (u64, Vec<bool>, usize, u64, u64, VecEdge);
+
+    fn reported(run: SingleRun<VecEdge>) -> Reported {
+        let SingleRun {
+            outcome,
+            clbits,
+            error_events,
+            dd_nodes,
+            dd_nodes_peak,
+            state,
+        } = run;
+        (
+            outcome,
+            clbits,
+            error_events,
+            dd_nodes,
+            dd_nodes_peak,
+            state,
+        )
+    }
+
+    #[test]
+    fn lazy_thresholds_never_exceed_their_bound() {
+        // A uniform at or above `decay_bound(γ)` keeps without reading the
+        // threshold, which equals comparing it with the threshold only if
+        // no threshold exceeds the bound. Random states and every basis
+        // state (a touched qubit fully excited, where round-off can lift a
+        // population share above one) enter each step, kept or not.
+        let n = 5;
+        let mut rng = StdRng::seed_from_u64(26);
+        let no_events = ErrorPattern::default();
+        for gamma in [0.002, 0.3, 0.999] {
+            let (noise, bound) = (NoiseModel::new(0.01, gamma, 0.02), decay_bound(gamma));
+            let within = |p: &f64| (0.0..=bound).contains(p);
+            for circuit in [ghz(n), qft(n), random_circuit(n, 6, 7)] {
+                let program = DdSimulator::new().compile(&circuit, &noise);
+                let mut dd = program.base.clone();
+                for index in 0..program.steps.len() {
+                    let (op, kept, qubits) = program.apply(index);
+                    for basis in 0..(1 << n) + 8 {
+                        let entering = if basis < 1 << n {
+                            dd.basis_state_from_index(n, basis)
+                        } else {
+                            random_state(&mut dd, n, &mut rng)
+                        };
+                        if let Some(kept) = kept {
+                            let (folded, _) = kept_step(&mut dd, kept, entering);
+                            let p_decay = kept_thresholds(&mut dd, folded, qubits, &program);
+                            assert!(p_decay.iter().all(within), "{p_decay:?} at γ = {gamma}");
+                        }
+                        let (mut walk, mut read) =
+                            (live_walk(dd.mat_vec_mul(op, entering)), vec![]);
+                        let mut learn = Replayed::new(&no_events, Some(&mut read));
+                        walk.expose(&program, &mut dd, qubits, 0, 0, &mut learn);
+                        assert_eq!(read.len(), qubits.len());
+                        assert!(read.iter().all(within), "{read:?} at γ = {gamma}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Live decisions that read every threshold, as each draw did before a
+    /// uniform above the bound spared the read.
+    struct Eager<'a>(&'a mut StdRng);
+
+    impl Decisions for Eager<'_> {
+        fn error(&mut self, site: u32, channel: &ErrorChannel) -> Option<usize> {
+            Sampled(self.0).error(site, channel)
+        }
+
+        fn decays(&mut self, site: u32, _bound: f64, p_decay: impl FnOnce() -> f64) -> bool {
+            let p_decay = p_decay();
+            Sampled(self.0).decays(site, f64::INFINITY, || p_decay)
+        }
+
+        fn rng(&mut self) -> &mut StdRng {
+            self.0
+        }
+    }
+
+    #[test]
+    fn reading_every_threshold_changes_no_shot() {
+        let backend = DdSimulator::new();
+        let tenfold = NoiseModel::new(0.01, 0.02, 0.01);
+        let program = backend.compile(&ghz(8), &tenfold);
+        let (mut lazy, mut eager) = (backend.new_context(), backend.new_context());
+        for seed in 0..2_000 {
+            let run = backend.run_shot(&program, &mut lazy, &mut StdRng::seed_from_u64(seed));
+            eager.seat(&program);
+            let (dd, mut rng) = (&mut eager.package, StdRng::seed_from_u64(seed));
+            let mut clbits = vec![false; program.num_clbits];
+            let steps = 0..program.steps.len();
+            let walk =
+                Walk::start(&program).run(&program, dd, steps, &mut Eager(&mut rng), &mut clbits);
+            let twin = walk.finish_shot(&program, dd, clbits, &mut rng);
+            assert_eq!(reported(run), reported(twin), "shot {seed}");
+        }
+        let walks = |ctx: &DdContext| ctx.package().table_stats().threshold_walks;
+        assert!(
+            walks(&lazy) * 10 < walks(&eager),
+            "{} vs {}",
+            walks(&lazy),
+            walks(&eager)
+        );
+    }
+
+    #[test]
+    fn deferred_peaks_are_exact_per_shot() {
+        // The oracle counts the state after every step of the shot's walk,
+        // as every walk did before sizes were bounded and counts deferred.
+        // W-state diagrams share their |0...0> chains, so their bounds run
+        // loose; noisy QFT states stay product states, bounded exactly.
+        let backend = DdSimulator::new();
+        let tenfold = NoiseModel::new(0.01, 0.02, 0.01);
+        let circuits = [
+            (w_state(10), Some(false)),
+            (bernstein_vazirani(8, 0b101_0101), None),
+            (ghz(12), None),
+            (qft(8), Some(true)),
+        ];
+        for (circuit, exact) in circuits {
+            let program = backend.compile(&circuit, &tenfold);
+            let (mut ctx, mut loose) = (backend.new_context(), 0);
+            for seed in 0..2_000 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut twin = rng.clone();
+                let run = backend.run_shot(&program, &mut ctx, &mut rng);
+                ctx.seat(&program);
+                let (dd, mut walk) = (&mut ctx.package, Walk::start(&program));
+                let (mut clbits, mut peak) =
+                    (vec![false; program.num_clbits], program.initial_nodes);
+                for index in 0..program.steps.len() {
+                    let step = index..index + 1;
+                    walk = walk.run(&program, dd, step, &mut Sampled(&mut twin), &mut clbits);
+                    let count = dd.vec_node_count(walk.state) as u64;
+                    let bound = dd.vec_size_bound(walk.state);
+                    assert!(
+                        count <= bound,
+                        "{} shot {seed}: {count} > {bound}",
+                        circuit.name()
+                    );
+                    (peak, loose) = (peak.max(count), loose + usize::from(count < bound));
+                }
+                assert_eq!(walk.state, run.state);
+                assert_eq!(run.dd_nodes_peak, peak, "{} shot {seed}", circuit.name());
+            }
+            if let Some(exact) = exact {
+                assert_eq!(
+                    loose == 0,
+                    exact,
+                    "{}: {loose} loose bounds",
+                    circuit.name()
+                );
+            }
+        }
+    }
 
     #[test]
     fn noiseless_ghz_only_yields_all_zero_or_all_one() {
@@ -1581,12 +1834,7 @@ mod tests {
         let mut dd = program.base.clone();
         let mut rng = StdRng::seed_from_u64(17);
         let width = program.channels.len();
-        let walk = |state| Walk {
-            state,
-            peak: 0,
-            error_events: 0,
-            live: true,
-        };
+        let walk = live_walk;
         let close = |dd: &DdPackage, a: VecEdge, b: VecEdge| {
             let (a, b) = (dd.to_statevector(a, n), dd.to_statevector(b, n));
             a.iter().zip(&b).all(|(x, y)| x.approx_eq(*y, 1e-12))
@@ -1600,18 +1848,15 @@ mod tests {
             else {
                 panic!("step {index} is not kept");
             };
-            let amplitudes: Vec<qsdd_dd::Complex> = (0..1 << n)
-                .map(|_| qsdd_dd::Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
-                .collect();
-            let entering = dd.from_statevector(&amplitudes);
-            let entering = dd.normalize(entering);
+            let entering = random_state(&mut dd, n, &mut rng);
             // The step it replaces: the gate, then one exposure at a time,
             // the empty pattern learning the thresholds it meets.
             let (mut sequential, mut thresholds) = (walk(dd.mat_vec_mul(*op, entering)), vec![]);
             let no_events = ErrorPattern::default();
             let mut learn = Replayed::new(&no_events, Some(&mut thresholds));
             sequential.expose(&program, &mut dd, noise_qubits, 0, 0, &mut learn);
-            let (p_decay, after) = kept_step(&mut dd, *kept, entering, noise_qubits, &program);
+            let (folded, after) = kept_step(&mut dd, *kept, entering);
+            let p_decay = kept_thresholds(&mut dd, folded, noise_qubits, &program);
             assert_eq!(thresholds.len(), noise_qubits.len());
             for (kept_p, sequential_p) in p_decay.iter().zip(&thresholds) {
                 assert!((kept_p - sequential_p).abs() < 1e-12, "step {index}");

@@ -17,15 +17,17 @@ pub(crate) trait Decisions {
     /// The unitary error a passive exposure fires, if any.
     fn error(&mut self, site: u32, channel: &ErrorChannel) -> Option<usize>;
     /// Whether a damping exposure whose decay branch has probability
-    /// `p_decay` decays.
-    fn decays(&mut self, site: u32, p_decay: f64) -> bool;
+    /// `p_decay()`, at most `bound`, decays. The threshold is a walk over
+    /// the state, so it is read only when the decision depends on it.
+    fn decays(&mut self, site: u32, bound: f64, p_decay: impl FnOnce() -> f64) -> bool;
     /// The generator measurements and resets draw from.
     fn rng(&mut self) -> &mut StdRng;
 }
 
 /// Live decisions: one `sample_error` per passive exposure, one uniform
 /// draw per damping exposure (the damping channel consumes no randomness in
-/// `sample_error`; the branch decision is its single draw).
+/// `sample_error`; the branch decision is its single draw). A uniform at or
+/// above the threshold's bound keeps without reading the threshold.
 pub(crate) struct Sampled<'a>(pub(crate) &'a mut StdRng);
 
 impl Decisions for Sampled<'_> {
@@ -41,8 +43,17 @@ impl Decisions for Sampled<'_> {
     }
 
     #[inline]
-    fn decays(&mut self, _site: u32, p_decay: f64) -> bool {
-        self.0.gen::<f64>() < p_decay
+    fn decays(&mut self, _site: u32, bound: f64, p_decay: impl FnOnce() -> f64) -> bool {
+        let u = self.0.gen::<f64>();
+        if u >= bound {
+            return false;
+        }
+        let p_decay = p_decay();
+        debug_assert!(
+            p_decay <= bound,
+            "threshold {p_decay} above its bound {bound}"
+        );
+        u < p_decay
     }
 
     fn rng(&mut self) -> &mut StdRng {
@@ -59,7 +70,7 @@ impl Decisions for NoError {
         None
     }
 
-    fn decays(&mut self, _site: u32, _p_decay: f64) -> bool {
+    fn decays(&mut self, _site: u32, _bound: f64, _p_decay: impl FnOnce() -> f64) -> bool {
         false
     }
 
@@ -108,10 +119,10 @@ impl Decisions for Replayed<'_> {
     }
 
     #[inline]
-    fn decays(&mut self, site: u32, p_decay: f64) -> bool {
+    fn decays(&mut self, site: u32, _bound: f64, p_decay: impl FnOnce() -> f64) -> bool {
         if self.exhausted() {
             if let Some(learned) = &mut self.learned {
-                learned.push(p_decay);
+                learned.push(p_decay());
             }
         }
         self.take(site).is_some()

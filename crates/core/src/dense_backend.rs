@@ -165,10 +165,11 @@ fn walk<D: Decisions>(
                     // Amplitude damping (Example 6 of the paper): the decay
                     // branch `√γ|0><1|` has relative weight `γ·one/(zero +
                     // one)`. The threshold is read off the state first, so
-                    // only the branch the decision selects is ever applied.
+                    // only the branch the decision selects is ever applied;
+                    // either branch needs the weights, so no bound spares it.
                     let gamma = channel.probability();
                     let (zero, one) = state.branch_weights(qubit);
-                    if decisions.decays(site, gamma * one / (zero + one)) {
+                    if decisions.decays(site, f64::INFINITY, || gamma * one / (zero + one)) {
                         error_events += 1;
                         state.damping_decay(qubit, one);
                     } else {

@@ -531,6 +531,8 @@ pub(crate) fn trace_dd_attrs(
             "dd_unique_misses",
             delta.vec_unique_misses + delta.mat_unique_misses,
         );
+        trace::attr("dd_count_nodes", delta.count_nodes);
+        trace::attr("dd_threshold_walks", delta.threshold_walks);
     }
 }
 

@@ -144,6 +144,7 @@ impl DdPackage {
     /// The simulator reads every decay threshold of a two-qubit step off
     /// the state the step's kept operator produced, with one call.
     pub fn excitations(&mut self, v: VecEdge, a: usize, b: usize) -> [f64; 3] {
+        self.counters.threshold_walks += 1;
         let [top, bottom, both] = self.excitations_rec(v, a.min(b) as u16, a.max(b) as u16);
         if a <= b {
             [top, bottom, both]
@@ -423,14 +424,13 @@ impl DdPackage {
         (p, normalised)
     }
 
-    /// Allocation-free twin of [`vec_node_count`](Self::vec_node_count) for
-    /// hot loops: marks visited nodes with a generation stamp in a reusable
-    /// scratch buffer instead of a fresh hash set.
+    /// Counts the distinct nodes reachable from `v` (the usual decision
+    /// diagram size metric; the terminal is not counted).
     ///
-    /// The shot executor calls this after every applied operation to track
-    /// the per-shot peak diagram size, so it must not dominate the cost of
-    /// the operation itself.
-    pub fn vec_node_count_fast(&mut self, v: VecEdge) -> usize {
+    /// Marks visited nodes with a generation stamp in a reusable scratch
+    /// buffer, so a warm package counts without allocating. Every node
+    /// counted adds to [`TableStats::count_nodes`](crate::TableStats).
+    pub fn vec_node_count(&mut self, v: VecEdge) -> usize {
         if v.is_zero() || v.node.is_terminal() {
             return 0;
         }
@@ -465,44 +465,56 @@ impl DdPackage {
             }
         }
         self.visit_stack = stack;
+        self.counters.count_nodes += count as u64;
         count
     }
 
-    /// Counts the distinct nodes reachable from `v` (the usual decision
-    /// diagram size metric; the terminal is not counted).
-    pub fn vec_node_count(&self, v: VecEdge) -> usize {
-        let mut seen = crate::fxhash::FxHashSet::default();
-        let mut stack = vec![v.node];
-        while let Some(node) = stack.pop() {
-            if node.is_terminal() || !seen.insert(node) {
-                continue;
-            }
-            let data = self.vec_nodes[node.index()];
-            for e in data.edges {
-                if !e.is_zero() {
-                    stack.push(e.node);
-                }
-            }
+    /// An upper bound of [`vec_node_count`](Self::vec_node_count)`(v)`, read
+    /// in O(1) off the node. Equal to the count for chains and product states
+    /// (GHZ, QFT outputs); a sub-diagram reached along several paths raises
+    /// the bound above the count.
+    pub fn vec_size_bound(&self, v: VecEdge) -> u64 {
+        if v.node.is_terminal() {
+            0
+        } else {
+            u64::from(self.vec_bounds[v.node.index()])
         }
-        seen.len()
     }
 
-    /// Counts the distinct nodes reachable from the matrix diagram `m`.
-    pub fn mat_node_count(&self, m: crate::node::MatEdge) -> usize {
-        let mut seen = crate::fxhash::FxHashSet::default();
-        let mut stack = vec![m.node];
-        while let Some(node) = stack.pop() {
-            if node.is_terminal() || !seen.insert(node) {
-                continue;
-            }
-            let data = self.mat_nodes[node.index()];
-            for e in data.edges {
-                if !e.is_zero() {
-                    stack.push(e.node);
-                }
+    /// Defers counting `v` for a walk that has reached `peak` nodes and whose
+    /// deferred states are the first `pending` of the package's scratch
+    /// stack: `v` is pushed only if its bound exceeds `peak`, dropping the
+    /// entries above the walk's first. Returns the walk's new `pending`.
+    pub fn defer_count(&mut self, pending: u32, peak: u64, v: VecEdge) -> u32 {
+        if self.vec_size_bound(v) <= peak {
+            return pending;
+        }
+        debug_assert!(
+            pending as usize <= self.deferred.len(),
+            "deferred counts clobbered"
+        );
+        self.deferred.truncate(pending as usize);
+        self.deferred.push(v);
+        self.deferred.len() as u32
+    }
+
+    /// Settles a walk's deferred counts (see [`defer_count`](Self::defer_count))
+    /// newest-first, counting only the states whose bound still exceeds the
+    /// peak, and empties the scratch stack. Returns the walk's exact peak.
+    pub fn settle_counts(&mut self, pending: u32, mut peak: u64) -> u64 {
+        debug_assert!(
+            pending as usize <= self.deferred.len(),
+            "deferred counts clobbered"
+        );
+        let mut deferred = std::mem::take(&mut self.deferred);
+        for &state in deferred[..pending as usize].iter().rev() {
+            if self.vec_size_bound(state) > peak {
+                peak = peak.max(self.vec_node_count(state) as u64);
             }
         }
-        seen.len()
+        deferred.clear();
+        self.deferred = deferred;
+        peak
     }
 }
 
@@ -641,23 +653,68 @@ mod tests {
     }
 
     #[test]
-    fn fast_node_count_matches_the_hash_set_walk() {
+    fn node_counts_and_their_bounds() {
         let mut dd = DdPackage::new();
+        // The Bell root's two children are distinct nodes.
         let bell = bell_state(&mut dd);
-        assert_eq!(dd.vec_node_count_fast(bell), dd.vec_node_count(bell));
+        assert_eq!((dd.vec_node_count(bell), dd.vec_size_bound(bell)), (3, 3));
         let zero = dd.zero_state(5);
-        assert_eq!(dd.vec_node_count_fast(zero), dd.vec_node_count(zero));
-        // Repeated calls (new stamp generations) stay correct.
-        assert_eq!(dd.vec_node_count_fast(bell), dd.vec_node_count(bell));
-        assert_eq!(dd.vec_node_count_fast(crate::node::VecEdge::zero()), 0);
+        assert_eq!((dd.vec_node_count(zero), dd.vec_size_bound(zero)), (5, 5));
+        // Repeated calls (new stamp generations) stay correct, and every
+        // node counted is counted in the table stats.
+        let before = dd.table_stats().count_nodes;
+        assert_eq!(dd.vec_node_count(bell), 3);
+        assert_eq!(dd.table_stats().count_nodes, before + 3);
+        assert_eq!(dd.vec_node_count(crate::node::VecEdge::zero()), 0);
+        // A child both edges share is bounded once: |++> is a chain.
+        let one = crate::node::VecEdge::one();
+        let plus = dd.make_vec_node(1, [one, one]);
+        let half = dd.lookup_complex(Complex::real(0.5));
+        let skewed = crate::node::VecEdge {
+            weight: half,
+            ..plus
+        };
+        let product = dd.make_vec_node(0, [plus, skewed]);
+        assert_eq!(
+            (dd.vec_node_count(product), dd.vec_size_bound(product)),
+            (2, 2)
+        );
         // Counting still works after a transient rollback.
         dd.mark_persistent();
         let s = dd.basis_state_from_index(4, 9);
-        let n = dd.vec_node_count_fast(s);
-        assert_eq!(n, dd.vec_node_count(s));
+        assert_eq!(dd.vec_node_count(s), 4);
         dd.reset_transient();
         let t = dd.zero_state(4);
-        assert_eq!(dd.vec_node_count_fast(t), 4);
+        assert_eq!(dd.vec_node_count(t), 4);
+    }
+
+    #[test]
+    fn deferred_counts_settle_to_the_exact_peak() {
+        // A W-like state: the |0> chains below every level are shared, so
+        // its bound exceeds its count.
+        let n = 6;
+        let mut dd = DdPackage::new();
+        let amplitudes: Vec<Complex> = (0..1usize << n)
+            .map(|index| Complex::real(f64::from(u8::from(index.count_ones() == 1))))
+            .collect();
+        let w = dd.from_statevector(&amplitudes);
+        let basis = dd.zero_state(n);
+        let (count, bound) = (dd.vec_node_count(w) as u64, dd.vec_size_bound(w));
+        assert!(count < bound, "{count} vs {bound}");
+        // A walk that met the W state, then the smaller basis state: both
+        // are deferred, the W state is counted, the basis state is not.
+        let pending = dd.defer_count(0, 0, w);
+        let pending = dd.defer_count(pending, 0, basis);
+        assert_eq!(pending, 2);
+        let before = dd.table_stats().count_nodes;
+        assert_eq!(dd.settle_counts(pending, n as u64), count);
+        assert_eq!(dd.table_stats().count_nodes, before + count);
+        // A state within the peak is not deferred; a walk drops the entries
+        // above its own.
+        assert_eq!(dd.defer_count(0, bound, w), 0);
+        let pending = dd.defer_count(0, 0, w);
+        assert_eq!(dd.defer_count(0, 0, basis), pending);
+        assert_eq!(dd.settle_counts(pending, 0), n as u64);
     }
 
     #[test]

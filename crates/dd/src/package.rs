@@ -59,6 +59,11 @@ pub struct TableStats {
     pub compute_hits: u64,
     /// Compute-table lookups that missed and computed.
     pub compute_misses: u64,
+    /// Nodes visited by node-count walks ([`DdPackage::vec_node_count`]).
+    pub count_nodes: u64,
+    /// Excitation walks: calls of [`DdPackage::excitations`], through
+    /// [`DdPackage::excited_norm_sqr`] and measurements too.
+    pub threshold_walks: u64,
 }
 
 impl TableStats {
@@ -77,6 +82,8 @@ impl TableStats {
                 .saturating_sub(earlier.mat_unique_misses),
             compute_hits: self.compute_hits.saturating_sub(earlier.compute_hits),
             compute_misses: self.compute_misses.saturating_sub(earlier.compute_misses),
+            count_nodes: self.count_nodes.saturating_sub(earlier.count_nodes),
+            threshold_walks: self.threshold_walks.saturating_sub(earlier.threshold_walks),
         }
     }
 
@@ -89,6 +96,8 @@ impl TableStats {
             mat_unique_misses: self.mat_unique_misses + other.mat_unique_misses,
             compute_hits: self.compute_hits + other.compute_hits,
             compute_misses: self.compute_misses + other.compute_misses,
+            count_nodes: self.count_nodes + other.count_nodes,
+            threshold_walks: self.threshold_walks + other.threshold_walks,
         }
     }
 }
@@ -155,6 +164,11 @@ pub struct DdPackage {
     /// `vec_norms[i]` is the squared norm of the sub-vector below vector
     /// node `i` with a unit incoming weight, filled when the node is made.
     pub(crate) vec_norms: Vec<f64>,
+    /// `vec_bounds[i]` bounds the node count below vector node `i` from
+    /// above, filled when the node is made: `1 +` its children's bounds, a
+    /// child both edges share counted once (saturating). Exact for chains
+    /// and product states.
+    pub(crate) vec_bounds: Vec<u32>,
     /// Matrices are built before the mark, so copies of a package share
     /// the matrix arena, copy-on-write.
     pub(crate) mat_nodes: Arc<Vec<MatNode>>,
@@ -188,6 +202,8 @@ pub struct DdPackage {
     pub(crate) visit_marks: Vec<u32>,
     pub(crate) visit_stamp: u32,
     pub(crate) visit_stack: Vec<VecNodeId>,
+    /// States whose counts walks deferred (see [`DdPackage::defer_count`]).
+    pub(crate) deferred: Vec<VecEdge>,
     /// Lifetime table hit/miss counters (diagnostics; see [`TableStats`]).
     pub(crate) counters: TableStats,
     /// Bumped whenever the layers under the open checkpoints change other
@@ -212,6 +228,7 @@ impl Clone for DdPackage {
         self.ctable.clone_from(&source.ctable);
         self.vec_nodes.clone_from(&source.vec_nodes);
         self.vec_norms.clone_from(&source.vec_norms);
+        self.vec_bounds.clone_from(&source.vec_bounds);
         self.mat_nodes = Arc::clone(&source.mat_nodes);
         self.mat_identity = Arc::clone(&source.mat_identity);
         self.vec_unique.clone_from(&source.vec_unique);
@@ -230,6 +247,7 @@ impl Clone for DdPackage {
         self.visit_marks.clear();
         self.visit_stamp = 0;
         self.visit_stack.clear();
+        self.deferred.clear();
         // Deliberately NOT copied from `source`: the counters describe the
         // destination package's lifetime of table traffic, and a re-seat
         // onto another program's template must not erase what this package
@@ -248,6 +266,7 @@ impl DdPackage {
             ctable,
             vec_nodes: Vec::new(),
             vec_norms: Vec::new(),
+            vec_bounds: Vec::new(),
             mat_nodes: Arc::default(),
             mat_identity: Arc::default(),
             vec_unique: Layered::default(),
@@ -266,6 +285,7 @@ impl DdPackage {
             visit_marks: Vec::new(),
             visit_stamp: 0,
             visit_stack: Vec::new(),
+            deferred: Vec::new(),
             counters: TableStats::default(),
             epoch: 0,
         }
@@ -485,6 +505,7 @@ impl DdPackage {
         );
         self.vec_nodes.truncate(checkpoint.vec_nodes);
         self.vec_norms.truncate(checkpoint.vec_nodes);
+        self.vec_bounds.truncate(checkpoint.vec_nodes);
         self.ctable.truncate(checkpoint.complex_values);
         self.vec_unique.unseal();
         self.ct_mat_vec.unseal();
@@ -552,6 +573,7 @@ impl DdPackage {
         self.epoch += 1;
         self.vec_nodes.truncate(self.vec_watermark);
         self.vec_norms.truncate(self.vec_watermark);
+        self.vec_bounds.truncate(self.vec_watermark);
         if self.mat_nodes.len() > self.mat_watermark {
             Arc::make_mut(&mut self.mat_nodes).truncate(self.mat_watermark);
             Arc::make_mut(&mut self.mat_identity).truncate(self.mat_watermark);
@@ -641,8 +663,12 @@ impl DdPackage {
                 let norm = (new_edges.iter().filter(|e| !e.is_zero())).fold(0.0, |total, e| {
                     total + self.ctable.norm_sqr(e.weight) * self.node_norm(e.node)
                 });
+                let [low, high] = new_edges.map(|e| self.vec_size_bound(e));
+                let shared = new_edges[0].node == new_edges[1].node;
+                let bound = 1 + low + if shared { 0 } else { high };
                 self.vec_nodes.push(node);
                 self.vec_norms.push(norm);
+                self.vec_bounds.push(bound.min(u64::from(u32::MAX)) as u32);
                 self.vec_unique.live.insert(node, id);
                 id
             }
@@ -1231,12 +1257,21 @@ mod tests {
 
     /// Everything a rollback must restore, bit for bit.
     #[allow(clippy::type_complexity)]
-    fn contents(dd: &DdPackage) -> (PackageStats, Vec<VecNode>, Vec<u64>, Vec<(u64, u64)>) {
+    fn contents(
+        dd: &DdPackage,
+    ) -> (
+        PackageStats,
+        Vec<VecNode>,
+        Vec<u64>,
+        Vec<u32>,
+        Vec<(u64, u64)>,
+    ) {
         let values = (0..dd.ctable.len() as u32).map(|id| dd.complex_value(ComplexId(id)));
         (
             dd.stats(),
             dd.vec_nodes.clone(),
             dd.vec_norms.iter().map(|norm| norm.to_bits()).collect(),
+            dd.vec_bounds.clone(),
             values.map(|v| (v.re.to_bits(), v.im.to_bits())).collect(),
         )
     }
@@ -1467,15 +1502,22 @@ mod tests {
             shot(&mut dd, Some(flip_after));
             assert!(dd.transient_vec_nodes() > 0);
             assert_eq!(dd.vec_norms.len(), dd.vec_nodes.len());
+            assert_eq!(dd.vec_bounds.len(), dd.vec_nodes.len());
             for id in 0..dd.vec_nodes.len() as u32 {
                 let node = VecNodeId(id);
                 assert_eq!(
                     dd.node_norm(node).to_bits(),
                     recursive_norm(&dd, node).to_bits()
                 );
+                let edge = VecEdge {
+                    node,
+                    weight: ComplexId::ONE,
+                };
+                assert!(dd.vec_size_bound(edge) >= dd.vec_node_count(edge) as u64);
             }
             dd.reset_transient();
             assert_eq!(dd.vec_norms.len(), dd.vec_watermark);
+            assert_eq!(dd.vec_bounds.len(), dd.vec_watermark);
         }
     }
 

@@ -110,13 +110,9 @@ fn ghz_under_noise_keeps_most_mass_on_the_peaks() {
 #[test]
 fn graph_state_diagrams_stay_small() {
     let circuit = ring_graph_state(20);
-    let run = DdSimulator::new().simulate_noiseless(&circuit);
+    let nodes = DdSimulator::new().simulate_noiseless(&circuit).node_count();
     // Ring graph states have bounded-width decision diagrams.
-    assert!(
-        run.node_count() <= 4 * 20,
-        "graph state DD has {} nodes",
-        run.node_count()
-    );
+    assert!(nodes <= 4 * 20, "graph state DD has {nodes} nodes");
 }
 
 #[test]

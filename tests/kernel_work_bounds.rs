@@ -16,7 +16,9 @@
 //! holds whole benchmark-workload jobs (GHZ-64, QFT-16, measured BV-12) to
 //! what the frozen table layer and the kept operators leave to do: an
 //! evolution recomputes what its errors changed, not what compile already
-//! evaluated, and builds each step's state once. There is
+//! evaluated, builds each step's state once, and walks a state for a decay
+//! threshold or a node count only when a draw or the reported peak needs
+//! it. There is
 //! no wall clock here: the property gated is the operation count, which
 //! cannot flake.
 
@@ -204,6 +206,10 @@ struct JobWork {
     nodes_created: u64,
     /// Child buckets forked off their parent's walk.
     forks: u64,
+    /// Nodes visited by node-count walks (peak and final-size bookkeeping).
+    count_nodes: u64,
+    /// Excitation walks: decay thresholds and measurement probabilities.
+    threshold_walks: u64,
 }
 
 /// Runs `shots` deduplicated shots on `threads` workers and sums the table
@@ -236,6 +242,8 @@ fn traced_job(engine: &ShotEngine, shots: usize, threads: usize) -> JobWork {
         compute_misses: sum("dd_compute_misses"),
         nodes_created: sum("dd_unique_misses"),
         forks: sum("forks"),
+        count_nodes: sum("dd_count_nodes"),
+        threshold_walks: sum("dd_threshold_walks"),
     }
 }
 
@@ -278,6 +286,14 @@ fn evolutions_recompute_only_what_their_errors_changed() {
     assert!(ghz64.compute_misses <= 1_700_000, "{ghz64:?}");
     assert!(ghz64.nodes_created <= 700_000, "{ghz64:?}");
     assert!(qft16.compute_misses <= 365_000, "{qft16:?}");
+    // A damping draw reads its threshold only when its uniform lands under
+    // γ, and a walk counts a state only when its size bound exceeds the
+    // peak, deferred to the walk's end or next fork (52 756 and 54 461
+    // excitation walks, 4 917 695 and 883 936 nodes counted).
+    assert!(ghz64.threshold_walks <= 2_000, "{ghz64:?}");
+    assert!(ghz64.count_nodes <= 1_500_000, "{ghz64:?}");
+    assert!(qft16.threshold_walks <= 1_000, "{qft16:?}");
+    assert!(qft16.count_nodes <= 50_000, "{qft16:?}");
     let shared = |job: &JobWork| (job.stats.unique_trajectories, job.stats.live_shots);
     assert_eq!(shared(&ghz64), (2_107, 1_467));
     assert_eq!(shared(&qft16), (746, 524));
