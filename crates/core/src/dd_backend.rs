@@ -18,14 +18,16 @@ use std::collections::BTreeMap;
 
 use qsdd_circuit::{Circuit, Operation};
 use qsdd_dd::{DdPackage, MatEdge, Matrix2, VecEdge};
-use qsdd_noise::{ErrorChannel, ErrorEvent, ErrorPattern, NoiseModel, PresamplePlan, SiteChannel};
+use qsdd_noise::{
+    ErrorChannel, ErrorEvent, ErrorPattern, NoiseModel, PresamplePlan, SiteChannel, Survival,
+};
 use qsdd_telemetry::trace;
 use rand::rngs::StdRng;
 
 use crate::backend::{next_program_id, pack_clbits, SingleRun, StochasticBackend};
 use crate::deadline::TimedOut;
 use crate::decisions::{Decisions, NoError, Replayed, Sampled};
-use crate::dedup::{group_span, DedupSupport, Evolutions, Members, TrajectoryWork};
+use crate::dedup::{group_span, DedupSupport, Evolutions, Members, Parked, TrajectoryWork};
 use crate::estimator::Observable;
 use crate::stochastic::{trace_dd_attrs, trace_dd_stats};
 
@@ -64,6 +66,8 @@ enum DdStep {
         /// operands in declaration order). Empty when the program is
         /// noiseless.
         noise_qubits: Vec<usize>,
+        /// The program-wide index of the step's first exposure site.
+        first_site: u32,
     },
     /// Projective measurement into a classical bit.
     Measure { qubit: usize, clbit: usize },
@@ -126,11 +130,11 @@ const TRAJECTORY_NODE_BUDGET: usize = 1 << 19;
 /// excitation walk ([`DdPackage::excitations`]), the folded factors divided
 /// back out to get the gate output's joint populations, each threshold as
 /// `γ·P(qubit = 1 | the earlier keeps of this step)` — but only when a draw
-/// needs them: a threshold is at most `γ` up to round-off (`decay_bound`),
-/// so a uniform at or above that bound keeps without it (under the paper's
-/// γ = 0.002, all but ~0.2 % of draws). Trajectory recording, the fast-forward and live steps all take
-/// kept steps through the kernel, and draw their decisions through one
-/// loop; an exposure that deviates rebuilds the step from its entering
+/// needs them: only a damping exposure that is its shot's next candidate
+/// ([`qsdd_noise::presample`]) reads a threshold, ~0.2 % of exposures under
+/// the paper's γ = 0.002. Trajectory recording, the fast-forward and live
+/// steps all take kept steps through the kernel, and draw their decisions
+/// through one loop; an exposure that deviates rebuilds the step from its entering
 /// state (the gate, the keeps before it, the event) and finishes it
 /// exposure by exposure. Steps touching three or more qubits, and `γ = 1`
 /// (where the kept state is zero and nothing can be unfolded), evolve
@@ -195,6 +199,11 @@ pub struct DdProgram {
     /// state-dependent channel is present — only steps whose damping
     /// thresholds the trajectory precomputed.
     dedup_prefix: usize,
+    /// The candidate process of every exposure site ([`qsdd_noise::presample`]).
+    survival: Survival,
+    /// The first site past the deduplicable prefix, where a live walk draws
+    /// a fresh first candidate.
+    prefix_sites: u32,
     /// The `|0...0>` initial state, prebuilt in the persistent region.
     initial: VecEdge,
     /// Node count of the initial state.
@@ -235,26 +244,22 @@ impl DdProgram {
 
     /// The step and the exposure offset in it of exposure site `site`.
     fn exposure(&self, site: u32) -> (usize, usize) {
-        let mut site = site as usize;
-        for (index, step) in self.steps.iter().enumerate() {
-            if let DdStep::Apply { noise_qubits, .. } = step {
-                match site.checked_sub(noise_qubits.len() * self.channels.len()) {
-                    Some(later) => site = later,
-                    None => return (index, site),
-                }
-            }
-        }
-        unreachable!("exposure site beyond the program")
+        let started = |s: &_| matches!(s, &DdStep::Apply { first_site, .. } if first_site <= site);
+        let index = self.steps.iter().rposition(started);
+        let index = index.expect("exposure site within the program");
+        (index, (site - self.apply(index).3) as usize)
     }
 
-    /// The operator, kept operator and exposed qubits of Apply step `index`.
-    fn apply(&self, index: usize) -> (MatEdge, Option<MatEdge>, &[usize]) {
+    /// The operator, kept operator, exposed qubits and first exposure site
+    /// of Apply step `index`.
+    fn apply(&self, index: usize) -> (MatEdge, Option<MatEdge>, &[usize], u32) {
         match &self.steps[index] {
             DdStep::Apply {
                 op,
                 kept,
                 noise_qubits,
-            } => (*op, *kept, noise_qubits),
+                first_site,
+            } => (*op, *kept, noise_qubits, *first_site),
             _ => unreachable!("members deviate in Apply steps, the prefix holds only them"),
         }
     }
@@ -367,6 +372,7 @@ impl StochasticBackend for DdSimulator {
         let mut steps = Vec::with_capacity(circuit.len());
         let mut measured_any = false;
         let mut touched = vec![false; n];
+        let mut rates = Vec::new();
 
         // The keep factor folded into the operators of one- and two-qubit
         // steps (see the `DdProgram` docs).
@@ -418,10 +424,15 @@ impl StochasticBackend for DdSimulator {
             }
             let kept = (keep.filter(|_| noise_qubits.len() <= 2))
                 .map(|factor| base.scale_rows(op_dd, &noise_qubits, factor));
+            let first_site = rates.len() as u32;
+            for _ in &noise_qubits {
+                rates.extend(channels.iter().map(ErrorChannel::candidate_rate));
+            }
             steps.push(DdStep::Apply {
                 op: op_dd,
                 kept,
                 noise_qubits,
+                first_site,
             });
         }
 
@@ -462,6 +473,8 @@ impl StochasticBackend for DdSimulator {
             damping,
             trajectory: Vec::new(),
             dedup_prefix: 0,
+            survival: Survival::new(rates),
+            prefix_sites: 0,
             initial,
             initial_nodes,
             base: DdPackage::new(),
@@ -510,6 +523,12 @@ impl StochasticBackend for DdSimulator {
         } else {
             first_nonapply
         };
+        program.prefix_sites = (program.steps[program.dedup_prefix..].iter())
+            .find_map(|step| match step {
+                DdStep::Apply { first_site, .. } => Some(*first_site),
+                _ => None,
+            })
+            .unwrap_or(program.survival.len() as u32);
         program.trajectory = trajectory;
 
         // The trajectory's unrecorded continuation (see the `DdProgram`
@@ -544,7 +563,8 @@ impl StochasticBackend for DdSimulator {
         rng: &mut StdRng,
     ) -> SingleRun<VecEdge> {
         ctx.seat(program);
-        Walk::start(program).finish_live(program, &mut ctx.package, 0, rng)
+        let next = program.survival.next(rng, 0, program.prefix_sites);
+        Walk::start(program).finish_live(program, &mut ctx.package, 0, rng, next)
     }
 
     fn evaluate(
@@ -594,7 +614,8 @@ impl StochasticBackend for DdSimulator {
                 for &channel in &program.channels {
                     sites.push(if channel.state_dependent() {
                         let p_decay = *p_decay.next().expect("recorded damping threshold");
-                        SiteChannel::Damping { p_decay }
+                        let gamma = channel.probability();
+                        SiteChannel::Damping { gamma, p_decay }
                     } else {
                         SiteChannel::Passive(channel)
                     });
@@ -712,10 +733,11 @@ impl StochasticBackend for DdSimulator {
         };
         // Each member but the last resumes from a checkpoint at the end of
         // the prefix: the package a per-shot execution holds there.
+        let (from, next) = (program.dedup_prefix, program.prefix_sites);
         for index in 0..members.len() {
             let checkpoint = (index + 1 < members.len()).then(|| ctx.package.checkpoint());
             let (shot, rng) = &mut members[index];
-            let run = walk.finish_live(program, &mut ctx.package, program.dedup_prefix, rng);
+            let run = walk.finish_live(program, &mut ctx.package, from, rng, next);
             out.emit_live(self, program, ctx, run, *shot);
             if checkpoint.is_some_and(|checkpoint| !ctx.package.rollback(checkpoint)) {
                 for &(shot, _) in &members[index + 1..] {
@@ -744,7 +766,7 @@ impl StochasticBackend for DdSimulator {
         let (dd, mut replayed) = (&mut ctx.package, Replayed::new(&work.pattern, None));
         let mut walk = Walk::start(program).run(program, dd, 0..index, &mut replayed, &mut []);
         let unitary = (event.error != ErrorEvent::DECAY).then_some(usize::from(event.error));
-        let (op, _, qubits) = program.apply(index);
+        let (op, _, qubits, _) = program.apply(index);
         walk.deviate(program, dd, op, qubits, offset, unitary);
         let mut tree = Tree {
             backend: self,
@@ -752,31 +774,40 @@ impl StochasticBackend for DdSimulator {
             ctx,
             out,
         };
-        tree.carry(walk, (index, offset + 1), 1, work.members)
+        tree.carry(walk, (index, offset + 1), 1, work.parked)
     }
 }
 
 /// The members that deviated at one decision point, keyed by what they
 /// drew: the exposure offset in the step and the unitary error that fired
 /// (`None`: a decay).
-type Forks = BTreeMap<(usize, Option<usize>), Members>;
+type Forks = BTreeMap<(usize, Option<usize>), Parked>;
 
-/// Moves every member for which `draw` returns an event into its child.
+/// Resolves the members (sorted by next candidate) whose candidate lies
+/// before site `end` with `draw`, moving each one that fires into its child;
+/// the others pass without a draw.
 fn split(
-    members: &mut Members,
-    mut draw: impl FnMut(&mut StdRng) -> Option<(usize, Option<usize>)>,
+    program: &DdProgram,
+    members: &mut Parked,
+    end: u32,
+    mut draw: impl FnMut(&mut Sampled<'_>) -> Option<(usize, Option<usize>)>,
 ) -> Forks {
     let mut children = Forks::new();
-    members.retain_mut(|(shot, rng)| {
-        let event = draw(rng);
-        if let Some(event) = event {
-            children
-                .entry(event)
-                .or_default()
-                .push((*shot, rng.clone()));
+    let due = members.partition_point(|&(next, ..)| next < end);
+    if due == 0 {
+        return children;
+    }
+    let due: Parked = members.drain(..due).collect();
+    for (next, shot, mut rng) in due {
+        let mut sampled = Sampled::new(&mut rng, &program.survival, next, program.prefix_sites);
+        let event = draw(&mut sampled);
+        let member = (sampled.next, shot, rng);
+        match event {
+            Some(event) => children.entry(event).or_default().push(member),
+            None => members.push(member),
         }
-        event.is_none()
-    });
+    }
+    members.sort_by_key(|&(next, ..)| next);
     children
 }
 
@@ -794,47 +825,51 @@ impl Tree<'_, '_> {
     /// where they fan out of the shared state.
     ///
     /// At every decision point — after a kept step's kernel, and at each
-    /// exposure of a step taken exposure by exposure — each member makes
-    /// the draw its live shot makes there; the members that fire an event
-    /// form a child bucket of `events + 1` events, forked off the walk right
-    /// there ([`fork`](Self::fork)). A bucket of one continues live from its
-    /// parked generator. (Live draws read no site number: sites are 0.)
+    /// exposure of a step taken exposure by exposure — the members whose
+    /// next candidate lies there make the draws their live shots make; the
+    /// members that fire an event form a child bucket of `events + 1`
+    /// events, forked off the walk right there ([`fork`](Self::fork)). A
+    /// bucket of one continues live from its parked stream.
     fn carry(
         &mut self,
         mut walk: Walk,
         at: (usize, usize),
         events: usize,
-        mut members: Members,
+        mut members: Parked,
     ) -> Result<(), TimedOut> {
         let (program, (mut index, mut resolved)) = (self.program, at);
         let width = program.channels.len();
-        if let [(shot, rng)] = &mut members[..] {
+        if let [(next, shot, rng)] = &mut members[..] {
             self.out.stats.live_shots += 1;
-            let (dd, (_, _, qubits)) = (&mut self.ctx.package, program.apply(index));
-            walk.expose(program, dd, qubits, resolved, 0, &mut Sampled(rng));
+            let (dd, (_, _, qubits, first_site)) = (&mut self.ctx.package, program.apply(index));
+            let mut sampled = Sampled::new(rng, &program.survival, *next, program.prefix_sites);
+            walk.expose(program, dd, qubits, resolved, first_site, &mut sampled);
             walk.note(dd);
-            let run = walk.finish_live(program, dd, index + 1, rng);
+            let next = sampled.next;
+            let run = walk.finish_live(program, dd, index + 1, rng, next);
             (self.out).emit_live(self.backend, program, self.ctx, run, *shot);
             return Ok(());
         }
+        members.sort_by_key(|&(next, ..)| next);
         let _span = group_span(members.len(), events);
         let dd_before = trace_dd_stats(|| self.ctx.package.table_stats());
         let mut forks = 0;
         let finished = 'walk: {
             while index < program.dedup_prefix {
-                let (op, kept, qubits) = program.apply(index);
+                let (op, kept, qubits, first_site) = program.apply(index);
                 let exposures = qubits.len() * width;
                 match kept.filter(|_| resolved == 0) {
                     Some(kept) => {
                         let dd = &mut self.ctx.package;
                         let (folded, after) = kept_step(dd, kept, walk.state);
+                        let end = first_site + exposures as u32;
                         let children = {
                             // Read once, by the first member whose draw needs it.
                             let mut read =
                                 read_once(|| kept_thresholds(dd, folded, qubits, program));
-                            split(&mut members, |rng| {
+                            split(program, &mut members, end, |sampled| {
                                 let mut p_decay = |k: usize| read()[k];
-                                fast_forward(program, qubits, &mut p_decay, 0, &mut Sampled(rng))
+                                fast_forward(program, qubits, &mut p_decay, first_site, sampled)
                             })
                         };
                         forks += children.len();
@@ -858,14 +893,14 @@ impl Tree<'_, '_> {
                     let keep = program.noise_ops[channel].kraus[qubit].map(|[_decay, keep]| keep);
                     let channel = &program.channels[channel];
                     let (dd, state) = (&mut self.ctx.package, walk.state);
-                    let bound = decay_bound(channel.probability());
+                    let site = first_site + offset as u32;
                     let children = {
                         let mut p_decay =
                             read_once(|| decay_probability(dd, channel, state, qubit));
-                        split(&mut members, |rng| match keep {
-                            None => Sampled(rng).error(0, channel).map(|u| (offset, Some(u))),
+                        split(program, &mut members, site + 1, |sampled| match keep {
+                            None => sampled.error(site, channel).map(|u| (offset, Some(u))),
                             Some(_) => {
-                                let decays = Sampled(rng).decays(0, bound, &mut p_decay);
+                                let decays = sampled.decays(site, channel, &mut p_decay);
                                 decays.then_some((offset, None))
                             }
                         })
@@ -889,6 +924,9 @@ impl Tree<'_, '_> {
         };
         if let Some(walk) = finished {
             let run = walk.prefix_run(program, &mut self.ctx.package);
+            let mut members: Members = (members.into_iter())
+                .map(|(_, shot, rng)| (shot, rng))
+                .collect();
             (self.out).finish(self.backend, program, self.ctx, run, &mut members);
         }
         trace::attr("forks", forks);
@@ -912,7 +950,7 @@ impl Tree<'_, '_> {
         &mut self,
         children: Forks,
         (index, events): (usize, usize),
-        members: &mut Members,
+        members: &mut Parked,
         walk: &mut Walk,
         deviate: impl Fn(&mut DdPackage, Walk, usize, Option<usize>) -> Walk,
     ) -> Result<bool, TimedOut> {
@@ -928,7 +966,7 @@ impl Tree<'_, '_> {
             self.carry(forked, (index, offset + 1), events + 1, child)?;
             if checkpoint.is_some_and(|checkpoint| !self.ctx.package.rollback(checkpoint)) {
                 let rest = children.flat_map(|(_, members)| members);
-                for (shot, _) in rest.chain(members.drain(..)) {
+                for (_, shot, _) in rest.chain(members.drain(..)) {
                     (self.out).rerun(self.backend, self.program, self.ctx, shot);
                 }
                 return Ok(false);
@@ -988,16 +1026,15 @@ impl Walk {
         decisions: &mut D,
         clbits: &mut [bool],
     ) -> Walk {
-        let mut site = 0u32;
         for index in steps {
             match &program.steps[index] {
                 DdStep::Apply {
                     op,
                     kept,
                     noise_qubits,
+                    first_site,
                 } => {
-                    let first_site = site;
-                    site += (noise_qubits.len() * program.channels.len()) as u32;
+                    let first_site = *first_site;
                     // The step's no-deviation outcome, recorded on the
                     // trajectory or built by the step kernel, and the first
                     // deviation drawn against its thresholds — which the
@@ -1140,9 +1177,9 @@ impl Walk {
                     // (Example 6 of the paper). The decay threshold is read
                     // off the state, if the draw needs it, before either
                     // branch: only the branch the decision selects is built.
-                    let (bound, state) = (decay_bound(channel.probability()), self.state);
+                    let state = self.state;
                     let p_decay = || decay_probability(dd, channel, state, qubit);
-                    let decays = decisions.decays(site, bound, p_decay);
+                    let decays = decisions.decays(site, channel, p_decay);
                     if !decays {
                         self.state = dd.apply_kraus(keep, self.state).1;
                     }
@@ -1155,18 +1192,25 @@ impl Walk {
         }
     }
 
-    /// Walks steps `from..` live with the shot's generator `rng` and closes
-    /// the walk into the shot's result.
+    /// Walks steps `from..` live and closes the walk into the shot's
+    /// result: the rest of the deduplicable prefix with the shot's stream
+    /// at candidate `next`, then the steps behind it with a stream that
+    /// draws its first candidate where they start.
     fn finish_live(
         self,
         program: &DdProgram,
         dd: &mut DdPackage,
         from: usize,
         rng: &mut StdRng,
+        next: u32,
     ) -> SingleRun<VecEdge> {
         let mut clbits = vec![false; program.num_clbits];
-        let steps = from..program.steps.len();
-        let walk = self.run(program, dd, steps, &mut Sampled(rng), &mut clbits);
+        let (survival, sites) = (&program.survival, program.prefix_sites);
+        let (tail, steps) = (from.max(program.dedup_prefix), program.steps.len());
+        let mut prefix = Sampled::new(rng, survival, next, sites);
+        let walk = self.run(program, dd, from..tail, &mut prefix, &mut clbits);
+        let mut rest = Sampled::start(rng, survival, sites, survival.len() as u32);
+        let walk = walk.run(program, dd, tail..steps, &mut rest, &mut clbits);
         walk.finish_shot(program, dd, clbits, rng)
     }
 
@@ -1232,7 +1276,7 @@ fn fast_forward<D: Decisions>(
         if program.noise_ops[index].kraus[qubit].is_some() {
             let k = damping;
             damping += 1;
-            if decisions.decays(site, decay_bound(channel.probability()), || p_decay(k)) {
+            if decisions.decays(site, channel, || p_decay(k)) {
                 return Some((offset, None));
             }
         } else if let Some(u) = decisions.error(site, channel) {
@@ -1247,13 +1291,6 @@ fn fast_forward<D: Decisions>(
 fn read_once<T: Copy>(mut read: impl FnMut() -> T) -> impl FnMut() -> T {
     let mut value = None;
     move || *value.get_or_insert_with(&mut read)
-}
-
-/// An upper bound of every decay threshold of a damping channel of
-/// probability `gamma`: a threshold is `γ` times a population share, which
-/// round-off may lift a hair above one.
-fn decay_bound(gamma: f64) -> f64 {
-    gamma * (1.0 + 1e-9)
 }
 
 /// The step kernel of a kept step (see the [`DdProgram`] docs): applies the
@@ -1313,7 +1350,7 @@ fn decay_probability(
 mod tests {
     use super::*;
     use qsdd_circuit::generators::{bernstein_vazirani, ghz, qft, random_circuit, w_state};
-    use qsdd_noise::ErrorEvent;
+    use qsdd_noise::{decay_bound, ErrorEvent};
     use rand::{Rng, SeedableRng};
 
     /// A live walk at `state`.
@@ -1360,9 +1397,9 @@ mod tests {
 
     #[test]
     fn lazy_thresholds_never_exceed_their_bound() {
-        // A uniform at or above `decay_bound(γ)` keeps without reading the
-        // threshold, which equals comparing it with the threshold only if
-        // no threshold exceeds the bound. Random states and every basis
+        // A damping candidate, drawn at rate `decay_bound(γ)`, decays with
+        // probability `p_decay / bound`: its threshold only if no threshold
+        // exceeds the bound. Random states and every basis
         // state (a touched qubit fully excited, where round-off can lift a
         // population share above one) enter each step, kept or not.
         let n = 5;
@@ -1375,7 +1412,7 @@ mod tests {
                 let program = DdSimulator::new().compile(&circuit, &noise);
                 let mut dd = program.base.clone();
                 for index in 0..program.steps.len() {
-                    let (op, kept, qubits) = program.apply(index);
+                    let (op, kept, qubits, _) = program.apply(index);
                     for basis in 0..(1 << n) + 8 {
                         let entering = if basis < 1 << n {
                             dd.basis_state_from_index(n, basis)
@@ -1399,22 +1436,22 @@ mod tests {
         }
     }
 
-    /// Live decisions that read every threshold, as each draw did before a
-    /// uniform above the bound spared the read.
-    struct Eager<'a>(&'a mut StdRng);
+    /// Live decisions that read every threshold, as every damping exposure
+    /// did before only candidates read them.
+    struct Eager<'a>(Sampled<'a>);
 
     impl Decisions for Eager<'_> {
         fn error(&mut self, site: u32, channel: &ErrorChannel) -> Option<usize> {
-            Sampled(self.0).error(site, channel)
+            self.0.error(site, channel)
         }
 
-        fn decays(&mut self, site: u32, _bound: f64, p_decay: impl FnOnce() -> f64) -> bool {
-            let p_decay = p_decay();
-            Sampled(self.0).decays(site, f64::INFINITY, || p_decay)
+        fn decays(&mut self, site: u32, channel: &ErrorChannel, p: impl FnOnce() -> f64) -> bool {
+            let p_decay = p();
+            self.0.decays(site, channel, || p_decay)
         }
 
         fn rng(&mut self) -> &mut StdRng {
-            self.0
+            self.0.rng()
         }
     }
 
@@ -1429,9 +1466,11 @@ mod tests {
             eager.seat(&program);
             let (dd, mut rng) = (&mut eager.package, StdRng::seed_from_u64(seed));
             let mut clbits = vec![false; program.num_clbits];
-            let steps = 0..program.steps.len();
+            // GHZ is unitary: one stream over the whole program.
+            let (steps, sites) = (0..program.steps.len(), program.survival.len() as u32);
+            let mut eager_draws = Eager(Sampled::start(&mut rng, &program.survival, 0, sites));
             let walk =
-                Walk::start(&program).run(&program, dd, steps, &mut Eager(&mut rng), &mut clbits);
+                Walk::start(&program).run(&program, dd, steps, &mut eager_draws, &mut clbits);
             let twin = walk.finish_shot(&program, dd, clbits, &mut rng);
             assert_eq!(reported(run), reported(twin), "shot {seed}");
         }
@@ -1469,9 +1508,18 @@ mod tests {
                 let (dd, mut walk) = (&mut ctx.package, Walk::start(&program));
                 let (mut clbits, mut peak) =
                     (vec![false; program.num_clbits], program.initial_nodes);
+                // The shot's stream: the prefix's, then one drawn afresh.
+                let (survival, mut end) = (&program.survival, program.prefix_sites);
+                let mut next = survival.next(&mut twin, 0, end);
                 for index in 0..program.steps.len() {
+                    if index == program.dedup_prefix {
+                        (next, end) = (end, survival.len() as u32);
+                        next = survival.next(&mut twin, next, end);
+                    }
                     let step = index..index + 1;
-                    walk = walk.run(&program, dd, step, &mut Sampled(&mut twin), &mut clbits);
+                    let mut sampled = Sampled::new(&mut twin, survival, next, end);
+                    walk = walk.run(&program, dd, step, &mut sampled, &mut clbits);
+                    next = sampled.next;
                     let count = dd.vec_node_count(walk.state) as u64;
                     let bound = dd.vec_size_bound(walk.state);
                     assert!(
@@ -1751,9 +1799,10 @@ mod tests {
             let run = backend.run_shot(&program, &mut ctx, &mut rng);
             assert_eq!(run.outcome, 0, "both qubits must end in |0>");
             assert_eq!(run.error_events, 2);
-            // Four exposures and two sampled qubits, one draw each.
+            // Four certain candidates — a waiting time before each and a
+            // thinning draw at each — and two sampled qubits, one draw each.
             let mut reference = StdRng::seed_from_u64(seed);
-            for _ in 0..6 {
+            for _ in 0..10 {
                 let _ = reference.gen::<f64>();
             }
             assert_eq!(rng.gen::<u64>(), reference.gen::<u64>());
@@ -1844,6 +1893,7 @@ mod tests {
                 op,
                 kept: Some(kept),
                 noise_qubits,
+                first_site,
             } = step
             else {
                 panic!("step {index} is not kept");
@@ -1854,7 +1904,7 @@ mod tests {
             let (mut sequential, mut thresholds) = (walk(dd.mat_vec_mul(*op, entering)), vec![]);
             let no_events = ErrorPattern::default();
             let mut learn = Replayed::new(&no_events, Some(&mut thresholds));
-            sequential.expose(&program, &mut dd, noise_qubits, 0, 0, &mut learn);
+            sequential.expose(&program, &mut dd, noise_qubits, 0, *first_site, &mut learn);
             let (folded, after) = kept_step(&mut dd, *kept, entering);
             let p_decay = kept_thresholds(&mut dd, folded, noise_qubits, &program);
             assert_eq!(thresholds.len(), noise_qubits.len());
@@ -1867,14 +1917,21 @@ mod tests {
             for offset in 0..noise_qubits.len() * width {
                 let decay = program.channels[offset % width].state_dependent();
                 let error = if decay { ErrorEvent::DECAY } else { 0 };
-                let site = offset as u32;
+                let site = first_site + offset as u32;
                 let pattern = ErrorPattern::default().with_event(ErrorEvent { site, error });
                 let mut replayed = Replayed::new(&pattern, None);
                 let deviated =
                     walk(entering).run(&program, &mut dd, index..index + 1, &mut replayed, &mut []);
                 let mut sequential = walk(dd.mat_vec_mul(*op, entering));
                 let mut replayed = Replayed::new(&pattern, None);
-                sequential.expose(&program, &mut dd, noise_qubits, 0, 0, &mut replayed);
+                sequential.expose(
+                    &program,
+                    &mut dd,
+                    noise_qubits,
+                    0,
+                    *first_site,
+                    &mut replayed,
+                );
                 assert_eq!(deviated.error_events, 1);
                 assert_eq!(
                     deviated.state, sequential.state,
@@ -1907,7 +1964,7 @@ mod tests {
                 let mut sink = |shot: u64, sample, _: &[f64]| records[shot as usize] = Some(sample);
                 let (deadline, mut ctx) = (Deadline::unbounded(), backend.new_context());
                 let mut out = Evolutions::new(&support, &[], seed, &deadline, &mut sink);
-                for work in plan_range(&support.plan, 0..shots as u64, seed) {
+                for work in plan_range(&support.plan, 0..shots as u64, seed).0 {
                     run_work(&backend, &program, &mut ctx, work, &mut out).unwrap();
                 }
                 evolutions.push(out.stats.unique_trajectories);

@@ -5,59 +5,77 @@
 //! event list ([`Replayed`]) or, once per program, none ([`NoError`]). The
 //! operator sequence is the same either way, so a replay reaches the state,
 //! and reads the damping thresholds, of every shot that draws the pattern's
-//! decisions live — bit for bit. Sites are numbered from the walk's start
+//! decisions live — bit for bit. Sites are numbered over the whole program
 //! in protocol order, like the presample plan's.
 
-use qsdd_noise::{ErrorChannel, ErrorEvent, ErrorPattern, SampledError};
+use qsdd_noise::{ErrorChannel, ErrorEvent, ErrorPattern, Survival};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// The source of a walk's stochastic decisions.
 pub(crate) trait Decisions {
     /// The unitary error a passive exposure fires, if any.
     fn error(&mut self, site: u32, channel: &ErrorChannel) -> Option<usize>;
-    /// Whether a damping exposure whose decay branch has probability
-    /// `p_decay()`, at most `bound`, decays. The threshold is a walk over
-    /// the state, so it is read only when the decision depends on it.
-    fn decays(&mut self, site: u32, bound: f64, p_decay: impl FnOnce() -> f64) -> bool;
+    /// Whether a damping exposure whose decay branch has probability `p()`
+    /// decays. The threshold is a walk over the state, so it is read only
+    /// when the decision depends on it.
+    fn decays(&mut self, site: u32, channel: &ErrorChannel, p: impl FnOnce() -> f64) -> bool;
     /// The generator measurements and resets draw from.
     fn rng(&mut self) -> &mut StdRng;
 }
 
-/// Live decisions: one `sample_error` per passive exposure, one uniform
-/// draw per damping exposure (the damping channel consumes no randomness in
-/// `sample_error`; the branch decision is its single draw). A uniform at or
-/// above the threshold's bound keeps without reading the threshold.
-pub(crate) struct Sampled<'a>(pub(crate) &'a mut StdRng);
+/// Live decisions: a shot's generator and its next candidate site over the
+/// sites before `end` (see [`qsdd_noise::presample`]). An exposure that is
+/// not the next candidate fires nothing and draws nothing; the candidate
+/// draws what decides it, then the candidate after it.
+pub(crate) struct Sampled<'a> {
+    pub(crate) rng: &'a mut StdRng,
+    survival: &'a Survival,
+    /// The next candidate, `end` once the sites before it have none left.
+    pub(crate) next: u32,
+    end: u32,
+}
+
+impl<'a> Sampled<'a> {
+    /// Continues a stream whose next candidate is `next`.
+    pub(crate) fn new(rng: &'a mut StdRng, survival: &'a Survival, next: u32, end: u32) -> Self {
+        Sampled {
+            rng,
+            survival,
+            next,
+            end,
+        }
+    }
+
+    /// Starts a stream over sites `from..end`: draws its first candidate.
+    pub(crate) fn start(rng: &'a mut StdRng, survival: &'a Survival, from: u32, end: u32) -> Self {
+        let next = survival.next(rng, from, end);
+        Sampled::new(rng, survival, next, end)
+    }
+}
 
 impl Decisions for Sampled<'_> {
     #[inline]
-    fn error(&mut self, _site: u32, channel: &ErrorChannel) -> Option<usize> {
-        match channel.sample_error(self.0) {
-            SampledError::None => None,
-            SampledError::Unitary(u) => Some(u),
-            SampledError::Kraus => {
-                unreachable!("passive exposures come from unitary-equivalent channels")
-            }
+    fn error(&mut self, site: u32, channel: &ErrorChannel) -> Option<usize> {
+        if site != self.next {
+            return None;
         }
+        let fired = channel.resolve_candidate(self.rng);
+        self.next = self.survival.next(self.rng, site + 1, self.end);
+        fired
     }
 
     #[inline]
-    fn decays(&mut self, _site: u32, bound: f64, p_decay: impl FnOnce() -> f64) -> bool {
-        let u = self.0.gen::<f64>();
-        if u >= bound {
+    fn decays(&mut self, site: u32, channel: &ErrorChannel, p: impl FnOnce() -> f64) -> bool {
+        if site != self.next {
             return false;
         }
-        let p_decay = p_decay();
-        debug_assert!(
-            p_decay <= bound,
-            "threshold {p_decay} above its bound {bound}"
-        );
-        u < p_decay
+        let decays = channel.candidate_decays(self.rng, p);
+        self.next = self.survival.next(self.rng, site + 1, self.end);
+        decays
     }
 
     fn rng(&mut self) -> &mut StdRng {
-        self.0
+        self.rng
     }
 }
 
@@ -70,7 +88,7 @@ impl Decisions for NoError {
         None
     }
 
-    fn decays(&mut self, _site: u32, _bound: f64, _p_decay: impl FnOnce() -> f64) -> bool {
+    fn decays(&mut self, _: u32, _: &ErrorChannel, _: impl FnOnce() -> f64) -> bool {
         false
     }
 
@@ -119,7 +137,7 @@ impl Decisions for Replayed<'_> {
     }
 
     #[inline]
-    fn decays(&mut self, site: u32, _bound: f64, p_decay: impl FnOnce() -> f64) -> bool {
+    fn decays(&mut self, site: u32, _: &ErrorChannel, p_decay: impl FnOnce() -> f64) -> bool {
         if self.exhausted() {
             if let Some(learned) = &mut self.learned {
                 learned.push(p_decay());

@@ -6,7 +6,7 @@
 //! shots are identical. This module removes that multiplication:
 //!
 //! 1. **Presample** — every shot's error decisions are resolved up front
-//!    (in parallel) from its deterministic per-`(seed, shot)` generator via
+//!    from its deterministic per-`(seed, shot)` generator via
 //!    the state-independent [`PresamplePlan`] of the compiled program,
 //!    consuming the random stream exactly like live execution would.
 //! 2. **Group** — shots are keyed by their compact [`ErrorPattern`]; equal
@@ -125,131 +125,115 @@ pub struct DedupStats {
 /// Member shots of one pattern: shot index plus the shot's generator.
 pub(crate) type Members = Vec<(u64, StdRng)>;
 
+/// Members parked after a deviation: each shot's next candidate site, index
+/// and generator. A bucket walk keeps them sorted by the site, so a
+/// decision point visits only the members whose candidate lies there.
+pub(crate) type Parked = Vec<(u32, u64, StdRng)>;
+
 /// One unit of deduplicated work: the shots that drew `pattern`.
 #[derive(Debug)]
 pub struct TrajectoryWork {
     pub(crate) pattern: ErrorPattern,
+    /// A trajectory group's members: the pattern is their whole trajectory
+    /// and their generators sit after the prefix's last draw. Empty for a
+    /// deviation bucket.
     pub(crate) members: Members,
-    /// `false` for a trajectory group: the pattern is the members' whole
-    /// trajectory and their generators sit after the last covered exposure.
-    /// `true` for a deviation bucket: the members left the no-error path at
-    /// the pattern's last event with state-dependent sites still ahead, and
-    /// their generators are parked right after that event.
-    pub(crate) parked: bool,
+    /// A deviation bucket's members: they left the no-error path at the
+    /// pattern's one event with state-dependent sites still ahead, streams
+    /// parked right after it. Empty for a trajectory group.
+    pub(crate) parked: Parked,
 }
 
 impl TrajectoryWork {
     /// Number of member shots the work item accounts for.
     pub fn shots(&self) -> usize {
-        self.members.len()
+        self.members.len() + self.parked.len()
+    }
+
+    /// `true` for a deviation bucket.
+    pub(crate) fn is_bucket(&self) -> bool {
+        !self.parked.is_empty()
     }
 }
 
-/// What one presampling pass collected over a contiguous shot range: work
+/// What presampling collected over a contiguous shot range: work
 /// items in first-appearance order, members in shot order.
 #[derive(Default)]
-struct WorkerGroups {
+struct Groups {
     /// Pattern → slot into `work`, fast-hashed (trusted tiny keys). A
     /// deviation's single-event pattern never equals a finished one (its
     /// event is a decay or lies ahead of the last damping site).
     index: FxHashMap<ErrorPattern, usize>,
     work: Vec<TrajectoryWork>,
+    /// The waiting-time uniforms presampling drew.
+    uniforms: u64,
 }
 
-impl WorkerGroups {
+impl Groups {
     #[inline]
     fn presample_range(&mut self, plan: &PresamplePlan, range: std::ops::Range<u64>, seed: u64) {
         for shot in range {
             let mut rng = shot_rng(seed, shot);
             // Either way the generator is kept: it sits exactly where live
             // execution would after the exposures resolved so far.
-            let (pattern, parked) = match plan.presample(&mut rng) {
-                Presampled::Pattern(pattern) => (pattern, false),
-                Presampled::Deviated(event) => (ErrorPattern::default().with_event(event), true),
-            };
-            self.push(pattern, parked, [(shot, rng)]);
+            let (presampled, uniforms) = plan.presample(&mut rng);
+            self.uniforms += u64::from(uniforms);
+            match presampled {
+                Presampled::Pattern(pattern) => {
+                    let at = self.slot(pattern);
+                    self.work[at].members.push((shot, rng));
+                }
+                Presampled::Deviated { event, next } => {
+                    // Looked up by its one event: no pattern is built to
+                    // find a bucket already open.
+                    let at = match self.index.get([event].as_slice()) {
+                        Some(&at) => at,
+                        None => self.slot(ErrorPattern::default().with_event(event)),
+                    };
+                    self.work[at].parked.push((next, shot, rng));
+                }
+            }
         }
     }
 
-    fn push(
-        &mut self,
-        pattern: ErrorPattern,
-        parked: bool,
-        members: impl IntoIterator<Item = (u64, StdRng)>,
-    ) {
-        let at = *self.index.entry(pattern.clone()).or_insert_with(|| {
-            self.work.push(TrajectoryWork {
-                pattern,
-                members: Vec::new(),
-                parked,
-            });
-            self.work.len() - 1
+    /// The slot of `pattern`'s work item, opened on first sight: the key is
+    /// looked up by reference and cloned only into a new entry.
+    fn slot(&mut self, pattern: ErrorPattern) -> usize {
+        if let Some(&at) = self.index.get(&pattern) {
+            return at;
+        }
+        self.index.insert(pattern.clone(), self.work.len());
+        self.work.push(TrajectoryWork {
+            pattern,
+            members: Vec::new(),
+            parked: Vec::new(),
         });
-        self.work[at].members.extend(members);
+        self.work.len() - 1
     }
 }
 
-/// Presamples and groups one contiguous shot range sequentially.
+/// Presamples and groups one contiguous shot range on the calling thread,
+/// work items in first-appearance order with members in shot order; also
+/// returns the waiting-time uniforms presampling drew.
 ///
-/// Shared by the batch scheduler (which releases one round at a time, so
-/// its memory stays bounded by the round size) and the parallel
-/// [`plan_shots`] below.
+/// One uniform per candidate event makes a shot's presampling a few tens of
+/// nanoseconds, less than what spreading a job's shots over threads costs.
+/// The batch scheduler calls it once per round, so its memory stays bounded
+/// by the round size.
 pub(crate) fn plan_range(
     plan: &PresamplePlan,
     range: std::ops::Range<u64>,
     seed: u64,
-) -> Vec<TrajectoryWork> {
-    let mut groups = WorkerGroups::default();
+) -> (Vec<TrajectoryWork>, u64) {
+    let mut groups = Groups::default();
     groups.presample_range(plan, range, seed);
-    groups.work
-}
-
-/// Presamples shots `0..shots` in parallel and groups them by pattern.
-///
-/// Each worker presamples and groups one contiguous shot range; the ranges
-/// are merged in worker order, which (ranges being ascending) yields work
-/// items in global first-appearance order with members in shot order — the
-/// same plan a sequential pass would build.
-fn plan_shots(
-    plan: &PresamplePlan,
-    shots: usize,
-    threads: usize,
-    seed: u64,
-) -> Vec<TrajectoryWork> {
-    if threads <= 1 {
-        return plan_range(plan, 0..shots as u64, seed);
-    }
-    let chunk = shots.div_ceil(threads) as u64;
-    let mut workers: Vec<WorkerGroups> = Vec::new();
-    workers.resize_with(threads, WorkerGroups::default);
-    let trace_handle = trace::propagate();
-    std::thread::scope(|scope| {
-        for (worker, slot) in workers.iter_mut().enumerate() {
-            let start = (worker as u64 * chunk).min(shots as u64);
-            let end = (start + chunk).min(shots as u64);
-            let trace_handle = trace_handle.clone();
-            scope.spawn(move || {
-                let _lane = trace_handle.as_ref().map(|h| h.install(worker as u32 + 1));
-                let _span = trace::span("presample_shard");
-                trace::attr("worker", worker);
-                trace::attr("shots", (end - start) as usize);
-                slot.presample_range(plan, start..end, seed)
-            });
-        }
-    });
-    let mut merged = WorkerGroups::default();
-    for worker in workers {
-        for item in worker.work {
-            merged.push(item.pattern, item.parked, item.members);
-        }
-    }
-    merged.work
+    (groups.work, groups.uniforms)
 }
 
 /// Attaches what a presampling pass found to the innermost open trace
 /// span: trajectory groups, deviation buckets and the shots parked in them.
 pub fn trace_plan_attrs(work: &[TrajectoryWork]) {
-    let buckets = work.iter().filter(|item| item.parked);
+    let buckets = work.iter().filter(|item| item.is_bucket());
     trace::attr("groups", work.len() - buckets.clone().count());
     trace::attr("deviation_buckets", buckets.clone().count());
     trace::attr(
@@ -381,7 +365,7 @@ pub(crate) fn run_work<B: StochasticBackend>(
     mut work: TrajectoryWork,
     out: &mut Evolutions<'_>,
 ) -> Result<(), TimedOut> {
-    if work.parked {
+    if work.is_bucket() {
         return backend.run_bucket(program, ctx, work, out);
     }
     out.evolve()?;
@@ -411,10 +395,10 @@ pub(crate) fn run_group<B: StochasticBackend>(
 /// bucket tree replays its whole pattern from the rewound template.
 ///
 /// The bucket's replay reads the decay threshold at every state-dependent
-/// exposure past its event; each member continues presampling from its
-/// parked generator against them ([`PresamplePlan::resume`]), and members
-/// that deviate again form a child bucket, replayed the same way. A bucket
-/// of one runs its shot live with its generator derived afresh.
+/// exposure past its event; each member continues from its parked stream
+/// against them ([`PresamplePlan::resume`]), and members that deviate again
+/// form a child bucket, replayed the same way. A bucket of one runs its
+/// shot live with its generator derived afresh.
 pub(crate) fn replay_bucket<B: StochasticBackend>(
     backend: &B,
     program: &B::Program,
@@ -423,48 +407,41 @@ pub(crate) fn replay_bucket<B: StochasticBackend>(
     out: &mut Evolutions<'_>,
 ) -> Result<(), TimedOut> {
     let mut learned = Vec::new();
-    let mut pending = vec![work];
-    while let Some(mut work) = pending.pop() {
+    let mut pending = vec![(work.pattern, work.parked)];
+    while let Some((pattern, members)) = pending.pop() {
         out.evolve()?;
-        if let [(shot, _)] = work.members[..] {
+        if let [(_, shot, _)] = members[..] {
             out.stats.live_shots += 1;
             out.rerun(backend, program, ctx, shot);
             continue;
         }
-        let _span = group_span(work.members.len(), work.pattern.events().len());
+        let _span = group_span(members.len(), pattern.events().len());
         let dd_before = trace_dd_stats(|| backend.table_stats(ctx));
         learned.clear();
-        let run = backend.run_pattern(program, ctx, &work.pattern, Some(&mut learned));
-        let resume_at = work
-            .pattern
-            .events()
-            .last()
-            .map_or(0, |e| e.site as usize + 1);
-        let mut children: BTreeMap<ErrorEvent, Members> = BTreeMap::new();
-        work.members.retain_mut(|(shot, rng)| {
-            let event = out.support.plan.resume(rng, resume_at, &learned);
-            if let Some(event) = event {
-                children
-                    .entry(event)
-                    .or_default()
-                    .push((*shot, rng.clone()));
+        let run = backend.run_pattern(program, ctx, &pattern, Some(&mut learned));
+        let resume_at = pattern.events().last().map_or(0, |e| e.site as usize + 1);
+        let mut children: BTreeMap<ErrorEvent, Parked> = BTreeMap::new();
+        let mut finished = Members::new();
+        for (mut next, shot, mut rng) in members {
+            match out
+                .support
+                .plan
+                .resume(&mut rng, &mut next, resume_at, &learned)
+            {
+                Some(event) => children.entry(event).or_default().push((next, shot, rng)),
+                None => finished.push((shot, rng)),
             }
-            event.is_none()
-        });
-        if !work.members.is_empty() {
-            out.finish(backend, program, ctx, run, &mut work.members);
+        }
+        if !finished.is_empty() {
+            out.finish(backend, program, ctx, run, &mut finished);
         }
         trace::attr("forks", children.len());
         trace_dd_attrs(dd_before, || backend.table_stats(ctx));
         // Last in, first out: reversed, the smallest child runs next.
-        pending.extend(children.into_iter().rev().map(|(event, members)| {
-            let pattern = work.pattern.with_event(event);
-            TrajectoryWork {
-                pattern,
-                members,
-                parked: true,
-            }
-        }));
+        pending.extend(
+            (children.into_iter().rev())
+                .map(|(event, members)| (pattern.with_event(event), members)),
+        );
     }
     Ok(())
 }
@@ -524,8 +501,9 @@ pub(crate) fn run_dedup<B: StochasticBackend>(
     // Phase 1 + 2: presample every shot, group by pattern.
     let presample_started = Instant::now();
     let presample_span = trace::span("presample");
-    let work = plan_shots(&support.plan, shots, threads, seed);
+    let (work, uniforms) = plan_range(&support.plan, 0..shots as u64, seed);
     trace::attr("shots", shots);
+    trace::attr("uniforms", uniforms);
     trace_plan_attrs(&work);
     drop(presample_span);
     let presample_time = presample_started.elapsed();
@@ -670,15 +648,17 @@ mod tests {
     use qsdd_noise::{ErrorChannel, ErrorKind, SiteChannel};
 
     #[test]
-    fn plan_shots_groups_identical_patterns() {
+    fn plan_range_groups_identical_patterns() {
         // One certain phase flip site: every shot draws the same pattern.
         let plan = PresamplePlan::new(vec![SiteChannel::Passive(ErrorChannel::new(
             ErrorKind::PhaseFlip,
             1.0,
         ))]);
-        let work = plan_shots(&plan, 100, 4, 7);
+        let (work, uniforms) = plan_range(&plan, 0..100, 7);
         assert_eq!(work.len(), 1, "identical patterns must share one group");
-        assert!(!work[0].parked);
+        assert!(!work[0].is_bucket());
+        // One waiting time per shot: the certain site is its last.
+        assert_eq!(uniforms, 100);
         assert_eq!(work[0].pattern.error_events(), 1);
         assert_eq!(work[0].shots(), 100);
         // Members are recorded in shot order.
@@ -686,20 +666,22 @@ mod tests {
     }
 
     #[test]
-    fn plan_shots_parks_decayed_shots_under_their_event() {
-        let plan = PresamplePlan::new(vec![SiteChannel::Damping { p_decay: 1.0 }]);
-        for threads in [1, 2] {
-            let work = plan_shots(&plan, 10, threads, 7);
-            assert_eq!(work.len(), 1, "one deviation, one bucket");
-            assert!(work[0].parked);
-            let decay = ErrorEvent {
-                site: 0,
-                error: ErrorEvent::DECAY,
-            };
-            assert_eq!(work[0].pattern.events(), &[decay]);
-            let shots: Vec<u64> = work[0].members.iter().map(|(shot, _)| *shot).collect();
-            assert_eq!(shots, (0..10).collect::<Vec<u64>>());
-        }
+    fn plan_range_parks_decayed_shots_under_their_event() {
+        let decaying = SiteChannel::Damping {
+            gamma: 1.0,
+            p_decay: 1.0,
+        };
+        let plan = PresamplePlan::new(vec![decaying]);
+        let (work, _) = plan_range(&plan, 0..10, 7);
+        assert_eq!(work.len(), 1, "one deviation, one bucket");
+        assert!(work[0].is_bucket());
+        let decay = ErrorEvent {
+            site: 0,
+            error: ErrorEvent::DECAY,
+        };
+        assert_eq!(work[0].pattern.events(), &[decay]);
+        let shots: Vec<u64> = work[0].parked.iter().map(|(_, shot, _)| *shot).collect();
+        assert_eq!(shots, (0..10).collect::<Vec<u64>>());
     }
 
     #[test]

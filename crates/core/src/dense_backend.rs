@@ -21,7 +21,7 @@
 
 use qsdd_circuit::{Circuit, Operation};
 use qsdd_dd::Matrix2;
-use qsdd_noise::{ErrorChannel, ErrorPattern, NoiseModel, PresamplePlan, SiteChannel};
+use qsdd_noise::{ErrorChannel, ErrorPattern, NoiseModel, PresamplePlan, SiteChannel, Survival};
 use qsdd_statevector::{sample_cumulative, StateVector};
 use rand::rngs::StdRng;
 
@@ -71,6 +71,8 @@ pub struct DenseProgram {
     /// `None` when a measurement or reset consumes randomness mid-shot, so
     /// the shots' error decisions cannot be presampled.
     sites: Option<Vec<SiteChannel>>,
+    /// The candidate process of every exposure site ([`qsdd_noise::presample`]).
+    survival: Survival,
 }
 
 impl DenseProgram {
@@ -112,7 +114,8 @@ impl DenseProgram {
             .map(|channel| {
                 if channel.state_dependent() {
                     let p_decay = thresholds.next().expect("one threshold per damping site");
-                    SiteChannel::Damping { p_decay }
+                    let gamma = channel.probability();
+                    SiteChannel::Damping { gamma, p_decay }
                 } else {
                     SiteChannel::Passive(*channel)
                 }
@@ -166,10 +169,11 @@ fn walk<D: Decisions>(
                     // branch `√γ|0><1|` has relative weight `γ·one/(zero +
                     // one)`. The threshold is read off the state first, so
                     // only the branch the decision selects is ever applied;
-                    // either branch needs the weights, so no bound spares it.
+                    // either branch needs the weights, so every exposure
+                    // reads them.
                     let gamma = channel.probability();
                     let (zero, one) = state.branch_weights(qubit);
-                    if decisions.decays(site, f64::INFINITY, || gamma * one / (zero + one)) {
+                    if decisions.decays(site, channel, || gamma * one / (zero + one)) {
                         error_events += 1;
                         state.damping_decay(qubit, one);
                     } else {
@@ -299,6 +303,12 @@ impl StochasticBackend for DenseSimulator {
             }
         }
         let unitaries = channels.iter().map(ErrorChannel::unitaries).collect();
+        let exposures = circuit
+            .iter()
+            .filter(|op| op.is_unitary())
+            .flat_map(|op| op.qubits());
+        let rates = exposures.flat_map(|_| channels.iter().map(ErrorChannel::candidate_rate));
+        let survival = Survival::new(rates);
         let mut program = DenseProgram {
             id: next_program_id(),
             num_qubits: circuit.num_qubits(),
@@ -308,6 +318,7 @@ impl StochasticBackend for DenseSimulator {
             channels,
             unitaries,
             sites: None,
+            survival,
         };
         program.sites = program.record_sites();
         program
@@ -333,7 +344,9 @@ impl StochasticBackend for DenseSimulator {
     ) -> SingleRun<()> {
         ctx.seat(program);
         let mut clbits = vec![false; program.num_clbits];
-        let error_events = walk(program, &mut ctx.state, &mut Sampled(rng), &mut clbits);
+        let sites = program.survival.len() as u32;
+        let mut decisions = Sampled::start(rng, &program.survival, 0, sites);
+        let error_events = walk(program, &mut ctx.state, &mut decisions, &mut clbits);
         let outcome = if program.measured_any {
             pack_clbits(&clbits)
         } else {
@@ -554,9 +567,10 @@ mod tests {
             let run = backend.run_shot(&program, &mut ctx, &mut rng);
             assert_eq!(run.outcome, 0, "both qubits must end in |0>");
             assert_eq!(run.error_events, 2);
-            // Four exposures and one full-register sample, one draw each.
+            // Four certain candidates — a waiting time before each and a
+            // thinning draw at each — and one full-register sample.
             let mut reference = StdRng::seed_from_u64(seed);
-            for _ in 0..5 {
+            for _ in 0..9 {
                 let _ = reference.gen::<f64>();
             }
             assert_eq!(rng.gen::<u64>(), reference.gen::<u64>());
@@ -577,7 +591,7 @@ mod tests {
         let no_error: Vec<f64> = sites
             .iter()
             .filter_map(|site| match site {
-                SiteChannel::Damping { p_decay } => Some(*p_decay),
+                SiteChannel::Damping { p_decay, .. } => Some(*p_decay),
                 SiteChannel::Passive(_) => None,
             })
             .collect();

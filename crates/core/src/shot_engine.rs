@@ -544,9 +544,9 @@ impl ShotEngine {
     pub fn presample_shot(&self, shot: u64) -> Option<(ErrorPattern, StdRng)> {
         let support = self.dedup.as_ref()?;
         let mut rng = shot_rng(self.seed, shot);
-        match support.plan.presample(&mut rng) {
+        match support.plan.presample(&mut rng).0 {
             Presampled::Pattern(pattern) => Some((pattern, rng)),
-            Presampled::Deviated(_) => None,
+            Presampled::Deviated { .. } => None,
         }
     }
 
@@ -561,7 +561,7 @@ impl ShotEngine {
     /// scheduler presamples one round at a time with it).
     pub fn plan_range(&self, range: std::ops::Range<u64>) -> Option<Vec<TrajectoryWork>> {
         let support = self.dedup.as_ref()?;
-        Some(plan_range(&support.plan, range, self.seed))
+        Some(plan_range(&support.plan, range, self.seed).0)
     }
 
     /// [`plan_range`](Self::plan_range) with the deviating shots left to
@@ -578,8 +578,8 @@ impl ShotEngine {
         let mut groups = Vec::new();
         let mut live = Vec::new();
         for work in self.plan_range(range)? {
-            if work.parked {
-                live.extend(work.members.iter().map(|(shot, _)| *shot));
+            if work.is_bucket() {
+                live.extend(work.parked.iter().map(|(_, shot, _)| *shot));
             } else {
                 groups.push((work.pattern, work.members));
             }

@@ -242,7 +242,7 @@ pub(crate) fn run_weighted(
             candidate += 1;
             let presample_started = Instant::now();
             let mut rng = shot_rng(salted, k);
-            let presampled = plan.presample(&mut rng);
+            let (presampled, _) = plan.presample(&mut rng);
             tail_presample_time += presample_started.elapsed();
             let (sample, values) = match presampled {
                 Presampled::Pattern(pattern) if enumerated.contains(&pattern) => continue,
@@ -259,7 +259,7 @@ pub(crate) fn run_weighted(
                 // State-dependent decision ahead: replay the candidate
                 // live from the top with a fresh generator (the stream
                 // prefix matches what the presampler consumed).
-                Presampled::Deviated(_) => {
+                Presampled::Deviated { .. } => {
                     engine.run_with_rng_in(ctx, &mut shot_rng(salted, k), &mapped)
                 }
             };

@@ -6,14 +6,14 @@
 //! by the exact density-matrix reference simulator) and by a stochastic
 //! sampling rule (used by the Monte-Carlo simulators of Section III).
 //!
-//! The canonical sampling entry point is the index-based
-//! [`ErrorChannel::sample_error`]: it resolves a draw to *operator indices*
-//! ([`SampledError`]) without materialising matrices, which is what both
-//! the compiled shot programs and the presampling/deduplication layer
-//! ([`crate::presample`]) consume. The matrix-returning
-//! [`ErrorChannel::sample_action`] is a convenience wrapper kept for
-//! uncompiled one-off consumers; it draws through `sample_error`, so both
-//! APIs consume the random number stream identically.
+//! A shot's exposures are *candidates* for an event at
+//! [`ErrorChannel::candidate_rate`], and only a candidate draws again to
+//! decide what it fires — [`ErrorChannel::resolve_candidate`] for the
+//! unitary channels, by index into [`ErrorChannel::unitaries`], and
+//! [`ErrorChannel::candidate_decays`] for damping. The compiled shot
+//! programs and the presampling layer ([`crate::presample`]) find the
+//! candidates one uniform at a time; [`ErrorChannel::sample_action`] decides
+//! a lone exposure with a draw of its own.
 
 use qsdd_dd::Matrix2;
 use rand::Rng;
@@ -43,24 +43,11 @@ pub enum StochasticAction {
     Kraus(Vec<Matrix2>),
 }
 
-/// A sampled error event resolved to an *index* instead of a matrix.
-///
-/// This is the handle-based twin of [`StochasticAction`] used by compiled
-/// shot programs: the simulator resolves each channel's possible operators
-/// to precompiled form once (via [`ErrorChannel::unitaries`] and
-/// [`ErrorChannel::kraus_branches`]) and then only needs the index at shot
-/// time. [`ErrorChannel::sample_error`] consumes the random number stream
-/// exactly like [`ErrorChannel::sample_action`], so both APIs produce
-/// identical runs from identical generators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SampledError {
-    /// No error occurred; leave the state untouched.
-    None,
-    /// Apply unitary number `i` of [`ErrorChannel::unitaries`].
-    Unitary(usize),
-    /// Apply one of the channel's [`ErrorChannel::kraus_branches`], selected
-    /// by the state-dependent branch probabilities.
-    Kraus,
+/// An upper bound of every decay threshold of a damping channel of
+/// probability `gamma`: a threshold is `γ` times a population share, which
+/// round-off may lift a hair above one.
+pub fn decay_bound(gamma: f64) -> f64 {
+    gamma * (1.0 + 1e-9)
 }
 
 /// A single-qubit error channel with an occurrence probability.
@@ -144,11 +131,10 @@ impl ErrorChannel {
         }
     }
 
-    /// The unitary error operators [`Self::sample_error`] can select, in
-    /// index order.
+    /// The unitary error operators a candidate can fire, in index order.
     ///
     /// Compiled shot programs resolve these to precompiled operator diagrams
-    /// once per circuit; [`SampledError::Unitary`] indexes into this list.
+    /// once per circuit; [`Self::resolve_candidate`] indexes into this list.
     pub fn unitaries(&self) -> Vec<Matrix2> {
         match self.kind {
             ErrorKind::Depolarizing => {
@@ -159,9 +145,8 @@ impl ErrorChannel {
         }
     }
 
-    /// The `[decay, keep]` Kraus branch pair applied when
-    /// [`Self::sample_error`] returns [`SampledError::Kraus`]; `None` for
-    /// channels that never take the Kraus path.
+    /// The `[decay, keep]` Kraus branch pair of a damping exposure; `None`
+    /// for channels that never take the Kraus path.
     pub fn kraus_branches(&self) -> Option<[Matrix2; 2]> {
         match self.kind {
             ErrorKind::AmplitudeDamping => Some([
@@ -172,41 +157,50 @@ impl ErrorChannel {
         }
     }
 
-    /// Samples the error event for one application of the channel, resolved
-    /// to operator indices (see [`SampledError`]).
-    ///
-    /// This is the single source of truth for the channel's random number
-    /// consumption: [`Self::sample_action`] is implemented on top of it, so
-    /// the index-based and the matrix-based API are guaranteed to make the
-    /// same decisions from the same generator state.
-    #[inline]
-    pub fn sample_error<R: Rng + ?Sized>(&self, rng: &mut R) -> SampledError {
-        let p = self.probability;
-        if p == 0.0 {
-            return SampledError::None;
-        }
+    /// The probability that an exposure to the channel is a *candidate* for
+    /// an event (see [`crate::presample`]): `p` for the unitary channels,
+    /// [`decay_bound`] (capped at one) for amplitude damping, whose
+    /// candidates the state thins ([`Self::candidate_decays`]).
+    pub fn candidate_rate(&self) -> f64 {
         match self.kind {
-            ErrorKind::Depolarizing => {
-                if rng.gen::<f64>() >= p {
-                    SampledError::None
-                } else {
-                    match rng.gen_range(0..4) {
-                        0 => SampledError::None, // identity branch
-                        1 => SampledError::Unitary(0),
-                        2 => SampledError::Unitary(1),
-                        _ => SampledError::Unitary(2),
-                    }
-                }
-            }
-            ErrorKind::PhaseFlip => {
-                if rng.gen::<f64>() < p {
-                    SampledError::Unitary(0)
-                } else {
-                    SampledError::None
-                }
-            }
-            ErrorKind::AmplitudeDamping => SampledError::Kraus,
+            ErrorKind::AmplitudeDamping => decay_bound(self.probability).min(1.0),
+            ErrorKind::Depolarizing | ErrorKind::PhaseFlip => self.probability,
         }
+    }
+
+    /// Resolves a candidate exposure of a unitary-equivalent channel: the
+    /// index of the unitary error it fires ([`Self::unitaries`]), `None` for
+    /// the depolarizing channel's identity branch. One draw for the
+    /// depolarizing channel, none for the phase flip.
+    #[inline]
+    pub fn resolve_candidate<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
+        match self.kind {
+            ErrorKind::Depolarizing => rng.gen_range(0..4usize).checked_sub(1),
+            ErrorKind::PhaseFlip => Some(0),
+            ErrorKind::AmplitudeDamping => {
+                unreachable!("damping candidates are thinned by the state, not resolved")
+            }
+        }
+    }
+
+    /// Resolves a candidate exposure of the damping channel whose decay
+    /// branch has probability `p_decay()` (at most [`decay_bound`]): one
+    /// uniform `v`, and the exposure decays iff `v · rate < p_decay`, so a
+    /// candidate drawn at [`Self::candidate_rate`] decays with probability
+    /// exactly `p_decay`. The threshold is read only here.
+    #[inline]
+    pub fn candidate_decays<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        p_decay: impl FnOnce() -> f64,
+    ) -> bool {
+        let v = rng.gen::<f64>();
+        let p_decay = p_decay();
+        debug_assert!(
+            p_decay <= decay_bound(self.probability),
+            "threshold {p_decay} above its bound"
+        );
+        v * self.candidate_rate() < p_decay
     }
 
     /// The unitary behind an index of [`Self::unitaries`], without building
@@ -221,29 +215,23 @@ impl ErrorChannel {
         }
     }
 
-    /// Samples the stochastic action for one application of the channel,
-    /// resolved to concrete matrices.
-    ///
-    /// This is a convenience wrapper for uncompiled one-off consumers; the
-    /// canonical sampling entry point is the index-based
-    /// [`Self::sample_error`], which compiled shot programs and the
-    /// presampling layer use directly (precompiled operators are looked up
-    /// by index, no matrices are built at shot time). The wrapper draws
-    /// through `sample_error`, so both APIs make the same decisions from
-    /// the same generator state: unitary-equivalent channels
-    /// (depolarizing, phase flip) resolve their randomness in the draw,
-    /// while the state-dependent amplitude-damping channel returns its
-    /// Kraus branches for the simulator to pick from based on the state
-    /// (Example 6 of the paper).
+    /// Samples the stochastic action for one application of the channel on
+    /// its own, resolved to concrete matrices: one uniform decides whether
+    /// the exposure is a candidate, and a candidate resolves as in a shot.
+    /// Unitary-equivalent channels (depolarizing, phase flip) resolve their
+    /// randomness here, while the state-dependent amplitude-damping channel
+    /// returns its Kraus branches for the simulator to pick from based on
+    /// the state (Example 6 of the paper).
     pub fn sample_action<R: Rng + ?Sized>(&self, rng: &mut R) -> StochasticAction {
-        match self.sample_error(rng) {
-            SampledError::None => StochasticAction::None,
-            SampledError::Unitary(index) => StochasticAction::Unitary(self.unitary(index)),
-            SampledError::Kraus => StochasticAction::Kraus(
-                self.kraus_branches()
-                    .expect("Kraus events only come from Kraus channels")
-                    .to_vec(),
-            ),
+        if self.probability == 0.0 {
+            return StochasticAction::None;
+        }
+        if let Some(branches) = self.kraus_branches() {
+            return StochasticAction::Kraus(branches.to_vec());
+        }
+        match (rng.gen::<f64>() < self.probability).then(|| self.resolve_candidate(rng)) {
+            Some(Some(index)) => StochasticAction::Unitary(self.unitary(index)),
+            _ => StochasticAction::None,
         }
     }
 }
@@ -350,39 +338,5 @@ mod tests {
     #[should_panic(expected = "error probability must lie in [0, 1]")]
     fn invalid_probability_panics() {
         let _ = ErrorChannel::new(ErrorKind::PhaseFlip, 1.5);
-    }
-
-    #[test]
-    fn sample_error_and_sample_action_agree_from_equal_generators() {
-        for (kind, p) in [
-            (ErrorKind::Depolarizing, 0.4),
-            (ErrorKind::PhaseFlip, 0.3),
-            (ErrorKind::AmplitudeDamping, 0.2),
-            (ErrorKind::Depolarizing, 0.0),
-        ] {
-            let c = ErrorChannel::new(kind, p);
-            let unitaries = c.unitaries();
-            let mut rng_a = StdRng::seed_from_u64(99);
-            let mut rng_b = StdRng::seed_from_u64(99);
-            for _ in 0..500 {
-                let indexed = c.sample_error(&mut rng_a);
-                let action = c.sample_action(&mut rng_b);
-                match (indexed, action) {
-                    (SampledError::None, StochasticAction::None) => {}
-                    (SampledError::Unitary(i), StochasticAction::Unitary(m)) => {
-                        assert!(unitaries[i].approx_eq(&m, 0.0));
-                    }
-                    (SampledError::Kraus, StochasticAction::Kraus(branches)) => {
-                        let expected = c.kraus_branches().unwrap();
-                        assert!(branches[0].approx_eq(&expected[0], 0.0));
-                        assert!(branches[1].approx_eq(&expected[1], 0.0));
-                    }
-                    (a, b) => panic!("{kind:?}: indexed {a:?} disagrees with action {b:?}"),
-                }
-            }
-            // Both paths must have consumed the identical amount of
-            // randomness: the next draws agree.
-            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
-        }
     }
 }

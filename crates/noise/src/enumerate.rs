@@ -44,7 +44,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::presample::{ErrorEvent, ErrorPattern, FlatSite, PresamplePlan};
+use crate::channels::ErrorKind;
+use crate::presample::{ErrorEvent, ErrorPattern, PresamplePlan, SiteChannel};
 
 /// One enumerated trajectory: the pattern plus its exact occurrence
 /// probability under the stochastic sampling protocol.
@@ -154,18 +155,19 @@ impl PatternEnumerator {
         let prefix_len = plan.last_damping.map_or(0, |last| last + 1);
         let mut prefix_mass = 1.0f64;
         let mut free = Vec::new();
-        let mut supported = true;
         for (index, site) in plan.sites.iter().enumerate() {
-            let no_event = match *site {
-                FlatSite::Depolarizing(p) => 1.0 - 0.75 * p,
-                FlatSite::PhaseFlip(p) => 1.0 - p,
-                FlatSite::Damping(p_decay) => 1.0 - p_decay,
-                FlatSite::Other(_) => {
-                    // An unknown channel kind: its sampling semantics are
-                    // not modelled here, so nothing is enumerable.
-                    supported = false;
-                    break;
+            let (no_event, errors) = match *site {
+                SiteChannel::Passive(channel) => {
+                    let p = channel.probability();
+                    match channel.kind() {
+                        ErrorKind::Depolarizing => (1.0 - 0.75 * p, [0.25 * p; 3].to_vec()),
+                        ErrorKind::PhaseFlip => (1.0 - p, vec![p]),
+                        ErrorKind::AmplitudeDamping => {
+                            unreachable!("damping sites are SiteChannel::Damping")
+                        }
+                    }
                 }
+                SiteChannel::Damping { p_decay, .. } => (1.0 - p_decay, Vec::new()),
             };
             if index < prefix_len {
                 // Constrained site: any event (or decay) forces the live
@@ -173,35 +175,20 @@ impl PatternEnumerator {
                 prefix_mass *= no_event;
                 continue;
             }
+            debug_assert!(
+                !matches!(site, SiteChannel::Damping { .. }),
+                "free sites lie after the last damping site"
+            );
             let mut options = vec![SiteOption {
                 probability: no_event,
                 error: None,
             }];
-            match *site {
-                FlatSite::Depolarizing(p) => {
-                    let each = 0.25 * p;
-                    if each > 0.0 {
-                        for error in 0..3u8 {
-                            options.push(SiteOption {
-                                probability: each,
-                                error: Some(error),
-                            });
-                        }
-                    }
+            options.extend((errors.into_iter().zip(0u8..)).map(|(probability, error)| {
+                SiteOption {
+                    probability,
+                    error: Some(error),
                 }
-                FlatSite::PhaseFlip(p) => {
-                    if p > 0.0 {
-                        options.push(SiteOption {
-                            probability: p,
-                            error: Some(0),
-                        });
-                    }
-                }
-                FlatSite::Damping(_) => {
-                    unreachable!("free sites lie after the last damping site")
-                }
-                FlatSite::Other(_) => unreachable!("unsupported plans bail out above"),
-            }
+            }));
             // Zero-probability options can never be sampled; dropping them
             // keeps every heap node's weight strictly positive. Sort by
             // descending probability with a deterministic tie-break.
@@ -218,7 +205,7 @@ impl PatternEnumerator {
             });
         }
         let mut enumerator = PatternEnumerator {
-            prefix_mass: if supported { prefix_mass } else { 0.0 },
+            prefix_mass,
             free,
             heap: BinaryHeap::new(),
             mass_cutoff: 1.0,
@@ -226,11 +213,9 @@ impl PatternEnumerator {
             covered: 0.0,
             emitted: 0,
         };
-        if supported {
-            let root = enumerator.node(vec![0; enumerator.free.len()]);
-            if root.probability > 0.0 {
-                enumerator.heap.push(root);
-            }
+        let root = enumerator.node(vec![0; enumerator.free.len()]);
+        if root.probability > 0.0 {
+            enumerator.heap.push(root);
         }
         enumerator
     }
@@ -355,8 +340,7 @@ impl Iterator for PatternEnumerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channels::{ErrorChannel, ErrorKind};
-    use crate::presample::SiteChannel;
+    use crate::channels::ErrorChannel;
 
     fn passive(kind: ErrorKind, p: f64) -> SiteChannel {
         SiteChannel::Passive(ErrorChannel::new(kind, p))
@@ -391,7 +375,10 @@ mod tests {
     fn damping_prefix_scales_the_enumerable_mass() {
         let plan = PresamplePlan::new(vec![
             passive(ErrorKind::Depolarizing, 0.1),
-            SiteChannel::Damping { p_decay: 0.25 },
+            SiteChannel::Damping {
+                gamma: 0.25,
+                p_decay: 0.25,
+            },
             passive(ErrorKind::PhaseFlip, 0.5),
         ]);
         let enumerator = PatternEnumerator::new(&plan);

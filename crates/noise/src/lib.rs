@@ -10,12 +10,12 @@
 //!   Monte-Carlo simulators in `qsdd-core` and `qsdd-statevector`, following
 //!   Section III of the paper).
 //!
-//! The stochastic side is sampled through the index-based
-//! [`ErrorChannel::sample_error`] (the canonical entry point: compiled shot
-//! programs resolve operators once and look them up by index at shot time).
-//! On top of it, the [`presample`] module splits error *sampling* from
-//! error *application*: a shot's complete error decisions are resolved up
-//! front into a compact [`ErrorPattern`], which is what enables
+//! The stochastic side draws one uniform per *candidate* event rather than
+//! one per exposure: a shot's candidates follow from a precomputed
+//! [`Survival`] array, and only a candidate draws again to decide what it
+//! fires. On top of it, the [`presample`] module splits error *sampling*
+//! from error *application*: a shot's complete error decisions are
+//! resolved up front into a compact [`ErrorPattern`], which is what enables
 //! trajectory deduplication — simulating each distinct pattern once and
 //! fanning the result out over every shot that drew it.
 //!
@@ -46,7 +46,7 @@ pub mod enumerate;
 mod model;
 pub mod presample;
 
-pub use channels::{ErrorChannel, ErrorKind, SampledError, StochasticAction};
+pub use channels::{decay_bound, ErrorChannel, ErrorKind, StochasticAction};
 pub use enumerate::{PatternEnumerator, WeightedPattern};
 pub use model::NoiseModel;
-pub use presample::{ErrorEvent, ErrorPattern, PresamplePlan, Presampled, SiteChannel};
+pub use presample::{ErrorEvent, ErrorPattern, PresamplePlan, Presampled, SiteChannel, Survival};

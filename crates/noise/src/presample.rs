@@ -16,17 +16,25 @@
 //! pattern, which turns the shot loop from `O(shots × circuit)` into
 //! `O(unique_patterns × circuit + shots × sampling)`.
 //!
-//! Presampling consumes the random number stream **exactly** like live
-//! execution (the same draws, in the same order, via the same
-//! [`ErrorChannel::sample_error`] calls), so the generator handed back with
-//! a pattern is positioned precisely where live execution would be after
-//! the last exposure — ready for the final measurement sampling. That
-//! stream identity is what makes deduplicated results byte-identical to
+//! # One uniform per event
+//!
+//! Every exposure site is a *candidate* for an event at a state-independent
+//! rate ([`ErrorChannel::candidate_rate`]), so a shot's next candidate
+//! follows from one uniform and the cumulative [`Survival`] array — the
+//! waiting-time form of the Monte-Carlo wavefunction method (Dalibard,
+//! Castin and Mølmer, PRL 68, 580, 1992). Only a candidate draws again to
+//! decide what it fires. A walk draws its first candidate when it starts and
+//! the next one right after each candidate resolves; presampling and live
+//! execution follow that one rule, so the generator — and the next
+//! candidate of a shot that left the no-error path — sit exactly where live
+//! execution would be, which makes deduplicated results byte-identical to
 //! per-shot execution.
+
+use std::borrow::Borrow;
 
 use rand::Rng;
 
-use crate::channels::{ErrorChannel, ErrorKind, SampledError};
+use crate::channels::{ErrorChannel, ErrorKind};
 
 /// One fired error of a presampled shot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -67,7 +75,7 @@ impl ErrorEvent {
 /// let site = SiteChannel::Passive(ErrorChannel::new(ErrorKind::PhaseFlip, 0.0));
 /// let plan = PresamplePlan::new(vec![site, site]);
 /// let mut rng = StdRng::seed_from_u64(1);
-/// let Presampled::Pattern(pattern) = plan.presample(&mut rng) else {
+/// let (Presampled::Pattern(pattern), _) = plan.presample(&mut rng) else {
 ///     panic!("state-independent sites always presample");
 /// };
 /// assert!(pattern.is_empty());
@@ -116,68 +124,128 @@ impl ErrorPattern {
     }
 }
 
+/// A pattern hashes and compares as its event slice: maps keyed by patterns take slice lookups.
+impl Borrow<[ErrorEvent]> for ErrorPattern {
+    fn borrow(&self) -> &[ErrorEvent] {
+        &self.events
+    }
+}
+
+/// The candidate process of a run of exposure sites. `log[s]` is
+/// `Σ ln(1 − c_j)` over the sites `j ≤ s` with `c_j < 1`; a certain site
+/// (`c = 1`) would put `−∞` into every later difference, so certain sites
+/// are kept aside and cap each search instead.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Survival {
+    log: Vec<f64>,
+    /// The sites with `c = 1`, ascending.
+    certain: Vec<u32>,
+}
+
+impl Survival {
+    /// The process over sites with the given candidate rates, in order.
+    pub fn new(rates: impl IntoIterator<Item = f64>) -> Self {
+        let (mut log, mut certain, mut sum) = (Vec::new(), Vec::new(), 0.0f64);
+        for (site, rate) in rates.into_iter().enumerate() {
+            if rate >= 1.0 {
+                certain.push(site as u32);
+            } else {
+                sum += (-rate).ln_1p();
+            }
+            log.push(sum);
+        }
+        Survival { log, certain }
+    }
+
+    /// Number of sites covered.
+    pub fn len(&self) -> usize {
+        self.log.len()
+    }
+
+    /// `true` when the process covers no site.
+    pub fn is_empty(&self) -> bool {
+        self.log.is_empty()
+    }
+
+    /// Draws the first candidate at or after site `from` among the sites
+    /// before `end`, or returns `end` when there is none. One uniform `u`:
+    /// the candidate is the first site `s` at which `log[s] − log[from − 1]`
+    /// falls below `ln(1 − u)`. A search over no site (`from >= end`)
+    /// draws nothing.
+    #[inline]
+    pub fn next<R: Rng + ?Sized>(&self, rng: &mut R, from: u32, end: u32) -> u32 {
+        if from >= end {
+            return end;
+        }
+        let base = self.log[..from as usize].last().copied().unwrap_or(0.0);
+        let threshold = base + (-rng.gen::<f64>()).ln_1p();
+        let certain = self.certain.partition_point(|&site| site < from);
+        let cap = self.certain.get(certain).map_or(end, |&site| site.min(end));
+        let window = &self.log[from as usize..cap as usize];
+        from + window.partition_point(|&log| log >= threshold) as u32
+    }
+}
+
 /// What decides the outcome of one noise-exposure site during presampling.
 #[derive(Clone, Copy, Debug)]
 pub enum SiteChannel {
     /// A state-independent channel ([`ErrorChannel::state_dependent`] is
-    /// `false`): [`ErrorChannel::sample_error`] fully resolves the draw.
+    /// `false`): a candidate resolves by [`ErrorChannel::resolve_candidate`].
     Passive(ErrorChannel),
     /// A state-dependent damping channel whose branch threshold along the
-    /// no-error path has been precomputed: the single branch draw compares
+    /// no-error path has been precomputed: a candidate decays by comparing
     /// against `p_decay` exactly as live execution would. The threshold is
     /// only valid while the shot is still on the no-error path — any
     /// earlier deviation invalidates it.
     Damping {
+        /// The channel's damping probability `γ`, which sets the site's
+        /// candidate rate.
+        gamma: f64,
         /// Probability of the decay branch on the no-error path.
         p_decay: f64,
     },
+}
+
+impl SiteChannel {
+    /// The site's channel.
+    fn channel(&self) -> ErrorChannel {
+        match *self {
+            Self::Passive(channel) => channel,
+            Self::Damping { gamma, .. } => ErrorChannel::new(ErrorKind::AmplitudeDamping, gamma),
+        }
+    }
 }
 
 /// Result of presampling one shot against a [`PresamplePlan`].
 #[derive(Clone, Debug)]
 pub enum Presampled {
     /// Every site resolved; the shot's trajectory is fully described by the
-    /// pattern, and the generator is positioned exactly after the last
-    /// exposure draw.
+    /// pattern, and the generator sits after the plan's last draw.
     Pattern(ErrorPattern),
-    /// The shot left the no-error path at this event — a damping branch
+    /// The shot left the no-error path at `event` — a damping branch
     /// decayed ([`ErrorEvent::DECAY`]), or an error fired with a
     /// state-dependent site still ahead, whose precomputed threshold the
-    /// deviation invalidates. The generator is positioned exactly after the
-    /// event's draws: the shot either continues through
+    /// deviation invalidates — and drew its next candidate, `next` (the
+    /// site count when there is none): it either continues through
     /// [`PresamplePlan::resume`] with thresholds learned along the deviated
     /// trajectory, or executes live with a **freshly derived** generator.
-    Deviated(ErrorEvent),
+    Deviated {
+        /// Where the shot left the no-error path.
+        event: ErrorEvent,
+        /// The shot's next candidate site.
+        next: u32,
+    },
 }
 
-/// The flattened, dispatch-free form of one site (see
-/// [`PresamplePlan::new`]): the presample inner loop is the hottest loop of
-/// a deduplicated run, so the per-site decision is resolved to one branch
-/// on a dense tag instead of two nested enum matches. The semantics — and
-/// crucially the random-stream consumption — of each arm are exactly those
-/// of [`ErrorChannel::sample_error`] for the corresponding kind.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum FlatSite {
-    /// Depolarizing channel with probability `p`: one uniform draw against
-    /// `p`, one `0..4` draw when it fires.
-    Depolarizing(f64),
-    /// Phase flip with probability `p`: one uniform draw against `p`.
-    PhaseFlip(f64),
-    /// State-dependent damping with precomputed no-error-path threshold:
-    /// one uniform draw against it; a decay leaves the no-error path.
-    Damping(f64),
-    /// Any other state-independent channel: defer to
-    /// [`ErrorChannel::sample_error`].
-    Other(ErrorChannel),
-}
-
-/// The flattened noise-exposure sites of a program's deduplicable prefix.
+/// The noise-exposure sites of a program's deduplicable prefix and their
+/// candidate process.
 ///
 /// Built once per compiled program; [`PresamplePlan::presample`] then
-/// resolves any shot's error decisions in `O(sites)` random draws.
+/// resolves any shot's error decisions with one uniform per candidate.
 #[derive(Clone, Debug, Default)]
 pub struct PresamplePlan {
-    pub(crate) sites: Vec<FlatSite>,
+    pub(crate) sites: Vec<SiteChannel>,
+    survival: Survival,
     /// Index of the last state-dependent site, if any: an error firing
     /// before it takes the shot off the no-error path (the deviation
     /// invalidates every later precomputed damping threshold).
@@ -194,22 +262,13 @@ impl PresamplePlan {
             }),
             "state-dependent channels must use SiteChannel::Damping"
         );
-        let sites: Vec<FlatSite> = sites
-            .into_iter()
-            .map(|site| match site {
-                SiteChannel::Passive(channel) => match channel.kind() {
-                    ErrorKind::Depolarizing => FlatSite::Depolarizing(channel.probability()),
-                    ErrorKind::PhaseFlip => FlatSite::PhaseFlip(channel.probability()),
-                    _ => FlatSite::Other(channel),
-                },
-                SiteChannel::Damping { p_decay } => FlatSite::Damping(p_decay),
-            })
-            .collect();
+        let survival = Survival::new(sites.iter().map(|site| site.channel().candidate_rate()));
         let last_damping = sites
             .iter()
-            .rposition(|site| matches!(site, FlatSite::Damping(_)));
+            .rposition(|site| matches!(site, SiteChannel::Damping { .. }));
         PresamplePlan {
             sites,
+            survival,
             last_damping,
         }
     }
@@ -219,104 +278,85 @@ impl PresamplePlan {
         self.sites.len()
     }
 
-    /// Resolves one shot's error decisions against the plan.
+    /// Resolves one shot's error decisions against the plan, from a fresh
+    /// generator.
     ///
     /// Consumes the random number stream exactly like live execution of the
-    /// covered exposures: one [`ErrorChannel::sample_error`] per passive
-    /// site, one branch draw per damping site. On [`Presampled::Pattern`]
-    /// the generator is therefore positioned precisely where a live shot
-    /// would be after the last covered exposure; on
-    /// [`Presampled::Deviated`], right after the deviating exposure.
+    /// covered exposures (see the module docs). Also returns the number of
+    /// waiting-time uniforms drawn: one at the start and one after every
+    /// candidate that has a site behind it.
     #[inline]
-    pub fn presample<R: Rng + ?Sized>(&self, rng: &mut R) -> Presampled {
+    pub fn presample<R: Rng + ?Sized>(&self, rng: &mut R) -> (Presampled, u32) {
+        let end = self.sites.len() as u32;
+        let (mut next, mut uniforms) = (self.survival.next(rng, 0, end), u32::from(end > 0));
         let mut events = Vec::new();
-        let mut from = 0;
-        while let Some(event) = self.next_event(rng, from, |p_decay| p_decay) {
-            let site = event.site as usize;
+        while next < end {
+            let event = self.resolve(rng, next, |p_decay| p_decay);
+            let site = next as usize;
+            next = self.survival.next(rng, next + 1, end);
+            uniforms += u32::from(site + 1 < end as usize);
+            let Some(event) = event else { continue };
             if event.error == ErrorEvent::DECAY || self.last_damping.is_some_and(|last| last > site)
             {
                 // A decay is a state change, and past any other error the
                 // state-dependent sites ahead no longer see the no-error
                 // path their thresholds were precomputed for.
-                return Presampled::Deviated(event);
+                return (Presampled::Deviated { event, next }, uniforms);
             }
             events.push(event);
-            from = site + 1;
         }
-        Presampled::Pattern(ErrorPattern { events })
+        (Presampled::Pattern(ErrorPattern { events }), uniforms)
     }
 
-    /// Continues a deviated shot from `from_site` to its next event, or to
-    /// the end of the plan (`None`).
+    /// Continues a deviated shot whose next candidate is `next` to its next
+    /// event, or to the end of the plan (`None`), advancing `next` past it.
     ///
     /// `learned` holds the decay threshold of every damping site at or
-    /// after `from_site`, in site order, as read off the trajectory the
-    /// shot is now on (the plan's own thresholds only hold on the no-error
-    /// path). Stream consumption per site is that of [`presample`](Self::presample).
+    /// after `from` (at most `next`), in site order, as read off the
+    /// trajectory the shot is now on (the plan's own thresholds only hold
+    /// on the no-error path).
     pub fn resume<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        from_site: usize,
+        next: &mut u32,
+        from: usize,
         learned: &[f64],
     ) -> Option<ErrorEvent> {
-        let mut learned = learned.iter();
-        self.next_event(rng, from_site, |_| {
-            *learned
-                .next()
-                .expect("one learned threshold per damping site ahead")
-        })
-    }
-
-    /// Draws sites `from..` until one fires; `threshold` maps a damping
-    /// site's no-error-path threshold to the one to compare against.
-    #[inline]
-    fn next_event<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        from: usize,
-        mut threshold: impl FnMut(f64) -> f64,
-    ) -> Option<ErrorEvent> {
-        for (site, flat) in self.sites.iter().enumerate().skip(from) {
-            // Each arm consumes the stream exactly like
-            // `ErrorChannel::sample_error` for its kind (the depolarizing
-            // and phase-flip arms are that method's bodies, inlined).
-            let error = match *flat {
-                FlatSite::Depolarizing(p) => {
-                    if p == 0.0 || rng.gen::<f64>() >= p {
-                        continue;
-                    }
-                    match rng.gen_range(0..4) {
-                        0 => continue, // identity branch
-                        branch => branch - 1,
-                    }
-                }
-                FlatSite::PhaseFlip(p) => {
-                    if p == 0.0 || rng.gen::<f64>() >= p {
-                        continue;
-                    }
-                    0
-                }
-                FlatSite::Damping(p_decay) => {
-                    // The damping channel's single draw.
-                    if rng.gen::<f64>() >= threshold(p_decay) {
-                        continue;
-                    }
-                    usize::from(ErrorEvent::DECAY)
-                }
-                FlatSite::Other(channel) => match channel.sample_error(rng) {
-                    SampledError::None => continue,
-                    SampledError::Unitary(error) => error,
-                    SampledError::Kraus => {
-                        unreachable!("passive sites come from state-independent channels")
-                    }
-                },
-            };
-            return Some(ErrorEvent {
-                site: site as u32,
-                error: error as u8,
+        let end = self.sites.len() as u32;
+        while *next < end {
+            let site = *next as usize;
+            let event = self.resolve(rng, *next, |_| {
+                let damping = self.sites[from..site]
+                    .iter()
+                    .filter(|site| matches!(site, SiteChannel::Damping { .. }));
+                learned[damping.count()]
             });
+            *next = self.survival.next(rng, *next + 1, end);
+            if event.is_some() {
+                return event;
+            }
         }
         None
+    }
+
+    /// Resolves the candidate at `site`; `threshold` maps a damping site's
+    /// no-error-path threshold to the one to compare against.
+    #[inline]
+    fn resolve<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        site: u32,
+        threshold: impl FnOnce(f64) -> f64,
+    ) -> Option<ErrorEvent> {
+        let at = self.sites[site as usize];
+        let error = match at {
+            SiteChannel::Passive(channel) => channel.resolve_candidate(rng)? as u8,
+            SiteChannel::Damping { p_decay, .. } => {
+                let decays = at.channel().candidate_decays(rng, || threshold(p_decay));
+                decays.then_some(ErrorEvent::DECAY)?
+            }
+        };
+        Some(ErrorEvent { site, error })
     }
 }
 
@@ -331,6 +371,13 @@ mod tests {
         SiteChannel::Passive(ErrorChannel::new(kind, p))
     }
 
+    fn damping(p_decay: f64) -> SiteChannel {
+        SiteChannel::Damping {
+            gamma: p_decay,
+            p_decay,
+        }
+    }
+
     #[test]
     fn passive_sites_always_presample() {
         let plan = PresamplePlan::new(vec![
@@ -340,14 +387,16 @@ mod tests {
         ]);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..200 {
-            assert!(matches!(plan.presample(&mut rng), Presampled::Pattern(_)));
+            assert!(matches!(plan.presample(&mut rng).0, Presampled::Pattern(_)));
         }
     }
 
     #[test]
-    fn presampling_consumes_the_stream_like_live_sampling() {
-        // The pattern generator and a hand-rolled live replay must agree on
-        // every event and leave their generators in identical states.
+    fn presampling_consumes_the_stream_like_a_candidate_walk() {
+        // The pattern generator and a hand-rolled walk over every site —
+        // drawing only at the next candidate, the next one right after —
+        // must agree on every event and leave their generators in identical
+        // states.
         let channels = [
             ErrorChannel::new(ErrorKind::Depolarizing, 0.4),
             ErrorChannel::new(ErrorKind::PhaseFlip, 0.25),
@@ -359,18 +408,26 @@ mod tests {
             .map(|c| SiteChannel::Passive(*c))
             .collect();
         let plan = PresamplePlan::new(sites.clone());
+        let survival = Survival::new(channels.iter().cycle().take(20).map(|c| c.candidate_rate()));
         for seed in 0..50 {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            let Presampled::Pattern(pattern) = plan.presample(&mut rng_a) else {
+            let (Presampled::Pattern(pattern), uniforms) = plan.presample(&mut rng_a) else {
                 panic!("passive plans always presample");
             };
-            let mut expected = Vec::new();
+            let (mut expected, mut draws) = (Vec::new(), 1);
+            let mut next = survival.next(&mut rng_b, 0, 20);
             for (site, channel) in sites.iter().enumerate() {
                 let SiteChannel::Passive(channel) = channel else {
                     unreachable!()
                 };
-                if let SampledError::Unitary(error) = channel.sample_error(&mut rng_b) {
+                if site as u32 != next {
+                    continue;
+                }
+                let fired = channel.resolve_candidate(&mut rng_b);
+                next = survival.next(&mut rng_b, next + 1, 20);
+                draws += usize::from(site < 19);
+                if let Some(error) = fired {
                     expected.push(ErrorEvent {
                         site: site as u32,
                         error: error as u8,
@@ -378,22 +435,46 @@ mod tests {
                 }
             }
             assert_eq!(pattern.events(), expected.as_slice());
+            assert_eq!(uniforms as usize, draws);
             assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "stream diverged");
         }
     }
 
     #[test]
+    fn searches_stop_at_certain_sites_and_at_their_end() {
+        let survival = Survival::new([0.0, 1.0, 0.0, 0.0, 1.0, 0.0]);
+        let mut rng = StdRng::seed_from_u64(8);
+        for _ in 0..100 {
+            // Zero-rate sites are never candidates; certain ones always are.
+            assert_eq!(survival.next(&mut rng, 0, 6), 1);
+            assert_eq!(survival.next(&mut rng, 2, 6), 4);
+            assert_eq!(survival.next(&mut rng, 2, 4), 4);
+            assert_eq!(survival.next(&mut rng, 5, 6), 6);
+        }
+        // A search over no site draws nothing.
+        let mut twin = rng.clone();
+        assert_eq!(survival.next(&mut rng, 6, 6), 6);
+        assert_eq!(rng.gen::<u64>(), twin.gen::<u64>());
+    }
+
+    #[test]
     fn damping_decay_reports_where_the_shot_deviated() {
-        let plan = PresamplePlan::new(vec![SiteChannel::Damping { p_decay: 1.0 }]);
+        let plan = PresamplePlan::new(vec![damping(1.0)]);
         let mut rng = StdRng::seed_from_u64(3);
         let decay = ErrorEvent {
             site: 0,
             error: ErrorEvent::DECAY,
         };
-        assert!(matches!(plan.presample(&mut rng), Presampled::Deviated(event) if event == decay));
+        assert!(matches!(
+            plan.presample(&mut rng).0,
+            Presampled::Deviated { event, next: 1 } if event == decay
+        ));
         // A never-decaying damping site stays on the pattern path.
-        let plan = PresamplePlan::new(vec![SiteChannel::Damping { p_decay: 0.0 }]);
-        let Presampled::Pattern(pattern) = plan.presample(&mut rng) else {
+        let plan = PresamplePlan::new(vec![SiteChannel::Damping {
+            gamma: 0.5,
+            p_decay: 0.0,
+        }]);
+        let (Presampled::Pattern(pattern), _) = plan.presample(&mut rng) else {
             panic!("p_decay = 0 never deviates");
         };
         assert!(pattern.is_empty());
@@ -403,19 +484,16 @@ mod tests {
     fn an_error_before_a_damping_site_deviates() {
         // A certain phase flip ahead of a damping site: the precomputed
         // threshold is invalidated, the shot leaves the pattern path there.
-        let plan = PresamplePlan::new(vec![
-            passive(ErrorKind::PhaseFlip, 1.0),
-            SiteChannel::Damping { p_decay: 0.0 },
-        ]);
+        let plan = PresamplePlan::new(vec![passive(ErrorKind::PhaseFlip, 1.0), damping(0.0)]);
         let mut rng = StdRng::seed_from_u64(4);
         let flip = ErrorEvent { site: 0, error: 0 };
-        assert!(matches!(plan.presample(&mut rng), Presampled::Deviated(event) if event == flip));
+        assert!(matches!(
+            plan.presample(&mut rng).0,
+            Presampled::Deviated { event, .. } if event == flip
+        ));
         // The same deviation *after* the last damping site is fine.
-        let plan = PresamplePlan::new(vec![
-            SiteChannel::Damping { p_decay: 0.0 },
-            passive(ErrorKind::PhaseFlip, 1.0),
-        ]);
-        let Presampled::Pattern(pattern) = plan.presample(&mut rng) else {
+        let plan = PresamplePlan::new(vec![damping(0.0), passive(ErrorKind::PhaseFlip, 1.0)]);
+        let (Presampled::Pattern(pattern), _) = plan.presample(&mut rng) else {
             panic!("trailing deviations stay presampleable");
         };
         assert_eq!(
@@ -433,7 +511,10 @@ mod tests {
         let thresholds = [0.1, 0.05, 0.2];
         let mut sites: Vec<SiteChannel> = thresholds
             .iter()
-            .map(|&p_decay| SiteChannel::Damping { p_decay })
+            .map(|&p_decay| SiteChannel::Damping {
+                gamma: 0.3,
+                p_decay,
+            })
             .collect();
         sites.extend(
             [
@@ -444,29 +525,36 @@ mod tests {
         );
         let plan = PresamplePlan::new(sites);
         let (mut patterns, mut deviations) = (0, 0);
-        for seed in 0..200 {
+        for seed in 0..400 {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            // Resume event by event, each time from the site behind the
-            // last one with the thresholds of the damping sites still ahead.
-            let mut chained = Vec::new();
-            let mut from = 0;
-            while let Some(event) =
-                plan.resume(&mut rng_b, from, &thresholds[from.min(thresholds.len())..])
-            {
+            // Resume event by event, each time with the thresholds of the
+            // damping sites behind the last event.
+            let (mut chained, mut from) = (Vec::new(), 0);
+            let mut next = plan.survival.next(&mut rng_b, 0, plan.site_count() as u32);
+            while let Some(event) = plan.resume(
+                &mut rng_b,
+                &mut next,
+                from,
+                &thresholds[from.min(thresholds.len())..],
+            ) {
                 chained.push(event);
                 from = event.site as usize + 1;
                 if event.error == ErrorEvent::DECAY {
                     break;
                 }
             }
-            match plan.presample(&mut rng_a) {
+            match plan.presample(&mut rng_a).0 {
                 Presampled::Pattern(pattern) => {
                     assert_eq!(pattern.events(), chained);
                     patterns += usize::from(chained.len() > 1);
                 }
-                Presampled::Deviated(event) => {
+                Presampled::Deviated {
+                    event,
+                    next: parked,
+                } => {
                     assert_eq!(chained, [event]);
+                    assert_eq!(parked, next);
                     deviations += 1;
                 }
             }
@@ -480,7 +568,10 @@ mod tests {
         // The plan's own threshold says "coin flip"; the learned one wins.
         let plan = PresamplePlan::new(vec![
             passive(ErrorKind::PhaseFlip, 0.0),
-            SiteChannel::Damping { p_decay: 0.5 },
+            SiteChannel::Damping {
+                gamma: 1.0,
+                p_decay: 0.5,
+            },
         ]);
         for seed in 0..64 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -488,10 +579,14 @@ mod tests {
                 site: 1,
                 error: ErrorEvent::DECAY,
             };
-            assert_eq!(plan.resume(&mut rng, 0, &[1.0]), Some(decay));
-            assert_eq!(plan.resume(&mut rng, 1, &[0.0]), None);
-            // Past the last damping site no threshold is consulted.
-            assert_eq!(plan.resume(&mut rng, 2, &[]), None);
+            // γ = 1 makes the damping site a certain candidate.
+            let mut next = 1;
+            assert_eq!(plan.resume(&mut rng, &mut next, 0, &[1.0]), Some(decay));
+            assert_eq!(next, 2);
+            let mut next = 1;
+            assert_eq!(plan.resume(&mut rng, &mut next, 1, &[0.0]), None);
+            // Past the last site nothing is drawn.
+            assert_eq!(plan.resume(&mut rng, &mut next, 2, &[]), None);
         }
     }
 
@@ -502,7 +597,7 @@ mod tests {
         let mut groups: HashMap<ErrorPattern, u64> = HashMap::new();
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..500 {
-            let Presampled::Pattern(pattern) = plan.presample(&mut rng) else {
+            let (Presampled::Pattern(pattern), _) = plan.presample(&mut rng) else {
                 unreachable!()
             };
             *groups.entry(pattern).or_insert(0) += 1;

@@ -24,7 +24,10 @@ fn arb_site() -> impl Strategy<Value = SiteChannel> {
     (0..3u8, 0.0f64..0.3).prop_map(|(kind, p)| match kind {
         0 => passive(ErrorKind::Depolarizing, p),
         1 => passive(ErrorKind::PhaseFlip, p),
-        _ => SiteChannel::Damping { p_decay: p },
+        _ => SiteChannel::Damping {
+            gamma: p,
+            p_decay: p,
+        },
     })
 }
 
@@ -195,7 +198,10 @@ fn sixty_four_sites_enumerate_within_budget_in_order() {
 fn damping_prefix_limits_the_enumerable_mass_exactly() {
     let plan = PresamplePlan::new(vec![
         passive(ErrorKind::Depolarizing, 0.2),
-        SiteChannel::Damping { p_decay: 0.5 },
+        SiteChannel::Damping {
+            gamma: 0.5,
+            p_decay: 0.5,
+        },
         passive(ErrorKind::PhaseFlip, 0.25),
     ]);
     let enumerator = PatternEnumerator::new(&plan);

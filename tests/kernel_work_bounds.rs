@@ -210,6 +210,8 @@ struct JobWork {
     count_nodes: u64,
     /// Excitation walks: decay thresholds and measurement probabilities.
     threshold_walks: u64,
+    /// Waiting-time uniforms presampling drew.
+    uniforms: u64,
 }
 
 /// Runs `shots` deduplicated shots on `threads` workers and sums the table
@@ -225,10 +227,10 @@ fn traced_job(engine: &ShotEngine, shots: usize, threads: usize) -> JobWork {
         execute(engine, &plan, Placement::Threads(threads)).unwrap()
     };
     let spans = tracer.finish("job").spans;
-    let sum = |name: &str| -> u64 {
+    let sum_over = |span_name: &str, name: &str| -> u64 {
         spans
             .iter()
-            .filter(|span| span.name == "worker_trajectories")
+            .filter(|span| span.name == span_name)
             .flat_map(|span| &span.attrs)
             .filter_map(|(key, value)| match value {
                 AttrValue::U64(count) if *key == name => Some(*count),
@@ -236,6 +238,7 @@ fn traced_job(engine: &ShotEngine, shots: usize, threads: usize) -> JobWork {
             })
             .sum()
     };
+    let sum = |name: &str| sum_over("worker_trajectories", name);
     JobWork {
         stats: outcome.dedup.expect("the dedup driver ran"),
         error_events: outcome.error_events,
@@ -244,6 +247,7 @@ fn traced_job(engine: &ShotEngine, shots: usize, threads: usize) -> JobWork {
         forks: sum("forks"),
         count_nodes: sum("dd_count_nodes"),
         threshold_walks: sum("dd_threshold_walks"),
+        uniforms: sum_over("presample", "uniforms"),
     }
 }
 
@@ -294,9 +298,12 @@ fn evolutions_recompute_only_what_their_errors_changed() {
     assert!(ghz64.count_nodes <= 1_500_000, "{ghz64:?}");
     assert!(qft16.threshold_walks <= 1_000, "{qft16:?}");
     assert!(qft16.count_nodes <= 50_000, "{qft16:?}");
+    // A shot draws one uniform to find its first candidate and one after
+    // each candidate, not one per exposure site (11 430 000 uniforms).
+    assert!(ghz64.uniforms <= 45_000, "{ghz64:?}");
     let shared = |job: &JobWork| (job.stats.unique_trajectories, job.stats.live_shots);
-    assert_eq!(shared(&ghz64), (2_107, 1_467));
-    assert_eq!(shared(&qft16), (746, 524));
+    assert_eq!(shared(&ghz64), (2_073, 1_429));
+    assert_eq!(shared(&qft16), (781, 543));
 }
 
 /// The no-error path continues through the measurements at compile time,
@@ -309,7 +316,7 @@ fn measured_bv12_shots_share_the_no_error_measurement_chain() {
     // Each step's state is built once, not once per operator (93 080).
     assert!(bv12.nodes_created <= 80_000, "{bv12:?}");
     let shared = (bv12.stats.unique_trajectories, bv12.stats.live_shots);
-    assert_eq!(shared, (114, 60));
+    assert_eq!(shared, (102, 46));
 }
 
 /// The paper's central quantity, in integers: a GHZ-n diagram never holds
