@@ -3,16 +3,13 @@
 //!
 //! Runs the trajectory-deduplication and context-reuse workloads directly
 //! (no criterion harness) plus the HTTP-server load scenario, and writes
-//! `BENCH_<SCHEMA_VERSION + 3>.json` (so schema 8 writes `BENCH_11.json`
+//! `BENCH_<SCHEMA_VERSION + 3>.json` (so schema 9 writes `BENCH_12.json`
 //! — the name tracks the schema instead of being pinned by hand): one
 //! entry per benchmark with the optimized and naive
 //! mean per-shot cost in nanoseconds and the resulting speedup, a
 //! `weighted` section racing the weighted trajectory-enumeration driver
 //! against both the dedup and per-shot paths on GHZ-16 under the paper's
-//! mixed noise (the case where dedup alone only reached ~1.3x), an
-//! `intra` section racing the chunk-partitioned dense kernels against
-//! serial on a 22-qubit statevector workload (interleaved min-of-reps,
-//! outcomes cross-checked bit for bit), a
+//! mixed noise (the case where dedup alone only reached ~1.3x), a
 //! `server` section with the service's throughput and cold-vs-cache-hit
 //! latency, a `warm_restart` section comparing a cold boot's simulation
 //! cost against store-warmed GETs after a restart (byte-identity is
@@ -25,9 +22,7 @@
 //! back before the process exits, so a malformed writer fails loudly (CI
 //! runs the binary in `--test-mode` with tiny shot counts on every push;
 //! test mode also hard-gates the weighted row — it must beat dedup and be
-//! at least 3x over per-shot — and the intra row, with a core-count-aware
-//! dense-speedup floor: ≥ 2.0x on 8+ cores, ≥ 1.3x on 2–7, correctness
-//! only on a single core).
+//! at least 3x over per-shot).
 //!
 //! ```text
 //! bench_summary [--test-mode] [--out <path>]
@@ -39,7 +34,7 @@
 //!   but the whole pipeline (workloads, cross-checks, server round trips,
 //!   JSON writer) is exercised.
 //! * `--out` overrides the output path (default derived from the schema
-//!   version, `BENCH_11.json` today, i.e. the repo root when invoked from
+//!   version, `BENCH_12.json` today, i.e. the repo root when invoked from
 //!   there).
 
 use std::process::ExitCode;
@@ -61,7 +56,7 @@ use rand::SeedableRng;
 /// gains or changes a section; the default output name derives from it
 /// (`BENCH_{SCHEMA_VERSION + 3}.json` — the offset keeps continuity with
 /// the historical hand-numbered files).
-const SCHEMA_VERSION: u32 = 8;
+const SCHEMA_VERSION: u32 = 9;
 
 /// The default output path, derived from [`SCHEMA_VERSION`] so a schema
 /// bump can never silently overwrite the previous schema's artifact.
@@ -225,43 +220,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // The intra-shot fork-join comparison: serial vs parallel execution of
-    // the same engine, interleaved min-of-reps, outcomes cross-checked
-    // bit for bit (the determinism contract makes the cross-check exact).
-    let intra = intra_row(test_mode);
-    println!(
-        "{:<28} serial {:>12.1} ns/shot | intra({}) {:>10.1} ns/shot | speedup {:>6.2}x",
-        intra.dense.name,
-        intra.dense.serial_ns,
-        intra.width,
-        intra.dense.parallel_ns,
-        intra.dense.speedup()
-    );
-    if test_mode {
-        // Core-count-aware hard gate on the dense workload: the flat
-        // chunk-partitioned kernels must actually scale wherever a second
-        // core exists; a single-core runner degrades to a pure correctness
-        // check (the cross-check above already ran).
-        let floor = match intra.cores {
-            cores if cores >= 8 => Some(2.0),
-            cores if cores >= 2 => Some(1.3),
-            _ => None,
-        };
-        if let Some(floor) = floor {
-            if intra.dense.speedup() < floor {
-                eprintln!(
-                    "error: intra-shot dense speedup {:.2}x is below the {:.1}x floor \
-                     ({} cores, width {})",
-                    intra.dense.speedup(),
-                    floor,
-                    intra.cores,
-                    intra.width
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
     // The HTTP service scenario: cold (uncached simulation) latency vs the
     // content-addressed cache-hit path, plus raw request throughput.
     let load_config = if test_mode {
@@ -354,14 +312,6 @@ fn main() -> ExitCode {
                     Value::from(weighted.enumerated_trajectories),
                 ),
                 ("tail_shots".to_string(), Value::from(weighted.tail_shots)),
-            ]),
-        ),
-        (
-            "intra".to_string(),
-            Value::object(vec![
-                ("cores".to_string(), Value::from(intra.cores)),
-                ("width".to_string(), Value::from(intra.width)),
-                ("dense".to_string(), intra_workload_json(&intra.dense)),
             ]),
         ),
         (
@@ -720,107 +670,6 @@ fn tracing_overhead_row(shots: usize, reps: usize) -> OverheadRow {
         baseline_ns,
         instrumented_ns,
         overhead_percent: 100.0 * (instrumented_ns - baseline_ns) / baseline_ns,
-    }
-}
-
-/// One serial-vs-fork-join comparison of the intra row.
-struct IntraWorkload {
-    name: &'static str,
-    shots: usize,
-    serial_ns: f64,
-    parallel_ns: f64,
-}
-
-impl IntraWorkload {
-    fn speedup(&self) -> f64 {
-        self.serial_ns / self.parallel_ns
-    }
-}
-
-/// The intra-shot fork-join comparison: the dense workload plus the
-/// machine shape the gate decision is based on.
-struct IntraRow {
-    cores: usize,
-    width: usize,
-    dense: IntraWorkload,
-}
-
-fn intra_workload_json(workload: &IntraWorkload) -> Value {
-    Value::object(vec![
-        ("name".to_string(), Value::from(workload.name)),
-        ("shots".to_string(), Value::from(workload.shots)),
-        ("serial_ns".to_string(), Value::from(workload.serial_ns)),
-        ("mean_ns".to_string(), Value::from(workload.parallel_ns)),
-        ("speedup".to_string(), Value::from(workload.speedup())),
-    ])
-}
-
-/// Interleaved min-of-reps race of one engine at intra width 1 vs `width`,
-/// on a single shot-worker (a single worker's intra request is honoured
-/// as-is; several workers would clamp against `cores / workers`). Every
-/// repetition cross-checks the parallel outcome against the serial one bit
-/// for bit — the determinism contract says nothing may move.
-fn intra_workload(
-    name: &'static str,
-    mut engine: ShotEngine,
-    width: usize,
-    shots: usize,
-    reps: usize,
-) -> IntraWorkload {
-    let mut best_serial = f64::INFINITY;
-    let mut best_parallel = f64::INFINITY;
-    for _ in 0..reps {
-        engine.set_intra_threads(1);
-        let started = Instant::now();
-        let serial = run(&engine, ExecMode::PerShot, shots, Placement::Threads(1));
-        best_serial = best_serial.min(started.elapsed().as_secs_f64());
-
-        engine.set_intra_threads(width);
-        let started = Instant::now();
-        let parallel = run(&engine, ExecMode::PerShot, shots, Placement::Threads(1));
-        best_parallel = best_parallel.min(started.elapsed().as_secs_f64());
-
-        assert_eq!(parallel.counts, serial.counts, "{name}: histogram moved");
-        assert_eq!(parallel.error_events, serial.error_events, "{name}");
-        assert_eq!(parallel.dd_nodes_peak, serial.dd_nodes_peak, "{name}");
-    }
-    IntraWorkload {
-        name,
-        shots,
-        serial_ns: best_serial * 1e9 / shots as f64,
-        parallel_ns: best_parallel * 1e9 / shots as f64,
-    }
-}
-
-/// Races intra-shot fork-join execution against serial on the shape it
-/// targets: a 22-qubit dense statevector workload (the flat
-/// chunk-partitioned kernels). The fork-join width adapts to the machine
-/// — `cores` clamped into 2..=8 — so the row is meaningful on big runners
-/// and still exercises the parallel code path (as pure correctness
-/// evidence) on a single core.
-fn intra_row(test_mode: bool) -> IntraRow {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let width = cores.clamp(2, 8);
-    let (shots, reps) = if test_mode { (2, 3) } else { (6, 5) };
-    let dense = intra_workload(
-        "intra_dense_ghz22",
-        ShotEngine::new(
-            &ghz(22),
-            BackendKind::Statevector,
-            NoiseModel::noiseless().with_depolarizing(0.001),
-            7,
-            OptLevel::O0,
-        ),
-        width,
-        shots,
-        reps,
-    );
-    IntraRow {
-        cores,
-        width,
-        dense,
     }
 }
 

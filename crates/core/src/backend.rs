@@ -91,19 +91,6 @@ pub trait StochasticBackend: Sync {
     /// this back-end.
     fn new_context(&self) -> Self::Context;
 
-    /// Installs (or clears) a fork-join pool for *intra-shot* parallelism
-    /// on a context: back-ends that support it split the work of a single
-    /// shot (dense kernel chunks) across the pool's threads. Results must
-    /// stay bit-identical to serial execution. The default is a no-op,
-    /// which keeps back-ends without intra-shot parallelism — the
-    /// decision-diagram back-end — serial and correct.
-    fn set_intra_pool(
-        &self,
-        _ctx: &mut Self::Context,
-        _pool: Option<std::sync::Arc<qsdd_statevector::IntraPool>>,
-    ) {
-    }
-
     /// The decision-diagram table counters `ctx` accumulated so far (all
     /// zero on back-ends without diagrams); traced drivers difference
     /// snapshots of it around a trajectory.

@@ -74,10 +74,8 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
-
-use qsdd_statevector::IntraPool;
 
 use qsdd_noise::{ErrorEvent, ErrorPattern, PresamplePlan, Presampled};
 use qsdd_telemetry::trace;
@@ -472,8 +470,7 @@ enum Sink {
 /// With `inline` — the caller's own context — the whole job runs on the
 /// calling thread (`threads` must be 1) and no worker is spawned: the entry
 /// long-lived server workers execute through, so state from previous jobs
-/// is rewound, not rebuilt. Otherwise every worker builds a fresh context
-/// sharing the `intra` pool.
+/// is rewound, not rebuilt. Otherwise every worker builds a fresh context.
 ///
 /// Memory: the driver holds one presampled generator per shot (tens of
 /// bytes each), so its transient footprint is `O(shots)` where the per-shot
@@ -490,7 +487,6 @@ pub(crate) fn run_dedup<B: StochasticBackend>(
     program: &B::Program,
     plan: &ExecPlan<'_>,
     threads: usize,
-    intra: Option<&Arc<IntraPool>>,
     inline: Option<&mut B::Context>,
 ) -> Result<StochasticOutcome, TimedOut> {
     debug_assert!(inline.is_none() || threads == 1);
@@ -573,9 +569,6 @@ pub(crate) fn run_dedup<B: StochasticBackend>(
                     scope.spawn(move || {
                         let _lane = trace_handle.as_ref().map(|h| h.install(worker as u32 + 1));
                         let mut ctx = backend.new_context();
-                        if let Some(pool) = intra {
-                            backend.set_intra_pool(&mut ctx, Some(Arc::clone(pool)));
-                        }
                         run_worker(worker, sink, &mut ctx);
                     });
                 }

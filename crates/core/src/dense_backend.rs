@@ -196,10 +196,6 @@ fn walk<D: Decisions>(
 pub struct DenseContext {
     state: StateVector,
     seated: u64,
-    /// Fork-join pool for chunk-partitioned kernels; kept here so seating
-    /// onto a different-width program (which reallocates the buffers) can
-    /// re-install it.
-    pool: Option<std::sync::Arc<qsdd_statevector::IntraPool>>,
 }
 
 impl DenseContext {
@@ -208,17 +204,7 @@ impl DenseContext {
         DenseContext {
             state: StateVector::new(1),
             seated: 0,
-            pool: None,
         }
-    }
-
-    /// Installs (or clears) a fork-join pool: subsequent gate kernels
-    /// split their chunk-partitioned loops across the pool (see
-    /// [`StateVector::set_intra_pool`]). Results stay bit-identical to
-    /// serial execution.
-    pub fn set_intra_pool(&mut self, pool: Option<std::sync::Arc<qsdd_statevector::IntraPool>>) {
-        self.state.set_intra_pool(pool.clone());
-        self.pool = pool;
     }
 
     /// Rewinds the live buffer to `|0...0>`, reallocating only when the
@@ -230,7 +216,6 @@ impl DenseContext {
             self.state.reset_to_zero();
         } else {
             self.state = StateVector::new(program.num_qubits);
-            self.state.set_intra_pool(self.pool.clone());
         }
         self.seated = program.id;
     }
@@ -326,14 +311,6 @@ impl StochasticBackend for DenseSimulator {
 
     fn new_context(&self) -> DenseContext {
         DenseContext::new()
-    }
-
-    fn set_intra_pool(
-        &self,
-        ctx: &mut DenseContext,
-        pool: Option<std::sync::Arc<qsdd_statevector::IntraPool>>,
-    ) {
-        ctx.set_intra_pool(pool);
     }
 
     fn run_shot(

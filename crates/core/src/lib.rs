@@ -76,13 +76,7 @@ pub use dense_backend::{DenseContext, DenseProgram, DenseSimulator};
 pub use estimator::{Observable, ObservableAccumulator};
 pub use shot_engine::{ExecContext, ShotEngine, ShotSample};
 pub use simulator::{BackendKind, StochasticSimulator};
-pub use stochastic::{
-    build_intra_pool, execute, resolve_intra_threads, resolve_threads, ExecMode, ExecPlan,
-    Placement, StochasticOutcome,
-};
-// Re-exported so callers can share one fork-join pool across contexts
-// without a direct `qsdd-statevector` dependency.
-pub use qsdd_statevector::IntraPool;
+pub use stochastic::{execute, resolve_threads, ExecMode, ExecPlan, Placement, StochasticOutcome};
 pub use weighted::{WeightedOptions, WeightedStats, MAX_WEIGHTED_QUBITS};
 // Re-exported so `StochasticSimulator::with_opt_level` is usable without a
 // direct `qsdd-transpile` dependency.

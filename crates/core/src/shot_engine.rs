@@ -32,13 +32,11 @@
 //! engine undoes that relabeling on every sampled outcome (and offers
 //! [`ShotEngine::map_observables`] for the reverse direction).
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use qsdd_circuit::Circuit;
 use qsdd_dd::TableStats;
 use qsdd_noise::{ErrorPattern, NoiseModel, Presampled};
-use qsdd_statevector::IntraPool;
 use qsdd_telemetry::{Stage, StageTimings};
 use qsdd_transpile::{layout, transpile, OptLevel, TranspileResult};
 use rand::rngs::StdRng;
@@ -112,52 +110,12 @@ enum EngineBackend {
 pub struct ExecContext {
     dd: Option<Box<DdContext>>,
     dense: Option<Box<DenseContext>>,
-    /// Fork-join pool for the dense kernels, installed into every
-    /// statevector context (existing and lazily created). Decision-diagram
-    /// contexts are serial and never see it.
-    intra: Option<Arc<IntraPool>>,
-}
-
-/// Creates an inner dense context with the pool pre-installed.
-fn new_dense_ctx(intra: &Option<Arc<IntraPool>>) -> Box<DenseContext> {
-    let mut ctx = Box::<DenseContext>::default();
-    ctx.set_intra_pool(intra.clone());
-    ctx
 }
 
 impl ExecContext {
     /// Creates an empty context, usable with any engine.
     pub fn new() -> Self {
         ExecContext::default()
-    }
-
-    /// Requests intra-shot parallelism with `threads` workers for every
-    /// statevector shot executed in this context (see [`IntraPool`]);
-    /// `threads <= 1` restores serial execution. The pool is created once
-    /// and reused across calls with the same width. Results are
-    /// bit-identical for every setting.
-    pub fn set_intra_threads(&mut self, threads: usize) {
-        if threads <= 1 {
-            self.set_intra_pool(None);
-        } else if self.intra.as_ref().map(|pool| pool.threads()) != Some(threads) {
-            self.set_intra_pool(Some(Arc::new(IntraPool::new(threads))));
-        }
-    }
-
-    /// Installs (or clears) a shared fork-join pool for intra-shot
-    /// parallelism. Drivers that run several contexts concurrently hand
-    /// every worker a clone of one pool instead of letting each build its
-    /// own (see [`crate::build_intra_pool`]).
-    pub fn set_intra_pool(&mut self, pool: Option<Arc<IntraPool>>) {
-        self.intra = pool;
-        if let Some(ctx) = self.dense.as_deref_mut() {
-            ctx.set_intra_pool(self.intra.clone());
-        }
-    }
-
-    /// The currently installed fork-join pool, if any.
-    pub fn intra_pool(&self) -> Option<&Arc<IntraPool>> {
-        self.intra.as_ref()
     }
 
     /// Borrows the decision-diagram context, creating it on first use.
@@ -167,8 +125,7 @@ impl ExecContext {
 
     /// Borrows the statevector context, creating it on first use.
     fn dense_mut(&mut self) -> &mut DenseContext {
-        let intra = &self.intra;
-        self.dense.get_or_insert_with(|| new_dense_ctx(intra))
+        self.dense.get_or_insert_with(Box::default)
     }
 
     /// Snapshot of the decision-diagram table counters accumulated by this
@@ -224,11 +181,6 @@ pub struct ShotEngine {
     /// Wall time spent in the construction stages (transpile, compile), so
     /// runners can fold the one-off setup cost into a job's stage breakdown.
     timings: StageTimings,
-    /// Intra-shot parallelism width (1 = serial; always 1 on the
-    /// decision-diagram back-end). Drivers resolve this against their own
-    /// worker count and core budget before building a pool (see
-    /// [`crate::resolve_intra_threads`]).
-    intra_threads: usize,
 }
 
 impl ShotEngine {
@@ -256,7 +208,6 @@ impl ShotEngine {
                 noise,
                 seed,
                 timings,
-                intra_threads: 1,
             };
         }
         let transpile_started = Instant::now();
@@ -290,45 +241,6 @@ impl ShotEngine {
             noise,
             seed,
             timings,
-            intra_threads: 1,
-        }
-    }
-
-    /// Requests intra-shot parallelism with `threads` workers for jobs
-    /// driven through [`crate::execute`]; `1` (the default) keeps execution
-    /// serial. Only the statevector back-end has wide kernels: on the
-    /// decision-diagram back-end the request resolves to 1 here, so no
-    /// driver builds a pool that would sit idle. The request is clamped
-    /// against the driver's own worker count so inter-shot and intra-shot
-    /// parallelism never oversubscribe the machine. Results are
-    /// bit-identical for every setting.
-    pub fn set_intra_threads(&mut self, threads: usize) {
-        self.intra_threads = match self.backend {
-            EngineBackend::DecisionDiagram { .. } => 1,
-            EngineBackend::Statevector { .. } => threads.max(1),
-        };
-    }
-
-    /// Builder form of [`set_intra_threads`](Self::set_intra_threads).
-    pub fn with_intra_threads(mut self, threads: usize) -> Self {
-        self.set_intra_threads(threads);
-        self
-    }
-
-    /// The intra-shot parallelism width shots of this engine run at
-    /// (1 = serial, which the decision-diagram back-end always is).
-    pub fn intra_threads(&self) -> usize {
-        self.intra_threads
-    }
-
-    /// The pool this engine's shots execute on inside `ctx`: the context's
-    /// pool on the statevector back-end, none on the decision-diagram
-    /// back-end (a long-lived context may still hold the pool of an earlier
-    /// dense job).
-    pub(crate) fn wide_pool<'a>(&self, ctx: &'a ExecContext) -> Option<&'a Arc<IntraPool>> {
-        match self.backend {
-            EngineBackend::DecisionDiagram { .. } => None,
-            EngineBackend::Statevector { .. } => ctx.intra_pool(),
         }
     }
 
@@ -702,17 +614,16 @@ impl ShotEngine {
         &self,
         plan: &ExecPlan<'_>,
         threads: usize,
-        intra: Option<&Arc<IntraPool>>,
         inline: Option<&mut ExecContext>,
     ) -> Result<StochasticOutcome, TimedOut> {
         match &self.backend {
             EngineBackend::DecisionDiagram { backend, program } => {
                 let inline = inline.map(ExecContext::dd_mut);
-                run_dedup(self, backend, program, plan, threads, intra, inline)
+                run_dedup(self, backend, program, plan, threads, inline)
             }
             EngineBackend::Statevector { backend, program } => {
                 let inline = inline.map(ExecContext::dense_mut);
-                run_dedup(self, backend, program, plan, threads, intra, inline)
+                run_dedup(self, backend, program, plan, threads, inline)
             }
         }
     }

@@ -93,7 +93,6 @@ pub struct StochasticSimulator {
     noise: NoiseModel,
     dedup: bool,
     weighted: Option<WeightedOptions>,
-    intra_threads: usize,
 }
 
 impl StochasticSimulator {
@@ -110,7 +109,6 @@ impl StochasticSimulator {
             noise: NoiseModel::paper_defaults(),
             dedup: true,
             weighted: None,
-            intra_threads: 1,
         }
     }
 
@@ -153,18 +151,6 @@ impl StochasticSimulator {
     /// disabling it is only useful for benchmarking the per-shot path.
     pub fn with_dedup(mut self, dedup: bool) -> Self {
         self.dedup = dedup;
-        self
-    }
-
-    /// Sets the intra-shot fork-join width (`1` = serial, the default).
-    ///
-    /// Each statevector shot's dense kernels split across this many pool
-    /// workers (see [`crate::IntraPool`]); the decision-diagram back-end is
-    /// serial and ignores the knob. The request is clamped against the
-    /// shot-worker count so the two parallelism layers never oversubscribe
-    /// the machine. Results are bit-identical for every setting.
-    pub fn with_intra_threads(mut self, intra_threads: usize) -> Self {
-        self.intra_threads = intra_threads;
         self
     }
 
@@ -237,7 +223,6 @@ impl StochasticSimulator {
     /// driver. Either way, shot `i` yields the same sample.
     pub fn engine(&self, circuit: &Circuit) -> ShotEngine {
         ShotEngine::new(circuit, self.backend, self.noise, self.seed, self.opt_level)
-            .with_intra_threads(self.intra_threads)
     }
 }
 

@@ -32,10 +32,8 @@
 //!   `Threads(1)` down to the bit patterns of the observable sums.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qsdd_statevector::IntraPool;
 use qsdd_telemetry::trace;
 use qsdd_telemetry::{Stage, StageTimings};
 use rand::rngs::StdRng;
@@ -135,27 +133,6 @@ pub fn resolve_threads(requested: usize) -> usize {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         threads => threads,
     }
-}
-
-/// Resolves a requested intra-shot width against the shot-worker count.
-///
-/// A single shot-worker gets the request as-is; with several workers the
-/// request is clamped to the cores left over per worker (`cores /
-/// workers`, floored at 1), so inter-shot and intra-shot parallelism
-/// together never oversubscribe the machine.
-pub fn resolve_intra_threads(requested: usize, workers: usize) -> usize {
-    let requested = requested.max(1);
-    if requested == 1 || workers <= 1 {
-        return requested;
-    }
-    requested.min((resolve_threads(0) / workers).max(1))
-}
-
-/// Builds the shared fork-join pool of a run — every shot-worker installs a
-/// clone — or `None` when the resolved width stays serial.
-pub fn build_intra_pool(requested: usize, workers: usize) -> Option<Arc<IntraPool>> {
-    let resolved = resolve_intra_threads(requested, workers);
-    (resolved > 1).then(|| Arc::new(IntraPool::new(resolved)))
 }
 
 /// Aggregated result of a stochastic simulation.
@@ -368,11 +345,9 @@ pub fn execute(
     let mut own;
     let (threads, mut inline) = match (on, mode) {
         (Placement::Inline(ctx), _) => (1, Some(ctx)),
-        // The weighted body is serial, so it gets a context of its own with
-        // the engine's requested intra-shot width as-is (one worker).
+        // The weighted body is serial, so it gets a context of its own.
         (Placement::Threads(_), ExecMode::Weighted(_)) => {
             own = engine.new_context();
-            own.set_intra_threads(engine.intra_threads());
             (1, Some(&mut own))
         }
         (Placement::Threads(requested), _) => (resolve_threads(requested), None),
@@ -387,31 +362,17 @@ pub fn execute(
         ));
     }
     let workers = threads.min(plan.shots);
-    let intra = match inline {
-        Some(_) => None,
-        None => build_intra_pool(engine.intra_threads(), workers),
-    };
     let dd_before = inline.as_deref().map(ExecContext::dd_table_stats);
 
     let mut outcome = match (mode, inline.as_deref_mut()) {
         (ExecMode::Weighted(options), Some(ctx)) => run_weighted(engine, ctx, plan, options),
         (ExecMode::Weighted(_), None) => unreachable!("weighted jobs were given a context above"),
-        (ExecMode::Dedup, ctx) => engine.dedup_outcome(plan, workers, intra.as_ref(), ctx),
-        (ExecMode::PerShot, ctx) => run_per_shot(engine, plan, workers, intra.as_ref(), ctx),
+        (ExecMode::Dedup, ctx) => engine.dedup_outcome(plan, workers, ctx),
+        (ExecMode::PerShot, ctx) => run_per_shot(engine, plan, workers, ctx),
     }?;
 
     outcome.wall_time = started.elapsed();
     outcome.stage_timings.merge(&engine.stage_timings());
-    let wide = match &inline {
-        Some(ctx) => engine.wide_pool(ctx).is_some(),
-        None => intra.is_some(),
-    };
-    if wide {
-        let execute_time = outcome.stage_timings.get(Stage::Execute);
-        outcome
-            .stage_timings
-            .record(Stage::IntraExecute, execute_time);
-    }
     if let Some((ctx, dd_before)) = inline.zip(dd_before) {
         publish_job_metrics(&outcome, ctx.dd_table_stats().since(&dd_before));
     }
@@ -421,12 +382,11 @@ pub fn execute(
 /// The per-shot body of [`execute`]: lane `l` of `workers` runs shots `l`,
 /// `l + workers`, … — inline that is the one lane `0..shots` in the
 /// caller's context, threaded each lane is a scoped worker with a fresh
-/// context sharing the `intra` pool.
+/// context.
 fn run_per_shot(
     engine: &ShotEngine,
     plan: &ExecPlan<'_>,
     workers: usize,
-    intra: Option<&Arc<IntraPool>>,
     inline: Option<&mut ExecContext>,
 ) -> Result<StochasticOutcome, TimedOut> {
     let shots = plan.shots;
@@ -451,16 +411,8 @@ fn run_per_shot(
     let execute_started = Instant::now();
     match inline {
         Some(ctx) => {
-            let pool = engine.wide_pool(ctx);
-            let _span = trace::span(if pool.is_some() {
-                "intra_shots"
-            } else {
-                "shots"
-            });
+            let _span = trace::span("shots");
             trace::attr("shots", shots);
-            if let Some(pool) = pool {
-                trace::attr("intra_width", pool.threads());
-            }
             let dd_before = trace_dd_stats(|| ctx.dd_table_stats());
             partials[0] = Some(run_lane(0, ctx)?);
             trace_dd_attrs(dd_before, || ctx.dd_table_stats());
@@ -476,9 +428,6 @@ fn run_per_shot(
                         let _span = trace::span("worker_shots");
                         trace::attr("worker", worker);
                         let mut ctx = engine.new_context();
-                        if let Some(pool) = intra {
-                            ctx.set_intra_pool(Some(Arc::clone(pool)));
-                        }
                         if let Ok(partial) = run_lane(worker, &mut ctx) {
                             trace::attr("shots", (worker..shots).step_by(workers).len());
                             *slot = Some(partial);
@@ -794,21 +743,6 @@ mod tests {
         let reference = run(&engine, Dedup, 64, &[], Threads(1));
         assert_eq!(in_ctx.counts, reference.counts);
         assert_eq!(in_ctx.error_events, reference.error_events);
-    }
-
-    #[test]
-    fn decision_diagram_runs_never_build_an_intra_pool() {
-        // The width request is inert on the serial back-end and honoured
-        // on the dense one (a lone worker skips the core clamp).
-        for mode in [Dedup, PerShot] {
-            let intra_time = |kind| {
-                let engine = engine(kind, &ghz(4), paper(), SEED).with_intra_threads(2);
-                let outcome = run(&engine, mode.clone(), 32, &[], Threads(1));
-                outcome.stage_timings.get(Stage::IntraExecute)
-            };
-            assert_eq!(intra_time(DD), Duration::ZERO);
-            assert!(intra_time(DENSE) > Duration::ZERO);
-        }
     }
 
     #[test]

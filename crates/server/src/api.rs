@@ -36,10 +36,6 @@ pub const MAX_DENSE_QUBITS: usize = 24;
 /// the same way [`MAX_SHOTS`] bounds a sampled one (and bounds the
 /// enumerator's frontier heap, which grows with the budget).
 pub const MAX_WEIGHTED_PATTERNS: u64 = 100_000;
-/// Cap on the per-job intra-shot fork-join width. Purely a sanity bound on
-/// the request — the effective width is additionally clamped against the
-/// server's worker count at execution time.
-pub const MAX_INTRA_THREADS: u64 = 64;
 
 /// A fully validated job submission.
 #[derive(Clone, Debug)]
@@ -69,19 +65,11 @@ pub struct JobInput {
     /// When set, the job runs through the weighted trajectory-enumeration
     /// driver with these knobs instead of sampling every shot.
     pub weighted: Option<WeightedOptions>,
-    /// Intra-shot fork-join width for this job (`1` = serial; only the
-    /// statevector back-end's kernels run wide, decision-diagram jobs are
-    /// serial at any value). An *execution* knob, not a result knob:
-    /// results are bit-identical for every width, so it is deliberately
-    /// **excluded** from [`canonical_key`](Self::canonical_key) and two
-    /// submissions differing only here share one simulation and one cached
-    /// result.
-    pub intra_threads: usize,
     /// Wall-clock budget for the simulation in milliseconds; the job fails
-    /// with reason `timed_out` when it cannot finish in time. Unlike
-    /// `intra_threads` this **is** part of the canonical key (when present):
-    /// a timed-out failure must never be served as the cached answer for an
-    /// unbounded submission of the same circuit, and vice versa.
+    /// with reason `timed_out` when it cannot finish in time. It is part of
+    /// the canonical key (when present): a timed-out failure must never be
+    /// served as the cached answer for an unbounded submission of the same
+    /// circuit, and vice versa.
     pub timeout_ms: Option<u64>,
 }
 
@@ -108,9 +96,6 @@ impl JobInput {
             self.noise.amplitude_damping_prob().to_bits(),
             self.noise.phase_flip_prob().to_bits(),
         ));
-        // `intra_threads` is deliberately absent: it only changes how the
-        // job is executed, never what it computes, so all widths must hit
-        // the same cache entry.
         if let Some(timeout_ms) = self.timeout_ms {
             // Only-when-present keeps every pre-existing key (and with it
             // every previously persisted result) byte-identical.
@@ -214,7 +199,6 @@ pub fn parse_job_request(body: &str) -> Result<JobInput, String> {
                 | "noise"
                 | "observables"
                 | "weighted"
-                | "intra_threads"
                 | "timeout_ms"
         ) {
             return Err(format!("unknown field `{key}`"));
@@ -280,24 +264,6 @@ pub fn parse_job_request(body: &str) -> Result<JobInput, String> {
         }
     }
 
-    let intra_threads = match value.get("intra_threads") {
-        None => 1,
-        Some(v) => {
-            let width = v
-                .as_u64()
-                .ok_or("`intra_threads` must be a positive integer")?;
-            if width == 0 {
-                return Err("`intra_threads` must be at least 1".to_string());
-            }
-            if width > MAX_INTRA_THREADS {
-                return Err(format!(
-                    "`intra_threads` {width} exceeds the limit of {MAX_INTRA_THREADS}"
-                ));
-            }
-            width as usize
-        }
-    };
-
     let timeout_ms = match value.get("timeout_ms") {
         None => None,
         Some(v) => {
@@ -323,7 +289,6 @@ pub fn parse_job_request(body: &str) -> Result<JobInput, String> {
         noise,
         observables,
         weighted,
-        intra_threads,
         timeout_ms,
     })
 }
@@ -613,24 +578,14 @@ mod tests {
     }
 
     #[test]
-    fn intra_threads_is_validated_and_never_reaches_the_cache_key() {
-        // Default is serial.
-        let serial = parse_job_request(&ghz_request("")).unwrap();
-        assert_eq!(serial.intra_threads, 1);
-        // An explicit width parses ...
-        let wide = parse_job_request(&ghz_request(r#","intra_threads":8"#)).unwrap();
-        assert_eq!(wide.intra_threads, 8);
-        // ... but never changes what the job computes, so the canonical key
-        // (and with it the job id and cache entry) must be identical.
-        assert_eq!(serial.canonical_key(), wide.canonical_key());
-        assert_eq!(serial.content_address(), wide.content_address());
-        // Invalid widths are rejected with a pointed message.
-        let zero = parse_job_request(&ghz_request(r#","intra_threads":0"#)).unwrap_err();
-        assert!(zero.contains("at least 1"), "{zero}");
-        let huge = parse_job_request(&ghz_request(r#","intra_threads":65"#)).unwrap_err();
-        assert!(huge.contains("exceeds the limit"), "{huge}");
-        let text = parse_job_request(&ghz_request(r#","intra_threads":"two""#)).unwrap_err();
-        assert!(text.contains("positive integer"), "{text}");
+    fn intra_threads_is_rejected_as_an_unknown_field() {
+        // Shots are the only parallel axis: a per-job width is a typo like
+        // any other, not a silently ignored knob.
+        for width in ["1", "8"] {
+            let extra = format!(r#","intra_threads":{width}"#);
+            let err = parse_job_request(&ghz_request(&extra)).unwrap_err();
+            assert_eq!(err, "unknown field `intra_threads`");
+        }
     }
 
     #[test]

@@ -896,18 +896,7 @@ fn execute_job(state: &Arc<ServerState>, cell: &Arc<ExecutionCell>, ctx: &mut Ex
                     input.seed,
                     input.opt,
                 )
-                .with_intra_threads(input.intra_threads)
             };
-            // Per-job intra-shot width (1 on the decision-diagram back-end,
-            // which is serial), clamped against the worker-pool size so a
-            // fully loaded pool never oversubscribes the machine. The knob
-            // never affects the payload — the dense kernels partition on
-            // fixed chunk boundaries, so every width computes the same
-            // bits — which is what keeps it safely outside the cache key.
-            ctx.set_intra_threads(qsdd_core::resolve_intra_threads(
-                engine.intra_threads(),
-                state.workers,
-            ));
             let mode = ExecMode::from_switches(input.dedup, input.weighted.clone());
             let plan = ExecPlan::new(mode, input.shots, &input.observables).with_deadline(deadline);
             let outcome = execute(&engine, &plan, Placement::Inline(ctx))?;

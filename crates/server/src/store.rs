@@ -329,7 +329,12 @@ fn decode_record(raw: &[u8]) -> Option<RestoredRecord> {
     let mut timings = StageTimings::new();
     if let Some(Value::Object(pairs)) = value.get("timings") {
         for (name, nanos) in pairs {
-            let stage = Stage::ALL.iter().find(|stage| stage.name() == name)?;
+            // A stage an older build timed and this one no longer has is
+            // skipped: the record's payload, not its breakdown, is what the
+            // job id answers with, so it must survive the upgrade.
+            let Some(stage) = Stage::ALL.iter().find(|stage| stage.name() == name) else {
+                continue;
+            };
             timings.record(*stage, Duration::from_nanos(nanos.as_u64()?));
         }
     }
@@ -403,6 +408,33 @@ mod tests {
         bare.circuit_qasm = None;
         let decoded = decode_record(encode_record(&bare).as_bytes()).unwrap();
         assert_eq!(decoded.circuit_qasm, None);
+    }
+
+    #[test]
+    fn records_with_a_retired_stage_restore_with_the_known_stages() {
+        // Builds with intra-shot kernels timed `intra_execute` next to
+        // `execute`; their records must keep answering after an upgrade.
+        let original = record("j0123456789abcdef", r#"{"counts":{"0":7}}"#);
+        let frame = encode_record(&original);
+        let old_frame = frame.replace(
+            r#""execute":56000"#,
+            r#""execute":56000,"intra_execute":56000"#,
+        );
+        assert_ne!(old_frame, frame);
+        let decoded = decode_record(old_frame.as_bytes()).expect("the record restores");
+        assert_eq!(decoded.payload.as_bytes(), original.payload.as_bytes());
+        assert_eq!(decoded.id, original.id);
+        let kept: Vec<_> = decoded
+            .timings
+            .iter()
+            .filter(|(_, t)| !t.is_zero())
+            .collect();
+        let expected: Vec<_> = original
+            .timings
+            .iter()
+            .filter(|(_, t)| !t.is_zero())
+            .collect();
+        assert_eq!(kept, expected);
     }
 
     #[test]

@@ -23,13 +23,12 @@
 //! assert!((state.probability_of_index(0b111) - 0.5).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod executor;
-mod intra;
 mod state;
 
 pub use executor::{apply_unitary_operation, run_noiseless, run_with_measurements};
-pub use intra::IntraPool;
 pub use state::{sample_cumulative, StateVector};

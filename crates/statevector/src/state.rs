@@ -5,148 +5,35 @@
 //! QLM LinAlg simulator): all `2^n` amplitudes are stored explicitly and
 //! every gate touches half (or a quarter) of them.
 //!
-//! The gate kernels are written as *flat pair-stride loops*: a pair index
-//! `p` expands to the amplitude pair `(i, i | mask)` by inserting a zero
-//! bit at the target qubit's position, so the inner loop has no branch on
-//! the bit test and autovectorizes. The same pair space is partitioned
-//! into fixed [`CHUNK`]-sized chunks, which an optional [`IntraPool`]
-//! splits across threads; because the chunk boundaries do not depend on
-//! the thread count and reductions merge per-chunk partial sums in chunk
-//! order, every result is byte-identical to the serial path.
-
-use std::sync::Arc;
+//! The gate kernels walk the state in blocks of `2·mask` amplitudes (the
+//! target qubit's bit is `mask`): each block splits into its `|0>` half
+//! and its `|1>` half, and zipping the halves visits every amplitude pair
+//! `(i, i | mask)` in safe slice code. The reductions sum fixed
+//! [`CHUNK`]-sized chunks and then merge the per-chunk partial sums in
+//! chunk order; every recorded damping threshold and output was computed
+//! with that association, so it stays.
 
 use qsdd_dd::{Complex, Matrix2};
 use rand::Rng;
 
-use crate::intra::IntraPool;
-
-/// Fixed width (in pair or amplitude indices) of one kernel chunk. Both
-/// the serial and pooled paths partition work on these boundaries, so
-/// floating-point reductions see the same association regardless of
-/// `intra_threads`.
+/// Fixed width (in pair or amplitude indices) of one reduction chunk. The
+/// reductions add each chunk's partial sum in chunk order, so this
+/// association is part of every result and must not change.
 const CHUNK: usize = 1 << 14;
 
-/// A raw pointer the fork-join closures may share across threads.
-///
-/// Safety is established at each use site: chunks address disjoint
-/// amplitude pairs (or disjoint partial-sum slots), so no two threads
-/// touch the same element.
-struct SendPtr<T>(*mut T);
-
-impl<T> SendPtr<T> {
-    // A method (rather than direct field access) so closures capture the
-    // Sync wrapper, not the raw pointer, under disjoint field capture.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-/// Applies `m` to every amplitude pair whose pair index lies in `lo..hi`.
-///
-/// Pair index `p` expands to `i` by shifting the bits above the target
-/// position left by one (inserting a zero at `mask`); `j = i | mask` is
-/// the partner amplitude.
-///
-/// # Safety
-///
-/// Every pair index in `lo..hi` must expand to in-bounds amplitudes, and
-/// no other thread may access those pairs concurrently.
-unsafe fn single_qubit_pairs(amps: *mut Complex, mask: usize, m: &Matrix2, lo: usize, hi: usize) {
-    let (m00, m01) = (m.entry(0, 0), m.entry(0, 1));
-    let (m10, m11) = (m.entry(1, 0), m.entry(1, 1));
-    let low = mask - 1;
-    for p in lo..hi {
-        let i = ((p & !low) << 1) | (p & low);
-        let j = i | mask;
-        let a0 = *amps.add(i);
-        let a1 = *amps.add(j);
-        *amps.add(i) = m00 * a0 + m01 * a1;
-        *amps.add(j) = m10 * a0 + m11 * a1;
-    }
-}
-
-/// Like [`single_qubit_pairs`], but only touches pairs whose index has
-/// every bit of `control_mask` set.
-///
-/// # Safety
-///
-/// Same contract as [`single_qubit_pairs`].
-unsafe fn controlled_pairs(
-    amps: *mut Complex,
+/// Applies `pair(i, a0, a1)` to every amplitude pair `(i, i | mask)`:
+/// `a0` the amplitude with the `mask` bit clear, `a1` its partner.
+fn for_each_pair(
+    amps: &mut [Complex],
     mask: usize,
-    control_mask: usize,
-    m: &Matrix2,
-    lo: usize,
-    hi: usize,
+    mut pair: impl FnMut(usize, &mut Complex, &mut Complex),
 ) {
-    let (m00, m01) = (m.entry(0, 0), m.entry(0, 1));
-    let (m10, m11) = (m.entry(1, 0), m.entry(1, 1));
-    let low = mask - 1;
-    for p in lo..hi {
-        let i = ((p & !low) << 1) | (p & low);
-        if i & control_mask == control_mask {
-            let j = i | mask;
-            let a0 = *amps.add(i);
-            let a1 = *amps.add(j);
-            *amps.add(i) = m00 * a0 + m01 * a1;
-            *amps.add(j) = m10 * a0 + m11 * a1;
+    for (block, amps) in amps.chunks_exact_mut(2 * mask).enumerate() {
+        let (zero, one) = amps.split_at_mut(mask);
+        let base = block * 2 * mask;
+        for (offset, (a0, a1)) in zero.iter_mut().zip(one).enumerate() {
+            pair(base + offset, a0, a1);
         }
-    }
-}
-
-/// Exchanges the amplitudes of `|..a=1,b=0..>` and `|..a=0,b=1..>` for
-/// every pair index in `lo..hi` (the pair space of qubit mask `ma`).
-///
-/// # Safety
-///
-/// Same contract as [`single_qubit_pairs`]: sources (`ma` set) and
-/// destinations (`mb` set, `ma` clear) are disjoint across pair indices.
-unsafe fn swap_pairs(amps: *mut Complex, ma: usize, mb: usize, lo: usize, hi: usize) {
-    let low = ma - 1;
-    for p in lo..hi {
-        let i = ((p & !low) << 1) | (p & low) | ma;
-        if i & mb == 0 {
-            let j = (i & !ma) | mb;
-            let tmp = *amps.add(i);
-            *amps.add(i) = *amps.add(j);
-            *amps.add(j) = tmp;
-        }
-    }
-}
-
-/// Scales the `|0>` amplitude of every pair in `lo..hi` by `s0` and the
-/// `|1>` amplitude by `s1`: a real diagonal operator.
-///
-/// # Safety
-///
-/// Same contract as [`single_qubit_pairs`].
-unsafe fn scale_pairs(amps: *mut Complex, mask: usize, s0: f64, s1: f64, lo: usize, hi: usize) {
-    let low = mask - 1;
-    for p in lo..hi {
-        let i = ((p & !low) << 1) | (p & low);
-        let j = i | mask;
-        *amps.add(i) = (*amps.add(i)).scale(s0);
-        *amps.add(j) = (*amps.add(j)).scale(s1);
-    }
-}
-
-/// Moves the `|1>` amplitude of every pair in `lo..hi` onto the `|0>`
-/// amplitude, scaled by `s`, and clears it.
-///
-/// # Safety
-///
-/// Same contract as [`single_qubit_pairs`].
-unsafe fn lower_pairs(amps: *mut Complex, mask: usize, s: f64, lo: usize, hi: usize) {
-    let low = mask - 1;
-    for p in lo..hi {
-        let i = ((p & !low) << 1) | (p & low);
-        let j = i | mask;
-        *amps.add(i) = (*amps.add(j)).scale(s);
-        *amps.add(j) = Complex::ZERO;
     }
 }
 
@@ -167,18 +54,10 @@ unsafe fn lower_pairs(amps: *mut Complex, mask: usize, s: f64, lo: usize, hi: us
 /// assert!((state.probability_of_index(0b00) - 0.5).abs() < 1e-12);
 /// assert!((state.probability_of_index(0b11) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StateVector {
     num_qubits: usize,
     amplitudes: Vec<Complex>,
-    pool: Option<Arc<IntraPool>>,
-}
-
-impl PartialEq for StateVector {
-    // The pool is an execution detail, not part of the state's value.
-    fn eq(&self, other: &Self) -> bool {
-        self.num_qubits == other.num_qubits && self.amplitudes == other.amplitudes
-    }
 }
 
 impl StateVector {
@@ -199,7 +78,6 @@ impl StateVector {
         StateVector {
             num_qubits: n,
             amplitudes,
-            pool: None,
         }
     }
 
@@ -216,27 +94,12 @@ impl StateVector {
         StateVector {
             num_qubits: amplitudes.len().trailing_zeros() as usize,
             amplitudes,
-            pool: None,
         }
     }
 
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
-    }
-
-    /// Installs (or clears) the fork-join pool used by the gate kernels
-    /// and reductions. A pool with one thread is equivalent to `None`.
-    ///
-    /// Results are byte-identical with and without a pool: the chunk
-    /// partition is fixed and partial sums merge in chunk order.
-    pub fn set_intra_pool(&mut self, pool: Option<Arc<IntraPool>>) {
-        self.pool = pool;
-    }
-
-    /// The pool that will actually run work in parallel, if any.
-    fn active_pool(&self) -> Option<Arc<IntraPool>> {
-        self.pool.clone().filter(|p| p.threads() > 1)
     }
 
     /// Rewinds the state to `|0...0>` in place, without reallocating.
@@ -268,41 +131,15 @@ impl StateVector {
         1usize << (self.num_qubits - 1 - qubit)
     }
 
-    /// Runs `kernel` over the pair-index range `0..pairs`, split into
-    /// fixed chunks across the pool when one is installed.
-    ///
-    /// # Safety contract (internal)
-    ///
-    /// `kernel(lo, hi)` must only touch amplitudes reachable from pair
-    /// indices in `lo..hi`, and distinct pair indices must address
-    /// disjoint amplitudes.
-    fn run_pair_kernel(
-        &mut self,
-        pairs: usize,
-        kernel: impl Fn(*mut Complex, usize, usize) + Sync,
-    ) {
-        let pool = self.active_pool();
-        let base = SendPtr(self.amplitudes.as_mut_ptr());
-        match pool {
-            Some(pool) => {
-                let chunks = pairs.div_ceil(CHUNK);
-                pool.for_each_chunk(chunks, &|c| {
-                    let lo = c * CHUNK;
-                    kernel(base.get(), lo, (lo + CHUNK).min(pairs));
-                });
-            }
-            None => kernel(base.get(), 0, pairs),
-        }
-    }
-
     /// Applies a single-qubit unitary (or Kraus operator) to `target`.
     pub fn apply_single(&mut self, target: usize, m: &Matrix2) {
         let mask = self.bit_mask(target);
-        let pairs = self.amplitudes.len() >> 1;
-        // SAFETY: every pair index below `pairs` expands to two in-bounds
-        // amplitudes, and distinct pair indices never share an amplitude.
-        self.run_pair_kernel(pairs, |amps, lo, hi| unsafe {
-            single_qubit_pairs(amps, mask, m, lo, hi)
+        let (m00, m01) = (m.entry(0, 0), m.entry(0, 1));
+        let (m10, m11) = (m.entry(1, 0), m.entry(1, 1));
+        for_each_pair(&mut self.amplitudes, mask, |_, a0, a1| {
+            let (x0, x1) = (*a0, *a1);
+            *a0 = m00 * x0 + m01 * x1;
+            *a1 = m10 * x0 + m11 * x1;
         });
     }
 
@@ -322,61 +159,54 @@ impl StateVector {
         );
         let mask = self.bit_mask(target);
         let control_mask: usize = controls.iter().map(|&c| self.bit_mask(c)).sum();
-        let pairs = self.amplitudes.len() >> 1;
-        // SAFETY: as in `apply_single`; the control test only skips pairs.
-        self.run_pair_kernel(pairs, |amps, lo, hi| unsafe {
-            controlled_pairs(amps, mask, control_mask, m, lo, hi)
+        let (m00, m01) = (m.entry(0, 0), m.entry(0, 1));
+        let (m10, m11) = (m.entry(1, 0), m.entry(1, 1));
+        for_each_pair(&mut self.amplitudes, mask, |i, a0, a1| {
+            if i & control_mask == control_mask {
+                let (x0, x1) = (*a0, *a1);
+                *a0 = m00 * x0 + m01 * x1;
+                *a1 = m10 * x0 + m11 * x1;
+            }
         });
     }
 
     /// Exchanges two qubits.
     pub fn apply_swap(&mut self, a: usize, b: usize) {
         assert_ne!(a, b, "swap requires two distinct qubits");
-        let ma = self.bit_mask(a);
-        let mb = self.bit_mask(b);
-        let pairs = self.amplitudes.len() >> 1;
-        // SAFETY: sources have `ma` set and destinations have `ma` clear,
-        // so the index sets are disjoint across the whole pair space.
-        self.run_pair_kernel(pairs, |amps, lo, hi| unsafe {
-            swap_pairs(amps, ma, mb, lo, hi)
-        });
+        // Each block of the higher bit splits into its `|0>` and `|1>`
+        // halves; the lower bit's `|1>` quarter of the first half trades
+        // places with the `|0>` quarter of the second:
+        // `|..0..1..>` <-> `|..1..0..>`.
+        let (high, low) = {
+            let (ma, mb) = (self.bit_mask(a), self.bit_mask(b));
+            (ma.max(mb), ma.min(mb))
+        };
+        for block in self.amplitudes.chunks_exact_mut(2 * high) {
+            let (zero, one) = block.split_at_mut(high);
+            for (zero, one) in zero
+                .chunks_exact_mut(2 * low)
+                .zip(one.chunks_exact_mut(2 * low))
+            {
+                zero[low..].swap_with_slice(&mut one[..low]);
+            }
+        }
     }
 
     /// Reduces `0..len` by fixed chunks: `reduce(lo, hi)` per chunk, the
-    /// partials returned in chunk order for the caller to merge. Serial and
-    /// pooled paths produce bit-identical results because the chunk
-    /// boundaries and both summation orders are independent of the pool.
-    fn chunk_partials<T: Copy + Default + Send>(
-        &self,
+    /// partials yielded in chunk order for the caller to merge.
+    fn chunk_partials<T>(
         len: usize,
-        reduce: impl Fn(usize, usize) -> T + Sync,
-    ) -> Vec<T> {
-        let chunks = len.div_ceil(CHUNK);
-        let mut partials = vec![T::default(); chunks];
-        let reduce_chunk = |c: usize| {
+        reduce: impl Fn(usize, usize) -> T,
+    ) -> impl Iterator<Item = T> {
+        (0..len.div_ceil(CHUNK)).map(move |c| {
             let lo = c * CHUNK;
             reduce(lo, (lo + CHUNK).min(len))
-        };
-        match self.active_pool() {
-            Some(pool) => {
-                let out = SendPtr(partials.as_mut_ptr());
-                pool.for_each_chunk(chunks, &|c| {
-                    // SAFETY: each chunk index writes only its own slot.
-                    unsafe { *out.get().add(c) = reduce_chunk(c) };
-                });
-            }
-            None => {
-                for (c, slot) in partials.iter_mut().enumerate() {
-                    *slot = reduce_chunk(c);
-                }
-            }
-        }
-        partials
+        })
     }
 
     /// Sums `f(index, amplitude)` over all amplitudes by fixed chunks,
     /// merging the per-chunk partial sums in chunk order.
-    fn chunked_sum(&self, f: impl Fn(usize, Complex) -> f64 + Sync) -> f64 {
+    fn chunked_sum(&self, f: impl Fn(usize, Complex) -> f64) -> f64 {
         let amps = &self.amplitudes;
         let sum_chunk = |lo: usize, hi: usize| {
             let mut acc = 0.0;
@@ -385,7 +215,7 @@ impl StateVector {
             }
             acc
         };
-        self.chunk_partials(amps.len(), sum_chunk).iter().sum()
+        Self::chunk_partials(amps.len(), sum_chunk).sum()
     }
 
     /// Squared Euclidean norm of the state.
@@ -437,11 +267,9 @@ impl StateVector {
             }
             (zero, one)
         };
-        self.chunk_partials(amps.len() >> 1, weigh_chunk)
-            .iter()
-            .fold((0.0, 0.0), |(zero, one), part| {
-                (zero + part.0, one + part.1)
-            })
+        Self::chunk_partials(amps.len() >> 1, weigh_chunk).fold((0.0, 0.0), |(zero, one), part| {
+            (zero + part.0, one + part.1)
+        })
     }
 
     /// Applies the no-decay branch `diag(1, √(1-γ))` of amplitude damping
@@ -451,9 +279,9 @@ impl StateVector {
         let mask = self.bit_mask(qubit);
         let norm = (zero + (1.0 - gamma) * one).sqrt();
         let (s0, s1) = (1.0 / norm, (1.0 - gamma).sqrt() / norm);
-        // SAFETY: as in `apply_single`.
-        self.run_pair_kernel(self.amplitudes.len() >> 1, |amps, lo, hi| unsafe {
-            scale_pairs(amps, mask, s0, s1, lo, hi)
+        for_each_pair(&mut self.amplitudes, mask, |_, a0, a1| {
+            *a0 = a0.scale(s0);
+            *a1 = a1.scale(s1);
         });
     }
 
@@ -470,9 +298,9 @@ impl StateVector {
         assert!(one > 0.0, "a qubit without |1> weight cannot decay");
         let mask = self.bit_mask(qubit);
         let scale = 1.0 / one.sqrt();
-        // SAFETY: as in `apply_single`.
-        self.run_pair_kernel(self.amplitudes.len() >> 1, |amps, lo, hi| unsafe {
-            lower_pairs(amps, mask, scale, lo, hi)
+        for_each_pair(&mut self.amplitudes, mask, |_, a0, a1| {
+            *a0 = a1.scale(scale);
+            *a1 = Complex::ZERO;
         });
     }
 
@@ -572,7 +400,6 @@ impl StateVector {
         StateVector {
             num_qubits: n,
             amplitudes,
-            pool: self.pool.clone(),
         }
     }
 
@@ -734,50 +561,6 @@ mod tests {
         s.apply_single(5, &Matrix2::pauli_x());
     }
 
-    /// Runs the same non-trivial circuit (both damping branches included)
-    /// with and without a pool on a state large enough to span several
-    /// kernel chunks (17 qubits = 2^17 amplitudes = 8 chunks), then
-    /// compares every amplitude and all three reductions bit for bit — the
-    /// core determinism contract of the intra-shot parallel kernels.
-    #[test]
-    fn pooled_kernels_are_bit_identical_to_serial() {
-        fn build(pool: Option<Arc<IntraPool>>) -> StateVector {
-            let n = 17;
-            let mut s = StateVector::new(n);
-            s.set_intra_pool(pool);
-            for q in 0..n {
-                s.apply_single(q, &Matrix2::hadamard());
-            }
-            for q in 0..n - 1 {
-                s.apply_controlled(&[q], q + 1, &Matrix2::phase(0.37 * (q as f64 + 1.0)));
-            }
-            s.apply_controlled(&[0, 8], 16, &Matrix2::ry(0.81));
-            s.apply_swap(0, n - 1);
-            s.apply_single(3, &Matrix2::u3(0.4, 1.1, -0.6));
-            let weights = s.branch_weights(5);
-            s.damping_keep(5, 0.2, weights);
-            let (_, one) = s.branch_weights(11);
-            s.damping_decay(11, one);
-            s
-        }
-        let serial = build(None);
-        for threads in [2, 4] {
-            let pooled = build(Some(Arc::new(IntraPool::new(threads))));
-            for (a, b) in serial.amplitudes().iter().zip(pooled.amplitudes()) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
-            }
-            assert_eq!(serial.norm_sqr().to_bits(), pooled.norm_sqr().to_bits());
-            assert_eq!(
-                serial.probability_one(5).to_bits(),
-                pooled.probability_one(5).to_bits()
-            );
-            let (serial, pooled) = (serial.branch_weights(2), pooled.branch_weights(2));
-            assert_eq!(serial.0.to_bits(), pooled.0.to_bits());
-            assert_eq!(serial.1.to_bits(), pooled.1.to_bits());
-        }
-    }
-
     /// A normalised pseudo-random state (every amplitude non-zero).
     fn random_state(n: usize, seed: u64) -> StateVector {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -830,6 +613,54 @@ mod tests {
         }
     }
 
+    /// The block-and-halves kernels against a reference that reaches each
+    /// pair through its pair index (`i = ((p & !low) << 1) | (p & low)`),
+    /// bit for bit; the swap against a qubit relabeling.
+    #[test]
+    fn slice_kernels_match_the_pair_index_formula() {
+        let (n, m) = (15, Matrix2::u3(0.4, 1.1, -0.6));
+        let state = random_state(n, 9);
+        let reference = |target: usize, control_mask: usize| {
+            let mut amps = state.amplitudes().to_vec();
+            let mask = 1usize << (n - 1 - target);
+            let low = mask - 1;
+            for p in 0..amps.len() / 2 {
+                let i = ((p & !low) << 1) | (p & low);
+                if i & control_mask == control_mask {
+                    let (a0, a1) = (amps[i], amps[i | mask]);
+                    amps[i] = m.entry(0, 0) * a0 + m.entry(0, 1) * a1;
+                    amps[i | mask] = m.entry(1, 0) * a0 + m.entry(1, 1) * a1;
+                }
+            }
+            amps
+        };
+        let bits = |amps: &[Complex]| -> Vec<(u64, u64)> {
+            amps.iter()
+                .map(|a| (a.re.to_bits(), a.im.to_bits()))
+                .collect()
+        };
+        for target in [0, 7, n - 1] {
+            let mut single = state.clone();
+            single.apply_single(target, &m);
+            assert_eq!(bits(single.amplitudes()), bits(&reference(target, 0)));
+            let control = (target + 3) % n;
+            let mut controlled = state.clone();
+            controlled.apply_controlled(&[control], target, &m);
+            let control_mask = 1usize << (n - 1 - control);
+            assert_eq!(
+                bits(controlled.amplitudes()),
+                bits(&reference(target, control_mask))
+            );
+        }
+        for (a, b) in [(0, n - 1), (9, 2), (4, 5)] {
+            let mut swapped = state.clone();
+            swapped.apply_swap(a, b);
+            let mut relabel: Vec<usize> = (0..n).collect();
+            relabel.swap(a, b);
+            assert_eq!(swapped, state.permute_qubits(&relabel));
+        }
+    }
+
     #[test]
     fn table_and_scan_pick_the_same_outcome_from_the_same_draw() {
         // A sparse state: zero-probability indices are never drawn.
@@ -844,16 +675,5 @@ mod tests {
             assert!(state.probability_of_index(outcome) > 0.0);
         }
         assert_eq!(scan_rng.gen::<u64>(), table_rng.gen::<u64>());
-    }
-
-    /// A 1-thread pool must behave exactly like no pool at all.
-    #[test]
-    fn one_thread_pool_is_a_no_op() {
-        let mut s = StateVector::new(4);
-        s.set_intra_pool(Some(Arc::new(IntraPool::new(1))));
-        s.apply_single(0, &Matrix2::hadamard());
-        s.apply_controlled(&[0], 3, &Matrix2::pauli_x());
-        assert!((s.probability_of_index(0b0000) - 0.5).abs() < 1e-12);
-        assert!((s.probability_of_index(0b1001) - 0.5).abs() < 1e-12);
     }
 }

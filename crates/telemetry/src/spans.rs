@@ -25,9 +25,6 @@ pub enum Stage {
     Group,
     /// Shot / trajectory execution.
     Execute,
-    /// Portion of execution spent with intra-shot parallelism engaged
-    /// (chunked dense kernels on a worker pool).
-    IntraExecute,
     /// Merging worker partials into the final outcome.
     Aggregate,
     /// Result-cache lookup on the serving path.
@@ -38,14 +35,13 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 9] = [
         Stage::Parse,
         Stage::Transpile,
         Stage::Compile,
         Stage::Presample,
         Stage::Group,
         Stage::Execute,
-        Stage::IntraExecute,
         Stage::Aggregate,
         Stage::CacheLookup,
         Stage::QueueWait,
@@ -60,7 +56,6 @@ impl Stage {
             Stage::Presample => "presample",
             Stage::Group => "group",
             Stage::Execute => "execute",
-            Stage::IntraExecute => "intra_execute",
             Stage::Aggregate => "aggregate",
             Stage::CacheLookup => "cache_lookup",
             Stage::QueueWait => "queue_wait",
@@ -191,7 +186,7 @@ mod tests {
     #[test]
     fn stage_names_are_stable_and_distinct() {
         let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names.len(), 10);
+        assert_eq!(names.len(), 9);
         for (i, a) in names.iter().enumerate() {
             for b in &names[i + 1..] {
                 assert_ne!(a, b);
@@ -212,7 +207,7 @@ mod tests {
         other.record(Stage::Compile, Duration::from_millis(1));
         t.merge(&other);
         assert_eq!(t.get(Stage::Compile), Duration::from_millis(3));
-        assert_eq!(t.iter().count(), 10);
+        assert_eq!(t.iter().count(), 9);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use qsdd::core::Stage;
 const RUN_FLAGS: &[&str] = &[
     "--shots",
     "--threads",
-    "--intra-threads",
     "--seed",
     "--backend",
     "--opt",
@@ -46,7 +45,6 @@ const BATCH_FLAGS: &[&str] = &[
     "--out",
     "--format",
     "--threads",
-    "--intra-threads",
     "--no-dedup",
     "--profile",
     "--trace-out",
@@ -105,8 +103,6 @@ fn listed_flags_are_actually_accepted() {
         "10",
         "--threads",
         "1",
-        "--intra-threads",
-        "2",
         "--seed",
         "1",
         "--backend",
@@ -158,15 +154,15 @@ fn stage_vocabulary_matches_the_docs() {
             "docs/metrics.md drifted: missing stage `{name}`"
         );
     }
-    // The stage-count prose must match Stage::ALL's length ("ten-stage"
-    // today): a new stage must update the docs, not silently outgrow them.
-    assert_eq!(Stage::ALL.len(), 10);
+    // The stage-count prose must match Stage::ALL's length ("nine-stage"
+    // today): a changed stage list must update the docs, not drift apart.
+    assert_eq!(Stage::ALL.len(), 9);
     assert!(
-        cli_doc.contains("ten-stage") || cli_doc.contains("10-stage"),
+        cli_doc.contains("nine-stage") || cli_doc.contains("9-stage"),
         "docs/cli.md stage-count prose drifted"
     );
     assert!(
-        metrics_doc.contains("ten-stage") || metrics_doc.contains("10-stage"),
+        metrics_doc.contains("nine-stage") || metrics_doc.contains("9-stage"),
         "docs/metrics.md stage-count prose drifted"
     );
 }

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use qsdd::circuit::Circuit;
 use qsdd::core::{
     execute, BackendKind, Deadline, ExecMode, ExecPlan, Observable, OptLevel, Placement,
-    ShotEngine, StochasticOutcome,
+    ShotEngine, StochasticOutcome, WeightedOptions,
 };
 use qsdd::noise::NoiseModel;
 use qsdd::telemetry::trace::{self, AttrValue, Tracer};
@@ -198,21 +198,33 @@ proptest! {
     /// The dense statevector back-end deduplicates full unitary programs —
     /// under state-dependent amplitude damping too, with thresholds
     /// recorded at compile time and learned past a deviation — and must
-    /// match per-shot execution byte for byte.
+    /// match per-shot execution byte for byte. A dense circuit with
+    /// mid-circuit measurements and resets declines dedup and weighted
+    /// enumeration, and both must fall back to the per-shot bytes.
     #[test]
     fn dense_dedup_matches_per_shot(
         circuit in arb_circuit(3, 14, false),
+        measured in arb_circuit(3, 14, true),
         seed in 0u64..1000,
     ) {
-        let engine = ShotEngine::new(
-            &circuit,
-            BackendKind::Statevector,
-            NoiseModel::new(0.03, 0.04, 0.03),
-            seed,
-            OptLevel::O0,
-        );
+        let noise = NoiseModel::new(0.03, 0.04, 0.03);
+        let engine = ShotEngine::new(&circuit, BackendKind::Statevector, noise, seed, OptLevel::O0);
         compare_engine(&engine, &[Observable::QubitExcitation(0)]);
         prop_assert!(engine.supports_dedup());
+
+        // A reset ahead of a gate guarantees a mid-circuit non-unitary op.
+        let mut measured = measured;
+        measured.reset(0);
+        measured.h(0);
+        let engine = ShotEngine::new(&measured, BackendKind::Statevector, noise, seed, OptLevel::O0);
+        prop_assert!(!engine.supports_weighted());
+        let observables = [Observable::BasisProbability(0)];
+        compare_engine(&engine, &observables);
+        let weighted = ExecMode::Weighted(WeightedOptions::default());
+        for threads in [1usize, 2] {
+            let reference = run(ExecMode::PerShot, &engine, SHOTS, threads, &observables);
+            assert_identical(&run(weighted.clone(), &engine, SHOTS, threads, &observables), &reference);
+        }
     }
 }
 

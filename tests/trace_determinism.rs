@@ -1,7 +1,7 @@
 //! Tracing must be a pure observer: result payloads are byte-identical
 //! whether span recording is off, on, or sampled out — across shot-thread
-//! counts, intra-shot widths, both backends and every driver (per-shot,
-//! trajectory-dedup, weighted enumeration).
+//! counts, both backends and every driver (per-shot, trajectory-dedup,
+//! weighted enumeration).
 //!
 //! Each case runs the same job three times — tracing off (the baseline),
 //! tracing on with a live tracer installed, and tracing on but sampled
@@ -41,7 +41,6 @@ fn run_once(
     shots: usize,
     seed: u64,
     threads: usize,
-    intra: usize,
     backend: BackendKind,
     driver: Driver,
 ) -> Fingerprint {
@@ -50,7 +49,6 @@ fn run_once(
         .with_backend(backend)
         .with_shots(shots)
         .with_threads(threads)
-        .with_intra_threads(intra)
         .with_seed(seed)
         .with_noise(NoiseModel::paper_defaults())
         .with_dedup(matches!(driver, Driver::Dedup));
@@ -78,20 +76,18 @@ fn run_once(
 /// globals, so concurrent flipping would blur which mode a run saw.
 static GATE: Mutex<()> = Mutex::new(());
 
-#[allow(clippy::too_many_arguments)]
 fn assert_tracing_invisible(
     qubits: usize,
     shots: usize,
     seed: u64,
     threads: usize,
-    intra: usize,
     backend: BackendKind,
     driver: Driver,
 ) {
     let _gate = GATE.lock().unwrap();
 
     trace::set_trace_enabled(false);
-    let off = run_once(qubits, shots, seed, threads, intra, backend, driver);
+    let off = run_once(qubits, shots, seed, threads, backend, driver);
 
     // Tracing on, tracer installed: every span the drivers emit records.
     trace::set_trace_enabled(true);
@@ -99,7 +95,7 @@ fn assert_tracing_invisible(
     let tracer = trace::Tracer::forced("determinism", "determinism");
     let on = {
         let _install = tracer.install(0);
-        run_once(qubits, shots, seed, threads, intra, backend, driver)
+        run_once(qubits, shots, seed, threads, backend, driver)
     };
     let traced = tracer.finish("job");
     assert!(
@@ -110,7 +106,7 @@ fn assert_tracing_invisible(
     // Tracing on but the job sampled out: the gate is hot, yet no tracer
     // is installed anywhere, so `span` calls hit only the TLS check.
     trace::set_trace_sample_rate(u64::MAX);
-    let sampled = run_once(qubits, shots, seed, threads, intra, backend, driver);
+    let sampled = run_once(qubits, shots, seed, threads, backend, driver);
     trace::set_trace_sample_rate(1);
     trace::set_trace_enabled(false);
 
@@ -128,7 +124,6 @@ proptest! {
     fn results_are_identical_with_tracing_off_on_and_sampled(
         seed in 1u64..10_000,
         threads_pick in 0usize..3,
-        intra in 1usize..3,
         backend_pick in 0usize..2,
         driver_pick in 0usize..3,
     ) {
@@ -139,19 +134,19 @@ proptest! {
             BackendKind::DecisionDiagram
         };
         let driver = [Driver::PerShot, Driver::Dedup, Driver::Weighted][driver_pick];
-        assert_tracing_invisible(4, 96, seed, threads, intra, backend, driver);
+        assert_tracing_invisible(4, 96, seed, threads, backend, driver);
     }
 }
 
 /// The full grid at one fixed seed: every driver on every backend at the
-/// paper's parallelism corners, so a grid cell failing is attributable
+/// shot-thread widths 1, 2 and 8, so a grid cell failing is attributable
 /// without shrinking.
 #[test]
 fn fixed_grid_of_drivers_backends_and_widths() {
     for driver in [Driver::PerShot, Driver::Dedup, Driver::Weighted] {
         for backend in [BackendKind::DecisionDiagram, BackendKind::Statevector] {
-            for &(threads, intra) in &[(1usize, 1usize), (2, 2), (8, 1)] {
-                assert_tracing_invisible(4, 64, 2021, threads, intra, backend, driver);
+            for threads in [1, 2, 8] {
+                assert_tracing_invisible(4, 64, 2021, threads, backend, driver);
             }
         }
     }
