@@ -596,7 +596,7 @@ fn metrics_overhead_row(shots: usize, reps: usize) -> OverheadRow {
         let started = Instant::now();
         for shot in 0..shots as u64 {
             let mut rng = StdRng::seed_from_u64(shot);
-            bare_acc ^= backend.run_shot(&program, &mut ctx, &mut rng).outcome;
+            bare_acc ^= backend.run_shot(&program, &mut ctx, &mut rng, &[]).outcome;
         }
         best_bare = best_bare.min(started.elapsed().as_secs_f64());
 
@@ -605,7 +605,7 @@ fn metrics_overhead_row(shots: usize, reps: usize) -> OverheadRow {
         let span = Instant::now();
         for shot in 0..shots as u64 {
             let mut rng = StdRng::seed_from_u64(shot);
-            hooked_acc ^= backend.run_shot(&program, &mut ctx, &mut rng).outcome;
+            hooked_acc ^= backend.run_shot(&program, &mut ctx, &mut rng, &[]).outcome;
         }
         timings.record(Stage::Execute, span.elapsed());
         timings.publish();
@@ -647,7 +647,7 @@ fn tracing_overhead_row(shots: usize, reps: usize) -> OverheadRow {
         let started = Instant::now();
         for shot in 0..shots as u64 {
             let mut rng = StdRng::seed_from_u64(shot);
-            bare_acc ^= backend.run_shot(&program, &mut ctx, &mut rng).outcome;
+            bare_acc ^= backend.run_shot(&program, &mut ctx, &mut rng, &[]).outcome;
         }
         best_bare = best_bare.min(started.elapsed().as_secs_f64());
 
@@ -655,7 +655,7 @@ fn tracing_overhead_row(shots: usize, reps: usize) -> OverheadRow {
         for shot in 0..shots as u64 {
             let _span = trace::span("shots");
             let mut rng = StdRng::seed_from_u64(shot);
-            let outcome = backend.run_shot(&program, &mut ctx, &mut rng).outcome;
+            let outcome = backend.run_shot(&program, &mut ctx, &mut rng, &[]).outcome;
             trace::attr("outcome", outcome);
             hooked_acc ^= outcome;
         }
@@ -696,7 +696,7 @@ fn context_reuse_row(shots: usize, reps: usize) -> Row {
         let mut reused_acc = 0u64;
         for shot in 0..shots as u64 {
             let mut rng = StdRng::seed_from_u64(shot);
-            reused_acc ^= backend.run_shot(&program, &mut ctx, &mut rng).outcome;
+            reused_acc ^= backend.run_shot(&program, &mut ctx, &mut rng, &[]).outcome;
         }
         best_reused = best_reused.min(started.elapsed().as_secs_f64());
         assert_eq!(acc, reused_acc, "context reuse changed outcomes");

@@ -29,7 +29,7 @@ use qsdd_noise::{ErrorPattern, NoiseModel};
 use rand::rngs::StdRng;
 
 use crate::deadline::TimedOut;
-use crate::dedup::{DedupSupport, Evolutions, TrajectoryWork};
+use crate::dedup::{DedupSupport, Evolutions, Member, TrajectoryWork};
 use crate::estimator::Observable;
 
 /// The result of a single stochastic simulation run.
@@ -45,6 +45,8 @@ pub struct SingleRun<S> {
     pub clbits: Vec<bool>,
     /// Number of stochastic error events that fired during the run.
     pub error_events: usize,
+    /// Of those, the Z errors absorbed rather than applied.
+    pub absorbed: usize,
     /// Node count of the final state's decision diagram (`0` on back-ends
     /// without a diagram representation).
     pub dd_nodes: u64,
@@ -98,7 +100,10 @@ pub trait StochasticBackend: Sync {
         qsdd_dd::TableStats::default()
     }
 
-    /// Phase 2: executes one stochastic shot of `program` in `ctx`.
+    /// Phase 2: executes one stochastic shot of `program` in `ctx`. A Z
+    /// error at a site flagged in `absorbing` (one flag per exposure site,
+    /// in protocol order; `&[]` flags none) is counted but not applied: the
+    /// engine passes the sites where it stays diagonal up to the readout.
     ///
     /// The context is rewound at shot entry; any state left over from a
     /// previous shot (of this or another program) is invalidated first, so
@@ -108,6 +113,7 @@ pub trait StochasticBackend: Sync {
         program: &Self::Program,
         ctx: &mut Self::Context,
         rng: &mut StdRng,
+        absorbing: &[bool],
     ) -> SingleRun<Self::State>;
 
     /// Evaluates a quadratic observable `|<omega|psi>|^2`-style property on
@@ -191,7 +197,7 @@ pub trait StochasticBackend: Sync {
     }
 
     /// Samples every member shot of a full-program pattern group, feeding
-    /// `(shot index, outcome)` pairs into `sink`.
+    /// `(member, outcome)` pairs into `sink`.
     ///
     /// Semantically exactly a loop over
     /// [`sample_outcome`](Self::sample_outcome); back-ends may override it
@@ -203,11 +209,12 @@ pub trait StochasticBackend: Sync {
         program: &Self::Program,
         ctx: &mut Self::Context,
         run: &SingleRun<Self::State>,
-        shots: &mut [(u64, StdRng)],
-        mut sink: impl FnMut(u64, u64),
+        shots: &mut [Member],
+        mut sink: impl FnMut(&Member, u64),
     ) {
-        for (shot, rng) in shots.iter_mut() {
-            sink(*shot, self.sample_outcome(program, ctx, run, rng));
+        for member in shots.iter_mut() {
+            let outcome = self.sample_outcome(program, ctx, run, &mut member.1);
+            sink(member, outcome);
         }
     }
 
@@ -242,7 +249,7 @@ pub trait StochasticBackend: Sync {
         _program: &Self::Program,
         _ctx: &mut Self::Context,
         _prefix: &SingleRun<Self::State>,
-        _members: &mut [(u64, StdRng)],
+        _members: &mut [Member],
         _out: &mut Evolutions<'_>,
     ) {
         unreachable!("dedup_support declined a prefix; resume_members must not be called")
@@ -293,7 +300,7 @@ pub trait StochasticBackend: Sync {
     ) -> SingleRun<Self::State> {
         let program = self.compile(circuit, noise);
         let mut ctx = self.new_context();
-        self.run_shot(&program, &mut ctx, rng)
+        self.run_shot(&program, &mut ctx, rng, &[])
     }
 }
 
@@ -329,8 +336,8 @@ pub(crate) mod testing {
     ) {
         let mut ctx = backend.new_context();
         let run = backend.run_pattern(program, &mut ctx, &ErrorPattern::default(), None);
-        let mut together: Vec<(u64, StdRng)> = (0..40)
-            .map(|shot| (shot, StdRng::seed_from_u64(shot)))
+        let mut together: Vec<Member> = (0..40)
+            .map(|shot| (shot, StdRng::seed_from_u64(shot), 0))
             .collect();
         let mut alone = together.clone();
         let mut grouped = Vec::new();
@@ -342,7 +349,7 @@ pub(crate) mod testing {
                 assert_eq!(outcome, *expected)
             });
         }
-        for ((_, a), (_, b)) in together.iter_mut().zip(&mut alone) {
+        for ((_, a, _), (_, b, _)) in together.iter_mut().zip(&mut alone) {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "stream diverged");
         }
     }

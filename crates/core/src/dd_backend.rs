@@ -26,8 +26,8 @@ use rand::rngs::StdRng;
 
 use crate::backend::{next_program_id, pack_clbits, SingleRun, StochasticBackend};
 use crate::deadline::TimedOut;
-use crate::decisions::{Decisions, NoError, Replayed, Sampled};
-use crate::dedup::{group_span, DedupSupport, Evolutions, Members, Parked, TrajectoryWork};
+use crate::decisions::{Decisions, NoError, Process, Replayed, Sampled};
+use crate::dedup::{group_span, DedupSupport, Evolutions, Member, Members, Parked, TrajectoryWork};
 use crate::estimator::Observable;
 use crate::stochastic::{trace_dd_attrs, trace_dd_stats};
 
@@ -201,6 +201,8 @@ pub struct DdProgram {
     dedup_prefix: usize,
     /// The candidate process of every exposure site ([`qsdd_noise::presample`]).
     survival: Survival,
+    /// The sites that absorb a Z error (see `crate::frame`).
+    pub(crate) absorbing: Vec<bool>,
     /// The first site past the deduplicable prefix, where a live walk draws
     /// a fresh first candidate.
     prefix_sites: u32,
@@ -347,7 +349,7 @@ impl DdSimulator {
         let noiseless = NoiseModel::noiseless();
         let program = self.compile(circuit, &noiseless);
         let mut ctx = DdContext::new();
-        let run = self.run_shot(&program, &mut ctx, &mut rng);
+        let run = self.run_shot(&program, &mut ctx, &mut rng, &[]);
         DdRunState {
             package: ctx.into_package(),
             state: run.state,
@@ -462,6 +464,7 @@ impl StochasticBackend for DdSimulator {
         }
 
         let initial_nodes = base.vec_node_count(initial) as u64;
+        let absorbing = crate::frame::absorbing_sites(circuit, channels.len());
         let mut program = DdProgram {
             id: next_program_id(),
             num_qubits: n,
@@ -474,6 +477,7 @@ impl StochasticBackend for DdSimulator {
             trajectory: Vec::new(),
             dedup_prefix: 0,
             survival: Survival::new(rates),
+            absorbing,
             prefix_sites: 0,
             initial,
             initial_nodes,
@@ -561,10 +565,12 @@ impl StochasticBackend for DdSimulator {
         program: &DdProgram,
         ctx: &mut DdContext,
         rng: &mut StdRng,
+        absorbing: &[bool],
     ) -> SingleRun<VecEdge> {
         ctx.seat(program);
         let next = program.survival.next(rng, 0, program.prefix_sites);
-        Walk::start(program).finish_live(program, &mut ctx.package, 0, rng, next)
+        let walk = Walk::start(program);
+        walk.finish_live(program, &mut ctx.package, (0, next), rng, absorbing)
     }
 
     fn evaluate(
@@ -671,13 +677,14 @@ impl StochasticBackend for DdSimulator {
         program: &DdProgram,
         ctx: &mut DdContext,
         run: &SingleRun<VecEdge>,
-        shots: &mut [(u64, StdRng)],
-        mut sink: impl FnMut(u64, u64),
+        shots: &mut [Member],
+        mut sink: impl FnMut(&Member, u64),
     ) {
         // A lone member walks the diagram directly; flattening it into a
         // plan first only pays off from the second draw on.
-        if let [(shot, rng)] = shots {
-            return sink(*shot, self.sample_outcome(program, ctx, run, rng));
+        if let [member] = shots {
+            let outcome = self.sample_outcome(program, ctx, run, &mut member.1);
+            return sink(member, outcome);
         }
         debug_assert_eq!(
             ctx.seated, program.id,
@@ -688,8 +695,9 @@ impl StochasticBackend for DdSimulator {
         // loop fans a whole trajectory group out of one shared state, so it
         // is the hottest loop of a deduplicated run.
         let plan = ctx.package.sample_plan(run.state, program.num_qubits);
-        for (shot, rng) in shots.iter_mut() {
-            sink(*shot, plan.sample(rng));
+        for member in shots.iter_mut() {
+            let outcome = plan.sample(&mut member.1);
+            sink(member, outcome);
         }
     }
 
@@ -717,7 +725,7 @@ impl StochasticBackend for DdSimulator {
         program: &DdProgram,
         ctx: &mut DdContext,
         prefix: &SingleRun<VecEdge>,
-        members: &mut [(u64, StdRng)],
+        members: &mut [Member],
         out: &mut Evolutions<'_>,
     ) {
         debug_assert_eq!(
@@ -729,18 +737,21 @@ impl StochasticBackend for DdSimulator {
             peak: prefix.dd_nodes_peak,
             pending: 0,
             error_events: prefix.error_events,
+            absorbed: 0,
             live: true,
         };
         // Each member but the last resumes from a checkpoint at the end of
         // the prefix: the package a per-shot execution holds there.
-        let (from, next) = (program.dedup_prefix, program.prefix_sites);
+        let at = (program.dedup_prefix, program.prefix_sites);
         for index in 0..members.len() {
             let checkpoint = (index + 1 < members.len()).then(|| ctx.package.checkpoint());
-            let (shot, rng) = &mut members[index];
-            let run = walk.finish_live(program, &mut ctx.package, from, rng, next);
+            let (shot, rng, absorbed) = &mut members[index];
+            let mut walk = walk;
+            walk.absorbed = *absorbed as usize;
+            let run = walk.finish_live(program, &mut ctx.package, at, rng, out.absorbing);
             out.emit_live(self, program, ctx, run, *shot);
             if checkpoint.is_some_and(|checkpoint| !ctx.package.rollback(checkpoint)) {
-                for &(shot, _) in &members[index + 1..] {
+                for &(shot, ..) in &members[index + 1..] {
                     out.rerun(self, program, ctx, shot);
                 }
                 return;
@@ -785,29 +796,31 @@ type Forks = BTreeMap<(usize, Option<usize>), Parked>;
 
 /// Resolves the members (sorted by next candidate) whose candidate lies
 /// before site `end` with `draw`, moving each one that fires into its child;
-/// the others pass without a draw.
+/// the others pass without a draw. The members draw from `process` over the
+/// sites before `sites`.
 fn split(
-    program: &DdProgram,
+    (process, sites): (Process<'_>, u32),
     members: &mut Parked,
     end: u32,
     mut draw: impl FnMut(&mut Sampled<'_>) -> Option<(usize, Option<usize>)>,
 ) -> Forks {
     let mut children = Forks::new();
-    let due = members.partition_point(|&(next, ..)| next < end);
+    let due = members.partition_point(|(next, _)| *next < end);
     if due == 0 {
         return children;
     }
     let due: Parked = members.drain(..due).collect();
-    for (next, shot, mut rng) in due {
-        let mut sampled = Sampled::new(&mut rng, &program.survival, next, program.prefix_sites);
+    for (next, (shot, mut rng, own)) in due {
+        let mut sampled = Sampled::new(&mut rng, process, next, sites);
         let event = draw(&mut sampled);
-        let member = (sampled.next, shot, rng);
+        let (next, own) = (sampled.next, own + sampled.absorbed);
+        let member = (shot, rng, own);
         match event {
-            Some(event) => children.entry(event).or_default().push(member),
-            None => members.push(member),
+            Some(event) => children.entry(event).or_default().push((next, member)),
+            None => members.push((next, member)),
         }
     }
-    members.sort_by_key(|&(next, ..)| next);
+    members.sort_by_key(|(next, _)| *next);
     children
 }
 
@@ -838,19 +851,21 @@ impl Tree<'_, '_> {
         mut members: Parked,
     ) -> Result<(), TimedOut> {
         let (program, (mut index, mut resolved)) = (self.program, at);
-        let width = program.channels.len();
-        if let [(next, shot, rng)] = &mut members[..] {
+        let (width, absorbing) = (program.channels.len(), self.out.absorbing);
+        let stream = ((&program.survival, absorbing), program.prefix_sites);
+        if let [(next, (shot, rng, absorbed))] = &mut members[..] {
             self.out.stats.live_shots += 1;
             let (dd, (_, _, qubits, first_site)) = (&mut self.ctx.package, program.apply(index));
-            let mut sampled = Sampled::new(rng, &program.survival, *next, program.prefix_sites);
+            let mut sampled = Sampled::new(rng, stream.0, *next, stream.1);
             walk.expose(program, dd, qubits, resolved, first_site, &mut sampled);
             walk.note(dd);
             let next = sampled.next;
-            let run = walk.finish_live(program, dd, index + 1, rng, next);
+            walk.absorbed = (*absorbed + sampled.absorbed) as usize;
+            let run = walk.finish_live(program, dd, (index + 1, next), rng, absorbing);
             (self.out).emit_live(self.backend, program, self.ctx, run, *shot);
             return Ok(());
         }
-        members.sort_by_key(|&(next, ..)| next);
+        members.sort_by_key(|(next, _)| *next);
         let _span = group_span(members.len(), events);
         let dd_before = trace_dd_stats(|| self.ctx.package.table_stats());
         let mut forks = 0;
@@ -867,7 +882,7 @@ impl Tree<'_, '_> {
                             // Read once, by the first member whose draw needs it.
                             let mut read =
                                 read_once(|| kept_thresholds(dd, folded, qubits, program));
-                            split(program, &mut members, end, |sampled| {
+                            split(stream, &mut members, end, |sampled| {
                                 let mut p_decay = |k: usize| read()[k];
                                 fast_forward(program, qubits, &mut p_decay, first_site, sampled)
                             })
@@ -897,7 +912,7 @@ impl Tree<'_, '_> {
                     let children = {
                         let mut p_decay =
                             read_once(|| decay_probability(dd, channel, state, qubit));
-                        split(program, &mut members, site + 1, |sampled| match keep {
+                        split(stream, &mut members, site + 1, |sampled| match keep {
                             None => sampled.error(site, channel).map(|u| (offset, Some(u))),
                             Some(_) => {
                                 let decays = sampled.decays(site, channel, &mut p_decay);
@@ -924,9 +939,7 @@ impl Tree<'_, '_> {
         };
         if let Some(walk) = finished {
             let run = walk.prefix_run(program, &mut self.ctx.package);
-            let mut members: Members = (members.into_iter())
-                .map(|(_, shot, rng)| (shot, rng))
-                .collect();
+            let mut members: Members = members.into_iter().map(|(_, member)| member).collect();
             (self.out).finish(self.backend, program, self.ctx, run, &mut members);
         }
         trace::attr("forks", forks);
@@ -966,7 +979,7 @@ impl Tree<'_, '_> {
             self.carry(forked, (index, offset + 1), events + 1, child)?;
             if checkpoint.is_some_and(|checkpoint| !self.ctx.package.rollback(checkpoint)) {
                 let rest = children.flat_map(|(_, members)| members);
-                for (_, shot, _) in rest.chain(members.drain(..)) {
+                for (_, (shot, ..)) in rest.chain(members.drain(..)) {
                     (self.out).rerun(self.backend, self.program, self.ctx, shot);
                 }
                 return Ok(false);
@@ -987,6 +1000,8 @@ struct Walk {
     /// package's deferred stack ([`DdPackage::defer_count`]).
     pending: u32,
     error_events: usize,
+    /// Z errors the walk's shot absorbed (a shared walk's members count theirs).
+    absorbed: usize,
     /// `false` while the walk is still on the precomputed no-error
     /// trajectory; flips to `true` at the first deviation.
     live: bool,
@@ -1000,6 +1015,7 @@ impl Walk {
             peak: program.initial_nodes,
             pending: 0,
             error_events: 0,
+            absorbed: 0,
             live: false,
         }
     }
@@ -1200,17 +1216,19 @@ impl Walk {
         self,
         program: &DdProgram,
         dd: &mut DdPackage,
-        from: usize,
+        (from, next): (usize, u32),
         rng: &mut StdRng,
-        next: u32,
+        absorbing: &[bool],
     ) -> SingleRun<VecEdge> {
         let mut clbits = vec![false; program.num_clbits];
-        let (survival, sites) = (&program.survival, program.prefix_sites);
+        let (process, sites) = ((&program.survival, absorbing), program.prefix_sites);
         let (tail, steps) = (from.max(program.dedup_prefix), program.steps.len());
-        let mut prefix = Sampled::new(rng, survival, next, sites);
+        let mut prefix = Sampled::new(rng, process, next, sites);
         let walk = self.run(program, dd, from..tail, &mut prefix, &mut clbits);
-        let mut rest = Sampled::start(rng, survival, sites, survival.len() as u32);
-        let walk = walk.run(program, dd, tail..steps, &mut rest, &mut clbits);
+        let absorbed = prefix.absorbed;
+        let mut rest = Sampled::start(rng, process, sites, program.survival.len() as u32);
+        let mut walk = walk.run(program, dd, tail..steps, &mut rest, &mut clbits);
+        walk.absorbed += (absorbed + rest.absorbed) as usize;
         walk.finish_shot(program, dd, clbits, rng)
     }
 
@@ -1247,7 +1265,8 @@ impl Walk {
         SingleRun {
             outcome,
             clbits,
-            error_events: self.error_events,
+            error_events: self.error_events + self.absorbed,
+            absorbed: self.absorbed,
             dd_nodes,
             dd_nodes_peak: self.peak,
             state: self.state,
@@ -1360,6 +1379,7 @@ mod tests {
             peak: 0,
             pending: 0,
             error_events: 0,
+            absorbed: 0,
             live: true,
         }
     }
@@ -1374,13 +1394,14 @@ mod tests {
     }
 
     /// What a shot reports, comparable.
-    type Reported = (u64, Vec<bool>, usize, u64, u64, VecEdge);
+    type Reported = (u64, Vec<bool>, usize, usize, u64, u64, VecEdge);
 
     fn reported(run: SingleRun<VecEdge>) -> Reported {
         let SingleRun {
             outcome,
             clbits,
             error_events,
+            absorbed,
             dd_nodes,
             dd_nodes_peak,
             state,
@@ -1389,6 +1410,7 @@ mod tests {
             outcome,
             clbits,
             error_events,
+            absorbed,
             dd_nodes,
             dd_nodes_peak,
             state,
@@ -1462,15 +1484,22 @@ mod tests {
         let program = backend.compile(&ghz(8), &tenfold);
         let (mut lazy, mut eager) = (backend.new_context(), backend.new_context());
         for seed in 0..2_000 {
-            let run = backend.run_shot(&program, &mut lazy, &mut StdRng::seed_from_u64(seed));
+            let run = backend.run_shot(
+                &program,
+                &mut lazy,
+                &mut StdRng::seed_from_u64(seed),
+                &program.absorbing,
+            );
             eager.seat(&program);
             let (dd, mut rng) = (&mut eager.package, StdRng::seed_from_u64(seed));
             let mut clbits = vec![false; program.num_clbits];
             // GHZ is unitary: one stream over the whole program.
             let (steps, sites) = (0..program.steps.len(), program.survival.len() as u32);
-            let mut eager_draws = Eager(Sampled::start(&mut rng, &program.survival, 0, sites));
-            let walk =
+            let process = (&program.survival, &program.absorbing[..]);
+            let mut eager_draws = Eager(Sampled::start(&mut rng, process, 0, sites));
+            let mut walk =
                 Walk::start(&program).run(&program, dd, steps, &mut eager_draws, &mut clbits);
+            walk.absorbed = eager_draws.0.absorbed as usize;
             let twin = walk.finish_shot(&program, dd, clbits, &mut rng);
             assert_eq!(reported(run), reported(twin), "shot {seed}");
         }
@@ -1503,7 +1532,7 @@ mod tests {
             for seed in 0..2_000 {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut twin = rng.clone();
-                let run = backend.run_shot(&program, &mut ctx, &mut rng);
+                let run = backend.run_shot(&program, &mut ctx, &mut rng, &program.absorbing);
                 ctx.seat(&program);
                 let (dd, mut walk) = (&mut ctx.package, Walk::start(&program));
                 let (mut clbits, mut peak) =
@@ -1517,7 +1546,8 @@ mod tests {
                         next = survival.next(&mut twin, next, end);
                     }
                     let step = index..index + 1;
-                    let mut sampled = Sampled::new(&mut twin, survival, next, end);
+                    let mut sampled =
+                        Sampled::new(&mut twin, (survival, &program.absorbing), next, end);
                     walk = walk.run(&program, dd, step, &mut sampled, &mut clbits);
                     next = sampled.next;
                     let count = dd.vec_node_count(walk.state) as u64;
@@ -1552,7 +1582,7 @@ mod tests {
         let mut ctx = backend.new_context();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..50 {
-            let run = backend.run_shot(&program, &mut ctx, &mut rng);
+            let run = backend.run_shot(&program, &mut ctx, &mut rng, &program.absorbing);
             assert!(run.outcome == 0 || run.outcome == (1 << 10) - 1);
             assert_eq!(run.error_events, 0);
         }
@@ -1591,7 +1621,7 @@ mod tests {
         let program = backend.compile(&circuit, &NoiseModel::noiseless());
         let mut ctx = backend.new_context();
         let mut rng = StdRng::seed_from_u64(4);
-        let mut run = backend.run_shot(&program, &mut ctx, &mut rng);
+        let mut run = backend.run_shot(&program, &mut ctx, &mut rng, &program.absorbing);
         let p0 = backend.evaluate(
             &program,
             &mut ctx,
@@ -1622,7 +1652,7 @@ mod tests {
         let program = backend.compile(&circuit, &NoiseModel::noiseless());
         let mut ctx = backend.new_context();
         let mut rng = StdRng::seed_from_u64(4);
-        let mut run = backend.run_shot(&program, &mut ctx, &mut rng);
+        let mut run = backend.run_shot(&program, &mut ctx, &mut rng, &program.absorbing);
         let inv = std::f64::consts::FRAC_1_SQRT_2;
         let mut reference = vec![qsdd_dd::Complex::ZERO; 8];
         reference[0] = qsdd_dd::Complex::real(inv);
@@ -1674,9 +1704,9 @@ mod tests {
         for seed in 0..24u64 {
             let mut rng_reused = StdRng::seed_from_u64(seed);
             let mut rng_fresh = StdRng::seed_from_u64(seed);
-            let a = backend.run_shot(&program, &mut reused, &mut rng_reused);
+            let a = backend.run_shot(&program, &mut reused, &mut rng_reused, &program.absorbing);
             let mut fresh = backend.new_context();
-            let b = backend.run_shot(&program, &mut fresh, &mut rng_fresh);
+            let b = backend.run_shot(&program, &mut fresh, &mut rng_fresh, &program.absorbing);
             assert_eq!(a.outcome, b.outcome);
             assert_eq!(a.error_events, b.error_events);
             assert_eq!(a.dd_nodes, b.dd_nodes);
@@ -1698,9 +1728,9 @@ mod tests {
             for program in [&ghz_program, &qft_program] {
                 let mut rng_a = StdRng::seed_from_u64(round);
                 let mut rng_b = StdRng::seed_from_u64(round);
-                let a = backend.run_shot(program, &mut ctx, &mut rng_a);
+                let a = backend.run_shot(program, &mut ctx, &mut rng_a, &program.absorbing);
                 let mut fresh = backend.new_context();
-                let b = backend.run_shot(program, &mut fresh, &mut rng_b);
+                let b = backend.run_shot(program, &mut fresh, &mut rng_b, &program.absorbing);
                 assert_eq!(a.outcome, b.outcome);
                 assert_eq!(a.state, b.state);
             }
@@ -1742,9 +1772,19 @@ mod tests {
         let mut reused = backend.new_context();
         let mut clean_shots = 0;
         for seed in 0..32u64 {
-            let run = backend.run_shot(&program, &mut reused, &mut StdRng::seed_from_u64(seed));
+            let run = backend.run_shot(
+                &program,
+                &mut reused,
+                &mut StdRng::seed_from_u64(seed),
+                &program.absorbing,
+            );
             let mut fresh = backend.new_context();
-            let twin = backend.run_shot(&program, &mut fresh, &mut StdRng::seed_from_u64(seed));
+            let twin = backend.run_shot(
+                &program,
+                &mut fresh,
+                &mut StdRng::seed_from_u64(seed),
+                &program.absorbing,
+            );
             assert_eq!(
                 (run.outcome, run.state, run.dd_nodes_peak),
                 (twin.outcome, twin.state, twin.dd_nodes_peak)
@@ -1774,7 +1814,7 @@ mod tests {
         let mut ctx = backend.new_context();
         for seed in 0..16 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let run = backend.run_shot(&program, &mut ctx, &mut rng);
+            let run = backend.run_shot(&program, &mut ctx, &mut rng, &program.absorbing);
             assert_eq!(run.outcome, 0, "qubit must have decayed to |0>");
             assert_eq!(run.error_events, 1);
         }
@@ -1796,7 +1836,7 @@ mod tests {
         let mut ctx = backend.new_context();
         for seed in 0..16 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let run = backend.run_shot(&program, &mut ctx, &mut rng);
+            let run = backend.run_shot(&program, &mut ctx, &mut rng, &program.absorbing);
             assert_eq!(run.outcome, 0, "both qubits must end in |0>");
             assert_eq!(run.error_events, 2);
             // Four certain candidates — a waiting time before each and a
@@ -1963,15 +2003,21 @@ mod tests {
                 let mut records = vec![None; shots];
                 let mut sink = |shot: u64, sample, _: &[f64]| records[shot as usize] = Some(sample);
                 let (deadline, mut ctx) = (Deadline::unbounded(), backend.new_context());
+                let absorbing = &program.absorbing;
                 let mut out = Evolutions::new(&support, &[], seed, &deadline, &mut sink);
-                for work in plan_range(&support.plan, 0..shots as u64, seed).0 {
+                out.absorbing = absorbing;
+                for work in plan_range(&support.plan, 0..shots as u64, seed, absorbing).0 {
                     run_work(&backend, &program, &mut ctx, work, &mut out).unwrap();
                 }
                 evolutions.push(out.stats.unique_trajectories);
                 let mut alone = backend.new_context();
                 for (shot, record) in records.into_iter().enumerate() {
-                    let live =
-                        backend.run_shot(&program, &mut alone, &mut shot_rng(seed, shot as u64));
+                    let live = backend.run_shot(
+                        &program,
+                        &mut alone,
+                        &mut shot_rng(seed, shot as u64),
+                        &program.absorbing,
+                    );
                     let sample = record.expect("every shot is reported");
                     assert_eq!(
                         sample,
@@ -2001,7 +2047,7 @@ mod tests {
         let mut ctx = backend.new_context();
         for seed in 0..16 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let run = backend.run_shot(&program, &mut ctx, &mut rng);
+            let run = backend.run_shot(&program, &mut ctx, &mut rng, &program.absorbing);
             assert_eq!(run.outcome, 1);
             assert_eq!(run.error_events, 1);
         }

@@ -26,30 +26,39 @@ pub(crate) trait Decisions {
 /// Live decisions: a shot's generator and its next candidate site over the
 /// sites before `end` (see [`qsdd_noise::presample`]). An exposure that is
 /// not the next candidate fires nothing and draws nothing; the candidate
-/// draws what decides it, then the candidate after it.
+/// draws what decides it, then the candidate after it. A Z at a site of
+/// `absorbing` is counted into `absorbed`, not fired ([`crate::frame`]).
 pub(crate) struct Sampled<'a> {
     pub(crate) rng: &'a mut StdRng,
     survival: &'a Survival,
+    absorbing: &'a [bool],
     /// The next candidate, `end` once the sites before it have none left.
     pub(crate) next: u32,
     end: u32,
+    pub(crate) absorbed: u32,
 }
+
+/// A candidate process and its absorbing sites.
+pub(crate) type Process<'a> = (&'a Survival, &'a [bool]);
 
 impl<'a> Sampled<'a> {
     /// Continues a stream whose next candidate is `next`.
-    pub(crate) fn new(rng: &'a mut StdRng, survival: &'a Survival, next: u32, end: u32) -> Self {
+    pub(crate) fn new(rng: &'a mut StdRng, process: Process<'a>, next: u32, end: u32) -> Self {
+        let (survival, absorbing) = process;
         Sampled {
             rng,
             survival,
+            absorbing,
             next,
             end,
+            absorbed: 0,
         }
     }
 
     /// Starts a stream over sites `from..end`: draws its first candidate.
-    pub(crate) fn start(rng: &'a mut StdRng, survival: &'a Survival, from: u32, end: u32) -> Self {
-        let next = survival.next(rng, from, end);
-        Sampled::new(rng, survival, next, end)
+    pub(crate) fn start(rng: &'a mut StdRng, process: Process<'a>, from: u32, end: u32) -> Self {
+        let next = process.0.next(rng, from, end);
+        Sampled::new(rng, process, next, end)
     }
 }
 
@@ -59,7 +68,8 @@ impl Decisions for Sampled<'_> {
         if site != self.next {
             return None;
         }
-        let fired = channel.resolve_candidate(self.rng);
+        let absorbs = self.absorbing.get(site as usize) == Some(&true);
+        let fired = channel.resolve_framed(self.rng, absorbs, &mut self.absorbed);
         self.next = self.survival.next(self.rng, site + 1, self.end);
         fired
     }

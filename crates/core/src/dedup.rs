@@ -120,13 +120,18 @@ pub struct DedupStats {
     pub live_shots: u64,
 }
 
-/// Member shots of one pattern: shot index plus the shot's generator.
-pub(crate) type Members = Vec<(u64, StdRng)>;
+/// One member shot of a work item: its index, its generator and the Z
+/// errors it absorbed so far — counted into its error events, never into a
+/// pattern, so they never split work.
+pub type Member = (u64, StdRng, u32);
 
-/// Members parked after a deviation: each shot's next candidate site, index
-/// and generator. A bucket walk keeps them sorted by the site, so a
-/// decision point visits only the members whose candidate lies there.
-pub(crate) type Parked = Vec<(u32, u64, StdRng)>;
+/// Member shots of one pattern.
+pub(crate) type Members = Vec<Member>;
+
+/// Members parked after a deviation, each with its next candidate site. A
+/// bucket walk keeps them sorted by the site, so a decision point visits
+/// only the members whose candidate lies there.
+pub(crate) type Parked = Vec<(u32, Member)>;
 
 /// One unit of deduplicated work: the shots that drew `pattern`.
 #[derive(Debug)]
@@ -163,37 +168,9 @@ struct Groups {
     /// event is a decay or lies ahead of the last damping site).
     index: FxHashMap<ErrorPattern, usize>,
     work: Vec<TrajectoryWork>,
-    /// The waiting-time uniforms presampling drew.
-    uniforms: u64,
 }
 
 impl Groups {
-    #[inline]
-    fn presample_range(&mut self, plan: &PresamplePlan, range: std::ops::Range<u64>, seed: u64) {
-        for shot in range {
-            let mut rng = shot_rng(seed, shot);
-            // Either way the generator is kept: it sits exactly where live
-            // execution would after the exposures resolved so far.
-            let (presampled, uniforms) = plan.presample(&mut rng);
-            self.uniforms += u64::from(uniforms);
-            match presampled {
-                Presampled::Pattern(pattern) => {
-                    let at = self.slot(pattern);
-                    self.work[at].members.push((shot, rng));
-                }
-                Presampled::Deviated { event, next } => {
-                    // Looked up by its one event: no pattern is built to
-                    // find a bucket already open.
-                    let at = match self.index.get([event].as_slice()) {
-                        Some(&at) => at,
-                        None => self.slot(ErrorPattern::default().with_event(event)),
-                    };
-                    self.work[at].parked.push((next, shot, rng));
-                }
-            }
-        }
-    }
-
     /// The slot of `pattern`'s work item, opened on first sight: the key is
     /// looked up by reference and cloned only into a new entry.
     fn slot(&mut self, pattern: ErrorPattern) -> usize {
@@ -211,8 +188,9 @@ impl Groups {
 }
 
 /// Presamples and groups one contiguous shot range on the calling thread,
-/// work items in first-appearance order with members in shot order; also
-/// returns the waiting-time uniforms presampling drew.
+/// absorbing Z errors at the `absorbing` sites, work items in
+/// first-appearance order with members in shot order; also returns the
+/// waiting-time uniforms presampling drew and the Z errors it absorbed.
 ///
 /// One uniform per candidate event makes a shot's presampling a few tens of
 /// nanoseconds, less than what spreading a job's shots over threads costs.
@@ -222,10 +200,32 @@ pub(crate) fn plan_range(
     plan: &PresamplePlan,
     range: std::ops::Range<u64>,
     seed: u64,
-) -> (Vec<TrajectoryWork>, u64) {
-    let mut groups = Groups::default();
-    groups.presample_range(plan, range, seed);
-    (groups.work, groups.uniforms)
+    absorbing: &[bool],
+) -> (Vec<TrajectoryWork>, u64, u64) {
+    let (mut groups, mut uniforms, mut absorbed) = (Groups::default(), 0, 0);
+    for shot in range {
+        let mut rng = shot_rng(seed, shot);
+        // Either way the generator is kept: it sits exactly where live
+        // execution would after the exposures resolved so far.
+        let (presampled, drawn, own) = plan.presample(&mut rng, absorbing);
+        (uniforms, absorbed) = (uniforms + u64::from(drawn), absorbed + u64::from(own));
+        match presampled {
+            Presampled::Pattern(pattern) => {
+                let at = groups.slot(pattern);
+                groups.work[at].members.push((shot, rng, own));
+            }
+            Presampled::Deviated { event, next } => {
+                // Looked up by its one event: no pattern is built to find a
+                // bucket already open.
+                let at = match groups.index.get([event].as_slice()) {
+                    Some(&at) => at,
+                    None => groups.slot(ErrorPattern::default().with_event(event)),
+                };
+                groups.work[at].parked.push((next, (shot, rng, own)));
+            }
+        }
+    }
+    (groups.work, uniforms, absorbed)
 }
 
 /// Attaches what a presampling pass found to the innermost open trace
@@ -242,7 +242,7 @@ pub fn trace_plan_attrs(work: &[TrajectoryWork]) {
 
 /// Where the evolutions of one worker report: the records of the shots
 /// they finish and the [`DedupStats`] they count, under the deadline they
-/// check.
+/// check, with the job's absorbing sites.
 ///
 /// Handed to [`StochasticBackend::run_bucket`] and
 /// [`StochasticBackend::resume_members`]; built by the deduplicating driver
@@ -252,12 +252,16 @@ pub struct Evolutions<'a> {
     pub(crate) observables: &'a [Observable],
     pub(crate) seed: u64,
     pub(crate) deadline: &'a Deadline,
+    pub(crate) absorbing: &'a [bool],
     pub(crate) stats: DedupStats,
+    /// The absorbed Z errors of the shots reported.
+    pub(crate) absorbed: u64,
     sink: &'a mut dyn FnMut(u64, ShotSample, &[f64]),
 }
 
 impl<'a> Evolutions<'a> {
-    /// Reports to `sink` (shot index, sample, observable values).
+    /// Reports to `sink` (shot index, sample, observable values); absorbs
+    /// nothing until the job sets its table (`absorbing`).
     pub(crate) fn new(
         support: &'a DedupSupport,
         observables: &'a [Observable],
@@ -265,13 +269,14 @@ impl<'a> Evolutions<'a> {
         deadline: &'a Deadline,
         sink: &'a mut dyn FnMut(u64, ShotSample, &[f64]),
     ) -> Self {
-        let stats = DedupStats::default();
         Evolutions {
             support,
             observables,
             seed,
             deadline,
-            stats,
+            absorbing: &[],
+            stats: DedupStats::default(),
+            absorbed: 0,
             sink,
         }
     }
@@ -298,6 +303,7 @@ impl<'a> Evolutions<'a> {
         let values: Vec<f64> = (self.observables.iter())
             .map(|observable| backend.evaluate(program, ctx, &mut run, observable))
             .collect();
+        self.absorbed += run.absorbed as u64;
         (self.sink)(shot, ShotSample::of(&run), &values);
     }
 
@@ -310,7 +316,8 @@ impl<'a> Evolutions<'a> {
         ctx: &mut B::Context,
         shot: u64,
     ) {
-        let run = backend.run_shot(program, ctx, &mut shot_rng(self.seed, shot));
+        let rng = &mut shot_rng(self.seed, shot);
+        let run = backend.run_shot(program, ctx, rng, self.absorbing);
         self.emit_live(backend, program, ctx, run, shot);
     }
 
@@ -324,7 +331,7 @@ impl<'a> Evolutions<'a> {
         program: &B::Program,
         ctx: &mut B::Context,
         mut run: SingleRun<B::State>,
-        members: &mut [(u64, StdRng)],
+        members: &mut [Member],
     ) {
         if !self.support.full {
             return backend.resume_members(program, ctx, &run, members, self);
@@ -337,9 +344,12 @@ impl<'a> Evolutions<'a> {
             .map(|observable| backend.evaluate(program, ctx, &mut run, observable))
             .collect();
         let sample = ShotSample::of(&run);
-        let sink = &mut self.sink;
-        backend.sample_outcomes(program, ctx, &run, members, |shot, outcome| {
-            sink(shot, ShotSample { outcome, ..sample }, &values)
+        let (sink, absorbed) = (&mut self.sink, &mut self.absorbed);
+        backend.sample_outcomes(program, ctx, &run, members, |&(shot, _, own), outcome| {
+            *absorbed += u64::from(own);
+            let mut sample = ShotSample { outcome, ..sample };
+            sample.error_events += u64::from(own);
+            sink(shot, sample, &values)
         });
     }
 }
@@ -382,7 +392,7 @@ pub(crate) fn run_group<B: StochasticBackend>(
     program: &B::Program,
     ctx: &mut B::Context,
     pattern: &ErrorPattern,
-    members: &mut [(u64, StdRng)],
+    members: &mut [Member],
     out: &mut Evolutions<'_>,
 ) {
     let run = backend.run_pattern(program, ctx, pattern, None);
@@ -408,7 +418,7 @@ pub(crate) fn replay_bucket<B: StochasticBackend>(
     let mut pending = vec![(work.pattern, work.parked)];
     while let Some((pattern, members)) = pending.pop() {
         out.evolve()?;
-        if let [(_, shot, _)] = members[..] {
+        if let [(_, (shot, ..))] = members[..] {
             out.stats.live_shots += 1;
             out.rerun(backend, program, ctx, shot);
             continue;
@@ -420,14 +430,13 @@ pub(crate) fn replay_bucket<B: StochasticBackend>(
         let resume_at = pattern.events().last().map_or(0, |e| e.site as usize + 1);
         let mut children: BTreeMap<ErrorEvent, Parked> = BTreeMap::new();
         let mut finished = Members::new();
-        for (mut next, shot, mut rng) in members {
-            match out
-                .support
-                .plan
-                .resume(&mut rng, &mut next, resume_at, &learned)
-            {
-                Some(event) => children.entry(event).or_default().push((next, shot, rng)),
-                None => finished.push((shot, rng)),
+        let (plan, absorbing) = (&out.support.plan, out.absorbing);
+        for (mut next, (shot, mut rng, own)) in members {
+            let (event, more) = plan.resume(&mut rng, &mut next, resume_at, &learned, absorbing);
+            let member = (shot, rng, own + more);
+            match event {
+                Some(event) => children.entry(event).or_default().push((next, member)),
+                None => finished.push(member),
             }
         }
         if !finished.is_empty() {
@@ -492,14 +501,16 @@ pub(crate) fn run_dedup<B: StochasticBackend>(
     debug_assert!(inline.is_none() || threads == 1);
     let (shots, seed, deadline) = (plan.shots, engine.seed(), &plan.deadline);
     let support = engine.dedup_support();
+    let absorbing = engine.absorbing(plan.observables);
     let observables = &engine.map_observables(plan.observables)[..];
     let output_layout = engine.output_layout();
     // Phase 1 + 2: presample every shot, group by pattern.
     let presample_started = Instant::now();
     let presample_span = trace::span("presample");
-    let (work, uniforms) = plan_range(&support.plan, 0..shots as u64, seed);
+    let (work, uniforms, absorbed) = plan_range(&support.plan, 0..shots as u64, seed, absorbing);
     trace::attr("shots", shots);
     trace::attr("uniforms", uniforms);
+    trace::attr("absorbed", absorbed);
     trace_plan_attrs(&work);
     drop(presample_span);
     let presample_time = presample_started.elapsed();
@@ -540,6 +551,7 @@ pub(crate) fn run_dedup<B: StochasticBackend>(
                 }
             };
             let mut out = Evolutions::new(support, observables, seed, deadline, &mut emit);
+            out.absorbing = absorbing;
             // The guard is a temporary of the closure body: items run unlocked.
             let claim = || queue.lock().expect("claiming cannot panic").next();
             let mut items = 0usize;
@@ -553,6 +565,7 @@ pub(crate) fn run_dedup<B: StochasticBackend>(
             trace::attr("items", items);
             trace::attr("evolutions", stats.unique_trajectories);
             trace::attr("live_shots", stats.live_shots);
+            trace::attr("absorbed", out.absorbed);
             // Every evolution but the work items' own is a child bucket.
             trace::attr("forks", stats.unique_trajectories - items as u64);
             trace_dd_attrs(dd_before, || backend.table_stats(ctx));
@@ -647,7 +660,7 @@ mod tests {
             ErrorKind::PhaseFlip,
             1.0,
         ))]);
-        let (work, uniforms) = plan_range(&plan, 0..100, 7);
+        let (work, uniforms, _) = plan_range(&plan, 0..100, 7, &[]);
         assert_eq!(work.len(), 1, "identical patterns must share one group");
         assert!(!work[0].is_bucket());
         // One waiting time per shot: the certain site is its last.
@@ -665,7 +678,7 @@ mod tests {
             p_decay: 1.0,
         };
         let plan = PresamplePlan::new(vec![decaying]);
-        let (work, _) = plan_range(&plan, 0..10, 7);
+        let (work, ..) = plan_range(&plan, 0..10, 7, &[]);
         assert_eq!(work.len(), 1, "one deviation, one bucket");
         assert!(work[0].is_bucket());
         let decay = ErrorEvent {
@@ -673,7 +686,7 @@ mod tests {
             error: ErrorEvent::DECAY,
         };
         assert_eq!(work[0].pattern.events(), &[decay]);
-        let shots: Vec<u64> = work[0].parked.iter().map(|(_, shot, _)| *shot).collect();
+        let shots: Vec<u64> = work[0].parked.iter().map(|(_, (shot, ..))| *shot).collect();
         assert_eq!(shots, (0..10).collect::<Vec<u64>>());
     }
 

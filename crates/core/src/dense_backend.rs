@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 
 use crate::backend::{next_program_id, pack_clbits, SingleRun, StochasticBackend};
 use crate::decisions::{Decisions, Replayed, Sampled};
-use crate::dedup::DedupSupport;
+use crate::dedup::{DedupSupport, Member};
 use crate::estimator::Observable;
 
 /// One executable step of a compiled dense program.
@@ -73,6 +73,8 @@ pub struct DenseProgram {
     sites: Option<Vec<SiteChannel>>,
     /// The candidate process of every exposure site ([`qsdd_noise::presample`]).
     survival: Survival,
+    /// The sites that absorb a Z error (see `crate::frame`).
+    pub(crate) absorbing: Vec<bool>,
 }
 
 impl DenseProgram {
@@ -294,6 +296,7 @@ impl StochasticBackend for DenseSimulator {
             .flat_map(|op| op.qubits());
         let rates = exposures.flat_map(|_| channels.iter().map(ErrorChannel::candidate_rate));
         let survival = Survival::new(rates);
+        let absorbing = crate::frame::absorbing_sites(circuit, channels.len());
         let mut program = DenseProgram {
             id: next_program_id(),
             num_qubits: circuit.num_qubits(),
@@ -304,6 +307,7 @@ impl StochasticBackend for DenseSimulator {
             unitaries,
             sites: None,
             survival,
+            absorbing,
         };
         program.sites = program.record_sites();
         program
@@ -318,12 +322,14 @@ impl StochasticBackend for DenseSimulator {
         program: &DenseProgram,
         ctx: &mut DenseContext,
         rng: &mut StdRng,
+        absorbing: &[bool],
     ) -> SingleRun<()> {
         ctx.seat(program);
         let mut clbits = vec![false; program.num_clbits];
         let sites = program.survival.len() as u32;
-        let mut decisions = Sampled::start(rng, &program.survival, 0, sites);
-        let error_events = walk(program, &mut ctx.state, &mut decisions, &mut clbits);
+        let mut decisions = Sampled::start(rng, (&program.survival, absorbing), 0, sites);
+        let fired = walk(program, &mut ctx.state, &mut decisions, &mut clbits);
+        let absorbed = decisions.absorbed as usize;
         let outcome = if program.measured_any {
             pack_clbits(&clbits)
         } else {
@@ -332,7 +338,8 @@ impl StochasticBackend for DenseSimulator {
         SingleRun {
             outcome,
             clbits,
-            error_events,
+            error_events: fired + absorbed,
+            absorbed,
             dd_nodes: 0,
             dd_nodes_peak: 0,
             state: (),
@@ -385,6 +392,7 @@ impl StochasticBackend for DenseSimulator {
             outcome: 0,
             clbits: vec![false; program.num_clbits],
             error_events,
+            absorbed: 0,
             dd_nodes: 0,
             dd_nodes_peak: 0,
             state: (),
@@ -410,13 +418,14 @@ impl StochasticBackend for DenseSimulator {
         program: &DenseProgram,
         ctx: &mut DenseContext,
         run: &SingleRun<()>,
-        shots: &mut [(u64, StdRng)],
-        mut sink: impl FnMut(u64, u64),
+        shots: &mut [Member],
+        mut sink: impl FnMut(&Member, u64),
     ) {
         // A lone member scans the amplitudes directly; tabulating the
         // running sums first only pays off from the second draw on.
-        if let [(shot, rng)] = shots {
-            return sink(*shot, self.sample_outcome(program, ctx, run, rng));
+        if let [member] = shots {
+            let outcome = self.sample_outcome(program, ctx, run, &mut member.1);
+            return sink(member, outcome);
         }
         debug_assert_eq!(
             ctx.seated, program.id,
@@ -426,8 +435,9 @@ impl StochasticBackend for DenseSimulator {
         // every member draws the index it would have drawn alone — by
         // binary search instead of two passes over the shared state.
         let cumulative = ctx.state.cumulative_probabilities();
-        for (shot, rng) in shots.iter_mut() {
-            sink(*shot, sample_cumulative(&cumulative, rng));
+        for member in shots.iter_mut() {
+            let outcome = sample_cumulative(&cumulative, &mut member.1);
+            sink(member, outcome);
         }
     }
 
@@ -468,7 +478,7 @@ mod tests {
         let mut ctx = backend.new_context();
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..20 {
-            let run = backend.run_shot(&program, &mut ctx, &mut rng);
+            let run = backend.run_shot(&program, &mut ctx, &mut rng, &program.absorbing);
             assert!(run.outcome == 0 || run.outcome == 0b111111);
         }
     }
@@ -486,8 +496,8 @@ mod tests {
         let mut dd_ctx = dd.new_context();
         let mut rng_a = StdRng::seed_from_u64(1);
         let mut rng_b = StdRng::seed_from_u64(1);
-        let mut run_a = dense.run_shot(&dense_program, &mut dense_ctx, &mut rng_a);
-        let mut run_b = dd.run_shot(&dd_program, &mut dd_ctx, &mut rng_b);
+        let mut run_a = dense.run_shot(&dense_program, &mut dense_ctx, &mut rng_a, &[]);
+        let mut run_b = dd.run_shot(&dd_program, &mut dd_ctx, &mut rng_b, &[]);
         for observable in [
             Observable::BasisProbability(0),
             Observable::BasisProbability(31),
@@ -517,7 +527,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(123);
         let mut decays = 0;
         for _ in 0..50 {
-            let run = backend.run_shot(&program, &mut ctx, &mut rng);
+            let run = backend.run_shot(&program, &mut ctx, &mut rng, &program.absorbing);
             if run.outcome == 0 {
                 decays += 1;
             }
@@ -541,7 +551,7 @@ mod tests {
         let mut ctx = backend.new_context();
         for seed in 0..16 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let run = backend.run_shot(&program, &mut ctx, &mut rng);
+            let run = backend.run_shot(&program, &mut ctx, &mut rng, &program.absorbing);
             assert_eq!(run.outcome, 0, "both qubits must end in |0>");
             assert_eq!(run.error_events, 2);
             // Four certain candidates — a waiting time before each and a
@@ -607,9 +617,9 @@ mod tests {
         for seed in 0..32u64 {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            let a = backend.run_shot(&program, &mut reused, &mut rng_a);
+            let a = backend.run_shot(&program, &mut reused, &mut rng_a, &program.absorbing);
             let mut fresh = backend.new_context();
-            let b = backend.run_shot(&program, &mut fresh, &mut rng_b);
+            let b = backend.run_shot(&program, &mut fresh, &mut rng_b, &program.absorbing);
             assert_eq!(a.outcome, b.outcome);
             assert_eq!(a.clbits, b.clbits);
             assert_eq!(a.error_events, b.error_events);

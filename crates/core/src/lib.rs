@@ -61,6 +61,7 @@ mod decisions;
 pub mod dedup;
 pub mod dense_backend;
 pub mod estimator;
+mod frame;
 pub mod fxhash;
 pub mod sampling;
 pub mod shot_engine;

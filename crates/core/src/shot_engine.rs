@@ -323,24 +323,27 @@ impl ShotEngine {
         observables: &[Observable],
     ) -> (ShotSample, Vec<f64>) {
         let mut rng = shot_rng(self.seed, shot);
-        self.run_with_rng_in(ctx, &mut rng, observables)
+        self.run_with_rng_in(ctx, &mut rng, observables, self.absorbing(observables))
     }
 
     /// Executes one live shot with a caller-supplied generator (the
     /// weighted tail sampler derives its generators from a salted seed
-    /// stream rather than the shot index).
+    /// stream rather than the shot index), absorbing Z errors at the
+    /// `absorbing` sites.
     pub(crate) fn run_with_rng_in(
         &self,
         ctx: &mut ExecContext,
         rng: &mut StdRng,
         observables: &[Observable],
+        absorbing: &[bool],
     ) -> (ShotSample, Vec<f64>) {
         let (mut sample, values) = match &self.backend {
             EngineBackend::DecisionDiagram { backend, program } => {
-                run_live(backend, program, ctx.dd_mut(), rng, observables)
+                run_live(backend, program, ctx.dd_mut(), rng, observables, absorbing)
             }
             EngineBackend::Statevector { backend, program } => {
-                run_live(backend, program, ctx.dense_mut(), rng, observables)
+                let ctx = ctx.dense_mut();
+                run_live(backend, program, ctx, rng, observables, absorbing)
             }
         };
         if let Some(output_layout) = &self.output_layout {
@@ -445,7 +448,8 @@ impl ShotEngine {
         }
     }
 
-    /// Resolves shot `shot`'s error decisions up front.
+    /// Resolves shot `shot`'s error decisions up front, every error an event
+    /// (nothing absorbed, so the pattern is the shot's whole trajectory).
     ///
     /// Returns the shot's [`ErrorPattern`] together with its generator —
     /// positioned exactly where live execution would be after the covered
@@ -456,7 +460,7 @@ impl ShotEngine {
     pub fn presample_shot(&self, shot: u64) -> Option<(ErrorPattern, StdRng)> {
         let support = self.dedup.as_ref()?;
         let mut rng = shot_rng(self.seed, shot);
-        match support.plan.presample(&mut rng).0 {
+        match support.plan.presample(&mut rng, &[]).0 {
             Presampled::Pattern(pattern) => Some((pattern, rng)),
             Presampled::Deviated { .. } => None,
         }
@@ -469,35 +473,13 @@ impl ShotEngine {
     /// left the no-error path with a state-dependent decision ahead.
     /// `None` when the engine does not support deduplication.
     ///
-    /// This is the building block for bounded-memory consumers (the batch
-    /// scheduler presamples one round at a time with it).
+    /// Z errors are absorbed where the program allows it, so the work suits
+    /// observables that read populations. This is the building block for
+    /// bounded-memory consumers (the batch scheduler presamples one round
+    /// at a time with it).
     pub fn plan_range(&self, range: std::ops::Range<u64>) -> Option<Vec<TrajectoryWork>> {
         let support = self.dedup.as_ref()?;
-        Some(plan_range(&support.plan, range, self.seed).0)
-    }
-
-    /// [`plan_range`](Self::plan_range) with the deviating shots left to
-    /// the caller: the trajectory groups in first-appearance order (members
-    /// in shot order) plus, in index order, the shots to execute live.
-    ///
-    /// Each group feeds straight into [`run_group_in`](Self::run_group_in),
-    /// each live shot into [`run_shot_in`](Self::run_shot_in).
-    #[allow(clippy::type_complexity)]
-    pub fn presample_range(
-        &self,
-        range: std::ops::Range<u64>,
-    ) -> Option<(Vec<(ErrorPattern, Vec<(u64, StdRng)>)>, Vec<u64>)> {
-        let mut groups = Vec::new();
-        let mut live = Vec::new();
-        for work in self.plan_range(range)? {
-            if work.is_bucket() {
-                live.extend(work.parked.iter().map(|(_, shot, _)| *shot));
-            } else {
-                groups.push((work.pattern, work.members));
-            }
-        }
-        live.sort_unstable();
-        Some((groups, live))
+        Some(plan_range(&support.plan, range, self.seed, self.absorbing(&[])).0)
     }
 
     /// A replay sink collecting one record per member shot into `out`,
@@ -521,9 +503,9 @@ impl ShotEngine {
     /// `shots` are `(shot index, generator)` pairs as returned by
     /// [`presample_shot`](Self::presample_shot), all with the identical
     /// pattern; `observables` must already be mapped through
-    /// [`map_observables`](Self::map_observables). Every returned sample is
-    /// byte-identical to what [`run_shot_in`](Self::run_shot_in) would
-    /// produce for the same shot index.
+    /// [`map_observables`](Self::map_observables). Nothing is absorbed, so
+    /// a sample equals [`run_shot_in`](Self::run_shot_in)'s for the shot —
+    /// byte for byte unless the shot drew a Z error that one absorbs.
     ///
     /// # Panics
     ///
@@ -541,6 +523,9 @@ impl ShotEngine {
         let unbounded = Deadline::unbounded();
         let (support, seed) = (self.dedup_support(), self.seed);
         let mut out = Evolutions::new(support, observables, seed, &unbounded, &mut sink);
+        let shots = &mut (shots.iter())
+            .map(|(shot, rng)| (*shot, rng.clone(), 0))
+            .collect::<Vec<_>>();
         match &self.backend {
             EngineBackend::DecisionDiagram { backend, program } => {
                 run_group(backend, program, ctx.dd_mut(), pattern, shots, &mut out)
@@ -562,7 +547,8 @@ impl ShotEngine {
     /// [`run_shot_in`](Self::run_shot_in) produces for that shot index,
     /// plus the evolutions performed and the shots run live. The
     /// `deadline` is checked between evolutions; `observables` must already
-    /// be mapped through [`map_observables`](Self::map_observables).
+    /// be mapped through [`map_observables`](Self::map_observables) and,
+    /// like the work's, read populations only.
     ///
     /// # Panics
     ///
@@ -580,6 +566,7 @@ impl ShotEngine {
         let mut sink = self.collect_into(&mut records);
         let (support, seed) = (self.dedup_support(), self.seed);
         let mut out = Evolutions::new(support, observables, seed, deadline, &mut sink);
+        out.absorbing = self.absorbing(&[]);
         match &self.backend {
             EngineBackend::DecisionDiagram { backend, program } => {
                 run_work(backend, program.as_ref(), ctx.dd_mut(), work, &mut out)
@@ -599,6 +586,18 @@ impl ShotEngine {
         self.dedup
             .as_ref()
             .expect("trajectory replay requires an engine with dedup support")
+    }
+
+    /// The absorbing sites a job with `observables` runs with: the
+    /// program's, or none when an observable reads phases (a fidelity).
+    pub(crate) fn absorbing(&self, observables: &[Observable]) -> &[bool] {
+        if (observables.iter()).any(|o| matches!(o, Observable::Fidelity(_))) {
+            return &[];
+        }
+        match &self.backend {
+            EngineBackend::DecisionDiagram { program, .. } => &program.absorbing,
+            EngineBackend::Statevector { program, .. } => &program.absorbing,
+        }
     }
 
     /// The transpiler's output layout, unless it is the identity.
@@ -670,17 +669,19 @@ impl EngineBackend {
     }
 }
 
-/// Runs one shot on a concrete back-end and evaluates the observables;
-/// `SingleRun` carries the diagram statistics uniformly (zero on back-ends
-/// without diagrams), so both engine arms share this body.
+/// Runs one shot on a concrete back-end, absorbing Z errors at the
+/// `absorbing` sites, and evaluates the observables; `SingleRun` carries
+/// the diagram statistics uniformly (zero on back-ends without diagrams),
+/// so both engine arms share this body.
 fn run_live<B: StochasticBackend>(
     backend: &B,
     program: &B::Program,
     ctx: &mut B::Context,
     rng: &mut rand::rngs::StdRng,
     observables: &[Observable],
+    absorbing: &[bool],
 ) -> (ShotSample, Vec<f64>) {
-    let mut run = backend.run_shot(program, ctx, rng);
+    let mut run = backend.run_shot(program, ctx, rng, absorbing);
     let values: Vec<f64> = observables
         .iter()
         .map(|o| backend.evaluate(program, ctx, &mut run, o))
@@ -710,6 +711,35 @@ fn remap_observable(observable: &Observable, output_layout: &[usize]) -> Observa
 mod tests {
     use super::*;
     use qsdd_circuit::generators::{ghz, qft};
+
+    #[test]
+    fn a_fidelity_sees_the_phase_errors_populations_absorb() {
+        use crate::{execute, ExecMode, ExecPlan, Placement};
+        // Every shot flips the phase of |+>: the readout cannot tell, the
+        // overlap with |+> can.
+        let mut circuit = Circuit::new(1);
+        circuit.h(0);
+        let plus = qsdd_dd::Complex::real(std::f64::consts::FRAC_1_SQRT_2);
+        let observables = [
+            Observable::QubitExcitation(0),
+            Observable::Fidelity(vec![plus, plus]),
+        ];
+        for kind in [BackendKind::DecisionDiagram, BackendKind::Statevector] {
+            let noise = NoiseModel::new(0.0, 0.0, 1.0);
+            let engine = ShotEngine::new(&circuit, kind, noise, 5, OptLevel::O0);
+            for mode in [ExecMode::PerShot, ExecMode::Dedup] {
+                for observables in [&observables[..1], &observables[..]] {
+                    let plan = ExecPlan::new(mode.clone(), 200, observables);
+                    let outcome = execute(&engine, &plan, Placement::Threads(2)).unwrap();
+                    assert_eq!(outcome.error_events, 200, "every Z is counted");
+                    assert!((outcome.observable_estimates[0] - 0.5).abs() < 1e-12);
+                    if let [_, fidelity] = outcome.observable_estimates[..] {
+                        assert!(fidelity.abs() < 1e-12, "{kind:?} {mode:?}: {fidelity}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn shots_are_deterministic_and_reentrant() {

@@ -242,7 +242,7 @@ pub(crate) fn run_weighted(
             candidate += 1;
             let presample_started = Instant::now();
             let mut rng = shot_rng(salted, k);
-            let (presampled, _) = plan.presample(&mut rng);
+            let (presampled, ..) = plan.presample(&mut rng, &[]);
             tail_presample_time += presample_started.elapsed();
             let (sample, values) = match presampled {
                 Presampled::Pattern(pattern) if enumerated.contains(&pattern) => continue,
@@ -260,7 +260,7 @@ pub(crate) fn run_weighted(
                 // live from the top with a fresh generator (the stream
                 // prefix matches what the presampler consumed).
                 Presampled::Deviated { .. } => {
-                    engine.run_with_rng_in(ctx, &mut shot_rng(salted, k), &mapped)
+                    engine.run_with_rng_in(ctx, &mut shot_rng(salted, k), &mapped, &[])
                 }
             };
             *tail_counts.entry(sample.outcome).or_insert(0) += 1;

@@ -267,16 +267,19 @@ impl DdPackage {
         if v.node.is_terminal() {
             return plan;
         }
-        // Depth-first flattening; slots are assigned on first visit.
-        let mut slots: crate::fxhash::FxHashMap<crate::node::VecNodeId, u32> =
-            crate::fxhash::FxHashMap::default();
-        let mut stack = vec![v.node];
+        // Breadth-first flattening. The walk owns a stamp per arena node and
+        // marks a node with `base +` its slot (earlier marks lie below
+        // `base`); every edge descends one level, so successors get later
+        // slots than their parents.
+        let base = self.next_visit_stamps(self.vec_nodes.len() as u32);
+        let mut order = std::mem::take(&mut self.visit_stack);
+        order.clear();
+        order.push(v.node);
+        self.visit_marks[v.node.index()] = base;
         plan.root = 0;
-        slots.insert(v.node, 0);
-        plan.nodes.push(PlanNode::default());
-        while let Some(id) = stack.pop() {
+        let mut at = 0;
+        while let Some(&id) = order.get(at) {
             let node = self.vec_nodes[id.index()];
-            let slot = slots[&id] as usize;
             let mut entry = PlanNode {
                 probabilities: [0.0; 2],
                 next: [TERMINAL_SLOT; 2],
@@ -293,53 +296,49 @@ impl DdPackage {
                 // for bit.
                 entry.probabilities[bit] =
                     self.ctable.norm_sqr(edge.weight) * self.node_norm(edge.node);
-                if !edge.node.is_terminal() {
-                    entry.next[bit] = *slots.entry(edge.node).or_insert_with(|| {
-                        plan.nodes.push(PlanNode::default());
-                        stack.push(edge.node);
-                        (plan.nodes.len() - 1) as u32
-                    });
-                }
-            }
-            plan.nodes[slot] = entry;
-        }
-
-        // Collapse deterministic chains: below a taken branch, every node
-        // whose comparison is a foregone conclusion (exactly one branch
-        // with positive probability) contributes a fixed bit, so the walk
-        // can precompute the bits and only burn the draws. The chain walk
-        // uses the raw successor graph; results are written back per
-        // branch.
-        let raw = plan.nodes.clone();
-        for entry in &mut plan.nodes {
-            for bit in 0..2 {
-                if entry.probabilities[bit] <= 0.0 {
-                    // Only reachable through the zero-total fallback, which
-                    // draws nothing: keep the uncompressed single step.
+                if edge.node.is_terminal() {
                     continue;
                 }
-                let mut bits = bit as u64;
-                let mut levels = 1u8;
-                let mut cursor = entry.next[bit];
-                while cursor != TERMINAL_SLOT {
-                    let [p0, p1] = raw[cursor as usize].probabilities;
-                    let chained = if p0 <= 0.0 && p1 > 0.0 {
-                        1
-                    } else if p1 <= 0.0 && p0 > 0.0 {
-                        0
-                    } else {
-                        // A genuine branch decision (or a zero-total pad,
-                        // which consumes no draw): the chain ends here.
-                        break;
-                    };
-                    bits = (bits << 1) | chained as u64;
-                    levels += 1;
-                    cursor = raw[cursor as usize].next[chained];
+                let index = edge.node.index();
+                if self.visit_marks[index] < base {
+                    self.visit_marks[index] = base + order.len() as u32;
+                    order.push(edge.node);
                 }
-                entry.bits[bit] = bits;
-                entry.levels[bit] = levels;
-                entry.next[bit] = cursor;
+                entry.next[bit] = self.visit_marks[index] - base;
             }
+            plan.nodes.push(entry);
+            at += 1;
+        }
+        self.visit_stack = order;
+
+        // Collapse deterministic chains, children first: below a taken
+        // branch, a node with exactly one branch of positive probability
+        // contributes a fixed bit, so the walk precomputes the bits and only
+        // burns the draws. Each branch extends its successor's once.
+        for slot in (0..plan.nodes.len()).rev() {
+            let mut entry = plan.nodes[slot];
+            for bit in 0..2 {
+                // A zero-probability branch (only reachable through the
+                // zero-total fallback, which draws nothing) stays one step.
+                let next = entry.next[bit];
+                if entry.probabilities[bit] <= 0.0 || next == TERMINAL_SLOT {
+                    continue;
+                }
+                debug_assert!(next as usize > slot, "successors lie below");
+                let below = plan.nodes[next as usize];
+                let chained = match below.probabilities {
+                    [p0, p1] if p0 <= 0.0 && p1 > 0.0 => 1,
+                    [p0, p1] if p1 <= 0.0 && p0 > 0.0 => 0,
+                    // A genuine branch decision (or a zero-total pad, which
+                    // consumes no draw): the chain ends here.
+                    _ => continue,
+                };
+                let levels = below.levels[chained];
+                entry.bits[bit] = ((bit as u64) << levels) | below.bits[chained];
+                entry.levels[bit] = 1 + levels;
+                entry.next[bit] = below.next[chained];
+            }
+            plan.nodes[slot] = entry;
         }
         plan
     }
@@ -434,16 +433,7 @@ impl DdPackage {
         if v.is_zero() || v.node.is_terminal() {
             return 0;
         }
-        if self.visit_marks.len() < self.vec_nodes.len() {
-            self.visit_marks.resize(self.vec_nodes.len(), 0);
-        }
-        self.visit_stamp = self.visit_stamp.wrapping_add(1);
-        if self.visit_stamp == 0 {
-            // Stamp wrapped: invalidate every stale mark once.
-            self.visit_marks.fill(0);
-            self.visit_stamp = 1;
-        }
-        let stamp = self.visit_stamp;
+        let stamp = self.next_visit_stamps(1);
         let mut stack = std::mem::take(&mut self.visit_stack);
         stack.clear();
         stack.push(v.node);
@@ -467,6 +457,21 @@ impl DdPackage {
         self.visit_stack = stack;
         self.counters.count_nodes += count as u64;
         count
+    }
+
+    /// The first of `span` fresh generation stamps for `visit_marks`, the
+    /// scratch sized to the arena: every mark set before lies below it.
+    fn next_visit_stamps(&mut self, span: u32) -> u32 {
+        if self.visit_marks.len() < self.vec_nodes.len() {
+            self.visit_marks.resize(self.vec_nodes.len(), 0);
+        }
+        if self.visit_stamp.checked_add(span).is_none() {
+            // Stamps wrapped: invalidate every stale mark once.
+            self.visit_marks.fill(0);
+            self.visit_stamp = 0;
+        }
+        self.visit_stamp += span;
+        self.visit_stamp + 1 - span
     }
 
     /// An upper bound of [`vec_node_count`](Self::vec_node_count)`(v)`, read
@@ -739,6 +744,68 @@ mod tests {
                 // Both paths must consume the identical amount of
                 // randomness: the next draws agree.
                 assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+            }
+        }
+    }
+
+    #[test]
+    fn sample_plans_draw_like_the_package_walk_on_noisy_wide_states() {
+        use rand::Rng;
+        let mut dd = DdPackage::new();
+        let mut rng = StdRng::seed_from_u64(64);
+        let mut states = Vec::new();
+        // GHZ-64 with a bit flip halfway: both branches end in 63-level
+        // deterministic chains below the root, one of them broken.
+        let n = 64;
+        let mut ghz = dd.zero_state(n);
+        let h = dd.single_qubit_op(n, 0, Matrix2::hadamard());
+        ghz = dd.mat_vec_mul(h, ghz);
+        for target in 1..n {
+            let cx = dd.controlled_op(n, target, &[0], Matrix2::pauli_x());
+            ghz = dd.mat_vec_mul(cx, ghz);
+            if target == 40 {
+                let flip = dd.single_qubit_op(n, 20, Matrix2::pauli_x());
+                ghz = dd.mat_vec_mul(flip, ghz);
+            }
+        }
+        states.push((ghz, n));
+        // QFT-12 of a basis state, then a damping keep: non-uniform
+        // magnitudes on a product state.
+        let n = 12;
+        let mut qft = dd.basis_state_from_index(n, 0b1011_0010_0110);
+        for i in 0..n {
+            let h = dd.single_qubit_op(n, i, Matrix2::hadamard());
+            qft = dd.mat_vec_mul(h, qft);
+            for j in i + 1..n {
+                let angle = std::f64::consts::PI / (1u64 << (j - i)) as f64;
+                let cp = dd.controlled_op(n, i, &[j], Matrix2::phase(angle));
+                qft = dd.mat_vec_mul(cp, qft);
+            }
+        }
+        let keep = dd.single_qubit_op(n, 5, Matrix2::amplitude_damping_a1(0.3));
+        states.push((dd.apply_kraus(keep, qft).1, n));
+        // Random states, some amplitudes zero so that chains appear.
+        for sparsity in [0.0, 0.7, 0.95] {
+            let amplitudes: Vec<Complex> = (0..1 << 10)
+                .map(|_| match rng.gen::<f64>() < sparsity {
+                    true => Complex::ZERO,
+                    false => Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
+                })
+                .collect();
+            let state = dd.from_statevector(&amplitudes);
+            states.push((dd.normalize(state), 10));
+        }
+        for (state, n) in states {
+            let plan = dd.sample_plan(state, n);
+            for seed in 0..10_000u64 {
+                let mut rng_a = StdRng::seed_from_u64(seed);
+                let mut rng_b = StdRng::seed_from_u64(seed);
+                assert_eq!(
+                    plan.sample(&mut rng_a),
+                    dd.sample_measurement(state, n, &mut rng_b),
+                    "{n} qubits, seed {seed}"
+                );
+                assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "stream diverged");
             }
         }
     }

@@ -183,6 +183,22 @@ impl ErrorChannel {
         }
     }
 
+    /// [`Self::resolve_candidate`] at a site that absorbs Z errors when
+    /// `absorbs` (see [`crate::presample`]): a Z is counted into `absorbed`
+    /// and fires nothing, a Y fires its X part (`Y = iXZ`). Same draws.
+    #[inline]
+    pub fn resolve_framed<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        absorbs: bool,
+        absorbed: &mut u32,
+    ) -> Option<usize> {
+        let error = self.resolve_candidate(rng)?;
+        let x_part = (self.kind == ErrorKind::Depolarizing && error < 2).then_some(0);
+        *absorbed += u32::from(absorbs && x_part.is_none());
+        Some(error).filter(|_| !absorbs).or(x_part)
+    }
+
     /// Resolves a candidate exposure of the damping channel whose decay
     /// branch has probability `p_decay()` (at most [`decay_bound`]): one
     /// uniform `v`, and the exposure decays iff `v · rate < p_decay`, so a

@@ -29,6 +29,10 @@
 //! candidate of a shot that left the no-error path — sit exactly where live
 //! execution would be, which makes deduplicated results byte-identical to
 //! per-shot execution.
+//!
+//! A site may *absorb* Z errors (one flag per site in `absorbing`; an empty
+//! table absorbs nothing): a Z there is drawn and counted but is no event,
+//! and a Y fires its X part. Absorption moves no draw.
 
 use std::borrow::Borrow;
 
@@ -75,7 +79,7 @@ impl ErrorEvent {
 /// let site = SiteChannel::Passive(ErrorChannel::new(ErrorKind::PhaseFlip, 0.0));
 /// let plan = PresamplePlan::new(vec![site, site]);
 /// let mut rng = StdRng::seed_from_u64(1);
-/// let (Presampled::Pattern(pattern), _) = plan.presample(&mut rng) else {
+/// let (Presampled::Pattern(pattern), ..) = plan.presample(&mut rng, &[]) else {
 ///     panic!("state-independent sites always presample");
 /// };
 /// assert!(pattern.is_empty());
@@ -279,19 +283,23 @@ impl PresamplePlan {
     }
 
     /// Resolves one shot's error decisions against the plan, from a fresh
-    /// generator.
+    /// generator, absorbing Z errors at the `absorbing` sites.
     ///
     /// Consumes the random number stream exactly like live execution of the
     /// covered exposures (see the module docs). Also returns the number of
-    /// waiting-time uniforms drawn: one at the start and one after every
-    /// candidate that has a site behind it.
+    /// waiting-time uniforms drawn — one at the start and one after every
+    /// candidate that has a site behind it — and of Z errors absorbed.
     #[inline]
-    pub fn presample<R: Rng + ?Sized>(&self, rng: &mut R) -> (Presampled, u32) {
+    pub fn presample<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        absorbing: &[bool],
+    ) -> (Presampled, u32, u32) {
         let end = self.sites.len() as u32;
         let (mut next, mut uniforms) = (self.survival.next(rng, 0, end), u32::from(end > 0));
-        let mut events = Vec::new();
+        let (mut events, mut absorbed) = (Vec::new(), 0);
         while next < end {
-            let event = self.resolve(rng, next, |p_decay| p_decay);
+            let event = self.resolve(rng, next, (absorbing, &mut absorbed), |p_decay| p_decay);
             let site = next as usize;
             next = self.survival.next(rng, next + 1, end);
             uniforms += u32::from(site + 1 < end as usize);
@@ -301,11 +309,12 @@ impl PresamplePlan {
                 // A decay is a state change, and past any other error the
                 // state-dependent sites ahead no longer see the no-error
                 // path their thresholds were precomputed for.
-                return (Presampled::Deviated { event, next }, uniforms);
+                return (Presampled::Deviated { event, next }, uniforms, absorbed);
             }
             events.push(event);
         }
-        (Presampled::Pattern(ErrorPattern { events }), uniforms)
+        let pattern = Presampled::Pattern(ErrorPattern { events });
+        (pattern, uniforms, absorbed)
     }
 
     /// Continues a deviated shot whose next candidate is `next` to its next
@@ -314,18 +323,19 @@ impl PresamplePlan {
     /// `learned` holds the decay threshold of every damping site at or
     /// after `from` (at most `next`), in site order, as read off the
     /// trajectory the shot is now on (the plan's own thresholds only hold
-    /// on the no-error path).
+    /// on the no-error path). Also returns the Z errors absorbed on the way.
     pub fn resume<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         next: &mut u32,
         from: usize,
         learned: &[f64],
-    ) -> Option<ErrorEvent> {
-        let end = self.sites.len() as u32;
+        absorbing: &[bool],
+    ) -> (Option<ErrorEvent>, u32) {
+        let (end, mut absorbed) = (self.sites.len() as u32, 0);
         while *next < end {
             let site = *next as usize;
-            let event = self.resolve(rng, *next, |_| {
+            let event = self.resolve(rng, *next, (absorbing, &mut absorbed), |_| {
                 let damping = self.sites[from..site]
                     .iter()
                     .filter(|site| matches!(site, SiteChannel::Damping { .. }));
@@ -333,10 +343,10 @@ impl PresamplePlan {
             });
             *next = self.survival.next(rng, *next + 1, end);
             if event.is_some() {
-                return event;
+                return (event, absorbed);
             }
         }
-        None
+        (None, absorbed)
     }
 
     /// Resolves the candidate at `site`; `threshold` maps a damping site's
@@ -346,11 +356,13 @@ impl PresamplePlan {
         &self,
         rng: &mut R,
         site: u32,
+        (absorbing, absorbed): (&[bool], &mut u32),
         threshold: impl FnOnce(f64) -> f64,
     ) -> Option<ErrorEvent> {
         let at = self.sites[site as usize];
+        let absorbs = absorbing.get(site as usize) == Some(&true);
         let error = match at {
-            SiteChannel::Passive(channel) => channel.resolve_candidate(rng)? as u8,
+            SiteChannel::Passive(channel) => channel.resolve_framed(rng, absorbs, absorbed)? as u8,
             SiteChannel::Damping { p_decay, .. } => {
                 let decays = at.channel().candidate_decays(rng, || threshold(p_decay));
                 decays.then_some(ErrorEvent::DECAY)?
@@ -387,7 +399,10 @@ mod tests {
         ]);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..200 {
-            assert!(matches!(plan.presample(&mut rng).0, Presampled::Pattern(_)));
+            assert!(matches!(
+                plan.presample(&mut rng, &[]).0,
+                Presampled::Pattern(_)
+            ));
         }
     }
 
@@ -412,7 +427,8 @@ mod tests {
         for seed in 0..50 {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            let (Presampled::Pattern(pattern), uniforms) = plan.presample(&mut rng_a) else {
+            let (Presampled::Pattern(pattern), uniforms, _) = plan.presample(&mut rng_a, &[])
+            else {
                 panic!("passive plans always presample");
             };
             let (mut expected, mut draws) = (Vec::new(), 1);
@@ -437,6 +453,42 @@ mod tests {
             assert_eq!(pattern.events(), expected.as_slice());
             assert_eq!(uniforms as usize, draws);
             assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "stream diverged");
+        }
+    }
+
+    #[test]
+    fn absorbing_sites_count_z_fire_x_for_y_and_move_no_draw() {
+        let plan = PresamplePlan::new(vec![
+            passive(ErrorKind::Depolarizing, 1.0),
+            passive(ErrorKind::PhaseFlip, 1.0),
+            passive(ErrorKind::Depolarizing, 1.0),
+        ]);
+        let absorbing = [true, true, false];
+        for seed in 0..200 {
+            let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let (Presampled::Pattern(kept), _, none) = plan.presample(&mut rng_a, &[]) else {
+                unreachable!()
+            };
+            let (Presampled::Pattern(framed), _, absorbed) = plan.presample(&mut rng_b, &absorbing)
+            else {
+                unreachable!()
+            };
+            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "stream diverged");
+            assert_eq!(none, 0);
+            // Site 0: X stays X, Y becomes X, Z is absorbed; site 1's Z is
+            // absorbed; site 2 absorbs nothing.
+            let expected: Vec<ErrorEvent> = (kept.events().iter())
+                .filter(|e| e.site == 2 || (e.site == 0 && e.error < 2))
+                .map(|&e| ErrorEvent {
+                    error: if e.site == 0 { 0 } else { e.error },
+                    ..e
+                })
+                .collect();
+            assert_eq!(framed.events(), expected);
+            assert_eq!(
+                framed.error_events() + u64::from(absorbed),
+                kept.error_events()
+            );
         }
     }
 
@@ -466,7 +518,7 @@ mod tests {
             error: ErrorEvent::DECAY,
         };
         assert!(matches!(
-            plan.presample(&mut rng).0,
+            plan.presample(&mut rng, &[]).0,
             Presampled::Deviated { event, next: 1 } if event == decay
         ));
         // A never-decaying damping site stays on the pattern path.
@@ -474,7 +526,7 @@ mod tests {
             gamma: 0.5,
             p_decay: 0.0,
         }]);
-        let (Presampled::Pattern(pattern), _) = plan.presample(&mut rng) else {
+        let (Presampled::Pattern(pattern), ..) = plan.presample(&mut rng, &[]) else {
             panic!("p_decay = 0 never deviates");
         };
         assert!(pattern.is_empty());
@@ -488,12 +540,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let flip = ErrorEvent { site: 0, error: 0 };
         assert!(matches!(
-            plan.presample(&mut rng).0,
+            plan.presample(&mut rng, &[]).0,
             Presampled::Deviated { event, .. } if event == flip
         ));
         // The same deviation *after* the last damping site is fine.
         let plan = PresamplePlan::new(vec![damping(0.0), passive(ErrorKind::PhaseFlip, 1.0)]);
-        let (Presampled::Pattern(pattern), _) = plan.presample(&mut rng) else {
+        let (Presampled::Pattern(pattern), ..) = plan.presample(&mut rng, &[]) else {
             panic!("trailing deviations stay presampleable");
         };
         assert_eq!(
@@ -532,19 +584,23 @@ mod tests {
             // damping sites behind the last event.
             let (mut chained, mut from) = (Vec::new(), 0);
             let mut next = plan.survival.next(&mut rng_b, 0, plan.site_count() as u32);
-            while let Some(event) = plan.resume(
-                &mut rng_b,
-                &mut next,
-                from,
-                &thresholds[from.min(thresholds.len())..],
-            ) {
+            while let Some(event) = plan
+                .resume(
+                    &mut rng_b,
+                    &mut next,
+                    from,
+                    &thresholds[from.min(thresholds.len())..],
+                    &[],
+                )
+                .0
+            {
                 chained.push(event);
                 from = event.site as usize + 1;
                 if event.error == ErrorEvent::DECAY {
                     break;
                 }
             }
-            match plan.presample(&mut rng_a).0 {
+            match plan.presample(&mut rng_a, &[]).0 {
                 Presampled::Pattern(pattern) => {
                     assert_eq!(pattern.events(), chained);
                     patterns += usize::from(chained.len() > 1);
@@ -581,12 +637,15 @@ mod tests {
             };
             // γ = 1 makes the damping site a certain candidate.
             let mut next = 1;
-            assert_eq!(plan.resume(&mut rng, &mut next, 0, &[1.0]), Some(decay));
+            assert_eq!(
+                plan.resume(&mut rng, &mut next, 0, &[1.0], &[]).0,
+                Some(decay)
+            );
             assert_eq!(next, 2);
             let mut next = 1;
-            assert_eq!(plan.resume(&mut rng, &mut next, 1, &[0.0]), None);
+            assert_eq!(plan.resume(&mut rng, &mut next, 1, &[0.0], &[]).0, None);
             // Past the last site nothing is drawn.
-            assert_eq!(plan.resume(&mut rng, &mut next, 2, &[]), None);
+            assert_eq!(plan.resume(&mut rng, &mut next, 2, &[], &[]).0, None);
         }
     }
 
@@ -597,7 +656,7 @@ mod tests {
         let mut groups: HashMap<ErrorPattern, u64> = HashMap::new();
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..500 {
-            let (Presampled::Pattern(pattern), _) = plan.presample(&mut rng) else {
+            let (Presampled::Pattern(pattern), ..) = plan.presample(&mut rng, &[]) else {
                 unreachable!()
             };
             *groups.entry(pattern).or_insert(0) += 1;

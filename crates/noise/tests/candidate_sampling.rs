@@ -73,8 +73,8 @@ fn candidates(
     rng: &mut StdRng,
 ) -> Events {
     let mut next = survival.next(rng, 0, survival.len() as u32);
-    let first = plan.resume(rng, &mut next, 0, learned);
-    let second = first.and_then(|_| plan.resume(rng, &mut next, 0, learned));
+    let first = plan.resume(rng, &mut next, 0, learned, &[]).0;
+    let second = first.and_then(|_| plan.resume(rng, &mut next, 0, learned, &[]).0);
     [first, second]
 }
 

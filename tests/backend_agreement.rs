@@ -1,8 +1,10 @@
 //! Cross-crate integration tests: the decision-diagram simulator, the dense
 //! statevector simulator and the exact density-matrix simulator must agree.
 
+use std::collections::HashMap;
+
 use qsdd::circuit::generators::{bernstein_vazirani, ghz, grover, qft, random_circuit, w_state};
-use qsdd::circuit::Circuit;
+use qsdd::circuit::{Circuit, Operation};
 use qsdd::core::{BackendKind, DdSimulator, StochasticSimulator};
 use qsdd::dd::DdPackage;
 use qsdd::density;
@@ -128,6 +130,71 @@ fn dense_trajectory_sharing_tracks_exact_density_matrix() {
                 .sum::<f64>()
                 / 2.0;
             assert!(tv < 0.03, "{name} under {noise:?}: total variation {tv}");
+        }
+    }
+}
+
+/// The readout a shot reports for basis state `basis` of `circuit`: the
+/// packed classical register (bit 0 most significant) when the circuit
+/// measures, the basis index itself otherwise.
+fn readout(circuit: &Circuit, basis: usize) -> u64 {
+    let n = circuit.num_qubits();
+    let mut clbits = vec![false; circuit.num_clbits()];
+    let mut measured = false;
+    for op in circuit {
+        if let Operation::Measure { qubit, clbit } = op {
+            clbits[*clbit] = (basis >> (n - 1 - qubit)) & 1 == 1;
+            measured = true;
+        }
+    }
+    match measured {
+        true => clbits
+            .iter()
+            .fold(0, |acc, &bit| (acc << 1) | u64::from(bit)),
+        false => basis as u64,
+    }
+}
+
+/// A Z error that stays diagonal up to the readout is counted, not
+/// simulated. Where it does (GHZ, measured BV, QFT after each qubit's H)
+/// and where it must not (`h; Z; h; measure`), both back-ends still sample
+/// the exact distribution, at phase-flip and depolarizing rates at which
+/// most shots draw an error.
+#[test]
+fn absorbed_phase_errors_keep_both_backends_exact() {
+    const SHOTS: usize = 20_000;
+    let noise = NoiseModel::new(0.1, 0.0, 0.2);
+    let mut must_not_absorb = Circuit::with_name(1, "h_z_h");
+    must_not_absorb.h(0).h(0).measure(0, 0);
+    let circuits = [
+        ghz(4),
+        bernstein_vazirani(5, 0b1011),
+        qft(4),
+        must_not_absorb,
+    ];
+    for circuit in &circuits {
+        let mut exact: HashMap<u64, f64> = HashMap::new();
+        for (basis, p) in density::outcome_distribution(circuit, &noise)
+            .iter()
+            .enumerate()
+        {
+            *exact.entry(readout(circuit, basis)).or_default() += p;
+        }
+        for backend in [BackendKind::DecisionDiagram, BackendKind::Statevector] {
+            let result = StochasticSimulator::new()
+                .with_backend(backend)
+                .with_shots(SHOTS)
+                .with_noise(noise)
+                .with_seed(33)
+                .run(circuit);
+            for (&outcome, &p_exact) in &exact {
+                let p_mc = result.frequency(outcome);
+                assert!(
+                    (p_mc - p_exact).abs() < 0.015,
+                    "{} on {backend:?}, outcome {outcome}: exact {p_exact:.4} vs {p_mc:.4}",
+                    circuit.name()
+                );
+            }
         }
     }
 }
