@@ -1,8 +1,8 @@
 //! Support library for the benchmark harness.
 //!
 //! The binaries in `src/bin/` regenerate the tables of the paper's
-//! evaluation section (Table Ia, Ib, Ic plus the Theorem 1 and ablation
-//! experiments); the Criterion benchmarks in `benches/` cover what the
+//! evaluation section (Table Ia, Ib, Ic plus the thread-scaling
+//! ablation); the Criterion benchmarks in `benches/` cover what the
 //! repository benchmark (`qsdd_benchmark/`) does not time — the QASMBench
 //! suite, the transpiler and the compute-table ablation. This library
 //! holds the shared machinery: per-cell execution with a wall-clock
@@ -10,8 +10,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-
-pub mod server_load;
 
 use std::time::{Duration, Instant};
 

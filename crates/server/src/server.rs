@@ -38,8 +38,9 @@ use qsdd_core::{
     execute, Deadline, ExecContext, ExecMode, ExecPlan, Placement, ShotEngine, TimedOut,
 };
 use qsdd_json::Value;
+use qsdd_telemetry::spans::record_stage;
 use qsdd_telemetry::trace::{self, AttrValue, TraceStore, Tracer};
-use qsdd_telemetry::{log_kv, Level, SpanTimer, Stage, StageTimings};
+use qsdd_telemetry::{log_kv, Level, Stage, StageTimings};
 
 use crate::api::{self, JobInput};
 use crate::cache::{CellState, ExecutionCell, ResultCache, Submission};
@@ -493,7 +494,6 @@ fn submit_job(state: &Arc<ServerState>, body: &str) -> (u16, String) {
         Err(message) => return (400, error_body(&message)),
     };
     let parse_time = parse_started.elapsed();
-    let lookup = SpanTimer::start(Stage::CacheLookup);
     let lookup_started = Instant::now();
     let body_bytes = body.len() as u64;
     let submission = state.cache.submit_with(input, |cell| {
@@ -537,7 +537,7 @@ fn submit_job(state: &Arc<ServerState>, body: &str) -> (u16, String) {
         state.queue_wake.notify_one();
         true
     });
-    lookup.stop();
+    record_stage(Stage::CacheLookup, lookup_started.elapsed());
     let stats = &state.stats;
     let metrics = &state.metrics;
     match submission {

@@ -10,10 +10,10 @@
 //!   process-wide [`global()`] registry.
 //! * **Spans** ([`spans`]) — a [`Stage`] vocabulary for the pipeline
 //!   (parse → transpile → compile → presample → group → execute →
-//!   aggregate, plus cache-lookup and queue-wait on the serving path), a
-//!   [`SpanTimer`] that records elapsed time into the global registry's
-//!   per-stage histograms, and a [`StageTimings`] accumulator for per-job
-//!   breakdowns.
+//!   aggregate, plus cache-lookup and queue-wait on the serving path),
+//!   [`spans::record_stage`], which records elapsed time into the global
+//!   registry's per-stage histograms, and a [`StageTimings`] accumulator
+//!   for per-job breakdowns.
 //! * **Logging** ([`log`]) — level-filtered `key=value` lines on stderr,
 //!   controlled by the `QSDD_LOG` environment variable. Lines emitted
 //!   inside a traced job automatically carry `trace_id`/`job_id`.
@@ -49,7 +49,7 @@ pub mod trace;
 pub use log::{log_enabled, log_kv, Level};
 pub use metrics::{Counter, Gauge, Histogram, LATENCY_BOUNDS, SIZE_BOUNDS};
 pub use registry::Registry;
-pub use spans::{SpanTimer, Stage, StageTimings};
+pub use spans::{Stage, StageTimings};
 pub use trace::{
     set_trace_enabled, set_trace_sample_rate, trace_enabled, Trace, TraceStore, Tracer,
 };
@@ -81,17 +81,26 @@ pub fn global() -> &'static Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Runs `body` with the metrics gate set to `on`, then restores it.
+    /// The whole test binary shares the gate, so every test that flips it
+    /// goes through here, one at a time (as `trace`'s `with_tracing` does
+    /// for the trace gate).
+    pub(crate) fn with_gate<T>(on: bool, body: impl FnOnce() -> T) -> T {
+        static LOCK: Mutex<()> = Mutex::new(());
+        let _guard = LOCK.lock().unwrap();
+        let before = enabled();
+        set_enabled(on);
+        let out = body();
+        set_enabled(before);
+        out
+    }
 
     #[test]
     fn the_gate_defaults_off_and_toggles() {
-        // Tests run in one process; restore the gate so ordering between
-        // tests cannot leak state.
-        let before = enabled();
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(before);
+        with_gate(true, || assert!(enabled()));
+        with_gate(false, || assert!(!enabled()));
     }
 
     #[test]

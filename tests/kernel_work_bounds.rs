@@ -12,13 +12,15 @@
 //! deduplicating driver to sharing trajectories past the first deviation:
 //! evolutions and compute misses of a GHZ-32 job against the same job with
 //! every deviating shot run alone — and, on the statevector back-end, the
-//! evolutions of a GHZ-14 job under the paper's (damping) noise. A third
-//! holds whole benchmark-workload jobs (GHZ-64, QFT-16, measured BV-12) to
-//! what the frozen table layer and the kept operators leave to do: an
-//! evolution recomputes what its errors changed, not what compile already
-//! evaluated, builds each step's state once, and walks a state for a decay
-//! threshold or a node count only when a draw or the reported peak needs
-//! it. There is
+//! evolutions of a GHZ-14 job under the paper's (damping) noise. It also
+//! holds the weighted driver to fewer trajectories than dedup evolves. A
+//! third holds whole benchmark-workload jobs (GHZ-64, QFT-16, measured
+//! BV-12) to what the frozen table layer and the kept operators leave to
+//! do: an evolution recomputes what its errors changed, not what compile
+//! already evaluated, builds each step's state once, and walks a state for
+//! a decay threshold or a node count only when a draw or the reported peak
+//! needs it; its trace holds spans per trajectory group, not per shot.
+//! There is
 //! no wall clock here: the property gated is the operation count, which
 //! cannot flake.
 
@@ -31,6 +33,7 @@ use qsdd::circuit::generators::{bernstein_vazirani, ghz, qft};
 use qsdd::circuit::Circuit;
 use qsdd::core::{
     execute, BackendKind, DedupStats, ExecMode, ExecPlan, OptLevel, Placement, ShotEngine,
+    WeightedOptions,
 };
 use qsdd::dd::{DdPackage, MatEdge, Matrix2};
 use qsdd::noise::NoiseModel;
@@ -208,6 +211,41 @@ fn deviating_ghz32_shots_share_their_evolution() {
     }
 }
 
+/// Weighted enumeration simulates each likely trajectory once and sizes its
+/// residual tail by variance (`residual² · shots`), not by mass: a GHZ-16
+/// job under the paper's noise simulates fewer trajectories than the
+/// deduplicating driver evolves and under a third of what a per-shot run
+/// simulates (one per shot).
+#[test]
+fn weighted_ghz16_simulates_fewer_trajectories_than_dedup() {
+    const SHOTS: usize = 2_000;
+    let engine = ShotEngine::new(
+        &ghz(16),
+        BackendKind::DecisionDiagram,
+        NoiseModel::paper_defaults(),
+        7,
+        OptLevel::O0,
+    );
+    let run = |mode| {
+        let plan = ExecPlan::new(mode, SHOTS, &[]);
+        execute(&engine, &plan, Placement::Threads(1)).unwrap()
+    };
+    let weighted = run(ExecMode::Weighted(WeightedOptions::default()))
+        .weighted
+        .expect("GHZ-16 supports weighted enumeration");
+    let dedup = run(ExecMode::Dedup).dedup.expect("the dedup driver ran");
+    let simulated = weighted.enumerated_trajectories + weighted.tail_shots;
+    eprintln!(
+        "weighted {} enumerated + {} tail, dedup {dedup:?}, per-shot {SHOTS}",
+        weighted.enumerated_trajectories, weighted.tail_shots
+    );
+    assert!(simulated < dedup.unique_trajectories, "{dedup:?}");
+    assert!(3 * simulated <= SHOTS as u64, "{simulated} trajectories");
+    // 2 enumerated + 16 tail shots against 48 evolutions.
+    assert!(simulated <= 18, "{simulated} trajectories");
+    assert!(dedup.unique_trajectories <= 48, "{dedup:?}");
+}
+
 /// What a deduplicated job did, and what it cost its workers' packages.
 #[derive(Debug, PartialEq)]
 struct JobWork {
@@ -223,6 +261,10 @@ struct JobWork {
     threshold_walks: u64,
     /// Waiting-time uniforms presampling drew.
     uniforms: u64,
+    /// Spans of the job's trace, and the attributes they carry, outside
+    /// the `worker_trajectories` lanes (one per worker).
+    spans: u64,
+    attrs: u64,
 }
 
 /// Runs `shots` deduplicated shots on `threads` workers and sums the table
@@ -250,6 +292,10 @@ fn traced_job(engine: &ShotEngine, shots: usize, threads: usize) -> JobWork {
             .sum()
     };
     let sum = |name: &str| sum_over("worker_trajectories", name);
+    let shared: Vec<_> = spans
+        .iter()
+        .filter(|span| span.name != "worker_trajectories")
+        .collect();
     JobWork {
         stats: outcome.dedup.expect("the dedup driver ran"),
         error_events: outcome.error_events,
@@ -259,6 +305,8 @@ fn traced_job(engine: &ShotEngine, shots: usize, threads: usize) -> JobWork {
         count_nodes: sum("dd_count_nodes"),
         threshold_walks: sum("dd_threshold_walks"),
         uniforms: sum_over("presample", "uniforms"),
+        spans: shared.len() as u64,
+        attrs: shared.iter().map(|span| span.attrs.len() as u64).sum(),
     }
 }
 
@@ -320,6 +368,11 @@ fn evolutions_recompute_only_what_their_errors_changed() {
     let shared = |job: &JobWork| (job.stats.unique_trajectories, job.stats.live_shots);
     assert_eq!(shared(&ghz64), (731, 471));
     assert_eq!(shared(&qft16), (535, 342));
+    // Tracing opens spans per trajectory group and per stage, never per
+    // shot: under one span per 100 shots (263 spans, 2 346 attributes;
+    // each worker lane adds one span and 12 attributes).
+    assert!(ghz64.spans <= 300, "{ghz64:?}");
+    assert!(ghz64.attrs <= 2_600, "{ghz64:?}");
 }
 
 /// The no-error path continues through the measurements at compile time,

@@ -173,8 +173,12 @@ fn exact_hit_and_miss_counters_across_thread_counts() {
         );
         // The process-global section (stage histograms, DD table traffic)
         // is appended to the page. Values are process-wide, so only
-        // presence is asserted here.
-        assert!(page.contains("qsdd_stage_seconds"), "{context}");
+        // presence is asserted here: the submit path times its cache
+        // lookup.
+        assert!(
+            page.contains("qsdd_stage_seconds_count{stage=\"cache_lookup\"}"),
+            "{context}"
+        );
 
         // A second scrape sees the first one's request counted (a request
         // is observed after its response body is rendered, so a scrape

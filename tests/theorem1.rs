@@ -29,29 +29,35 @@ fn estimates_stay_within_the_theorem_1_epsilon() {
         exact.probability_one(qubits - 1),
     ];
 
-    // Choose the shot count from the theorem for epsilon = 0.05, delta = 0.05.
+    // Choose the shot count from the theorem, delta = 0.05, for each
+    // accuracy target and seed.
     let delta = 0.05;
-    let epsilon = 0.05;
-    let shots = sampling::required_samples(observables.len(), epsilon, delta);
-    assert!(shots < 3000, "bound unexpectedly large: {shots}");
-
-    let result = StochasticSimulator::new()
-        .with_shots(shots)
-        .with_noise(noise)
-        .with_seed(2024)
-        .run_with_observables(&circuit, &observables);
-
-    for ((observable, estimate), exact) in observables
-        .iter()
-        .zip(&result.observable_estimates)
-        .zip(&exact_values)
-    {
-        let error = (estimate - exact).abs();
+    for (epsilon, seed) in [(0.05, 2024), (0.1, 7), (0.05, 7), (0.02, 7)] {
+        let shots = sampling::required_samples(observables.len(), epsilon, delta);
+        // M grows as 1 / epsilon^2: under 3 000 samples at epsilon = 0.05.
         assert!(
-            error <= epsilon,
-            "{}: error {error:.4} exceeds epsilon {epsilon}",
-            observable.label()
+            shots as f64 * epsilon * epsilon < 3000.0 * 0.05 * 0.05,
+            "bound unexpectedly large at epsilon {epsilon}: {shots}"
         );
+
+        let result = StochasticSimulator::new()
+            .with_shots(shots)
+            .with_noise(noise)
+            .with_seed(seed)
+            .run_with_observables(&circuit, &observables);
+
+        for ((observable, estimate), exact) in observables
+            .iter()
+            .zip(&result.observable_estimates)
+            .zip(&exact_values)
+        {
+            let error = (estimate - exact).abs();
+            assert!(
+                error <= epsilon,
+                "{} (seed {seed}, M = {shots}): error {error:.4} exceeds epsilon {epsilon}",
+                observable.label()
+            );
+        }
     }
 }
 
