@@ -53,8 +53,9 @@
 //! Only the wall-clock fields of the report vary between runs.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use qsdd_core::{
@@ -190,6 +191,9 @@ struct JobProgress {
     /// The job's deadline expired; its partial aggregates are discarded and
     /// the report shows `timed_out`, never a truncated histogram.
     timed_out: bool,
+    /// A chunk of the job, or a round it triggered, panicked: the job
+    /// drains like a timed-out one and reports this `panicked: <message>`.
+    panicked: Option<String>,
     finished: bool,
     wall_time: Duration,
     /// Per-stage wall-time breakdown: compile/transpile seeded from the
@@ -370,10 +374,17 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
                 progress.finished = true;
                 continue;
             }
-            shared.active.fetch_add(1, Ordering::SeqCst);
             let round_started = Instant::now();
-            let chunks = build_round(runtime, index, 0);
+            let round = try_build_round(runtime, index, 0);
             let mut progress = runtime.progress.lock().expect("progress lock");
+            let chunks = match round {
+                Ok(chunks) => chunks,
+                Err(message) => {
+                    (progress.panicked, progress.finished) = (Some(message), true);
+                    continue;
+                }
+            };
+            shared.active.fetch_add(1, Ordering::SeqCst);
             if runtime.dedup && !runtime.weighted {
                 progress
                     .stage_timings
@@ -406,7 +417,9 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
         .map(|(spec, runtime)| match runtime {
             Ok(runtime) => {
                 let progress = runtime.progress.lock().expect("progress lock");
-                if progress.timed_out {
+                if let Some(message) = progress.panicked.clone() {
+                    JobReport::failed(&spec.name, &spec.backend.to_string(), spec.shots, message)
+                } else if progress.timed_out {
                     // Deliberately drop the partial aggregates: a truncated
                     // histogram is indistinguishable from a converged one
                     // downstream, so a timed-out job reports nothing but
@@ -585,27 +598,23 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
         let runtime = runtimes[chunk.job]
             .as_ref()
             .expect("only runnable jobs are enqueued");
-        // Chunk-boundary deadline check: once the job's budget is spent,
-        // its remaining chunks drain without simulating, and whichever
-        // worker drains the round's last chunk retires the job. Results
-        // are discarded wholesale (see `JobProgress::timed_out`), so
-        // skipping work cannot skew a histogram.
+        // Chunk-boundary check: once the job's budget is spent, or one of
+        // its chunks panicked, its remaining chunks drain without
+        // simulating, and whichever worker drains the round's last chunk
+        // retires the job. Results are discarded wholesale (see
+        // `JobProgress::timed_out`), so skipping work cannot skew a
+        // histogram.
         let bounded = !runtime.deadline.is_unbounded();
-        if bounded && runtime.deadline.expired() {
-            let mut progress = runtime.progress.lock().expect("progress lock");
-            progress.timed_out = true;
+        let mut progress = runtime.progress.lock().expect("progress lock");
+        progress.timed_out |= bounded && runtime.deadline.expired();
+        if progress.timed_out || progress.panicked.is_some() {
             progress.round_pending -= 1;
             if progress.round_pending == 0 {
-                progress.finished = true;
-                progress.wall_time = shared.started.elapsed();
-                drop(progress);
-                let queue = shared.queue.lock().expect("queue lock");
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-                shared.wake.notify_all();
-                drop(queue);
+                retire(shared, progress);
             }
             continue;
         }
+        drop(progress);
         if let Some(metrics) = &shared.metrics {
             match &chunk.work {
                 ChunkWork::Range { .. } => metrics.chunks_range.inc(),
@@ -641,62 +650,81 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
         };
         let mut weighted_outcome: Option<qsdd_core::StochasticOutcome> = None;
         let mut chunk_timed_out = false;
-        let local_trajectories = match chunk.work {
-            ChunkWork::Range { start, end } => {
-                for shot in start..end {
-                    record(runtime.engine.run_shot_in(&mut context, shot));
-                }
-                end - start
+        // A panic fails this job alone (its partial aggregates are
+        // discarded); the context, whose rewind invariants cannot be
+        // trusted after an unwind, is replaced.
+        let executed = catch_unwind(AssertUnwindSafe(|| {
+            if qsdd_store::fault::should_panic_worker() {
+                panic!("injected worker fault (QSDD_FAULTS worker_panic)");
             }
-            ChunkWork::Weighted => {
-                // The whole job in one call: enumerate trajectories in
-                // probability order, simulate each once, tail-sample the
-                // residual. Falls back to deduplicated sampling when the
-                // program does not support enumeration. The deadline rides
-                // along because this chunk *is* the job — trajectory-level
-                // checks inside the driver are its only cancellation
-                // points.
-                let mode = ExecMode::Weighted(qsdd_core::WeightedOptions::default());
-                let plan = ExecPlan::new(mode, runtime.shots as usize, &[])
-                    .with_deadline(runtime.deadline.clone());
-                match execute(&runtime.engine, &plan, Placement::Inline(&mut context)) {
-                    Ok(outcome) => {
-                        let trajectories = match (&outcome.weighted, &outcome.dedup) {
-                            (Some(stats), _) => stats.enumerated_trajectories + stats.tail_shots,
-                            (None, Some(stats)) => stats.unique_trajectories,
-                            (None, None) => outcome.shots as u64,
-                        };
-                        weighted_outcome = Some(outcome);
-                        trajectories
+            match chunk.work {
+                ChunkWork::Range { start, end } => {
+                    for shot in start..end {
+                        record(runtime.engine.run_shot_in(&mut context, shot));
                     }
-                    Err(TimedOut) => {
-                        chunk_timed_out = true;
-                        0
-                    }
+                    end - start
                 }
-            }
-            ChunkWork::Groups(groups) => {
-                // The deadline rides along: a bucket's evolutions are its
-                // cancellation points.
-                let mut trajectories = 0;
-                for group in groups {
-                    match runtime
-                        .engine
-                        .run_work_in(&mut context, group, &[], &runtime.deadline)
-                    {
-                        Ok((records, stats)) => {
-                            records
-                                .into_iter()
-                                .for_each(|(_, sample, _)| record(sample));
-                            trajectories += stats.unique_trajectories;
+                ChunkWork::Weighted => {
+                    // The whole job in one call: enumerate trajectories in
+                    // probability order, simulate each once, tail-sample the
+                    // residual. Falls back to deduplicated sampling when the
+                    // program does not support enumeration. The deadline rides
+                    // along because this chunk *is* the job — trajectory-level
+                    // checks inside the driver are its only cancellation
+                    // points.
+                    let mode = ExecMode::Weighted(qsdd_core::WeightedOptions::default());
+                    let plan = ExecPlan::new(mode, runtime.shots as usize, &[])
+                        .with_deadline(runtime.deadline.clone());
+                    match execute(&runtime.engine, &plan, Placement::Inline(&mut context)) {
+                        Ok(outcome) => {
+                            let trajectories = match (&outcome.weighted, &outcome.dedup) {
+                                (Some(stats), _) => {
+                                    stats.enumerated_trajectories + stats.tail_shots
+                                }
+                                (None, Some(stats)) => stats.unique_trajectories,
+                                (None, None) => outcome.shots as u64,
+                            };
+                            weighted_outcome = Some(outcome);
+                            trajectories
                         }
                         Err(TimedOut) => {
                             chunk_timed_out = true;
-                            break;
+                            0
                         }
                     }
                 }
-                trajectories
+                ChunkWork::Groups(groups) => {
+                    // The deadline rides along: a bucket's evolutions are its
+                    // cancellation points.
+                    let mut trajectories = 0;
+                    for group in groups {
+                        match runtime.engine.run_work_in(
+                            &mut context,
+                            group,
+                            &[],
+                            &runtime.deadline,
+                        ) {
+                            Ok((records, stats)) => {
+                                records
+                                    .into_iter()
+                                    .for_each(|(_, sample, _)| record(sample));
+                                trajectories += stats.unique_trajectories;
+                            }
+                            Err(TimedOut) => {
+                                chunk_timed_out = true;
+                                break;
+                            }
+                        }
+                    }
+                    trajectories
+                }
+            }
+        }));
+        let (local_trajectories, panicked) = match executed {
+            Ok(trajectories) => (trajectories, None),
+            Err(panic) => {
+                context = ExecContext::new();
+                (0, Some(panic_message(panic)))
             }
         };
         trace::attr("trajectories", local_trajectories);
@@ -733,9 +761,8 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
         progress.executed += chunk.shots;
         progress.unique_trajectories += local_trajectories;
         progress.round_pending -= 1;
-        if chunk_timed_out {
-            progress.timed_out = true;
-        }
+        progress.timed_out |= chunk_timed_out;
+        progress.panicked = progress.panicked.take().or(panicked);
         if progress.round_pending > 0 {
             continue;
         }
@@ -744,49 +771,71 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
         // prefix, so the stopping decision is thread-count independent.
         // Re-check the deadline here too, so an expired job stops without
         // waiting to be drained chunk by chunk.
-        if bounded && runtime.deadline.expired() {
-            progress.timed_out = true;
-        }
-        let converged = !progress.timed_out
+        progress.timed_out |= bounded && runtime.deadline.expired();
+        let failed = progress.timed_out || progress.panicked.is_some();
+        let converged = !failed
             && runtime.epsilon.is_some_and(|epsilon| {
                 let dominant = progress.counts.values().copied().max().unwrap_or(0);
                 wilson_half_width(dominant, progress.executed) <= epsilon
             });
-        if progress.timed_out || converged || progress.executed >= runtime.shots {
+        if failed || converged || progress.executed >= runtime.shots {
             progress.early_stopped = converged && progress.executed < runtime.shots;
-            progress.finished = true;
-            progress.wall_time = shared.started.elapsed();
-            drop(progress);
-            // Decrement and notify under the queue mutex: a worker that found
-            // the queue empty and read the old `active` value cannot reach
-            // `wait()` while we hold the lock, so the notification cannot be
-            // lost in its check-then-wait window.
-            let queue = shared.queue.lock().expect("queue lock");
-            shared.active.fetch_sub(1, Ordering::SeqCst);
-            shared.wake.notify_all();
-            drop(queue);
-        } else {
-            // Build (and for dedup jobs presample) the next round before
-            // touching the queue, so the queue lock is held only to push.
-            let start = progress.executed;
-            let round_started = Instant::now();
-            let chunks = build_round(runtime, chunk.job, start);
-            if runtime.dedup {
-                progress
-                    .stage_timings
-                    .record(Stage::Presample, round_started.elapsed());
-            }
-            progress.round_pending = chunks.len();
-            let mut queue = shared.queue.lock().expect("queue lock");
-            queue.extend(chunks);
-            if let Some(metrics) = &shared.metrics {
-                metrics.observe_depth(queue.len());
-            }
-            drop(queue);
-            drop(progress);
-            shared.wake.notify_all();
+            retire(shared, progress);
+            continue;
         }
+        // Build (and for dedup jobs presample) the next round before
+        // touching the queue, so the queue lock is held only to push.
+        let start = progress.executed;
+        let round_started = Instant::now();
+        let chunks = match try_build_round(runtime, chunk.job, start) {
+            Ok(chunks) => chunks,
+            Err(message) => {
+                progress.panicked = Some(message);
+                retire(shared, progress);
+                continue;
+            }
+        };
+        if runtime.dedup {
+            progress
+                .stage_timings
+                .record(Stage::Presample, round_started.elapsed());
+        }
+        progress.round_pending = chunks.len();
+        let mut queue = shared.queue.lock().expect("queue lock");
+        queue.extend(chunks);
+        if let Some(metrics) = &shared.metrics {
+            metrics.observe_depth(queue.len());
+        }
+        drop(queue);
+        drop(progress);
+        shared.wake.notify_all();
     }
+}
+
+/// Retires a job whose last round closed: marks it finished and releases
+/// its progress lock, then takes it off the active count. Decrement and
+/// notify run under the queue mutex: a worker that found the queue empty
+/// and read the old `active` value cannot reach `wait()` while we hold the
+/// lock, so the notification cannot be lost in its check-then-wait window.
+fn retire(shared: &Shared, mut progress: MutexGuard<'_, JobProgress>) {
+    progress.finished = true;
+    progress.wall_time = shared.started.elapsed();
+    drop(progress);
+    let _queue = shared.queue.lock().expect("queue lock");
+    shared.active.fetch_sub(1, Ordering::SeqCst);
+    shared.wake.notify_all();
+}
+
+/// [`build_round`] under `catch_unwind`: `Err` carries the panic's message.
+fn try_build_round(runtime: &JobRuntime, job: usize, start: u64) -> Result<Vec<Chunk>, String> {
+    catch_unwind(AssertUnwindSafe(|| build_round(runtime, job, start))).map_err(panic_message)
+}
+
+/// The failure message of a job that panicked: `panicked: <message>`.
+fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
+    let text = panic.downcast_ref::<&str>().copied();
+    let message = text.or(panic.downcast_ref::<String>().map(String::as_str));
+    format!("panicked: {}", message.unwrap_or("unknown panic"))
 }
 
 #[cfg(test)]

@@ -269,6 +269,8 @@ fn run_batch_command(options: BatchCliOptions) -> ExitCode {
         }
     };
     eprintln!("batch: {} job(s) from `{}`", jobs.len(), options.jobfile);
+    // As `serve` does: subprocess tests arm fault sites through QSDD_FAULTS.
+    qsdd_store::fault::init_from_env();
     if options.profile {
         // Profiling opts into process-wide telemetry: the batch pool's
         // chunk/queue/worker series publish to the global registry.

@@ -155,22 +155,39 @@ fn readout(circuit: &Circuit, basis: usize) -> u64 {
     }
 }
 
-/// A Z error that stays diagonal up to the readout is counted, not
-/// simulated. Where it does (GHZ, measured BV, QFT after each qubit's H)
-/// and where it must not (`h; Z; h; measure`), both back-ends still sample
-/// the exact distribution, at phase-flip and depolarizing rates at which
-/// most shots draw an error.
+/// A Z error that stays diagonal up to the readout, or hits a qubit in a
+/// basis state, is counted, not simulated. Where it is (GHZ, measured BV,
+/// QFT after each qubit's H, the prepared QFT's controlled phases, after a
+/// reset) and where it must not be (`h; Z; h; measure`, between the
+/// prepared QFT's Hs, a Bell pair's target, the reset qubit's last H), both
+/// back-ends still sample the exact distribution, at phase-flip and
+/// depolarizing rates at which most shots draw an error.
 #[test]
 fn absorbed_phase_errors_keep_both_backends_exact() {
     const SHOTS: usize = 20_000;
     let noise = NoiseModel::new(0.1, 0.0, 0.2);
     let mut must_not_absorb = Circuit::with_name(1, "h_z_h");
     must_not_absorb.h(0).h(0).measure(0, 0);
+    // Unlike QFT|0000>, which reads uniform under any Z, this one reads
+    // every phase its Hs see.
+    let mut prepared_qft = Circuit::with_name(4, "prepared_qft");
+    prepared_qft.x(1).x(3).append(&qft(4));
+    for qubit in 0..4 {
+        prepared_qft.h(qubit).measure(qubit, qubit);
+    }
+    // A Z on the target after the CX turns 00/11 into 01/10.
+    let mut bell = Circuit::with_name(2, "bell_hh");
+    bell.h(0).cx(0, 1).h(0).h(1).measure(0, 0).measure(1, 1);
+    let mut after_reset = Circuit::with_name(1, "h_reset_x_h");
+    after_reset.h(0).reset(0).x(0).h(0).measure(0, 0);
     let circuits = [
         ghz(4),
         bernstein_vazirani(5, 0b1011),
         qft(4),
         must_not_absorb,
+        prepared_qft,
+        bell,
+        after_reset,
     ];
     for circuit in &circuits {
         let mut exact: HashMap<u64, f64> = HashMap::new();

@@ -221,3 +221,87 @@ seed = 4
         other => panic!("expected failure, got {other:?}"),
     }
 }
+
+/// Runs `qsdd_cli batch <jobfile> --threads 2` with `QSDD_FAULTS=<faults>`
+/// and returns its exit code and report, killing it if it has not exited
+/// within 30 s.
+fn batch_subprocess(jobfile: &std::path::Path, faults: &str) -> (Option<i32>, BatchReport) {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+    let out = jobfile.with_extension(if faults.is_empty() {
+        "clean.json"
+    } else {
+        "faulty.json"
+    });
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qsdd_cli"))
+        .arg("batch")
+        .arg(jobfile)
+        .args(["--threads", "2", "--out"])
+        .arg(&out)
+        .env("QSDD_FAULTS", faults)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn qsdd_cli");
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait for qsdd_cli") {
+            break status;
+        }
+        if started.elapsed() > Duration::from_secs(30) {
+            child.kill().ok();
+            panic!("`batch` with QSDD_FAULTS={faults} hung");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let report = std::fs::read_to_string(&out).expect("the report is written");
+    (
+        status.code(),
+        BatchReport::from_json(&report).expect("report parses"),
+    )
+}
+
+/// A panicking chunk fails its job alone: the batch returns at once
+/// instead of waiting on the job's `active` count, the job reports
+/// `panicked`, and its siblings are byte-identical to a fault-free run.
+#[test]
+fn a_panicking_worker_fails_one_job_and_the_batch_returns() {
+    let text = "
+[job ghz]
+circuit = generate ghz 8
+shots = 2000
+seed = 5
+
+[job qft-dense]
+circuit = generate qft 5
+backend = dense
+shots = 300
+seed = 6
+
+[job bv]
+circuit = generate bv 6
+shots = 500
+seed = 7
+";
+    let dir = std::env::temp_dir().join(format!("qsdd-batch-panic-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let jobfile = dir.join("three.jobs");
+    std::fs::write(&jobfile, text).expect("write job file");
+    let (code, clean) = batch_subprocess(&jobfile, "");
+    assert_eq!(code, Some(0));
+    let (code, faulty) = batch_subprocess(&jobfile, "worker_panic=1");
+    assert_eq!(code, Some(1));
+    let panicked = |job: &qsdd::batch::JobReport| matches!(&job.status, JobStatus::Failed(message) if message.starts_with("panicked: "));
+    assert_eq!(faulty.jobs.iter().filter(|job| panicked(job)).count(), 1);
+    for (faulty, clean) in faulty.jobs.iter().zip(&clean.jobs) {
+        if !panicked(faulty) {
+            assert_eq!(
+                faulty.results_json(),
+                clean.results_json(),
+                "{}",
+                clean.name
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

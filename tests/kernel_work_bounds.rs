@@ -367,7 +367,12 @@ fn evolutions_recompute_only_what_their_errors_changed() {
     assert!(ghz64.compute_misses <= 1_000_000, "{ghz64:?}");
     let shared = |job: &JobWork| (job.stats.unique_trajectories, job.stats.live_shots);
     assert_eq!(shared(&ghz64), (731, 471));
-    assert_eq!(shared(&qft16), (535, 342));
+    // A Z on a qubit still in a basis state is a global phase, counted too:
+    // every QFT-16 site absorbs by one rule or the other (535 evolutions,
+    // 342 live, 234 480 misses with only the first).
+    assert!(qft16.stats.unique_trajectories <= 400, "{qft16:?}");
+    assert!(qft16.compute_misses <= 200_000, "{qft16:?}");
+    assert_eq!(shared(&qft16), (327, 178));
     // Tracing opens spans per trajectory group and per stage, never per
     // shot: under one span per 100 shots (263 spans, 2 346 attributes;
     // each worker lane adds one span and 12 attributes).
@@ -384,9 +389,10 @@ fn measured_bv12_shots_share_the_no_error_measurement_chain() {
     assert!(bv12.nodes_created <= 120_000, "{bv12:?}");
     // Each step's state is built once, not once per operator (93 080).
     assert!(bv12.nodes_created <= 80_000, "{bv12:?}");
-    // Only the final-H exposures absorb (102 and 46 before).
+    // The final-H exposures absorb (102 and 46 before), and so does the
+    // ancilla's `x` exposure, still in a basis state (86 and 38 before).
     let shared = (bv12.stats.unique_trajectories, bv12.stats.live_shots);
-    assert_eq!(shared, (86, 38));
+    assert_eq!(shared, (84, 36));
 }
 
 /// The paper's central quantity, in integers: a GHZ-n diagram never holds
