@@ -1,7 +1,7 @@
 //! Offline stand-in for the [`proptest`](https://crates.io/crates/proptest)
 //! property-testing framework.
 //!
-//! Implements the API subset the QSDD test suite uses: the [`Strategy`]
+//! Implements the API subset the QSDD test suite uses: the [`Strategy`](strategy::Strategy)
 //! trait with `prop_map`, range and tuple strategies, [`collection::vec`],
 //! the [`proptest!`] macro with `#![proptest_config(..)]`, and the
 //! `prop_assert!` / `prop_assert_eq!` assertion macros.
@@ -110,7 +110,7 @@ pub mod collection {
     use std::ops::Range;
 
     /// Strategy for `Vec`s with element strategy `S` and a length drawn from
-    /// a range. Created by [`vec`].
+    /// a range. Created by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,

@@ -53,6 +53,8 @@ pub enum CellOutcome {
     /// Not attempted (e.g. the dense representation would not fit in
     /// memory).
     Skipped,
+    /// The run panicked; the rest of the table still runs.
+    Failed,
 }
 
 impl CellOutcome {
@@ -62,6 +64,7 @@ impl CellOutcome {
             CellOutcome::Seconds(s) => format!("{s:.2}"),
             CellOutcome::TimedOut(budget) => format!(">{budget:.0}"),
             CellOutcome::Skipped => "-".to_string(),
+            CellOutcome::Failed => "failed".to_string(),
         }
     }
 
@@ -138,7 +141,7 @@ fn read_env(name: &str) -> Option<usize> {
 /// A cell is one job — compile once, then every shot under one seed — run
 /// under a [`Deadline`] of the budget, which the driver checks between
 /// trajectories (like the 1-hour limit in the paper, the clock includes
-/// compilation).
+/// compilation). A run that panics is reported as [`CellOutcome::Failed`].
 pub fn run_cell(engine: Engine, circuit: &Circuit, config: &HarnessConfig) -> CellOutcome {
     if engine == Engine::Dense && circuit.num_qubits() > config.dense_limit {
         return CellOutcome::Skipped;
@@ -151,13 +154,16 @@ pub fn run_cell(engine: Engine, circuit: &Circuit, config: &HarnessConfig) -> Ce
             config.threads,
         ),
     };
-    let started = Instant::now();
-    let deadline = Deadline::within(config.budget);
-    let engine = ShotEngine::new(circuit, backend, config.noise, config.seed, OptLevel::O0);
-    let plan = ExecPlan::new(mode, config.shots, &[]).with_deadline(deadline);
-    match execute(&engine, &plan, Placement::Threads(threads)) {
-        Ok(_) => CellOutcome::Seconds(started.elapsed().as_secs_f64()),
-        Err(TimedOut) => CellOutcome::TimedOut(config.budget.as_secs_f64()),
+    let (started, deadline) = (Instant::now(), Deadline::within(config.budget));
+    let run = std::panic::catch_unwind(|| {
+        let engine = ShotEngine::new(circuit, backend, config.noise, config.seed, OptLevel::O0);
+        let plan = ExecPlan::new(mode, config.shots, &[]).with_deadline(deadline);
+        execute(&engine, &plan, Placement::Threads(threads))
+    });
+    match run {
+        Ok(Ok(_)) => CellOutcome::Seconds(started.elapsed().as_secs_f64()),
+        Ok(Err(TimedOut)) => CellOutcome::TimedOut(config.budget.as_secs_f64()),
+        Err(_) => CellOutcome::Failed,
     }
 }
 
@@ -203,6 +209,7 @@ mod tests {
         assert_eq!(CellOutcome::Seconds(1.234).format(), "1.23");
         assert_eq!(CellOutcome::TimedOut(60.0).format(), ">60");
         assert_eq!(CellOutcome::Skipped.format(), "-");
+        assert_eq!(CellOutcome::Failed.format(), "failed");
         assert_eq!(CellOutcome::Seconds(2.0).seconds(), Some(2.0));
         assert_eq!(CellOutcome::Skipped.seconds(), None);
     }
@@ -238,5 +245,24 @@ mod tests {
         };
         let outcome = run_cell(Engine::DecisionDiagram, &ghz(20), &config);
         assert!(matches!(outcome, CellOutcome::TimedOut(_)));
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_and_the_table_goes_on() {
+        // QFT-64 under the paper noise samples from a zero vector (an
+        // underflowing top weight); the next cell runs all the same.
+        let config = HarnessConfig {
+            shots: 20,
+            threads: 1,
+            ..HarnessConfig::default()
+        };
+        let outcome = run_cell(
+            Engine::DecisionDiagram,
+            &qsdd_circuit::generators::qft(64),
+            &config,
+        );
+        assert_eq!(outcome, CellOutcome::Failed);
+        let outcome = run_cell(Engine::DecisionDiagram, &ghz(8), &config);
+        assert!(matches!(outcome, CellOutcome::Seconds(_)));
     }
 }

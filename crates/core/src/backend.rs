@@ -25,11 +25,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use qsdd_circuit::Circuit;
-use qsdd_noise::{ErrorPattern, NoiseModel};
+use qsdd_noise::NoiseModel;
 use rand::rngs::StdRng;
 
-use crate::deadline::TimedOut;
-use crate::dedup::{DedupSupport, Evolutions, Member, TrajectoryWork};
+use crate::dedup::{DedupSupport, Member};
 use crate::estimator::Observable;
 
 /// The result of a single stochastic simulation run.
@@ -136,86 +135,36 @@ pub trait StochasticBackend: Sync {
     ///
     /// A supporting back-end returns the presample plan over the program's
     /// deduplicable prefix (see [`crate::dedup`]); the deduplicating runner
-    /// then presamples shots against it, groups equal patterns, and drives
-    /// [`run_pattern`](Self::run_pattern) /
-    /// [`sample_outcome`](Self::sample_outcome) /
-    /// [`resume_members`](Self::resume_members) /
-    /// [`run_bucket`](Self::run_bucket). The default declines, which
-    /// keeps a back-end correct on the ordinary per-shot path. State-dependent
-    /// channels are no reason to decline: record the threshold each damping
-    /// exposure meets along the no-error path at compile time and hand it
-    /// over as a [`qsdd_noise::SiteChannel::Damping`] site.
+    /// then presamples shots against it, groups equal patterns, walks each
+    /// group and bucket over the back-end's decision points, and fans the
+    /// shared states out through [`sample_outcomes`](Self::sample_outcomes).
+    /// The default declines, which keeps a back-end correct on the ordinary
+    /// per-shot path. State-dependent channels are no reason to decline:
+    /// record the threshold each damping exposure meets along the no-error
+    /// path at compile time and hand it over as a
+    /// [`qsdd_noise::SiteChannel::Damping`] site.
     fn dedup_support(&self, _program: &Self::Program) -> Option<DedupSupport> {
         None
     }
 
-    /// Executes the deduplicable prefix of `program` under a presampled
-    /// error pattern (no randomness is consumed — every decision comes from
-    /// the pattern).
+    /// Samples every member shot of a full-program pattern group from the
+    /// run's final state, feeding `(member, outcome)` pairs into `sink`.
     ///
-    /// The returned run's state, error count and node statistics are those
-    /// every member shot of the pattern's group would have reached at the
-    /// end of the prefix; its `outcome` is unspecified (each member samples
-    /// its own). Only called when [`dedup_support`](Self::dedup_support)
-    /// returned `Some` for the program.
-    ///
-    /// With `learned`, the pattern is the shared past of shots that left
-    /// the no-error path ([`qsdd_noise::Presampled::Deviated`]): the replay
-    /// appends the decay threshold it meets at every state-dependent
-    /// exposure after the pattern's last event, in site order — what
-    /// [`qsdd_noise::PresamplePlan::resume`] continues those shots against.
-    /// Only plans with a [`qsdd_noise::SiteChannel::Damping`] site lead
-    /// here, which both in-tree back-ends build under amplitude damping;
-    /// each answers by running its one step walker over the crate's
-    /// `Replayed` decision source, so the thresholds are the bits a live
-    /// shot on the same path computes.
-    fn run_pattern(
-        &self,
-        _program: &Self::Program,
-        _ctx: &mut Self::Context,
-        _pattern: &ErrorPattern,
-        _learned: Option<&mut Vec<f64>>,
-    ) -> SingleRun<Self::State> {
-        unreachable!("dedup_support declined; run_pattern must not be called")
-    }
-
-    /// Samples one member shot's measurement outcome from a completed
-    /// full-program pattern run.
-    ///
-    /// `rng` is the member's generator, positioned exactly after the
-    /// presampled exposures (the presampler consumed the stream like live
-    /// execution). Only called when the program's [`DedupSupport::full`] is
-    /// `true`.
-    fn sample_outcome(
+    /// Each member's generator sits exactly after the presampled exposures
+    /// (the presampler consumed the stream like live execution), and draws
+    /// the outcome it would draw alone; back-ends hoist per-state
+    /// preparation (a flattened sampling plan, a running-sum table) out of
+    /// the member loop, which is the hottest loop of a deduplicated run.
+    /// Only called when the program's [`DedupSupport::full`] is `true`.
+    fn sample_outcomes(
         &self,
         _program: &Self::Program,
         _ctx: &mut Self::Context,
         _run: &SingleRun<Self::State>,
-        _rng: &mut StdRng,
-    ) -> u64 {
-        unreachable!("dedup_support declined; sample_outcome must not be called")
-    }
-
-    /// Samples every member shot of a full-program pattern group, feeding
-    /// `(member, outcome)` pairs into `sink`.
-    ///
-    /// Semantically exactly a loop over
-    /// [`sample_outcome`](Self::sample_outcome); back-ends may override it
-    /// to hoist per-state preparation (a flattened sampling plan, a
-    /// running-sum table) out of the member loop, which is the hottest loop
-    /// of a deduplicated run.
-    fn sample_outcomes(
-        &self,
-        program: &Self::Program,
-        ctx: &mut Self::Context,
-        run: &SingleRun<Self::State>,
-        shots: &mut [Member],
-        mut sink: impl FnMut(&Member, u64),
+        _shots: &mut [Member],
+        _sink: impl FnMut(&Member, u64),
     ) {
-        for member in shots.iter_mut() {
-            let outcome = self.sample_outcome(program, ctx, run, &mut member.1);
-            sink(member, outcome);
-        }
+        unreachable!("dedup_support declined; sample_outcomes must not be called")
     }
 
     /// Feeds the exact measurement-outcome distribution of a completed
@@ -237,44 +186,6 @@ pub trait StochasticBackend: Sync {
         _sink: &mut dyn FnMut(u64, f64),
     ) {
         unreachable!("dedup_support declined; outcome_distribution must not be called")
-    }
-
-    /// Finishes a prefix run for the member shots that followed it to the
-    /// end of the deduplicable prefix: each resumes live from there with its
-    /// own generator and reports its shot through `out`. `prefix` is a run
-    /// [`run_pattern`](Self::run_pattern) (or a bucket walk) left in `ctx`.
-    /// Only called when the program's [`DedupSupport::full`] is `false`.
-    fn resume_members(
-        &self,
-        _program: &Self::Program,
-        _ctx: &mut Self::Context,
-        _prefix: &SingleRun<Self::State>,
-        _members: &mut [Member],
-        _out: &mut Evolutions<'_>,
-    ) {
-        unreachable!("dedup_support declined a prefix; resume_members must not be called")
-    }
-
-    /// Executes one deviation bucket — shots that left the no-error path at
-    /// `work`'s one event, generators parked right after it — and the tree of
-    /// child buckets its members drop into, reporting every shot through
-    /// `out` (see [`crate::dedup`]).
-    ///
-    /// The default replays every evolution of the tree from the rewound
-    /// template and runs a bucket of one live with its generator derived
-    /// afresh. A back-end that can checkpoint its context forks each child
-    /// off its parent's walk instead.
-    fn run_bucket(
-        &self,
-        program: &Self::Program,
-        ctx: &mut Self::Context,
-        work: TrajectoryWork,
-        out: &mut Evolutions<'_>,
-    ) -> Result<(), TimedOut>
-    where
-        Self: Sized,
-    {
-        crate::dedup::replay_bucket(self, program, ctx, work, out)
     }
 
     /// Convenience single-shot path: compiles `circuit`, creates a fresh
@@ -324,18 +235,20 @@ pub(crate) fn pack_clbits(clbits: &[bool]) -> u64 {
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
+    use crate::dedup::{run_pattern, DecisionPoints};
+    use qsdd_noise::ErrorPattern;
     use rand::{Rng, SeedableRng};
 
     /// Fans the no-error state of `program` out over forty members at once
     /// and one by one: whatever per-state preparation
     /// [`StochasticBackend::sample_outcomes`] hoists for a group, both ways
     /// must draw the same outcomes and leave the same generator positions.
-    pub(crate) fn assert_groups_draw_like_lone_members<B: StochasticBackend>(
+    pub(crate) fn assert_groups_draw_like_lone_members<B: DecisionPoints>(
         backend: &B,
         program: &B::Program,
     ) {
         let mut ctx = backend.new_context();
-        let run = backend.run_pattern(program, &mut ctx, &ErrorPattern::default(), None);
+        let run = run_pattern::<B>(program, &mut ctx, &ErrorPattern::default());
         let mut together: Vec<Member> = (0..40)
             .map(|shot| (shot, StdRng::seed_from_u64(shot), 0))
             .collect();

@@ -14,22 +14,15 @@
 //! because the rewound package is indistinguishable from a fresh clone of
 //! the template, a reused context produces bit-identical shots.
 
-use std::collections::BTreeMap;
-
 use qsdd_circuit::{Circuit, Operation};
 use qsdd_dd::{DdPackage, MatEdge, Matrix2, VecEdge};
-use qsdd_noise::{
-    ErrorChannel, ErrorEvent, ErrorPattern, NoiseModel, PresamplePlan, SiteChannel, Survival,
-};
-use qsdd_telemetry::trace;
+use qsdd_noise::{ErrorChannel, ErrorEvent, NoiseModel, PresamplePlan, SiteChannel, Survival};
 use rand::rngs::StdRng;
 
 use crate::backend::{next_program_id, pack_clbits, SingleRun, StochasticBackend};
-use crate::deadline::TimedOut;
-use crate::decisions::{Decisions, NoError, Process, Replayed, Sampled};
-use crate::dedup::{group_span, DedupSupport, Evolutions, Member, Members, Parked, TrajectoryWork};
+use crate::decisions::{Decisions, NoError, Recording, Sampled};
+use crate::dedup::{DecisionPoints, DedupSupport, Member, Seat};
 use crate::estimator::Observable;
-use crate::stochastic::{trace_dd_attrs, trace_dd_stats};
 
 /// A self-contained noiseless simulation result: the package owning the
 /// diagram and the edge of the final state.
@@ -242,14 +235,6 @@ impl DdProgram {
     /// (all precompiled operator diagrams combined).
     pub fn persistent_mat_nodes(&self) -> usize {
         self.base.stats().mat_nodes
-    }
-
-    /// The step and the exposure offset in it of exposure site `site`.
-    fn exposure(&self, site: u32) -> (usize, usize) {
-        let started = |s: &_| matches!(s, &DdStep::Apply { first_site, .. } if first_site <= site);
-        let index = self.steps.iter().rposition(started);
-        let index = index.expect("exposure site within the program");
-        (index, (site - self.apply(index).3) as usize)
     }
 
     /// The operator, kept operator, exposed qubits and first exposure site
@@ -486,10 +471,9 @@ impl StochasticBackend for DdSimulator {
 
         // Record the no-error trajectory (see the [`DdProgram`] docs): each
         // step is walked live, as a shot off the trajectory walks it, by a
-        // replay of the empty pattern, which learns every threshold it
-        // meets. Everything interned here lands in the persistent region,
-        // so the recorded edges stay valid across every transient reset.
-        let no_events = ErrorPattern::default();
+        // recording of every threshold it meets. Everything interned here
+        // lands in the persistent region, so the recorded edges stay valid
+        // across every transient reset.
         let mut walk = Walk::start(&program);
         let mut trajectory = Vec::new();
         for (index, step) in program.steps.iter().enumerate() {
@@ -504,12 +488,11 @@ impl StochasticBackend for DdSimulator {
             {
                 break;
             }
-            let mut p_decay = Vec::new();
-            let mut learn = Replayed::new(&no_events, Some(&mut p_decay));
-            walk = walk.run(&program, &mut base, index..index + 1, &mut learn, &mut []);
+            let mut recording = Recording(Vec::new());
+            walk = walk.run(&program, &mut base, index + 1, &mut recording, &mut []);
             let nodes_after = base.vec_node_count(walk.state) as u64;
             trajectory.push(StepFF {
-                p_decay,
+                p_decay: recording.0,
                 after: walk.state,
                 nodes_after,
             });
@@ -544,8 +527,7 @@ impl StochasticBackend for DdSimulator {
             if base.stats().vec_nodes > TRAJECTORY_NODE_BUDGET {
                 break;
             }
-            let step = index..index + 1;
-            walk = walk.run(&program, &mut base, step, &mut decisions, &mut clbits);
+            walk = walk.run(&program, &mut base, index + 1, &mut decisions, &mut clbits);
         }
         base.mark_persistent();
         program.base = base;
@@ -569,8 +551,7 @@ impl StochasticBackend for DdSimulator {
     ) -> SingleRun<VecEdge> {
         ctx.seat(program);
         let next = program.survival.next(rng, 0, program.prefix_sites);
-        let walk = Walk::start(program);
-        walk.finish_live(program, &mut ctx.package, (0, next), rng, absorbing)
+        Walk::start(program).finish_live(program, &mut ctx.package, next, rng, absorbing)
     }
 
     fn evaluate(
@@ -630,46 +611,8 @@ impl StochasticBackend for DdSimulator {
         }
         Some(DedupSupport {
             plan: PresamplePlan::new(sites),
-            prefix_steps: prefix,
             full,
         })
-    }
-
-    fn run_pattern(
-        &self,
-        program: &DdProgram,
-        ctx: &mut DdContext,
-        pattern: &ErrorPattern,
-        learned: Option<&mut Vec<f64>>,
-    ) -> SingleRun<VecEdge> {
-        ctx.seat(program);
-        let dd = &mut ctx.package;
-        let mut replayed = Replayed::new(pattern, learned);
-        // The same walk `run_shot` takes, so the operator sequence — and
-        // thus the resulting package state — is identical to what any
-        // member shot would have produced.
-        let prefix = 0..program.dedup_prefix;
-        let walk = Walk::start(program).run(program, dd, prefix, &mut replayed, &mut []);
-        debug_assert!(replayed.exhausted(), "pattern events beyond the prefix");
-        walk.prefix_run(program, dd)
-    }
-
-    fn sample_outcome(
-        &self,
-        program: &DdProgram,
-        ctx: &mut DdContext,
-        run: &SingleRun<VecEdge>,
-        rng: &mut StdRng,
-    ) -> u64 {
-        debug_assert_eq!(
-            ctx.seated, program.id,
-            "sample_outcome must use the context the pattern ran in"
-        );
-        // Full-program patterns never contain explicit measurements (a
-        // measurement ends the deduplicable prefix), so the outcome is
-        // always a full-register sample of the shared final state.
-        ctx.package
-            .sample_measurement(run.state, program.num_qubits, rng)
     }
 
     fn sample_outcomes(
@@ -680,16 +623,20 @@ impl StochasticBackend for DdSimulator {
         shots: &mut [Member],
         mut sink: impl FnMut(&Member, u64),
     ) {
-        // A lone member walks the diagram directly; flattening it into a
-        // plan first only pays off from the second draw on.
-        if let [member] = shots {
-            let outcome = self.sample_outcome(program, ctx, run, &mut member.1);
-            return sink(member, outcome);
-        }
         debug_assert_eq!(
             ctx.seated, program.id,
             "sample_outcomes must use the context the pattern ran in"
         );
+        // Full-program patterns never contain explicit measurements (a
+        // measurement ends the deduplicable prefix), so the outcome is
+        // always a full-register sample of the shared final state. A lone
+        // member walks the diagram directly; flattening it into a plan first
+        // only pays off from the second draw on.
+        if let [member] = shots {
+            let n = program.num_qubits;
+            let outcome = ctx.package.sample_measurement(run.state, n, &mut member.1);
+            return sink(member, outcome);
+        }
         // The flat plan is bit-identical to `sample_measurement` on the
         // same state and keeps norm recursion out of the member loop — this
         // loop fans a whole trajectory group out of one shared state, so it
@@ -719,279 +666,94 @@ impl StochasticBackend for DdSimulator {
         ctx.package
             .outcome_probabilities(run.state, program.num_qubits, sink);
     }
-
-    fn resume_members(
-        &self,
-        program: &DdProgram,
-        ctx: &mut DdContext,
-        prefix: &SingleRun<VecEdge>,
-        members: &mut [Member],
-        out: &mut Evolutions<'_>,
-    ) {
-        debug_assert_eq!(
-            ctx.seated, program.id,
-            "members resume where the prefix ran"
-        );
-        let walk = Walk {
-            state: prefix.state,
-            peak: prefix.dd_nodes_peak,
-            pending: 0,
-            error_events: prefix.error_events,
-            absorbed: 0,
-            live: true,
-        };
-        // Each member but the last resumes from a checkpoint at the end of
-        // the prefix: the package a per-shot execution holds there.
-        let at = (program.dedup_prefix, program.prefix_sites);
-        for index in 0..members.len() {
-            let checkpoint = (index + 1 < members.len()).then(|| ctx.package.checkpoint());
-            let (shot, rng, absorbed) = &mut members[index];
-            let mut walk = walk;
-            walk.absorbed = *absorbed as usize;
-            let run = walk.finish_live(program, &mut ctx.package, at, rng, out.absorbing);
-            out.emit_live(self, program, ctx, run, *shot);
-            if checkpoint.is_some_and(|checkpoint| !ctx.package.rollback(checkpoint)) {
-                for &(shot, ..) in &members[index + 1..] {
-                    out.rerun(self, program, ctx, shot);
-                }
-                return;
-            }
-        }
-    }
-
-    fn run_bucket(
-        &self,
-        program: &DdProgram,
-        ctx: &mut DdContext,
-        work: TrajectoryWork,
-        out: &mut Evolutions<'_>,
-    ) -> Result<(), TimedOut> {
-        out.evolve()?;
-        ctx.seat(program);
-        let [event] = work.pattern.events() else {
-            unreachable!("a deviation bucket opens with one event")
-        };
-        // The shared past rides the recorded trajectory up to the event's
-        // step, which deviates like a live shot's.
-        let (index, offset) = program.exposure(event.site);
-        let (dd, mut replayed) = (&mut ctx.package, Replayed::new(&work.pattern, None));
-        let mut walk = Walk::start(program).run(program, dd, 0..index, &mut replayed, &mut []);
-        let unitary = (event.error != ErrorEvent::DECAY).then_some(usize::from(event.error));
-        let (op, _, qubits, _) = program.apply(index);
-        walk.deviate(program, dd, op, qubits, offset, unitary);
-        let mut tree = Tree {
-            backend: self,
-            program,
-            ctx,
-            out,
-        };
-        tree.carry(walk, (index, offset + 1), 1, work.parked)
-    }
 }
 
-/// The members that deviated at one decision point, keyed by what they
-/// drew: the exposure offset in the step and the unitary error that fired
-/// (`None`: a decay).
-type Forks = BTreeMap<(usize, Option<usize>), Parked>;
-
-/// Resolves the members (sorted by next candidate) whose candidate lies
-/// before site `end` with `draw`, moving each one that fires into its child;
-/// the others pass without a draw. The members draw from `process` over the
-/// sites before `sites`.
-fn split(
-    (process, sites): (Process<'_>, u32),
-    members: &mut Parked,
-    end: u32,
-    mut draw: impl FnMut(&mut Sampled<'_>) -> Option<(usize, Option<usize>)>,
-) -> Forks {
-    let mut children = Forks::new();
-    let due = members.partition_point(|(next, _)| *next < end);
-    if due == 0 {
-        return children;
-    }
-    let due: Parked = members.drain(..due).collect();
-    for (next, (shot, mut rng, own)) in due {
-        let mut sampled = Sampled::new(&mut rng, process, next, sites);
-        let event = draw(&mut sampled);
-        let (next, own) = (sampled.next, own + sampled.absorbed);
-        let member = (shot, rng, own);
-        match event {
-            Some(event) => children.entry(event).or_default().push((next, member)),
-            None => members.push((next, member)),
-        }
-    }
-    members.sort_by_key(|(next, _)| *next);
-    children
+/// A decision point in the step a walk is in (see [`Walk::point`]).
+pub(crate) enum DdPoint {
+    /// A step of the recorded trajectory, drawn against its thresholds.
+    Recorded,
+    /// A kept step's kernel ran: `after` is the state past the step if no
+    /// exposure deviates; thresholds are read off `folded` once needed.
+    Kept {
+        folded: VecEdge,
+        after: VecEdge,
+        p_decay: Option<[f64; 2]>,
+    },
+    /// The walk's next exposure of a step taken exposure by exposure.
+    Exposure { p_decay: Option<f64> },
 }
 
-/// A bucket tree walked in one context, each child forked off its parent.
-struct Tree<'a, 'o> {
-    backend: &'a DdSimulator,
-    program: &'a DdProgram,
-    ctx: &'a mut DdContext,
-    out: &'a mut Evolutions<'o>,
-}
+impl DecisionPoints for DdSimulator {
+    type Walk = Walk;
+    type Point = DdPoint;
+    type Checkpoint = qsdd_dd::Checkpoint;
 
-impl Tree<'_, '_> {
-    /// Carries the members of a bucket along its walk, from exposure
-    /// `resolved` of step `index` to the end of the deduplicable prefix,
-    /// where they fan out of the shared state.
-    ///
-    /// At every decision point — after a kept step's kernel, and at each
-    /// exposure of a step taken exposure by exposure — the members whose
-    /// next candidate lies there make the draws their live shots make; the
-    /// members that fire an event form a child bucket of `events + 1`
-    /// events, forked off the walk right there ([`fork`](Self::fork)). A
-    /// bucket of one continues live from its parked stream.
-    fn carry(
-        &mut self,
+    fn start(seat: &mut Seat<'_, Self>) -> Walk {
+        seat.ctx.seat(seat.program);
+        Walk::start(seat.program)
+    }
+
+    fn point(seat: &mut Seat<'_, Self>, walk: &mut Walk) -> Option<(u32, DdPoint)> {
+        let (program, dd) = (seat.program, &mut seat.ctx.package);
+        walk.point(program, dd, program.dedup_prefix)
+    }
+
+    fn draw<D: Decisions>(
+        seat: &mut Seat<'_, Self>,
+        walk: &Walk,
+        point: &mut DdPoint,
+        decisions: &mut D,
+    ) -> Option<ErrorEvent> {
+        walk.draw(seat.program, &mut seat.ctx.package, point, decisions)
+    }
+
+    fn fire(seat: &mut Seat<'_, Self>, mut walk: Walk, point: &DdPoint, event: ErrorEvent) -> Walk {
+        walk.fire(seat.program, &mut seat.ctx.package, point, event);
+        walk
+    }
+
+    fn pass(seat: &mut Seat<'_, Self>, walk: &mut Walk, point: DdPoint) {
+        walk.pass(seat.program, &mut seat.ctx.package, point);
+    }
+
+    /// The walk settles its deferred counts, so each child starts from its
+    /// exact peak and owns the deferred stack.
+    fn settle(seat: &mut Seat<'_, Self>, walk: &mut Walk) {
+        walk.settle(&mut seat.ctx.package);
+    }
+
+    fn checkpoint(ctx: &mut DdContext) -> qsdd_dd::Checkpoint {
+        ctx.package.checkpoint()
+    }
+
+    fn rollback(ctx: &mut DdContext, checkpoint: qsdd_dd::Checkpoint) -> bool {
+        ctx.package.rollback(checkpoint)
+    }
+
+    fn finish_live(
+        seat: &mut Seat<'_, Self>,
         mut walk: Walk,
-        at: (usize, usize),
-        events: usize,
-        mut members: Parked,
-    ) -> Result<(), TimedOut> {
-        let (program, (mut index, mut resolved)) = (self.program, at);
-        let (width, absorbing) = (program.channels.len(), self.out.absorbing);
-        let stream = ((&program.survival, absorbing), program.prefix_sites);
-        if let [(next, (shot, rng, absorbed))] = &mut members[..] {
-            self.out.stats.live_shots += 1;
-            let (dd, (_, _, qubits, first_site)) = (&mut self.ctx.package, program.apply(index));
-            let mut sampled = Sampled::new(rng, stream.0, *next, stream.1);
-            walk.expose(program, dd, qubits, resolved, first_site, &mut sampled);
-            walk.note(dd);
-            let next = sampled.next;
-            walk.absorbed = (*absorbed + sampled.absorbed) as usize;
-            let run = walk.finish_live(program, dd, (index + 1, next), rng, absorbing);
-            (self.out).emit_live(self.backend, program, self.ctx, run, *shot);
-            return Ok(());
-        }
-        members.sort_by_key(|(next, _)| *next);
-        let _span = group_span(members.len(), events);
-        let dd_before = trace_dd_stats(|| self.ctx.package.table_stats());
-        let mut forks = 0;
-        let finished = 'walk: {
-            while index < program.dedup_prefix {
-                let (op, kept, qubits, first_site) = program.apply(index);
-                let exposures = qubits.len() * width;
-                match kept.filter(|_| resolved == 0) {
-                    Some(kept) => {
-                        let dd = &mut self.ctx.package;
-                        let (folded, after) = kept_step(dd, kept, walk.state);
-                        let end = first_site + exposures as u32;
-                        let children = {
-                            // Read once, by the first member whose draw needs it.
-                            let mut read =
-                                read_once(|| kept_thresholds(dd, folded, qubits, program));
-                            split(stream, &mut members, end, |sampled| {
-                                let mut p_decay = |k: usize| read()[k];
-                                fast_forward(program, qubits, &mut p_decay, first_site, sampled)
-                            })
-                        };
-                        forks += children.len();
-                        let deviate = |dd: &mut DdPackage, mut child: Walk, offset, unitary| {
-                            child.deviate(program, dd, op, qubits, offset, unitary);
-                            child
-                        };
-                        let at = (index, events);
-                        if !self.fork(children, at, &mut members, &mut walk, deviate)? {
-                            break 'walk None;
-                        }
-                        (walk.state, resolved) = (after, exposures);
-                    }
-                    None if resolved == 0 => {
-                        walk.state = self.ctx.package.mat_vec_mul(op, walk.state)
-                    }
-                    None => {}
-                }
-                for offset in resolved..exposures {
-                    let (qubit, channel) = (qubits[offset / width], offset % width);
-                    let keep = program.noise_ops[channel].kraus[qubit].map(|[_decay, keep]| keep);
-                    let channel = &program.channels[channel];
-                    let (dd, state) = (&mut self.ctx.package, walk.state);
-                    let site = first_site + offset as u32;
-                    let children = {
-                        let mut p_decay =
-                            read_once(|| decay_probability(dd, channel, state, qubit));
-                        split(stream, &mut members, site + 1, |sampled| match keep {
-                            None => sampled.error(site, channel).map(|u| (offset, Some(u))),
-                            Some(_) => {
-                                let decays = sampled.decays(site, channel, &mut p_decay);
-                                decays.then_some((offset, None))
-                            }
-                        })
-                    };
-                    forks += children.len();
-                    let fire = |dd: &mut DdPackage, mut child: Walk, offset, unitary| {
-                        child.fire(program, dd, qubits, offset, unitary);
-                        child
-                    };
-                    if !self.fork(children, (index, events), &mut members, &mut walk, fire)? {
-                        break 'walk None;
-                    }
-                    if let Some(keep) = keep {
-                        walk.state = self.ctx.package.apply_kraus(keep, walk.state).1;
-                    }
-                }
-                walk.note(&mut self.ctx.package);
-                (index, resolved) = (index + 1, 0);
-            }
-            Some(walk)
-        };
-        if let Some(walk) = finished {
-            let run = walk.prefix_run(program, &mut self.ctx.package);
-            let mut members: Members = members.into_iter().map(|(_, member)| member).collect();
-            (self.out).finish(self.backend, program, self.ctx, run, &mut members);
-        }
-        trace::attr("forks", forks);
-        trace_dd_attrs(dd_before, || self.ctx.package.table_stats());
-        Ok(())
+        (next, rng, absorbed): (u32, &mut StdRng, u32),
+    ) -> SingleRun<VecEdge> {
+        let (program, dd) = (seat.program, &mut seat.ctx.package);
+        walk.absorbed = absorbed as usize;
+        walk.finish_live(program, dd, next, rng, seat.absorbing)
     }
 
-    /// Runs each child bucket of a decision point in step `index` of `walk`
-    /// along `events` events from a checkpoint taken there: `deviate`
-    /// applies its event to a copy of the walk, the child finishes the step
-    /// and walks on, and the package is rolled back before the next child —
-    /// or the parent — moves on. A child that leaves the parent without
-    /// members needs none. The walk settles its deferred counts first, so
-    /// each child starts from its exact peak and owns the deferred stack.
-    ///
-    /// Returns whether the parent walks on: not once it has no member left,
-    /// nor when a rollback was not exact (a trim emptied the tables under
-    /// the checkpoint) — the shots of the later children and of the parent
-    /// then run live from the template.
-    fn fork(
-        &mut self,
-        children: Forks,
-        (index, events): (usize, usize),
-        members: &mut Parked,
-        walk: &mut Walk,
-        deviate: impl Fn(&mut DdPackage, Walk, usize, Option<usize>) -> Walk,
-    ) -> Result<bool, TimedOut> {
-        if !children.is_empty() {
-            walk.settle(&mut self.ctx.package);
-        }
-        let mut children = children.into_iter();
-        while let Some(((offset, unitary), child)) = children.next() {
-            self.out.evolve()?;
-            let last = members.is_empty() && children.len() == 0;
-            let checkpoint = (!last).then(|| self.ctx.package.checkpoint());
-            let forked = deviate(&mut self.ctx.package, *walk, offset, unitary);
-            self.carry(forked, (index, offset + 1), events + 1, child)?;
-            if checkpoint.is_some_and(|checkpoint| !self.ctx.package.rollback(checkpoint)) {
-                let rest = children.flat_map(|(_, members)| members);
-                for (_, (shot, ..)) in rest.chain(members.drain(..)) {
-                    (self.out).rerun(self.backend, self.program, self.ctx, shot);
-                }
-                return Ok(false);
-            }
-        }
-        Ok(!members.is_empty())
+    fn prefix_run(seat: &mut Seat<'_, Self>, walk: &mut Walk) -> SingleRun<VecEdge> {
+        walk.close(
+            &mut seat.ctx.package,
+            0,
+            vec![false; seat.program.num_clbits],
+        )
     }
 }
 
-/// The running state of a walk over program steps.
+/// A walk over program steps: its running state and where it is, at
+/// exposure `resolved` of step `index` (a step's operator applies as the
+/// walk enters it).
 #[derive(Clone, Copy, Debug)]
-struct Walk {
+pub(crate) struct Walk {
     state: VecEdge,
     /// Peak node count of the state so far, once the deferred counts settle
     /// (see the [`DdProgram`] docs).
@@ -1005,6 +767,8 @@ struct Walk {
     /// `false` while the walk is still on the precomputed no-error
     /// trajectory; flips to `true` at the first deviation.
     live: bool,
+    index: usize,
+    resolved: usize,
 }
 
 impl Walk {
@@ -1017,6 +781,8 @@ impl Walk {
             error_events: 0,
             absorbed: 0,
             live: false,
+            index: 0,
+            resolved: 0,
         }
     }
 
@@ -1031,234 +797,226 @@ impl Walk {
         (self.peak, self.pending) = (dd.settle_counts(self.pending, self.peak), 0);
     }
 
-    /// Walks `steps`: rides the trajectory with zero diagram work while the
-    /// decisions stay on the no-error path, evolves the diagram from the
-    /// first deviation (or the trajectory's end) on.
-    fn run<D: Decisions>(
-        mut self,
+    /// Moves the walk to its next decision point before step `end`, entering
+    /// steps as it goes: a step on the recorded trajectory costs nothing, a
+    /// kept step runs its kernel, any other step applies its gate and is
+    /// taken exposure by exposure. `None` at `end`, a measurement or a reset.
+    fn point(
+        &mut self,
         program: &DdProgram,
         dd: &mut DdPackage,
-        steps: std::ops::Range<usize>,
-        decisions: &mut D,
-        clbits: &mut [bool],
-    ) -> Walk {
-        for index in steps {
-            match &program.steps[index] {
-                DdStep::Apply {
-                    op,
-                    kept,
-                    noise_qubits,
-                    first_site,
-                } => {
-                    let first_site = *first_site;
-                    // The step's no-deviation outcome, recorded on the
-                    // trajectory or built by the step kernel, and the first
-                    // deviation drawn against its thresholds — which the
-                    // kernel reads only if a draw needs them.
-                    let recorded = program.trajectory.get(index).filter(|_| !self.live);
-                    let mut draw = |p_decay: &mut dyn FnMut(usize) -> f64| {
-                        fast_forward(program, noise_qubits, p_decay, first_site, decisions)
+        end: usize,
+    ) -> Option<(u32, DdPoint)> {
+        let width = program.channels.len();
+        while self.index < end {
+            let DdStep::Apply {
+                op,
+                kept,
+                noise_qubits,
+                first_site,
+            } = &program.steps[self.index]
+            else {
+                return None;
+            };
+            let step_end = first_site + (noise_qubits.len() * width) as u32;
+            if self.resolved == 0 {
+                if !self.live && self.index < program.trajectory.len() {
+                    return Some((step_end, DdPoint::Recorded));
+                }
+                self.live = true;
+                if let Some(kept) = kept {
+                    let (folded, after) = kept_step(dd, *kept, self.state);
+                    let p_decay = None;
+                    let point = DdPoint::Kept {
+                        folded,
+                        after,
+                        p_decay,
                     };
-                    let (after, deviation) = match (recorded, kept) {
-                        (Some(ff), _) => (ff.after, draw(&mut |k| ff.p_decay[k])),
-                        (None, Some(kept)) => {
-                            self.live = true;
-                            let (folded, after) = kept_step(dd, *kept, self.state);
-                            let mut read =
-                                read_once(|| kept_thresholds(dd, folded, noise_qubits, program));
-                            (after, draw(&mut |k| read()[k]))
-                        }
-                        // Not kept (three or more qubits, γ = 1, passive
-                        // noise only): the gate, then one exposure at a time.
-                        (None, None) => {
-                            self.live = true;
-                            self.state = dd.mat_vec_mul(*op, self.state);
-                            self.expose(program, dd, noise_qubits, 0, first_site, decisions);
-                            self.note(dd);
-                            continue;
-                        }
-                    };
-                    match deviation {
-                        None => {
-                            self.state = after;
-                            if let Some(ff) = recorded {
-                                self.peak = self.peak.max(ff.nodes_after);
-                                continue;
-                            }
-                        }
-                        Some((offset, unitary)) => {
-                            self.deviate(program, dd, *op, noise_qubits, offset, unitary);
-                            let resolved = offset + 1;
-                            self.expose(program, dd, noise_qubits, resolved, first_site, decisions);
-                        }
-                    }
+                    return Some((step_end, point));
                 }
-                DdStep::Measure { qubit, clbit } => {
-                    self.live = true;
-                    let (outcome, collapsed) =
-                        dd.measure_qubit(self.state, *qubit, decisions.rng());
-                    self.state = collapsed;
-                    clbits[*clbit] = outcome;
-                }
-                DdStep::Reset { qubit, x_op } => {
-                    self.live = true;
-                    let (outcome, collapsed) =
-                        dd.measure_qubit(self.state, *qubit, decisions.rng());
-                    self.state = collapsed;
-                    if outcome {
-                        self.state = dd.mat_vec_mul(*x_op, self.state);
-                    }
-                }
+                self.state = dd.mat_vec_mul(*op, self.state);
+            }
+            let site = first_site + self.resolved as u32;
+            if site < step_end {
+                return Some((site + 1, DdPoint::Exposure { p_decay: None }));
             }
             self.note(dd);
+            (self.index, self.resolved) = (self.index + 1, 0);
         }
-        self
+        None
     }
 
-    /// Rebuilds a step that deviated at exposure `offset` from the state
-    /// entering it: the gate, the keeps of the damping exposures before
-    /// `offset`, then the event — the channel's unitary error `unitary`, or
-    /// a decay when `None`. The walk goes live; [`Walk::expose`] finishes
-    /// the step.
-    fn deviate(
-        &mut self,
+    /// The event `decisions` fire at `point`, if any; a draw that needs a
+    /// threshold reads it.
+    fn draw<D: Decisions>(
+        &self,
         program: &DdProgram,
         dd: &mut DdPackage,
-        op: MatEdge,
-        noise_qubits: &[usize],
-        offset: usize,
-        unitary: Option<usize>,
-    ) {
-        let width = program.channels.len();
-        let exposure = |offset: usize| {
-            let ops = &program.noise_ops[offset % width];
-            (noise_qubits[offset / width], ops)
-        };
-        let mut state = dd.mat_vec_mul(op, self.state);
-        for earlier in 0..offset {
-            let (qubit, ops) = exposure(earlier);
-            if let Some([_decay, keep]) = ops.kraus[qubit] {
-                state = dd.apply_kraus(keep, state).1;
-            }
-        }
-        self.state = state;
-        self.fire(program, dd, noise_qubits, offset, unitary);
-    }
-
-    /// Fires the event of exposure `offset` of a step exposing
-    /// `noise_qubits`: the channel's unitary error `unitary`, or a decay
-    /// when `None`. The walk is live from here on.
-    fn fire(
-        &mut self,
-        program: &DdProgram,
-        dd: &mut DdPackage,
-        noise_qubits: &[usize],
-        offset: usize,
-        unitary: Option<usize>,
-    ) {
-        let width = program.channels.len();
-        let (qubit, ops) = (
-            noise_qubits[offset / width],
-            &program.noise_ops[offset % width],
-        );
-        self.state = match (unitary, ops.kraus[qubit]) {
-            (Some(u), _) => dd.mat_vec_mul(ops.unitaries[qubit][u], self.state),
-            (None, Some([decay, _keep])) => dd.apply_kraus(decay, self.state).1,
-            (None, None) => unreachable!("decays come from damping exposures"),
-        };
-        self.error_events += 1;
-        self.live = true;
-    }
-
-    /// Applies a step's noise exposures by live diagram evolution, skipping
-    /// the first `resolved` (qubit, channel) pairs.
-    fn expose<D: Decisions>(
-        &mut self,
-        program: &DdProgram,
-        dd: &mut DdPackage,
-        noise_qubits: &[usize],
-        resolved: usize,
-        first_site: u32,
+        point: &mut DdPoint,
         decisions: &mut D,
-    ) {
-        let width = program.channels.len();
-        for offset in resolved..noise_qubits.len() * width {
-            let (qubit, index) = (noise_qubits[offset / width], offset % width);
-            let (channel, site) = (&program.channels[index], first_site + offset as u32);
-            let fired = match program.noise_ops[index].kraus[qubit] {
-                None => decisions.error(site, channel).map(Some),
-                Some([_decay, keep]) => {
+    ) -> Option<ErrorEvent> {
+        let (_, _, qubits, first_site) = program.apply(self.index);
+        match point {
+            DdPoint::Recorded => {
+                let p_decay = &program.trajectory[self.index].p_decay;
+                fast_forward(program, qubits, &mut |k| p_decay[k], first_site, decisions)
+            }
+            DdPoint::Kept {
+                folded, p_decay, ..
+            } => {
+                let mut read = |k: usize| {
+                    p_decay.get_or_insert_with(|| kept_thresholds(dd, *folded, qubits, program))[k]
+                };
+                fast_forward(program, qubits, &mut read, first_site, decisions)
+            }
+            DdPoint::Exposure { p_decay } => {
+                let (width, site) = (program.channels.len(), first_site + self.resolved as u32);
+                let (qubit, index) = (qubits[self.resolved / width], self.resolved % width);
+                let channel = &program.channels[index];
+                let error = match program.noise_ops[index].kraus[qubit] {
+                    None => decisions.error(site, channel)? as u8,
                     // Amplitude damping: branch probabilities are the
                     // squared norms of the (non-unitary) branch states
                     // (Example 6 of the paper). The decay threshold is read
                     // off the state, if the draw needs it, before either
                     // branch: only the branch the decision selects is built.
-                    let state = self.state;
-                    let p_decay = || decay_probability(dd, channel, state, qubit);
-                    let decays = decisions.decays(site, channel, p_decay);
-                    if !decays {
-                        self.state = dd.apply_kraus(keep, self.state).1;
+                    Some(_) => {
+                        let read = || decay_probability(dd, channel, self.state, qubit);
+                        let decays =
+                            decisions.decays(site, channel, || *p_decay.get_or_insert_with(read));
+                        decays.then_some(ErrorEvent::DECAY)?
                     }
-                    decays.then_some(None)
-                }
-            };
-            if let Some(unitary) = fired {
-                self.fire(program, dd, noise_qubits, offset, unitary);
+                };
+                Some(ErrorEvent { site, error })
             }
         }
     }
 
-    /// Walks steps `from..` live and closes the walk into the shot's
-    /// result: the rest of the deduplicable prefix with the shot's stream
-    /// at candidate `next`, then the steps behind it with a stream that
-    /// draws its first candidate where they start.
+    /// Fires `event` at `point`, and the walk goes on past it, live. At an
+    /// exposure taken on its own the event applies to the walk's state;
+    /// otherwise the step is rebuilt from the state entering it: the gate,
+    /// the keeps of the damping exposures before the event, then the event.
+    fn fire(
+        &mut self,
+        program: &DdProgram,
+        dd: &mut DdPackage,
+        point: &DdPoint,
+        event: ErrorEvent,
+    ) {
+        let (width, (op, _, qubits, first_site)) =
+            (program.channels.len(), program.apply(self.index));
+        let offset = (event.site - first_site) as usize;
+        let exposure = |offset: usize| (qubits[offset / width], &program.noise_ops[offset % width]);
+        if !matches!(point, DdPoint::Exposure { .. }) {
+            self.state = dd.mat_vec_mul(op, self.state);
+            for (qubit, ops) in (0..offset).map(exposure) {
+                if let Some([_decay, keep]) = ops.kraus[qubit] {
+                    self.state = dd.apply_kraus(keep, self.state).1;
+                }
+            }
+        }
+        let (qubit, ops) = exposure(offset);
+        self.state = match (event.error, ops.kraus[qubit]) {
+            (ErrorEvent::DECAY, Some([decay, _keep])) => dd.apply_kraus(decay, self.state).1,
+            (ErrorEvent::DECAY, None) => unreachable!("decays come from damping exposures"),
+            (u, _) => dd.mat_vec_mul(ops.unitaries[qubit][usize::from(u)], self.state),
+        };
+        self.error_events += 1;
+        (self.live, self.resolved) = (true, offset + 1);
+    }
+
+    /// Moves the walk past `point` along the branch where nothing fired.
+    fn pass(&mut self, program: &DdProgram, dd: &mut DdPackage, point: DdPoint) {
+        let (width, (_, _, qubits, _)) = (program.channels.len(), program.apply(self.index));
+        match point {
+            DdPoint::Recorded => {
+                let ff = &program.trajectory[self.index];
+                (self.state, self.peak) = (ff.after, self.peak.max(ff.nodes_after));
+                (self.index, self.resolved) = (self.index + 1, 0);
+            }
+            DdPoint::Kept { after, .. } => {
+                (self.state, self.resolved) = (after, qubits.len() * width)
+            }
+            DdPoint::Exposure { .. } => {
+                let (qubit, channel) = (qubits[self.resolved / width], self.resolved % width);
+                if let Some([_decay, keep]) = program.noise_ops[channel].kraus[qubit] {
+                    self.state = dd.apply_kraus(keep, self.state).1;
+                }
+                self.resolved += 1;
+            }
+        }
+    }
+
+    /// Walks on to step `end`, taking each decision from `decisions`: rides
+    /// the trajectory with zero diagram work while the decisions stay on the
+    /// no-error path, evolves the diagram from the first deviation (or the
+    /// trajectory's end) on.
+    fn run<D: Decisions>(
+        mut self,
+        program: &DdProgram,
+        dd: &mut DdPackage,
+        end: usize,
+        decisions: &mut D,
+        clbits: &mut [bool],
+    ) -> Walk {
+        loop {
+            while let Some((_, mut point)) = self.point(program, dd, end) {
+                match self.draw(program, dd, &mut point, decisions) {
+                    Some(event) => self.fire(program, dd, &point, event),
+                    None => self.pass(program, dd, point),
+                }
+            }
+            let qubit = match program.steps[..end].get(self.index) {
+                Some(DdStep::Measure { qubit, .. } | DdStep::Reset { qubit, .. }) => *qubit,
+                _ => return self,
+            };
+            self.live = true;
+            let (outcome, collapsed) = dd.measure_qubit(self.state, qubit, decisions.rng());
+            self.state = collapsed;
+            match program.steps[self.index] {
+                DdStep::Measure { clbit, .. } => clbits[clbit] = outcome,
+                DdStep::Reset { x_op, .. } if outcome => {
+                    self.state = dd.mat_vec_mul(x_op, self.state)
+                }
+                _ => {}
+            }
+            self.note(dd);
+            self.index += 1;
+        }
+    }
+
+    /// Walks on live and closes the walk into the shot's result: the rest
+    /// of the deduplicable prefix with the shot's stream at candidate
+    /// `next`, then the steps behind it with a stream that draws its first
+    /// candidate where they start.
     fn finish_live(
         self,
         program: &DdProgram,
         dd: &mut DdPackage,
-        (from, next): (usize, u32),
+        next: u32,
         rng: &mut StdRng,
         absorbing: &[bool],
     ) -> SingleRun<VecEdge> {
         let mut clbits = vec![false; program.num_clbits];
         let (process, sites) = ((&program.survival, absorbing), program.prefix_sites);
-        let (tail, steps) = (from.max(program.dedup_prefix), program.steps.len());
+        let (tail, steps) = (self.index.max(program.dedup_prefix), program.steps.len());
         let mut prefix = Sampled::new(rng, process, next, sites);
-        let walk = self.run(program, dd, from..tail, &mut prefix, &mut clbits);
+        let walk = self.run(program, dd, tail, &mut prefix, &mut clbits);
         let absorbed = prefix.absorbed;
         let mut rest = Sampled::start(rng, process, sites, program.survival.len() as u32);
-        let mut walk = walk.run(program, dd, tail..steps, &mut rest, &mut clbits);
+        let mut walk = walk.run(program, dd, steps, &mut rest, &mut clbits);
         walk.absorbed += (absorbed + rest.absorbed) as usize;
-        walk.finish_shot(program, dd, clbits, rng)
-    }
-
-    /// The run a walk that reached the end of the deduplicable prefix
-    /// shares with the shots that followed it; each samples, or resumes
-    /// to, its own outcome.
-    fn prefix_run(self, program: &DdProgram, dd: &mut DdPackage) -> SingleRun<VecEdge> {
-        self.close(dd, 0, vec![false; program.num_clbits])
-    }
-
-    /// Closes a sampled walk over the program's last step into the shot's
-    /// result.
-    fn finish_shot(
-        self,
-        program: &DdProgram,
-        dd: &mut DdPackage,
-        clbits: Vec<bool>,
-        rng: &mut StdRng,
-    ) -> SingleRun<VecEdge> {
-        let outcome = if program.measured_any {
-            pack_clbits(&clbits)
-        } else {
-            dd.sample_measurement(self.state, program.num_qubits, rng)
+        let outcome = match program.measured_any {
+            true => pack_clbits(&clbits),
+            false => dd.sample_measurement(walk.state, program.num_qubits, rng),
         };
-        self.close(dd, outcome, clbits)
+        walk.close(dd, outcome, clbits)
     }
 
     /// The walk's result: the final state is counted, as its size is
-    /// reported, before the deferred counts settle against it.
-    fn close(mut self, dd: &mut DdPackage, outcome: u64, clbits: Vec<bool>) -> SingleRun<VecEdge> {
+    /// reported, before the deferred counts settle against it. A walk at the
+    /// end of the deduplicable prefix is left for its members to resume from.
+    fn close(&mut self, dd: &mut DdPackage, outcome: u64, clbits: Vec<bool>) -> SingleRun<VecEdge> {
         let dd_nodes = dd.vec_node_count(self.state) as u64;
         self.peak = self.peak.max(dd_nodes);
         self.settle(dd);
@@ -1277,15 +1035,14 @@ impl Walk {
 /// Draws one step's decisions against its no-deviation outcome —
 /// `p_decay(k)` reads the decay threshold of its `k`-th damping exposure, in
 /// protocol order, for a draw that needs it — and returns the first
-/// deviation: its exposure offset and the unitary error that fired (`None`:
-/// a decay). `None` means the outcome stands.
+/// deviation. `None` means the outcome stands.
 fn fast_forward<D: Decisions>(
     program: &DdProgram,
     noise_qubits: &[usize],
     p_decay: &mut dyn FnMut(usize) -> f64,
     first_site: u32,
     decisions: &mut D,
-) -> Option<(usize, Option<usize>)> {
+) -> Option<ErrorEvent> {
     let width = program.channels.len();
     let mut damping = 0;
     for offset in 0..noise_qubits.len() * width {
@@ -1296,20 +1053,17 @@ fn fast_forward<D: Decisions>(
             let k = damping;
             damping += 1;
             if decisions.decays(site, channel, || p_decay(k)) {
-                return Some((offset, None));
+                let error = ErrorEvent::DECAY;
+                return Some(ErrorEvent { site, error });
             }
         } else if let Some(u) = decisions.error(site, channel) {
-            return Some((offset, Some(u)));
+            return Some(ErrorEvent {
+                site,
+                error: u as u8,
+            });
         }
     }
     None
-}
-
-/// `read`, evaluated at the first call only: a step's thresholds are read
-/// once however many draws need them.
-fn read_once<T: Copy>(mut read: impl FnMut() -> T) -> impl FnMut() -> T {
-    let mut value = None;
-    move || *value.get_or_insert_with(&mut read)
 }
 
 /// The step kernel of a kept step (see the [`DdProgram`] docs): applies the
@@ -1355,7 +1109,7 @@ fn kept_thresholds(
 /// Probability that an amplitude-damping exposure of `qubit` decays:
 /// `γ·‖P1 v‖²`, the squared norm of the decay branch `√γ|0><1| v`, read off
 /// the diagram without building that branch — the threshold of an exposure
-/// taken one at a time (see [`Walk::expose`]).
+/// taken on its own (see [`Walk::draw`]).
 fn decay_probability(
     dd: &mut DdPackage,
     channel: &ErrorChannel,
@@ -1368,12 +1122,13 @@ fn decay_probability(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decisions::Replayed;
     use qsdd_circuit::generators::{bernstein_vazirani, ghz, qft, random_circuit, w_state};
-    use qsdd_noise::{decay_bound, ErrorEvent};
+    use qsdd_noise::{decay_bound, ErrorPattern};
     use rand::{Rng, SeedableRng};
 
-    /// A live walk at `state`.
-    fn live_walk(state: VecEdge) -> Walk {
+    /// A live walk at `state`, entering step `index`.
+    fn live_walk(state: VecEdge, index: usize) -> Walk {
         Walk {
             state,
             peak: 0,
@@ -1381,7 +1136,28 @@ mod tests {
             error_events: 0,
             absorbed: 0,
             live: true,
+            index,
+            resolved: 0,
         }
+    }
+
+    /// Takes the exposures of `walk`'s step one at a time, its gate already
+    /// applied: the step a kept step replaces.
+    fn expose<D: Decisions>(
+        program: &DdProgram,
+        dd: &mut DdPackage,
+        mut walk: Walk,
+        decisions: &mut D,
+    ) -> Walk {
+        let exposures = program.apply(walk.index).2.len() * program.channels.len();
+        while walk.resolved < exposures {
+            let mut point = DdPoint::Exposure { p_decay: None };
+            match walk.draw(program, dd, &mut point, decisions) {
+                Some(event) => walk.fire(program, dd, &point, event),
+                None => walk.pass(program, dd, point),
+            }
+        }
+        walk
     }
 
     /// A random normalised `n`-qubit state.
@@ -1426,7 +1202,6 @@ mod tests {
         // population share above one) enter each step, kept or not.
         let n = 5;
         let mut rng = StdRng::seed_from_u64(26);
-        let no_events = ErrorPattern::default();
         for gamma in [0.002, 0.3, 0.999] {
             let (noise, bound) = (NoiseModel::new(0.01, gamma, 0.02), decay_bound(gamma));
             let within = |p: &f64| (0.0..=bound).contains(p);
@@ -1446,10 +1221,10 @@ mod tests {
                             let p_decay = kept_thresholds(&mut dd, folded, qubits, &program);
                             assert!(p_decay.iter().all(within), "{p_decay:?} at γ = {gamma}");
                         }
-                        let (mut walk, mut read) =
-                            (live_walk(dd.mat_vec_mul(op, entering)), vec![]);
-                        let mut learn = Replayed::new(&no_events, Some(&mut read));
-                        walk.expose(&program, &mut dd, qubits, 0, 0, &mut learn);
+                        let walk = live_walk(dd.mat_vec_mul(op, entering), index);
+                        let mut recording = Recording(vec![]);
+                        expose(&program, &mut dd, walk, &mut recording);
+                        let read = recording.0;
                         assert_eq!(read.len(), qubits.len());
                         assert!(read.iter().all(within), "{read:?} at γ = {gamma}");
                     }
@@ -1494,13 +1269,14 @@ mod tests {
             let (dd, mut rng) = (&mut eager.package, StdRng::seed_from_u64(seed));
             let mut clbits = vec![false; program.num_clbits];
             // GHZ is unitary: one stream over the whole program.
-            let (steps, sites) = (0..program.steps.len(), program.survival.len() as u32);
+            let (steps, sites) = (program.steps.len(), program.survival.len() as u32);
             let process = (&program.survival, &program.absorbing[..]);
             let mut eager_draws = Eager(Sampled::start(&mut rng, process, 0, sites));
             let mut walk =
                 Walk::start(&program).run(&program, dd, steps, &mut eager_draws, &mut clbits);
             walk.absorbed = eager_draws.0.absorbed as usize;
-            let twin = walk.finish_shot(&program, dd, clbits, &mut rng);
+            let outcome = dd.sample_measurement(walk.state, program.num_qubits, &mut rng);
+            let twin = walk.close(dd, outcome, clbits);
             assert_eq!(reported(run), reported(twin), "shot {seed}");
         }
         let walks = |ctx: &DdContext| ctx.package().table_stats().threshold_walks;
@@ -1545,10 +1321,9 @@ mod tests {
                         (next, end) = (end, survival.len() as u32);
                         next = survival.next(&mut twin, next, end);
                     }
-                    let step = index..index + 1;
                     let mut sampled =
                         Sampled::new(&mut twin, (survival, &program.absorbing), next, end);
-                    walk = walk.run(&program, dd, step, &mut sampled, &mut clbits);
+                    walk = walk.run(&program, dd, index + 1, &mut sampled, &mut clbits);
                     next = sampled.next;
                     let count = dd.vec_node_count(walk.state) as u64;
                     let bound = dd.vec_size_bound(walk.state);
@@ -1859,36 +1634,6 @@ mod tests {
     }
 
     #[test]
-    fn pattern_replays_learn_the_thresholds_past_their_last_event() {
-        let backend = DdSimulator::new();
-        let program = backend.compile(&ghz(4), &NoiseModel::paper_defaults());
-        let mut ctx = backend.new_context();
-        // The empty pattern rides the trajectory: it meets exactly the
-        // precomputed no-error thresholds, one per damping site.
-        let mut learned = Vec::new();
-        let empty = ErrorPattern::default();
-        backend.run_pattern(&program, &mut ctx, &empty, Some(&mut learned));
-        let no_error: Vec<f64> = program
-            .trajectory
-            .iter()
-            .flat_map(|step| step.p_decay.iter().copied())
-            .collect();
-        assert_eq!(learned, no_error);
-        // A decay at the first damping site (site 1, after the H on qubit
-        // 0) leaves qubit 0 in |0>: only the sites behind it are learned,
-        // and qubit 0's later exposure can no longer decay.
-        let decayed = empty.with_event(ErrorEvent {
-            site: 1,
-            error: ErrorEvent::DECAY,
-        });
-        learned.clear();
-        let run = backend.run_pattern(&program, &mut ctx, &decayed, Some(&mut learned));
-        assert_eq!(run.error_events, 1);
-        assert_eq!(learned.len(), no_error.len() - 1);
-        assert_eq!(learned[0], 0.0, "a decayed qubit has nothing left to lose");
-    }
-
-    #[test]
     fn a_kept_step_is_the_exposure_by_exposure_step_it_replaces() {
         use qsdd_circuit::Gate;
         let n = 6;
@@ -1923,7 +1668,6 @@ mod tests {
         let mut dd = program.base.clone();
         let mut rng = StdRng::seed_from_u64(17);
         let width = program.channels.len();
-        let walk = live_walk;
         let close = |dd: &DdPackage, a: VecEdge, b: VecEdge| {
             let (a, b) = (dd.to_statevector(a, n), dd.to_statevector(b, n));
             a.iter().zip(&b).all(|(x, y)| x.approx_eq(*y, 1e-12))
@@ -1940,11 +1684,11 @@ mod tests {
             };
             let entering = random_state(&mut dd, n, &mut rng);
             // The step it replaces: the gate, then one exposure at a time,
-            // the empty pattern learning the thresholds it meets.
-            let (mut sequential, mut thresholds) = (walk(dd.mat_vec_mul(*op, entering)), vec![]);
-            let no_events = ErrorPattern::default();
-            let mut learn = Replayed::new(&no_events, Some(&mut thresholds));
-            sequential.expose(&program, &mut dd, noise_qubits, 0, *first_site, &mut learn);
+            // recording the thresholds it meets.
+            let gate = live_walk(dd.mat_vec_mul(*op, entering), index);
+            let mut recording = Recording(vec![]);
+            let sequential = expose(&program, &mut dd, gate, &mut recording);
+            let thresholds = recording.0;
             let (folded, after) = kept_step(&mut dd, *kept, entering);
             let p_decay = kept_thresholds(&mut dd, folded, noise_qubits, &program);
             assert_eq!(thresholds.len(), noise_qubits.len());
@@ -1959,19 +1703,11 @@ mod tests {
                 let error = if decay { ErrorEvent::DECAY } else { 0 };
                 let site = first_site + offset as u32;
                 let pattern = ErrorPattern::default().with_event(ErrorEvent { site, error });
-                let mut replayed = Replayed::new(&pattern, None);
-                let deviated =
-                    walk(entering).run(&program, &mut dd, index..index + 1, &mut replayed, &mut []);
-                let mut sequential = walk(dd.mat_vec_mul(*op, entering));
-                let mut replayed = Replayed::new(&pattern, None);
-                sequential.expose(
-                    &program,
-                    &mut dd,
-                    noise_qubits,
-                    0,
-                    *first_site,
-                    &mut replayed,
-                );
+                let mut replayed = Replayed::new(&pattern);
+                let entered = live_walk(entering, index);
+                let deviated = entered.run(&program, &mut dd, index + 1, &mut replayed, &mut []);
+                let gate = live_walk(dd.mat_vec_mul(*op, entering), index);
+                let sequential = expose(&program, &mut dd, gate, &mut Replayed::new(&pattern));
                 assert_eq!(deviated.error_events, 1);
                 assert_eq!(
                     deviated.state, sequential.state,

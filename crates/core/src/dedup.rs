@@ -15,9 +15,9 @@
 //!    the state (a damping decay, or any error with a state-dependent
 //!    exposure still ahead) are parked, generator and all, in the
 //!    *deviation bucket* of the event they drew.
-//! 3. **Replay** — one representative per group executes the pattern
-//!    through the back-end ([`StochasticBackend::run_pattern`]); the result
-//!    fans out over the group: every member samples its own measurement
+//! 3. **Replay** — one walk per group takes the pattern's decisions at the
+//!    back-end's decision points (the walker below); the result fans out
+//!    over the group: every member samples its own measurement
 //!    outcome from the shared final state with its own (correctly
 //!    positioned) generator, observable values are evaluated once, and
 //!    multiplicity-weighted aggregation reproduces the per-shot totals.
@@ -29,34 +29,33 @@
 //! member makes, at every decision point of that walk, the draw its live
 //! shot makes there: members that reach the end of the prefix fan out of
 //! the shared state like a group; members that fire another event drop
-//! into a child bucket keyed by it, which is handled the same way
-//! ([`StochasticBackend::run_bucket`]).
+//! into a child bucket keyed by it, which is handled the same way. One
+//! walker (`Tree::carry`) does this on both back-ends, over the decision
+//! points each offers (`DecisionPoints`): a kept step's kernel or one
+//! exposure on the decision-diagram back-end, every exposure on the
+//! statevector back-end.
 //!
-//! * **Children fork.** On the decision-diagram back-end a child starts
-//!   from a package checkpoint taken at its decision point
-//!   ([`qsdd_dd::DdPackage::checkpoint`]): it deviates, finishes the step
-//!   and walks on, and the rollback restores the parent's package exactly
-//!   before the parent — or the next child — moves on. The complex table
-//!   interns by tolerance, so what a value snaps to depends on what was
-//!   interned before it; the walk up to the decision point is the operator
-//!   sequence each member's live shot performs, and the exact rollback is
-//!   what keeps the package a child starts from the one that shot holds.
-//!   The statevector back-end has no package to checkpoint: it replays every
-//!   child's whole pattern from the template, reading the thresholds past
-//!   the last event, and resumes the members' presampling against them
-//!   ([`PresamplePlan::resume`]).
-//! * **Singletons run live.** A bucket of one has nobody to share with: on
-//!   the decision-diagram back-end its shot continues live from its parked
-//!   generator where the bucket walk (or the parent's) left it; the
-//!   statevector back-end re-derives the generator and runs the shot
-//!   through [`StochasticBackend::run_shot`]. Whether to share or run live
-//!   is read off the bucket, not configured.
+//! * **Children fork.** A child starts from a checkpoint of the context
+//!   taken at its decision point: it fires its event on a copy of the
+//!   walk, walks on, and the rollback restores the parent's context exactly
+//!   before the parent — or the next child — moves on. On the
+//!   decision-diagram back-end the checkpoint seals the package's table
+//!   layers ([`qsdd_dd::DdPackage::checkpoint`]): the complex table interns
+//!   by tolerance, so what a value snaps to depends on what was interned
+//!   before it; the walk up to the decision point is the operator sequence
+//!   each member's live shot performs, and the exact rollback is what keeps
+//!   the package a child starts from the one that shot holds. On the
+//!   statevector back-end it is a copy of the amplitudes on a per-depth
+//!   stack that the context keeps from one fork to the next.
+//! * **Singletons run live.** A bucket of one has nobody to share with: its
+//!   shot continues live from its parked generator where the bucket walk
+//!   (or the parent's) left it. Whether to share or run live is read off
+//!   the bucket, not configured.
 //!
 //! For programs whose deduplicable region is only a *prefix* (a mid-circuit
 //! measurement or an uncovered state-dependent exposure ahead), the group's
 //! or bucket's walk ends at the prefix and every member resumes live from
-//! there in the same context — from a checkpoint, rolled back after it
-//! ([`StochasticBackend::resume_members`]).
+//! there in the same context — from a checkpoint, rolled back after it.
 //!
 //! # Determinism
 //!
@@ -83,6 +82,7 @@ use rand::rngs::StdRng;
 
 use crate::backend::{SingleRun, StochasticBackend};
 use crate::deadline::{Deadline, TimedOut};
+use crate::decisions::{Decisions, Process, Replayed, Sampled};
 use crate::estimator::Observable;
 use crate::fxhash::FxHashMap;
 use crate::shot_engine::{ShotEngine, ShotSample};
@@ -101,8 +101,6 @@ pub struct DedupSupport {
     /// Presample plan over the flattened noise-exposure sites of the
     /// deduplicable prefix.
     pub plan: PresamplePlan,
-    /// Number of leading program steps the pattern replay covers.
-    pub prefix_steps: usize,
     /// `true` when the prefix is the whole program: pattern shots then only
     /// need per-shot outcome sampling. `false` means members resume live
     /// from a checkpoint after the prefix.
@@ -242,10 +240,7 @@ pub fn trace_plan_attrs(work: &[TrajectoryWork]) {
 
 /// Where the evolutions of one worker report: the records of the shots
 /// they finish and the [`DedupStats`] they count, under the deadline they
-/// check, with the job's absorbing sites.
-///
-/// Handed to [`StochasticBackend::run_bucket`] and
-/// [`StochasticBackend::resume_members`]; built by the deduplicating driver
+/// check, with the job's absorbing sites. Built by the deduplicating driver
 /// alone.
 pub struct Evolutions<'a> {
     pub(crate) support: &'a DedupSupport,
@@ -321,25 +316,40 @@ impl<'a> Evolutions<'a> {
         self.emit_live(backend, program, ctx, run, shot);
     }
 
-    /// Fans a run that reached the end of the deduplicable prefix out over
+    /// Fans a walk that reached the end of the deduplicable prefix out over
     /// the shots that followed it there: each samples its outcome from the
-    /// shared final state, or — when the prefix is not the whole program —
-    /// resumes live from it ([`StochasticBackend::resume_members`]).
-    pub(crate) fn finish<B: StochasticBackend>(
+    /// shared final state or — when the prefix is not the whole program —
+    /// resumes live from it, all but the last from a checkpoint there: the
+    /// context a per-shot execution holds.
+    pub(crate) fn finish<B: DecisionPoints>(
         &mut self,
         backend: &B,
-        program: &B::Program,
-        ctx: &mut B::Context,
-        mut run: SingleRun<B::State>,
+        seat: &mut Seat<'_, B>,
+        mut walk: B::Walk,
         members: &mut [Member],
     ) {
+        let (program, mut run) = (seat.program, B::prefix_run(seat, &mut walk));
         if !self.support.full {
-            return backend.resume_members(program, ctx, &run, members, self);
+            let next = self.support.plan.site_count() as u32;
+            for index in 0..members.len() {
+                let checkpoint = (index + 1 < members.len()).then(|| B::checkpoint(seat.ctx));
+                let (shot, rng, absorbed) = &mut members[index];
+                let run = B::finish_live(seat, walk, (next, rng, *absorbed));
+                self.emit_live(backend, program, seat.ctx, run, *shot);
+                if checkpoint.is_some_and(|checkpoint| !B::rollback(seat.ctx, checkpoint)) {
+                    for &(shot, ..) in &members[index + 1..] {
+                        self.rerun(backend, program, seat.ctx, shot);
+                    }
+                    return;
+                }
+            }
+            return;
         }
         // The observable values are evaluated once, then every member
         // samples its own outcome (the generators continue their streams
         // exactly where live execution would). Both are pure functions of
         // the shared state.
+        let ctx = &mut *seat.ctx;
         let values: Vec<f64> = (self.observables.iter())
             .map(|observable| backend.evaluate(program, ctx, &mut run, observable))
             .collect();
@@ -363,20 +373,90 @@ pub(crate) fn group_span(members: usize, events: usize) -> trace::SpanGuard {
     span
 }
 
+/// A context seated on its program, with the job's absorbing sites: where
+/// a bucket walk runs.
+pub(crate) struct Seat<'a, B: StochasticBackend> {
+    pub(crate) program: &'a B::Program,
+    pub(crate) ctx: &'a mut B::Context,
+    pub(crate) absorbing: &'a [bool],
+}
+
+/// What the bucket walk needs of a back-end: the decision points along a
+/// walk — where members make the draws their live shots make — and a
+/// checkpoint pair on the context to fork children off.
+pub(crate) trait DecisionPoints: StochasticBackend + Sized {
+    /// A walk: its running state and where it is; copied into each child.
+    type Walk: Copy;
+    /// A decision point; it caches what draws read off the state.
+    type Point;
+    /// An open checkpoint of a context.
+    type Checkpoint;
+
+    /// Seats the context: a walk entering the program's first step.
+    fn start(seat: &mut Seat<'_, Self>) -> Self::Walk;
+    /// Moves `walk` to its next decision point in the deduplicable prefix,
+    /// returned with the first site past it; `None` at the prefix's end.
+    fn point(seat: &mut Seat<'_, Self>, walk: &mut Self::Walk) -> Option<(u32, Self::Point)>;
+    /// The event `decisions` fire at `walk`'s `point`, if any.
+    fn draw<D: Decisions>(
+        seat: &mut Seat<'_, Self>,
+        walk: &Self::Walk,
+        point: &mut Self::Point,
+        decisions: &mut D,
+    ) -> Option<ErrorEvent>;
+    /// A child's walk: `walk` with `event` fired at `point`.
+    fn fire(
+        seat: &mut Seat<'_, Self>,
+        walk: Self::Walk,
+        point: &Self::Point,
+        event: ErrorEvent,
+    ) -> Self::Walk;
+    /// Moves `walk` past `point` along the branch where nothing fired.
+    fn pass(seat: &mut Seat<'_, Self>, walk: &mut Self::Walk, point: Self::Point);
+    /// Readies `walk` to have children forked off it.
+    fn settle(_seat: &mut Seat<'_, Self>, _walk: &mut Self::Walk) {}
+    /// Opens a checkpoint of the context.
+    fn checkpoint(ctx: &mut Self::Context) -> Self::Checkpoint;
+    /// Returns the context to `checkpoint` exactly, or says it could not.
+    fn rollback(ctx: &mut Self::Context, checkpoint: Self::Checkpoint) -> bool;
+    /// The shot of `member` — next candidate, generator, Z errors absorbed so
+    /// far — continued live from `walk`.
+    fn finish_live(
+        seat: &mut Seat<'_, Self>,
+        walk: Self::Walk,
+        member: (u32, &mut StdRng, u32),
+    ) -> SingleRun<Self::State>;
+    /// The run a walk at the end of the deduplicable prefix shares with its
+    /// members; the walk is left ready for them to resume from.
+    fn prefix_run(seat: &mut Seat<'_, Self>, walk: &mut Self::Walk) -> SingleRun<Self::State>;
+}
+
 /// Executes one work item — a trajectory group, or a deviation bucket with
 /// the tree of child buckets its members drop into (see the module docs) —
 /// in `ctx`, reporting to `out`.
-pub(crate) fn run_work<B: StochasticBackend>(
+pub(crate) fn run_work<B: DecisionPoints>(
     backend: &B,
     program: &B::Program,
     ctx: &mut B::Context,
     mut work: TrajectoryWork,
     out: &mut Evolutions<'_>,
 ) -> Result<(), TimedOut> {
-    if work.is_bucket() {
-        return backend.run_bucket(program, ctx, work, out);
-    }
     out.evolve()?;
+    if work.is_bucket() {
+        debug_assert_eq!(
+            work.pattern.error_events(),
+            1,
+            "a bucket opens with one event"
+        );
+        let absorbing = out.absorbing;
+        let mut seat = Seat {
+            program,
+            ctx,
+            absorbing,
+        };
+        let walk = replay(&mut seat, &work.pattern, true);
+        return Tree { backend, seat, out }.carry(walk, 1, work.parked);
+    }
     let _span = group_span(work.members.len(), work.pattern.events().len());
     let dd_before = trace_dd_stats(|| backend.table_stats(ctx));
     run_group(backend, program, ctx, &work.pattern, &mut work.members, out);
@@ -387,7 +467,7 @@ pub(crate) fn run_work<B: StochasticBackend>(
 
 /// Executes one trajectory group: `pattern` once, then every member shot
 /// from its final state.
-pub(crate) fn run_group<B: StochasticBackend>(
+pub(crate) fn run_group<B: DecisionPoints>(
     backend: &B,
     program: &B::Program,
     ctx: &mut B::Context,
@@ -395,62 +475,183 @@ pub(crate) fn run_group<B: StochasticBackend>(
     members: &mut [Member],
     out: &mut Evolutions<'_>,
 ) {
-    let run = backend.run_pattern(program, ctx, pattern, None);
-    out.finish(backend, program, ctx, run, members);
+    let absorbing = out.absorbing;
+    let mut seat = Seat {
+        program,
+        ctx,
+        absorbing,
+    };
+    let walk = replay(&mut seat, pattern, false);
+    out.finish(backend, &mut seat, walk, members);
 }
 
-/// The default [`StochasticBackend::run_bucket`]: every evolution of the
-/// bucket tree replays its whole pattern from the rewound template.
-///
-/// The bucket's replay reads the decay threshold at every state-dependent
-/// exposure past its event; each member continues from its parked stream
-/// against them ([`PresamplePlan::resume`]), and members that deviate again
-/// form a child bucket, replayed the same way. A bucket of one runs its
-/// shot live with its generator derived afresh.
-pub(crate) fn replay_bucket<B: StochasticBackend>(
-    backend: &B,
+/// The run every shot that draws `pattern` shares: the pattern replayed
+/// over the deduplicable prefix, no randomness consumed. Its `outcome` is
+/// unspecified (each member samples its own).
+pub(crate) fn run_pattern<B: DecisionPoints>(
     program: &B::Program,
     ctx: &mut B::Context,
-    work: TrajectoryWork,
-    out: &mut Evolutions<'_>,
-) -> Result<(), TimedOut> {
-    let mut learned = Vec::new();
-    let mut pending = vec![(work.pattern, work.parked)];
-    while let Some((pattern, members)) = pending.pop() {
-        out.evolve()?;
-        if let [(_, (shot, ..))] = members[..] {
-            out.stats.live_shots += 1;
-            out.rerun(backend, program, ctx, shot);
-            continue;
+    pattern: &ErrorPattern,
+) -> SingleRun<B::State> {
+    let mut seat = Seat {
+        program,
+        ctx,
+        absorbing: &[],
+    };
+    let mut walk = replay(&mut seat, pattern, false);
+    B::prefix_run(&mut seat, &mut walk)
+}
+
+/// Walks the deduplicable prefix from the start, each exposure deciding as
+/// `pattern` says: the operator sequence of every shot that draws it. A
+/// bucket's walk, `opening` it, stops past the bucket's one event.
+fn replay<B: DecisionPoints>(
+    seat: &mut Seat<'_, B>,
+    pattern: &ErrorPattern,
+    opening: bool,
+) -> B::Walk {
+    let (mut walk, mut replayed) = (B::start(seat), Replayed::new(pattern));
+    while let Some((_, mut point)) = B::point(seat, &mut walk) {
+        match B::draw(seat, &walk, &mut point, &mut replayed) {
+            Some(event) => walk = B::fire(seat, walk, &point, event),
+            None => B::pass(seat, &mut walk, point),
         }
-        let _span = group_span(members.len(), pattern.events().len());
-        let dd_before = trace_dd_stats(|| backend.table_stats(ctx));
-        learned.clear();
-        let run = backend.run_pattern(program, ctx, &pattern, Some(&mut learned));
-        let resume_at = pattern.events().last().map_or(0, |e| e.site as usize + 1);
-        let mut children: BTreeMap<ErrorEvent, Parked> = BTreeMap::new();
-        let mut finished = Members::new();
-        let (plan, absorbing) = (&out.support.plan, out.absorbing);
-        for (mut next, (shot, mut rng, own)) in members {
-            let (event, more) = plan.resume(&mut rng, &mut next, resume_at, &learned, absorbing);
-            let member = (shot, rng, own + more);
-            match event {
-                Some(event) => children.entry(event).or_default().push((next, member)),
-                None => finished.push(member),
+        if opening && replayed.exhausted() {
+            break;
+        }
+    }
+    debug_assert!(replayed.exhausted(), "pattern events beyond the prefix");
+    walk
+}
+
+/// The members that fired at one decision point, keyed by their event.
+type Forks = BTreeMap<ErrorEvent, Parked>;
+
+/// Resolves the members (sorted by next candidate) whose candidate lies
+/// before site `end` with `draw`, moving each one that fires into its child;
+/// the others pass without a draw. The members draw from `process` over the
+/// sites before `sites`.
+fn split(
+    (process, sites): (Process<'_>, u32),
+    members: &mut Parked,
+    end: u32,
+    mut draw: impl FnMut(&mut Sampled<'_>) -> Option<ErrorEvent>,
+) -> Forks {
+    let mut children = Forks::new();
+    let due = members.partition_point(|(next, _)| *next < end);
+    if due == 0 {
+        return children;
+    }
+    let due: Parked = members.drain(..due).collect();
+    for (next, (shot, mut rng, own)) in due {
+        let mut sampled = Sampled::new(&mut rng, process, next, sites);
+        let event = draw(&mut sampled);
+        let (next, own) = (sampled.next, own + sampled.absorbed);
+        let member = (shot, rng, own);
+        match event {
+            Some(event) => children.entry(event).or_default().push((next, member)),
+            None => members.push((next, member)),
+        }
+    }
+    members.sort_by_key(|(next, _)| *next);
+    children
+}
+
+/// A bucket tree walked in one context, each child forked off its parent.
+struct Tree<'a, 'o, B: DecisionPoints> {
+    backend: &'a B,
+    seat: Seat<'a, B>,
+    out: &'a mut Evolutions<'o>,
+}
+
+impl<B: DecisionPoints> Tree<'_, '_, B> {
+    /// Carries the members of a bucket along its walk, which has just fired
+    /// the bucket's `events`-th event, to the end of the deduplicable
+    /// prefix, where they fan out of the shared state.
+    ///
+    /// At every decision point the members whose next candidate lies there
+    /// make the draws their live shots make; the members that fire an event
+    /// form a child bucket, forked off the walk right there
+    /// ([`fork`](Self::fork)). A bucket of one continues live from its
+    /// parked stream.
+    fn carry(
+        &mut self,
+        mut walk: B::Walk,
+        events: usize,
+        mut members: Parked,
+    ) -> Result<(), TimedOut> {
+        let (backend, program, absorbing) = (self.backend, self.seat.program, self.seat.absorbing);
+        // Parked members draw on over the process they were presampled on.
+        let survival = self.out.support.plan.survival();
+        let stream = ((survival, absorbing), survival.len() as u32);
+        if let [(next, (shot, rng, absorbed))] = &mut members[..] {
+            self.out.stats.live_shots += 1;
+            let run = B::finish_live(&mut self.seat, walk, (*next, rng, *absorbed));
+            (self.out).emit_live(backend, program, self.seat.ctx, run, *shot);
+            return Ok(());
+        }
+        members.sort_by_key(|(next, _)| *next);
+        let _span = group_span(members.len(), events);
+        let dd_before = trace_dd_stats(|| backend.table_stats(self.seat.ctx));
+        let mut forks = 0;
+        let finished = loop {
+            let Some((end, mut point)) = B::point(&mut self.seat, &mut walk) else {
+                break true;
+            };
+            let seat = &mut self.seat;
+            let draw = |sampled: &mut Sampled<'_>| B::draw(seat, &walk, &mut point, sampled);
+            let children = split(stream, &mut members, end, draw);
+            forks += children.len();
+            if !self.fork(children, &point, events, &mut members, &mut walk)? {
+                break false;
+            }
+            B::pass(&mut self.seat, &mut walk, point);
+        };
+        if finished {
+            let mut members: Members = members.into_iter().map(|(_, member)| member).collect();
+            (self.out).finish(backend, &mut self.seat, walk, &mut members);
+        }
+        trace::attr("forks", forks);
+        trace_dd_attrs(dd_before, || backend.table_stats(self.seat.ctx));
+        Ok(())
+    }
+
+    /// Runs each child bucket of `point` from a checkpoint taken there — the
+    /// child fires its event on a copy of the settled `walk` and walks on —
+    /// and rolls the context back before the next child or the parent moves
+    /// on; the last child of a parent left without members needs none.
+    /// Returns whether the parent walks on: not without members, nor after an
+    /// inexact rollback (a trim emptied the tables under the checkpoint),
+    /// which runs the later children's and the parent's shots live instead.
+    fn fork(
+        &mut self,
+        children: Forks,
+        point: &B::Point,
+        events: usize,
+        members: &mut Parked,
+        walk: &mut B::Walk,
+    ) -> Result<bool, TimedOut> {
+        if !children.is_empty() {
+            B::settle(&mut self.seat, walk);
+        }
+        let mut children = children.into_iter();
+        while let Some((event, child)) = children.next() {
+            self.out.evolve()?;
+            let last = members.is_empty() && children.len() == 0;
+            let checkpoint = (!last).then(|| B::checkpoint(self.seat.ctx));
+            let forked = B::fire(&mut self.seat, *walk, point, event);
+            self.carry(forked, events + 1, child)?;
+            if checkpoint.is_some_and(|checkpoint| !B::rollback(self.seat.ctx, checkpoint)) {
+                let (backend, program) = (self.backend, self.seat.program);
+                let rest = children.flat_map(|(_, members)| members);
+                for (_, (shot, ..)) in rest.chain(members.drain(..)) {
+                    (self.out).rerun(backend, program, self.seat.ctx, shot);
+                }
+                return Ok(false);
             }
         }
-        if !finished.is_empty() {
-            out.finish(backend, program, ctx, run, &mut finished);
-        }
-        trace::attr("forks", children.len());
-        trace_dd_attrs(dd_before, || backend.table_stats(ctx));
-        // Last in, first out: reversed, the smallest child runs next.
-        pending.extend(
-            (children.into_iter().rev())
-                .map(|(event, members)| (pattern.with_event(event), members)),
-        );
+        Ok(!members.is_empty())
     }
-    Ok(())
 }
 
 /// Where a worker of the deduplicating driver puts its records.
@@ -490,7 +691,7 @@ enum Sink {
 /// The plan's deadline is checked between evolutions (one pattern replay or
 /// one live shot); on expiry the whole run returns [`TimedOut`] before the
 /// aggregation phase, which requires complete shot coverage.
-pub(crate) fn run_dedup<B: StochasticBackend>(
+pub(crate) fn run_dedup<B: DecisionPoints>(
     engine: &ShotEngine,
     backend: &B,
     program: &B::Program,

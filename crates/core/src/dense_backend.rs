@@ -15,38 +15,38 @@
 //!
 //! One step walker (`walk`) serves live shots, pattern replays and the
 //! compile-time pass that records the no-error path's damping thresholds,
-//! each with its own `Decisions` source — which is what lets this back-end
-//! share trajectories exactly like the decision-diagram one (see
-//! [`crate::dedup`]).
+//! each with its own `Decisions` source; the bucket walk of
+//! [`crate::dedup`] takes the same exposures one decision point at a time
+//! and forks its children off a stack of amplitude copies in the context.
+//! That is what lets this back-end share trajectories exactly like the
+//! decision-diagram one.
 
 use qsdd_circuit::{Circuit, Operation};
 use qsdd_dd::Matrix2;
-use qsdd_noise::{ErrorChannel, ErrorPattern, NoiseModel, PresamplePlan, SiteChannel, Survival};
+use qsdd_noise::{ErrorChannel, ErrorEvent, NoiseModel, PresamplePlan, SiteChannel, Survival};
 use qsdd_statevector::{sample_cumulative, StateVector};
 use rand::rngs::StdRng;
 
 use crate::backend::{next_program_id, pack_clbits, SingleRun, StochasticBackend};
-use crate::decisions::{Decisions, Replayed, Sampled};
-use crate::dedup::{DedupSupport, Member};
+use crate::decisions::{Decisions, Recording, Sampled};
+use crate::dedup::{DecisionPoints, DedupSupport, Member, Seat};
 use crate::estimator::Observable;
 
 /// One executable step of a compiled dense program.
 #[derive(Clone, Debug)]
 enum DenseStep {
-    /// Apply the resolved matrix to `target` under `controls`, then expose
-    /// `noise_qubits` to the channels.
+    /// Apply the resolved matrix to `target` under `controls`.
     Gate {
         matrix: Matrix2,
         target: usize,
         controls: Vec<usize>,
-        noise_qubits: Vec<usize>,
     },
-    /// Exchange two qubits, then expose them to the channels.
-    Swap {
-        a: usize,
-        b: usize,
-        noise_qubits: Vec<usize>,
-    },
+    /// Exchange two qubits.
+    Swap { a: usize, b: usize },
+    /// Expose `qubit` to the model's `channel`-th channel: one exposure
+    /// site. A unitary step is followed by one per touched qubit and
+    /// channel, in protocol order.
+    Expose { qubit: usize, channel: usize },
     /// Projective measurement into a classical bit.
     Measure { qubit: usize, clbit: usize },
     /// Reset to `|0>`.
@@ -85,7 +85,8 @@ impl DenseProgram {
 
     /// Number of executable steps (barriers are compiled away).
     pub fn step_count(&self) -> usize {
-        self.steps.len()
+        let exposure = |step: &&DenseStep| matches!(step, DenseStep::Expose { .. });
+        self.steps.len() - self.steps.iter().filter(exposure).count()
     }
 
     /// The exposure sites of a unitary program (see `sites`). With a
@@ -94,25 +95,27 @@ impl DenseProgram {
     /// records the decay threshold every damping exposure meets there,
     /// through the same walker and kernels every shot runs.
     fn record_sites(&self) -> Option<Vec<SiteChannel>> {
-        let mut exposures = 0;
-        for step in &self.steps {
-            match step {
-                DenseStep::Gate { noise_qubits, .. } | DenseStep::Swap { noise_qubits, .. } => {
-                    exposures += noise_qubits.len()
-                }
-                DenseStep::Measure { .. } | DenseStep::Reset { .. } => return None,
-            }
+        let random = |step: &_| matches!(step, DenseStep::Measure { .. } | DenseStep::Reset { .. });
+        if self.steps.iter().any(random) {
+            return None;
         }
-        let mut thresholds = Vec::new();
+        let mut recording = Recording(Vec::new());
         if self.channels.iter().any(ErrorChannel::state_dependent) {
-            let no_error = ErrorPattern::default();
-            let mut recording = Replayed::new(&no_error, Some(&mut thresholds));
             let mut state = StateVector::new(self.num_qubits);
-            walk(self, &mut state, &mut recording, &mut []);
+            walk(
+                self,
+                &mut state,
+                &mut Position::default(),
+                &mut recording,
+                &mut [],
+            );
         }
-        let mut thresholds = thresholds.into_iter();
-        let sites = (0..exposures)
-            .flat_map(|_| &self.channels)
+        let mut thresholds = recording.0.into_iter();
+        let sites = (self.steps.iter())
+            .filter_map(|step| match step {
+                DenseStep::Expose { channel, .. } => Some(&self.channels[*channel]),
+                _ => None,
+            })
             .map(|channel| {
                 if channel.state_dependent() {
                     let p_decay = thresholds.next().expect("one threshold per damping site");
@@ -125,78 +128,147 @@ impl DenseProgram {
             .collect();
         Some(sites)
     }
+
+    /// Moves `at` to its next exposure over `state`, applying the unitary
+    /// steps on the way; `None` at a measurement, a reset or the end of the
+    /// program.
+    fn exposure(&self, state: &mut StateVector, at: &mut Position) -> Option<Exposure> {
+        loop {
+            match self.steps.get(at.step)? {
+                DenseStep::Gate {
+                    matrix,
+                    target,
+                    controls,
+                } => state.apply_controlled(controls, *target, matrix),
+                DenseStep::Swap { a, b } => state.apply_swap(*a, *b),
+                &DenseStep::Expose { qubit, channel } => {
+                    // Either damping branch needs the weights, so every
+                    // damping exposure reads them.
+                    let weights = match self.channels[channel].state_dependent() {
+                        true => state.branch_weights(qubit),
+                        false => (0.0, 0.0),
+                    };
+                    let site = at.site;
+                    return Some(Exposure {
+                        qubit,
+                        channel,
+                        site,
+                        weights,
+                    });
+                }
+                DenseStep::Measure { .. } | DenseStep::Reset { .. } => return None,
+            }
+            at.step += 1;
+        }
+    }
 }
 
-/// Walks every step of `program` over `state`, taking each stochastic
-/// decision from `decisions`, and returns the number of error events that
-/// fired. The one place this back-end applies gates and exposes qubits to
-/// noise: live shots, pattern replays and threshold recording differ only
-/// in their decision source, so equal decisions give equal bits.
+/// Where a dense walk is — at step `step`, exposure site `site` — and the
+/// error events it fired so far.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Position {
+    step: usize,
+    site: u32,
+    error_events: usize,
+}
+
+/// One exposure of a dense walk, a decision point: its qubit, the index of
+/// its channel and its site, with the branch weights `(|0>, |1>)` a damping
+/// channel reads off the state.
+pub(crate) struct Exposure {
+    qubit: usize,
+    channel: usize,
+    site: u32,
+    weights: (f64, f64),
+}
+
+impl Exposure {
+    /// The event `decisions` fire at the exposure, if any.
+    fn decide<D: Decisions>(
+        &self,
+        program: &DenseProgram,
+        decisions: &mut D,
+    ) -> Option<ErrorEvent> {
+        let channel = &program.channels[self.channel];
+        let error = if channel.state_dependent() {
+            // Amplitude damping (Example 6 of the paper): the decay branch
+            // `√γ|0><1|` has relative weight `γ·one/(zero + one)`. The
+            // threshold is read off the state first, so only the branch the
+            // decision selects is ever applied.
+            let ((zero, one), gamma) = (self.weights, channel.probability());
+            let decays = decisions.decays(self.site, channel, || gamma * one / (zero + one));
+            decays.then_some(ErrorEvent::DECAY)
+        } else {
+            decisions.error(self.site, channel).map(|u| u as u8)
+        };
+        error.map(|error| ErrorEvent {
+            site: self.site,
+            error,
+        })
+    }
+
+    /// Applies the branch `event` selects (`None`: nothing fired) and moves
+    /// `at` past the exposure.
+    fn apply(
+        &self,
+        program: &DenseProgram,
+        state: &mut StateVector,
+        at: &mut Position,
+        event: Option<ErrorEvent>,
+    ) {
+        let (qubit, channel) = (self.qubit, &program.channels[self.channel]);
+        match event.map(|event| event.error) {
+            Some(ErrorEvent::DECAY) => state.damping_decay(qubit, self.weights.1),
+            Some(u) => state.apply_single(qubit, &program.unitaries[self.channel][usize::from(u)]),
+            None if channel.state_dependent() => {
+                state.damping_keep(qubit, channel.probability(), self.weights)
+            }
+            None => {}
+        }
+        at.error_events += usize::from(event.is_some());
+        (at.step, at.site) = (at.step + 1, at.site + 1);
+    }
+}
+
+/// Walks `program` over `state` from `at` to its end, taking each
+/// stochastic decision from `decisions`. The one place this back-end applies
+/// gates and exposes qubits to noise, exposure by exposure: live shots,
+/// pattern replays, threshold recording and bucket walks differ only in
+/// their decision source, so equal decisions give equal bits.
 fn walk<D: Decisions>(
     program: &DenseProgram,
     state: &mut StateVector,
+    at: &mut Position,
     decisions: &mut D,
     clbits: &mut [bool],
-) -> usize {
-    let mut error_events = 0;
-    let mut site = 0u32;
-    for step in &program.steps {
-        let noise_qubits: &[usize] = match step {
-            DenseStep::Gate {
-                matrix,
-                target,
-                controls,
-                noise_qubits,
-            } => {
-                state.apply_controlled(controls, *target, matrix);
-                noise_qubits
-            }
-            DenseStep::Swap { a, b, noise_qubits } => {
-                state.apply_swap(*a, *b);
-                noise_qubits
-            }
-            DenseStep::Measure { qubit, clbit } => {
-                clbits[*clbit] = state.measure_qubit(*qubit, decisions.rng());
-                continue;
-            }
-            DenseStep::Reset { qubit } => {
-                state.reset_qubit(*qubit, decisions.rng());
-                continue;
-            }
-        };
-        for &qubit in noise_qubits {
-            for (channel, unitaries) in program.channels.iter().zip(&program.unitaries) {
-                if channel.state_dependent() {
-                    // Amplitude damping (Example 6 of the paper): the decay
-                    // branch `√γ|0><1|` has relative weight `γ·one/(zero +
-                    // one)`. The threshold is read off the state first, so
-                    // only the branch the decision selects is ever applied;
-                    // either branch needs the weights, so every exposure
-                    // reads them.
-                    let gamma = channel.probability();
-                    let (zero, one) = state.branch_weights(qubit);
-                    if decisions.decays(site, channel, || gamma * one / (zero + one)) {
-                        error_events += 1;
-                        state.damping_decay(qubit, one);
-                    } else {
-                        state.damping_keep(qubit, gamma, (zero, one));
-                    }
-                } else if let Some(u) = decisions.error(site, channel) {
-                    error_events += 1;
-                    state.apply_single(qubit, &unitaries[u]);
-                }
-                site += 1;
-            }
+) {
+    loop {
+        while let Some(exposure) = program.exposure(state, at) {
+            let event = exposure.decide(program, decisions);
+            exposure.apply(program, state, at, event);
         }
+        match program.steps.get(at.step) {
+            Some(DenseStep::Measure { qubit, clbit }) => {
+                clbits[*clbit] = state.measure_qubit(*qubit, decisions.rng())
+            }
+            Some(DenseStep::Reset { qubit }) => state.reset_qubit(*qubit, decisions.rng()),
+            _ => return,
+        }
+        at.step += 1;
     }
-    error_events
 }
 
 /// A reusable per-worker execution context for the dense back-end: the live
-/// amplitude buffer, rewound in place.
+/// amplitude buffer, rewound in place, and a stack of amplitude copies for
+/// bucket walks to fork from.
 #[derive(Clone, Debug)]
 pub struct DenseContext {
     state: StateVector,
+    /// The amplitudes at each open checkpoint, outermost first; the levels
+    /// past `open` are buffers kept from earlier forks, copied into in
+    /// place.
+    saved: Vec<StateVector>,
+    open: usize,
     seated: u64,
 }
 
@@ -205,6 +277,8 @@ impl DenseContext {
     pub fn new() -> Self {
         DenseContext {
             state: StateVector::new(1),
+            saved: Vec::new(),
+            open: 0,
             seated: 0,
         }
     }
@@ -212,14 +286,31 @@ impl DenseContext {
     /// Rewinds the live buffer to `|0...0>`, reallocating only when the
     /// context moves to a program with a different qubit count — every
     /// shot starts from the zero state, so the buffer is reusable across
-    /// programs of equal width.
+    /// programs of equal width — and closes every checkpoint.
     fn seat(&mut self, program: &DenseProgram) {
         if self.seated != 0 && self.state.num_qubits() == program.num_qubits {
             self.state.reset_to_zero();
         } else {
             self.state = StateVector::new(program.num_qubits);
+            self.saved.clear();
         }
-        self.seated = program.id;
+        (self.seated, self.open) = (program.id, 0);
+    }
+
+    /// Opens a checkpoint: a copy of the amplitudes on the stack.
+    fn checkpoint(&mut self) {
+        match self.saved.get_mut(self.open) {
+            Some(level) => level.copy_from(&self.state),
+            None => self.saved.push(self.state.clone()),
+        }
+        self.open += 1;
+    }
+
+    /// Returns the amplitudes to the innermost open checkpoint, bit for bit,
+    /// and closes it.
+    fn rollback(&mut self) {
+        self.open -= 1;
+        std::mem::swap(&mut self.state, &mut self.saved[self.open]);
     }
 
     /// Read access to the most recent shot's final state.
@@ -257,7 +348,7 @@ impl StochasticBackend for DenseSimulator {
         let mut steps = Vec::with_capacity(circuit.len());
         let mut measured_any = false;
         for op in circuit {
-            match op {
+            steps.push(match op {
                 Operation::Gate {
                     gate,
                     target,
@@ -266,35 +357,30 @@ impl StochasticBackend for DenseSimulator {
                     let matrix = gate
                         .matrix()
                         .expect("non-swap gates always provide a matrix");
-                    steps.push(DenseStep::Gate {
+                    let (target, controls) = (*target, controls.clone());
+                    DenseStep::Gate {
                         matrix,
-                        target: *target,
-                        controls: controls.clone(),
-                        noise_qubits: op.qubits(),
-                    });
+                        target,
+                        controls,
+                    }
                 }
-                Operation::Swap { a, b } => steps.push(DenseStep::Swap {
-                    a: *a,
-                    b: *b,
-                    noise_qubits: op.qubits(),
-                }),
-                Operation::Measure { qubit, clbit } => {
+                &Operation::Swap { a, b } => DenseStep::Swap { a, b },
+                &Operation::Measure { qubit, clbit } => {
                     measured_any = true;
-                    steps.push(DenseStep::Measure {
-                        qubit: *qubit,
-                        clbit: *clbit,
-                    });
+                    DenseStep::Measure { qubit, clbit }
                 }
-                Operation::Reset { qubit } => steps.push(DenseStep::Reset { qubit: *qubit }),
-                Operation::Barrier => {}
-            }
+                &Operation::Reset { qubit } => DenseStep::Reset { qubit },
+                Operation::Barrier => continue,
+            });
+            let touched = op.qubits().into_iter().filter(|_| op.is_unitary());
+            let exposures = touched.flat_map(|qubit| (0..channels.len()).map(move |c| (qubit, c)));
+            steps.extend(exposures.map(|(qubit, channel)| DenseStep::Expose { qubit, channel }));
         }
         let unitaries = channels.iter().map(ErrorChannel::unitaries).collect();
-        let exposures = circuit
-            .iter()
-            .filter(|op| op.is_unitary())
-            .flat_map(|op| op.qubits());
-        let rates = exposures.flat_map(|_| channels.iter().map(ErrorChannel::candidate_rate));
+        let rates = steps.iter().filter_map(|step| match step {
+            DenseStep::Expose { channel, .. } => Some(channels[*channel].candidate_rate()),
+            _ => None,
+        });
         let survival = Survival::new(rates);
         let absorbing = crate::frame::absorbing_sites(circuit, channels.len());
         let mut program = DenseProgram {
@@ -325,25 +411,13 @@ impl StochasticBackend for DenseSimulator {
         absorbing: &[bool],
     ) -> SingleRun<()> {
         ctx.seat(program);
-        let mut clbits = vec![false; program.num_clbits];
-        let sites = program.survival.len() as u32;
-        let mut decisions = Sampled::start(rng, (&program.survival, absorbing), 0, sites);
-        let fired = walk(program, &mut ctx.state, &mut decisions, &mut clbits);
-        let absorbed = decisions.absorbed as usize;
-        let outcome = if program.measured_any {
-            pack_clbits(&clbits)
-        } else {
-            ctx.state.sample_measurement(rng)
+        let next = program.survival.next(rng, 0, program.survival.len() as u32);
+        let mut seat = Seat {
+            program,
+            ctx,
+            absorbing,
         };
-        SingleRun {
-            outcome,
-            clbits,
-            error_events: fired + absorbed,
-            absorbed,
-            dd_nodes: 0,
-            dd_nodes_peak: 0,
-            state: (),
-        }
+        Self::finish_live(&mut seat, Position::default(), (next, rng, 0))
     }
 
     fn evaluate(
@@ -371,66 +445,28 @@ impl StochasticBackend for DenseSimulator {
         let sites = program.sites.clone()?;
         Some(DedupSupport {
             plan: PresamplePlan::new(sites),
-            prefix_steps: program.steps.len(),
             full: true,
         })
-    }
-
-    fn run_pattern(
-        &self,
-        program: &DenseProgram,
-        ctx: &mut DenseContext,
-        pattern: &ErrorPattern,
-        learned: Option<&mut Vec<f64>>,
-    ) -> SingleRun<()> {
-        ctx.seat(program);
-        let mut replayed = Replayed::new(pattern, learned);
-        let error_events = walk(program, &mut ctx.state, &mut replayed, &mut []);
-        debug_assert!(replayed.exhausted(), "pattern events beyond the program");
-        SingleRun {
-            // Each member samples its own outcome from the shared state.
-            outcome: 0,
-            clbits: vec![false; program.num_clbits],
-            error_events,
-            absorbed: 0,
-            dd_nodes: 0,
-            dd_nodes_peak: 0,
-            state: (),
-        }
-    }
-
-    fn sample_outcome(
-        &self,
-        program: &DenseProgram,
-        ctx: &mut DenseContext,
-        _run: &SingleRun<()>,
-        rng: &mut StdRng,
-    ) -> u64 {
-        debug_assert_eq!(
-            ctx.seated, program.id,
-            "sample_outcome must use the context the pattern ran in"
-        );
-        ctx.state.sample_measurement(rng)
     }
 
     fn sample_outcomes(
         &self,
         program: &DenseProgram,
         ctx: &mut DenseContext,
-        run: &SingleRun<()>,
+        _run: &SingleRun<()>,
         shots: &mut [Member],
         mut sink: impl FnMut(&Member, u64),
     ) {
-        // A lone member scans the amplitudes directly; tabulating the
-        // running sums first only pays off from the second draw on.
-        if let [member] = shots {
-            let outcome = self.sample_outcome(program, ctx, run, &mut member.1);
-            return sink(member, outcome);
-        }
         debug_assert_eq!(
             ctx.seated, program.id,
             "sample_outcomes must use the context the pattern ran in"
         );
+        // A lone member scans the amplitudes directly; tabulating the
+        // running sums first only pays off from the second draw on.
+        if let [member] = shots {
+            let outcome = ctx.state.sample_measurement(&mut member.1);
+            return sink(member, outcome);
+        }
         // The table holds the running sums `sample_measurement` forms, so
         // every member draws the index it would have drawn alone — by
         // binary search instead of two passes over the shared state.
@@ -463,11 +499,99 @@ impl StochasticBackend for DenseSimulator {
     }
 }
 
+impl DecisionPoints for DenseSimulator {
+    type Walk = Position;
+    type Point = Exposure;
+    type Checkpoint = ();
+
+    fn start(seat: &mut Seat<'_, Self>) -> Position {
+        seat.ctx.seat(seat.program);
+        Position::default()
+    }
+
+    fn point(seat: &mut Seat<'_, Self>, at: &mut Position) -> Option<(u32, Exposure)> {
+        let exposure = seat.program.exposure(&mut seat.ctx.state, at)?;
+        Some((exposure.site + 1, exposure))
+    }
+
+    fn draw<D: Decisions>(
+        seat: &mut Seat<'_, Self>,
+        _: &Position,
+        exposure: &mut Exposure,
+        decisions: &mut D,
+    ) -> Option<ErrorEvent> {
+        exposure.decide(seat.program, decisions)
+    }
+
+    fn fire(
+        seat: &mut Seat<'_, Self>,
+        mut at: Position,
+        exposure: &Exposure,
+        event: ErrorEvent,
+    ) -> Position {
+        exposure.apply(seat.program, &mut seat.ctx.state, &mut at, Some(event));
+        at
+    }
+
+    fn pass(seat: &mut Seat<'_, Self>, at: &mut Position, exposure: Exposure) {
+        exposure.apply(seat.program, &mut seat.ctx.state, at, None);
+    }
+
+    fn checkpoint(ctx: &mut DenseContext) {
+        ctx.checkpoint();
+    }
+
+    fn rollback(ctx: &mut DenseContext, _: ()) -> bool {
+        ctx.rollback();
+        true
+    }
+
+    fn finish_live(
+        seat: &mut Seat<'_, Self>,
+        mut at: Position,
+        (next, rng, absorbed): (u32, &mut StdRng, u32),
+    ) -> SingleRun<()> {
+        let (program, state) = (seat.program, &mut seat.ctx.state);
+        let (mut clbits, sites) = (
+            vec![false; program.num_clbits],
+            program.survival.len() as u32,
+        );
+        let mut decisions = Sampled::new(rng, (&program.survival, seat.absorbing), next, sites);
+        walk(program, state, &mut at, &mut decisions, &mut clbits);
+        let absorbed = (absorbed + decisions.absorbed) as usize;
+        let outcome = match program.measured_any {
+            true => pack_clbits(&clbits),
+            false => state.sample_measurement(rng),
+        };
+        let run = Self::prefix_run(seat, &mut at);
+        SingleRun {
+            outcome,
+            clbits,
+            error_events: at.error_events + absorbed,
+            absorbed,
+            ..run
+        }
+    }
+
+    fn prefix_run(seat: &mut Seat<'_, Self>, at: &mut Position) -> SingleRun<()> {
+        SingleRun {
+            // Each member samples its own outcome from the shared state.
+            outcome: 0,
+            clbits: vec![false; seat.program.num_clbits],
+            error_events: at.error_events,
+            absorbed: 0,
+            dd_nodes: 0,
+            dd_nodes_peak: 0,
+            state: (),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qsdd_circuit::generators::ghz;
-    use qsdd_noise::ErrorEvent;
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -565,40 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn pattern_replays_learn_the_thresholds_past_their_last_event() {
-        let backend = DenseSimulator::new();
-        let program = backend.compile(&ghz(4), &NoiseModel::paper_defaults());
-        let mut ctx = backend.new_context();
-        // The empty pattern walks the no-error path: it meets exactly the
-        // thresholds compilation recorded, one per damping site.
-        let mut learned = Vec::new();
-        let empty = ErrorPattern::default();
-        backend.run_pattern(&program, &mut ctx, &empty, Some(&mut learned));
-        let sites = program.sites.as_ref().expect("unitary programs presample");
-        let no_error: Vec<f64> = sites
-            .iter()
-            .filter_map(|site| match site {
-                SiteChannel::Damping { p_decay, .. } => Some(*p_decay),
-                SiteChannel::Passive(_) => None,
-            })
-            .collect();
-        assert_eq!(learned, no_error);
-        assert_eq!(no_error.len() * 3, sites.len(), "one damping site in three");
-        // A decay at the first damping site (site 1, after the H on qubit
-        // 0) leaves qubit 0 in |0>: only the sites behind it are learned,
-        // and qubit 0's later exposure can no longer decay.
-        let decayed = empty.with_event(ErrorEvent {
-            site: 1,
-            error: ErrorEvent::DECAY,
-        });
-        learned.clear();
-        let run = backend.run_pattern(&program, &mut ctx, &decayed, Some(&mut learned));
-        assert_eq!(run.error_events, 1);
-        assert_eq!(learned.len(), no_error.len() - 1);
-        assert_eq!(learned[0], 0.0, "a decayed qubit has nothing left to lose");
-    }
-
-    #[test]
     fn sample_outcomes_draw_identically_for_one_member_and_for_many() {
         // A lone member scans the amplitudes, a group binary-searches the
         // running-sum table.
@@ -624,6 +714,70 @@ mod tests {
             assert_eq!(a.clbits, b.clbits);
             assert_eq!(a.error_events, b.error_events);
             assert_eq!(reused.state(), fresh.state(), "reuse changed the state");
+        }
+    }
+
+    /// The bits of every amplitude.
+    fn bits(state: &StateVector) -> Vec<(u64, u64)> {
+        let amplitudes = state.amplitudes().iter();
+        amplitudes
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn random_forks_roll_back_the_amplitudes_bit_for_bit(
+            steps in collection::vec((0..8u8, 0..64usize), 1..48),
+        ) {
+            // The context runs every step on its live buffer; the twin runs
+            // the same kernels but never checkpoints — at a rollback it
+            // returns to a copy taken when the checkpoint opened.
+            let program = DenseSimulator::new().compile(&ghz(5), &NoiseModel::paper_defaults());
+            let mut ctx = DenseContext::new();
+            ctx.seat(&program);
+            let (mut twin, mut open) = (ctx.state.clone(), Vec::new());
+            let gates = [Matrix2::hadamard(), Matrix2::t_gate(), Matrix2::rx(0.3)];
+            for (kind, arg) in steps {
+                let (qubit, other) = (arg % 5, (arg % 5 + 1 + arg / 5 % 4) % 5);
+                match kind {
+                    0 | 1 if open.len() < 4 => {
+                        ctx.checkpoint();
+                        open.push(twin.clone());
+                    }
+                    0 | 1 => {}
+                    2 | 3 => {
+                        let (gate, controls) = (&gates[arg % 3], [other]);
+                        let controls = if kind == 2 { &controls[..] } else { &[] };
+                        ctx.state.apply_controlled(controls, qubit, gate);
+                        twin.apply_controlled(controls, qubit, gate);
+                    }
+                    4 => {
+                        let weights = ctx.state.branch_weights(qubit);
+                        if arg % 2 == 0 && weights.1 > 1e-9 {
+                            ctx.state.damping_decay(qubit, weights.1);
+                            twin.damping_decay(qubit, weights.1);
+                        } else {
+                            ctx.state.damping_keep(qubit, 0.3, weights);
+                            twin.damping_keep(qubit, 0.3, weights);
+                        }
+                    }
+                    5 => {
+                        // A new shot closes every checkpoint.
+                        ctx.seat(&program);
+                        (twin, open) = (StateVector::new(5), Vec::new());
+                    }
+                    _ => {
+                        let Some(saved) = open.pop() else { continue };
+                        ctx.rollback();
+                        twin = saved;
+                        prop_assert_eq!(bits(&ctx.state), bits(&twin));
+                    }
+                }
+            }
+            prop_assert_eq!(bits(&ctx.state), bits(&twin));
         }
     }
 }

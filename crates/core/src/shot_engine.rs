@@ -6,7 +6,7 @@
 //! methods. Construction performs all per-circuit work exactly once:
 //! transpilation, layout bookkeeping, and the back-end's compile phase
 //! (operator diagrams, noise tables; see
-//! [`StochasticBackend::compile`](crate::StochasticBackend::compile)).
+//! [`crate::StochasticBackend::compile`]).
 //!
 //! Shots execute against a reusable per-worker [`ExecContext`]: create one
 //! context per worker thread ([`ShotEngine::new_context`]) and feed it to
@@ -45,8 +45,8 @@ use crate::backend::{SingleRun, StochasticBackend};
 use crate::dd_backend::{DdContext, DdProgram, DdSimulator};
 use crate::deadline::{Deadline, TimedOut};
 use crate::dedup::{
-    plan_range, run_dedup, run_group, run_work, DedupStats, DedupSupport, Evolutions,
-    TrajectoryWork,
+    plan_range, run_dedup, run_group, run_pattern, run_work, DecisionPoints, DedupStats,
+    DedupSupport, Evolutions, TrajectoryWork,
 };
 use crate::dense_backend::{DenseContext, DenseProgram, DenseSimulator};
 use crate::estimator::Observable;
@@ -427,23 +427,11 @@ impl ShotEngine {
         match &self.backend {
             EngineBackend::DecisionDiagram { backend, program } => {
                 let ctx = ctx.dd_mut();
-                let mut run = backend.run_pattern(program, ctx, pattern, None);
-                let values: Vec<f64> = observables
-                    .iter()
-                    .map(|o| backend.evaluate(program, ctx, &mut run, o))
-                    .collect();
-                backend.outcome_distribution(program, ctx, &run, &mut restore);
-                (ShotSample::of(&run), values)
+                weighted_pattern(backend, program, ctx, pattern, observables, &mut restore)
             }
             EngineBackend::Statevector { backend, program } => {
                 let ctx = ctx.dense_mut();
-                let mut run = backend.run_pattern(program, ctx, pattern, None);
-                let values: Vec<f64> = observables
-                    .iter()
-                    .map(|o| backend.evaluate(program, ctx, &mut run, o))
-                    .collect();
-                backend.outcome_distribution(program, ctx, &run, &mut restore);
-                (ShotSample::of(&run), values)
+                weighted_pattern(backend, program, ctx, pattern, observables, &mut restore)
             }
         }
     }
@@ -667,6 +655,25 @@ impl EngineBackend {
             EngineBackend::Statevector { backend, program } => backend.dedup_support(program),
         }
     }
+}
+
+/// Replays `pattern` on a concrete back-end, feeds the exact outcome
+/// distribution of its final state into `sink` and evaluates the
+/// observables there.
+fn weighted_pattern<B: DecisionPoints>(
+    backend: &B,
+    program: &B::Program,
+    ctx: &mut B::Context,
+    pattern: &ErrorPattern,
+    observables: &[Observable],
+    sink: &mut dyn FnMut(u64, f64),
+) -> (ShotSample, Vec<f64>) {
+    let mut run = run_pattern::<B>(program, ctx, pattern);
+    let values: Vec<f64> = (observables.iter())
+        .map(|o| backend.evaluate(program, ctx, &mut run, o))
+        .collect();
+    backend.outcome_distribution(program, ctx, &run, sink);
+    (ShotSample::of(&run), values)
 }
 
 /// Runs one shot on a concrete back-end, absorbing Z errors at the

@@ -993,6 +993,7 @@ impl Default for DdPackage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn zero_state_amplitudes() {
@@ -1326,6 +1327,116 @@ mod tests {
         dd.reset_transient();
         let checkpoint = dd.checkpoint();
         assert!(dd.rollback(checkpoint));
+    }
+
+    /// One step of a random interleaving on a forked package.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Checkpoint,
+        Gate(usize),
+        Kraus(bool),
+        Rollback,
+        Trim,
+        Rewind,
+    }
+
+    fn step((kind, arg): (u8, usize)) -> Step {
+        match kind {
+            0 | 1 => Step::Checkpoint,
+            2 | 3 => Step::Gate(arg),
+            4 => Step::Kraus(arg % 2 == 0),
+            5 | 6 => Step::Rollback,
+            7 => Step::Trim,
+            _ => Step::Rewind,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn random_forks_roll_back_to_a_never_forked_twin(
+            steps in collection::vec((0..9u8, 0..64usize), 1..48),
+        ) {
+            // The forked package runs every step; the twin runs the same
+            // work but never opens a checkpoint — at a rollback it returns
+            // to a copy taken when the checkpoint opened.
+            let (template, ops) = ghz_template(5);
+            let decay = ops.gates.len();
+            let mut kraus = template.clone();
+            let decay_op = kraus.single_qubit_op(5, 2, Matrix2::amplitude_damping_a0(0.3));
+            let keep_op = kraus.single_qubit_op(5, 2, Matrix2::amplitude_damping_a1(0.3));
+            kraus.mark_persistent();
+            let (mut dd, mut twin) = (kraus.clone(), kraus.clone());
+            let zero = dd.zero_state(ops.n);
+            let (mut state, mut twin_state) = (zero, zero);
+            // Open checkpoints: the mark, the twin and state then, and
+            // whether a trim or a rewind intervened since.
+            let mut open: Vec<(Checkpoint, DdPackage, VecEdge, bool)> = Vec::new();
+            for step in steps.into_iter().map(step) {
+                match step {
+                    Step::Checkpoint if open.len() < 4 => {
+                        open.push((dd.checkpoint(), twin.clone(), state, false));
+                    }
+                    Step::Checkpoint => {}
+                    Step::Gate(arg) => {
+                        let gate = match arg % (decay + 1) {
+                            g if g < decay => ops.gates[g],
+                            _ => ops.flip,
+                        };
+                        state = dd.mat_vec_mul(gate, state);
+                        twin_state = twin.mat_vec_mul(gate, twin_state);
+                    }
+                    Step::Kraus(decays) => {
+                        let op = if decays { decay_op } else { keep_op };
+                        let ((p, next), (twin_p, twin_next)) =
+                            (dd.apply_kraus(op, state), twin.apply_kraus(op, twin_state));
+                        prop_assert_eq!(p.to_bits(), twin_p.to_bits());
+                        // A decayed-away branch is zero: start over from |0...0>.
+                        (state, twin_state) = match next.is_zero() {
+                            true => (zero, zero),
+                            false => (next, twin_next),
+                        };
+                    }
+                    Step::Rollback => {
+                        let Some((checkpoint, saved, saved_state, intervened)) = open.pop() else {
+                            continue;
+                        };
+                        let restored = dd.rollback(checkpoint);
+                        prop_assert_eq!(restored, !intervened);
+                        if restored {
+                            (twin, twin_state, state) = (saved, saved_state, saved_state);
+                        } else {
+                            // The caller starts over from the rewound template.
+                            dd.reset_transient();
+                            twin.reset_transient();
+                            (state, twin_state) = (zero, zero);
+                            open.iter_mut().for_each(|entry| entry.3 = true);
+                        }
+                    }
+                    Step::Trim => {
+                        let live = dd.stats();
+                        let trims = live.mat_vec_cache > 1 || live.vec_add_cache > 1;
+                        dd.set_cache_limit(1);
+                        twin.set_cache_limit(1);
+                        state = dd.mat_vec_mul(ops.gates[0], state);
+                        twin_state = twin.mat_vec_mul(ops.gates[0], twin_state);
+                        dd.set_cache_limit(DEFAULT_CACHE_LIMIT);
+                        twin.set_cache_limit(DEFAULT_CACHE_LIMIT);
+                        open.iter_mut().for_each(|entry| entry.3 |= trims);
+                    }
+                    Step::Rewind => {
+                        dd.reset_transient();
+                        twin.reset_transient();
+                        (state, twin_state) = (zero, zero);
+                        open.iter_mut().for_each(|entry| entry.3 = true);
+                    }
+                }
+                // Node for node, weights bit for bit.
+                prop_assert_eq!(state, twin_state);
+                prop_assert_eq!(contents(&dd), contents(&twin));
+            }
+        }
     }
 
     #[test]

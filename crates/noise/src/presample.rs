@@ -55,9 +55,8 @@ pub struct ErrorEvent {
 impl ErrorEvent {
     /// Reserved [`error`](Self::error) code of a damping site's decay
     /// branch: a state change rather than one of a channel's unitaries, so
-    /// it only appears in the patterns of shots that left the no-error path
-    /// ([`Presampled::Deviated`] and what [`PresamplePlan::resume`] finds
-    /// after it).
+    /// it only appears in the events of shots that left the no-error path
+    /// ([`Presampled::Deviated`] and what their bucket walks draw after it).
     pub const DECAY: u8 = u8::MAX;
 }
 
@@ -230,9 +229,9 @@ pub enum Presampled {
     /// decayed ([`ErrorEvent::DECAY`]), or an error fired with a
     /// state-dependent site still ahead, whose precomputed threshold the
     /// deviation invalidates — and drew its next candidate, `next` (the
-    /// site count when there is none): it either continues through
-    /// [`PresamplePlan::resume`] with thresholds learned along the deviated
-    /// trajectory, or executes live with a **freshly derived** generator.
+    /// site count when there is none). Its later candidates are drawn by the
+    /// walk of its deviation bucket, which reads their thresholds off the
+    /// state the shot is on.
     Deviated {
         /// Where the shot left the no-error path.
         event: ErrorEvent,
@@ -282,6 +281,11 @@ impl PresamplePlan {
         self.sites.len()
     }
 
+    /// The candidate process of the plan's sites.
+    pub fn survival(&self) -> &Survival {
+        &self.survival
+    }
+
     /// Resolves one shot's error decisions against the plan, from a fresh
     /// generator, absorbing Z errors at the `absorbing` sites.
     ///
@@ -299,7 +303,7 @@ impl PresamplePlan {
         let (mut next, mut uniforms) = (self.survival.next(rng, 0, end), u32::from(end > 0));
         let (mut events, mut absorbed) = (Vec::new(), 0);
         while next < end {
-            let event = self.resolve(rng, next, (absorbing, &mut absorbed), |p_decay| p_decay);
+            let event = self.resolve(rng, next, (absorbing, &mut absorbed));
             let site = next as usize;
             next = self.survival.next(rng, next + 1, end);
             uniforms += u32::from(site + 1 < end as usize);
@@ -317,54 +321,20 @@ impl PresamplePlan {
         (pattern, uniforms, absorbed)
     }
 
-    /// Continues a deviated shot whose next candidate is `next` to its next
-    /// event, or to the end of the plan (`None`), advancing `next` past it.
-    ///
-    /// `learned` holds the decay threshold of every damping site at or
-    /// after `from` (at most `next`), in site order, as read off the
-    /// trajectory the shot is now on (the plan's own thresholds only hold
-    /// on the no-error path). Also returns the Z errors absorbed on the way.
-    pub fn resume<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        next: &mut u32,
-        from: usize,
-        learned: &[f64],
-        absorbing: &[bool],
-    ) -> (Option<ErrorEvent>, u32) {
-        let (end, mut absorbed) = (self.sites.len() as u32, 0);
-        while *next < end {
-            let site = *next as usize;
-            let event = self.resolve(rng, *next, (absorbing, &mut absorbed), |_| {
-                let damping = self.sites[from..site]
-                    .iter()
-                    .filter(|site| matches!(site, SiteChannel::Damping { .. }));
-                learned[damping.count()]
-            });
-            *next = self.survival.next(rng, *next + 1, end);
-            if event.is_some() {
-                return (event, absorbed);
-            }
-        }
-        (None, absorbed)
-    }
-
-    /// Resolves the candidate at `site`; `threshold` maps a damping site's
-    /// no-error-path threshold to the one to compare against.
+    /// Resolves the candidate at `site` against the no-error path.
     #[inline]
     fn resolve<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         site: u32,
         (absorbing, absorbed): (&[bool], &mut u32),
-        threshold: impl FnOnce(f64) -> f64,
     ) -> Option<ErrorEvent> {
         let at = self.sites[site as usize];
         let absorbs = absorbing.get(site as usize) == Some(&true);
         let error = match at {
             SiteChannel::Passive(channel) => channel.resolve_framed(rng, absorbs, absorbed)? as u8,
             SiteChannel::Damping { p_decay, .. } => {
-                let decays = at.channel().candidate_decays(rng, || threshold(p_decay));
+                let decays = at.channel().candidate_decays(rng, || p_decay);
                 decays.then_some(ErrorEvent::DECAY)?
             }
         };
@@ -554,99 +524,6 @@ mod tests {
             "the trailing flip must be recorded"
         );
         assert_eq!(pattern.error_events(), 1);
-    }
-
-    #[test]
-    fn resuming_with_the_no_error_thresholds_reproduces_presample() {
-        // Damping sites first, so `presample` either deviates by a decay or
-        // collects the passive events behind them into a pattern.
-        let thresholds = [0.1, 0.05, 0.2];
-        let mut sites: Vec<SiteChannel> = thresholds
-            .iter()
-            .map(|&p_decay| SiteChannel::Damping {
-                gamma: 0.3,
-                p_decay,
-            })
-            .collect();
-        sites.extend(
-            [
-                passive(ErrorKind::Depolarizing, 0.3),
-                passive(ErrorKind::PhaseFlip, 0.25),
-            ]
-            .repeat(3),
-        );
-        let plan = PresamplePlan::new(sites);
-        let (mut patterns, mut deviations) = (0, 0);
-        for seed in 0..400 {
-            let mut rng_a = StdRng::seed_from_u64(seed);
-            let mut rng_b = StdRng::seed_from_u64(seed);
-            // Resume event by event, each time with the thresholds of the
-            // damping sites behind the last event.
-            let (mut chained, mut from) = (Vec::new(), 0);
-            let mut next = plan.survival.next(&mut rng_b, 0, plan.site_count() as u32);
-            while let Some(event) = plan
-                .resume(
-                    &mut rng_b,
-                    &mut next,
-                    from,
-                    &thresholds[from.min(thresholds.len())..],
-                    &[],
-                )
-                .0
-            {
-                chained.push(event);
-                from = event.site as usize + 1;
-                if event.error == ErrorEvent::DECAY {
-                    break;
-                }
-            }
-            match plan.presample(&mut rng_a, &[]).0 {
-                Presampled::Pattern(pattern) => {
-                    assert_eq!(pattern.events(), chained);
-                    patterns += usize::from(chained.len() > 1);
-                }
-                Presampled::Deviated {
-                    event,
-                    next: parked,
-                } => {
-                    assert_eq!(chained, [event]);
-                    assert_eq!(parked, next);
-                    deviations += 1;
-                }
-            }
-            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "stream diverged");
-        }
-        assert!(patterns > 0 && deviations > 0, "both outcomes must occur");
-    }
-
-    #[test]
-    fn learned_thresholds_force_and_forbid_the_decay() {
-        // The plan's own threshold says "coin flip"; the learned one wins.
-        let plan = PresamplePlan::new(vec![
-            passive(ErrorKind::PhaseFlip, 0.0),
-            SiteChannel::Damping {
-                gamma: 1.0,
-                p_decay: 0.5,
-            },
-        ]);
-        for seed in 0..64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let decay = ErrorEvent {
-                site: 1,
-                error: ErrorEvent::DECAY,
-            };
-            // γ = 1 makes the damping site a certain candidate.
-            let mut next = 1;
-            assert_eq!(
-                plan.resume(&mut rng, &mut next, 0, &[1.0], &[]).0,
-                Some(decay)
-            );
-            assert_eq!(next, 2);
-            let mut next = 1;
-            assert_eq!(plan.resume(&mut rng, &mut next, 1, &[0.0], &[]).0, None);
-            // Past the last site nothing is drawn.
-            assert_eq!(plan.resume(&mut rng, &mut next, 2, &[], &[]).0, None);
-        }
     }
 
     #[test]

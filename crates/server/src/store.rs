@@ -26,7 +26,7 @@
 //! any I/O failure makes the server *less durable*, never unavailable. An
 //! open failure at boot yields a degraded (memory-only) store; write
 //! failures are counted and retried on the next completion, and after
-//! [`MAX_CONSECUTIVE_FAILURES`] consecutive failures the store degrades to
+//! `MAX_CONSECUTIVE_FAILURES` (3) consecutive failures the store degrades to
 //! memory-only for the rest of the process. Both conditions are visible in
 //! `GET /v1/stats`, the serve banner and the `qsdd_store_*` metrics.
 

@@ -111,6 +111,12 @@ impl StateVector {
         self.amplitudes[0] = Complex::ONE;
     }
 
+    /// Overwrites the state with `source`, reusing this state's buffer.
+    pub fn copy_from(&mut self, source: &StateVector) {
+        self.num_qubits = source.num_qubits;
+        self.amplitudes.clone_from(&source.amplitudes);
+    }
+
     /// The raw amplitudes in basis order.
     pub fn amplitudes(&self) -> &[Complex] {
         &self.amplitudes
