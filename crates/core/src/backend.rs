@@ -28,7 +28,7 @@ use qsdd_circuit::Circuit;
 use qsdd_noise::NoiseModel;
 use rand::rngs::StdRng;
 
-use crate::dedup::{DedupSupport, Member};
+use crate::dedup::DedupSupport;
 use crate::estimator::Observable;
 
 /// The result of a single stochastic simulation run.
@@ -137,55 +137,14 @@ pub trait StochasticBackend: Sync {
     /// deduplicable prefix (see [`crate::dedup`]); the deduplicating runner
     /// then presamples shots against it, groups equal patterns, walks each
     /// group and bucket over the back-end's decision points, and fans the
-    /// shared states out through [`sample_outcomes`](Self::sample_outcomes).
-    /// The default declines, which keeps a back-end correct on the ordinary
-    /// per-shot path. State-dependent channels are no reason to decline:
+    /// shared states out over the members. The default declines, which
+    /// keeps a back-end correct on the ordinary per-shot path.
+    /// State-dependent channels are no reason to decline:
     /// record the threshold each damping exposure meets along the no-error
     /// path at compile time and hand it over as a
     /// [`qsdd_noise::SiteChannel::Damping`] site.
     fn dedup_support(&self, _program: &Self::Program) -> Option<DedupSupport> {
         None
-    }
-
-    /// Samples every member shot of a full-program pattern group from the
-    /// run's final state, feeding `(member, outcome)` pairs into `sink`.
-    ///
-    /// Each member's generator sits exactly after the presampled exposures
-    /// (the presampler consumed the stream like live execution), and draws
-    /// the outcome it would draw alone; back-ends hoist per-state
-    /// preparation (a flattened sampling plan, a running-sum table) out of
-    /// the member loop, which is the hottest loop of a deduplicated run.
-    /// Only called when the program's [`DedupSupport::full`] is `true`.
-    fn sample_outcomes(
-        &self,
-        _program: &Self::Program,
-        _ctx: &mut Self::Context,
-        _run: &SingleRun<Self::State>,
-        _shots: &mut [Member],
-        _sink: impl FnMut(&Member, u64),
-    ) {
-        unreachable!("dedup_support declined; sample_outcomes must not be called")
-    }
-
-    /// Feeds the exact measurement-outcome distribution of a completed
-    /// full-program pattern run into `sink` as `(outcome, probability)`
-    /// pairs, one per basis state with non-zero probability.
-    ///
-    /// This is the weighted-enumeration counterpart of
-    /// [`sample_outcomes`](Self::sample_outcomes): instead of sampling
-    /// member shots from the final state, the caller takes the whole
-    /// distribution and scales it by the pattern's probability. Must be
-    /// called with the context the run executed in, before that context
-    /// runs its next shot. Only called when the program's
-    /// [`DedupSupport::full`] is `true`.
-    fn outcome_distribution(
-        &self,
-        _program: &Self::Program,
-        _ctx: &mut Self::Context,
-        _run: &SingleRun<Self::State>,
-        _sink: &mut dyn FnMut(u64, f64),
-    ) {
-        unreachable!("dedup_support declined; outcome_distribution must not be called")
     }
 
     /// Convenience single-shot path: compiles `circuit`, creates a fresh
@@ -235,13 +194,13 @@ pub(crate) fn pack_clbits(clbits: &[bool]) -> u64 {
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
-    use crate::dedup::{run_pattern, DecisionPoints};
+    use crate::dedup::{run_pattern, DecisionPoints, Member};
     use qsdd_noise::ErrorPattern;
     use rand::{Rng, SeedableRng};
 
     /// Fans the no-error state of `program` out over forty members at once
     /// and one by one: whatever per-state preparation
-    /// [`StochasticBackend::sample_outcomes`] hoists for a group, both ways
+    /// [`DecisionPoints::sample_outcomes`] hoists for a group, both ways
     /// must draw the same outcomes and leave the same generator positions.
     pub(crate) fn assert_groups_draw_like_lone_members<B: DecisionPoints>(
         backend: &B,

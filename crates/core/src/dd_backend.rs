@@ -614,58 +614,6 @@ impl StochasticBackend for DdSimulator {
             full,
         })
     }
-
-    fn sample_outcomes(
-        &self,
-        program: &DdProgram,
-        ctx: &mut DdContext,
-        run: &SingleRun<VecEdge>,
-        shots: &mut [Member],
-        mut sink: impl FnMut(&Member, u64),
-    ) {
-        debug_assert_eq!(
-            ctx.seated, program.id,
-            "sample_outcomes must use the context the pattern ran in"
-        );
-        // Full-program patterns never contain explicit measurements (a
-        // measurement ends the deduplicable prefix), so the outcome is
-        // always a full-register sample of the shared final state. A lone
-        // member walks the diagram directly; flattening it into a plan first
-        // only pays off from the second draw on.
-        if let [member] = shots {
-            let n = program.num_qubits;
-            let outcome = ctx.package.sample_measurement(run.state, n, &mut member.1);
-            return sink(member, outcome);
-        }
-        // The flat plan is bit-identical to `sample_measurement` on the
-        // same state and keeps norm recursion out of the member loop — this
-        // loop fans a whole trajectory group out of one shared state, so it
-        // is the hottest loop of a deduplicated run.
-        let plan = ctx.package.sample_plan(run.state, program.num_qubits);
-        for member in shots.iter_mut() {
-            let outcome = plan.sample(&mut member.1);
-            sink(member, outcome);
-        }
-    }
-
-    fn outcome_distribution(
-        &self,
-        program: &DdProgram,
-        ctx: &mut DdContext,
-        run: &SingleRun<VecEdge>,
-        sink: &mut dyn FnMut(u64, f64),
-    ) {
-        debug_assert_eq!(
-            ctx.seated, program.id,
-            "outcome_distribution must use the context the pattern ran in"
-        );
-        // Sparse DFS over the diagram: basis states outside the state's
-        // support are never visited, so the cost tracks the diagram size,
-        // not 2^n. Same outcome convention as `sample_outcome` (the full
-        // register, qubit 0 as the most significant bit).
-        ctx.package
-            .outcome_probabilities(run.state, program.num_qubits, sink);
-    }
 }
 
 /// A decision point in the step a walk is in (see [`Walk::point`]).
@@ -746,6 +694,62 @@ impl DecisionPoints for DdSimulator {
             0,
             vec![false; seat.program.num_clbits],
         )
+    }
+
+    fn survival(program: &DdProgram) -> &Survival {
+        &program.survival
+    }
+
+    fn sample_outcomes(
+        &self,
+        program: &DdProgram,
+        ctx: &mut DdContext,
+        run: &SingleRun<VecEdge>,
+        shots: &mut [Member],
+        mut sink: impl FnMut(&Member, u64),
+    ) {
+        debug_assert_eq!(
+            ctx.seated, program.id,
+            "sample_outcomes must use the context the pattern ran in"
+        );
+        // Full-program patterns never contain explicit measurements (a
+        // measurement ends the deduplicable prefix), so the outcome is
+        // always a full-register sample of the shared final state. A lone
+        // member walks the diagram directly; flattening it into a plan first
+        // only pays off from the second draw on.
+        if let [member] = shots {
+            let n = program.num_qubits;
+            let outcome = ctx.package.sample_measurement(run.state, n, &mut member.1);
+            return sink(member, outcome);
+        }
+        // The flat plan is bit-identical to `sample_measurement` on the
+        // same state and keeps norm recursion out of the member loop — this
+        // loop fans a whole trajectory group out of one shared state, so it
+        // is the hottest loop of a deduplicated run.
+        let plan = ctx.package.sample_plan(run.state, program.num_qubits);
+        for member in shots.iter_mut() {
+            let outcome = plan.sample(&mut member.1);
+            sink(member, outcome);
+        }
+    }
+
+    fn outcome_distribution(
+        &self,
+        program: &DdProgram,
+        ctx: &mut DdContext,
+        run: &SingleRun<VecEdge>,
+        sink: &mut dyn FnMut(u64, f64),
+    ) {
+        debug_assert_eq!(
+            ctx.seated, program.id,
+            "outcome_distribution must use the context the pattern ran in"
+        );
+        // Sparse DFS over the diagram: basis states outside the state's
+        // support are never visited, so the cost tracks the diagram size,
+        // not 2^n. Same outcome convention as `sample_outcomes` (the full
+        // register, qubit 0 as the most significant bit).
+        ctx.package
+            .outcome_probabilities(run.state, program.num_qubits, sink);
     }
 }
 

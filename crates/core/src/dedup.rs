@@ -46,7 +46,8 @@
 //!   each member's live shot performs, and the exact rollback is what keeps
 //!   the package a child starts from the one that shot holds. On the
 //!   statevector back-end it is a copy of the amplitudes on a per-depth
-//!   stack that the context keeps from one fork to the next.
+//!   stack that the context keeps from one fork to the next, up to a byte
+//!   cap past which the checkpoint is refused.
 //! * **Singletons run live.** A bucket of one has nobody to share with: its
 //!   shot continues live from its parked generator where the bucket walk
 //!   (or the parent's) left it. Whether to share or run live is read off
@@ -76,7 +77,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use qsdd_noise::{ErrorEvent, ErrorPattern, PresamplePlan, Presampled};
+use qsdd_noise::{ErrorEvent, ErrorPattern, PresamplePlan, Presampled, Survival};
 use qsdd_telemetry::trace;
 use rand::rngs::StdRng;
 
@@ -429,6 +430,43 @@ pub(crate) trait DecisionPoints: StochasticBackend + Sized {
     /// The run a walk at the end of the deduplicable prefix shares with its
     /// members; the walk is left ready for them to resume from.
     fn prefix_run(seat: &mut Seat<'_, Self>, walk: &mut Self::Walk) -> SingleRun<Self::State>;
+    /// The candidate process of `program`'s exposure sites, which parked
+    /// members draw on — the one their live shots draw on.
+    fn survival(program: &Self::Program) -> &Survival;
+
+    /// Samples every member shot of a full-program pattern group from the
+    /// run's final state, feeding `(member, outcome)` pairs into `sink`.
+    ///
+    /// Each member's generator sits exactly after the presampled exposures
+    /// (the presampler consumed the stream like live execution), and draws
+    /// the outcome it would draw alone; back-ends hoist per-state
+    /// preparation (a flattened sampling plan, a running-sum table) out of
+    /// the member loop, which is the hottest loop of a deduplicated run.
+    /// Only called when the program's [`DedupSupport::full`] is `true`.
+    fn sample_outcomes(
+        &self,
+        program: &Self::Program,
+        ctx: &mut Self::Context,
+        run: &SingleRun<Self::State>,
+        shots: &mut [Member],
+        sink: impl FnMut(&Member, u64),
+    );
+
+    /// Feeds the exact measurement-outcome distribution of a completed
+    /// full-program pattern run into `sink` as `(outcome, probability)`
+    /// pairs, one per basis state with non-zero probability: the
+    /// weighted-enumeration counterpart of
+    /// [`sample_outcomes`](Self::sample_outcomes), which the caller scales
+    /// by the pattern's probability. Must be called with the context the
+    /// run executed in, before that context runs its next shot. Only called
+    /// when the program's [`DedupSupport::full`] is `true`.
+    fn outcome_distribution(
+        &self,
+        program: &Self::Program,
+        ctx: &mut Self::Context,
+        run: &SingleRun<Self::State>,
+        sink: &mut dyn FnMut(u64, f64),
+    );
 }
 
 /// Executes one work item — a trajectory group, or a deviation bucket with
@@ -581,9 +619,9 @@ impl<B: DecisionPoints> Tree<'_, '_, B> {
         mut members: Parked,
     ) -> Result<(), TimedOut> {
         let (backend, program, absorbing) = (self.backend, self.seat.program, self.seat.absorbing);
-        // Parked members draw on over the process they were presampled on.
-        let survival = self.out.support.plan.survival();
-        let stream = ((survival, absorbing), survival.len() as u32);
+        // Parked members draw on over the prefix's sites.
+        let sites = self.out.support.plan.site_count() as u32;
+        let stream = ((B::survival(program), absorbing), sites);
         if let [(next, (shot, rng, absorbed))] = &mut members[..] {
             self.out.stats.live_shots += 1;
             let run = B::finish_live(&mut self.seat, walk, (*next, rng, *absorbed));
@@ -621,8 +659,9 @@ impl<B: DecisionPoints> Tree<'_, '_, B> {
     /// and rolls the context back before the next child or the parent moves
     /// on; the last child of a parent left without members needs none.
     /// Returns whether the parent walks on: not without members, nor after an
-    /// inexact rollback (a trim emptied the tables under the checkpoint),
-    /// which runs the later children's and the parent's shots live instead.
+    /// inexact rollback (a trim emptied the tables under the checkpoint, or
+    /// the dense stack refused it), which runs the later children's and the
+    /// parent's shots live instead.
     fn fork(
         &mut self,
         children: Forks,

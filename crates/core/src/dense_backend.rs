@@ -258,9 +258,14 @@ fn walk<D: Decisions>(
     }
 }
 
+/// The most bytes of amplitude copies a [`DenseContext`] keeps for bucket
+/// walks to fork from: 256 levels of a 14-qubit state, one of a 22-qubit
+/// state, none from 23 qubits on. A fork past it runs its shots live.
+pub const CHECKPOINT_BYTES: usize = 64 << 20;
+
 /// A reusable per-worker execution context for the dense back-end: the live
 /// amplitude buffer, rewound in place, and a stack of amplitude copies for
-/// bucket walks to fork from.
+/// bucket walks to fork from, at most [`CHECKPOINT_BYTES`] of them.
 #[derive(Clone, Debug)]
 pub struct DenseContext {
     state: StateVector,
@@ -269,6 +274,8 @@ pub struct DenseContext {
     /// place.
     saved: Vec<StateVector>,
     open: usize,
+    /// Counts seatings: a seating closes the checkpoints opened before it.
+    seatings: u64,
     seated: u64,
 }
 
@@ -279,6 +286,7 @@ impl DenseContext {
             state: StateVector::new(1),
             saved: Vec::new(),
             open: 0,
+            seatings: 0,
             seated: 0,
         }
     }
@@ -294,23 +302,34 @@ impl DenseContext {
             self.state = StateVector::new(program.num_qubits);
             self.saved.clear();
         }
-        (self.seated, self.open) = (program.id, 0);
+        (self.seated, self.open, self.seatings) = (program.id, 0, self.seatings + 1);
     }
 
-    /// Opens a checkpoint: a copy of the amplitudes on the stack.
-    fn checkpoint(&mut self) {
+    /// Opens a checkpoint — a copy of the amplitudes on the stack — and
+    /// returns its seating; `None` when one more copy would pass
+    /// [`CHECKPOINT_BYTES`].
+    fn checkpoint(&mut self) -> Option<u64> {
+        if (self.open + 1) * std::mem::size_of_val(self.state.amplitudes()) > CHECKPOINT_BYTES {
+            return None;
+        }
         match self.saved.get_mut(self.open) {
             Some(level) => level.copy_from(&self.state),
             None => self.saved.push(self.state.clone()),
         }
         self.open += 1;
+        Some(self.seatings)
     }
 
-    /// Returns the amplitudes to the innermost open checkpoint, bit for bit,
-    /// and closes it.
-    fn rollback(&mut self) {
+    /// Returns the amplitudes to `checkpoint`, the innermost open one, bit
+    /// for bit, and closes it; `false` when it was refused or a seating
+    /// closed it.
+    fn rollback(&mut self, checkpoint: Option<u64>) -> bool {
+        if checkpoint != Some(self.seatings) {
+            return false;
+        }
         self.open -= 1;
         std::mem::swap(&mut self.state, &mut self.saved[self.open]);
+        true
     }
 
     /// Read access to the most recent shot's final state.
@@ -448,6 +467,97 @@ impl StochasticBackend for DenseSimulator {
             full: true,
         })
     }
+}
+
+impl DecisionPoints for DenseSimulator {
+    type Walk = Position;
+    type Point = Exposure;
+    type Checkpoint = Option<u64>;
+
+    fn start(seat: &mut Seat<'_, Self>) -> Position {
+        seat.ctx.seat(seat.program);
+        Position::default()
+    }
+
+    fn point(seat: &mut Seat<'_, Self>, at: &mut Position) -> Option<(u32, Exposure)> {
+        let exposure = seat.program.exposure(&mut seat.ctx.state, at)?;
+        Some((exposure.site + 1, exposure))
+    }
+
+    fn draw<D: Decisions>(
+        seat: &mut Seat<'_, Self>,
+        _: &Position,
+        exposure: &mut Exposure,
+        decisions: &mut D,
+    ) -> Option<ErrorEvent> {
+        exposure.decide(seat.program, decisions)
+    }
+
+    fn fire(
+        seat: &mut Seat<'_, Self>,
+        mut at: Position,
+        exposure: &Exposure,
+        event: ErrorEvent,
+    ) -> Position {
+        exposure.apply(seat.program, &mut seat.ctx.state, &mut at, Some(event));
+        at
+    }
+
+    fn pass(seat: &mut Seat<'_, Self>, at: &mut Position, exposure: Exposure) {
+        exposure.apply(seat.program, &mut seat.ctx.state, at, None);
+    }
+
+    fn checkpoint(ctx: &mut DenseContext) -> Option<u64> {
+        ctx.checkpoint()
+    }
+
+    fn rollback(ctx: &mut DenseContext, checkpoint: Option<u64>) -> bool {
+        ctx.rollback(checkpoint)
+    }
+
+    fn finish_live(
+        seat: &mut Seat<'_, Self>,
+        mut at: Position,
+        (next, rng, absorbed): (u32, &mut StdRng, u32),
+    ) -> SingleRun<()> {
+        let (program, state) = (seat.program, &mut seat.ctx.state);
+        let (mut clbits, sites) = (
+            vec![false; program.num_clbits],
+            program.survival.len() as u32,
+        );
+        let mut decisions = Sampled::new(rng, (&program.survival, seat.absorbing), next, sites);
+        walk(program, state, &mut at, &mut decisions, &mut clbits);
+        let absorbed = (absorbed + decisions.absorbed) as usize;
+        let outcome = match program.measured_any {
+            true => pack_clbits(&clbits),
+            false => state.sample_measurement(rng),
+        };
+        let run = Self::prefix_run(seat, &mut at);
+        SingleRun {
+            outcome,
+            clbits,
+            error_events: at.error_events + absorbed,
+            absorbed,
+            ..run
+        }
+    }
+
+    fn prefix_run(seat: &mut Seat<'_, Self>, at: &mut Position) -> SingleRun<()> {
+        SingleRun {
+            // Each member samples its own outcome from the shared state.
+            outcome: 0,
+            clbits: vec![false; seat.program.num_clbits],
+            error_events: at.error_events,
+            absorbed: 0,
+            dd_nodes: 0,
+            dd_nodes_peak: 0,
+            state: (),
+        }
+    }
+
+    fn survival(program: &DenseProgram) -> &Survival {
+        &program.survival
+    }
 
     fn sample_outcomes(
         &self,
@@ -499,97 +609,13 @@ impl StochasticBackend for DenseSimulator {
     }
 }
 
-impl DecisionPoints for DenseSimulator {
-    type Walk = Position;
-    type Point = Exposure;
-    type Checkpoint = ();
-
-    fn start(seat: &mut Seat<'_, Self>) -> Position {
-        seat.ctx.seat(seat.program);
-        Position::default()
-    }
-
-    fn point(seat: &mut Seat<'_, Self>, at: &mut Position) -> Option<(u32, Exposure)> {
-        let exposure = seat.program.exposure(&mut seat.ctx.state, at)?;
-        Some((exposure.site + 1, exposure))
-    }
-
-    fn draw<D: Decisions>(
-        seat: &mut Seat<'_, Self>,
-        _: &Position,
-        exposure: &mut Exposure,
-        decisions: &mut D,
-    ) -> Option<ErrorEvent> {
-        exposure.decide(seat.program, decisions)
-    }
-
-    fn fire(
-        seat: &mut Seat<'_, Self>,
-        mut at: Position,
-        exposure: &Exposure,
-        event: ErrorEvent,
-    ) -> Position {
-        exposure.apply(seat.program, &mut seat.ctx.state, &mut at, Some(event));
-        at
-    }
-
-    fn pass(seat: &mut Seat<'_, Self>, at: &mut Position, exposure: Exposure) {
-        exposure.apply(seat.program, &mut seat.ctx.state, at, None);
-    }
-
-    fn checkpoint(ctx: &mut DenseContext) {
-        ctx.checkpoint();
-    }
-
-    fn rollback(ctx: &mut DenseContext, _: ()) -> bool {
-        ctx.rollback();
-        true
-    }
-
-    fn finish_live(
-        seat: &mut Seat<'_, Self>,
-        mut at: Position,
-        (next, rng, absorbed): (u32, &mut StdRng, u32),
-    ) -> SingleRun<()> {
-        let (program, state) = (seat.program, &mut seat.ctx.state);
-        let (mut clbits, sites) = (
-            vec![false; program.num_clbits],
-            program.survival.len() as u32,
-        );
-        let mut decisions = Sampled::new(rng, (&program.survival, seat.absorbing), next, sites);
-        walk(program, state, &mut at, &mut decisions, &mut clbits);
-        let absorbed = (absorbed + decisions.absorbed) as usize;
-        let outcome = match program.measured_any {
-            true => pack_clbits(&clbits),
-            false => state.sample_measurement(rng),
-        };
-        let run = Self::prefix_run(seat, &mut at);
-        SingleRun {
-            outcome,
-            clbits,
-            error_events: at.error_events + absorbed,
-            absorbed,
-            ..run
-        }
-    }
-
-    fn prefix_run(seat: &mut Seat<'_, Self>, at: &mut Position) -> SingleRun<()> {
-        SingleRun {
-            // Each member samples its own outcome from the shared state.
-            outcome: 0,
-            clbits: vec![false; seat.program.num_clbits],
-            error_events: at.error_events,
-            absorbed: 0,
-            dd_nodes: 0,
-            dd_nodes_peak: 0,
-            state: (),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::Deadline;
+    use crate::dedup::Evolutions;
+    use crate::shot_engine::ShotSample;
+    use crate::stochastic::shot_rng;
     use proptest::prelude::*;
     use qsdd_circuit::generators::ghz;
     use rand::{Rng, SeedableRng};
@@ -717,6 +743,78 @@ mod tests {
         }
     }
 
+    #[test]
+    fn checkpoints_past_the_byte_budget_are_refused() {
+        // A 21-qubit state is 32 MiB: two copies fill the budget.
+        let program = DenseSimulator::new().compile(&Circuit::new(21), &NoiseModel::noiseless());
+        let mut ctx = DenseContext::new();
+        ctx.seat(&program);
+        let levels = CHECKPOINT_BYTES / std::mem::size_of_val(ctx.state.amplitudes());
+        assert_eq!(levels, 2);
+        let outer = ctx.checkpoint();
+        ctx.state.apply_single(0, &Matrix2::hadamard());
+        let inner = ctx.checkpoint();
+        ctx.state.apply_single(1, &Matrix2::hadamard());
+        let after = bits(&ctx.state);
+        assert!(outer.is_some() && inner.is_some(), "two copies fit");
+        assert_eq!(ctx.checkpoint(), None, "a third copy passes the budget");
+        assert!(!ctx.rollback(None), "a refused checkpoint cannot roll back");
+        assert_eq!(bits(&ctx.state), after);
+        assert!(ctx.rollback(inner) && ctx.rollback(outer));
+        assert_eq!(bits(&ctx.state), bits(&StateVector::new(21)));
+        assert_eq!(ctx.saved.len(), levels, "no copy beyond the budget is kept");
+    }
+
+    /// Runs `shots` shots of `program` as deduplicated work items in `ctx`.
+    fn run_buckets(program: &DenseProgram, ctx: &mut DenseContext, shots: u64) -> Vec<ShotSample> {
+        let support = DenseSimulator
+            .dedup_support(program)
+            .expect("a unitary program");
+        let (work, ..) = crate::dedup::plan_range(&support.plan, 0..shots, SEED, &[]);
+        let (deadline, mut samples) = (Deadline::unbounded(), vec![None; shots as usize]);
+        let mut sink = |shot, sample, _: &[f64]| samples[shot as usize] = Some(sample);
+        let mut out = Evolutions::new(&support, &[], SEED, &deadline, &mut sink);
+        for item in work {
+            crate::dedup::run_work(&DenseSimulator, program, ctx, item, &mut out).unwrap();
+        }
+        samples.into_iter().map(Option::unwrap).collect()
+    }
+
+    const SEED: u64 = 2021;
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "bucket trees on a 22-qubit register: run with --release"
+    )]
+    fn wide_bucket_trees_keep_their_copies_within_the_budget() {
+        // A GHZ-4 preparation under hundredfold noise on `width` qubits: the
+        // idle qubits change no decision, so every width walks one tree.
+        let program = |width| {
+            let mut circuit = Circuit::new(width);
+            circuit.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
+            DenseSimulator.compile(&circuit, &NoiseModel::new(0.1, 0.2, 0.1))
+        };
+        const SHOTS: u64 = 60;
+        let mut narrow = DenseContext::new();
+        run_buckets(&program(6), &mut narrow, SHOTS);
+        // At 22 qubits the budget holds one copy; the tree forks deeper.
+        let wide = program(22);
+        let mut ctx = DenseContext::new();
+        let samples = run_buckets(&wide, &mut ctx, SHOTS);
+        let levels = CHECKPOINT_BYTES / std::mem::size_of_val(ctx.state.amplitudes());
+        assert!(narrow.saved.len() > levels, "{} levels", narrow.saved.len());
+        assert_eq!(ctx.saved.len(), levels, "the copies filled the budget");
+        drop(ctx);
+        // The refused forks ran their shots live: still every shot's bits.
+        let mut alone = DenseContext::new();
+        for (shot, sample) in samples.into_iter().enumerate() {
+            let rng = &mut shot_rng(SEED, shot as u64);
+            let run = DenseSimulator.run_shot(&wide, &mut alone, rng, &[]);
+            assert_eq!(sample, ShotSample::of(&run), "shot {shot}");
+        }
+    }
+
     /// The bits of every amplitude.
     fn bits(state: &StateVector) -> Vec<(u64, u64)> {
         let amplitudes = state.amplitudes().iter();
@@ -744,8 +842,9 @@ mod tests {
                 let (qubit, other) = (arg % 5, (arg % 5 + 1 + arg / 5 % 4) % 5);
                 match kind {
                     0 | 1 if open.len() < 4 => {
-                        ctx.checkpoint();
-                        open.push(twin.clone());
+                        let checkpoint = ctx.checkpoint();
+                        prop_assert!(checkpoint.is_some());
+                        open.push((checkpoint, twin.clone()));
                     }
                     0 | 1 => {}
                     2 | 3 => {
@@ -767,11 +866,14 @@ mod tests {
                     5 => {
                         // A new shot closes every checkpoint.
                         ctx.seat(&program);
-                        (twin, open) = (StateVector::new(5), Vec::new());
+                        twin = StateVector::new(5);
+                        for (checkpoint, _) in open.drain(..).rev() {
+                            prop_assert!(!ctx.rollback(checkpoint));
+                        }
                     }
                     _ => {
-                        let Some(saved) = open.pop() else { continue };
-                        ctx.rollback();
+                        let Some((checkpoint, saved)) = open.pop() else { continue };
+                        prop_assert!(ctx.rollback(checkpoint));
                         twin = saved;
                         prop_assert_eq!(bits(&ctx.state), bits(&twin));
                     }

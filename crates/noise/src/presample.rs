@@ -281,11 +281,6 @@ impl PresamplePlan {
         self.sites.len()
     }
 
-    /// The candidate process of the plan's sites.
-    pub fn survival(&self) -> &Survival {
-        &self.survival
-    }
-
     /// Resolves one shot's error decisions against the plan, from a fresh
     /// generator, absorbing Z errors at the `absorbing` sites.
     ///

@@ -28,8 +28,8 @@ pub const MAX_SHOTS: usize = 1_000_000;
 /// Qubit cap on the decision-diagram back-end (outcomes are `u64` basis
 /// indices).
 pub const MAX_DD_QUBITS: usize = 63;
-/// Qubit cap on the dense statevector back-end (the amplitude buffer is
-/// `2^n` complex numbers; 24 qubits is already a 256 MiB state).
+/// Qubit cap on the dense statevector back-end: a 24-qubit state is 256 MiB
+/// per worker, plus up to [`qsdd_core::dense_backend::CHECKPOINT_BYTES`] of fork copies.
 pub const MAX_DENSE_QUBITS: usize = 24;
 /// Enumeration-budget cap on weighted jobs: each enumerated pattern is one
 /// full trajectory simulation, so the cap bounds a weighted request's CPU

@@ -6,6 +6,7 @@
 //! for noiseless reference runs and for tests.
 
 use qsdd_circuit::{Circuit, Operation};
+use rand::Rng;
 
 use crate::state::StateVector;
 
@@ -21,6 +22,26 @@ pub fn run_noiseless(circuit: &Circuit) -> StateVector {
         apply_unitary_operation(&mut state, op);
     }
     state
+}
+
+/// Runs the full circuit including measurements and resets, using `rng` for
+/// the measurement outcomes. Returns the final state and the classical bits.
+pub fn run_with_measurements<R: Rng + ?Sized>(
+    circuit: &Circuit,
+    rng: &mut R,
+) -> (StateVector, Vec<bool>) {
+    let mut state = StateVector::new(circuit.num_qubits());
+    let mut clbits = vec![false; circuit.num_clbits()];
+    for op in circuit {
+        match op {
+            Operation::Measure { qubit, clbit } => {
+                clbits[*clbit] = state.measure_qubit(*qubit, rng);
+            }
+            Operation::Reset { qubit } => state.reset_qubit(*qubit, rng),
+            other => apply_unitary_operation(&mut state, other),
+        }
+    }
+    (state, clbits)
 }
 
 /// Applies one unitary circuit operation to a dense state. Measurements,
@@ -46,6 +67,8 @@ pub fn apply_unitary_operation(state: &mut StateVector, op: &Operation) {
 mod tests {
     use super::*;
     use qsdd_circuit::generators::{ghz, qft};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn ghz_state_has_two_equal_peaks() {
@@ -60,6 +83,15 @@ mod tests {
         for i in 0..16u64 {
             assert!((state.probability_of_index(i) - 1.0 / 16.0).abs() < 1e-10);
         }
+    }
+
+    #[test]
+    fn measurements_populate_classical_bits() {
+        let mut circuit = Circuit::new(2);
+        circuit.x(0).measure_all();
+        let mut rng = StdRng::seed_from_u64(0);
+        let (_, clbits) = run_with_measurements(&circuit, &mut rng);
+        assert_eq!(clbits, vec![true, false]);
     }
 
     #[test]

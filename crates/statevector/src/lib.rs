@@ -30,5 +30,5 @@
 mod executor;
 mod state;
 
-pub use executor::{apply_unitary_operation, run_noiseless};
+pub use executor::{apply_unitary_operation, run_noiseless, run_with_measurements};
 pub use state::{sample_cumulative, StateVector};
