@@ -88,8 +88,8 @@ use crate::estimator::Observable;
 use crate::fxhash::FxHashMap;
 use crate::shot_engine::{ShotEngine, ShotSample};
 use crate::stochastic::{
-    merge_partials, shot_rng, trace_dd_attrs, trace_dd_stats, ExecPlan, StochasticOutcome,
-    WorkerPartial,
+    merge_partials, shot_rng, trace_dd_attrs, trace_dd_stats, trace_dd_totals, ExecPlan,
+    StochasticOutcome, WorkerPartial,
 };
 
 /// How a compiled program supports trajectory deduplication.
@@ -808,7 +808,7 @@ pub(crate) fn run_dedup<B: DecisionPoints>(
             trace::attr("absorbed", out.absorbed);
             // Every evolution but the work items' own is a child bucket.
             trace::attr("forks", stats.unique_trajectories - items as u64);
-            trace_dd_attrs(dd_before, || backend.table_stats(ctx));
+            trace_dd_totals(dd_before, || backend.table_stats(ctx));
         };
     let execute_started = Instant::now();
     match inline {

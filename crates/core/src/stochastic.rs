@@ -415,7 +415,7 @@ fn run_per_shot(
             trace::attr("shots", shots);
             let dd_before = trace_dd_stats(|| ctx.dd_table_stats());
             partials[0] = Some(run_lane(0, ctx)?);
-            trace_dd_attrs(dd_before, || ctx.dd_table_stats());
+            trace_dd_totals(dd_before, || ctx.dd_table_stats());
         }
         None => {
             let trace_handle = trace::propagate();
@@ -469,20 +469,38 @@ pub(crate) fn trace_dd_attrs(
     stats: impl FnOnce() -> qsdd_dd::TableStats,
 ) {
     if let Some(before) = before {
-        let delta = stats().since(&before);
-        trace::attr("dd_compute_hits", delta.compute_hits);
-        trace::attr("dd_compute_misses", delta.compute_misses);
-        trace::attr(
-            "dd_unique_hits",
-            delta.vec_unique_hits + delta.mat_unique_hits,
-        );
-        trace::attr(
-            "dd_unique_misses",
-            delta.vec_unique_misses + delta.mat_unique_misses,
-        );
-        trace::attr("dd_count_nodes", delta.count_nodes);
-        trace::attr("dd_threshold_walks", delta.threshold_walks);
+        table_attrs(&stats().since(&before));
     }
+}
+
+/// [`trace_dd_attrs`] plus the complex-table counts, for the spans that
+/// total a worker's or a loop's work: a trajectory group's span carries the
+/// table hits alone, which keeps the attributes per group few.
+pub(crate) fn trace_dd_totals(
+    before: Option<qsdd_dd::TableStats>,
+    stats: impl FnOnce() -> qsdd_dd::TableStats,
+) {
+    if let Some(before) = before {
+        let delta = stats().since(&before);
+        table_attrs(&delta);
+        trace::attr("dd_complex_lookups", delta.complex_lookups);
+        trace::attr("dd_complex_inserts", delta.complex_inserts);
+    }
+}
+
+fn table_attrs(delta: &qsdd_dd::TableStats) {
+    trace::attr("dd_compute_hits", delta.compute_hits);
+    trace::attr("dd_compute_misses", delta.compute_misses);
+    trace::attr(
+        "dd_unique_hits",
+        delta.vec_unique_hits + delta.mat_unique_hits,
+    );
+    trace::attr(
+        "dd_unique_misses",
+        delta.vec_unique_misses + delta.mat_unique_misses,
+    );
+    trace::attr("dd_count_nodes", delta.count_nodes);
+    trace::attr("dd_threshold_walks", delta.threshold_walks);
 }
 
 /// Publishes a finished job's stage timings and decision-diagram table
@@ -495,7 +513,7 @@ pub(crate) fn publish_job_metrics(outcome: &StochasticOutcome, dd_delta: qsdd_dd
     }
     outcome.stage_timings.publish();
     let registry = qsdd_telemetry::global();
-    let counters: [(&str, &str, u64); 8] = [
+    let counters: [(&str, &str, u64); 10] = [
         (
             "qsdd_dd_vec_unique_hits_total",
             "Vector unique-table lookups that found an existing node",
@@ -525,6 +543,16 @@ pub(crate) fn publish_job_metrics(outcome: &StochasticOutcome, dd_delta: qsdd_dd
             "qsdd_dd_compute_misses_total",
             "Compute-table lookups that missed and computed",
             dd_delta.compute_misses,
+        ),
+        (
+            "qsdd_dd_complex_lookups_total",
+            "Complex-table tolerance-ball searches (values not near 0 or 1)",
+            dd_delta.complex_lookups,
+        ),
+        (
+            "qsdd_dd_complex_inserts_total",
+            "Complex values interned",
+            dd_delta.complex_inserts,
         ),
         (
             "qsdd_jobs_shots_total",

@@ -51,7 +51,7 @@ use qsdd_telemetry::Stage;
 use crate::deadline::TimedOut;
 use crate::fxhash::FxHashMap;
 use crate::shot_engine::{ExecContext, ShotEngine};
-use crate::stochastic::{shot_rng, trace_dd_attrs, trace_dd_stats, ExecPlan, StochasticOutcome};
+use crate::stochastic::{shot_rng, trace_dd_stats, trace_dd_totals, ExecPlan, StochasticOutcome};
 
 /// Largest circuit (in qubits) the weighted driver accepts: beyond this the
 /// exact histogram can outgrow memory, so the engine falls back to sampling.
@@ -203,7 +203,7 @@ pub(crate) fn run_weighted(
         nodes_sum += sample.dd_nodes;
         nodes_peak = nodes_peak.max(sample.dd_nodes_peak);
     }
-    trace_dd_attrs(patterns_dd_before, || ctx.dd_table_stats());
+    trace_dd_totals(patterns_dd_before, || ctx.dd_table_stats());
     drop(patterns_span);
     let simulated = patterns.len() as u64;
 

@@ -4,7 +4,7 @@
 //! weights are represented by the *same* handle, so that node hashing and
 //! unique-table lookups work on exact integer identifiers rather than on
 //! floating point values. The [`ComplexTable`] interns every complex value
-//! that appears as an edge weight and hands out stable [`ComplexId`]s.
+//! that a node keeps as an edge weight and hands out stable [`ComplexId`]s.
 //! Values that differ by less than the table tolerance map to the same id,
 //! which absorbs floating point round-off accumulated during decision diagram
 //! operations (the approach of the JKU DD package, cf. Zulehner et al.,
@@ -29,6 +29,14 @@
 //!
 //! Values within tolerance of the exact constants `0` and `1` snap to those
 //! constants so the `is_zero`/`is_one` fast paths stay reliable.
+//!
+//! Only what a node keeps is interned — its child weights, the addition
+//! cache's ratio key and every weight a public package call returns — so
+//! first-comers are kept weights. The products and sums the vector kernels
+//! compute on the way down are **scratch values**: pushed onto a plain
+//! array after the 0/1 snap and named by tagged ids. Multiply and add cache
+//! entries may refer to them, so the package truncates the array with those
+//! caches. Scratch ids never leave the crate.
 
 use crate::complex::Complex;
 use crate::fxhash::FxHashMap;
@@ -63,10 +71,36 @@ impl ComplexId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The position of a scratch value, `None` for an interned one.
+    #[inline]
+    pub(crate) fn scratch_index(self) -> Option<usize> {
+        (self.0 & SCRATCH != 0).then_some((self.0 ^ SCRATCH) as usize)
+    }
+}
+
+/// Tag bit of the ids of scratch values (see the module docs).
+const SCRATCH: u32 = 1 << 31;
+
+/// `x.round() as i64` by integer conversion: baseline x86-64 has no
+/// rounding instruction, so `f64::round` is a libm call. Below 2^52 the
+/// remainder after truncation is exact, so a half-step test on it rounds
+/// halves away from zero as `round` does; from 2^52 on `x` is an integer.
+#[inline]
+fn round_to_i64(x: f64) -> i64 {
+    if x.abs() >= 4_503_599_627_370_496.0 {
+        return x.round() as i64;
+    }
+    let whole = x as i64;
+    let rest = x - whole as f64;
+    whole + i64::from(rest >= 0.5) - i64::from(rest <= -0.5)
 }
 
 /// Default tolerance under which two complex values are considered equal.
 pub const DEFAULT_TOLERANCE: f64 = 1e-10;
+
+/// How a result is kept: [`ComplexTable::lookup`] or as a scratch value.
+type Keep = fn(&mut ComplexTable, Complex) -> ComplexId;
 
 /// End-of-chain marker of [`ComplexTable::next`].
 const NO_NEXT: u32 = u32::MAX;
@@ -99,9 +133,15 @@ pub struct ComplexTable {
     /// difference between the largest table of the package being 5.2 MiB
     /// or 3.2 MiB.
     next: Vec<u32>,
+    /// Scratch values, by the untagged index of their ids.
+    pub(crate) scratch: Vec<Complex>,
+    /// One past the highest scratch value a cache entry may refer to.
+    pinned: usize,
     tolerance: f64,
-    lookups: u64,
-    hits: u64,
+    /// Lookups, their tolerance-ball searches and the values they interned,
+    /// over this table's life: `clone_from` keeps them, as the package's
+    /// table counters do.
+    pub(crate) traffic: [u64; 3],
 }
 
 impl Clone for ComplexTable {
@@ -110,9 +150,10 @@ impl Clone for ComplexTable {
             values: self.values.clone(),
             buckets: self.buckets.clone(),
             next: self.next.clone(),
+            scratch: self.scratch.clone(),
+            pinned: self.pinned,
             tolerance: self.tolerance,
-            lookups: self.lookups,
-            hits: self.hits,
+            traffic: self.traffic,
         }
     }
 
@@ -122,9 +163,9 @@ impl Clone for ComplexTable {
         self.values.clone_from(&source.values);
         self.buckets.clone_from(&source.buckets);
         self.next.clone_from(&source.next);
+        self.scratch.clone_from(&source.scratch);
+        self.pinned = source.pinned;
         self.tolerance = source.tolerance;
-        self.lookups = source.lookups;
-        self.hits = source.hits;
     }
 }
 
@@ -145,9 +186,10 @@ impl ComplexTable {
             values: Vec::new(),
             buckets: FxHashMap::default(),
             next: Vec::new(),
+            scratch: Vec::new(),
+            pinned: 0,
             tolerance,
-            lookups: 0,
-            hits: 0,
+            traffic: [0; 3],
         };
         // Insert 0 and 1 at the fixed positions expected by ComplexId.
         let zero = table.insert(Complex::ZERO);
@@ -181,7 +223,10 @@ impl ComplexTable {
     /// Panics if the id does not come from this table.
     #[inline]
     pub fn value(&self, id: ComplexId) -> Complex {
-        self.values[id.0 as usize]
+        match id.scratch_index() {
+            None => self.values[id.0 as usize],
+            Some(index) => self.scratch[index],
+        }
     }
 
     /// Position of one component in units of bucket cells.
@@ -196,7 +241,7 @@ impl ComplexTable {
     /// Bucket-cell coordinates of `value`.
     #[inline]
     fn key(&self, value: Complex) -> (i64, i64) {
-        let cell = |x: f64| self.cell_position(x).round() as i64;
+        let cell = |x: f64| round_to_i64(self.cell_position(x));
         (cell(value.re), cell(value.im))
     }
 
@@ -207,10 +252,10 @@ impl ComplexTable {
     #[inline]
     fn cells(&self, x: f64) -> std::ops::RangeInclusive<i64> {
         let at = self.cell_position(x);
-        let home = at.round();
+        let home = round_to_i64(at);
+        let off = at - home as f64;
         let reach = 0.25 + 4.0 * f64::EPSILON * (at.abs() + 1.0);
-        let (below, above) = (at - home < reach - 0.5, at - home > 0.5 - reach);
-        let home = home as i64;
+        let (below, above) = (off < reach - 0.5, off > 0.5 - reach);
         home - i64::from(below)..=home + i64::from(above)
     }
 
@@ -241,7 +286,7 @@ impl ComplexTable {
     fn insert(&mut self, value: Complex) -> ComplexId {
         let idx = u32::try_from(self.values.len())
             .ok()
-            .filter(|&idx| idx != NO_NEXT)
+            .filter(|&idx| idx < SCRATCH)
             .expect("complex table exhausted its id space");
         self.values.push(value);
         self.next.push(NO_NEXT);
@@ -263,26 +308,63 @@ impl ComplexTable {
     /// Panics if `value` contains NaN components.
     pub fn lookup(&mut self, value: Complex) -> ComplexId {
         assert!(!value.is_nan(), "cannot intern NaN complex value");
-        self.lookups += 1;
-        // Values within tolerance of the canonical 0/1 snap to them so that
-        // the fast-path identities (is_zero / is_one) stay reliable.
-        if value.approx_eq(Complex::ZERO, self.tolerance) {
-            self.hits += 1;
-            return ComplexId::ZERO;
+        self.traffic[0] += 1;
+        if let Some(snapped) = self.snap(value) {
+            return snapped;
         }
-        if value.approx_eq(Complex::ONE, self.tolerance) {
-            self.hits += 1;
-            return ComplexId::ONE;
-        }
+        self.traffic[1] += 1;
         if let Some(found) = self.find(value) {
-            self.hits += 1;
             return found;
         }
+        self.traffic[2] += 1;
         self.insert(value)
+    }
+
+    /// The canonical 0 or 1 when `value` lies within tolerance of it.
+    #[inline]
+    fn snap(&self, value: Complex) -> Option<ComplexId> {
+        let near = |c: Complex| value.approx_eq(c, self.tolerance);
+        (near(Complex::ZERO).then_some(ComplexId::ZERO))
+            .or_else(|| near(Complex::ONE).then_some(ComplexId::ONE))
+    }
+
+    /// Keeps `value` as a scratch value: the 0/1 snap, then a push.
+    fn push_scratch(&mut self, value: Complex) -> ComplexId {
+        if let Some(snapped) = self.snap(value) {
+            return snapped;
+        }
+        let index = u32::try_from(self.scratch.len())
+            .ok()
+            .filter(|&index| index < SCRATCH)
+            .expect("scratch values exhausted their id space");
+        self.scratch.push(value);
+        ComplexId(index | SCRATCH)
+    }
+
+    /// The id a lookup of `id`'s value returns: `id` itself unless it names
+    /// a scratch value.
+    pub(crate) fn canonical(&mut self, id: ComplexId) -> ComplexId {
+        (id.scratch_index()).map_or(id, |index| self.lookup(self.scratch[index]))
+    }
+
+    /// Whether a lookup of `id`'s value returns `id`, without looking.
+    pub(crate) fn is_canonical(&self, id: ComplexId) -> bool {
+        let v = self.value(id);
+        id.scratch_index().is_none() && self.snap(v).or_else(|| self.find(v)) == Some(id)
     }
 
     /// Looks up the product of two interned values.
     pub fn mul(&mut self, a: ComplexId, b: ComplexId) -> ComplexId {
+        self.product(a, b, Self::lookup)
+    }
+
+    /// The product of two values, as a scratch value.
+    pub(crate) fn mul_scratch(&mut self, a: ComplexId, b: ComplexId) -> ComplexId {
+        self.product(a, b, Self::push_scratch)
+    }
+
+    #[inline]
+    fn product(&mut self, a: ComplexId, b: ComplexId, keep: Keep) -> ComplexId {
         if a.is_zero() || b.is_zero() {
             return ComplexId::ZERO;
         }
@@ -293,11 +375,21 @@ impl ComplexTable {
             return a;
         }
         let v = self.value(a) * self.value(b);
-        self.lookup(v)
+        keep(self, v)
     }
 
     /// Looks up the sum of two interned values.
     pub fn add(&mut self, a: ComplexId, b: ComplexId) -> ComplexId {
+        self.sum(a, b, Self::lookup)
+    }
+
+    /// The sum of two values, as a scratch value.
+    pub(crate) fn add_scratch(&mut self, a: ComplexId, b: ComplexId) -> ComplexId {
+        self.sum(a, b, Self::push_scratch)
+    }
+
+    #[inline]
+    fn sum(&mut self, a: ComplexId, b: ComplexId, keep: Keep) -> ComplexId {
         if a.is_zero() {
             return b;
         }
@@ -305,19 +397,10 @@ impl ComplexTable {
             return a;
         }
         let v = self.value(a) + self.value(b);
-        self.lookup(v)
+        keep(self, v)
     }
 
-    /// Looks up the difference of two interned values.
-    pub fn sub(&mut self, a: ComplexId, b: ComplexId) -> ComplexId {
-        if b.is_zero() {
-            return a;
-        }
-        let v = self.value(a) - self.value(b);
-        self.lookup(v)
-    }
-
-    /// Looks up the quotient of two interned values.
+    /// Looks up the quotient of two values (`a` may be a scratch value).
     ///
     /// # Panics
     ///
@@ -328,7 +411,7 @@ impl ComplexTable {
             return ComplexId::ZERO;
         }
         if b.is_one() {
-            return a;
+            return self.canonical(a);
         }
         if a == b {
             return ComplexId::ONE;
@@ -346,24 +429,32 @@ impl ComplexTable {
         self.lookup(v)
     }
 
-    /// Looks up the negation of an interned value.
-    pub fn neg(&mut self, a: ComplexId) -> ComplexId {
-        if a.is_zero() {
-            return a;
-        }
-        let v = -self.value(a);
-        self.lookup(v)
-    }
-
     /// Squared magnitude of an interned value.
     #[inline]
     pub fn norm_sqr(&self, a: ComplexId) -> f64 {
         self.value(a).norm_sqr()
     }
 
-    /// Lookup statistics `(lookups, hits)` since table creation.
+    /// Lookup statistics `(lookups, hits)` of this table.
     pub fn stats(&self) -> (u64, u64) {
-        (self.lookups, self.hits)
+        (self.traffic[0], self.traffic[0] - self.traffic[2])
+    }
+
+    /// Notes that a cache entry refers to `id`.
+    #[inline]
+    pub(crate) fn pin(&mut self, id: ComplexId) {
+        self.pinned = (self.pinned).max(id.scratch_index().map_or(0, |index| index + 1));
+    }
+
+    /// Forgets the scratch values from `len` on, which nothing refers to.
+    pub(crate) fn truncate_scratch(&mut self, len: usize) {
+        self.scratch.truncate(len);
+        self.pinned = self.pinned.min(len);
+    }
+
+    /// Forgets the scratch values no cache entry refers to.
+    pub(crate) fn release_scratch(&mut self) {
+        self.scratch.truncate(self.pinned);
     }
 
     /// Forgets every value interned after the first `len` entries, keeping
@@ -616,6 +707,30 @@ mod tests {
                 };
                 (stored, step(stored + reach.copysign(uniform), on_reach))
             })
+    }
+
+    /// Values to round: uniform ones at any scale, `k + 0.5` give or take
+    /// a few ulps (either sign), `±0`, and magnitudes from 2^52 up, past the
+    /// `i64` range.
+    fn rounding_input() -> impl Strategy<Value = f64> {
+        let halves = -(1i64 << 51)..(1i64 << 51);
+        (0..4u8, -1.0f64..1.0, halves, -3..=3i32, 0..64i32).prop_map(
+            |(kind, uniform, k, ulps, exponent)| match kind {
+                0 => uniform * 2f64.powi(exponent - 8),
+                1 => step(k as f64 + 0.5, ulps),
+                2 => 0.0f64.copysign(uniform),
+                _ => uniform * 2f64.powi(53 + exponent / 4),
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn integer_rounding_is_f64_round(x in rounding_input()) {
+            prop_assert_eq!(round_to_i64(x), x.round() as i64, "{:e}", x);
+        }
     }
 
     proptest! {

@@ -80,4 +80,13 @@ mod crate_tests {
         assert_send::<MatEdge>();
         assert_send::<Complex>();
     }
+
+    #[test]
+    fn edges_and_cached_results_stay_eight_bytes() {
+        // Scratch values are tagged ids, not inline weights: the multiply
+        // and add caches store `VecEdge`s.
+        assert_eq!(std::mem::size_of::<ComplexId>(), 4);
+        assert_eq!(std::mem::size_of::<VecEdge>(), 8);
+        assert_eq!(std::mem::size_of::<MatEdge>(), 8);
+    }
 }

@@ -7,6 +7,11 @@
 //! operand's weight does — `x + y = w_x * (N_x + (w_y / w_x) * N_y)` — so the
 //! vector addition cache is keyed on the two nodes and the weight *ratio*:
 //! operand pairs that differ only by a common factor share one entry.
+//!
+//! The vector kernels carry the products and sums they compute on the way
+//! down as scratch values (see [`crate::ComplexTable`]): only the child
+//! weights of the nodes they make, the addition ratio keys and the weight
+//! they return are interned.
 
 use crate::complex::Complex;
 use crate::layered::Age;
@@ -20,14 +25,25 @@ impl DdPackage {
     /// this package.
     pub fn mat_vec_mul(&mut self, m: MatEdge, v: VecEdge) -> VecEdge {
         self.maybe_trim_caches();
-        self.mat_vec_rec(m, v)
+        let product = self.mat_vec_rec(m, v);
+        self.interned(product)
+    }
+
+    /// `edge` with its weight interned, as a public operation returns it.
+    fn interned(&mut self, edge: VecEdge) -> VecEdge {
+        let weight = self.ctable.canonical(edge.weight);
+        debug_assert!(self.ctable.is_canonical(weight));
+        VecEdge {
+            node: edge.node,
+            weight,
+        }
     }
 
     fn mat_vec_rec(&mut self, m: MatEdge, v: VecEdge) -> VecEdge {
         if m.is_zero() || v.is_zero() {
             return VecEdge::zero();
         }
-        let weight = self.ctable.mul(m.weight, v.weight);
+        let weight = self.ctable.mul_scratch(m.weight, v.weight);
         // A scalar or identity operator only scales the vector: the levels a
         // gate does not touch are returned as they are instead of being
         // rebuilt node by node (rebuilding a canonical node finds itself in
@@ -50,7 +66,7 @@ impl DdPackage {
             };
             if let Some(&cached) = self.ct_mat_vec.get(&key, age) {
                 self.counters.compute_hits += 1;
-                let w = self.ctable.mul(weight, cached.weight);
+                let w = self.ctable.mul_scratch(weight, cached.weight);
                 return VecEdge {
                     node: cached.node,
                     weight: w,
@@ -72,18 +88,20 @@ impl DdPackage {
         let result = self.make_vec_node(mnode.var, children);
         if self.caching_enabled {
             self.counters.compute_misses += 1;
+            self.ctable.pin(result.weight);
             self.ct_mat_vec.live.insert(key, result);
         }
         VecEdge {
             node: result.node,
-            weight: self.ctable.mul(weight, result.weight),
+            weight: self.ctable.mul_scratch(weight, result.weight),
         }
     }
 
     /// Adds two vector diagrams element-wise.
     pub fn vec_add(&mut self, a: VecEdge, b: VecEdge) -> VecEdge {
         self.maybe_trim_caches();
-        self.vec_add_rec(a, b)
+        let sum = self.vec_add_rec(a, b);
+        self.interned(sum)
     }
 
     pub(crate) fn vec_add_rec(&mut self, a: VecEdge, b: VecEdge) -> VecEdge {
@@ -96,7 +114,7 @@ impl DdPackage {
         if a.node == b.node {
             // Same node (or both terminal): only the weights add. Exact
             // cancellation must give the canonical zero edge.
-            let weight = self.ctable.add(a.weight, b.weight);
+            let weight = self.ctable.add_scratch(a.weight, b.weight);
             return if weight.is_zero() {
                 VecEdge::zero()
             } else {
@@ -135,7 +153,7 @@ impl DdPackage {
                 self.counters.compute_hits += 1;
                 return VecEdge {
                     node: cached.node,
-                    weight: self.ctable.mul(x.weight, cached.weight),
+                    weight: self.ctable.mul_scratch(x.weight, cached.weight),
                 };
             }
         }
@@ -146,18 +164,19 @@ impl DdPackage {
         for (i, child) in children.iter_mut().enumerate() {
             let ey = VecEdge {
                 node: yn.edges[i].node,
-                weight: self.ctable.mul(ratio, yn.edges[i].weight),
+                weight: self.ctable.mul_scratch(ratio, yn.edges[i].weight),
             };
             *child = self.vec_add_rec(xn.edges[i], ey);
         }
         let result = self.make_vec_node(xn.var, children);
         if self.caching_enabled {
             self.counters.compute_misses += 1;
+            self.ctable.pin(result.weight);
             self.ct_vec_add.live.insert(key, result);
         }
         VecEdge {
             node: result.node,
-            weight: self.ctable.mul(x.weight, result.weight),
+            weight: self.ctable.mul_scratch(x.weight, result.weight),
         }
     }
 
@@ -288,6 +307,7 @@ mod tests {
     use super::*;
     use crate::complex::FRAC_1_SQRT_2;
     use crate::matrix2::Matrix2;
+    use crate::package::TableStats;
 
     fn bell_state(dd: &mut DdPackage) -> VecEdge {
         let s = dd.zero_state(2);
@@ -354,8 +374,17 @@ mod tests {
         assert_eq!(sum.node, bell.node);
         let expected = dd.complex_value(bell.weight) + Complex::new(0.25, -0.5);
         assert!(dd.complex_value(sum.weight).approx_eq(expected, 1e-12));
-        // No recursion: no node, no compute-table traffic.
-        assert_eq!((dd.stats().vec_nodes, dd.table_stats()), before);
+        // No recursion: no node, no compute-table traffic — only the one
+        // search that interns the returned weight.
+        let interned = TableStats {
+            complex_lookups: before.1.complex_lookups + 1,
+            complex_inserts: before.1.complex_inserts + 1,
+            ..before.1
+        };
+        assert_eq!(
+            (dd.stats().vec_nodes, dd.table_stats()),
+            (before.0, interned)
+        );
     }
 
     /// `alpha * |01> + beta * |10>` operands for the ratio-key tests.

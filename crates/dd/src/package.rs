@@ -64,6 +64,11 @@ pub struct TableStats {
     /// Excitation walks: calls of [`DdPackage::excitations`], through
     /// [`DdPackage::excited_norm_sqr`] and measurements too.
     pub threshold_walks: u64,
+    /// Complex-table tolerance-ball searches: lookups of values not within
+    /// tolerance of 0 or 1.
+    pub complex_lookups: u64,
+    /// Complex values interned: searches that found no value in tolerance.
+    pub complex_inserts: u64,
 }
 
 impl TableStats {
@@ -84,6 +89,8 @@ impl TableStats {
             compute_misses: self.compute_misses.saturating_sub(earlier.compute_misses),
             count_nodes: self.count_nodes.saturating_sub(earlier.count_nodes),
             threshold_walks: self.threshold_walks.saturating_sub(earlier.threshold_walks),
+            complex_lookups: self.complex_lookups.saturating_sub(earlier.complex_lookups),
+            complex_inserts: self.complex_inserts.saturating_sub(earlier.complex_inserts),
         }
     }
 
@@ -98,6 +105,8 @@ impl TableStats {
             compute_misses: self.compute_misses + other.compute_misses,
             count_nodes: self.count_nodes + other.count_nodes,
             threshold_walks: self.threshold_walks + other.threshold_walks,
+            complex_lookups: self.complex_lookups + other.complex_lookups,
+            complex_inserts: self.complex_inserts + other.complex_inserts,
         }
     }
 }
@@ -110,6 +119,7 @@ pub struct Checkpoint {
     depth: usize,
     vec_nodes: usize,
     complex_values: usize,
+    scratch_values: usize,
     epoch: u64,
 }
 
@@ -198,6 +208,8 @@ pub struct DdPackage {
     /// Complex values below this index belong to the persistent region
     /// (the canonical 0 and 1 always do).
     pub(crate) complex_watermark: usize,
+    /// Scratch values below this index belong to the persistent region.
+    pub(crate) scratch_watermark: usize,
     /// Scratch for the stamp-based reachable-node counter.
     pub(crate) visit_marks: Vec<u32>,
     pub(crate) visit_stamp: u32,
@@ -216,6 +228,7 @@ impl Clone for DdPackage {
         let mut copy = DdPackage::new();
         copy.clone_from(self);
         copy.counters = self.counters;
+        copy.ctable.traffic = self.ctable.traffic;
         copy
     }
 
@@ -244,6 +257,7 @@ impl Clone for DdPackage {
         self.vec_watermark = source.vec_watermark;
         self.mat_watermark = source.mat_watermark;
         self.complex_watermark = source.complex_watermark;
+        self.scratch_watermark = source.scratch_watermark;
         self.visit_marks.clear();
         self.visit_stamp = 0;
         self.visit_stack.clear();
@@ -282,6 +296,7 @@ impl DdPackage {
             vec_watermark: 0,
             mat_watermark: 0,
             complex_watermark,
+            scratch_watermark: 0,
             visit_marks: Vec::new(),
             visit_stamp: 0,
             visit_stack: Vec::new(),
@@ -376,12 +391,18 @@ impl DdPackage {
     /// Lifetime unique/compute-table hit and miss counters (see
     /// [`TableStats`]).
     pub fn table_stats(&self) -> TableStats {
-        self.counters
+        let [_, complex_lookups, complex_inserts] = self.ctable.traffic;
+        TableStats {
+            complex_lookups,
+            complex_inserts,
+            ..self.counters
+        }
     }
 
     /// Resets the table hit/miss counters to zero.
     pub fn reset_table_stats(&mut self) {
         self.counters = TableStats::default();
+        self.ctable.traffic = [0; 3];
     }
 
     /// Clears all operation caches, every layer (not the unique tables).
@@ -395,15 +416,21 @@ impl DdPackage {
         self.epoch += 1;
     }
 
-    /// Bounds every memoisation table individually: only a table whose
-    /// layers since the mark together grew beyond the limit loses them, so
-    /// a runaway addition cache cannot wipe a perfectly sized
-    /// multiplication cache (and vice versa). A trim invalidates the open
-    /// checkpoints (see [`rollback`](Self::rollback)).
+    /// Bounds every memoisation table: one whose layers since the mark grew
+    /// beyond the limit loses them. The vector multiply and add caches, whose
+    /// results may be scratch values, go together and take the scratch
+    /// values since the mark with them. A trim invalidates the open
+    /// checkpoints (see [`rollback`](Self::rollback)). Then drops the scratch
+    /// values no cache entry refers to.
     pub(crate) fn maybe_trim_caches(&mut self) {
         let limit = self.cache_limit;
-        let mut trimmed = self.ct_mat_vec.trim(limit);
-        trimmed |= self.ct_vec_add.trim(limit);
+        let mut trimmed = self.ct_mat_vec.trim(limit) | self.ct_vec_add.trim(limit);
+        if trimmed {
+            self.ct_mat_vec.trim(0);
+            self.ct_vec_add.trim(0);
+            self.ctable.truncate_scratch(self.scratch_watermark);
+        }
+        self.ctable.release_scratch();
         if self.ct_mat_add.len() > limit {
             self.ct_mat_add.clear();
         }
@@ -441,6 +468,8 @@ impl DdPackage {
         self.vec_watermark = self.vec_nodes.len();
         self.mat_watermark = self.mat_nodes.len();
         self.complex_watermark = self.ctable.len();
+        self.ctable.release_scratch();
+        self.scratch_watermark = self.ctable.scratch.len();
         self.ct_mat_add = FxHashMap::default();
         let weights = self.complex_watermark as u32;
         let seal = Age(self.vec_watermark as u32, weights);
@@ -463,6 +492,7 @@ impl DdPackage {
     /// or copy taken, while a checkpoint is open.
     pub fn checkpoint(&mut self) -> Checkpoint {
         debug_assert_eq!(self.mat_nodes.len(), self.mat_watermark);
+        self.ctable.release_scratch();
         let (vec_nodes, complex_values) = (self.vec_nodes.len(), self.ctable.len());
         let seal = Age(vec_nodes as u32, complex_values as u32);
         self.vec_unique.seal(seal);
@@ -475,6 +505,7 @@ impl DdPackage {
             depth: self.ct_mat_vec.depth(),
             vec_nodes,
             complex_values,
+            scratch_values: self.ctable.scratch.len(),
             epoch: self.epoch,
         }
     }
@@ -484,9 +515,10 @@ impl DdPackage {
     /// lengths then and the newest layer of every table is dropped whole, at
     /// a cost that depends on the work since, not on what came before.
     ///
-    /// Exact or not at all: a result found in a cache skips interning the
-    /// intermediates a recomputation adds, so a package that kept or lost
-    /// one entry would intern differently from then on. After a trim (which
+    /// Exact or not at all: a result found in a cache skips the nodes a
+    /// recomputation makes and the child weights it interns for them, so a
+    /// package that kept or lost one entry would intern differently from
+    /// then on. After a trim (which
     /// empties the layers under the open checkpoints), a rewind or a copy,
     /// nothing is restored and `false` is returned; the caller starts over
     /// from the rewound template.
@@ -507,6 +539,7 @@ impl DdPackage {
         self.vec_norms.truncate(checkpoint.vec_nodes);
         self.vec_bounds.truncate(checkpoint.vec_nodes);
         self.ctable.truncate(checkpoint.complex_values);
+        self.ctable.truncate_scratch(checkpoint.scratch_values);
         self.vec_unique.unseal();
         self.ct_mat_vec.unseal();
         self.ct_vec_add.unseal();
@@ -527,7 +560,9 @@ impl DdPackage {
     }
 
     pub(crate) fn weight_kept(&self, id: ComplexId) -> bool {
-        id.index() < self.complex_watermark
+        (id.scratch_index()).map_or(id.index() < self.complex_watermark, |index| {
+            index < self.scratch_watermark
+        })
     }
 
     fn vec_edge_kept(&self, edge: &VecEdge) -> bool {
@@ -579,6 +614,7 @@ impl DdPackage {
             Arc::make_mut(&mut self.mat_identity).truncate(self.mat_watermark);
         }
         self.ctable.truncate(self.complex_watermark);
+        self.ctable.truncate_scratch(self.scratch_watermark);
         self.visit_marks.truncate(self.vec_watermark);
         self.vec_unique.rewind();
         self.mat_unique.rewind();
@@ -1537,6 +1573,37 @@ mod tests {
     }
 
     #[test]
+    fn scratch_values_stay_bounded_by_the_trims() {
+        // Thousands of gates on one package, never rewound, past a small
+        // cache limit: the scratch values go with the multiply and add
+        // cache entries that may refer to them, and a call leaves none
+        // behind that no entry refers to.
+        let n = 6;
+        let mut dd = DdPackage::new();
+        let mut gates = Vec::new();
+        for q in 0..n {
+            let u = Matrix2::u3(0.3 + q as f64, 0.7, 1.1 * q as f64);
+            gates.push(dd.single_qubit_op(n, q, u));
+            gates.push(dd.controlled_op(n, (q + 1) % n, &[q], u));
+        }
+        dd.set_cache_limit(64);
+        let mut state = dd.zero_state(n);
+        let (mut pushed, mut most) = (0, 0);
+        for _ in 0..100 {
+            for &gate in &gates {
+                let before = dd.ctable.scratch.len();
+                state = dd.mat_vec_mul(gate, state);
+                pushed += dd.ctable.scratch.len().saturating_sub(before);
+                most = most.max(dd.ctable.scratch.len());
+            }
+        }
+        // 408 at most; the gates pushed 64 548.
+        assert!(most <= 16 * 64, "{most} scratch values held");
+        assert!(pushed >= 20 * most, "only {pushed} scratch values pushed");
+        assert!((dd.norm_sqr(state) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn trim_clears_only_the_oversized_table() {
         let mut dd = DdPackage::new();
         // Grow the mat-vec cache while the add cache stays small: multiply
@@ -1556,7 +1623,9 @@ mod tests {
         dd.set_cache_limit(4);
         let add_entries = dd.stats().vec_add_cache;
         // The next cached operation triggers the trim: the oversized mat-vec
-        // table is cleared, the small add table survives.
+        // table is cleared. The add table, which shares its scratch values,
+        // goes with it (it holds no entry here); what the addition then
+        // computes is kept.
         let a = states[0];
         let b = states[1];
         let _ = dd.vec_add(a, b);

@@ -15,9 +15,10 @@
 //! evolutions of a GHZ-14 job under the paper's (damping) noise. It also
 //! holds the weighted driver to fewer trajectories than dedup evolves. A
 //! third holds whole benchmark-workload jobs (GHZ-64, QFT-16, measured
-//! BV-12) to what the frozen table layer and the kept operators leave to
-//! do: an evolution recomputes what its errors changed, not what compile
-//! already evaluated, builds each step's state once, and walks a state for
+//! BV-12, and the dense QAOA-8) to what the frozen table layer and the
+//! kept operators leave to do: an evolution recomputes what its errors
+//! changed, not what compile already evaluated, builds each step's state
+//! once, interns only the weights its nodes keep, and walks a state for
 //! a decay threshold or a node count only when a draw or the reported peak
 //! needs it; its trace holds spans per trajectory group, not per shot.
 //! There is
@@ -29,7 +30,7 @@ mod common;
 use std::collections::HashMap;
 
 use common::operation_diagram;
-use qsdd::circuit::generators::{bernstein_vazirani, ghz, qft};
+use qsdd::circuit::generators::{bernstein_vazirani, by_name, ghz, qft};
 use qsdd::circuit::Circuit;
 use qsdd::core::{
     execute, BackendKind, DedupStats, ExecMode, ExecPlan, OptLevel, Placement, ShotEngine,
@@ -259,6 +260,9 @@ struct JobWork {
     count_nodes: u64,
     /// Excitation walks: decay thresholds and measurement probabilities.
     threshold_walks: u64,
+    /// Complex-table tolerance-ball searches, and the values they interned.
+    complex_lookups: u64,
+    complex_inserts: u64,
     /// Waiting-time uniforms presampling drew.
     uniforms: u64,
     /// Spans of the job's trace, and the attributes they carry, outside
@@ -304,6 +308,8 @@ fn traced_job(engine: &ShotEngine, shots: usize, threads: usize) -> JobWork {
         forks: sum("forks"),
         count_nodes: sum("dd_count_nodes"),
         threshold_walks: sum("dd_threshold_walks"),
+        complex_lookups: sum("dd_complex_lookups"),
+        complex_inserts: sum("dd_complex_inserts"),
         uniforms: sum_over("presample", "uniforms"),
         spans: shared.len() as u64,
         attrs: shared.iter().map(|span| span.attrs.len() as u64).sum(),
@@ -378,6 +384,13 @@ fn evolutions_recompute_only_what_their_errors_changed() {
     // each worker lane adds one span and 12 attributes).
     assert!(ghz64.spans <= 300, "{ghz64:?}");
     assert!(ghz64.attrs <= 2_600, "{ghz64:?}");
+    // Only what a node keeps is interned; products and sums on the way
+    // down are scratch values (23 879 / 2 147 and 109 994 / 24 628
+    // searches / inserts when every intermediate was interned).
+    assert!(ghz64.complex_lookups <= 19_500, "{ghz64:?}");
+    assert!(ghz64.complex_inserts <= 2_500, "{ghz64:?}");
+    assert!(qft16.complex_lookups <= 74_000, "{qft16:?}");
+    assert!(qft16.complex_inserts <= 20_000, "{qft16:?}");
 }
 
 /// The no-error path continues through the measurements at compile time,
@@ -393,6 +406,41 @@ fn measured_bv12_shots_share_the_no_error_measurement_chain() {
     // ancilla's `x` exposure, still in a basis state (86 and 38 before).
     let shared = (bv12.stats.unique_trajectories, bv12.stats.live_shots);
     assert_eq!(shared, (84, 36));
+    // Intermediate products and sums are scratch values (160 638 searches
+    // and 35 405 inserts when they were interned).
+    assert!(bv12.complex_lookups <= 87_000, "{bv12:?}");
+    assert!(bv12.complex_inserts <= 11_200, "{bv12:?}");
+}
+
+/// The vector kernels carry their intermediate products and sums as scratch
+/// values and intern only what a node keeps, so a job's tolerance-ball
+/// searches track the nodes it makes, on a dense state too.
+#[test]
+fn dense_qaoa8_interns_only_what_its_nodes_keep() {
+    // Interning every intermediate searched 498 088 times and interned
+    // 410 860 values.
+    let qaoa8 = workload_job(&by_name("qaoa", 8).expect("a generator"), 200);
+    assert!(qaoa8.complex_lookups <= 240_000, "{qaoa8:?}");
+    assert!(qaoa8.complex_inserts <= 188_000, "{qaoa8:?}");
+}
+
+/// Measured BV keeps one node per qubit without damping: its peaks under
+/// the paper's noise come from the no-jump damping keep, which moves the
+/// ancilla off its X eigenstate (ROADMAP item 6(d)).
+#[test]
+fn measured_bv_without_damping_keeps_one_node_per_qubit() {
+    for n in [8, 16, 32] {
+        let engine = ShotEngine::new(
+            &bernstein_vazirani(n, 0x5555_5555_5555_5555),
+            BackendKind::DecisionDiagram,
+            NoiseModel::paper_defaults().with_amplitude_damping(0.0),
+            2021,
+            OptLevel::O0,
+        );
+        let plan = ExecPlan::new(ExecMode::Dedup, 500, &[]);
+        let outcome = execute(&engine, &plan, Placement::Threads(2)).unwrap();
+        assert_eq!(outcome.dd_nodes_peak, n as u64, "BV-{n}");
+    }
 }
 
 /// The paper's central quantity, in integers: a GHZ-n diagram never holds
