@@ -27,7 +27,7 @@
 //! | Key | Meaning | Default |
 //! |-----|---------|---------|
 //! | `circuit` | `generate <name> <qubits>` or `qasm <path>` | *required* |
-//! | `backend` | `dd` or `dense` | `dd` |
+//! | `backend` | `auto`, `dd` or `dense` | `auto` |
 //! | `shots` | shot cap for the job | `1000` |
 //! | `seed` | per-job master seed | `2021 + job index` |
 //! | `opt` | transpiler level `0`/`1`/`2` | `0` |
@@ -122,7 +122,7 @@ impl JobSpec {
         JobSpec {
             name: name.to_string(),
             source,
-            backend: BackendKind::DecisionDiagram,
+            backend: BackendKind::Auto,
             shots: DEFAULT_SHOTS,
             seed: 2021 + index as u64,
             opt: OptLevel::O0,

@@ -417,8 +417,10 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
         .map(|(spec, runtime)| match runtime {
             Ok(runtime) => {
                 let progress = runtime.progress.lock().expect("progress lock");
+                // The engine that ran, `auto` resolved.
+                let backend = runtime.engine.backend_kind().to_string();
                 if let Some(message) = progress.panicked.clone() {
-                    JobReport::failed(&spec.name, &spec.backend.to_string(), spec.shots, message)
+                    JobReport::failed(&spec.name, &backend, spec.shots, message)
                 } else if progress.timed_out {
                     // Deliberately drop the partial aggregates: a truncated
                     // histogram is indistinguishable from a converged one
@@ -426,7 +428,7 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
                     // the reason.
                     JobReport::failed(
                         &spec.name,
-                        &spec.backend.to_string(),
+                        &backend,
                         spec.shots,
                         format!(
                             "timed_out: exceeded the {} ms deadline",
@@ -436,7 +438,7 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
                 } else {
                     JobReport {
                         name: spec.name.clone(),
-                        backend: spec.backend.to_string(),
+                        backend,
                         status: JobStatus::Completed,
                         qubits: runtime.engine.num_qubits(),
                         shots_requested: spec.shots,
@@ -856,6 +858,7 @@ mod tests {
         );
         spec.shots = shots;
         spec.seed = seed;
+        spec.backend = BackendKind::DecisionDiagram;
         spec
     }
 

@@ -29,8 +29,10 @@ fn main() {
     }
     println!(
         "\nNote: like in the paper, circuits whose states stay structured (bv, adder,\n\
-         multiplier, sat) favour the decision-diagram simulator, while gate-dense\n\
-         circuits with unstructured states (vqe_uccsd, ising, basis_trotter) can\n\
-         favour the dense baseline."
+         multiplier, seca) favour the decision-diagram simulator, while circuits with\n\
+         unstructured states (vqe_uccsd, ising, basis_trotter, sat) favour the dense\n\
+         baseline. The `auto` column applies that as a rule: a job of n <= 16 qubits\n\
+         runs on amplitudes once a state of its no-error walk reaches 2^(n-3) nodes\n\
+         (1/8 of the state vector), and on decision diagrams otherwise."
     );
 }

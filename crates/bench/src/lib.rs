@@ -29,6 +29,9 @@ pub enum Engine {
     /// The decision-diagram simulator (the "Proposed" column), sharing
     /// equal trajectories ([`ExecMode::Dedup`]).
     DecisionDiagram,
+    /// Whichever of the two [`BackendKind::Auto`] resolves the job to,
+    /// sharing trajectories like the proposed column.
+    Auto,
 }
 
 impl Engine {
@@ -37,6 +40,7 @@ impl Engine {
         match self {
             Engine::Dense => "Dense baseline [s]",
             Engine::DecisionDiagram => "Proposed (DD) [s]",
+            Engine::Auto => "auto [s]",
         }
     }
 }
@@ -75,6 +79,19 @@ impl CellOutcome {
             _ => None,
         }
     }
+}
+
+/// What a completed cell's job did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CellWork {
+    /// The engine that ran the job (`auto` resolved).
+    pub engine: BackendKind,
+    /// Evolutions and shots run live (every shot on the per-shot path).
+    pub evolutions: u64,
+    /// Shots run live on their own.
+    pub live_shots: u64,
+    /// Peak decision-diagram node count (`0` on the statevector engine).
+    pub peak_nodes: u64,
 }
 
 /// Configuration of a table regeneration run.
@@ -143,8 +160,17 @@ fn read_env(name: &str) -> Option<usize> {
 /// trajectories (like the 1-hour limit in the paper, the clock includes
 /// compilation). A run that panics is reported as [`CellOutcome::Failed`].
 pub fn run_cell(engine: Engine, circuit: &Circuit, config: &HarnessConfig) -> CellOutcome {
+    measure_cell(engine, circuit, config).0
+}
+
+/// Measures one table cell like [`run_cell`], with what a completed job did.
+pub fn measure_cell(
+    engine: Engine,
+    circuit: &Circuit,
+    config: &HarnessConfig,
+) -> (CellOutcome, Option<CellWork>) {
     if engine == Engine::Dense && circuit.num_qubits() > config.dense_limit {
-        return CellOutcome::Skipped;
+        return (CellOutcome::Skipped, None);
     }
     let (backend, mode, threads) = match engine {
         Engine::Dense => (BackendKind::Statevector, ExecMode::PerShot, 1),
@@ -153,6 +179,7 @@ pub fn run_cell(engine: Engine, circuit: &Circuit, config: &HarnessConfig) -> Ce
             ExecMode::Dedup,
             config.threads,
         ),
+        Engine::Auto => (BackendKind::Auto, ExecMode::Dedup, config.threads),
     };
     let (started, deadline) = (Instant::now(), Deadline::within(config.budget));
     let run = std::panic::catch_unwind(|| {
@@ -160,19 +187,34 @@ pub fn run_cell(engine: Engine, circuit: &Circuit, config: &HarnessConfig) -> Ce
         let plan = ExecPlan::new(mode, config.shots, &[]).with_deadline(deadline);
         execute(&engine, &plan, Placement::Threads(threads))
     });
+    let seconds = started.elapsed().as_secs_f64();
     match run {
-        Ok(Ok(_)) => CellOutcome::Seconds(started.elapsed().as_secs_f64()),
-        Ok(Err(TimedOut)) => CellOutcome::TimedOut(config.budget.as_secs_f64()),
-        Err(_) => CellOutcome::Failed,
+        Ok(Ok(outcome)) => {
+            let shots = (outcome.shots as u64, outcome.shots as u64);
+            let (evolutions, live_shots) = (outcome.dedup)
+                .map_or(shots, |stats| (stats.unique_trajectories, stats.live_shots));
+            let work = CellWork {
+                engine: outcome.backend,
+                evolutions,
+                live_shots,
+                peak_nodes: outcome.dd_nodes_peak,
+            };
+            (CellOutcome::Seconds(seconds), Some(work))
+        }
+        Ok(Err(TimedOut)) => (CellOutcome::TimedOut(config.budget.as_secs_f64()), None),
+        Err(_) => (CellOutcome::Failed, None),
     }
 }
 
-/// Prints a table header with the standard columns.
+/// Prints a table header with the standard columns, the decision-diagram
+/// job's evolutions, live shots and peak nodes, and the `auto` cell.
 pub fn print_header(first_column: &str) {
     println!(
-        "{first_column:>16} {:>20} {:>20} {:>10}",
+        "{first_column:>16} {:>20} {:>20} {:>22} {:>16} {:>10}",
         Engine::Dense.label(),
         Engine::DecisionDiagram.label(),
+        "evolutions/live/peak",
+        Engine::Auto.label(),
         "speedup"
     );
 }
@@ -184,17 +226,27 @@ pub fn print_row(
     config: &HarnessConfig,
 ) -> (CellOutcome, CellOutcome) {
     let dense = run_cell(Engine::Dense, circuit, config);
-    let proposed = run_cell(Engine::DecisionDiagram, circuit, config);
+    let (proposed, work) = measure_cell(Engine::DecisionDiagram, circuit, config);
+    let (auto, auto_work) = measure_cell(Engine::Auto, circuit, config);
+    let work = work.map_or("-".to_string(), |work| {
+        format!(
+            "{}/{}/{}",
+            work.evolutions, work.live_shots, work.peak_nodes
+        )
+    });
+    let auto = match auto_work {
+        Some(work) => format!("{} {}", work.engine, auto.format()),
+        None => auto.format(),
+    };
     let speedup = match (dense.seconds(), proposed.seconds()) {
         (Some(a), Some(b)) if b > 0.0 => format!("{:.1}x", a / b),
         (None, Some(_)) => ">limit".to_string(),
         _ => "-".to_string(),
     };
     println!(
-        "{label:>16} {:>20} {:>20} {:>10}",
+        "{label:>16} {:>20} {:>20} {work:>22} {auto:>16} {speedup:>10}",
         dense.format(),
         proposed.format(),
-        speedup
     );
     (dense, proposed)
 }

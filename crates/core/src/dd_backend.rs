@@ -96,6 +96,27 @@ struct StepFF {
     nodes_after: u64,
 }
 
+/// Where a compile watching its no-error walk for
+/// [`BackendKind::Auto`](crate::BackendKind::Auto) abandoned the
+/// decision-diagram template: the first state of the walk that reached the
+/// watch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Handoff {
+    /// The program step (barriers compiled away, from 1) the state follows.
+    pub step: usize,
+    /// Node count of that state.
+    pub nodes: u64,
+}
+
+impl Handoff {
+    fn at(index: usize, nodes: u64) -> Handoff {
+        Handoff {
+            step: index + 1,
+            nodes,
+        }
+    }
+}
+
 /// Maximum number of vector nodes the template package may hold while the
 /// no-error trajectory is being recorded; past this budget the remaining
 /// steps are left to live execution. Bounds the persistent memory a
@@ -341,16 +362,21 @@ impl DdSimulator {
             num_qubits: program.num_qubits,
         }
     }
-}
 
-impl StochasticBackend for DdSimulator {
-    /// Root edge of the final state; the nodes live in the context's
-    /// package.
-    type State = VecEdge;
-    type Program = DdProgram;
-    type Context = DdContext;
-
-    fn compile(&self, circuit: &Circuit, noise: &NoiseModel) -> DdProgram {
+    /// Compiles `circuit` under `noise` like
+    /// [`compile`](StochasticBackend::compile), watching the size of every
+    /// state the no-error walk builds — the recorded trajectory's and its
+    /// unrecorded continuation's — when `watch` is set: the first that
+    /// reaches `watch` nodes abandons the template, and the step and the
+    /// node count are returned instead. The walk is the one every compile
+    /// takes, so a program the watch lets through is bit for bit the
+    /// unwatched one.
+    pub(crate) fn compile_watched(
+        &self,
+        circuit: &Circuit,
+        noise: &NoiseModel,
+        watch: Option<u64>,
+    ) -> Result<DdProgram, Handoff> {
         let n = circuit.num_qubits();
         let mut base = DdPackage::new();
         base.set_caching(self.caching);
@@ -491,6 +517,9 @@ impl StochasticBackend for DdSimulator {
             let mut recording = Recording(Vec::new());
             walk = walk.run(&program, &mut base, index + 1, &mut recording, &mut []);
             let nodes_after = base.vec_node_count(walk.state) as u64;
+            if watch.is_some_and(|watch| nodes_after >= watch) {
+                return Err(Handoff::at(index, nodes_after));
+            }
             trajectory.push(StepFF {
                 p_decay: recording.0,
                 after: walk.state,
@@ -528,10 +557,29 @@ impl StochasticBackend for DdSimulator {
                 break;
             }
             walk = walk.run(&program, &mut base, index + 1, &mut decisions, &mut clbits);
+            if let Some(watch) = watch {
+                let nodes = base.vec_node_count(walk.state) as u64;
+                if nodes >= watch {
+                    return Err(Handoff::at(index, nodes));
+                }
+            }
         }
         base.mark_persistent();
         program.base = base;
-        program
+        Ok(program)
+    }
+}
+
+impl StochasticBackend for DdSimulator {
+    /// Root edge of the final state; the nodes live in the context's
+    /// package.
+    type State = VecEdge;
+    type Program = DdProgram;
+    type Context = DdContext;
+
+    fn compile(&self, circuit: &Circuit, noise: &NoiseModel) -> DdProgram {
+        let unwatched = self.compile_watched(circuit, noise, None);
+        unwatched.expect("an unwatched compile hands nothing off")
     }
 
     fn new_context(&self) -> DdContext {

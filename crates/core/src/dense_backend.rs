@@ -54,8 +54,8 @@ enum DenseStep {
 }
 
 /// A compiled circuit + noise model pair for the dense back-end: the
-/// resolved step list, per-channel operator tables and — for unitary
-/// programs — the presampleable exposure sites.
+/// resolved step list, per-channel operator tables and the presampleable
+/// exposure sites of its unitary prefix.
 #[derive(Clone, Debug)]
 pub struct DenseProgram {
     id: u64,
@@ -66,11 +66,12 @@ pub struct DenseProgram {
     channels: Vec<ErrorChannel>,
     /// `unitaries[channel][i]`: the channel's `i`-th unitary error matrix.
     unitaries: Vec<Vec<Matrix2>>,
-    /// The program's noise-exposure sites in protocol order, damping sites
-    /// carrying the decay threshold recorded along the no-error path;
-    /// `None` when a measurement or reset consumes randomness mid-shot, so
-    /// the shots' error decisions cannot be presampled.
-    sites: Option<Vec<SiteChannel>>,
+    /// The deduplicable prefix: the steps before the first measurement or
+    /// reset, whose error decisions can be presampled.
+    prefix: usize,
+    /// The exposure sites before `prefix`, in protocol order, damping sites
+    /// carrying the decay threshold recorded along the no-error path.
+    sites: Vec<SiteChannel>,
     /// The candidate process of every exposure site ([`qsdd_noise::presample`]).
     survival: Survival,
     /// The sites that absorb a Z error (see `crate::frame`).
@@ -85,33 +86,22 @@ impl DenseProgram {
 
     /// Number of executable steps (barriers are compiled away).
     pub fn step_count(&self) -> usize {
-        let exposure = |step: &&DenseStep| matches!(step, DenseStep::Expose { .. });
-        self.steps.len() - self.steps.iter().filter(exposure).count()
+        operations(&self.steps)
     }
 
-    /// The exposure sites of a unitary program (see `sites`). With a
-    /// state-dependent channel in the noise model this walks the no-error
-    /// path once — one shot's cost, in a buffer freed on return — and
-    /// records the decay threshold every damping exposure meets there,
+    /// The exposure sites of the deduplicable prefix (see `sites`). With a
+    /// state-dependent channel in the noise model this walks the prefix's
+    /// no-error path once — one shot's cost, in a buffer freed on return —
+    /// and records the decay threshold every damping exposure meets there,
     /// through the same walker and kernels every shot runs.
-    fn record_sites(&self) -> Option<Vec<SiteChannel>> {
-        let random = |step: &_| matches!(step, DenseStep::Measure { .. } | DenseStep::Reset { .. });
-        if self.steps.iter().any(random) {
-            return None;
-        }
+    fn record_sites(&self) -> Vec<SiteChannel> {
         let mut recording = Recording(Vec::new());
         if self.channels.iter().any(ErrorChannel::state_dependent) {
             let mut state = StateVector::new(self.num_qubits);
-            walk(
-                self,
-                &mut state,
-                &mut Position::default(),
-                &mut recording,
-                &mut [],
-            );
+            advance(self, &mut state, &mut Position::default(), &mut recording);
         }
         let mut thresholds = recording.0.into_iter();
-        let sites = (self.steps.iter())
+        (self.steps[..self.prefix].iter())
             .filter_map(|step| match step {
                 DenseStep::Expose { channel, .. } => Some(&self.channels[*channel]),
                 _ => None,
@@ -125,8 +115,7 @@ impl DenseProgram {
                     SiteChannel::Passive(*channel)
                 }
             })
-            .collect();
-        Some(sites)
+            .collect()
     }
 
     /// Moves `at` to its next exposure over `state`, applying the unitary
@@ -161,6 +150,13 @@ impl DenseProgram {
             at.step += 1;
         }
     }
+}
+
+/// Number of operations (gates, swaps, measurements, resets) among `steps`:
+/// every step but the exposures.
+fn operations(steps: &[DenseStep]) -> usize {
+    let exposure = |step: &&DenseStep| matches!(step, DenseStep::Expose { .. });
+    steps.len() - steps.iter().filter(exposure).count()
 }
 
 /// Where a dense walk is — at step `step`, exposure site `site` — and the
@@ -230,11 +226,25 @@ impl Exposure {
     }
 }
 
-/// Walks `program` over `state` from `at` to its end, taking each
-/// stochastic decision from `decisions`. The one place this back-end applies
-/// gates and exposes qubits to noise, exposure by exposure: live shots,
-/// pattern replays, threshold recording and bucket walks differ only in
-/// their decision source, so equal decisions give equal bits.
+/// Walks `program` over `state` from `at` to its next measurement, reset or
+/// end, taking each stochastic decision from `decisions`. The one place this
+/// back-end applies gates and exposes qubits to noise, exposure by exposure:
+/// live shots, pattern replays, threshold recording and bucket walks differ
+/// only in their decision source, so equal decisions give equal bits.
+fn advance<D: Decisions>(
+    program: &DenseProgram,
+    state: &mut StateVector,
+    at: &mut Position,
+    decisions: &mut D,
+) {
+    while let Some(exposure) = program.exposure(state, at) {
+        let event = exposure.decide(program, decisions);
+        exposure.apply(program, state, at, event);
+    }
+}
+
+/// Walks `program` over `state` from `at` to its end: [`advance`], and the
+/// measurements and resets between.
 fn walk<D: Decisions>(
     program: &DenseProgram,
     state: &mut StateVector,
@@ -243,10 +253,7 @@ fn walk<D: Decisions>(
     clbits: &mut [bool],
 ) {
     loop {
-        while let Some(exposure) = program.exposure(state, at) {
-            let event = exposure.decide(program, decisions);
-            exposure.apply(program, state, at, event);
-        }
+        advance(program, state, at, decisions);
         match program.steps.get(at.step) {
             Some(DenseStep::Measure { qubit, clbit }) => {
                 clbits[*clbit] = state.measure_qubit(*qubit, decisions.rng())
@@ -402,6 +409,8 @@ impl StochasticBackend for DenseSimulator {
         });
         let survival = Survival::new(rates);
         let absorbing = crate::frame::absorbing_sites(circuit, channels.len());
+        let random = |step: &_| matches!(step, DenseStep::Measure { .. } | DenseStep::Reset { .. });
+        let prefix = steps.iter().position(random).unwrap_or(steps.len());
         let mut program = DenseProgram {
             id: next_program_id(),
             num_qubits: circuit.num_qubits(),
@@ -410,7 +419,8 @@ impl StochasticBackend for DenseSimulator {
             steps,
             channels,
             unitaries,
-            sites: None,
+            prefix,
+            sites: Vec::new(),
             survival,
             absorbing,
         };
@@ -430,7 +440,7 @@ impl StochasticBackend for DenseSimulator {
         absorbing: &[bool],
     ) -> SingleRun<()> {
         ctx.seat(program);
-        let next = program.survival.next(rng, 0, program.survival.len() as u32);
+        let next = program.survival.next(rng, 0, program.sites.len() as u32);
         let mut seat = Seat {
             program,
             ctx,
@@ -461,10 +471,17 @@ impl StochasticBackend for DenseSimulator {
     }
 
     fn dedup_support(&self, program: &DenseProgram) -> Option<DedupSupport> {
-        let sites = program.sites.clone()?;
+        let full = program.prefix == program.steps.len();
+        // Like the decision-diagram back-end's: each member of a prefix
+        // resumes from an amplitude copy, so the prefix must be at least
+        // half the program's operations.
+        let prefix = operations(&program.steps[..program.prefix]);
+        if !full && (prefix == 0 || prefix * 2 < program.step_count()) {
+            return None;
+        }
         Some(DedupSupport {
-            plan: PresamplePlan::new(sites),
-            full: true,
+            plan: PresamplePlan::new(program.sites.clone()),
+            full,
         })
     }
 }
@@ -521,13 +538,21 @@ impl DecisionPoints for DenseSimulator {
         (next, rng, absorbed): (u32, &mut StdRng, u32),
     ) -> SingleRun<()> {
         let (program, state) = (seat.program, &mut seat.ctx.state);
-        let (mut clbits, sites) = (
-            vec![false; program.num_clbits],
-            program.survival.len() as u32,
+        let mut clbits = vec![false; program.num_clbits];
+        // The prefix's sites with the shot's stream at candidate `next`,
+        // then the sites behind it with a stream that draws its first
+        // candidate where they start — the decision-diagram back-end's
+        // split, so the dedup and per-shot paths draw one stream.
+        let (process, sites) = (
+            (&program.survival, seat.absorbing),
+            program.sites.len() as u32,
         );
-        let mut decisions = Sampled::new(rng, (&program.survival, seat.absorbing), next, sites);
-        walk(program, state, &mut at, &mut decisions, &mut clbits);
-        let absorbed = (absorbed + decisions.absorbed) as usize;
+        let mut prefix = Sampled::new(rng, process, next, sites);
+        advance(program, state, &mut at, &mut prefix);
+        let absorbed = absorbed + prefix.absorbed;
+        let mut rest = Sampled::start(rng, process, sites, program.survival.len() as u32);
+        walk(program, state, &mut at, &mut rest, &mut clbits);
+        let absorbed = (absorbed + rest.absorbed) as usize;
         let outcome = match program.measured_any {
             true => pack_clbits(&clbits),
             false => state.sample_measurement(rng),

@@ -70,7 +70,7 @@ pub mod stochastic;
 pub mod weighted;
 
 pub use backend::{SingleRun, StochasticBackend};
-pub use dd_backend::{DdContext, DdProgram, DdRunState, DdSimulator};
+pub use dd_backend::{DdContext, DdProgram, DdRunState, DdSimulator, Handoff};
 pub use deadline::{Deadline, TimedOut};
 pub use dedup::{DedupStats, DedupSupport, TrajectoryWork};
 pub use dense_backend::{DenseContext, DenseProgram, DenseSimulator};

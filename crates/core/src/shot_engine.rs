@@ -42,7 +42,7 @@ use qsdd_transpile::{layout, transpile, OptLevel, TranspileResult};
 use rand::rngs::StdRng;
 
 use crate::backend::{SingleRun, StochasticBackend};
-use crate::dd_backend::{DdContext, DdProgram, DdSimulator};
+use crate::dd_backend::{DdContext, DdProgram, DdSimulator, Handoff};
 use crate::deadline::{Deadline, TimedOut};
 use crate::dedup::{
     plan_range, run_dedup, run_group, run_pattern, run_work, DecisionPoints, DedupStats,
@@ -178,6 +178,9 @@ pub struct ShotEngine {
     /// How the compiled program supports trajectory deduplication, resolved
     /// once at construction (`None`: every shot must execute live).
     dedup: Option<DedupSupport>,
+    /// Where [`BackendKind::Auto`] left the decision-diagram compile for
+    /// the statevector engine, if it did.
+    handoff: Option<Handoff>,
     /// Wall time spent in the construction stages (transpile, compile), so
     /// runners can fold the one-off setup cost into a job's stage breakdown.
     timings: StageTimings,
@@ -197,11 +200,12 @@ impl ShotEngine {
     ) -> Self {
         if opt == OptLevel::O0 {
             let compile_started = Instant::now();
-            let backend = EngineBackend::compile(backend, circuit, &noise);
+            let (backend, handoff) = EngineBackend::compile(backend, circuit, &noise);
             let mut timings = StageTimings::new();
             timings.record(Stage::Compile, compile_started.elapsed());
             return ShotEngine {
                 dedup: backend.dedup_support(),
+                handoff,
                 backend,
                 circuit: circuit.clone(),
                 output_layout: None,
@@ -229,11 +233,12 @@ impl ShotEngine {
         seed: u64,
     ) -> Self {
         let compile_started = Instant::now();
-        let backend = EngineBackend::compile(backend, &transpiled.circuit, &noise);
+        let (backend, handoff) = EngineBackend::compile(backend, &transpiled.circuit, &noise);
         let mut timings = StageTimings::new();
         timings.record(Stage::Compile, compile_started.elapsed());
         ShotEngine {
             dedup: backend.dedup_support(),
+            handoff,
             backend,
             circuit: transpiled.circuit.clone(),
             output_layout: (!transpiled.has_identity_layout())
@@ -270,12 +275,20 @@ impl ShotEngine {
         &self.noise
     }
 
-    /// Which back-end kind executes the shots.
+    /// Which engine executes the shots: never [`BackendKind::Auto`], which
+    /// resolves to one of the two when the engine compiles.
     pub fn backend_kind(&self) -> BackendKind {
         match self.backend {
             EngineBackend::DecisionDiagram { .. } => BackendKind::DecisionDiagram,
             EngineBackend::Statevector { .. } => BackendKind::Statevector,
         }
+    }
+
+    /// Where [`BackendKind::Auto`] handed the job to the statevector engine:
+    /// the step and node count of the first no-error state that reached the
+    /// density threshold. `None` for every other engine.
+    pub fn handoff(&self) -> Option<Handoff> {
+        self.handoff
     }
 
     /// Creates a fresh execution context for this engine.
@@ -634,19 +647,38 @@ impl ShotEngine {
 }
 
 impl EngineBackend {
-    fn compile(kind: BackendKind, circuit: &Circuit, noise: &NoiseModel) -> Self {
-        match kind {
-            BackendKind::DecisionDiagram => {
-                let backend = DdSimulator::new();
-                let program = Box::new(backend.compile(circuit, noise));
-                EngineBackend::DecisionDiagram { backend, program }
+    /// Compiles `circuit` on the engine `kind` names. [`BackendKind::Auto`]
+    /// compiles for decision diagrams, watching the no-error walk on jobs of
+    /// at most [`BackendKind::AUTO_MAX_QUBITS`] qubits, and compiles the
+    /// dense program instead — returning where — once a state of that walk
+    /// reaches `2^(n − AUTO_DENSITY)` nodes.
+    fn compile(
+        kind: BackendKind,
+        circuit: &Circuit,
+        noise: &NoiseModel,
+    ) -> (Self, Option<Handoff>) {
+        let n = circuit.num_qubits();
+        let watch = match kind {
+            BackendKind::Statevector => return (Self::dense(circuit, noise), None),
+            BackendKind::Auto if n <= BackendKind::AUTO_MAX_QUBITS => {
+                Some(1 << n.saturating_sub(BackendKind::AUTO_DENSITY))
             }
-            BackendKind::Statevector => {
-                let backend = DenseSimulator::new();
-                let program = Box::new(backend.compile(circuit, noise));
-                EngineBackend::Statevector { backend, program }
+            BackendKind::Auto | BackendKind::DecisionDiagram => None,
+        };
+        let backend = DdSimulator::new();
+        match backend.compile_watched(circuit, noise, watch) {
+            Ok(program) => {
+                let program = Box::new(program);
+                (EngineBackend::DecisionDiagram { backend, program }, None)
             }
+            Err(handoff) => (Self::dense(circuit, noise), Some(handoff)),
         }
+    }
+
+    fn dense(circuit: &Circuit, noise: &NoiseModel) -> Self {
+        let backend = DenseSimulator::new();
+        let program = Box::new(backend.compile(circuit, noise));
+        EngineBackend::Statevector { backend, program }
     }
 
     fn dedup_support(&self) -> Option<DedupSupport> {

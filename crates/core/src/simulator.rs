@@ -17,28 +17,56 @@ use crate::weighted::WeightedOptions;
 /// Which simulation engine executes the individual runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendKind {
-    /// The decision-diagram engine proposed by the paper.
+    /// Either engine, chosen per job when it compiles: the decision-diagram
+    /// engine, unless a state of the job's no-error walk fills
+    /// `2^-`[`AUTO_DENSITY`](Self::AUTO_DENSITY) (an eighth) of the state
+    /// vector on at most [`AUTO_MAX_QUBITS`](Self::AUTO_MAX_QUBITS) qubits.
     #[default]
+    Auto,
+    /// The decision-diagram engine proposed by the paper.
     DecisionDiagram,
     /// The dense statevector baseline (Qiskit/QLM stand-in).
     Statevector,
 }
 
 impl BackendKind {
+    /// The widest job [`Auto`](Self::Auto) may hand to the statevector
+    /// engine; wider jobs always run on decision diagrams.
+    pub const AUTO_MAX_QUBITS: usize = 16;
+
+    /// `Auto`'s density threshold as a power of two: a job goes dense when a
+    /// state of its no-error walk reaches `2^(n − AUTO_DENSITY)` nodes,
+    /// 1/8 of the `2^n` amplitudes. A diagram that large costs a unique- and
+    /// compute-table round trip per node where the dense kernels pay a
+    /// plain slice loop; one that much smaller wins by sharing. Measured
+    /// no-error peaks against the threshold under the paper's noise:
+    /// Grover-6 15 vs 8 is the narrowest margin among jobs that go dense
+    /// (QAOA-8 255 vs 32, random 7-qubit circuits 127 vs 16), measured
+    /// BV-10 93 vs 128 and BV-12 189 vs 512 the narrowest among jobs that
+    /// stay (GHZ-16 31 vs 8 192, QFT-16 16 vs 8 192).
+    pub const AUTO_DENSITY: usize = 3;
+
     /// The widest circuit the engine executes: decision-diagram outcomes
-    /// are `u64` basis indices, the dense buffer holds `2^n` amplitudes.
+    /// are `u64` basis indices, the dense buffer holds `2^n` amplitudes;
+    /// `Auto` runs wide jobs on decision diagrams.
     pub fn max_qubits(self) -> usize {
         match self {
-            BackendKind::DecisionDiagram => 64,
+            BackendKind::Auto | BackendKind::DecisionDiagram => 64,
             BackendKind::Statevector => 30,
         }
     }
 
     /// The one-line reason a circuit of `qubits` qubits cannot run here, if
-    /// it is wider than [`max_qubits`](Self::max_qubits).
+    /// it is wider than [`max_qubits`](Self::max_qubits). It names the
+    /// engine that refuses: `auto` runs a job that wide on `dd`.
     pub fn check_width(self, qubits: usize) -> Result<(), String> {
-        let limit = self.max_qubits();
-        let refusal = || format!("{qubits} qubits exceed the `{self}` back-end's limit of {limit}");
+        let engine = match self {
+            BackendKind::Auto => BackendKind::DecisionDiagram,
+            kind => kind,
+        };
+        let limit = engine.max_qubits();
+        let refusal =
+            || format!("{qubits} qubits exceed the `{engine}` back-end's limit of {limit}");
         (qubits <= limit).then_some(()).ok_or_else(refusal)
     }
 }
@@ -46,12 +74,16 @@ impl BackendKind {
 impl std::str::FromStr for BackendKind {
     type Err = String;
 
-    /// Parses the CLI/job-file spelling of a back-end (`dd` or `dense`).
+    /// Parses the CLI/job-file spelling of a back-end (`auto`, `dd` or
+    /// `dense`).
     fn from_str(text: &str) -> Result<Self, Self::Err> {
         match text {
+            "auto" => Ok(BackendKind::Auto),
             "dd" | "decision-diagram" => Ok(BackendKind::DecisionDiagram),
             "dense" | "statevector" => Ok(BackendKind::Statevector),
-            other => Err(format!("unknown backend `{other}` (expected dd|dense)")),
+            other => Err(format!(
+                "unknown backend `{other}` (expected auto|dd|dense)"
+            )),
         }
     }
 }
@@ -59,6 +91,7 @@ impl std::str::FromStr for BackendKind {
 impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            BackendKind::Auto => write!(f, "auto"),
             BackendKind::DecisionDiagram => write!(f, "dd"),
             BackendKind::Statevector => write!(f, "dense"),
         }
@@ -96,12 +129,12 @@ pub struct StochasticSimulator {
 }
 
 impl StochasticSimulator {
-    /// Creates a simulator with the decision-diagram back-end, the paper's
-    /// noise model, 1024 shots on all available cores, trajectory
+    /// Creates a simulator with the [`BackendKind::Auto`] back-end, the
+    /// paper's noise model, 1024 shots on all available cores, trajectory
     /// deduplication on and no circuit optimization.
     pub fn new() -> Self {
         StochasticSimulator {
-            backend: BackendKind::DecisionDiagram,
+            backend: BackendKind::default(),
             opt_level: OptLevel::O0,
             shots: 1024,
             threads: 0,

@@ -43,6 +43,7 @@ use crate::deadline::{Deadline, TimedOut};
 use crate::dedup::DedupStats;
 use crate::estimator::{Observable, ObservableAccumulator};
 use crate::shot_engine::{ExecContext, ShotEngine};
+use crate::simulator::BackendKind;
 use crate::weighted::{run_weighted, WeightedOptions};
 
 /// How a job's shots become results.
@@ -175,6 +176,9 @@ pub struct StochasticOutcome {
     /// few `Instant`s per *job* costs nothing measurable — so callers can
     /// render a profile without enabling global telemetry.
     pub stage_timings: StageTimings,
+    /// The engine that ran the job ([`ShotEngine::backend_kind`]: never
+    /// [`BackendKind::Auto`] once [`execute`] returns).
+    pub backend: BackendKind,
 }
 
 impl StochasticOutcome {
@@ -192,6 +196,7 @@ impl StochasticOutcome {
             dedup: None,
             weighted: None,
             stage_timings: StageTimings::new(),
+            backend: BackendKind::default(),
         }
     }
 
@@ -355,11 +360,9 @@ pub fn execute(
     if plan.shots == 0 && !matches!(mode, ExecMode::Weighted(_)) {
         // Nothing to sample: no worker is spawned, but the resolved worker
         // count is still reported for consistency.
-        return Ok(StochasticOutcome::empty(
-            plan.observables.len(),
-            threads,
-            started.elapsed(),
-        ));
+        let empty = StochasticOutcome::empty(plan.observables.len(), threads, started.elapsed());
+        let backend = engine.backend_kind();
+        return Ok(StochasticOutcome { backend, ..empty });
     }
     let workers = threads.min(plan.shots);
     let dd_before = inline.as_deref().map(ExecContext::dd_table_stats);
@@ -371,7 +374,7 @@ pub fn execute(
         (ExecMode::PerShot, ctx) => run_per_shot(engine, plan, workers, ctx),
     }?;
 
-    outcome.wall_time = started.elapsed();
+    (outcome.wall_time, outcome.backend) = (started.elapsed(), engine.backend_kind());
     outcome.stage_timings.merge(&engine.stage_timings());
     if let Some((ctx, dd_before)) = inline.zip(dd_before) {
         publish_job_metrics(&outcome, ctx.dd_table_stats().since(&dd_before));
@@ -862,17 +865,19 @@ mod tests {
     /// The mode × placement matrix: what "one driver" promises, cell by
     /// cell. Four engines cover the whole fallback chain — full dedup and
     /// weighted support on either back-end (damping noise included),
-    /// neither (a dense program with a mid-circuit measurement runs every
-    /// mode per shot), and prefix dedup without weighted support.
+    /// neither (a dense program measured before most of its gates runs
+    /// every mode per shot), and prefix dedup without weighted support.
     #[test]
     fn every_mode_agrees_across_every_placement() {
         const SHOTS: usize = 240;
         let mut measured = Circuit::new(3);
         measured.h(0).cx(0, 1).cx(1, 2).measure(0, 0).x(1);
+        let mut measured_early = Circuit::new(3);
+        measured_early.h(0).measure(0, 0).cx(0, 1).cx(1, 2).x(1);
         let engines = [
             engine(DD, &ghz(6), paper(), 17),
             engine(DENSE, &ghz(4), paper(), 17),
-            engine(DENSE, &measured, paper(), 17),
+            engine(DENSE, &measured_early, paper(), 17),
             engine(DD, &measured, paper(), 17),
         ];
         assert!(engines[0].supports_weighted() && engines[0].supports_dedup());

@@ -221,19 +221,22 @@ pub fn parse_job_request(body: &str) -> Result<JobInput, String> {
     };
 
     let backend = match value.get("backend") {
-        None => BackendKind::DecisionDiagram,
+        None => BackendKind::Auto,
         Some(v) => v
             .as_str()
             .ok_or("`backend` must be a string")?
             .parse::<BackendKind>()?,
     };
-    let qubit_cap = match backend {
-        BackendKind::DecisionDiagram => MAX_DD_QUBITS,
-        BackendKind::Statevector => MAX_DENSE_QUBITS,
+    // `auto` runs a job this wide on decision diagrams.
+    let (engine, qubit_cap) = match backend {
+        BackendKind::Auto | BackendKind::DecisionDiagram => {
+            (BackendKind::DecisionDiagram, MAX_DD_QUBITS)
+        }
+        BackendKind::Statevector => (backend, MAX_DENSE_QUBITS),
     };
     if circuit.num_qubits() > qubit_cap {
         return Err(format!(
-            "{} qubits exceed the `{backend}` back-end's limit of {qubit_cap}",
+            "{} qubits exceed the `{engine}` back-end's limit of {qubit_cap}",
             circuit.num_qubits()
         ));
     }
@@ -483,7 +486,7 @@ fn parse_observables(value: Option<&Value>, circuit: &Circuit) -> Result<Vec<Obs
 pub fn result_payload(input: &JobInput, outcome: &StochasticOutcome) -> String {
     let report = JobReport {
         name: input.content_address(),
-        backend: input.backend.to_string(),
+        backend: outcome.backend.to_string(),
         status: JobStatus::Completed,
         qubits: input.circuit.num_qubits(),
         shots_requested: input.shots as u64,
@@ -569,7 +572,7 @@ mod tests {
         assert_eq!(input.circuit.num_qubits(), 5);
         assert_eq!(input.shots, 200);
         assert_eq!(input.seed, 7);
-        assert_eq!(input.backend, BackendKind::DecisionDiagram);
+        assert_eq!(input.backend, BackendKind::Auto);
         assert_eq!(input.opt, OptLevel::O0);
         assert!(input.dedup);
         assert!(!input.noise.is_noiseless());

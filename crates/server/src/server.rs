@@ -889,13 +889,14 @@ fn execute_job(state: &Arc<ServerState>, cell: &Arc<ExecutionCell>, ctx: &mut Ex
             trace::attr("shots", input.shots as u64);
             let engine = {
                 let _compile = trace::span("compile");
-                ShotEngine::new(
-                    &input.circuit,
-                    input.backend,
-                    input.noise,
-                    input.seed,
-                    input.opt,
-                )
+                let (circuit, backend) = (&input.circuit, input.backend);
+                let engine = ShotEngine::new(circuit, backend, input.noise, input.seed, input.opt);
+                trace::attr("engine", engine.backend_kind().to_string().as_str());
+                if let Some(handoff) = engine.handoff() {
+                    trace::attr("handoff_step", handoff.step);
+                    trace::attr("handoff_nodes", handoff.nodes);
+                }
+                engine
             };
             let mode = ExecMode::from_switches(input.dedup, input.weighted.clone());
             let plan = ExecPlan::new(mode, input.shots, &input.observables).with_deadline(deadline);

@@ -9,7 +9,7 @@
 //! Run with `cargo run --release --example property_estimation`.
 
 use qsdd::circuit::generators::ghz;
-use qsdd::core::{sampling, Observable, StochasticSimulator};
+use qsdd::core::{sampling, BackendKind, Observable, StochasticSimulator};
 use qsdd::density;
 use qsdd::noise::NoiseModel;
 
@@ -48,6 +48,7 @@ fn main() {
     println!("\nrunning M = {shots} samples (guaranteed epsilon = {epsilon:.4})\n");
 
     let simulator = StochasticSimulator::new()
+        .with_backend(BackendKind::DecisionDiagram)
         .with_shots(shots)
         .with_noise(noise)
         .with_seed(99);

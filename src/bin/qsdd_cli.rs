@@ -129,7 +129,10 @@ options (run / generate):
   --shots <N>          number of stochastic runs (default 1000)
   --threads <N>        worker threads, 0 = all cores (default 0)
   --seed <N>           master seed (default 2021)
-  --backend <dd|dense> simulation engine (default dd)
+  --backend <auto|dd|dense>
+                       simulation engine (default auto: dense when the
+                       no-error diagram of a job of <= 16 qubits reaches
+                       2^(n-3) nodes, decision diagrams otherwise)
   --opt <0|1|2>        circuit optimization level (default 0); the gate-count
                        report of the transpiler is printed for levels > 0
   --verify-opt         cross-check the optimized circuit against the original
@@ -479,7 +482,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         shots: 1000,
         threads: 0,
         seed: 2021,
-        backend: BackendKind::DecisionDiagram,
+        backend: BackendKind::Auto,
         noise: NoiseModel::paper_defaults(),
         top: 10,
         opt: OptLevel::O0,
@@ -512,6 +515,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--top" => options.top = parse_number(&value("--top")?)?,
             "--backend" => {
                 options.backend = match value("--backend")?.as_str() {
+                    "auto" => BackendKind::Auto,
                     "dd" => BackendKind::DecisionDiagram,
                     "dense" => BackendKind::Statevector,
                     other => return Err(format!("unknown backend `{other}`")),
@@ -671,6 +675,17 @@ fn run(options: Options) -> ExitCode {
         Some(transpiled) => ShotEngine::from_transpiled(transpiled, backend, noise, seed),
         None => ShotEngine::new(&options.circuit, backend, noise, seed, OptLevel::O0),
     };
+    if let Some(handoff) = engine.handoff() {
+        let n = engine.num_qubits();
+        eprintln!(
+            "backend: auto ran dense: the no-error diagram reached {} nodes at step {}, \
+             past 2^({n}-{}) = {}",
+            handoff.nodes,
+            handoff.step,
+            BackendKind::AUTO_DENSITY,
+            1u64 << n.saturating_sub(BackendKind::AUTO_DENSITY),
+        );
+    }
     let mode = ExecMode::from_switches(options.dedup, options.weighted.clone());
     let plan = ExecPlan::new(mode, options.shots, &[]).with_deadline(deadline);
     let result = execute(&engine, &plan, Placement::Threads(options.threads));
@@ -699,7 +714,7 @@ fn run(options: Options) -> ExitCode {
         result.wall_time.as_secs_f64(),
         result.error_rate()
     );
-    if options.backend == BackendKind::DecisionDiagram {
+    if result.backend == BackendKind::DecisionDiagram {
         eprintln!(
             "dd nodes: {:.1} avg final, {} peak (high-water during shots)",
             result.dd_nodes_avg, result.dd_nodes_peak
@@ -758,10 +773,7 @@ fn run_result_json(options: &Options, result: &qsdd::core::StochasticOutcome) ->
         ),
         (
             "backend".to_string(),
-            Value::from(match options.backend {
-                BackendKind::DecisionDiagram => "dd",
-                BackendKind::Statevector => "dense",
-            }),
+            Value::from(result.backend.to_string().as_str()),
         ),
         ("seed".to_string(), Value::from(options.seed)),
         ("shots".to_string(), Value::from(result.shots)),

@@ -69,6 +69,7 @@ fn dd_monte_carlo_tracks_exact_density_matrix() {
     let exact = density::outcome_distribution(&circuit, &noise);
 
     let result = StochasticSimulator::new()
+        .with_backend(BackendKind::DecisionDiagram)
         .with_shots(20_000)
         .with_noise(noise)
         .with_seed(123)
@@ -221,6 +222,7 @@ fn both_stochastic_backends_agree_under_noise() {
     let circuit = qft(5);
     let noise = NoiseModel::paper_defaults();
     let dd = StochasticSimulator::new()
+        .with_backend(BackendKind::DecisionDiagram)
         .with_shots(6000)
         .with_noise(noise)
         .with_seed(5)
@@ -246,6 +248,7 @@ fn dd_simulator_scales_to_many_qubits_under_noise() {
     // The headline capability: noisy GHZ simulation far beyond dense limits.
     let circuit = ghz(64);
     let result = StochasticSimulator::new()
+        .with_backend(BackendKind::DecisionDiagram)
         .with_shots(50)
         .with_noise(NoiseModel::paper_defaults())
         .with_seed(4)

@@ -54,7 +54,17 @@ fn json_run_keeps_stdout_machine_readable() {
 
 #[test]
 fn text_run_keeps_diagnostics_off_stdout() {
-    let output = cli(&["generate", "ghz", "4", "--shots", "50", "--top", "2"]);
+    let output = cli(&[
+        "generate",
+        "ghz",
+        "4",
+        "--backend",
+        "dd",
+        "--shots",
+        "50",
+        "--top",
+        "2",
+    ]);
     assert!(output.status.success());
     let stdout = String::from_utf8(output.stdout).unwrap();
     let stderr = String::from_utf8(output.stderr).unwrap();

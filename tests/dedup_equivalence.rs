@@ -199,8 +199,9 @@ proptest! {
     /// under state-dependent amplitude damping too, with thresholds
     /// recorded at compile time and learned past a deviation — and must
     /// match per-shot execution byte for byte. A dense circuit with
-    /// mid-circuit measurements and resets declines dedup and weighted
-    /// enumeration, and both must fall back to the per-shot bytes.
+    /// mid-circuit measurements and resets shares at most its unitary
+    /// prefix and declines weighted enumeration, and both must give the
+    /// per-shot bytes.
     #[test]
     fn dense_dedup_matches_per_shot(
         circuit in arb_circuit(3, 14, false),
@@ -298,7 +299,7 @@ fn simulator_facade_exposes_the_dedup_switch() {
 /// strength on GHZ-16, QFT-8 and measured BV-6 (prefix deduplication), and
 /// at a hundred times on GHZ-4, where few sites and many events make even
 /// three-event patterns coincide. The unitary ones run on the statevector
-/// back-end too (it declines measured programs).
+/// back-end too.
 fn deep_tree_engines() -> Vec<(&'static str, ShotEngine)> {
     use qsdd::circuit::generators::{bernstein_vazirani, ghz, qft};
     use BackendKind::{DecisionDiagram, Statevector};
@@ -406,5 +407,42 @@ fn every_bucket_shot_equals_its_live_execution() {
             deepest >= Some(expected),
             "{name}: deepest shared pattern {deepest:?}"
         );
+    }
+}
+
+/// The statevector engine shares the unitary prefix of a measured circuit
+/// and every member resumes from an amplitude copy: measured BV-8, QAOA-8
+/// and Grover-6 (all measurements terminal), and a GHZ-6 whose qubit 2 is
+/// measured mid-circuit and then rotated and entangled again, must give
+/// the per-shot bytes on any number of workers.
+#[test]
+fn dense_measured_prefixes_match_per_shot_execution() {
+    use qsdd::circuit::generators::{by_name, ghz};
+    let mut mid = ghz(6);
+    mid.rz(0.3, 1).ry(0.7, 4).t(5).sx(0);
+    mid.measure(2, 2);
+    mid.h(2).cx(2, 3);
+    mid.measure_all();
+    let cases = [
+        ("bv8", by_name("bv", 8).expect("a generator"), 300),
+        ("qaoa8", by_name("qaoa", 8).expect("a generator"), 300),
+        ("grover6", by_name("grover", 6).expect("a generator"), 200),
+        ("mid-measured-ghz6", mid, 400),
+    ];
+    let paper = NoiseModel::paper_defaults();
+    for (name, circuit, shots) in cases {
+        let engine = ShotEngine::new(&circuit, BackendKind::Statevector, paper, 7, OptLevel::O0);
+        assert!(engine.supports_dedup(), "{name} must deduplicate");
+        assert!(!engine.supports_weighted(), "{name} is measured");
+        for threads in [1usize, 2, 3] {
+            let reference = run(ExecMode::PerShot, &engine, shots, threads, &[]);
+            let dedup = run(ExecMode::Dedup, &engine, shots, threads, &[]);
+            assert_identical(&dedup, &reference);
+            let stats = dedup.dedup.expect("the dedup driver ran");
+            assert!(
+                stats.unique_trajectories < shots as u64,
+                "{name}: {stats:?} shares nothing"
+            );
+        }
     }
 }

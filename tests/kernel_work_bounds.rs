@@ -316,13 +316,19 @@ fn traced_job(engine: &ShotEngine, shots: usize, threads: usize) -> JobWork {
     }
 }
 
+/// The paper-noise job of a benchmark workload on the decision-diagram
+/// engine (see [`workload_job_on`]).
+fn workload_job(circuit: &Circuit, shots: usize) -> JobWork {
+    workload_job_on(circuit, shots, BackendKind::DecisionDiagram)
+}
+
 /// The paper-noise job of a benchmark workload, on one worker and on two:
 /// every evolution starts from the rewound template, so the work must not
 /// depend on which worker ran it.
-fn workload_job(circuit: &Circuit, shots: usize) -> JobWork {
+fn workload_job_on(circuit: &Circuit, shots: usize, backend: BackendKind) -> JobWork {
     let engine = ShotEngine::new(
         circuit,
-        BackendKind::DecisionDiagram,
+        backend,
         NoiseModel::paper_defaults(),
         2021,
         OptLevel::O0,
@@ -422,6 +428,35 @@ fn dense_qaoa8_interns_only_what_its_nodes_keep() {
     let qaoa8 = workload_job(&by_name("qaoa", 8).expect("a generator"), 200);
     assert!(qaoa8.complex_lookups <= 240_000, "{qaoa8:?}");
     assert!(qaoa8.complex_inserts <= 188_000, "{qaoa8:?}");
+}
+
+/// `auto` watches the states its compile walks anyway and nothing else:
+/// the benchmark jobs it leaves on decision diagrams cost what the
+/// explicit DD jobs cost, field for field.
+#[test]
+fn the_auto_watch_costs_no_table_work() {
+    let bv12 = bernstein_vazirani(12, 0x5555_5555_5555_5555);
+    for (circuit, shots) in [(ghz(64), 30_000), (qft(16), 2_000), (bv12, 2_000)] {
+        let job = |backend| {
+            let noise = NoiseModel::paper_defaults();
+            let engine = ShotEngine::new(&circuit, backend, noise, 2021, OptLevel::O0);
+            assert_eq!(engine.backend_kind(), BackendKind::DecisionDiagram);
+            traced_job(&engine, shots, 1)
+        };
+        assert_eq!(job(BackendKind::Auto), job(BackendKind::DecisionDiagram));
+    }
+}
+
+/// The statevector engine shares a measured circuit's unitary prefix: the
+/// dense QAOA-8 job evolves the trajectories the decision-diagram job does
+/// (322, 184 of them live), not one per shot — and none of it in a diagram.
+#[test]
+fn dense_qaoa8_shares_its_measured_prefix() {
+    let qaoa8 = by_name("qaoa", 8).expect("a generator");
+    let dense = workload_job_on(&qaoa8, 2_000, BackendKind::Statevector);
+    assert!(dense.stats.unique_trajectories <= 335, "{dense:?}");
+    assert!(dense.stats.live_shots <= 192, "{dense:?}");
+    assert_eq!((dense.compute_misses, dense.complex_lookups), (0, 0));
 }
 
 /// Measured BV keeps one node per qubit without damping: its peaks under

@@ -93,7 +93,7 @@ fn http_report_is_byte_identical_to_direct_execution() {
     // and dedup stats, byte for byte through the same JSON writer.
     let server = boot(2);
     let addr = server.addr();
-    let body = r#"{"circuit":{"generator":"ghz","qubits":6},"shots":400,"seed":11}"#;
+    let body = r#"{"circuit":{"generator":"ghz","qubits":6},"shots":400,"seed":11,"backend":"dd"}"#;
     let (status, response) = client::request(addr, "POST", "/v1/jobs", Some(body)).unwrap();
     assert_eq!(status, 202, "{response}");
     let id = json::parse(&response)
@@ -208,7 +208,7 @@ fn http_report_is_byte_identical_to_direct_execution() {
 fn observable_sums_match_the_serial_runner_bit_for_bit() {
     let server = boot(1);
     let addr = server.addr();
-    let body = r#"{"circuit":{"generator":"ghz","qubits":5},"shots":300,"seed":21,
+    let body = r#"{"circuit":{"generator":"ghz","qubits":5},"shots":300,"seed":21,"backend":"dd",
                    "observables":[{"basis_probability":0},{"qubit_excitation":2}]}"#;
     let (status, response) = client::request(addr, "POST", "/v1/jobs", Some(body)).unwrap();
     assert_eq!(status, 202, "{response}");

@@ -2,7 +2,7 @@
 //! observables converge to the exact values within the guaranteed accuracy.
 
 use qsdd::circuit::generators::ghz;
-use qsdd::core::{sampling, Observable, StochasticSimulator};
+use qsdd::core::{sampling, BackendKind, Observable, StochasticSimulator};
 use qsdd::density;
 use qsdd::noise::NoiseModel;
 
@@ -41,6 +41,7 @@ fn estimates_stay_within_the_theorem_1_epsilon() {
         );
 
         let result = StochasticSimulator::new()
+            .with_backend(BackendKind::DecisionDiagram)
             .with_shots(shots)
             .with_noise(noise)
             .with_seed(seed)
@@ -74,6 +75,7 @@ fn increasing_samples_reduces_the_error() {
         let mut total = 0.0;
         for seed in 0..4u64 {
             let result = StochasticSimulator::new()
+                .with_backend(BackendKind::DecisionDiagram)
                 .with_shots(shots)
                 .with_noise(noise)
                 .with_seed(seed)
