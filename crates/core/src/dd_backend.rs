@@ -382,10 +382,6 @@ impl DdSimulator {
         base.set_caching(self.caching);
         let initial = base.zero_state(n);
         let channels = noise.channels();
-        let mut steps = Vec::with_capacity(circuit.len());
-        let mut measured_any = false;
-        let mut touched = vec![false; n];
-        let mut rates = Vec::new();
 
         // The keep factor folded into the operators of one- and two-qubit
         // steps (see the `DdProgram` docs).
@@ -394,62 +390,15 @@ impl DdSimulator {
             .map_or(0.0, ErrorChannel::probability);
         let keep = (damping > 0.0 && damping < 1.0).then(|| (1.0 - damping).sqrt());
 
-        // Operator diagrams are built in circuit order; hash-consing in the
-        // template package shares structure between repeated gates for free.
-        for op in circuit {
-            let op_dd = match op {
-                Operation::Gate {
-                    gate,
-                    target,
-                    controls,
-                } => {
-                    let m = gate
-                        .matrix()
-                        .expect("non-swap gates always provide a matrix");
-                    base.controlled_op(n, *target, controls, m)
-                }
-                Operation::Swap { a, b } => base.swap_op(n, *a, *b),
-                Operation::Measure { qubit, clbit } => {
-                    measured_any = true;
-                    steps.push(DdStep::Measure {
-                        qubit: *qubit,
-                        clbit: *clbit,
-                    });
-                    continue;
-                }
-                Operation::Reset { qubit } => {
-                    let x_op = base.single_qubit_op(n, *qubit, Matrix2::pauli_x());
-                    steps.push(DdStep::Reset {
-                        qubit: *qubit,
-                        x_op,
-                    });
-                    continue;
-                }
-                Operation::Barrier => continue,
-            };
-            let noise_qubits = if channels.is_empty() {
-                Vec::new()
-            } else {
-                op.qubits()
-            };
-            for &q in &noise_qubits {
-                touched[q] = true;
-            }
-            let kept = (keep.filter(|_| noise_qubits.len() <= 2))
-                .map(|factor| base.scale_rows(op_dd, &noise_qubits, factor));
-            let first_site = rates.len() as u32;
-            for _ in &noise_qubits {
-                rates.extend(channels.iter().map(ErrorChannel::candidate_rate));
-            }
-            steps.push(DdStep::Apply {
-                op: op_dd,
-                kept,
-                noise_qubits,
-                first_site,
-            });
+        // Error operators, resolved once per (channel, qubit a unitary step
+        // exposes), ahead of the walk that may take a step exposure by
+        // exposure.
+        let mut touched = vec![false; n];
+        let unitary =
+            |op: &&Operation| matches!(op, Operation::Gate { .. } | Operation::Swap { .. });
+        for q in circuit.iter().filter(unitary).flat_map(Operation::qubits) {
+            touched[q] = true;
         }
-
-        // Error operators, resolved once per (channel, touched qubit).
         let mut noise_ops = Vec::with_capacity(channels.len());
         for channel in &channels {
             let unitary_mats = channel.unitaries();
@@ -480,14 +429,14 @@ impl DdSimulator {
             id: next_program_id(),
             num_qubits: n,
             num_clbits: circuit.num_clbits(),
-            measured_any,
-            steps,
+            measured_any: false,
+            steps: Vec::with_capacity(circuit.len()),
             channels,
             noise_ops,
             damping,
             trajectory: Vec::new(),
             dedup_prefix: 0,
-            survival: Survival::new(rates),
+            survival: Survival::new(Vec::new()),
             absorbing,
             prefix_sites: 0,
             initial,
@@ -495,37 +444,104 @@ impl DdSimulator {
             base: DdPackage::new(),
         };
 
-        // Record the no-error trajectory (see the [`DdProgram`] docs): each
-        // step is walked live, as a shot off the trajectory walks it, by a
-        // recording of every threshold it meets. Everything interned here
-        // lands in the persistent region, so the recorded edges stay valid
-        // across every transient reset.
-        let mut walk = Walk::start(&program);
-        let mut trajectory = Vec::new();
-        for (index, step) in program.steps.iter().enumerate() {
-            // Recording pins every step's state into the persistent region,
-            // which each worker context copies once. For circuits whose
-            // noise-free states grow large this would trade unbounded memory
-            // for speed, so recording stops at a node budget and the
-            // remaining steps simply execute live. Measurements and resets
-            // consume randomness; the deterministic trajectory ends there.
-            if base.stats().vec_nodes > TRAJECTORY_NODE_BUDGET
-                || !matches!(step, DdStep::Apply { .. })
-            {
-                break;
+        // Each step's operator is built when the no-error walk reaches it,
+        // and the walk takes the step at once, so a watched compile that
+        // hands off builds no operator past the step that tripped it.
+        // Hash-consing in the template package shares structure between
+        // repeated gates for free. The walk records the no-error trajectory
+        // (see the [`DdProgram`] docs): each step is walked live, as a shot
+        // off the trajectory walks it, by a recording of every threshold it
+        // meets. Everything interned here lands in the persistent region,
+        // so the recorded edges stay valid across every transient reset.
+        // Recording pins every step's state into the persistent region,
+        // which each worker context copies once. For circuits whose
+        // noise-free states grow large this would trade unbounded memory for
+        // speed, so recording stops at a node budget and the remaining steps
+        // simply execute live. Measurements and resets consume randomness;
+        // the deterministic trajectory ends there. Past it the walk goes on
+        // as the trajectory's unrecorded continuation (see the `DdProgram`
+        // docs): error-free, within the recording's node budget, kept only as
+        // the table entries the mark below freezes.
+        let (mut walk, mut trajectory, mut rates) = (Walk::start(&program), Vec::new(), Vec::new());
+        let (mut recording, mut continuing) = (true, true);
+        let mut decisions = NoError(rand::SeedableRng::seed_from_u64(0));
+        let mut clbits = vec![false; program.num_clbits];
+        for op in circuit {
+            let op_dd = match op {
+                Operation::Gate {
+                    gate,
+                    target,
+                    controls,
+                } => {
+                    let m = gate
+                        .matrix()
+                        .expect("non-swap gates always provide a matrix");
+                    Some(base.controlled_op(n, *target, controls, m))
+                }
+                Operation::Swap { a, b } => Some(base.swap_op(n, *a, *b)),
+                _ => None,
+            };
+            let step = match (op, op_dd) {
+                (_, Some(op_dd)) => {
+                    let noise_qubits = if program.channels.is_empty() {
+                        Vec::new()
+                    } else {
+                        op.qubits()
+                    };
+                    let kept = (keep.filter(|_| noise_qubits.len() <= 2))
+                        .map(|factor| base.scale_rows(op_dd, &noise_qubits, factor));
+                    let first_site = rates.len() as u32;
+                    for _ in &noise_qubits {
+                        rates.extend(program.channels.iter().map(ErrorChannel::candidate_rate));
+                    }
+                    DdStep::Apply {
+                        op: op_dd,
+                        kept,
+                        noise_qubits,
+                        first_site,
+                    }
+                }
+                (&Operation::Measure { qubit, clbit }, None) => {
+                    program.measured_any = true;
+                    DdStep::Measure { qubit, clbit }
+                }
+                (&Operation::Reset { qubit }, None) => {
+                    let x_op = base.single_qubit_op(n, qubit, Matrix2::pauli_x());
+                    DdStep::Reset { qubit, x_op }
+                }
+                _ => continue, // a barrier
+            };
+            let apply = matches!(step, DdStep::Apply { .. });
+            program.steps.push(step);
+            let index = program.steps.len() - 1;
+            let within_budget = base.stats().vec_nodes <= TRAJECTORY_NODE_BUDGET;
+            (recording, continuing) = (
+                recording && within_budget && apply,
+                continuing && within_budget,
+            );
+            if recording {
+                let mut thresholds = Recording(Vec::new());
+                walk = walk.run(&program, &mut base, index + 1, &mut thresholds, &mut []);
+                let nodes_after = base.vec_node_count(walk.state) as u64;
+                if watch.is_some_and(|watch| nodes_after >= watch) {
+                    return Err(Handoff::at(index, nodes_after));
+                }
+                trajectory.push(StepFF {
+                    p_decay: thresholds.0,
+                    after: walk.state,
+                    nodes_after,
+                });
+            } else if continuing {
+                walk = walk.run(&program, &mut base, index + 1, &mut decisions, &mut clbits);
+                if let Some(watch) = watch {
+                    let nodes = base.vec_node_count(walk.state) as u64;
+                    if nodes >= watch {
+                        return Err(Handoff::at(index, nodes));
+                    }
+                }
             }
-            let mut recording = Recording(Vec::new());
-            walk = walk.run(&program, &mut base, index + 1, &mut recording, &mut []);
-            let nodes_after = base.vec_node_count(walk.state) as u64;
-            if watch.is_some_and(|watch| nodes_after >= watch) {
-                return Err(Handoff::at(index, nodes_after));
-            }
-            trajectory.push(StepFF {
-                p_decay: recording.0,
-                after: walk.state,
-                nodes_after,
-            });
         }
+        program.survival = Survival::new(rates);
 
         // The deduplicable prefix: unitary steps up to the first
         // measurement/reset; state-dependent (damping) channels additionally
@@ -546,24 +562,6 @@ impl DdSimulator {
             })
             .unwrap_or(program.survival.len() as u32);
         program.trajectory = trajectory;
-
-        // The trajectory's unrecorded continuation (see the `DdProgram`
-        // docs): error-free, within the recording's node budget, kept only
-        // as the table entries the mark below freezes.
-        let mut decisions = NoError(rand::SeedableRng::seed_from_u64(0));
-        let mut clbits = vec![false; program.num_clbits];
-        for index in program.trajectory.len()..program.steps.len() {
-            if base.stats().vec_nodes > TRAJECTORY_NODE_BUDGET {
-                break;
-            }
-            walk = walk.run(&program, &mut base, index + 1, &mut decisions, &mut clbits);
-            if let Some(watch) = watch {
-                let nodes = base.vec_node_count(walk.state) as u64;
-                if nodes >= watch {
-                    return Err(Handoff::at(index, nodes));
-                }
-            }
-        }
         base.mark_persistent();
         program.base = base;
         Ok(program)
