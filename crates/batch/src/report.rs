@@ -65,7 +65,7 @@ pub struct JobReport {
     pub dd_nodes_peak: u64,
     /// Trajectories actually simulated: distinct presampled error patterns
     /// plus live shots. Equals `shots_executed` when the job ran on the
-    /// per-shot path (deduplication off or unsupported).
+    /// per-shot path (the program does not support deduplication).
     pub unique_trajectories: u64,
     /// Fraction of executed shots served from another shot's trajectory
     /// (`1 - unique_trajectories / shots_executed`; `0.0` without

@@ -77,37 +77,16 @@ const CHUNK_SHOTS: u64 = 32;
 pub const WILSON_Z: f64 = 1.96;
 
 /// Scheduler knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BatchOptions {
     /// Worker threads; `0` uses all available cores.
     pub threads: usize,
-    /// Whether jobs may deduplicate shots by presampled error pattern
-    /// (on by default; results are identical either way).
-    pub dedup: bool,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            threads: 0,
-            dedup: true,
-        }
-    }
 }
 
 impl BatchOptions {
     /// Options with an explicit thread count (`0` = all cores).
     pub fn with_threads(threads: usize) -> Self {
-        BatchOptions {
-            threads,
-            ..BatchOptions::default()
-        }
-    }
-
-    /// Disables trajectory deduplication (the per-shot fallback path).
-    pub fn without_dedup(mut self) -> Self {
-        self.dedup = false;
-        self
+        BatchOptions { threads }
     }
 
     /// Resolves the effective worker count.
@@ -209,7 +188,8 @@ struct JobRuntime {
     shots: u64,
     epsilon: Option<f64>,
     check_interval: u64,
-    /// Whether rounds are released as deduplicated pattern groups.
+    /// Whether rounds are released as deduplicated pattern groups (the
+    /// engine supports it); otherwise as per-shot ranges.
     dedup: bool,
     /// Whether the job runs in one piece through the weighted-enumeration
     /// driver instead of sampled rounds.
@@ -223,7 +203,7 @@ struct JobRuntime {
 
 impl JobRuntime {
     /// Loads, transpiles and compiles one job (`Err`: why it did not load).
-    fn build(spec: &JobSpec, options: &BatchOptions) -> Result<JobRuntime, String> {
+    fn build(spec: &JobSpec) -> Result<JobRuntime, String> {
         let circuit = spec.load_circuit()?;
         spec.backend.check_width(circuit.num_qubits())?;
         let engine = ShotEngine::new(&circuit, spec.backend, spec.noise, spec.seed, spec.opt);
@@ -233,7 +213,7 @@ impl JobRuntime {
             ..JobProgress::default()
         };
         Ok(JobRuntime {
-            dedup: options.dedup && engine.supports_dedup(),
+            dedup: engine.supports_dedup(),
             weighted: spec.weighted,
             engine,
             shots: spec.shots,
@@ -346,7 +326,7 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
                 // Relaxed: the counter hands out indices, nothing else.
                 let index = next_spec.fetch_add(1, Ordering::Relaxed);
                 let Some(spec) = specs.get(index) else { break };
-                built[index].get_or_init(|| JobRuntime::build(spec, options));
+                built[index].get_or_init(|| JobRuntime::build(spec));
             });
         }
     });
@@ -844,7 +824,7 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::jobfile::{CircuitSource, JobSpec};
-    use qsdd_core::BackendKind;
+    use qsdd_core::{execute, BackendKind, ExecMode, ExecPlan, Placement, StochasticOutcome};
     use qsdd_noise::NoiseModel;
 
     fn ghz_spec(name: &str, shots: u64, seed: u64) -> JobSpec {
@@ -860,6 +840,27 @@ mod tests {
         spec.seed = seed;
         spec.backend = BackendKind::DecisionDiagram;
         spec
+    }
+
+    fn engine(spec: &JobSpec) -> ShotEngine {
+        let circuit = spec.load_circuit().expect("the spec loads");
+        ShotEngine::new(&circuit, spec.backend, spec.noise, spec.seed, spec.opt)
+    }
+
+    /// The job run shot by shot through the library driver: the reference
+    /// every scheduling of its shots must reproduce.
+    fn per_shot(spec: &JobSpec) -> StochasticOutcome {
+        let plan = ExecPlan::new(ExecMode::PerShot, spec.shots as usize, &[]);
+        execute(&engine(spec), &plan, Placement::Threads(1)).expect("no deadline")
+    }
+
+    /// Asserts that a batch job's results are those of the per-shot run.
+    fn assert_matches_per_shot(job: &JobReport, reference: &StochasticOutcome) {
+        let counts: BTreeMap<u64, u64> = reference.counts.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(job.counts, counts);
+        assert_eq!(job.error_events, reference.error_events);
+        assert_eq!(job.shots_executed, reference.shots as u64);
+        assert_eq!(job.dd_nodes_peak, reference.dd_nodes_peak);
     }
 
     #[test]
@@ -969,24 +970,50 @@ mod tests {
     fn dedup_matches_the_per_shot_path_and_reports_sharing() {
         let mut spec = ghz_spec("dedup", 600, 11);
         spec.noise = NoiseModel::noiseless().with_depolarizing(0.002);
-        let on = run_batch(&[spec.clone()], &BatchOptions::with_threads(3));
-        let off = run_batch(&[spec], &BatchOptions::with_threads(3).without_dedup());
-        let (on, off) = (&on.jobs[0], &off.jobs[0]);
+        let report = run_batch(&[spec.clone()], &BatchOptions::with_threads(3));
+        let job = &report.jobs[0];
         // Deduplication is unobservable in the results ...
-        assert_eq!(on.counts, off.counts);
-        assert_eq!(on.error_events, off.error_events);
-        assert_eq!(on.shots_executed, off.shots_executed);
-        assert_eq!(on.dd_nodes_peak, off.dd_nodes_peak);
+        assert_matches_per_shot(job, &per_shot(&spec));
         // ... but very visible in the trajectory accounting.
         assert!(
-            on.unique_trajectories < on.shots_executed,
+            job.unique_trajectories < job.shots_executed,
             "expected sharing, got {} trajectories for {} shots",
-            on.unique_trajectories,
-            on.shots_executed
+            job.unique_trajectories,
+            job.shots_executed
         );
-        assert!(on.dedup_hit_rate > 0.5);
-        assert_eq!(off.unique_trajectories, off.shots_executed);
-        assert_eq!(off.dedup_hit_rate, 0.0);
+        assert!(job.dedup_hit_rate > 0.5);
+    }
+
+    #[test]
+    fn programs_that_decline_dedup_run_in_per_shot_chunks() {
+        // Measured before half its steps, so no prefix is worth sharing.
+        let path = std::env::temp_dir().join(format!(
+            "qsdd_batch_early_measure_{}.qasm",
+            std::process::id()
+        ));
+        std::fs::write(
+            &path,
+            "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\ncreg c[4];\n\
+             h q[0];\nmeasure q[0] -> c[0];\ncx q[0],q[1];\ncx q[1],q[2];\n\
+             cx q[2],q[3];\nh q[3];\nmeasure q -> c;\n",
+        )
+        .unwrap();
+        let mut spec = ghz_spec("early", 300, 5);
+        spec.source = CircuitSource::Qasm(path.clone());
+        spec.noise = NoiseModel::paper_defaults();
+        assert!(!engine(&spec).supports_dedup());
+        let reference = per_shot(&spec);
+        let reports = [1, 2, 3]
+            .map(|threads| run_batch(&[spec.clone()], &BatchOptions::with_threads(threads)));
+        std::fs::remove_file(&path).unwrap();
+        assert!(reference.error_events > 0, "the paper noise fires");
+        for report in &reports {
+            let job = &report.jobs[0];
+            assert!(job.status.is_completed(), "{:?}", job.status);
+            assert_matches_per_shot(job, &reference);
+            assert_eq!(job.unique_trajectories, job.shots_executed);
+            assert_eq!(job.results_json(), reports[0].jobs[0].results_json());
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! evaluation section (Table Ia, Ib, Ic plus the thread-scaling
 //! ablation); the Criterion benchmarks in `benches/` cover what the
 //! repository benchmark (`qsdd_benchmark/`) does not time — the QASMBench
-//! suite, the transpiler and the compute-table ablation. This library
+//! suite and the transpiler. This library
 //! holds the shared machinery: per-cell execution with a wall-clock
 //! budget, the baseline/proposed pairing, and table formatting.
 
@@ -206,17 +206,33 @@ pub fn measure_cell(
     }
 }
 
+/// Width of the label column: the longest label a table prints is Table
+/// Ic's `multiplier_15 (15)`.
+const LABEL_WIDTH: usize = 20;
+
+/// One table line: the label and the five cells, each right-aligned in the
+/// column the header and every row share.
+fn table_line(label: &str, [dense, proposed, work, auto, speedup]: [&str; 5]) -> String {
+    format!("{label:>LABEL_WIDTH$} {dense:>20} {proposed:>20} {work:>22} {auto:>16} {speedup:>10}")
+}
+
 /// Prints a table header with the standard columns, the decision-diagram
 /// job's evolutions, live shots and peak nodes, and the `auto` cell.
 pub fn print_header(first_column: &str) {
-    println!(
-        "{first_column:>16} {:>20} {:>20} {:>22} {:>16} {:>10}",
-        Engine::Dense.label(),
-        Engine::DecisionDiagram.label(),
-        "evolutions/live/peak",
-        Engine::Auto.label(),
-        "speedup"
-    );
+    println!("{}", header_line(first_column));
+}
+
+fn header_line(first_column: &str) -> String {
+    table_line(
+        first_column,
+        [
+            Engine::Dense.label(),
+            Engine::DecisionDiagram.label(),
+            "evolutions/live/peak",
+            Engine::Auto.label(),
+            "speedup",
+        ],
+    )
 }
 
 /// Prints one table row and returns the (baseline, proposed) outcomes.
@@ -243,18 +259,37 @@ pub fn print_row(
         (None, Some(_)) => ">limit".to_string(),
         _ => "-".to_string(),
     };
-    println!(
-        "{label:>16} {:>20} {:>20} {work:>22} {auto:>16} {speedup:>10}",
-        dense.format(),
-        proposed.format(),
-    );
+    let cells = [&dense.format(), &proposed.format(), &work, &auto, &speedup];
+    println!("{}", table_line(label, cells.map(String::as_str)));
     (dense, proposed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsdd_circuit::generators::ghz;
+    use qsdd_circuit::generators::{ghz, qasmbench_suite};
+
+    #[test]
+    fn rows_line_up_with_the_header() {
+        // Every cell is right-aligned in a fixed width, so a line is as long
+        // as the header exactly when no cell overflowed its column.
+        let width = |line: String| line.chars().count();
+        let header = width(header_line("benchmark (n)"));
+        assert_eq!(width(header_line("qubits n")), header);
+        let labels = (qasmbench_suite().into_iter())
+            .map(|entry| format!("{} ({})", entry.name, entry.num_qubits))
+            .chain(["64".to_string()]);
+        for label in labels {
+            let cells = [
+                "3.64",
+                "failed",
+                "696826/305847/127",
+                "dense 0.00",
+                ">limit",
+            ];
+            assert_eq!(width(table_line(&label, cells)), header, "{label}");
+        }
+    }
 
     #[test]
     fn cell_outcome_formatting() {

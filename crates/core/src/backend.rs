@@ -146,32 +146,6 @@ pub trait StochasticBackend: Sync {
     fn dedup_support(&self, _program: &Self::Program) -> Option<DedupSupport> {
         None
     }
-
-    /// Convenience single-shot path: compiles `circuit`, creates a fresh
-    /// context and executes one shot in it.
-    ///
-    /// Every call pays the full compile phase (operator resolution, and
-    /// for the DD back-end the no-error trajectory precompute), so this is
-    /// strictly a convenience — hot loops should compile once and reuse a
-    /// context via [`run_shot`](Self::run_shot) instead.
-    ///
-    /// **Caveat:** the context is dropped on return, so for back-ends
-    /// whose [`SingleRun::state`] handle borrows context storage (the
-    /// decision-diagram back-end) the returned `state` must not be
-    /// dereferenced or passed to [`evaluate`](Self::evaluate); use
-    /// `compile` + `run_shot` with a context you keep, or
-    /// a self-contained path like `DdSimulator::simulate_noiseless`, when
-    /// the final state matters.
-    fn run_once(
-        &self,
-        circuit: &Circuit,
-        noise: &NoiseModel,
-        rng: &mut StdRng,
-    ) -> SingleRun<Self::State> {
-        let program = self.compile(circuit, noise);
-        let mut ctx = self.new_context();
-        self.run_shot(&program, &mut ctx, rng, &[])
-    }
 }
 
 /// Hands out process-unique program identifiers, so execution contexts can

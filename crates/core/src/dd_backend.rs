@@ -186,12 +186,14 @@ const TRAJECTORY_NODE_BUDGET: usize = 1 << 19;
 /// The trajectory ends at the first measurement or reset, the template does
 /// not: compilation walks the remaining steps once more, error-free (every
 /// damping exposure keeps, measurements draw from a fixed-seed generator),
-/// within the same node budget. Nothing of that walk enters the program —
-/// `trajectory`, the deduplicable prefix and every shot's stream consumption
-/// are unchanged — but [`DdPackage::mark_persistent`] freezes its table
-/// entries with the rest of the template, so a shot on the no-error path
-/// finds its measure / project / normalise chains instead of rebuilding
-/// them, and any other shot rebuilds only the levels above its errors.
+/// within the same node budget, and only while its state is not the zero
+/// vector (damping 1 keeps nothing of an excited qubit). Nothing of that
+/// walk enters the program — `trajectory`, the deduplicable prefix and
+/// every shot's stream consumption are unchanged — but
+/// [`DdPackage::mark_persistent`] freezes its table entries with the rest
+/// of the template, so a shot on the no-error path finds its measure /
+/// project / normalise chains instead of rebuilding them, and any other
+/// shot rebuilds only the levels above its errors.
 #[derive(Clone, Debug)]
 pub struct DdProgram {
     id: u64,
@@ -243,13 +245,6 @@ impl DdProgram {
     /// trajectory (the fast-forward path).
     pub fn trajectory_steps(&self) -> usize {
         self.trajectory.len()
-    }
-
-    /// Number of leading steps whose error decisions can be presampled —
-    /// the region trajectory deduplication replays per distinct pattern
-    /// (see [`crate::dedup`]).
-    pub fn dedup_prefix_steps(&self) -> usize {
-        self.dedup_prefix
     }
 
     /// Number of nodes in the persistent region of the template package
@@ -331,19 +326,12 @@ impl Default for DdContext {
 /// The decision-diagram simulator back-end (the "Proposed" column of
 /// Table I).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct DdSimulator {
-    caching: bool,
-}
+pub struct DdSimulator;
 
 impl DdSimulator {
-    /// Creates a back-end with operation caching enabled.
+    /// Creates the back-end.
     pub fn new() -> Self {
-        DdSimulator { caching: true }
-    }
-
-    /// Creates a back-end with operation caching disabled (ablation only).
-    pub fn without_caching() -> Self {
-        DdSimulator { caching: false }
+        DdSimulator
     }
 
     /// Runs a circuit without noise and returns the final decision diagram.
@@ -379,7 +367,6 @@ impl DdSimulator {
     ) -> Result<DdProgram, Handoff> {
         let n = circuit.num_qubits();
         let mut base = DdPackage::new();
-        base.set_caching(self.caching);
         let initial = base.zero_state(n);
         let channels = noise.channels();
 
@@ -515,9 +502,12 @@ impl DdSimulator {
             program.steps.push(step);
             let index = program.steps.len() - 1;
             let within_budget = base.stats().vec_nodes <= TRAJECTORY_NODE_BUDGET;
+            // A keep that zeroes the state (`diag(1, 0)` at damping 1 on an
+            // excited qubit) ends the continuation: there is nothing left
+            // to measure, and no shot follows a path of probability 0.
             (recording, continuing) = (
                 recording && within_budget && apply,
-                continuing && within_budget,
+                continuing && within_budget && !walk.state.is_zero(),
             );
             if recording {
                 let mut thresholds = Recording(Vec::new());
@@ -1419,7 +1409,8 @@ mod tests {
         let circuit = ghz(24);
         let noise = NoiseModel::paper_defaults();
         let mut rng = StdRng::seed_from_u64(1);
-        let run = backend.run_once(&circuit, &noise, &mut rng);
+        let program = backend.compile(&circuit, &noise);
+        let run = backend.run_shot(&program, &mut backend.new_context(), &mut rng, &[]);
         assert!(
             run.dd_nodes <= 2 * 24,
             "noisy GHZ run produced {} nodes",
@@ -1434,7 +1425,8 @@ mod tests {
         let mut circuit = Circuit::new(3);
         circuit.x(0).measure_all();
         let mut rng = StdRng::seed_from_u64(9);
-        let run = backend.run_once(&circuit, &NoiseModel::noiseless(), &mut rng);
+        let program = backend.compile(&circuit, &NoiseModel::noiseless());
+        let run = backend.run_shot(&program, &mut backend.new_context(), &mut rng, &[]);
         assert_eq!(run.outcome, 0b100);
         assert_eq!(run.clbits, vec![true, false, false]);
     }
@@ -1497,7 +1489,8 @@ mod tests {
         let circuit = qft(16);
         let noise = NoiseModel::paper_defaults();
         let mut rng = StdRng::seed_from_u64(5);
-        let run = backend.run_once(&circuit, &noise, &mut rng);
+        let program = backend.compile(&circuit, &noise);
+        let run = backend.run_shot(&program, &mut backend.new_context(), &mut rng, &[]);
         // QFT of |0..0> stays a product state, so the DD stays linear even
         // with sporadic errors.
         assert!(
@@ -1515,7 +1508,8 @@ mod tests {
         let mut circuit = Circuit::new(2);
         circuit.x(0).reset(0).measure_all();
         let mut rng = StdRng::seed_from_u64(6);
-        let run = backend.run_once(&circuit, &NoiseModel::noiseless(), &mut rng);
+        let program = backend.compile(&circuit, &NoiseModel::noiseless());
+        let run = backend.run_shot(&program, &mut backend.new_context(), &mut rng, &[]);
         assert_eq!(run.outcome, 0);
     }
 

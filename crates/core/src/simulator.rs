@@ -124,14 +124,14 @@ pub struct StochasticSimulator {
     threads: usize,
     seed: u64,
     noise: NoiseModel,
-    dedup: bool,
     weighted: Option<WeightedOptions>,
 }
 
 impl StochasticSimulator {
     /// Creates a simulator with the [`BackendKind::Auto`] back-end, the
-    /// paper's noise model, 1024 shots on all available cores, trajectory
-    /// deduplication on and no circuit optimization.
+    /// paper's noise model, 1024 shots on all available cores and no
+    /// circuit optimization. Shots that make the same errors share one
+    /// trajectory ([`ExecMode::Dedup`]).
     pub fn new() -> Self {
         StochasticSimulator {
             backend: BackendKind::default(),
@@ -140,7 +140,6 @@ impl StochasticSimulator {
             threads: 0,
             seed: 0xD1CE_5EED,
             noise: NoiseModel::paper_defaults(),
-            dedup: true,
             weighted: None,
         }
     }
@@ -173,17 +172,6 @@ impl StochasticSimulator {
     /// Sets the noise model applied after every gate.
     pub fn with_noise(mut self, noise: NoiseModel) -> Self {
         self.noise = noise;
-        self
-    }
-
-    /// Enables or disables trajectory deduplication (on by default).
-    ///
-    /// With deduplication, shots are presampled and grouped by error
-    /// pattern and each distinct trajectory is simulated once (see
-    /// [`crate::dedup`]); results are byte-identical either way, so
-    /// disabling it is only useful for benchmarking the per-shot path.
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
         self
     }
 
@@ -238,7 +226,7 @@ impl StochasticSimulator {
         circuit: &Circuit,
         observables: &[Observable],
     ) -> StochasticOutcome {
-        let mode = ExecMode::from_switches(self.dedup, self.weighted.clone());
+        let mode = (self.weighted.clone()).map_or(ExecMode::Dedup, ExecMode::Weighted);
         let plan = ExecPlan::new(mode, self.shots, observables);
         execute(
             &self.engine(circuit),

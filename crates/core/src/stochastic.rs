@@ -66,18 +66,6 @@ pub enum ExecMode {
     Weighted(WeightedOptions),
 }
 
-impl ExecMode {
-    /// The mode the two user-facing switches select: weighted enumeration
-    /// when options are given, else the deduplication on/off switch.
-    pub fn from_switches(dedup: bool, weighted: Option<WeightedOptions>) -> Self {
-        match weighted {
-            Some(options) => ExecMode::Weighted(options),
-            None if dedup => ExecMode::Dedup,
-            None => ExecMode::PerShot,
-        }
-    }
-}
-
 /// One job for [`execute`]: what to run, not where.
 #[derive(Clone, Debug)]
 pub struct ExecPlan<'a> {
@@ -163,8 +151,8 @@ pub struct StochasticOutcome {
     /// configuration.
     pub threads: usize,
     /// Trajectory-deduplication statistics; `None` when the run executed on
-    /// the ordinary per-shot path (deduplication disabled, or the program
-    /// does not support it).
+    /// the ordinary per-shot path ([`ExecMode::PerShot`], or the program
+    /// does not support deduplication).
     pub dedup: Option<DedupStats>,
     /// Weighted-enumeration statistics; `None` when the run sampled shots
     /// instead of enumerating trajectories (see [`crate::weighted`]). When

@@ -185,9 +185,7 @@ impl DdPackage {
             let [a1, b1, c1] = self.excitations_rec(one, top, bottom);
             [a0 + a1, b0 + b1, c0 + c1]
         };
-        if self.caching_enabled {
-            self.ct_excited.live.insert(key, p);
-        }
+        self.ct_excited.live.insert(key, p);
         p.map(|p| wsq * p)
     }
 
@@ -376,9 +374,7 @@ impl DdPackage {
             let c1 = self.project_rec(node.edges[1], target, outcome);
             self.make_vec_node(node.var, [c0, c1])
         };
-        if self.caching_enabled {
-            self.ct_collapse.live.insert(key, result);
-        }
+        self.ct_collapse.live.insert(key, result);
         VecEdge {
             node: result.node,
             weight: self.ctable.mul(edge.weight, result.weight),

@@ -59,19 +59,17 @@ impl DdPackage {
             "operator extends below the state vector terminal"
         );
         let key = (m.node, v.node);
-        if self.caching_enabled {
-            let age = match self.mat_kept(m.node) {
-                true => Age::default().node(v.node.0),
-                false => Age::NEWEST,
+        let age = match self.mat_kept(m.node) {
+            true => Age::default().node(v.node.0),
+            false => Age::NEWEST,
+        };
+        if let Some(&cached) = self.ct_mat_vec.get(&key, age) {
+            self.counters.compute_hits += 1;
+            let w = self.ctable.mul_scratch(weight, cached.weight);
+            return VecEdge {
+                node: cached.node,
+                weight: w,
             };
-            if let Some(&cached) = self.ct_mat_vec.get(&key, age) {
-                self.counters.compute_hits += 1;
-                let w = self.ctable.mul_scratch(weight, cached.weight);
-                return VecEdge {
-                    node: cached.node,
-                    weight: w,
-                };
-            }
         }
         let mnode = self.mat_nodes[m.node.index()];
         let vnode = self.vec_nodes[v.node.index()];
@@ -86,11 +84,9 @@ impl DdPackage {
             *child = self.vec_add_rec(p0, p1);
         }
         let result = self.make_vec_node(mnode.var, children);
-        if self.caching_enabled {
-            self.counters.compute_misses += 1;
-            self.ctable.pin(result.weight);
-            self.ct_mat_vec.live.insert(key, result);
-        }
+        self.counters.compute_misses += 1;
+        self.ctable.pin(result.weight);
+        self.ct_mat_vec.live.insert(key, result);
         VecEdge {
             node: result.node,
             weight: self.ctable.mul_scratch(weight, result.weight),
@@ -147,15 +143,13 @@ impl DdPackage {
         let (x, y) = if a_first { (a, b) } else { (b, a) };
         let ratio = self.ctable.div(y.weight, x.weight);
         let key = (x.node, y.node, ratio);
-        if self.caching_enabled {
-            let age = Age::default().node(x.node.0).node(y.node.0).weight(ratio);
-            if let Some(&cached) = self.ct_vec_add.get(&key, age) {
-                self.counters.compute_hits += 1;
-                return VecEdge {
-                    node: cached.node,
-                    weight: self.ctable.mul_scratch(x.weight, cached.weight),
-                };
-            }
+        let age = Age::default().node(x.node.0).node(y.node.0).weight(ratio);
+        if let Some(&cached) = self.ct_vec_add.get(&key, age) {
+            self.counters.compute_hits += 1;
+            return VecEdge {
+                node: cached.node,
+                weight: self.ctable.mul_scratch(x.weight, cached.weight),
+            };
         }
         let xn = self.vec_nodes[x.node.index()];
         let yn = self.vec_nodes[y.node.index()];
@@ -169,70 +163,13 @@ impl DdPackage {
             *child = self.vec_add_rec(xn.edges[i], ey);
         }
         let result = self.make_vec_node(xn.var, children);
-        if self.caching_enabled {
-            self.counters.compute_misses += 1;
-            self.ctable.pin(result.weight);
-            self.ct_vec_add.live.insert(key, result);
-        }
+        self.counters.compute_misses += 1;
+        self.ctable.pin(result.weight);
+        self.ct_vec_add.live.insert(key, result);
         VecEdge {
             node: result.node,
             weight: self.ctable.mul_scratch(x.weight, result.weight),
         }
-    }
-
-    /// Adds two matrix diagrams element-wise.
-    pub fn mat_add(&mut self, a: MatEdge, b: MatEdge) -> MatEdge {
-        self.maybe_trim_caches();
-        self.mat_add_rec(a, b)
-    }
-
-    fn mat_add_rec(&mut self, a: MatEdge, b: MatEdge) -> MatEdge {
-        if a.is_zero() {
-            return b;
-        }
-        if b.is_zero() {
-            return a;
-        }
-        if a.node.is_terminal() && b.node.is_terminal() {
-            let w = self.ctable.add(a.weight, b.weight);
-            return MatEdge::terminal(w);
-        }
-        debug_assert!(
-            !a.node.is_terminal() && !b.node.is_terminal(),
-            "cannot add matrices of different heights"
-        );
-        let (x, y) = if (a.node, a.weight) <= (b.node, b.weight) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        if self.caching_enabled {
-            if let Some(&cached) = self.ct_mat_add.get(&(x, y)) {
-                self.counters.compute_hits += 1;
-                return cached;
-            }
-        }
-        let xn = self.mat_nodes[x.node.index()];
-        let yn = self.mat_nodes[y.node.index()];
-        debug_assert_eq!(xn.var, yn.var, "operands decide different qubits");
-        let mut children = [MatEdge::zero(); 4];
-        for (i, child) in children.iter_mut().enumerate() {
-            let ex = MatEdge {
-                node: xn.edges[i].node,
-                weight: self.ctable.mul(x.weight, xn.edges[i].weight),
-            };
-            let ey = MatEdge {
-                node: yn.edges[i].node,
-                weight: self.ctable.mul(y.weight, yn.edges[i].weight),
-            };
-            *child = self.mat_add_rec(ex, ey);
-        }
-        let result = self.make_mat_node(xn.var, children);
-        if self.caching_enabled {
-            self.counters.compute_misses += 1;
-            self.ct_mat_add.insert((x, y), result);
-        }
-        result
     }
 
     /// Computes the inner product `<a|b>` (conjugate-linear in `a`).
@@ -253,12 +190,10 @@ impl DdPackage {
             !a.node.is_terminal() && !b.node.is_terminal(),
             "cannot take inner product of vectors of different heights"
         );
-        if self.caching_enabled {
-            let age = Age::default().node(a.node.0).node(b.node.0);
-            if let Some(&cached) = self.ct_inner.get(&(a.node, b.node), age) {
-                self.counters.compute_hits += 1;
-                return cached * w;
-            }
+        let age = Age::default().node(a.node.0).node(b.node.0);
+        if let Some(&cached) = self.ct_inner.get(&(a.node, b.node), age) {
+            self.counters.compute_hits += 1;
+            return cached * w;
         }
         let an = self.vec_nodes[a.node.index()];
         let bn = self.vec_nodes[b.node.index()];
@@ -267,10 +202,8 @@ impl DdPackage {
         for i in 0..2 {
             sum += self.inner_rec(an.edges[i], bn.edges[i]);
         }
-        if self.caching_enabled {
-            self.counters.compute_misses += 1;
-            self.ct_inner.live.insert((a.node, b.node), sum);
-        }
+        self.counters.compute_misses += 1;
+        self.ct_inner.live.insert((a.node, b.node), sum);
         sum * w
     }
 
@@ -554,19 +487,5 @@ mod tests {
         let sum = dd.vec_add(a, b); // norm^2 = 2
         let normalized = dd.normalize(sum);
         assert!((dd.norm_sqr(normalized) - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn caching_can_be_disabled_without_changing_results() {
-        let mut cached = DdPackage::new();
-        let mut uncached = DdPackage::new();
-        uncached.set_caching(false);
-        let a = bell_state(&mut cached);
-        let b = bell_state(&mut uncached);
-        let va = cached.to_statevector(a, 2);
-        let vb = uncached.to_statevector(b, 2);
-        for (x, y) in va.iter().zip(vb.iter()) {
-            assert!(x.approx_eq(*y, 1e-12));
-        }
     }
 }

@@ -191,16 +191,12 @@ pub struct DdPackage {
     pub(crate) ct_mat_vec: Layered<(MatNodeId, VecNodeId), VecEdge>,
     /// `N_x + ratio * N_y`, keyed `(N_x, N_y, ratio)` (see `vec_add_rec`).
     pub(crate) ct_vec_add: Layered<(VecNodeId, VecNodeId, ComplexId), VecEdge>,
-    /// Matrices are built before the mark, which frees this table; it is
-    /// neither frozen nor cloned.
-    pub(crate) ct_mat_add: FxHashMap<(MatEdge, MatEdge), MatEdge>,
     pub(crate) ct_inner: Layered<(VecNodeId, VecNodeId), Complex>,
     /// `[‖P1(a)‖², ‖P1(b)‖², ‖P1(a)P1(b)‖²]` of a node, keyed `(node, a, b)`
     /// with `a <= b` (see `DdPackage::excitations`).
     pub(crate) ct_excited: Layered<(VecNodeId, u16, u16), [f64; 3]>,
     pub(crate) ct_collapse: Layered<(VecNodeId, u16, bool), VecEdge>,
     pub(crate) cache_limit: usize,
-    pub(crate) caching_enabled: bool,
     /// Vector nodes below this index belong to the persistent region.
     pub(crate) vec_watermark: usize,
     /// Matrix nodes below this index belong to the persistent region.
@@ -248,12 +244,10 @@ impl Clone for DdPackage {
         self.mat_unique.clone_from(&source.mat_unique);
         self.ct_mat_vec.clone_from(&source.ct_mat_vec);
         self.ct_vec_add.clone_from(&source.ct_vec_add);
-        self.ct_mat_add.clear();
         self.ct_inner.clone_from(&source.ct_inner);
         self.ct_excited.clone_from(&source.ct_excited);
         self.ct_collapse.clone_from(&source.ct_collapse);
         self.cache_limit = source.cache_limit;
-        self.caching_enabled = source.caching_enabled;
         self.vec_watermark = source.vec_watermark;
         self.mat_watermark = source.mat_watermark;
         self.complex_watermark = source.complex_watermark;
@@ -287,12 +281,10 @@ impl DdPackage {
             mat_unique: Layered::default(),
             ct_mat_vec: Layered::default(),
             ct_vec_add: Layered::default(),
-            ct_mat_add: FxHashMap::default(),
             ct_inner: Layered::default(),
             ct_excited: Layered::default(),
             ct_collapse: Layered::default(),
             cache_limit: DEFAULT_CACHE_LIMIT,
-            caching_enabled: true,
             vec_watermark: 0,
             mat_watermark: 0,
             complex_watermark,
@@ -311,17 +303,6 @@ impl DdPackage {
         let mut p = DdPackage::new();
         p.ctable = ComplexTable::with_tolerance(tolerance);
         p
-    }
-
-    /// Enables or disables the operation caches (compute tables).
-    ///
-    /// Disabling is only useful for ablation experiments; normal users should
-    /// leave caching on.
-    pub fn set_caching(&mut self, enabled: bool) {
-        self.caching_enabled = enabled;
-        if !enabled {
-            self.clear_caches();
-        }
     }
 
     /// Overrides the per-table memoisation cache limit (entries).
@@ -359,15 +340,6 @@ impl DdPackage {
     /// Panics when `id` is the terminal node or not from this package.
     pub fn vec_node(&self, id: VecNodeId) -> VecNode {
         self.vec_nodes[id.index()]
-    }
-
-    /// Returns the node data behind a non-terminal matrix node id.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is the terminal node or not from this package.
-    pub fn mat_node(&self, id: MatNodeId) -> MatNode {
-        self.mat_nodes[id.index()]
     }
 
     /// Current package statistics.
@@ -409,7 +381,6 @@ impl DdPackage {
     pub fn clear_caches(&mut self) {
         self.ct_mat_vec.clear();
         self.ct_vec_add.clear();
-        self.ct_mat_add.clear();
         self.ct_inner.clear();
         self.ct_excited.clear();
         self.ct_collapse.clear();
@@ -431,9 +402,6 @@ impl DdPackage {
             self.ctable.truncate_scratch(self.scratch_watermark);
         }
         self.ctable.release_scratch();
-        if self.ct_mat_add.len() > limit {
-            self.ct_mat_add.clear();
-        }
         trimmed |= self.ct_inner.trim(limit);
         trimmed |= self.ct_excited.trim(limit);
         trimmed |= self.ct_collapse.trim(limit);
@@ -456,10 +424,9 @@ impl DdPackage {
     /// layer and die at the rewind — what a result is interned against
     /// depends on the table's history, so keeping one would make a warmed
     /// package differ from a fresh clone. Marking again extends the frozen
-    /// layer. The matrix addition cache, which only operator construction
-    /// reads, is freed; the matrix arena, which only operator construction
-    /// grows, is shared by every copy (see `clone_from`) until one builds a
-    /// matrix node after the mark.
+    /// layer. The matrix arena, which only operator construction grows, is
+    /// shared by every copy (see `clone_from`) until one builds a matrix
+    /// node after the mark.
     ///
     /// The compile phase of the simulator calls this once, after building
     /// all operator diagrams of a circuit and evaluating its error-free
@@ -470,7 +437,6 @@ impl DdPackage {
         self.complex_watermark = self.ctable.len();
         self.ctable.release_scratch();
         self.scratch_watermark = self.ctable.scratch.len();
-        self.ct_mat_add = FxHashMap::default();
         let weights = self.complex_watermark as u32;
         let seal = Age(self.vec_watermark as u32, weights);
         self.vec_unique.freeze(seal);
@@ -620,7 +586,6 @@ impl DdPackage {
         self.mat_unique.rewind();
         self.ct_mat_vec.rewind();
         self.ct_vec_add.rewind();
-        self.ct_mat_add.clear();
         self.ct_inner.rewind();
         self.ct_excited.rewind();
         self.ct_collapse.rewind();
@@ -948,6 +913,65 @@ impl DdPackage {
         let s = self.mat_add(t00, t01);
         let s = self.mat_add(s, t10);
         self.mat_add(s, t11)
+    }
+
+    /// Adds two matrix diagrams element-wise: the controlled and SWAP
+    /// operators above are sums of Kronecker terms. One pass with a memo of
+    /// its own, keyed on the ordered operand pair, which keeps the recursion
+    /// linear where both operands repeat one node on both diagonal quadrants.
+    /// A gate's sum meets about two pairs per qubit; the memo starts sized
+    /// for that, as regrowing it from empty cost a QFT-16 compile 6 %.
+    fn mat_add(&mut self, a: MatEdge, b: MatEdge) -> MatEdge {
+        let mut memo = FxHashMap::with_capacity_and_hasher(64, Default::default());
+        self.mat_add_rec(a, b, &mut memo)
+    }
+
+    fn mat_add_rec(
+        &mut self,
+        a: MatEdge,
+        b: MatEdge,
+        memo: &mut FxHashMap<(MatEdge, MatEdge), MatEdge>,
+    ) -> MatEdge {
+        if a.is_zero() {
+            return b;
+        }
+        if b.is_zero() {
+            return a;
+        }
+        if a.node.is_terminal() && b.node.is_terminal() {
+            let w = self.ctable.add(a.weight, b.weight);
+            return MatEdge::terminal(w);
+        }
+        debug_assert!(
+            !a.node.is_terminal() && !b.node.is_terminal(),
+            "cannot add matrices of different heights"
+        );
+        let (x, y) = if (a.node, a.weight) <= (b.node, b.weight) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        if let Some(&sum) = memo.get(&(x, y)) {
+            return sum;
+        }
+        let xn = self.mat_nodes[x.node.index()];
+        let yn = self.mat_nodes[y.node.index()];
+        debug_assert_eq!(xn.var, yn.var, "operands decide different qubits");
+        let mut children = [MatEdge::zero(); 4];
+        for (i, child) in children.iter_mut().enumerate() {
+            let ex = MatEdge {
+                node: xn.edges[i].node,
+                weight: self.ctable.mul(x.weight, xn.edges[i].weight),
+            };
+            let ey = MatEdge {
+                node: yn.edges[i].node,
+                weight: self.ctable.mul(y.weight, yn.edges[i].weight),
+            };
+            *child = self.mat_add_rec(ex, ey, memo);
+        }
+        let sum = self.make_mat_node(xn.var, children);
+        memo.insert((x, y), sum);
+        sum
     }
 
     /// `(⊗_{q ∈ qubits} diag(1, factor))·m`: scales every row of `m` by

@@ -55,9 +55,6 @@ pub struct JobInput {
     pub seed: u64,
     /// Transpiler optimization level.
     pub opt: OptLevel,
-    /// Whether trajectory deduplication may be used (results are identical
-    /// either way).
-    pub dedup: bool,
     /// Noise model applied after every gate.
     pub noise: NoiseModel,
     /// Observables estimated over the shots, in request order.
@@ -81,17 +78,18 @@ impl JobInput {
     /// spelling the same angle differently (`0.5` vs `5e-1`) still collide
     /// while genuinely different angles never do. The circuit is encoded
     /// structurally (not via its QASM echo) so circuits outside the QASM
-    /// subset are cacheable too.
+    /// subset are cacheable too. The constant `|dedup=true` segment keeps
+    /// every content address — and with it every persisted result — what it
+    /// was when deduplication could still be switched off.
     pub fn canonical_key(&self) -> String {
         let mut key = String::with_capacity(256);
         key.push_str(&canonical_circuit(&self.circuit));
         key.push_str(&format!(
-            "|backend={}|shots={}|seed={}|opt={:?}|dedup={}|noise={:016x},{:016x},{:016x}",
+            "|backend={}|shots={}|seed={}|opt={:?}|dedup=true|noise={:016x},{:016x},{:016x}",
             self.backend,
             self.shots,
             self.seed,
             self.opt,
-            self.dedup,
             self.noise.depolarizing_prob().to_bits(),
             self.noise.amplitude_damping_prob().to_bits(),
             self.noise.phase_flip_prob().to_bits(),
@@ -195,7 +193,6 @@ pub fn parse_job_request(body: &str) -> Result<JobInput, String> {
                 | "seed"
                 | "backend"
                 | "opt"
-                | "dedup"
                 | "noise"
                 | "observables"
                 | "weighted"
@@ -251,11 +248,6 @@ pub fn parse_job_request(body: &str) -> Result<JobInput, String> {
         },
     };
 
-    let dedup = match value.get("dedup") {
-        None => true,
-        Some(v) => v.as_bool().ok_or("`dedup` must be a boolean")?,
-    };
-
     let noise = parse_noise(value.get("noise"))?;
     let observables = parse_observables(value.get("observables"), &circuit)?;
     let weighted = parse_weighted(value.get("weighted"))?;
@@ -288,7 +280,6 @@ pub fn parse_job_request(body: &str) -> Result<JobInput, String> {
         shots,
         seed,
         opt,
-        dedup,
         noise,
         observables,
         weighted,
@@ -574,7 +565,6 @@ mod tests {
         assert_eq!(input.seed, 7);
         assert_eq!(input.backend, BackendKind::Auto);
         assert_eq!(input.opt, OptLevel::O0);
-        assert!(input.dedup);
         assert!(!input.noise.is_noiseless());
         assert!(input.observables.is_empty());
         assert!(input.circuit_qasm.is_some());
@@ -597,7 +587,6 @@ mod tests {
             "circuit": {"qasm": "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0], q[1];\n"},
             "backend": "dense",
             "opt": 2,
-            "dedup": false,
             "noise": {"depolarizing": 0.01, "phaseflip": 0},
             "observables": [{"qubit_excitation": 1}, {"basis_probability": 3}]
         }"#;
@@ -605,7 +594,6 @@ mod tests {
         assert_eq!(input.circuit.num_qubits(), 2);
         assert_eq!(input.backend, BackendKind::Statevector);
         assert_eq!(input.opt, OptLevel::O2);
-        assert!(!input.dedup);
         assert!((input.noise.depolarizing_prob() - 0.01).abs() < 1e-12);
         assert_eq!(input.noise.phase_flip_prob(), 0.0);
         // Unset channels keep the paper defaults.
@@ -744,7 +732,6 @@ mod tests {
             r#","seed":8"#,
             r#","backend":"dense""#,
             r#","opt":1"#,
-            r#","dedup":false"#,
             r#","noise":{"noiseless":true}"#,
             r#","observables":[{"qubit_excitation":0}]"#,
             r#","weighted":true"#,
@@ -767,6 +754,24 @@ mod tests {
         // the field out — the two spellings share one cache cell.
         let disabled = parse_job_request(&bare_request(r#","weighted":false"#)).unwrap();
         assert_eq!(a.canonical_key(), disabled.canonical_key());
+    }
+
+    #[test]
+    fn a_default_submission_keeps_its_content_address() {
+        let input = parse_job_request(&bare_request("")).unwrap();
+        assert_eq!(
+            input.canonical_key(),
+            "q=5;c=5;h,t0;x,c0,t1;x,c0,t2;x,c0,t3;x,c0,t4|backend=auto|shots=200|seed=2021\
+             |opt=O0|dedup=true|noise=3f50624dd2f1a9fc,3f60624dd2f1a9fc,3f50624dd2f1a9fc"
+        );
+        assert_eq!(input.content_address(), "j236e13de3e1690f5");
+        // Deduplication is no longer a knob: the field is a typo like any
+        // other, not a silently ignored switch.
+        for value in ["false", "true"] {
+            let extra = format!(r#","dedup":{value}"#);
+            let err = parse_job_request(&bare_request(&extra)).unwrap_err();
+            assert_eq!(err, "unknown field `dedup`");
+        }
     }
 
     #[test]

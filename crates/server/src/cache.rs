@@ -1,8 +1,8 @@
 //! The content-addressed result cache and its request-coalescing cells.
 //!
 //! Every job is identified by its **content address** — the FxHash of the
-//! canonical (circuit, noise, seed, shots, backend, opt level, dedup flag,
-//! observables) key ([`JobInput::canonical_key`]) — so the cache is
+//! canonical (circuit, noise, seed, shots, backend, opt level, observables,
+//! weighted knobs, timeout) key ([`JobInput::canonical_key`]) — so the cache is
 //! simultaneously the job registry: submitting the same work twice yields
 //! the same job id, and `GET /v1/jobs/<id>` is a cache lookup.
 //!

@@ -11,7 +11,7 @@
 //!   (keep-alive, `Content-Length` framing, size caps).
 //! * **[`api`]** — the job schema: submissions name a circuit (built-in
 //!   generator or inline OpenQASM 2.0), noise model, seed, shots, back-end,
-//!   optimization level, dedup flag and observables; results are shaped
+//!   optimization level and observables; results are shaped
 //!   like `qsdd-batch`'s per-job reports.
 //! * **[`cache`]** — the content-addressed result cache: jobs are
 //!   identified by the FxHash of their canonical key, so identical

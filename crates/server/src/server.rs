@@ -898,7 +898,7 @@ fn execute_job(state: &Arc<ServerState>, cell: &Arc<ExecutionCell>, ctx: &mut Ex
                 }
                 engine
             };
-            let mode = ExecMode::from_switches(input.dedup, input.weighted.clone());
+            let mode = (input.weighted.clone()).map_or(ExecMode::Dedup, ExecMode::Weighted);
             let plan = ExecPlan::new(mode, input.shots, &input.observables).with_deadline(deadline);
             let outcome = execute(&engine, &plan, Placement::Inline(ctx))?;
             // The payload is timing-free by contract (byte-identical cache

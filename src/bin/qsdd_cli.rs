@@ -41,7 +41,6 @@ struct Options {
     top: usize,
     opt: OptLevel,
     verify_opt: bool,
-    dedup: bool,
     profile: bool,
     format: RunFormat,
     weighted: Option<WeightedOptions>,
@@ -137,9 +136,6 @@ options (run / generate):
                        report of the transpiler is printed for levels > 0
   --verify-opt         cross-check the optimized circuit against the original
                        via statevector fidelity before running (<= 22 qubits)
-  --no-dedup           disable trajectory deduplication (per-shot execution;
-                       results are identical, this is a benchmarking escape
-                       hatch)
   --weighted           enumerate error trajectories in descending probability
                        order and simulate each distinct one once, exactly;
                        only the residual probability mass is sampled
@@ -171,7 +167,6 @@ options (batch):
   --out <path>         write the report to a file instead of stdout
   --format <json|csv>  report format (default json, or inferred from --out)
   --threads <N>        worker threads shared by all jobs, 0 = all cores
-  --no-dedup           disable trajectory deduplication for every job
   --profile            print the aggregated per-stage timing breakdown of
                        the whole batch to stderr
   --trace-out <path>   record the batch's span trace (scheduler chunks per
@@ -202,7 +197,6 @@ struct BatchCliOptions {
     out: Option<String>,
     format: ReportFormat,
     threads: usize,
-    dedup: bool,
     profile: bool,
     trace_out: Option<String>,
 }
@@ -222,7 +216,6 @@ fn parse_batch_args(args: &[String]) -> Result<BatchCliOptions, String> {
     let mut out = None;
     let mut format = None;
     let mut threads = 0usize;
-    let mut dedup = true;
     let mut profile = false;
     let mut trace_out = None;
     while let Some(flag) = iter.next() {
@@ -234,7 +227,6 @@ fn parse_batch_args(args: &[String]) -> Result<BatchCliOptions, String> {
         match flag.as_str() {
             "--out" => out = Some(value("--out")?),
             "--threads" => threads = parse_number(&value("--threads")?)?,
-            "--no-dedup" => dedup = false,
             "--profile" => profile = true,
             "--trace-out" => trace_out = Some(value("--trace-out")?),
             "--format" => {
@@ -257,7 +249,6 @@ fn parse_batch_args(args: &[String]) -> Result<BatchCliOptions, String> {
         out,
         format,
         threads,
-        dedup,
         profile,
         trace_out,
     })
@@ -279,17 +270,13 @@ fn run_batch_command(options: BatchCliOptions) -> ExitCode {
         // chunk/queue/worker series publish to the global registry.
         qsdd::telemetry::set_enabled(true);
     }
-    let mut batch_options = BatchOptions::with_threads(options.threads);
-    if !options.dedup {
-        batch_options = batch_options.without_dedup();
-    }
     // --trace-out records the batch's scheduler chunks per worker lane.
     let tracer = options.trace_out.as_ref().map(|_| {
         qsdd::telemetry::trace::configure_trace_from_env(true);
         qsdd::telemetry::trace::Tracer::forced("batch", "batch")
     });
     let traced = tracer.as_ref().map(|tracer| tracer.install(0));
-    let report = run_batch(&jobs, &batch_options);
+    let report = run_batch(&jobs, &BatchOptions::with_threads(options.threads));
     drop(traced);
     if let (Some(tracer), Some(path)) = (tracer, &options.trace_out) {
         if let Err(message) = write_trace(path, tracer.finish("batch")) {
@@ -487,7 +474,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         top: 10,
         opt: OptLevel::O0,
         verify_opt: false,
-        dedup: true,
         profile: false,
         format: RunFormat::Text,
         weighted: None,
@@ -525,7 +511,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 options.opt = value("--opt")?.parse::<OptLevel>()?;
             }
             "--verify-opt" => options.verify_opt = true,
-            "--no-dedup" => options.dedup = false,
             "--profile" => options.profile = true,
             "--format" => {
                 options.format = match value("--format")?.as_str() {
@@ -686,7 +671,7 @@ fn run(options: Options) -> ExitCode {
             1u64 << n.saturating_sub(BackendKind::AUTO_DENSITY),
         );
     }
-    let mode = ExecMode::from_switches(options.dedup, options.weighted.clone());
+    let mode = (options.weighted.clone()).map_or(ExecMode::Dedup, ExecMode::Weighted);
     let plan = ExecPlan::new(mode, options.shots, &[]).with_deadline(deadline);
     let result = execute(&engine, &plan, Placement::Threads(options.threads));
     drop(traced);
@@ -928,18 +913,6 @@ mod tests {
         let defaults = parse_args(&args(&["generate", "qft", "6"])).unwrap();
         assert_eq!(defaults.opt, OptLevel::O0);
         assert!(!defaults.verify_opt);
-    }
-
-    #[test]
-    fn parses_the_no_dedup_escape_hatch() {
-        let defaults = parse_args(&args(&["generate", "ghz", "4"])).unwrap();
-        assert!(defaults.dedup, "dedup must default on");
-        let off = parse_args(&args(&["generate", "ghz", "4", "--no-dedup"])).unwrap();
-        assert!(!off.dedup);
-        let batch_defaults = parse_batch_args(&args(&["jobs.txt"])).unwrap();
-        assert!(batch_defaults.dedup);
-        let batch_off = parse_batch_args(&args(&["jobs.txt", "--no-dedup"])).unwrap();
-        assert!(!batch_off.dedup);
     }
 
     #[test]

@@ -20,8 +20,7 @@ use qsdd::noise::NoiseModel;
 const SEED: u64 = 2021;
 const BV_SECRET: u64 = 0x5555_5555_5555_5555;
 
-fn engine(circuit: &Circuit, backend: BackendKind) -> ShotEngine {
-    let noise = NoiseModel::paper_defaults();
+fn engine(circuit: &Circuit, backend: BackendKind, noise: NoiseModel) -> ShotEngine {
     ShotEngine::new(circuit, backend, noise, SEED, OptLevel::O0)
 }
 
@@ -39,9 +38,15 @@ fn suite_circuit(name: &str) -> Circuit {
 
 /// Runs `circuit` under `auto` and under `expected`, and asserts that `auto`
 /// resolved to `expected` and reproduced its run in every deterministic
-/// field.
-fn assert_resolves_to(circuit: &Circuit, expected: BackendKind, mode: ExecMode, shots: usize) {
-    let auto = engine(circuit, BackendKind::Auto);
+/// field. Returns the explicit run.
+fn assert_resolves_to(
+    circuit: &Circuit,
+    noise: NoiseModel,
+    expected: BackendKind,
+    mode: ExecMode,
+    shots: usize,
+) -> StochasticOutcome {
+    let auto = engine(circuit, BackendKind::Auto, noise);
     let name = circuit.name();
     assert_eq!(auto.backend_kind(), expected, "{name}");
     assert_eq!(
@@ -51,7 +56,7 @@ fn assert_resolves_to(circuit: &Circuit, expected: BackendKind, mode: ExecMode, 
     );
     let (auto, explicit) = (
         run(&auto, mode.clone(), shots),
-        run(&engine(circuit, expected), mode, shots),
+        run(&engine(circuit, expected, noise), mode, shots),
     );
     assert_eq!(
         auto.backend, expected,
@@ -63,10 +68,12 @@ fn assert_resolves_to(circuit: &Circuit, expected: BackendKind, mode: ExecMode, 
     let avg = |outcome: &StochasticOutcome| outcome.dd_nodes_avg.to_bits();
     assert_eq!(avg(&auto), avg(&explicit), "{name}");
     assert_eq!(auto.dedup, explicit.dedup, "{name}");
+    explicit
 }
 
 #[test]
 fn dense_state_jobs_run_on_amplitudes() {
+    let noise = NoiseModel::paper_defaults();
     let random = random_circuit(7, 10, 2021);
     for (circuit, shots) in [
         (by_name("qaoa", 8).expect("a generator"), 500),
@@ -75,34 +82,60 @@ fn dense_state_jobs_run_on_amplitudes() {
         (suite_circuit("vqe_uccsd_6"), 100),
         (random.clone(), 200),
     ] {
-        assert_resolves_to(&circuit, BackendKind::Statevector, ExecMode::Dedup, shots);
+        assert_resolves_to(
+            &circuit,
+            noise,
+            BackendKind::Statevector,
+            ExecMode::Dedup,
+            shots,
+        );
     }
     let weighted = ExecMode::Weighted(WeightedOptions::default());
-    assert_resolves_to(&random, BackendKind::Statevector, weighted, 200);
+    assert_resolves_to(&random, noise, BackendKind::Statevector, weighted, 200);
 }
 
 #[test]
 fn structured_jobs_stay_on_decision_diagrams() {
-    for (circuit, shots) in [
-        (qft(16), 300),
-        (bernstein_vazirani(12, BV_SECRET), 500),
-        (by_name("bv", 10).expect("a generator"), 500),
-        (suite_circuit("seca_11"), 100),
-        (suite_circuit("multiplier_15"), 50),
-        (w_state(24), 200),
+    let paper = NoiseModel::paper_defaults();
+    // At damping 1 a keep zeroes the no-error state at the first excited
+    // qubit, so the diagram never grows and the compile's walk must stop
+    // there instead of measuring the zero vector.
+    let certain_decay = NoiseModel::new(0.0, 1.0, 0.0);
+    for (circuit, noise, shots) in [
+        (qft(16), paper, 300),
+        (bernstein_vazirani(12, BV_SECRET), paper, 500),
+        (by_name("bv", 10).expect("a generator"), paper, 500),
+        (suite_circuit("seca_11"), paper, 100),
+        (suite_circuit("multiplier_15"), paper, 50),
+        (w_state(24), paper, 200),
+        (
+            by_name("grover", 6).expect("a generator"),
+            certain_decay,
+            300,
+        ),
     ] {
-        assert_resolves_to(
+        let dd = assert_resolves_to(
             &circuit,
+            noise,
             BackendKind::DecisionDiagram,
             ExecMode::Dedup,
             shots,
         );
+        if noise == certain_decay {
+            let dense = run(
+                &engine(&circuit, BackendKind::Statevector, noise),
+                ExecMode::Dedup,
+                shots,
+            );
+            assert_eq!(dd.counts, dense.counts, "{}", circuit.name());
+        }
     }
 }
 
 #[test]
 fn a_handed_off_job_runs_no_decision_diagram_shot() {
-    let auto = engine(&by_name("qaoa", 8).expect("a generator"), BackendKind::Auto);
+    let qaoa = by_name("qaoa", 8).expect("a generator");
+    let auto = engine(&qaoa, BackendKind::Auto, NoiseModel::paper_defaults());
     let mut ctx = ExecContext::new();
     let plan = ExecPlan::new(ExecMode::Dedup, 200, &[]);
     execute(&auto, &plan, Placement::Inline(&mut ctx)).expect("no deadline is set");

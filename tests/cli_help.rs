@@ -26,7 +26,6 @@ const RUN_FLAGS: &[&str] = &[
     "--backend",
     "--opt",
     "--verify-opt",
-    "--no-dedup",
     "--weighted",
     "--mass-cutoff",
     "--max-patterns",
@@ -41,14 +40,7 @@ const RUN_FLAGS: &[&str] = &[
     "--timeout",
     "--trace-out",
 ];
-const BATCH_FLAGS: &[&str] = &[
-    "--out",
-    "--format",
-    "--threads",
-    "--no-dedup",
-    "--profile",
-    "--trace-out",
-];
+const BATCH_FLAGS: &[&str] = &["--out", "--format", "--threads", "--profile", "--trace-out"];
 const SERVE_FLAGS: &[&str] = &[
     "--addr",
     "--threads",
@@ -109,7 +101,6 @@ fn listed_flags_are_actually_accepted() {
         "dd",
         "--opt",
         "1",
-        "--no-dedup",
         "--weighted",
         "--mass-cutoff",
         "0.9",
@@ -134,6 +125,21 @@ fn listed_flags_are_actually_accepted() {
         "pinned flag set was rejected: {stderr}"
     );
     assert!(!stderr.contains("unknown flag"), "{stderr}");
+}
+
+#[test]
+fn retired_flags_are_rejected() {
+    // Trajectory sharing is no longer optional: the old off switch is an
+    // unknown flag on both subcommands that had it, not a silent no-op.
+    for args in [
+        &["generate", "ghz", "4", "--no-dedup"][..],
+        &["batch", "jobs.txt", "--no-dedup"],
+    ] {
+        let output = cli(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{args:?} was accepted");
+        assert!(stderr.contains("unknown flag `--no-dedup`"), "{stderr}");
+    }
 }
 
 #[test]

@@ -276,24 +276,6 @@ fn transpiled_engines_dedup_through_the_output_layout() {
     }
 }
 
-#[test]
-fn simulator_facade_exposes_the_dedup_switch() {
-    use qsdd::circuit::generators::ghz;
-    use qsdd::core::StochasticSimulator;
-    let base = StochasticSimulator::new()
-        .with_shots(500)
-        .with_seed(5)
-        .with_threads(2)
-        .with_noise(NoiseModel::noiseless().with_depolarizing(0.002));
-    let on = base.clone().run(&ghz(8));
-    let off = base.with_dedup(false).run(&ghz(8));
-    assert!(on.dedup.is_some(), "dedup engages by default");
-    assert!(off.dedup.is_none(), "--no-dedup falls back to per-shot");
-    assert_eq!(on.counts, off.counts);
-    assert_eq!(on.error_events, off.error_events);
-    assert_eq!(on.dd_nodes_peak, off.dd_nodes_peak);
-}
-
 /// Circuits whose shots deviate often enough that deviation buckets grow
 /// children and grandchildren: the paper's channels at ten times their
 /// strength on GHZ-16, QFT-8 and measured BV-6 (prefix deduplication), and

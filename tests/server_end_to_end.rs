@@ -11,7 +11,8 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use qsdd::batch::{JobReport, JobStatus};
-use qsdd::circuit::generators::ghz;
+use qsdd::circuit::generators::{ghz, qft};
+use qsdd::circuit::{qasm, Circuit};
 use qsdd::core::{
     execute, BackendKind, ExecMode, ExecPlan, OptLevel, Placement, ShotEngine, StochasticSimulator,
 };
@@ -562,10 +563,9 @@ fn full_queue_rejects_with_429_and_drains_on_shutdown() {
     let addr = server.addr();
     // Slow distinct jobs: the worker picks up the first, the second fills
     // the queue, everything after bounces with 429.
+    let circuit = per_shot_qft(9);
     let slow_body = |seed: usize| {
-        format!(
-            r#"{{"circuit":{{"generator":"qft","qubits":9}},"backend":"dense","dedup":false,"shots":1500,"seed":{seed}}}"#
-        )
+        format!(r#"{{"circuit":{circuit},"backend":"dense","shots":1500,"seed":{seed}}}"#)
     };
     let mut session = client::Client::connect(addr).unwrap();
     let mut ids = Vec::new();
@@ -622,4 +622,14 @@ fn full_queue_rejects_with_429_and_drains_on_shutdown() {
         client::request(addr, "GET", "/v1/healthz", None).is_err(),
         "listener survived shutdown"
     );
+}
+
+/// The `circuit` object of a QFT-`n` job whose shots all run live: it
+/// measures a qubit before its first gate, so no prefix is worth sharing
+/// and the job declines trajectory deduplication.
+fn per_shot_qft(n: usize) -> String {
+    let mut circuit = Circuit::new(n);
+    circuit.measure(0, 0).append(&qft(n));
+    let source = qasm::write_source(&circuit).expect("QFT is expressible in QASM");
+    format!(r#"{{"qasm":{}}}"#, Value::from(source.as_str()))
 }

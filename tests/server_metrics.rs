@@ -9,6 +9,8 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use qsdd::circuit::generators::qft;
+use qsdd::circuit::{qasm, Circuit};
 use qsdd::json::{self, Value};
 use qsdd::server::{client, Server, ServerConfig};
 
@@ -217,14 +219,16 @@ fn exact_hit_and_miss_counters_across_thread_counts() {
 fn deterministic_backpressure_counts_under_concurrent_load() {
     // Scripted 429s: fill every worker with a slow job, put one more in the
     // 1-deep queue, then probe. A blocker's duration comes from the job, not
-    // from kernel speed: a million per-shot dense QFT-10 runs take minutes
+    // from kernel speed: a million per-shot dense QFT-10 runs (measured
+    // first, so no trajectory is shared) take minutes
     // in any profile, and the deadline — checked between shots — ends the
     // job after `BLOCK_MS`. The probe phase takes tens of milliseconds, so
     // the counts below are deterministic, not timing-lucky.
     const BLOCK_MS: u64 = 2000;
+    let circuit = per_shot_qft(10);
     let blocker = |seed: usize| {
         format!(
-            r#"{{"circuit":{{"generator":"qft","qubits":10}},"backend":"dense","dedup":false,"shots":1000000,"timeout_ms":{BLOCK_MS},"seed":{seed}}}"#
+            r#"{{"circuit":{circuit},"backend":"dense","shots":1000000,"timeout_ms":{BLOCK_MS},"seed":{seed}}}"#
         )
     };
     for threads in [1usize, 2, 8] {
@@ -309,4 +313,14 @@ fn deterministic_backpressure_counts_under_concurrent_load() {
         // Shutdown drains the accepted blockers.
         server.shutdown_and_join();
     }
+}
+
+/// The `circuit` object of a QFT-`n` job whose shots all run live: it
+/// measures a qubit before its first gate, so no prefix is worth sharing
+/// and the job declines trajectory deduplication.
+fn per_shot_qft(n: usize) -> String {
+    let mut circuit = Circuit::new(n);
+    circuit.measure(0, 0).append(&qft(n));
+    let source = qasm::write_source(&circuit).expect("QFT is expressible in QASM");
+    format!(r#"{{"qasm":{}}}"#, Value::from(source.as_str()))
 }

@@ -10,6 +10,8 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use qsdd::circuit::generators::qft;
+use qsdd::circuit::{qasm, Circuit};
 use qsdd::json::{self, Value};
 use qsdd::server::{client, Server, ServerConfig};
 
@@ -82,10 +84,12 @@ fn deadlined_jobs_fail_fast_with_a_timed_out_reason() {
     })
     .unwrap();
     let addr = server.addr();
-    let body = r#"{"circuit":{"generator":"qft","qubits":10},"backend":"dense",
-                   "dedup":false,"shots":100000,"seed":1,"timeout_ms":100}"#;
+    let body = format!(
+        r#"{{"circuit":{},"backend":"dense","shots":100000,"seed":1,"timeout_ms":100}}"#,
+        per_shot_qft(10)
+    );
     let started = Instant::now();
-    let id = submit(addr, body);
+    let id = submit(addr, &body);
     let envelope = json::parse(&poll_terminal(addr, &id)).unwrap();
     let elapsed = started.elapsed();
     assert_eq!(
@@ -262,4 +266,14 @@ fn servers_without_a_store_report_a_null_store_object() {
         "store stats must be null without --store-dir: {body:?}"
     );
     server.shutdown_and_join();
+}
+
+/// The `circuit` object of a QFT-`n` job whose shots all run live: it
+/// measures a qubit before its first gate, so no prefix is worth sharing
+/// and the job declines trajectory deduplication.
+fn per_shot_qft(n: usize) -> String {
+    let mut circuit = Circuit::new(n);
+    circuit.measure(0, 0).append(&qft(n));
+    let source = qasm::write_source(&circuit).expect("QFT is expressible in QASM");
+    format!(r#"{{"qasm":{}}}"#, Value::from(source.as_str()))
 }

@@ -13,7 +13,10 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use qsdd::circuit::generators;
-use qsdd::core::{BackendKind, Observable, StochasticSimulator, WeightedOptions};
+use qsdd::core::{
+    execute, BackendKind, ExecMode, ExecPlan, Observable, Placement, StochasticSimulator,
+    WeightedOptions,
+};
 use qsdd::noise::NoiseModel;
 use qsdd::telemetry::trace;
 
@@ -44,22 +47,22 @@ fn run_once(
     backend: BackendKind,
     driver: Driver,
 ) -> Fingerprint {
-    let circuit = generators::ghz(qubits);
-    let mut simulator = StochasticSimulator::new()
+    let engine = StochasticSimulator::new()
         .with_backend(backend)
-        .with_shots(shots)
-        .with_threads(threads)
         .with_seed(seed)
         .with_noise(NoiseModel::paper_defaults())
-        .with_dedup(matches!(driver, Driver::Dedup));
-    if matches!(driver, Driver::Weighted) {
-        simulator = simulator.with_weighted(WeightedOptions::default());
-    }
+        .engine(&generators::ghz(qubits));
+    let mode = match driver {
+        Driver::PerShot => ExecMode::PerShot,
+        Driver::Dedup => ExecMode::Dedup,
+        Driver::Weighted => ExecMode::Weighted(WeightedOptions::default()),
+    };
     let observables = [
         Observable::BasisProbability(0),
         Observable::QubitExcitation(0),
     ];
-    let outcome = simulator.run_with_observables(&circuit, &observables);
+    let plan = ExecPlan::new(mode, shots, &observables);
+    let outcome = execute(&engine, &plan, Placement::Threads(threads)).unwrap();
     Fingerprint {
         counts: outcome.counts.iter().map(|(&k, &v)| (k, v)).collect(),
         observable_bits: outcome
