@@ -68,8 +68,8 @@ pub struct JobReport {
     /// per-shot path (the program does not support deduplication).
     pub unique_trajectories: u64,
     /// Fraction of executed shots served from another shot's trajectory
-    /// (`1 - unique_trajectories / shots_executed`; `0.0` without
-    /// deduplication).
+    /// (`1 - serving / shots_executed`, over the evolutions that served at
+    /// least one shot; `0.0` without deduplication).
     pub dedup_hit_rate: f64,
     /// Probability mass covered by weighted trajectory enumeration
     /// (`0.0` when the job ran on a sampling path).

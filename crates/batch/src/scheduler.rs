@@ -159,6 +159,8 @@ struct JobProgress {
     /// Evolutions actually performed (pattern replays + shots run live;
     /// equal to `executed` on the per-shot path).
     unique_trajectories: u64,
+    /// The evolutions among them that served a shot: the hit rate's count.
+    serving: u64,
     /// Probability mass covered by enumerated trajectories (weighted jobs
     /// only; `0.0` otherwise).
     covered_mass: f64,
@@ -334,7 +336,17 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
         .into_iter()
         .map(|slot| slot.into_inner().expect("every spec is claimed once"))
         .collect();
+    run_built(specs, runtimes, workers, started)
+}
 
+/// Runs the jobs `specs` were built into on `workers` threads: the batch
+/// [`run_batch`] started at `started`.
+fn run_built(
+    specs: &[JobSpec],
+    runtimes: Vec<Result<JobRuntime, String>>,
+    workers: usize,
+    started: Instant,
+) -> BatchReport {
     let shared = Shared {
         queue: Mutex::new(VecDeque::new()),
         wake: Condvar::new(),
@@ -436,7 +448,7 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
                         dedup_hit_rate: if progress.executed == 0 {
                             0.0
                         } else {
-                            1.0 - progress.unique_trajectories as f64 / progress.executed as f64
+                            1.0 - progress.serving as f64 / progress.executed as f64
                         },
                         covered_mass: progress.covered_mass,
                         enumerated_trajectories: progress.enumerated_trajectories,
@@ -644,7 +656,7 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
                     for shot in start..end {
                         record(runtime.engine.run_shot_in(&mut context, shot));
                     }
-                    end - start
+                    (end - start, end - start)
                 }
                 ChunkWork::Weighted => {
                     // The whole job in one call: enumerate trajectories in
@@ -661,24 +673,26 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
                         Ok(outcome) => {
                             let trajectories = match (&outcome.weighted, &outcome.dedup) {
                                 (Some(stats), _) => {
-                                    stats.enumerated_trajectories + stats.tail_shots
+                                    let simulated =
+                                        stats.enumerated_trajectories + stats.tail_shots;
+                                    (simulated, simulated)
                                 }
-                                (None, Some(stats)) => stats.unique_trajectories,
-                                (None, None) => outcome.shots as u64,
+                                (None, Some(stats)) => (stats.unique_trajectories, stats.serving),
+                                (None, None) => (outcome.shots as u64, outcome.shots as u64),
                             };
                             weighted_outcome = Some(outcome);
                             trajectories
                         }
                         Err(TimedOut) => {
                             chunk_timed_out = true;
-                            0
+                            (0, 0)
                         }
                     }
                 }
                 ChunkWork::Groups(groups) => {
                     // The deadline rides along: a bucket's evolutions are its
                     // cancellation points.
-                    let mut trajectories = 0;
+                    let mut trajectories = (0, 0);
                     for group in groups {
                         match runtime.engine.run_work_in(
                             &mut context,
@@ -690,7 +704,8 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
                                 records
                                     .into_iter()
                                     .for_each(|(_, sample, _)| record(sample));
-                                trajectories += stats.unique_trajectories;
+                                trajectories.0 += stats.unique_trajectories;
+                                trajectories.1 += stats.serving;
                             }
                             Err(TimedOut) => {
                                 chunk_timed_out = true;
@@ -702,11 +717,11 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
                 }
             }
         }));
-        let (local_trajectories, panicked) = match executed {
+        let ((local_trajectories, local_serving), panicked) = match executed {
             Ok(trajectories) => (trajectories, None),
             Err(panic) => {
                 context = ExecContext::new();
-                (0, Some(panic_message(panic)))
+                ((0, 0), Some(panic_message(panic)))
             }
         };
         trace::attr("trajectories", local_trajectories);
@@ -742,6 +757,7 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
         }
         progress.executed += chunk.shots;
         progress.unique_trajectories += local_trajectories;
+        progress.serving += local_serving;
         progress.round_pending -= 1;
         progress.timed_out |= chunk_timed_out;
         progress.panicked = progress.panicked.take().or(panicked);
@@ -886,11 +902,25 @@ mod tests {
     fn expired_deadlines_fail_jobs_without_poisoning_the_batch() {
         // An already-expired deadline on a large job: every chunk drains at
         // the boundary check, the job reports `timed_out`, and the healthy
-        // sibling completes exactly as it would alone.
+        // sibling completes exactly as it would alone. The deadlines are
+        // spent before the batch starts, so no job can finish first (a
+        // fresh 1 ms deadline let the weighted job below complete in
+        // optimised builds).
+        let spent = |specs: &[JobSpec], threads: usize| {
+            let runtimes = (specs.iter())
+                .map(|spec| {
+                    let mut runtime = JobRuntime::build(spec)?;
+                    if spec.timeout_ms.is_some() {
+                        runtime.deadline = Deadline::within(Duration::ZERO);
+                    }
+                    Ok(runtime)
+                })
+                .collect();
+            run_built(specs, runtimes, threads, Instant::now())
+        };
         let mut specs = vec![ghz_spec("doomed", 200_000, 1), ghz_spec("fine", 300, 2)];
         specs[0].timeout_ms = Some(1);
-        std::thread::sleep(Duration::from_millis(5));
-        let report = run_batch(&specs, &BatchOptions::with_threads(4));
+        let report = spent(&specs, 4);
         match &report.jobs[0].status {
             JobStatus::Failed(message) => {
                 assert!(message.contains("timed_out"), "{message}");
@@ -909,8 +939,7 @@ mod tests {
         let mut weighted = ghz_spec("weighted-doomed", 200_000, 3);
         weighted.weighted = true;
         weighted.timeout_ms = Some(1);
-        std::thread::sleep(Duration::from_millis(5));
-        let report = run_batch(&[weighted], &BatchOptions::with_threads(2));
+        let report = spent(&[weighted], 2);
         assert!(
             matches!(&report.jobs[0].status, JobStatus::Failed(m) if m.contains("timed_out")),
             "{:?}",

@@ -54,6 +54,9 @@ enum DdStep {
         /// [`DdProgram`] docs); `None` when the step touches three or more
         /// qubits or the model's damping channel does not have `0 < γ < 1`.
         kept: Option<MatEdge>,
+        /// The block products starting at this step that compile kept, of
+        /// 2, 4, 8, … steps in turn (see the [`DdProgram`] docs).
+        blocks: Vec<MatEdge>,
         /// Qubits touched by the operation, in the order the stochastic
         /// noise protocol visits them (controls before target; swap
         /// operands in declaration order). Empty when the program is
@@ -154,9 +157,43 @@ const TRAJECTORY_NODE_BUDGET: usize = 1 << 19;
 /// (where the kept state is zero and nothing can be unfolded), evolve
 /// exposure by exposure throughout.
 ///
+/// # Block products
+///
+/// Between two decision points a live walk's state only passes kept steps,
+/// whose operators multiply to one matrix. After the trajectory is
+/// recorded, compilation builds aligned power-of-two block products of
+/// consecutive kept operators, `F_{p+2^k−1}···F_p` for `p` a multiple of
+/// `2^k` ([`DdPackage::mat_mat_mul`]), into the template, level by level. A
+/// block is tried only when both its halves were kept, and covers kept
+/// steps the trajectory recorded only. The trial applies it to the recorded
+/// state at its first step inside a checkpoint that is rolled back after
+/// it, and the block is kept only when that costs fewer compute misses than
+/// its best split: its halves' trials, or for a block of two steps the
+/// misses the steps' own kernels took while recording. Nothing else bounds
+/// a block. A job `auto` hands to the statevector engine builds none.
+///
+/// A live walk takes them on a **chain** fixed by its pattern alone: from
+/// each fired event, or the start of a walk segment (the program's start,
+/// the end of the deduplicable prefix), it advances by the greedy aligned
+/// cover of kept steps — the largest kept block starting where it stands
+/// that ends by the segment's end — up to the next step that is not kept.
+/// A chain state is built once the walk reaches the end of its block.
+/// A state inside a block is built **off the chain**, from the last chain
+/// state, only when a draw needs it. For a damping candidate's threshold
+/// it is built inside a checkpoint that is rolled back after the read. An
+/// event that fires there goes on from it: a bucket's member forks inside
+/// its child's checkpoint, as any fork does. Passive candidates need no
+/// state. So a bucket member, its per-shot run and every thread count do the
+/// same arithmetic on the same table history, whatever the other members
+/// read along the way. A kept step that starts no kept block within the
+/// segment is taken by the step kernel above, on the chain, as before.
+///
 /// # Peak tracking
 ///
-/// A shot reports the largest diagram it held after any step. Every vector
+/// A shot reports the largest diagram among the states its walk built on
+/// its path: the trajectory's, its chain states, the states after steps
+/// taken exposure by exposure, and its final state. A state built off the
+/// chain is never counted. Every vector
 /// node carries an upper bound of its sub-diagram's size
 /// ([`DdPackage::vec_size_bound`]); a live walk defers the count of a state
 /// whose bound exceeds its peak so far and settles the deferred counts at
@@ -262,9 +299,26 @@ impl DdProgram {
                 kept,
                 noise_qubits,
                 first_site,
+                ..
             } => (*op, *kept, noise_qubits, *first_site),
             _ => unreachable!("members deviate in Apply steps, the prefix holds only them"),
         }
+    }
+
+    /// The chain's next block from kept step `at` that ends by step `end`:
+    /// the largest kept block product starting there, else the step's kept
+    /// operator; with the number of steps it covers.
+    fn block(&self, at: usize, end: usize) -> (MatEdge, usize) {
+        let DdStep::Apply {
+            kept: Some(kept),
+            blocks,
+            ..
+        } = &self.steps[at]
+        else {
+            unreachable!("chains cross kept steps only")
+        };
+        let fitting = (blocks.iter().enumerate().rev()).find(|&(k, _)| at + (2 << k) <= end);
+        fitting.map_or((*kept, 1), |(k, &block)| (block, 2 << k))
     }
 }
 
@@ -450,6 +504,9 @@ impl DdSimulator {
         // docs): error-free, within the recording's node budget, kept only as
         // the table entries the mark below freezes.
         let (mut walk, mut trajectory, mut rates) = (Walk::start(&program), Vec::new(), Vec::new());
+        // The compute misses each recorded step's kernel took: what a block
+        // product must beat.
+        let mut misses = Vec::new();
         let (mut recording, mut continuing) = (true, true);
         let mut decisions = NoError(rand::SeedableRng::seed_from_u64(0));
         let mut clbits = vec![false; program.num_clbits];
@@ -484,6 +541,7 @@ impl DdSimulator {
                     DdStep::Apply {
                         op: op_dd,
                         kept,
+                        blocks: Vec::new(),
                         noise_qubits,
                         first_site,
                     }
@@ -511,7 +569,9 @@ impl DdSimulator {
             );
             if recording {
                 let mut thresholds = Recording(Vec::new());
+                let before = base.table_stats().compute_misses;
                 walk = walk.run(&program, &mut base, index + 1, &mut thresholds, &mut []);
+                misses.push(base.table_stats().compute_misses - before);
                 let nodes_after = base.vec_node_count(walk.state) as u64;
                 if watch.is_some_and(|watch| nodes_after >= watch) {
                     return Err(Handoff::at(index, nodes_after));
@@ -552,9 +612,55 @@ impl DdSimulator {
             })
             .unwrap_or(program.survival.len() as u32);
         program.trajectory = trajectory;
+        build_blocks(&mut program, &mut base, &misses);
         base.mark_persistent();
         program.base = base;
         Ok(program)
+    }
+}
+
+/// Builds the kept block products over the recorded trajectory into the
+/// template, level by level (see the [`DdProgram`] docs): each pair of kept
+/// halves is multiplied, and the product is kept when applying it to the
+/// trajectory state at its first step, inside a checkpoint, costs fewer
+/// compute misses than the halves cost together — `misses` per step at the
+/// first level, their own trials above.
+fn build_blocks(program: &mut DdProgram, base: &mut DdPackage, misses: &[u64]) {
+    // The units of the current level: each kept one's operator and cost.
+    let mut units: Vec<Option<(MatEdge, u64)>> = (0..program.trajectory.len())
+        .map(|index| (program.apply(index).1).map(|kept| (kept, misses[index])))
+        .collect();
+    let mut width = 1;
+    while units.iter().flatten().count() > 1 {
+        width *= 2;
+        units = (units.chunks_exact(2).enumerate())
+            .map(|(pair, halves)| {
+                let [Some((first, a)), Some((second, b))] = *halves else {
+                    return None;
+                };
+                let block = base.mat_mat_mul(second, first);
+                let start = pair * width;
+                let entering = match start {
+                    0 => program.initial,
+                    _ => program.trajectory[start - 1].after,
+                };
+                let (checkpoint, before) = (base.checkpoint(), base.table_stats().compute_misses);
+                // A trial that reaches its split's misses is given up there.
+                let finished = base.mat_vec_mul_within(block, entering, a + b).is_some();
+                let trial = base.table_stats().compute_misses - before;
+                // A trim inside the trial leaves its nodes and entries, which
+                // nothing refers to.
+                let _ = base.rollback(checkpoint);
+                if !finished {
+                    return None;
+                }
+                let DdStep::Apply { blocks, .. } = &mut program.steps[start] else {
+                    unreachable!("blocks start at kept steps")
+                };
+                blocks.push(block);
+                Some((block, trial))
+            })
+            .collect();
     }
 }
 
@@ -656,12 +762,20 @@ impl StochasticBackend for DdSimulator {
 pub(crate) enum DdPoint {
     /// A step of the recorded trajectory, drawn against its thresholds.
     Recorded,
-    /// A kept step's kernel ran: `after` is the state past the step if no
-    /// exposure deviates; thresholds are read off `folded` once needed.
+    /// A kept step's kernel ran on the chain: `after` is the state past the
+    /// step if no exposure deviates; thresholds are read off `folded` once
+    /// needed.
     Kept {
         folded: VecEdge,
         after: VecEdge,
         p_decay: Option<[f64; 2]>,
+    },
+    /// A kept step inside a chain block: its state is built off the chain
+    /// once a draw needs it. `exact` says whether every threshold read
+    /// rolled back.
+    Inside {
+        p_decay: Option<[f64; 2]>,
+        exact: bool,
     },
     /// The walk's next exposure of a step taken exposure by exposure.
     Exposure { p_decay: Option<f64> },
@@ -698,6 +812,10 @@ impl DecisionPoints for DdSimulator {
 
     fn pass(seat: &mut Seat<'_, Self>, walk: &mut Walk, point: DdPoint) {
         walk.pass(seat.program, &mut seat.ctx.package, point);
+    }
+
+    fn exact(point: &DdPoint) -> bool {
+        !matches!(point, DdPoint::Inside { exact: false, .. })
     }
 
     /// The walk settles its deferred counts, so each child starts from its
@@ -794,7 +912,11 @@ impl DecisionPoints for DdSimulator {
 /// walk enters it).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Walk {
+    /// The state entering step `at`: the walk's chain state.
     state: VecEdge,
+    /// At most `index`; below it, the kept steps `at..index` are passed on
+    /// the chain without a deviation, and their block not yet applied.
+    at: usize,
     /// Peak node count of the state so far, once the deferred counts settle
     /// (see the [`DdProgram`] docs).
     peak: u64,
@@ -816,6 +938,7 @@ impl Walk {
     fn start(program: &DdProgram) -> Walk {
         Walk {
             state: program.initial,
+            at: 0,
             peak: program.initial_nodes,
             pending: 0,
             error_events: 0,
@@ -826,8 +949,8 @@ impl Walk {
         }
     }
 
-    /// Tracks the state a step left for the peak: its count is deferred if
-    /// its size bound exceeds the peak so far, dropped otherwise.
+    /// Tracks a state the walk built on its path for the peak: its count is
+    /// deferred if its size bound exceeds the peak so far, dropped otherwise.
     fn note(&mut self, dd: &mut DdPackage) {
         self.pending = dd.defer_count(self.pending, self.peak, self.state);
     }
@@ -837,10 +960,13 @@ impl Walk {
         (self.peak, self.pending) = (dd.settle_counts(self.pending, self.peak), 0);
     }
 
-    /// Moves the walk to its next decision point before step `end`, entering
-    /// steps as it goes: a step on the recorded trajectory costs nothing, a
-    /// kept step runs its kernel, any other step applies its gate and is
-    /// taken exposure by exposure. `None` at `end`, a measurement or a reset.
+    /// Moves the walk to its next decision point before step `end` (the end
+    /// of its segment), entering steps as it goes: a step on the recorded
+    /// trajectory costs nothing, a live kept step is passed on the chain —
+    /// applying each block the walk reaches the end of, and running the
+    /// step kernel where the chain takes the step alone — any other step
+    /// applies its gate and is taken exposure by exposure. `None` at `end`,
+    /// a measurement or a reset, with the chain applied up to there.
     fn point(
         &mut self,
         program: &DdProgram,
@@ -854,9 +980,10 @@ impl Walk {
                 kept,
                 noise_qubits,
                 first_site,
+                ..
             } = &program.steps[self.index]
             else {
-                return None;
+                break;
             };
             let step_end = first_site + (noise_qubits.len() * width) as u32;
             if self.resolved == 0 {
@@ -864,7 +991,12 @@ impl Walk {
                     return Some((step_end, DdPoint::Recorded));
                 }
                 self.live = true;
+                self.advance(program, dd, end);
                 if let Some(kept) = kept {
+                    if self.at < self.index || program.block(self.at, end).1 > 1 {
+                        let (p_decay, exact) = (None, true);
+                        return Some((step_end, DdPoint::Inside { p_decay, exact }));
+                    }
                     let (folded, after) = kept_step(dd, *kept, self.state);
                     let p_decay = None;
                     let point = DdPoint::Kept {
@@ -874,6 +1006,7 @@ impl Walk {
                     };
                     return Some((step_end, point));
                 }
+                debug_assert_eq!(self.at, self.index, "chains stop at unkept steps");
                 self.state = dd.mat_vec_mul(*op, self.state);
             }
             let site = first_site + self.resolved as u32;
@@ -882,8 +1015,38 @@ impl Walk {
             }
             self.note(dd);
             (self.index, self.resolved) = (self.index + 1, 0);
+            self.at = self.index;
         }
+        self.advance(program, dd, end);
+        debug_assert_eq!(self.at, self.index, "chains stop at a segment's end");
         None
+    }
+
+    /// Applies the chain's blocks from step `at` that end by step `index`,
+    /// the chain covering kept steps up to the segment's `end`; each block
+    /// leaves a chain state.
+    fn advance(&mut self, program: &DdProgram, dd: &mut DdPackage, end: usize) {
+        while self.at < self.index {
+            let (block, steps) = program.block(self.at, end);
+            if self.at + steps > self.index {
+                return;
+            }
+            self.state = block_step(dd, block, steps, self.state);
+            self.at += steps;
+            self.note(dd);
+        }
+    }
+
+    /// The state entering step `index`, built off the chain: the kept steps
+    /// from `at` by the greedy aligned cover up to `index`.
+    fn off_chain(&self, program: &DdProgram, dd: &mut DdPackage) -> VecEdge {
+        let (mut state, mut at) = (self.state, self.at);
+        while at < self.index {
+            let (block, steps) = program.block(at, self.index);
+            state = block_step(dd, block, steps, state);
+            at += steps;
+        }
+        state
     }
 
     /// The event `decisions` fire at `point`, if any; a draw that needs a
@@ -907,6 +1070,24 @@ impl Walk {
                 let mut read = |k: usize| {
                     p_decay.get_or_insert_with(|| kept_thresholds(dd, *folded, qubits, program))[k]
                 };
+                fast_forward(program, qubits, &mut read, first_site, decisions)
+            }
+            DdPoint::Inside { p_decay, exact } => {
+                let kept = program
+                    .apply(self.index)
+                    .1
+                    .expect("chains cross kept steps");
+                // The state the threshold is read off is built off the
+                // chain and dropped after the read.
+                let mut off_chain = || {
+                    let checkpoint = dd.checkpoint();
+                    let entering = self.off_chain(program, dd);
+                    let folded = dd.mat_vec_mul(kept, entering);
+                    let p_decay = kept_thresholds(dd, folded, qubits, program);
+                    *exact &= dd.rollback(checkpoint);
+                    p_decay
+                };
+                let mut read = |k: usize| p_decay.get_or_insert_with(&mut off_chain)[k];
                 fast_forward(program, qubits, &mut read, first_site, decisions)
             }
             DdPoint::Exposure { p_decay } => {
@@ -948,6 +1129,10 @@ impl Walk {
         let offset = (event.site - first_site) as usize;
         let exposure = |offset: usize| (qubits[offset / width], &program.noise_ops[offset % width]);
         if !matches!(point, DdPoint::Exposure { .. }) {
+            if matches!(point, DdPoint::Inside { .. }) {
+                self.state = self.off_chain(program, dd);
+            }
+            self.at = self.index;
             self.state = dd.mat_vec_mul(op, self.state);
             for (qubit, ops) in (0..offset).map(exposure) {
                 if let Some([_decay, keep]) = ops.kraus[qubit] {
@@ -973,10 +1158,12 @@ impl Walk {
                 let ff = &program.trajectory[self.index];
                 (self.state, self.peak) = (ff.after, self.peak.max(ff.nodes_after));
                 (self.index, self.resolved) = (self.index + 1, 0);
+                self.at = self.index;
             }
             DdPoint::Kept { after, .. } => {
                 (self.state, self.resolved) = (after, qubits.len() * width)
             }
+            DdPoint::Inside { .. } => self.index += 1,
             DdPoint::Exposure { .. } => {
                 let (qubit, channel) = (qubits[self.resolved / width], self.resolved % width);
                 if let Some([_decay, keep]) = program.noise_ops[channel].kraus[qubit] {
@@ -1022,6 +1209,7 @@ impl Walk {
             }
             self.note(dd);
             self.index += 1;
+            self.at = self.index;
         }
     }
 
@@ -1115,6 +1303,16 @@ fn kept_step(dd: &mut DdPackage, kept: MatEdge, state: VecEdge) -> (VecEdge, Vec
     (folded, dd.normalize(folded))
 }
 
+/// A chain block of `steps` kept steps taken at once: the block product
+/// applied and normalised, as the step kernel takes one step. A block of
+/// several steps counts into [`qsdd_dd::TableStats::block_steps`].
+fn block_step(dd: &mut DdPackage, block: MatEdge, steps: usize, state: VecEdge) -> VecEdge {
+    if steps > 1 {
+        dd.count_block_step();
+    }
+    kept_step(dd, block, state).1
+}
+
 /// The decay thresholds of a kept step in protocol order (the second only
 /// for two qubits): the touched qubits' excitations read off the folded
 /// state in one walk, the gate output's populations unfolded from them.
@@ -1171,6 +1369,7 @@ mod tests {
     fn live_walk(state: VecEdge, index: usize) -> Walk {
         Walk {
             state,
+            at: index,
             peak: 0,
             pending: 0,
             error_events: 0,
@@ -1330,10 +1529,14 @@ mod tests {
 
     #[test]
     fn deferred_peaks_are_exact_per_shot() {
-        // The oracle counts the state after every step of the shot's walk,
-        // as every walk did before sizes were bounded and counts deferred.
-        // W-state diagrams share their |0...0> chains, so their bounds run
-        // loose; noisy QFT states stay product states, bounded exactly.
+        // The oracle walks each shot itself, on the shot's stream, and
+        // counts every state its walk built on its path — wherever the
+        // walk's chain position moves: a trajectory step, a chain block, a
+        // step taken exposure by exposure, a measurement — and the final
+        // state, as every walk did before sizes were bounded and counts
+        // deferred. W-state diagrams share their |0...0> chains, so their
+        // bounds run loose; noisy QFT states stay product states, bounded
+        // exactly.
         let backend = DdSimulator::new();
         let tenfold = NoiseModel::new(0.01, 0.02, 0.01);
         let circuits = [
@@ -1345,28 +1548,58 @@ mod tests {
         for (circuit, exact) in circuits {
             let program = backend.compile(&circuit, &tenfold);
             let (mut ctx, mut loose) = (backend.new_context(), 0);
+            let (steps, survival) = (program.steps.len(), &program.survival);
+            let process = (survival, &program.absorbing[..]);
             for seed in 0..2_000 {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut twin = rng.clone();
                 let run = backend.run_shot(&program, &mut ctx, &mut rng, &program.absorbing);
                 ctx.seat(&program);
                 let (dd, mut walk) = (&mut ctx.package, Walk::start(&program));
-                let (mut clbits, mut peak) =
-                    (vec![false; program.num_clbits], program.initial_nodes);
+                let (mut clbits, mut path) = (vec![false; program.num_clbits], Vec::new());
                 // The shot's stream: the prefix's, then one drawn afresh.
-                let (survival, mut end) = (&program.survival, program.prefix_sites);
-                let mut next = survival.next(&mut twin, 0, end);
-                for index in 0..program.steps.len() {
-                    if index == program.dedup_prefix {
-                        (next, end) = (end, survival.len() as u32);
-                        next = survival.next(&mut twin, next, end);
+                let sites = program.prefix_sites;
+                let next = survival.next(&mut twin, 0, sites);
+                let mut sampled = Sampled::new(&mut twin, process, next, sites);
+                for (segment, end) in [program.dedup_prefix, steps].into_iter().enumerate() {
+                    if segment == 1 {
+                        let rest = survival.len() as u32;
+                        sampled = Sampled::start(sampled.rng, process, sites, rest);
                     }
-                    let mut sampled =
-                        Sampled::new(&mut twin, (survival, &program.absorbing), next, end);
-                    walk = walk.run(&program, dd, index + 1, &mut sampled, &mut clbits);
-                    next = sampled.next;
-                    let count = dd.vec_node_count(walk.state) as u64;
-                    let bound = dd.vec_size_bound(walk.state);
+                    loop {
+                        let at = walk.at;
+                        let Some((_, mut point)) = walk.point(&program, dd, end) else {
+                            if walk.at > at {
+                                path.push(walk.state);
+                            }
+                            if walk.index == end {
+                                break;
+                            }
+                            walk =
+                                walk.run(&program, dd, walk.index + 1, &mut sampled, &mut clbits);
+                            path.push(walk.state);
+                            continue;
+                        };
+                        if walk.at > at {
+                            path.push(walk.state);
+                        }
+                        match walk.draw(&program, dd, &mut point, &mut sampled) {
+                            Some(event) => walk.fire(&program, dd, &point, event),
+                            None => {
+                                let at = walk.at;
+                                walk.pass(&program, dd, point);
+                                if walk.at > at {
+                                    path.push(walk.state);
+                                }
+                            }
+                        }
+                    }
+                }
+                assert_eq!(walk.state, run.state);
+                let mut peak = program.initial_nodes.max(run.dd_nodes);
+                for state in path {
+                    let count = dd.vec_node_count(state) as u64;
+                    let bound = dd.vec_size_bound(state);
                     assert!(
                         count <= bound,
                         "{} shot {seed}: {count} > {bound}",
@@ -1374,7 +1607,6 @@ mod tests {
                     );
                     (peak, loose) = (peak.max(count), loose + usize::from(count < bound));
                 }
-                assert_eq!(walk.state, run.state);
                 assert_eq!(run.dd_nodes_peak, peak, "{} shot {seed}", circuit.name());
             }
             if let Some(exact) = exact {
@@ -1722,6 +1954,7 @@ mod tests {
                 kept: Some(kept),
                 noise_qubits,
                 first_site,
+                ..
             } = step
             else {
                 panic!("step {index} is not kept");
@@ -1762,6 +1995,44 @@ mod tests {
     }
 
     #[test]
+    fn a_chain_of_blocks_reaches_the_state_single_steps_reach() {
+        // A live walk over whole segments takes its kept steps on the chain,
+        // block products where compile kept them; the same walk cut into
+        // one-step segments takes every kept step alone. Both reach one
+        // state up to the reassociated round-off, after an event at any
+        // passive exposure site.
+        let backend = DdSimulator::new();
+        let tenfold = NoiseModel::new(0.01, 0.02, 0.01);
+        for circuit in [ghz(16), qft(8), w_state(8)] {
+            let program = backend.compile(&circuit, &tenfold);
+            let (mut dd, steps) = (program.base.clone(), program.steps.len());
+            let width = program.channels.len();
+            let before = dd.table_stats().block_steps;
+            for site in 0..program.survival.len() as u32 {
+                if program.channels[site as usize % width].state_dependent() {
+                    continue;
+                }
+                let pattern = ErrorPattern::default().with_event(ErrorEvent { site, error: 0 });
+                let mut replayed = Replayed::new(&pattern);
+                let chained =
+                    Walk::start(&program).run(&program, &mut dd, steps, &mut replayed, &mut []);
+                let (mut single, mut replayed) = (Walk::start(&program), Replayed::new(&pattern));
+                for index in 0..steps {
+                    single = single.run(&program, &mut dd, index + 1, &mut replayed, &mut []);
+                }
+                let fidelity = dd.fidelity(chained.state, single.state);
+                assert!(
+                    (fidelity - 1.0).abs() < 1e-9,
+                    "{} after an event at site {site}: fidelity {fidelity}",
+                    circuit.name()
+                );
+            }
+            let block_steps = dd.table_stats().block_steps - before;
+            assert!(block_steps > 0, "{} took no block step", circuit.name());
+        }
+    }
+
+    #[test]
     fn forked_buckets_equal_per_shot_execution_even_when_tables_trim() {
         use crate::dedup::{plan_range, run_work, Evolutions};
         use crate::shot_engine::ShotSample;
@@ -1774,7 +2045,7 @@ mod tests {
         let (tenfold, shots, seed) = (NoiseModel::new(0.01, 0.02, 0.01), 4_000, 2021);
         for circuit in [ghz(8), qft(6)] {
             let mut evolutions = Vec::new();
-            for limit in [qsdd_dd::DEFAULT_CACHE_LIMIT, 64] {
+            for limit in [qsdd_dd::DEFAULT_CACHE_LIMIT, 16] {
                 let mut program = backend.compile(&circuit, &tenfold);
                 program.base.set_cache_limit(limit);
                 let support = backend

@@ -114,6 +114,9 @@ pub struct DedupStats {
     /// Number of evolutions actually performed: pattern groups, deviation
     /// bucket and child pattern replays, and shots run live.
     pub unique_trajectories: u64,
+    /// The evolutions that served at least one shot: all but the buckets
+    /// whose every member forked into a child bucket.
+    pub serving: u64,
     /// Shots that executed live on their own: the only member of their
     /// deviation bucket.
     pub live_shots: u64,
@@ -330,6 +333,7 @@ impl<'a> Evolutions<'a> {
         members: &mut [Member],
     ) {
         let (program, mut run) = (seat.program, B::prefix_run(seat, &mut walk));
+        self.stats.serving += 1;
         if !self.support.full {
             let next = self.support.plan.site_count() as u32;
             for index in 0..members.len() {
@@ -414,6 +418,12 @@ pub(crate) trait DecisionPoints: StochasticBackend + Sized {
     ) -> Self::Walk;
     /// Moves `walk` past `point` along the branch where nothing fired.
     fn pass(seat: &mut Seat<'_, Self>, walk: &mut Self::Walk, point: Self::Point);
+    /// Whether the draws at `point` left the context as they found it. A
+    /// draw that reads a state off the walk's path builds it from a
+    /// checkpoint and rolls it back, which a trim can make inexact.
+    fn exact(_point: &Self::Point) -> bool {
+        true
+    }
     /// Readies `walk` to have children forked off it.
     fn settle(_seat: &mut Seat<'_, Self>, _walk: &mut Self::Walk) {}
     /// Opens a checkpoint of the context.
@@ -624,6 +634,7 @@ impl<B: DecisionPoints> Tree<'_, '_, B> {
         let stream = ((B::survival(program), absorbing), sites);
         if let [(next, (shot, rng, absorbed))] = &mut members[..] {
             self.out.stats.live_shots += 1;
+            self.out.stats.serving += 1;
             let run = B::finish_live(&mut self.seat, walk, (*next, rng, *absorbed));
             (self.out).emit_live(backend, program, self.seat.ctx, run, *shot);
             return Ok(());
@@ -660,8 +671,8 @@ impl<B: DecisionPoints> Tree<'_, '_, B> {
     /// on; the last child of a parent left without members needs none.
     /// Returns whether the parent walks on: not without members, nor after an
     /// inexact rollback (a trim emptied the tables under the checkpoint, or
-    /// the dense stack refused it), which runs the later children's and the
-    /// parent's shots live instead.
+    /// the dense stack refused it) here or in the draws at `point`, which
+    /// runs the later children's and the parent's shots live instead.
     fn fork(
         &mut self,
         children: Forks,
@@ -674,22 +685,24 @@ impl<B: DecisionPoints> Tree<'_, '_, B> {
             B::settle(&mut self.seat, walk);
         }
         let mut children = children.into_iter();
-        while let Some((event, child)) = children.next() {
+        let mut exact = B::exact(point);
+        while exact {
+            let Some((event, child)) = children.next() else {
+                return Ok(!members.is_empty());
+            };
             self.out.evolve()?;
             let last = members.is_empty() && children.len() == 0;
             let checkpoint = (!last).then(|| B::checkpoint(self.seat.ctx));
             let forked = B::fire(&mut self.seat, *walk, point, event);
             self.carry(forked, events + 1, child)?;
-            if checkpoint.is_some_and(|checkpoint| !B::rollback(self.seat.ctx, checkpoint)) {
-                let (backend, program) = (self.backend, self.seat.program);
-                let rest = children.flat_map(|(_, members)| members);
-                for (_, (shot, ..)) in rest.chain(members.drain(..)) {
-                    (self.out).rerun(backend, program, self.seat.ctx, shot);
-                }
-                return Ok(false);
-            }
+            exact = checkpoint.is_none_or(|checkpoint| B::rollback(self.seat.ctx, checkpoint));
         }
-        Ok(!members.is_empty())
+        let (backend, program) = (self.backend, self.seat.program);
+        let rest = children.flat_map(|(_, members)| members);
+        for (_, (shot, ..)) in rest.chain(members.drain(..)) {
+            (self.out).rerun(backend, program, self.seat.ctx, shot);
+        }
+        Ok(false)
     }
 }
 
@@ -848,6 +861,7 @@ pub(crate) fn run_dedup<B: DecisionPoints>(
     let mut partials: Vec<Option<WorkerPartial>> = Vec::with_capacity(threads);
     for (sink, stats) in sinks {
         dedup.unique_trajectories += stats.unique_trajectories;
+        dedup.serving += stats.serving;
         dedup.live_shots += stats.live_shots;
         match sink {
             Sink::Partial(partial) => partials.push(Some(partial)),
@@ -934,6 +948,7 @@ mod tests {
     fn dedup_stats_default_to_zero() {
         let stats = DedupStats::default();
         assert_eq!(stats.unique_trajectories, 0);
+        assert_eq!(stats.serving, 0);
         assert_eq!(stats.live_shots, 0);
     }
 }

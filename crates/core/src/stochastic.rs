@@ -215,13 +215,13 @@ impl StochasticOutcome {
         self.error_events as f64 / self.shots as f64
     }
 
-    /// Fraction of shots served from another shot's trajectory
-    /// (`1 - unique_trajectories / shots`); `0.0` on the per-shot path.
+    /// Fraction of shots served from another shot's trajectory: `1 -
+    /// serving / shots`, over the evolutions that served a shot
+    /// ([`DedupStats::serving`]; a bucket whose members all forked away
+    /// serves none), so it lies in `[0, 1)`; `0.0` on the per-shot path.
     pub fn dedup_hit_rate(&self) -> f64 {
         match &self.dedup {
-            Some(stats) if self.shots > 0 => {
-                1.0 - stats.unique_trajectories as f64 / self.shots as f64
-            }
+            Some(stats) if self.shots > 0 => 1.0 - stats.serving as f64 / self.shots as f64,
             _ => 0.0,
         }
     }
@@ -464,9 +464,10 @@ pub(crate) fn trace_dd_attrs(
     }
 }
 
-/// [`trace_dd_attrs`] plus the complex-table counts, for the spans that
-/// total a worker's or a loop's work: a trajectory group's span carries the
-/// table hits alone, which keeps the attributes per group few.
+/// [`trace_dd_attrs`] plus the complex-table counts and the block steps, for
+/// the spans that total a worker's or a loop's work: a trajectory group's
+/// span carries the table hits alone, which keeps the attributes per group
+/// few.
 pub(crate) fn trace_dd_totals(
     before: Option<qsdd_dd::TableStats>,
     stats: impl FnOnce() -> qsdd_dd::TableStats,
@@ -476,6 +477,7 @@ pub(crate) fn trace_dd_totals(
         table_attrs(&delta);
         trace::attr("dd_complex_lookups", delta.complex_lookups);
         trace::attr("dd_complex_inserts", delta.complex_inserts);
+        trace::attr("dd_block_steps", delta.block_steps);
     }
 }
 
@@ -659,6 +661,27 @@ mod tests {
         assert_eq!(outcome.threads, 4);
         assert!(outcome.dd_nodes_avg > 0.0);
         assert!(outcome.dd_nodes_peak > 0);
+    }
+
+    #[test]
+    fn the_dedup_hit_rate_counts_the_evolutions_that_served_a_shot() {
+        // Damping 0.5 on Grover-6: buckets fork more children than they
+        // have members, and a bucket whose members all fork serves none.
+        let grover = qsdd_circuit::generators::by_name("grover", 6).expect("a generator");
+        let noise = paper().with_amplitude_damping(0.5);
+        let outcome = run(
+            &engine(DD, &grover, noise, 2021),
+            Dedup,
+            10,
+            &[],
+            Threads(1),
+        );
+        let stats = outcome.dedup.expect("the dedup driver ran");
+        assert!(stats.unique_trajectories > 10, "{stats:?}");
+        assert!(stats.serving <= 10 && stats.serving <= stats.unique_trajectories);
+        let rate = outcome.dedup_hit_rate();
+        assert!((0.0..1.0).contains(&rate), "{rate}");
+        assert_eq!(rate, 1.0 - stats.serving as f64 / 10.0);
     }
 
     #[test]

@@ -15,9 +15,6 @@ use crate::fxhash::FxHashMap;
 pub(crate) struct Age(pub(crate) u32, pub(crate) u32);
 
 impl Age {
-    /// Younger than any layer: a key that only the live layer can hold.
-    pub(crate) const NEWEST: Age = Age(u32::MAX, u32::MAX);
-
     /// Also mentions the node of raw id `node` (the terminal is the oldest).
     #[inline]
     pub(crate) fn node(self, node: u32) -> Age {
@@ -43,9 +40,9 @@ impl Age {
 /// A key is in one layer at most: it is only inserted after missing them
 /// all. A lookup probes the frozen layer, then the sealed ones newest first
 /// as long as the key's [`Age`] fits their seals, then the live map; a key
-/// with an id younger than the mark probes the live map alone. A rewind
-/// clears every map but the frozen one; a rollback drops the live map whole
-/// and makes the newest sealed one live again. Neither looks at an entry.
+/// with an id younger than the mark skips the frozen layer. A rewind clears
+/// every map but the frozen one; a rollback drops the live map whole and
+/// makes the newest sealed one live again. Neither looks at an entry.
 #[derive(Debug)]
 pub(crate) struct Layered<K, V> {
     /// Written by [`Layered::freeze`] alone, at the arena lengths `seal`.
@@ -136,6 +133,15 @@ impl<K: Eq + Hash + Clone, V: Clone> Layered<K, V> {
         let mut dropped = std::mem::replace(&mut self.live, below);
         dropped.clear();
         self.spare.push(dropped);
+    }
+
+    /// Closes the newest seal keeping every entry: the live layer's entries
+    /// join the sealed one below, which is live again.
+    pub(crate) fn merge_down(&mut self) {
+        let (_, mut below) = self.sealed.pop().expect("a sealed layer to return to");
+        below.extend(self.live.drain());
+        let emptied = std::mem::replace(&mut self.live, below);
+        self.spare.push(emptied);
     }
 
     /// Drops every layer made since the mark.

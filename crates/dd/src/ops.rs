@@ -29,6 +29,20 @@ impl DdPackage {
         self.interned(product)
     }
 
+    /// `m * v` as [`mat_vec_mul`](Self::mat_vec_mul) computes it, unless
+    /// that takes `budget` compute misses or more: then `None`, the product
+    /// left unfinished. The multiplies it gave up on are not cached; the
+    /// nodes and sums it made stand for what they hold. The simulator's
+    /// compile weighs a block product against its halves this way, inside
+    /// a checkpoint it rolls back.
+    pub fn mat_vec_mul_within(&mut self, m: MatEdge, v: VecEdge, budget: u64) -> Option<VecEdge> {
+        self.miss_limit = self.counters.compute_misses.saturating_add(budget);
+        let product = self.mat_vec_mul(m, v);
+        let finished = self.counters.compute_misses < self.miss_limit;
+        self.miss_limit = u64::MAX;
+        finished.then_some(product)
+    }
+
     /// `edge` with its weight interned, as a public operation returns it.
     fn interned(&mut self, edge: VecEdge) -> VecEdge {
         let weight = self.ctable.canonical(edge.weight);
@@ -58,11 +72,15 @@ impl DdPackage {
             !v.node.is_terminal(),
             "operator extends below the state vector terminal"
         );
+        if self.counters.compute_misses >= self.miss_limit {
+            return VecEdge::zero();
+        }
         let key = (m.node, v.node);
-        let age = match self.mat_kept(m.node) {
-            true => Age::default().node(v.node.0),
-            false => Age::NEWEST,
-        };
+        // No matrix node is built while a checkpoint is open, and a matrix
+        // id is only reused after a rewind, which empties every layer but
+        // the frozen one (whose keys name persistent matrices alone): the
+        // vector node alone dates the key.
+        let age = Age::default().node(v.node.0);
         if let Some(&cached) = self.ct_mat_vec.get(&key, age) {
             self.counters.compute_hits += 1;
             let w = self.ctable.mul_scratch(weight, cached.weight);
@@ -86,7 +104,11 @@ impl DdPackage {
         let result = self.make_vec_node(mnode.var, children);
         self.counters.compute_misses += 1;
         self.ctable.pin(result.weight);
-        self.ct_mat_vec.live.insert(key, result);
+        // Past the limit a child may have given up: its product is not
+        // this key's.
+        if self.counters.compute_misses < self.miss_limit {
+            self.ct_mat_vec.live.insert(key, result);
+        }
         VecEdge {
             node: result.node,
             weight: self.ctable.mul_scratch(weight, result.weight),
@@ -428,6 +450,38 @@ mod tests {
         }
         assert_eq!(dd.vec_node_count(swapped), n);
         assert_eq!(swapped.node, direct.node);
+    }
+
+    #[test]
+    fn a_budgeted_multiply_gives_up_at_its_budget_and_caches_nothing_wrong() {
+        let n = 12;
+        let mut dd = DdPackage::new();
+        let state = phased_product_state(&mut dd, n);
+        let swap = dd.swap_op(n, 0, n - 1);
+        let (mut full, mut short) = (dd.clone(), dd.clone());
+        let before = full.table_stats().compute_misses;
+        let product = full.mat_vec_mul(swap, state);
+        let misses = full.table_stats().compute_misses - before;
+        assert!(misses > 4, "{misses}");
+        let within = dd.mat_vec_mul_within(swap, state, misses + 1);
+        assert_eq!(within, Some(product));
+        assert_eq!(
+            dd.mat_vec_mul_within(swap, state, 1),
+            Some(product),
+            "cached"
+        );
+        // Given up half way, the multiply caches none of what it cut short:
+        // the full multiply after it computes the product again.
+        assert_eq!(short.mat_vec_mul_within(swap, state, misses / 2), None);
+        let again = short.mat_vec_mul(swap, state);
+        let (expected, got) = (
+            full.to_statevector(product, n),
+            short.to_statevector(again, n),
+        );
+        assert!(expected
+            .iter()
+            .zip(&got)
+            .all(|(a, b)| a.approx_eq(*b, 1e-12)));
     }
 
     #[test]

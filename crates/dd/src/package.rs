@@ -69,6 +69,10 @@ pub struct TableStats {
     pub complex_lookups: u64,
     /// Complex values interned: searches that found no value in tolerance.
     pub complex_inserts: u64,
+    /// Multiplies by a block product — one operator standing for several
+    /// consecutive steps ([`DdPackage::mat_mat_mul`]) — as the caller
+    /// reports them with [`DdPackage::count_block_step`].
+    pub block_steps: u64,
 }
 
 impl TableStats {
@@ -91,6 +95,7 @@ impl TableStats {
             threshold_walks: self.threshold_walks.saturating_sub(earlier.threshold_walks),
             complex_lookups: self.complex_lookups.saturating_sub(earlier.complex_lookups),
             complex_inserts: self.complex_inserts.saturating_sub(earlier.complex_inserts),
+            block_steps: self.block_steps.saturating_sub(earlier.block_steps),
         }
     }
 
@@ -107,6 +112,7 @@ impl TableStats {
             threshold_walks: self.threshold_walks + other.threshold_walks,
             complex_lookups: self.complex_lookups + other.complex_lookups,
             complex_inserts: self.complex_inserts + other.complex_inserts,
+            block_steps: self.block_steps + other.block_steps,
         }
     }
 }
@@ -214,6 +220,9 @@ pub struct DdPackage {
     pub(crate) deferred: Vec<VecEdge>,
     /// Lifetime table hit/miss counters (diagnostics; see [`TableStats`]).
     pub(crate) counters: TableStats,
+    /// The compute-miss count at which a multiply gives up (see
+    /// [`DdPackage::mat_vec_mul_within`]); `u64::MAX` outside one.
+    pub(crate) miss_limit: u64,
     /// Bumped whenever the layers under the open checkpoints change other
     /// than by a rollback: a trim, a rewind, a re-seat.
     epoch: u64,
@@ -294,6 +303,7 @@ impl DdPackage {
             visit_stack: Vec::new(),
             deferred: Vec::new(),
             counters: TableStats::default(),
+            miss_limit: u64::MAX,
             epoch: 0,
         }
     }
@@ -369,6 +379,12 @@ impl DdPackage {
             complex_inserts,
             ..self.counters
         }
+    }
+
+    /// Counts one multiply by a block product into
+    /// [`TableStats::block_steps`].
+    pub fn count_block_step(&mut self) {
+        self.counters.block_steps += 1;
     }
 
     /// Resets the table hit/miss counters to zero.
@@ -457,7 +473,6 @@ impl DdPackage {
     /// applies at the watermarks. No matrix node may be built, and no mark
     /// or copy taken, while a checkpoint is open.
     pub fn checkpoint(&mut self) -> Checkpoint {
-        debug_assert_eq!(self.mat_nodes.len(), self.mat_watermark);
         self.ctable.release_scratch();
         let (vec_nodes, complex_values) = (self.vec_nodes.len(), self.ctable.len());
         let seal = Age(vec_nodes as u32, complex_values as u32);
@@ -487,13 +502,16 @@ impl DdPackage {
     /// then on. After a trim (which
     /// empties the layers under the open checkpoints), a rewind or a copy,
     /// nothing is restored and `false` is returned; the caller starts over
-    /// from the rewound template.
+    /// from the rewound template. A checkpoint a trim left open is still
+    /// closed, its layer's entries kept (the nodes they name stay too), so
+    /// the checkpoints around it stay paired and the tables canonical.
     ///
     /// # Panics
     ///
     /// Panics if an inner checkpoint is still open.
     pub fn rollback(&mut self, checkpoint: Checkpoint) -> bool {
-        if checkpoint.epoch != self.epoch {
+        let exact = checkpoint.epoch == self.epoch;
+        if !exact && checkpoint.depth != self.ct_mat_vec.depth() {
             return false;
         }
         assert_eq!(
@@ -501,6 +519,15 @@ impl DdPackage {
             self.ct_mat_vec.depth(),
             "inner checkpoint open"
         );
+        if !exact {
+            self.vec_unique.merge_down();
+            self.ct_mat_vec.merge_down();
+            self.ct_vec_add.merge_down();
+            self.ct_inner.merge_down();
+            self.ct_excited.merge_down();
+            self.ct_collapse.merge_down();
+            return false;
+        }
         self.vec_nodes.truncate(checkpoint.vec_nodes);
         self.vec_norms.truncate(checkpoint.vec_nodes);
         self.vec_bounds.truncate(checkpoint.vec_nodes);
@@ -726,6 +753,7 @@ impl DdPackage {
             }
             None => {
                 self.counters.mat_unique_misses += 1;
+                debug_assert_eq!(self.ct_mat_vec.depth(), 0, "a checkpoint is open");
                 let id = MatNodeId(node_index(self.mat_nodes.len()));
                 // Identity on this level and below: off-diagonal quadrants
                 // empty, both diagonal quadrants the same weight-one edge
@@ -972,6 +1000,73 @@ impl DdPackage {
         let sum = self.make_mat_node(xn.var, children);
         memo.insert((x, y), sum);
         sum
+    }
+
+    /// The matrix product `a·b` of two operator diagrams over the same
+    /// qubits: applying it to a state applies `b`, then `a`.
+    ///
+    /// One pass with a memo of its own keyed on the operand node pair (the
+    /// edge weights factor out), and the sums of the quadrant products
+    /// memoised over the whole call. An identity on one side returns the
+    /// other operand, scaled: the levels a gate does not touch stay shared,
+    /// so the product of a few local gates stays a few nodes per level.
+    /// The simulator multiplies consecutive steps' operators into block
+    /// products at compile time this way.
+    pub fn mat_mat_mul(&mut self, a: MatEdge, b: MatEdge) -> MatEdge {
+        let mut products = FxHashMap::with_capacity_and_hasher(64, Default::default());
+        let mut sums = FxHashMap::with_capacity_and_hasher(64, Default::default());
+        self.mat_mat_rec(a, b, &mut products, &mut sums)
+    }
+
+    fn mat_mat_rec(
+        &mut self,
+        a: MatEdge,
+        b: MatEdge,
+        products: &mut FxHashMap<(MatNodeId, MatNodeId), MatEdge>,
+        sums: &mut FxHashMap<(MatEdge, MatEdge), MatEdge>,
+    ) -> MatEdge {
+        if a.is_zero() || b.is_zero() {
+            return MatEdge::zero();
+        }
+        let weight = self.ctable.mul(a.weight, b.weight);
+        let identity = |node: MatNodeId| node.is_terminal() || self.mat_identity[node.index()];
+        if identity(a.node) {
+            return MatEdge {
+                node: b.node,
+                weight,
+            };
+        }
+        if identity(b.node) {
+            return MatEdge {
+                node: a.node,
+                weight,
+            };
+        }
+        let product = match products.get(&(a.node, b.node)) {
+            Some(&product) => product,
+            None => {
+                let (an, bn) = (
+                    self.mat_nodes[a.node.index()],
+                    self.mat_nodes[b.node.index()],
+                );
+                debug_assert_eq!(an.var, bn.var, "operands decide different qubits");
+                let mut edges = [MatEdge::zero(); 4];
+                for (quadrant, edge) in edges.iter_mut().enumerate() {
+                    let (row, column) = (quadrant & 2, quadrant & 1);
+                    let left = self.mat_mat_rec(an.edges[row], bn.edges[column], products, sums);
+                    let right =
+                        self.mat_mat_rec(an.edges[row + 1], bn.edges[2 + column], products, sums);
+                    *edge = self.mat_add_rec(left, right, sums);
+                }
+                let product = self.make_mat_node(an.var, edges);
+                products.insert((a.node, b.node), product);
+                product
+            }
+        };
+        MatEdge {
+            node: product.node,
+            weight: self.ctable.mul(weight, product.weight),
+        }
     }
 
     /// `(⊗_{q ∈ qubits} diag(1, factor))·m`: scales every row of `m` by
@@ -1378,12 +1473,19 @@ mod tests {
         assert_eq!(traffic, fresh.table_stats().since(&before.1));
 
         // A trim inside a checkpoint empties the layers below it: the
-        // rollback says so instead of restoring half a package.
+        // rollback says so instead of restoring half a package. It still
+        // closes the checkpoint and keeps the nodes made under it findable,
+        // so the same shot again makes no node.
         dd.reset_transient();
         let checkpoint = dd.checkpoint();
         dd.set_cache_limit(1);
-        let _ = noisy_shot(&mut dd, &ops);
+        let (states, _) = noisy_shot(&mut dd, &ops);
         assert!(!dd.rollback(checkpoint));
+        assert_eq!(dd.ct_mat_vec.depth(), 0);
+        let nodes = dd.stats().vec_nodes;
+        assert_eq!(noisy_shot(&mut dd, &ops).0, states);
+        assert_eq!(dd.stats().vec_nodes, nodes);
+        dd.set_cache_limit(DEFAULT_CACHE_LIMIT);
         dd.reset_transient();
         let checkpoint = dd.checkpoint();
         assert!(dd.rollback(checkpoint));
@@ -1755,6 +1857,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_matrix_product_applies_its_factors_in_turn() {
+        let n = 5;
+        let mut dd = DdPackage::new();
+        let cx = dd.controlled_op(n, 3, &[1], Matrix2::pauli_x());
+        let factors = [
+            dd.single_qubit_op(n, 2, Matrix2::hadamard()),
+            dd.scale_rows(cx, &[1, 3], 0.8),
+            dd.swap_op(n, 0, 4),
+            dd.controlled_op(n, 1, &[3], Matrix2::phase(0.7)),
+            dd.controlled_op(n, 2, &[0, 4], Matrix2::u3(0.3, 0.8, -0.2)),
+        ];
+        // The dense product, later factors on the left.
+        let dense = |dd: &DdPackage, m| dd.to_matrix(m, n);
+        let mut expected = dense(&dd, factors[0]);
+        let mut product = factors[0];
+        for &factor in &factors[1..] {
+            let m = dense(&dd, factor);
+            expected = (0..1 << n)
+                .map(|r| {
+                    let entry = |c: usize| {
+                        let terms = (0..1 << n).map(|k| m[r][k] * expected[k][c]);
+                        terms.fold(Complex::ZERO, |sum, term| sum + term)
+                    };
+                    (0..1 << n).map(entry).collect()
+                })
+                .collect();
+            product = dd.mat_mat_mul(factor, product);
+        }
+        let got = dense(&dd, product);
+        for (expected, got) in expected.iter().zip(&got) {
+            for (e, g) in expected.iter().zip(got) {
+                assert!(e.approx_eq(*g, 1e-12), "{e} vs {g}");
+            }
+        }
+        // An identity on either side hands the other operand back as it is.
+        let identity = dd.identity_op(n);
+        let nodes = dd.stats().mat_nodes;
+        assert_eq!(dd.mat_mat_mul(identity, product), product);
+        assert_eq!(dd.mat_mat_mul(product, identity), product);
+        assert_eq!(dd.stats().mat_nodes, nodes);
     }
 
     #[test]

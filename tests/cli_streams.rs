@@ -146,3 +146,35 @@ fn over_wide_circuits_fail_with_one_error_line() {
         assert_eq!(String::from_utf8(output.stderr).unwrap(), message);
     }
 }
+
+/// The dedup hit rate counts the evolutions that served a shot: a bucket
+/// whose members all forked into longer patterns serves none, so strong
+/// damping (more evolutions than shots) still reports a rate in `[0, 1)`
+/// — it read −20.0 % and −70.0 % when every evolution counted.
+#[test]
+fn the_dedup_hit_rate_is_never_negative() {
+    for damping in ["0.5", "1"] {
+        let args = [
+            "generate",
+            "grover",
+            "6",
+            "--damping",
+            damping,
+            "--backend",
+            "dd",
+            "--shots",
+            "10",
+        ];
+        let output = cli(&args);
+        assert!(output.status.success(), "{args:?}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        let line = (stderr.lines())
+            .find(|line| line.starts_with("trajectories:"))
+            .expect("a trajectories line");
+        let rate: f64 = (line.split('(').nth(1))
+            .and_then(|rest| rest.split(" %").next())
+            .and_then(|rate| rate.parse().ok())
+            .unwrap_or_else(|| panic!("no rate in {line:?}"));
+        assert!((0.0..100.0).contains(&rate), "damping {damping}: {line}");
+    }
+}

@@ -283,11 +283,17 @@ fn transpiled_engines_dedup_through_the_output_layout() {
 /// three-event patterns coincide. The unitary ones run on the statevector
 /// back-end too.
 fn deep_tree_engines() -> Vec<(&'static str, ShotEngine)> {
-    use qsdd::circuit::generators::{bernstein_vazirani, ghz, qft};
+    use qsdd::circuit::generators::{bernstein_vazirani, ghz, qft, w_state};
     use BackendKind::{DecisionDiagram, Statevector};
     let tenfold = NoiseModel::new(0.01, 0.02, 0.01);
     let hundredfold = NoiseModel::new(0.1, 0.2, 0.1);
+    // Damping alone at ten times the paper's: long stretches of kept steps
+    // between candidates, which a walk crosses as block products.
+    let damped = NoiseModel::paper_defaults().with_amplitude_damping(0.02);
     let mut cases = vec![
+        ("ghz16-damped", DecisionDiagram, ghz(16), damped),
+        ("qft8-damped", DecisionDiagram, qft(8), damped),
+        ("w8-damped", DecisionDiagram, w_state(8), damped),
         ("ghz16", DecisionDiagram, ghz(16), tenfold),
         ("qft8", DecisionDiagram, qft(8), tenfold),
         (
@@ -368,6 +374,10 @@ fn every_bucket_shot_equals_its_live_execution() {
         }
         drop(install);
         assert!(seen.iter().all(|&covered| covered), "{name}: shots lost");
+        if name.ends_with("-damped") {
+            let block_steps = shared.dd_table_stats().block_steps;
+            assert!(block_steps > 0, "{name}: no walk took a block step");
+        }
 
         // The longest pattern any replay shared between two or more shots.
         let attr = |span: &trace::SpanRecord, key: &str| {

@@ -263,6 +263,8 @@ struct JobWork {
     /// Complex-table tolerance-ball searches, and the values they interned.
     complex_lookups: u64,
     complex_inserts: u64,
+    /// Multiplies by a block product of several kept steps.
+    block_steps: u64,
     /// Waiting-time uniforms presampling drew.
     uniforms: u64,
     /// Spans of the job's trace, and the attributes they carry, outside
@@ -310,6 +312,7 @@ fn traced_job(engine: &ShotEngine, shots: usize, threads: usize) -> JobWork {
         threshold_walks: sum("dd_threshold_walks"),
         complex_lookups: sum("dd_complex_lookups"),
         complex_inserts: sum("dd_complex_inserts"),
+        block_steps: sum("dd_block_steps"),
         uniforms: sum_over("presample", "uniforms"),
         spans: shared.len() as u64,
         attrs: shared.iter().map(|span| span.attrs.len() as u64).sum(),
@@ -387,7 +390,7 @@ fn evolutions_recompute_only_what_their_errors_changed() {
     assert_eq!(shared(&qft16), (327, 178));
     // Tracing opens spans per trajectory group and per stage, never per
     // shot: under one span per 100 shots (263 spans, 2 346 attributes;
-    // each worker lane adds one span and 12 attributes).
+    // each worker lane adds one span and 13 attributes).
     assert!(ghz64.spans <= 300, "{ghz64:?}");
     assert!(ghz64.attrs <= 2_600, "{ghz64:?}");
     // Only what a node keeps is interned; products and sums on the way
@@ -397,6 +400,21 @@ fn evolutions_recompute_only_what_their_errors_changed() {
     assert!(ghz64.complex_inserts <= 2_500, "{ghz64:?}");
     assert!(qft16.complex_lookups <= 74_000, "{qft16:?}");
     assert!(qft16.complex_inserts <= 20_000, "{qft16:?}");
+    // A live stretch between two decision points crosses its kept steps as
+    // a few block products of them, built at compile (ROADMAP item 7):
+    // 696 826 and 188 351 misses, 305 847 and 137 093 nodes created, and
+    // 265 562 nodes counted on GHZ-64 when every step was its own multiply
+    // (now 321 445 / 146 511 misses, 100 353 / 55 973 nodes, 82 738
+    // counted, in 3 404 and 2 433 block steps).
+    assert!(
+        ghz64.block_steps > 0 && qft16.block_steps > 0,
+        "{ghz64:?} {qft16:?}"
+    );
+    assert!(ghz64.compute_misses <= 418_095, "{ghz64:?}");
+    assert!(qft16.compute_misses <= 150_680, "{qft16:?}");
+    assert!(ghz64.nodes_created <= 105_000, "{ghz64:?}");
+    assert!(ghz64.count_nodes <= 87_000, "{ghz64:?}");
+    assert!(qft16.nodes_created <= 59_000, "{qft16:?}");
 }
 
 /// The no-error path continues through the measurements at compile time,
@@ -416,6 +434,13 @@ fn measured_bv12_shots_share_the_no_error_measurement_chain() {
     // and 35 405 inserts when they were interned).
     assert!(bv12.complex_lookups <= 87_000, "{bv12:?}");
     assert!(bv12.complex_inserts <= 11_200, "{bv12:?}");
+    // Its kept block products only break even (51 626 misses, 55 882 nodes
+    // created and 91 000 counted taking every step alone; now 48 829,
+    // 45 540 and 77 147, in 587 block steps).
+    assert!(bv12.block_steps > 0, "{bv12:?}");
+    assert!(bv12.compute_misses <= 51_626, "{bv12:?}");
+    assert!(bv12.nodes_created <= 48_000, "{bv12:?}");
+    assert!(bv12.count_nodes <= 81_000, "{bv12:?}");
 }
 
 /// The vector kernels carry their intermediate products and sums as scratch
