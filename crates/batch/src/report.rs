@@ -64,8 +64,7 @@ pub struct JobReport {
     /// applied operation (not just at shot end).
     pub dd_nodes_peak: u64,
     /// Trajectories actually simulated: distinct presampled error patterns
-    /// plus live shots. Equals `shots_executed` when the job ran on the
-    /// per-shot path (the program does not support deduplication).
+    /// (a group in member runs counts once) plus live shots.
     pub unique_trajectories: u64,
     /// Fraction of executed shots served from another shot's trajectory
     /// (`1 - serving / shots_executed`, over the evolutions that served at

@@ -1,10 +1,9 @@
 //! The shot-interleaving batch scheduler.
 //!
 //! All jobs share one worker pool. Work lives in a **global chunk queue**:
-//! every entry is a small contiguous range of shot indices of one job, and
-//! idle workers steal the next chunk regardless of which job it belongs to,
-//! so shots from different jobs interleave and a giant job cannot starve
-//! small ones.
+//! every entry holds a few dozen shots of one job, and idle workers steal
+//! the next chunk regardless of which job it belongs to, so shots from
+//! different jobs interleave and a giant job cannot starve small ones.
 //!
 //! Each job's circuit is compiled once, into its [`ShotEngine`]'s program
 //! (the engines are built before the first chunk runs, on as many threads
@@ -13,13 +12,15 @@
 //! reuses it across every chunk of every job it steals, so per-shot cost is
 //! pure execution — no operator rebuilding, no per-shot allocation churn.
 //!
-//! Jobs whose engine supports **trajectory deduplication** release their
-//! rounds as *pattern-group chunks* instead of plain shot ranges: the
-//! releasing worker presamples the round's shots, groups them by error
-//! pattern (shots that leave the no-error path ahead of a state-dependent
-//! site: by the event they drew) and enqueues bundles of groups — each
-//! distinct trajectory is simulated once per group, fanning its outcome
-//! samples across every member shot. Deduplication is
+//! Every sampled job releases its rounds as **pattern-group chunks**
+//! (trajectory deduplication): the releasing worker presamples the round's
+//! shots, groups them by error pattern (shots that leave the no-error path
+//! ahead of a state-dependent site: by the event they drew) and enqueues
+//! bundles of groups — each distinct trajectory is simulated once per
+//! group, fanning its outcome samples across every member shot; a group
+//! whose members resume live past a shared prefix comes in member runs
+//! ([`ShotEngine::plan_range`]), so its live tails spread over the workers
+//! as chunks of their own. Deduplication is
 //! unobservable in the results — same histograms, error counts and node
 //! statistics, for every thread count — and reported per job as
 //! `unique_trajectories` / `dedup_hit_rate`.
@@ -58,6 +59,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
+use qsdd_core::dedup::CHUNK_SHOTS;
 use qsdd_core::{
     execute, Deadline, ExecContext, ExecMode, ExecPlan, Placement, ShotEngine, TimedOut,
     TrajectoryWork,
@@ -67,10 +69,6 @@ use qsdd_telemetry::{Counter, Gauge, Stage, StageTimings};
 
 use crate::jobfile::JobSpec;
 use crate::report::{BatchReport, JobReport, JobStatus};
-
-/// Shots per queue entry: small enough that jobs interleave at fine grain,
-/// large enough that queue traffic stays negligible next to shot cost.
-const CHUNK_SHOTS: u64 = 32;
 
 /// The z-score of the 95 % Wilson confidence interval used for early
 /// stopping.
@@ -125,9 +123,6 @@ pub fn wilson_half_width(successes: u64, samples: u64) -> f64 {
 /// One unit of queued work for a job.
 #[derive(Debug)]
 enum ChunkWork {
-    /// A contiguous range of shot indices, executed per shot (jobs without
-    /// deduplication).
-    Range { start: u64, end: u64 },
     /// A bundle of trajectory groups and deviation buckets: each distinct
     /// error pattern is simulated once, its member shots sample from the
     /// shared result.
@@ -156,8 +151,7 @@ struct JobProgress {
     dd_nodes_sum: u64,
     dd_nodes_peak: u64,
     executed: u64,
-    /// Evolutions actually performed (pattern replays + shots run live;
-    /// equal to `executed` on the per-shot path).
+    /// Evolutions actually performed (pattern replays + shots run live).
     unique_trajectories: u64,
     /// The evolutions among them that served a shot: the hit rate's count.
     serving: u64,
@@ -190,9 +184,6 @@ struct JobRuntime {
     shots: u64,
     epsilon: Option<f64>,
     check_interval: u64,
-    /// Whether rounds are released as deduplicated pattern groups (the
-    /// engine supports it); otherwise as per-shot ranges.
-    dedup: bool,
     /// Whether the job runs in one piece through the weighted-enumeration
     /// driver instead of sampled rounds.
     weighted: bool,
@@ -215,7 +206,6 @@ impl JobRuntime {
             ..JobProgress::default()
         };
         Ok(JobRuntime {
-            dedup: engine.supports_dedup(),
             weighted: spec.weighted,
             engine,
             shots: spec.shots,
@@ -247,9 +237,7 @@ struct Shared {
 /// (looking up a metric by name takes the registry lock, so it happens
 /// once per batch here, never per chunk).
 struct BatchMetrics {
-    /// Chunks executed, labelled by work kind
-    /// (`range`/`groups`/`weighted`).
-    chunks_range: Arc<Counter>,
+    /// Chunks executed, labelled by work kind (`groups`/`weighted`).
     chunks_groups: Arc<Counter>,
     chunks_weighted: Arc<Counter>,
     /// Member shots those chunks accounted for.
@@ -269,11 +257,6 @@ impl BatchMetrics {
         let registry = qsdd_telemetry::global();
         let chunks = "Chunks executed by the batch worker pool";
         Some(BatchMetrics {
-            chunks_range: registry.counter_with(
-                "qsdd_batch_chunks_total",
-                chunks,
-                &[("kind", "range")],
-            ),
             chunks_groups: registry.counter_with(
                 "qsdd_batch_chunks_total",
                 chunks,
@@ -377,7 +360,7 @@ fn run_built(
                 }
             };
             shared.active.fetch_add(1, Ordering::SeqCst);
-            if runtime.dedup && !runtime.weighted {
+            if !runtime.weighted {
                 progress
                     .stage_timings
                     .record(Stage::Presample, round_started.elapsed());
@@ -475,12 +458,12 @@ fn run_built(
 
 /// Builds the executable chunks of the round of shots starting at `start`.
 ///
-/// Jobs without deduplication release plain shot ranges. Deduplicating jobs
-/// presample the round here — once, by whichever worker closes the previous
-/// round — and release bundles of pattern groups and deviation buckets (kept
-/// whole, so one representative execution serves every member).
-/// Either way each chunk accounts for `chunk.shots` member shots and the
-/// round covers exactly `start..min(start + check_interval, shots)`.
+/// The round is presampled here — once, by whichever worker closes the
+/// previous round — and released as bundles of pattern groups (or member
+/// runs of one) and deviation buckets (kept whole, so one representative
+/// execution serves every member). Each chunk accounts for `chunk.shots`
+/// member shots and the round covers exactly
+/// `start..min(start + check_interval, shots)`.
 fn build_round(runtime: &JobRuntime, job: usize, start: u64) -> Vec<Chunk> {
     if runtime.weighted {
         // Weighted jobs run whole: one chunk covers every shot, so this is
@@ -494,43 +477,23 @@ fn build_round(runtime: &JobRuntime, job: usize, start: u64) -> Vec<Chunk> {
     }
     let end = (start + runtime.check_interval).min(runtime.shots);
     let mut chunks = Vec::new();
-    if !runtime.dedup {
-        let mut cursor = start;
-        while cursor < end {
-            let chunk_end = (cursor + CHUNK_SHOTS).min(end);
-            chunks.push(Chunk {
-                job,
-                shots: chunk_end - cursor,
-                work: ChunkWork::Range {
-                    start: cursor,
-                    end: chunk_end,
-                },
-            });
-            cursor = chunk_end;
-        }
-        return chunks;
-    }
-
     // Presample the round and group shots by error pattern (groups keep
     // first-appearance order; members stay in shot order).
     let presample_span = trace::span("presample_round");
     trace::attr("job", job);
     trace::attr("shots", (end - start) as usize);
-    let groups = runtime
-        .engine
-        .plan_range(start..end)
-        .expect("dedup rounds are only built for supporting engines");
+    let groups = runtime.engine.plan_range(start..end);
     qsdd_core::dedup::trace_plan_attrs(&groups);
     drop(presample_span);
     let mut bundle: Vec<TrajectoryWork> = Vec::new();
-    let mut bundled = 0u64;
+    let mut bundled = 0;
     for group in groups {
-        bundled += group.shots() as u64;
+        bundled += group.shots();
         bundle.push(group);
         if bundled >= CHUNK_SHOTS {
             chunks.push(Chunk {
                 job,
-                shots: bundled,
+                shots: bundled as u64,
                 work: ChunkWork::Groups(std::mem::take(&mut bundle)),
             });
             bundled = 0;
@@ -539,7 +502,7 @@ fn build_round(runtime: &JobRuntime, job: usize, start: u64) -> Vec<Chunk> {
     if !bundle.is_empty() {
         chunks.push(Chunk {
             job,
-            shots: bundled,
+            shots: bundled as u64,
             work: ChunkWork::Groups(bundle),
         });
     }
@@ -611,7 +574,6 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
         drop(progress);
         if let Some(metrics) = &shared.metrics {
             match &chunk.work {
-                ChunkWork::Range { .. } => metrics.chunks_range.inc(),
                 ChunkWork::Groups(_) => metrics.chunks_groups.inc(),
                 ChunkWork::Weighted => metrics.chunks_weighted.inc(),
             }
@@ -624,7 +586,6 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
         trace::attr(
             "kind",
             match &chunk.work {
-                ChunkWork::Range { .. } => "range",
                 ChunkWork::Groups(_) => "groups",
                 ChunkWork::Weighted => "weighted",
             },
@@ -652,12 +613,6 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
                 panic!("injected worker fault (QSDD_FAULTS worker_panic)");
             }
             match chunk.work {
-                ChunkWork::Range { start, end } => {
-                    for shot in start..end {
-                        record(runtime.engine.run_shot_in(&mut context, shot));
-                    }
-                    (end - start, end - start)
-                }
                 ChunkWork::Weighted => {
                     // The whole job in one call: enumerate trajectories in
                     // probability order, simulate each once, tail-sample the
@@ -677,8 +632,9 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
                                         stats.enumerated_trajectories + stats.tail_shots;
                                     (simulated, simulated)
                                 }
-                                (None, Some(stats)) => (stats.unique_trajectories, stats.serving),
-                                (None, None) => (outcome.shots as u64, outcome.shots as u64),
+                                (None, dedup) => dedup.map_or((0, 0), |stats| {
+                                    (stats.unique_trajectories, stats.serving)
+                                }),
                             };
                             weighted_outcome = Some(outcome);
                             trajectories
@@ -781,8 +737,8 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
             retire(shared, progress);
             continue;
         }
-        // Build (and for dedup jobs presample) the next round before
-        // touching the queue, so the queue lock is held only to push.
+        // Build (and presample) the next round before touching the queue,
+        // so the queue lock is held only to push.
         let start = progress.executed;
         let round_started = Instant::now();
         let chunks = match try_build_round(runtime, chunk.job, start) {
@@ -793,11 +749,9 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
                 continue;
             }
         };
-        if runtime.dedup {
-            progress
-                .stage_timings
-                .record(Stage::Presample, round_started.elapsed());
-        }
+        progress
+            .stage_timings
+            .record(Stage::Presample, round_started.elapsed());
         progress.round_pending = chunks.len();
         let mut queue = shared.queue.lock().expect("queue lock");
         queue.extend(chunks);
@@ -1014,8 +968,9 @@ mod tests {
     }
 
     #[test]
-    fn programs_that_decline_dedup_run_in_per_shot_chunks() {
-        // Measured before half its steps, so no prefix is worth sharing.
+    fn early_measured_programs_share_their_prefix_in_member_runs() {
+        // Measured after its first gate: the prefix its shots share is one
+        // gate, and almost every shot resumes live past it.
         let path = std::env::temp_dir().join(format!(
             "qsdd_batch_early_measure_{}.qasm",
             std::process::id()
@@ -1030,8 +985,27 @@ mod tests {
         let mut spec = ghz_spec("early", 300, 5);
         spec.source = CircuitSource::Qasm(path.clone());
         spec.noise = NoiseModel::paper_defaults();
-        assert!(!engine(&spec).supports_dedup());
         let reference = per_shot(&spec);
+        let runtime = JobRuntime::build(&spec).expect("the spec loads");
+        let round = build_round(&runtime, 0, 0);
+        assert!(round.len() >= 2, "the round spreads over several chunks");
+        assert!(round
+            .iter()
+            .all(|chunk| matches!(chunk.work, ChunkWork::Groups(_))));
+        // The same rounds as library work items: a group's later member
+        // runs report no evolution of their own.
+        let (engine, unbounded) = (&runtime.engine, Deadline::unbounded());
+        let (mut ctx, mut evolutions, mut later_runs) = (engine.new_context(), 0, 0);
+        for start in (0..spec.shots).step_by(spec.check_interval as usize) {
+            let end = (start + spec.check_interval).min(spec.shots);
+            for work in engine.plan_range(start..end) {
+                let (records, stats) = (engine.run_work_in(&mut ctx, work, &[], &unbounded))
+                    .expect("an unbounded deadline never expires");
+                evolutions += stats.unique_trajectories;
+                later_runs += u64::from(stats.unique_trajectories == 0 && !records.is_empty());
+            }
+        }
+        assert!(later_runs >= 2, "the no-error group spans member runs");
         let reports = [1, 2, 3]
             .map(|threads| run_batch(&[spec.clone()], &BatchOptions::with_threads(threads)));
         std::fs::remove_file(&path).unwrap();
@@ -1040,7 +1014,9 @@ mod tests {
             let job = &report.jobs[0];
             assert!(job.status.is_completed(), "{:?}", job.status);
             assert_matches_per_shot(job, &reference);
-            assert_eq!(job.unique_trajectories, job.shots_executed);
+            // A group counts once, however many runs carry it.
+            assert_eq!(job.unique_trajectories, evolutions);
+            assert!(job.unique_trajectories < job.shots_executed);
             assert_eq!(job.results_json(), reports[0].jobs[0].results_json());
         }
     }

@@ -130,22 +130,15 @@ pub trait StochasticBackend: Sync {
         observable: &Observable,
     ) -> f64;
 
-    /// Describes how `program` supports trajectory deduplication, or `None`
-    /// when every shot must execute live.
+    /// The presample plan over `program`'s deduplicable prefix — the steps
+    /// before the first measurement or reset, possibly none (see
+    /// [`crate::dedup`]); a damping site carries the threshold its exposure
+    /// meets on the no-error path ([`qsdd_noise::SiteChannel::Damping`]).
     ///
-    /// A supporting back-end returns the presample plan over the program's
-    /// deduplicable prefix (see [`crate::dedup`]); the deduplicating runner
-    /// then presamples shots against it, groups equal patterns, walks each
-    /// group and bucket over the back-end's decision points, and fans the
-    /// shared states out over the members. The default declines, which
-    /// keeps a back-end correct on the ordinary per-shot path.
-    /// State-dependent channels are no reason to decline:
-    /// record the threshold each damping exposure meets along the no-error
-    /// path at compile time and hand it over as a
-    /// [`qsdd_noise::SiteChannel::Damping`] site.
-    fn dedup_support(&self, _program: &Self::Program) -> Option<DedupSupport> {
-        None
-    }
+    /// Every program shares its prefix, so both back-ends return `Some`; the
+    /// `Option` stays while the repository benchmark (`qsdd_benchmark`)
+    /// unwraps it.
+    fn dedup_support(&self, program: &Self::Program) -> Option<DedupSupport>;
 }
 
 /// Hands out process-unique program identifiers, so execution contexts can

@@ -305,6 +305,37 @@ impl DdProgram {
         }
     }
 
+    /// The presample plan over the deduplicable prefix, and whether it is
+    /// the whole program.
+    pub(crate) fn dedup_support(&self) -> DedupSupport {
+        let prefix = self.dedup_prefix;
+        let mut sites = Vec::new();
+        for (index, step) in self.steps[..prefix].iter().enumerate() {
+            let DdStep::Apply { noise_qubits, .. } = step else {
+                unreachable!("the dedup prefix only contains Apply steps")
+            };
+            // Trajectory-covered steps carry their damping thresholds;
+            // beyond the trajectory the prefix only extends when every
+            // channel is state-independent (see `compile`).
+            let mut p_decay = (self.trajectory.get(index).into_iter()).flat_map(|ff| &ff.p_decay);
+            for _ in noise_qubits {
+                for &channel in &self.channels {
+                    sites.push(if channel.state_dependent() {
+                        let p_decay = *p_decay.next().expect("recorded damping threshold");
+                        let gamma = channel.probability();
+                        SiteChannel::Damping { gamma, p_decay }
+                    } else {
+                        SiteChannel::Passive(channel)
+                    });
+                }
+            }
+        }
+        DedupSupport {
+            plan: PresamplePlan::new(sites),
+            full: prefix == self.steps.len(),
+        }
+    }
+
     /// The chain's next block from kept step `at` that ends by step `end`:
     /// the largest kept block product starting there, else the step's kept
     /// operator; with the number of steps it covers.
@@ -722,39 +753,7 @@ impl StochasticBackend for DdSimulator {
     }
 
     fn dedup_support(&self, program: &DdProgram) -> Option<DedupSupport> {
-        let prefix = program.dedup_prefix;
-        let full = prefix == program.steps.len();
-        // Prefix deduplication pays a per-member checkpoint clone; only
-        // offer it when the saved prefix is at least half the program.
-        if !full && (prefix == 0 || prefix * 2 < program.steps.len()) {
-            return None;
-        }
-        let mut sites = Vec::new();
-        for (index, step) in program.steps[..prefix].iter().enumerate() {
-            let DdStep::Apply { noise_qubits, .. } = step else {
-                unreachable!("the dedup prefix only contains Apply steps")
-            };
-            // Trajectory-covered steps carry their damping thresholds;
-            // beyond the trajectory the prefix only extends when every
-            // channel is state-independent (see `compile`).
-            let mut p_decay =
-                (program.trajectory.get(index).into_iter()).flat_map(|ff| &ff.p_decay);
-            for _ in noise_qubits {
-                for &channel in &program.channels {
-                    sites.push(if channel.state_dependent() {
-                        let p_decay = *p_decay.next().expect("recorded damping threshold");
-                        let gamma = channel.probability();
-                        SiteChannel::Damping { gamma, p_decay }
-                    } else {
-                        SiteChannel::Passive(channel)
-                    });
-                }
-            }
-        }
-        Some(DedupSupport {
-            plan: PresamplePlan::new(sites),
-            full,
-        })
+        Some(program.dedup_support())
     }
 }
 
@@ -789,6 +788,10 @@ impl DecisionPoints for DdSimulator {
     fn start(seat: &mut Seat<'_, Self>) -> Walk {
         seat.ctx.seat(seat.program);
         Walk::start(seat.program)
+    }
+
+    fn empty_prefix(program: &DdProgram) -> bool {
+        program.dedup_prefix == 0
     }
 
     fn point(seat: &mut Seat<'_, Self>, walk: &mut Walk) -> Option<(u32, DdPoint)> {
@@ -1242,8 +1245,7 @@ impl Walk {
     }
 
     /// The walk's result: the final state is counted, as its size is
-    /// reported, before the deferred counts settle against it. A walk at the
-    /// end of the deduplicable prefix is left for its members to resume from.
+    /// reported, before the deferred counts settle against it.
     fn close(&mut self, dd: &mut DdPackage, outcome: u64, clbits: Vec<bool>) -> SingleRun<VecEdge> {
         let dd_nodes = dd.vec_node_count(self.state) as u64;
         self.peak = self.peak.max(dd_nodes);
@@ -2048,16 +2050,14 @@ mod tests {
             for limit in [qsdd_dd::DEFAULT_CACHE_LIMIT, 16] {
                 let mut program = backend.compile(&circuit, &tenfold);
                 program.base.set_cache_limit(limit);
-                let support = backend
-                    .dedup_support(&program)
-                    .expect("unitary programs dedup");
+                let support = program.dedup_support();
                 let mut records = vec![None; shots];
                 let mut sink = |shot: u64, sample, _: &[f64]| records[shot as usize] = Some(sample);
                 let (deadline, mut ctx) = (Deadline::unbounded(), backend.new_context());
                 let absorbing = &program.absorbing;
                 let mut out = Evolutions::new(&support, &[], seed, &deadline, &mut sink);
                 out.absorbing = absorbing;
-                for work in plan_range(&support.plan, 0..shots as u64, seed, absorbing).0 {
+                for work in plan_range(&support, 0..shots as u64, seed, absorbing).0 {
                     run_work(&backend, &program, &mut ctx, work, &mut out).unwrap();
                 }
                 evolutions.push(out.stats.unique_trajectories);

@@ -56,7 +56,9 @@
 //! For programs whose deduplicable region is only a *prefix* (a mid-circuit
 //! measurement or an uncovered state-dependent exposure ahead), the group's
 //! or bucket's walk ends at the prefix and every member resumes live from
-//! there in the same context — from a checkpoint, rolled back after it.
+//! there in the same context — from a checkpoint, rolled back after it (from
+//! the seated template when the prefix is empty). Such a group runs in
+//! *member runs* of at most [`CHUNK_SHOTS`], each walking the prefix itself.
 //!
 //! # Determinism
 //!
@@ -92,11 +94,13 @@ use crate::stochastic::{
     StochasticOutcome, WorkerPartial,
 };
 
-/// How a compiled program supports trajectory deduplication.
-///
-/// Produced by [`StochasticBackend::dedup_support`]; `None` from that
-/// method means every shot of the program must execute live (the ordinary
-/// per-shot path).
+/// Shots per unit of queued work (a batch chunk's bundle, a member run):
+/// small enough that work interleaves at fine grain, large enough that
+/// queue traffic stays negligible next to shot cost.
+pub const CHUNK_SHOTS: usize = 32;
+
+/// How a compiled program shares its deduplicable prefix, possibly empty
+/// ([`StochasticBackend::dedup_support`]).
 #[derive(Clone, Debug)]
 pub struct DedupSupport {
     /// Presample plan over the flattened noise-exposure sites of the
@@ -104,7 +108,7 @@ pub struct DedupSupport {
     pub plan: PresamplePlan,
     /// `true` when the prefix is the whole program: pattern shots then only
     /// need per-shot outcome sampling. `false` means members resume live
-    /// from a checkpoint after the prefix.
+    /// after the prefix, in member runs.
     pub full: bool,
 }
 
@@ -112,7 +116,8 @@ pub struct DedupSupport {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DedupStats {
     /// Number of evolutions actually performed: pattern groups, deviation
-    /// bucket and child pattern replays, and shots run live.
+    /// bucket and child pattern replays, and shots run live. A group
+    /// released in member runs counts once.
     pub unique_trajectories: u64,
     /// The evolutions that served at least one shot: all but the buckets
     /// whose every member forked into a child bucket.
@@ -147,6 +152,9 @@ pub struct TrajectoryWork {
     /// pattern's one event with state-dependent sites still ahead, streams
     /// parked right after it. Empty for a trajectory group.
     pub(crate) parked: Parked,
+    /// Whether the item's evolution counts in the [`DedupStats`]: not for a
+    /// group's later member runs, which re-walk what its first run counts.
+    pub(crate) counted: bool,
 }
 
 impl TrajectoryWork {
@@ -165,25 +173,33 @@ impl TrajectoryWork {
 /// items in first-appearance order, members in shot order.
 #[derive(Default)]
 struct Groups {
-    /// Pattern → slot into `work`, fast-hashed (trusted tiny keys). A
-    /// deviation's single-event pattern never equals a finished one (its
-    /// event is a decay or lies ahead of the last damping site).
+    /// Pattern → slot of its latest item in `work`, fast-hashed (trusted
+    /// tiny keys). A deviation's single-event pattern never equals a
+    /// finished one (its event is a decay or lies ahead of the last damping
+    /// site).
     index: FxHashMap<ErrorPattern, usize>,
     work: Vec<TrajectoryWork>,
 }
 
 impl Groups {
-    /// The slot of `pattern`'s work item, opened on first sight: the key is
-    /// looked up by reference and cloned only into a new entry.
+    /// The slot of `pattern`'s latest work item, opened on first sight: the
+    /// key is looked up by reference and cloned only into a new entry.
     fn slot(&mut self, pattern: ErrorPattern) -> usize {
-        if let Some(&at) = self.index.get(&pattern) {
-            return at;
+        match self.index.get(&pattern) {
+            Some(&at) => at,
+            None => self.open(pattern, true),
         }
+    }
+
+    /// Opens a work item for `pattern` and files the pattern under it: a
+    /// group or bucket, or — not `counted` — a group's next member run.
+    fn open(&mut self, pattern: ErrorPattern, counted: bool) -> usize {
         self.index.insert(pattern.clone(), self.work.len());
         self.work.push(TrajectoryWork {
             pattern,
             members: Vec::new(),
             parked: Vec::new(),
+            counted,
         });
         self.work.len() - 1
     }
@@ -191,15 +207,17 @@ impl Groups {
 
 /// Presamples and groups one contiguous shot range on the calling thread,
 /// absorbing Z errors at the `absorbing` sites, work items in
-/// first-appearance order with members in shot order; also returns the
-/// waiting-time uniforms presampling drew and the Z errors it absorbed.
+/// first-appearance order with members in shot order — a group whose
+/// members resume live past the prefix in member runs of at most
+/// [`CHUNK_SHOTS`], each opened when the one before fills; also returns
+/// the waiting-time uniforms presampling drew and the Z errors it absorbed.
 ///
 /// One uniform per candidate event makes a shot's presampling a few tens of
 /// nanoseconds, less than what spreading a job's shots over threads costs.
 /// The batch scheduler calls it once per round, so its memory stays bounded
 /// by the round size.
 pub(crate) fn plan_range(
-    plan: &PresamplePlan,
+    support: &DedupSupport,
     range: std::ops::Range<u64>,
     seed: u64,
     absorbing: &[bool],
@@ -209,11 +227,14 @@ pub(crate) fn plan_range(
         let mut rng = shot_rng(seed, shot);
         // Either way the generator is kept: it sits exactly where live
         // execution would after the exposures resolved so far.
-        let (presampled, drawn, own) = plan.presample(&mut rng, absorbing);
+        let (presampled, drawn, own) = support.plan.presample(&mut rng, absorbing);
         (uniforms, absorbed) = (uniforms + u64::from(drawn), absorbed + u64::from(own));
         match presampled {
             Presampled::Pattern(pattern) => {
-                let at = groups.slot(pattern);
+                let mut at = groups.slot(pattern);
+                if !support.full && groups.work[at].members.len() == CHUNK_SHOTS {
+                    at = groups.open(groups.work[at].pattern.clone(), false);
+                }
                 groups.work[at].members.push((shot, rng, own));
             }
             Presampled::Deviated { event, next } => {
@@ -234,7 +255,8 @@ pub(crate) fn plan_range(
 /// span: trajectory groups, deviation buckets and the shots parked in them.
 pub fn trace_plan_attrs(work: &[TrajectoryWork]) {
     let buckets = work.iter().filter(|item| item.is_bucket());
-    trace::attr("groups", work.len() - buckets.clone().count());
+    let runs = work.iter().filter(|item| !item.counted).count();
+    trace::attr("groups", work.len() - runs - buckets.clone().count());
     trace::attr("deviation_buckets", buckets.clone().count());
     trace::attr(
         "deviated_shots",
@@ -280,12 +302,13 @@ impl<'a> Evolutions<'a> {
         }
     }
 
-    /// Counts one more evolution, unless the deadline expired.
-    pub(crate) fn evolve(&mut self) -> Result<(), TimedOut> {
+    /// Starts one more evolution, counted unless a group's first member
+    /// run already counted it; fails if the deadline expired.
+    pub(crate) fn evolve(&mut self, counted: bool) -> Result<(), TimedOut> {
         if !self.deadline.is_unbounded() && self.deadline.expired() {
             return Err(TimedOut);
         }
-        self.stats.unique_trajectories += 1;
+        self.stats.unique_trajectories += u64::from(counted);
         Ok(())
     }
 
@@ -324,7 +347,8 @@ impl<'a> Evolutions<'a> {
     /// the shots that followed it there: each samples its outcome from the
     /// shared final state or — when the prefix is not the whole program —
     /// resumes live from it, all but the last from a checkpoint there: the
-    /// context a per-shot execution holds.
+    /// context a per-shot execution holds (the seated template, with no
+    /// checkpoint, when the prefix is empty).
     pub(crate) fn finish<B: DecisionPoints>(
         &mut self,
         backend: &B,
@@ -332,12 +356,17 @@ impl<'a> Evolutions<'a> {
         mut walk: B::Walk,
         members: &mut [Member],
     ) {
-        let (program, mut run) = (seat.program, B::prefix_run(seat, &mut walk));
-        self.stats.serving += 1;
+        let program = seat.program;
         if !self.support.full {
+            B::settle(seat, &mut walk);
             let next = self.support.plan.site_count() as u32;
+            let empty = B::empty_prefix(program);
             for index in 0..members.len() {
-                let checkpoint = (index + 1 < members.len()).then(|| B::checkpoint(seat.ctx));
+                if empty {
+                    walk = B::start(seat);
+                }
+                let last = index + 1 == members.len();
+                let checkpoint = (!empty && !last).then(|| B::checkpoint(seat.ctx));
                 let (shot, rng, absorbed) = &mut members[index];
                 let run = B::finish_live(seat, walk, (next, rng, *absorbed));
                 self.emit_live(backend, program, seat.ctx, run, *shot);
@@ -354,6 +383,7 @@ impl<'a> Evolutions<'a> {
         // samples its own outcome (the generators continue their streams
         // exactly where live execution would). Both are pure functions of
         // the shared state.
+        let mut run = B::prefix_run(seat, &mut walk);
         let ctx = &mut *seat.ctx;
         let values: Vec<f64> = (self.observables.iter())
             .map(|observable| backend.evaluate(program, ctx, &mut run, observable))
@@ -399,6 +429,8 @@ pub(crate) trait DecisionPoints: StochasticBackend + Sized {
 
     /// Seats the context: a walk entering the program's first step.
     fn start(seat: &mut Seat<'_, Self>) -> Self::Walk;
+    /// Whether the deduplicable prefix of `program` holds no step.
+    fn empty_prefix(program: &Self::Program) -> bool;
     /// Moves `walk` to its next decision point in the deduplicable prefix,
     /// returned with the first site past it; `None` at the prefix's end.
     fn point(seat: &mut Seat<'_, Self>, walk: &mut Self::Walk) -> Option<(u32, Self::Point)>;
@@ -424,7 +456,8 @@ pub(crate) trait DecisionPoints: StochasticBackend + Sized {
     fn exact(_point: &Self::Point) -> bool {
         true
     }
-    /// Readies `walk` to have children forked off it.
+    /// Readies `walk` to have children forked off it, or members resume
+    /// from it.
     fn settle(_seat: &mut Seat<'_, Self>, _walk: &mut Self::Walk) {}
     /// Opens a checkpoint of the context.
     fn checkpoint(ctx: &mut Self::Context) -> Self::Checkpoint;
@@ -437,8 +470,8 @@ pub(crate) trait DecisionPoints: StochasticBackend + Sized {
         walk: Self::Walk,
         member: (u32, &mut StdRng, u32),
     ) -> SingleRun<Self::State>;
-    /// The run a walk at the end of the deduplicable prefix shares with its
-    /// members; the walk is left ready for them to resume from.
+    /// The run a walk at the end of a whole-program prefix shares with its
+    /// members.
     fn prefix_run(seat: &mut Seat<'_, Self>, walk: &mut Self::Walk) -> SingleRun<Self::State>;
     /// The candidate process of `program`'s exposure sites, which parked
     /// members draw on — the one their live shots draw on.
@@ -479,9 +512,9 @@ pub(crate) trait DecisionPoints: StochasticBackend + Sized {
     );
 }
 
-/// Executes one work item — a trajectory group, or a deviation bucket with
-/// the tree of child buckets its members drop into (see the module docs) —
-/// in `ctx`, reporting to `out`.
+/// Executes one work item — a trajectory group or one of its member runs,
+/// or a deviation bucket with the tree of child buckets its members drop
+/// into (see the module docs) — in `ctx`, reporting to `out`.
 pub(crate) fn run_work<B: DecisionPoints>(
     backend: &B,
     program: &B::Program,
@@ -489,7 +522,7 @@ pub(crate) fn run_work<B: DecisionPoints>(
     mut work: TrajectoryWork,
     out: &mut Evolutions<'_>,
 ) -> Result<(), TimedOut> {
-    out.evolve()?;
+    out.evolve(work.counted)?;
     if work.is_bucket() {
         debug_assert_eq!(
             work.pattern.error_events(),
@@ -508,6 +541,7 @@ pub(crate) fn run_work<B: DecisionPoints>(
     let _span = group_span(work.members.len(), work.pattern.events().len());
     let dd_before = trace_dd_stats(|| backend.table_stats(ctx));
     run_group(backend, program, ctx, &work.pattern, &mut work.members, out);
+    out.stats.serving += u64::from(work.counted);
     trace::attr("forks", 0u64);
     trace_dd_attrs(dd_before, || backend.table_stats(ctx));
     Ok(())
@@ -657,6 +691,7 @@ impl<B: DecisionPoints> Tree<'_, '_, B> {
             B::pass(&mut self.seat, &mut walk, point);
         };
         if finished {
+            self.out.stats.serving += 1;
             let mut members: Members = members.into_iter().map(|(_, member)| member).collect();
             (self.out).finish(backend, &mut self.seat, walk, &mut members);
         }
@@ -690,7 +725,7 @@ impl<B: DecisionPoints> Tree<'_, '_, B> {
             let Some((event, child)) = children.next() else {
                 return Ok(!members.is_empty());
             };
-            self.out.evolve()?;
+            self.out.evolve(true)?;
             let last = members.is_empty() && children.len() == 0;
             let checkpoint = (!last).then(|| B::checkpoint(self.seat.ctx));
             let forked = B::fire(&mut self.seat, *walk, point, event);
@@ -740,9 +775,9 @@ enum Sink {
 /// scheduler provides the bounded alternative: it presamples and executes
 /// one `check`-interval round at a time.
 ///
-/// The plan's deadline is checked between evolutions (one pattern replay or
-/// one live shot); on expiry the whole run returns [`TimedOut`] before the
-/// aggregation phase, which requires complete shot coverage.
+/// The plan's deadline is checked between evolutions (one pattern replay,
+/// member run or live shot); on expiry the whole run returns [`TimedOut`]
+/// before the aggregation phase, which requires complete shot coverage.
 pub(crate) fn run_dedup<B: DecisionPoints>(
     engine: &ShotEngine,
     backend: &B,
@@ -753,14 +788,14 @@ pub(crate) fn run_dedup<B: DecisionPoints>(
 ) -> Result<StochasticOutcome, TimedOut> {
     debug_assert!(inline.is_none() || threads == 1);
     let (shots, seed, deadline) = (plan.shots, engine.seed(), &plan.deadline);
-    let support = engine.dedup_support();
+    let support = &engine.dedup;
     let absorbing = engine.absorbing(plan.observables);
     let observables = &engine.map_observables(plan.observables)[..];
     let output_layout = engine.output_layout();
     // Phase 1 + 2: presample every shot, group by pattern.
     let presample_started = Instant::now();
     let presample_span = trace::span("presample");
-    let (work, uniforms, absorbed) = plan_range(&support.plan, 0..shots as u64, seed, absorbing);
+    let (work, uniforms, absorbed) = plan_range(support, 0..shots as u64, seed, absorbing);
     trace::attr("shots", shots);
     trace::attr("uniforms", uniforms);
     trace::attr("absorbed", absorbed);
@@ -807,9 +842,9 @@ pub(crate) fn run_dedup<B: DecisionPoints>(
             out.absorbing = absorbing;
             // The guard is a temporary of the closure body: items run unlocked.
             let claim = || queue.lock().expect("claiming cannot panic").next();
-            let mut items = 0usize;
+            let (mut items, mut counted) = (0usize, 0u64);
             while let Some(item) = claim() {
-                items += 1;
+                (items, counted) = (items + 1, counted + u64::from(item.counted));
                 if let Err(TimedOut) = run_work(backend, program, ctx, item, &mut out) {
                     return aborted.store(true, Ordering::Relaxed);
                 }
@@ -820,7 +855,7 @@ pub(crate) fn run_dedup<B: DecisionPoints>(
             trace::attr("live_shots", stats.live_shots);
             trace::attr("absorbed", out.absorbed);
             // Every evolution but the work items' own is a child bucket.
-            trace::attr("forks", stats.unique_trajectories - items as u64);
+            trace::attr("forks", stats.unique_trajectories - counted);
             trace_dd_totals(dd_before, || backend.table_stats(ctx));
         };
     let execute_started = Instant::now();
@@ -907,14 +942,17 @@ mod tests {
     use super::*;
     use qsdd_noise::{ErrorChannel, ErrorKind, SiteChannel};
 
+    /// The support of a program whose prefix holds `sites`.
+    fn support(sites: Vec<SiteChannel>, full: bool) -> DedupSupport {
+        let plan = PresamplePlan::new(sites);
+        DedupSupport { plan, full }
+    }
+
     #[test]
     fn plan_range_groups_identical_patterns() {
         // One certain phase flip site: every shot draws the same pattern.
-        let plan = PresamplePlan::new(vec![SiteChannel::Passive(ErrorChannel::new(
-            ErrorKind::PhaseFlip,
-            1.0,
-        ))]);
-        let (work, uniforms, _) = plan_range(&plan, 0..100, 7, &[]);
+        let certain = SiteChannel::Passive(ErrorChannel::new(ErrorKind::PhaseFlip, 1.0));
+        let (work, uniforms, _) = plan_range(&support(vec![certain], true), 0..100, 7, &[]);
         assert_eq!(work.len(), 1, "identical patterns must share one group");
         assert!(!work[0].is_bucket());
         // One waiting time per shot: the certain site is its last.
@@ -931,8 +969,7 @@ mod tests {
             gamma: 1.0,
             p_decay: 1.0,
         };
-        let plan = PresamplePlan::new(vec![decaying]);
-        let (work, ..) = plan_range(&plan, 0..10, 7, &[]);
+        let (work, ..) = plan_range(&support(vec![decaying], false), 0..10, 7, &[]);
         assert_eq!(work.len(), 1, "one deviation, one bucket");
         assert!(work[0].is_bucket());
         let decay = ErrorEvent {
@@ -942,6 +979,69 @@ mod tests {
         assert_eq!(work[0].pattern.events(), &[decay]);
         let shots: Vec<u64> = work[0].parked.iter().map(|(_, (shot, ..))| *shot).collect();
         assert_eq!(shots, (0..10).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn plan_range_releases_prefix_groups_in_member_runs() {
+        // No site: every shot draws the empty pattern.
+        let (runs, ..) = plan_range(&support(Vec::new(), false), 0..100, 7, &[]);
+        let sizes: Vec<usize> = runs.iter().map(TrajectoryWork::shots).collect();
+        assert_eq!(sizes, [32, 32, 32, 4]);
+        let counted: Vec<bool> = runs.iter().map(|run| run.counted).collect();
+        assert_eq!(counted, [true, false, false, false], "the first run counts");
+        let shots = runs
+            .iter()
+            .flat_map(|run| &run.members)
+            .map(|(shot, ..)| *shot);
+        assert!(shots.eq(0..100), "runs keep the shot order");
+        // Members that only sample the shared final state stay together.
+        let (whole, ..) = plan_range(&support(Vec::new(), true), 0..100, 7, &[]);
+        assert_eq!(whole.len(), 1);
+        assert_eq!(whole[0].shots(), 100);
+    }
+
+    #[test]
+    fn a_group_in_member_runs_counts_once() {
+        use crate::dd_backend::DdSimulator;
+        use qsdd_circuit::Circuit;
+        use qsdd_noise::NoiseModel;
+        let mut circuit = Circuit::new(3);
+        circuit
+            .h(0)
+            .cx(0, 1)
+            .measure(0, 0)
+            .x(1)
+            .cx(1, 2)
+            .measure_all();
+        let backend = DdSimulator::new();
+        let program = backend.compile(&circuit, &NoiseModel::paper_defaults());
+        let support = program.dedup_support();
+        assert!(!support.full);
+        let (runs, ..) = plan_range(&support, 0..200, 7, &[]);
+        // The same items with every group whole again.
+        let mut whole: Vec<TrajectoryWork> = Vec::new();
+        for run in plan_range(&support, 0..200, 7, &[]).0 {
+            match whole.iter_mut().find(|item| item.pattern == run.pattern) {
+                Some(item) => item.members.extend(run.members),
+                None => whole.push(run),
+            }
+        }
+        assert!(whole.len() < runs.len(), "a group spans several runs");
+        let execute = |work: Vec<TrajectoryWork>| {
+            let (mut records, unbounded) = (Vec::new(), Deadline::unbounded());
+            let mut sink = |shot, sample, _: &[f64]| records.push((shot, sample));
+            let mut out = Evolutions::new(&support, &[], 7, &unbounded, &mut sink);
+            let mut ctx = backend.new_context();
+            for item in work {
+                run_work(&backend, &program, &mut ctx, item, &mut out).unwrap();
+            }
+            let stats = out.stats;
+            records.sort_by_key(|&(shot, _)| shot);
+            (stats, records)
+        };
+        let (split, unsplit) = (execute(runs), execute(whole));
+        assert_eq!(split, unsplit);
+        assert!(split.0.unique_trajectories < 200, "{:?}", split.0);
     }
 
     #[test]

@@ -84,9 +84,13 @@ impl DenseProgram {
         self.num_qubits
     }
 
-    /// Number of executable steps (barriers are compiled away).
-    pub fn step_count(&self) -> usize {
-        operations(&self.steps)
+    /// The presample plan over the deduplicable prefix, and whether it is
+    /// the whole program.
+    pub(crate) fn dedup_support(&self) -> DedupSupport {
+        DedupSupport {
+            plan: PresamplePlan::new(self.sites.clone()),
+            full: self.prefix == self.steps.len(),
+        }
     }
 
     /// The exposure sites of the deduplicable prefix (see `sites`). With a
@@ -150,13 +154,6 @@ impl DenseProgram {
             at.step += 1;
         }
     }
-}
-
-/// Number of operations (gates, swaps, measurements, resets) among `steps`:
-/// every step but the exposures.
-fn operations(steps: &[DenseStep]) -> usize {
-    let exposure = |step: &&DenseStep| matches!(step, DenseStep::Expose { .. });
-    steps.len() - steps.iter().filter(exposure).count()
 }
 
 /// Where a dense walk is — at step `step`, exposure site `site` — and the
@@ -471,18 +468,7 @@ impl StochasticBackend for DenseSimulator {
     }
 
     fn dedup_support(&self, program: &DenseProgram) -> Option<DedupSupport> {
-        let full = program.prefix == program.steps.len();
-        // Like the decision-diagram back-end's: each member of a prefix
-        // resumes from an amplitude copy, so the prefix must be at least
-        // half the program's operations.
-        let prefix = operations(&program.steps[..program.prefix]);
-        if !full && (prefix == 0 || prefix * 2 < program.step_count()) {
-            return None;
-        }
-        Some(DedupSupport {
-            plan: PresamplePlan::new(program.sites.clone()),
-            full,
-        })
+        Some(program.dedup_support())
     }
 }
 
@@ -494,6 +480,10 @@ impl DecisionPoints for DenseSimulator {
     fn start(seat: &mut Seat<'_, Self>) -> Position {
         seat.ctx.seat(seat.program);
         Position::default()
+    }
+
+    fn empty_prefix(program: &DenseProgram) -> bool {
+        program.prefix == 0
     }
 
     fn point(seat: &mut Seat<'_, Self>, at: &mut Position) -> Option<(u32, Exposure)> {
@@ -792,10 +782,8 @@ mod tests {
 
     /// Runs `shots` shots of `program` as deduplicated work items in `ctx`.
     fn run_buckets(program: &DenseProgram, ctx: &mut DenseContext, shots: u64) -> Vec<ShotSample> {
-        let support = DenseSimulator
-            .dedup_support(program)
-            .expect("a unitary program");
-        let (work, ..) = crate::dedup::plan_range(&support.plan, 0..shots, SEED, &[]);
+        let support = program.dedup_support();
+        let (work, ..) = crate::dedup::plan_range(&support, 0..shots, SEED, &[]);
         let (deadline, mut samples) = (Deadline::unbounded(), vec![None; shots as usize]);
         let mut sink = |shot, sample, _: &[f64]| samples[shot as usize] = Some(sample);
         let mut out = Evolutions::new(&support, &[], SEED, &deadline, &mut sink);

@@ -176,8 +176,8 @@ pub struct ShotEngine {
     noise: NoiseModel,
     seed: u64,
     /// How the compiled program supports trajectory deduplication, resolved
-    /// once at construction (`None`: every shot must execute live).
-    dedup: Option<DedupSupport>,
+    /// once at construction.
+    pub(crate) dedup: DedupSupport,
     /// Where [`BackendKind::Auto`] left the decision-diagram compile for
     /// the statevector engine, if it did.
     handoff: Option<Handoff>,
@@ -380,31 +380,19 @@ impl ShotEngine {
         self.run_shot_with_observables_in(&mut ctx, shot, observables)
     }
 
-    /// `true` when the compiled program supports trajectory deduplication
-    /// (see [`crate::dedup`]): shots can then be presampled with
-    /// [`presample_shot`](Self::presample_shot) and executed in groups with
-    /// [`run_group_in`](Self::run_group_in).
-    pub fn supports_dedup(&self) -> bool {
-        self.dedup.is_some()
-    }
-
     /// `true` when the compiled program supports weighted trajectory
     /// enumeration (see [`crate::weighted`]): the whole program must be
     /// pattern-replayable ([`DedupSupport::full`] — no mid-circuit
     /// measurements or resets) and small enough that the exact outcome
     /// histogram stays tractable.
     pub fn supports_weighted(&self) -> bool {
-        self.dedup.as_ref().is_some_and(|support| support.full)
-            && self.num_qubits() <= crate::weighted::MAX_WEIGHTED_QUBITS
+        self.dedup.full && self.num_qubits() <= crate::weighted::MAX_WEIGHTED_QUBITS
     }
 
     /// The presample plan weighted enumeration walks; `None` when the
     /// engine does not support weighted enumeration.
     pub(crate) fn weighted_plan(&self) -> Option<&qsdd_noise::PresamplePlan> {
-        if !self.supports_weighted() {
-            return None;
-        }
-        self.dedup.as_ref().map(|support| &support.plan)
+        self.supports_weighted().then_some(&self.dedup.plan)
     }
 
     /// Simulates one enumerated error pattern and feeds the final state's
@@ -454,14 +442,13 @@ impl ShotEngine {
     ///
     /// Returns the shot's [`ErrorPattern`] together with its generator —
     /// positioned exactly where live execution would be after the covered
-    /// exposures — when the shot is deduplicable; `None` when the engine
-    /// does not support deduplication or the shot left the no-error path
-    /// with a state-dependent decision ahead. Shots with equal patterns
-    /// belong in the same [`run_group_in`](Self::run_group_in) group.
+    /// exposures — when the shot is deduplicable; `None` when the shot left
+    /// the no-error path with a state-dependent decision ahead. Shots with
+    /// equal patterns belong in the same [`run_group_in`](Self::run_group_in)
+    /// group.
     pub fn presample_shot(&self, shot: u64) -> Option<(ErrorPattern, StdRng)> {
-        let support = self.dedup.as_ref()?;
         let mut rng = shot_rng(self.seed, shot);
-        match support.plan.presample(&mut rng, &[]).0 {
+        match self.dedup.plan.presample(&mut rng, &[]).0 {
             Presampled::Pattern(pattern) => Some((pattern, rng)),
             Presampled::Deviated { .. } => None,
         }
@@ -469,18 +456,18 @@ impl ShotEngine {
 
     /// Presamples a contiguous shot range into work items for
     /// [`run_work_in`](Self::run_work_in), in first-appearance order with
-    /// members in shot order: one trajectory group per distinct pattern,
-    /// and one deviation bucket per distinct first event of the shots that
-    /// left the no-error path with a state-dependent decision ahead.
-    /// `None` when the engine does not support deduplication.
+    /// members in shot order: one trajectory group per distinct pattern —
+    /// in member runs of at most [`CHUNK_SHOTS`](crate::dedup::CHUNK_SHOTS)
+    /// when its members resume live past a shared prefix — and one
+    /// deviation bucket per distinct first event of the shots that left the
+    /// no-error path with a state-dependent decision ahead.
     ///
     /// Z errors are absorbed where the program allows it, so the work suits
     /// observables that read populations. This is the building block for
     /// bounded-memory consumers (the batch scheduler presamples one round
     /// at a time with it).
-    pub fn plan_range(&self, range: std::ops::Range<u64>) -> Option<Vec<TrajectoryWork>> {
-        let support = self.dedup.as_ref()?;
-        Some(plan_range(&support.plan, range, self.seed, self.absorbing(&[])).0)
+    pub fn plan_range(&self, range: std::ops::Range<u64>) -> Vec<TrajectoryWork> {
+        plan_range(&self.dedup, range, self.seed, self.absorbing(&[])).0
     }
 
     /// A replay sink collecting one record per member shot into `out`,
@@ -507,11 +494,6 @@ impl ShotEngine {
     /// [`map_observables`](Self::map_observables). Nothing is absorbed, so
     /// a sample equals [`run_shot_in`](Self::run_shot_in)'s for the shot —
     /// byte for byte unless the shot drew a Z error that one absorbs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine does not support deduplication
-    /// ([`supports_dedup`](Self::supports_dedup)).
     pub fn run_group_in(
         &self,
         ctx: &mut ExecContext,
@@ -522,7 +504,7 @@ impl ShotEngine {
         let mut records = Vec::with_capacity(shots.len());
         let mut sink = self.collect_into(&mut records);
         let unbounded = Deadline::unbounded();
-        let (support, seed) = (self.dedup_support(), self.seed);
+        let (support, seed) = (&self.dedup, self.seed);
         let mut out = Evolutions::new(support, observables, seed, &unbounded, &mut sink);
         let shots = &mut (shots.iter())
             .map(|(shot, rng)| (*shot, rng.clone(), 0))
@@ -540,21 +522,17 @@ impl ShotEngine {
     }
 
     /// Executes one work item of [`plan_range`](Self::plan_range): a
-    /// trajectory group like [`run_group_in`](Self::run_group_in), or a
-    /// deviation bucket with the tree of child buckets its members drop
-    /// into (see [`crate::dedup`]).
+    /// trajectory group (or one of its member runs) like
+    /// [`run_group_in`](Self::run_group_in), or a deviation bucket with the
+    /// tree of child buckets its members drop into (see [`crate::dedup`]).
     ///
     /// Returns one record per member shot, byte-identical to what
     /// [`run_shot_in`](Self::run_shot_in) produces for that shot index,
-    /// plus the evolutions performed and the shots run live. The
+    /// plus the evolutions performed and the shots run live — none for a
+    /// group's later member runs, whose evolution its first run counts. The
     /// `deadline` is checked between evolutions; `observables` must already
     /// be mapped through [`map_observables`](Self::map_observables) and,
     /// like the work's, read populations only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine does not support deduplication
-    /// ([`supports_dedup`](Self::supports_dedup)).
     #[allow(clippy::type_complexity)]
     pub fn run_work_in(
         &self,
@@ -565,7 +543,7 @@ impl ShotEngine {
     ) -> Result<(Vec<(u64, ShotSample, Vec<f64>)>, DedupStats), TimedOut> {
         let mut records = Vec::with_capacity(work.shots());
         let mut sink = self.collect_into(&mut records);
-        let (support, seed) = (self.dedup_support(), self.seed);
+        let (support, seed) = (&self.dedup, self.seed);
         let mut out = Evolutions::new(support, observables, seed, deadline, &mut sink);
         out.absorbing = self.absorbing(&[]);
         match &self.backend {
@@ -579,14 +557,6 @@ impl ShotEngine {
         let stats = out.stats;
         drop(sink); // it borrows `records`
         Ok((records, stats))
-    }
-
-    /// How the compiled program supports trajectory deduplication; panics
-    /// if it does not ([`supports_dedup`](Self::supports_dedup)).
-    pub(crate) fn dedup_support(&self) -> &DedupSupport {
-        self.dedup
-            .as_ref()
-            .expect("trajectory replay requires an engine with dedup support")
     }
 
     /// The absorbing sites a job with `observables` runs with: the
@@ -681,10 +651,10 @@ impl EngineBackend {
         EngineBackend::Statevector { backend, program }
     }
 
-    fn dedup_support(&self) -> Option<DedupSupport> {
+    fn dedup_support(&self) -> DedupSupport {
         match self {
-            EngineBackend::DecisionDiagram { backend, program } => backend.dedup_support(program),
-            EngineBackend::Statevector { backend, program } => backend.dedup_support(program),
+            EngineBackend::DecisionDiagram { program, .. } => program.dedup_support(),
+            EngineBackend::Statevector { program, .. } => program.dedup_support(),
         }
     }
 }

@@ -56,8 +56,8 @@ pub enum ExecMode {
     /// trajectory is simulated once (see [`crate::dedup`]). Byte-identical
     /// to [`PerShot`](Self::PerShot) — histograms, error counts, node
     /// statistics and the bit patterns of the observable sums — so callers
-    /// pick purely by expected performance. Programs that do not support
-    /// deduplication run per shot.
+    /// pick purely by expected performance. Every program shares its
+    /// unitary prefix, an empty one included.
     Dedup,
     /// Error patterns are enumerated in probability order and their exact
     /// outcome distributions weighted, with sampled shots covering only
@@ -151,8 +151,7 @@ pub struct StochasticOutcome {
     /// configuration.
     pub threads: usize,
     /// Trajectory-deduplication statistics; `None` when the run executed on
-    /// the ordinary per-shot path ([`ExecMode::PerShot`], or the program
-    /// does not support deduplication).
+    /// the per-shot path ([`ExecMode::PerShot`]) or sampled no shot.
     pub dedup: Option<DedupStats>,
     /// Weighted-enumeration statistics; `None` when the run sampled shots
     /// instead of enumerating trajectories (see [`crate::weighted`]). When
@@ -308,8 +307,7 @@ pub(crate) fn merge_partials(
 /// placement. The mode is resolved against the engine:
 /// [`ExecMode::Weighted`] falls back to [`ExecMode::Dedup`] when the engine
 /// does not support enumeration (mid-circuit measurement/reset, too many
-/// qubits, an unsupported channel kind), and `Dedup` to
-/// [`ExecMode::PerShot`] when the program does not support deduplication.
+/// qubits, an unsupported channel kind).
 /// A sampling job of zero shots returns the empty outcome without touching
 /// a context (a weighted job of zero shots still enumerates). Then one of
 /// three bodies runs — weighted enumeration, presample → group → replay,
@@ -329,10 +327,6 @@ pub fn execute(
     let started = Instant::now();
     let mode = match &plan.mode {
         ExecMode::Weighted(_) if engine.weighted_plan().is_none() => &ExecMode::Dedup,
-        mode => mode,
-    };
-    let mode = match mode {
-        ExecMode::Dedup if !engine.supports_dedup() => &ExecMode::PerShot,
         mode => mode,
     };
     let mut own;
@@ -874,10 +868,11 @@ mod tests {
     }
 
     /// The mode × placement matrix: what "one driver" promises, cell by
-    /// cell. Four engines cover the whole fallback chain — full dedup and
-    /// weighted support on either back-end (damping noise included),
-    /// neither (a dense program measured before most of its gates runs
-    /// every mode per shot), and prefix dedup without weighted support.
+    /// cell. Four engines cover the one fallback (weighted to dedup) both
+    /// ways — full dedup and weighted support on either back-end (damping
+    /// noise included), and prefix sharing without weighted support: a
+    /// dense program measured after its first gate, its members resuming
+    /// live in member runs, and a DD one measured after most of its gates.
     #[test]
     fn every_mode_agrees_across_every_placement() {
         const SHOTS: usize = 240;
@@ -891,10 +886,10 @@ mod tests {
             engine(DENSE, &measured_early, paper(), 17),
             engine(DD, &measured, paper(), 17),
         ];
-        assert!(engines[0].supports_weighted() && engines[0].supports_dedup());
-        assert!(engines[1].supports_weighted() && engines[1].supports_dedup());
-        assert!(!engines[2].supports_dedup());
-        assert!(engines[3].supports_dedup() && !engines[3].supports_weighted());
+        assert!(engines[0].supports_weighted() && engines[0].dedup.full);
+        assert!(engines[1].supports_weighted() && engines[1].dedup.full);
+        assert!(!engines[2].supports_weighted() && !engines[2].dedup.full);
+        assert!(!engines[3].supports_weighted() && !engines[3].dedup.full);
         let warm_ups = [
             engine(DD, &qft(3), paper(), 3),
             engine(DENSE, &qft(3), paper(), 3),
@@ -910,7 +905,7 @@ mod tests {
                 let (name, kind) = (engine.circuit().name(), engine.backend_kind());
                 let cell = format!("{name} on {kind} / {mode:?}");
                 let enumerates = matches!(mode, Weighted(_)) && engine.supports_weighted();
-                let dedups = mode != PerShot && !enumerates && engine.supports_dedup();
+                let dedups = mode != PerShot && !enumerates;
                 let plan = ExecPlan::new(mode.clone(), SHOTS, &observables);
                 let reference = execute(engine, &plan, Threads(1)).unwrap();
                 assert_eq!(reference.weighted.is_some(), enumerates, "{cell}");

@@ -8,16 +8,16 @@
 //!
 //! The generated circuits exercise every execution mode of the dedup
 //! planner: full-program pattern groups (unitary circuits under passive
-//! noise), prefix groups with checkpointed live resume (mid-circuit
-//! measurements), deviation buckets (damping decays, deviations ahead of
-//! damping sites — shared per event, their children per longer pattern,
-//! singletons live), and the declined-support path (non-unitary tails).
+//! noise), prefix groups with checkpointed live resume in member runs
+//! (mid-circuit measurements, an empty prefix included), and deviation
+//! buckets (damping decays, deviations ahead of damping sites — shared per
+//! event, their children per longer pattern, singletons live).
 
 use proptest::prelude::*;
 use qsdd::circuit::Circuit;
 use qsdd::core::{
-    execute, BackendKind, Deadline, ExecMode, ExecPlan, Observable, OptLevel, Placement,
-    ShotEngine, StochasticOutcome, WeightedOptions,
+    execute, BackendKind, Deadline, DedupStats, ExecMode, ExecPlan, Observable, OptLevel,
+    Placement, ShotEngine, StochasticOutcome, WeightedOptions,
 };
 use qsdd::noise::NoiseModel;
 use qsdd::telemetry::trace::{self, AttrValue, Tracer};
@@ -116,20 +116,29 @@ fn assert_identical(dedup: &StochasticOutcome, reference: &StochasticOutcome) {
     }
 }
 
-fn compare_engine(engine: &ShotEngine, observables: &[Observable]) {
+/// Runs `engine` under `Dedup` and `PerShot` at 1, 2 and 8 threads and
+/// asserts the outcomes identical; returns the sharing statistics of each
+/// thread count.
+fn compare_engine(
+    engine: &ShotEngine,
+    shots: usize,
+    observables: &[Observable],
+) -> Vec<DedupStats> {
+    let mut all = Vec::new();
     for threads in [1usize, 2, 8] {
-        let reference = run(ExecMode::PerShot, engine, SHOTS, threads, observables);
-        let dedup = run(ExecMode::Dedup, engine, SHOTS, threads, observables);
+        let reference = run(ExecMode::PerShot, engine, shots, threads, observables);
+        let dedup = run(ExecMode::Dedup, engine, shots, threads, observables);
         assert_identical(&dedup, &reference);
-        if let Some(stats) = &dedup.dedup {
-            assert!(stats.unique_trajectories <= SHOTS as u64);
-            assert!(stats.live_shots <= SHOTS as u64);
-            assert!(
-                stats.unique_trajectories >= stats.live_shots,
-                "every live shot is its own trajectory"
-            );
-        }
+        let stats = dedup.dedup.expect("the dedup driver ran");
+        assert!(stats.unique_trajectories <= shots as u64);
+        assert!(stats.live_shots <= shots as u64);
+        assert!(
+            stats.unique_trajectories >= stats.live_shots,
+            "every live shot is its own trajectory"
+        );
+        all.push(stats);
     }
+    all
 }
 
 proptest! {
@@ -155,7 +164,7 @@ proptest! {
             Observable::BasisProbability(0),
             Observable::QubitExcitation(1),
         ];
-        compare_engine(&engine, &observables);
+        compare_engine(&engine, SHOTS, &observables);
     }
 
     /// Strong passive-only noise on unitary circuits: rich multi-error
@@ -173,13 +182,11 @@ proptest! {
             OptLevel::O0,
         );
         let observables = [Observable::QubitExcitation(2)];
-        compare_engine(&engine, &observables);
-        // Unitary circuits under passive noise always support dedup.
-        prop_assert!(engine.supports_dedup());
+        compare_engine(&engine, SHOTS, &observables);
     }
 
     /// Mid-circuit measurements under passive noise: the checkpoint-resume
-    /// prefix path (and its declined-support sibling for short prefixes).
+    /// prefix path, at every prefix length.
     #[test]
     fn dedup_matches_per_shot_with_measurements(
         circuit in arb_circuit(3, 18, true),
@@ -192,7 +199,7 @@ proptest! {
             seed,
             OptLevel::O0,
         );
-        compare_engine(&engine, &[Observable::BasisProbability(1)]);
+        compare_engine(&engine, SHOTS, &[Observable::BasisProbability(1)]);
     }
 
     /// The dense statevector back-end deduplicates full unitary programs —
@@ -210,8 +217,7 @@ proptest! {
     ) {
         let noise = NoiseModel::new(0.03, 0.04, 0.03);
         let engine = ShotEngine::new(&circuit, BackendKind::Statevector, noise, seed, OptLevel::O0);
-        compare_engine(&engine, &[Observable::QubitExcitation(0)]);
-        prop_assert!(engine.supports_dedup());
+        compare_engine(&engine, SHOTS, &[Observable::QubitExcitation(0)]);
 
         // A reset ahead of a gate guarantees a mid-circuit non-unitary op.
         let mut measured = measured;
@@ -220,7 +226,7 @@ proptest! {
         let engine = ShotEngine::new(&measured, BackendKind::Statevector, noise, seed, OptLevel::O0);
         prop_assert!(!engine.supports_weighted());
         let observables = [Observable::BasisProbability(0)];
-        compare_engine(&engine, &observables);
+        compare_engine(&engine, SHOTS, &observables);
         let weighted = ExecMode::Weighted(WeightedOptions::default());
         for threads in [1usize, 2] {
             let reference = run(ExecMode::PerShot, &engine, SHOTS, threads, &observables);
@@ -315,7 +321,6 @@ fn deep_tree_engines() -> Vec<(&'static str, ShotEngine)> {
         .into_iter()
         .map(|(name, backend, circuit, noise)| {
             let engine = ShotEngine::new(&circuit, backend, noise, 2021, OptLevel::O0);
-            assert!(engine.supports_dedup(), "{name} must deduplicate");
             (name, engine)
         })
         .collect()
@@ -357,13 +362,15 @@ fn every_bucket_shot_equals_its_live_execution() {
         let mut seen = vec![false; DEEP_SHOTS];
         let tracer = Tracer::forced(name, name);
         let install = tracer.install(0);
-        for work in engine.plan_range(0..DEEP_SHOTS as u64).expect("dedup") {
+        let mut evolutions = 0;
+        for work in engine.plan_range(0..DEEP_SHOTS as u64) {
             let members = work.shots();
             let (records, stats) = engine
                 .run_work_in(&mut shared, work, &observables, &unbounded)
                 .expect("an unbounded deadline never expires");
             assert_eq!(records.len(), members, "{name}: one record per member");
-            assert!(stats.unique_trajectories >= stats.live_shots.max(1));
+            assert!(stats.unique_trajectories >= stats.live_shots);
+            evolutions += stats.unique_trajectories;
             for (shot, sample, values) in records {
                 assert!(!std::mem::replace(&mut seen[shot as usize], true));
                 let (live, live_values) =
@@ -374,6 +381,11 @@ fn every_bucket_shot_equals_its_live_execution() {
         }
         drop(install);
         assert!(seen.iter().all(|&covered| covered), "{name}: shots lost");
+        // The work items evolve what the job does: a group's later member
+        // runs report none of their own.
+        let job = run(ExecMode::Dedup, &engine, DEEP_SHOTS, 1, &observables);
+        let stats = job.dedup.expect("the dedup driver ran");
+        assert_eq!(evolutions, stats.unique_trajectories, "{name}");
         if name.ends_with("-damped") {
             let block_steps = shared.dd_table_stats().block_steps;
             assert!(block_steps > 0, "{name}: no walk took a block step");
@@ -424,7 +436,6 @@ fn dense_measured_prefixes_match_per_shot_execution() {
     let paper = NoiseModel::paper_defaults();
     for (name, circuit, shots) in cases {
         let engine = ShotEngine::new(&circuit, BackendKind::Statevector, paper, 7, OptLevel::O0);
-        assert!(engine.supports_dedup(), "{name} must deduplicate");
         assert!(!engine.supports_weighted(), "{name} is measured");
         for threads in [1usize, 2, 3] {
             let reference = run(ExecMode::PerShot, &engine, shots, threads, &[]);
@@ -434,6 +445,52 @@ fn dense_measured_prefixes_match_per_shot_execution() {
             assert!(
                 stats.unique_trajectories < shots as u64,
                 "{name}: {stats:?} shares nothing"
+            );
+        }
+    }
+}
+
+/// A 6-qubit chain — `h`, five CXs, `h` — with qubit 0 measured after its
+/// first `k` gates, then every qubit: 14 operations.
+fn early_measured_chain(k: usize) -> Circuit {
+    let mut circuit = Circuit::new(6);
+    for gate in 0..7 {
+        if gate == k {
+            circuit.measure(0, 0);
+        }
+        match gate {
+            0 => circuit.h(0),
+            6 => circuit.h(5),
+            _ => circuit.cx(gate - 1, gate),
+        };
+    }
+    circuit.measure_all();
+    circuit
+}
+
+/// Programs measured early share their prefix too — an empty one when the
+/// measurement comes before the first gate — and the members resuming live
+/// past it run in member runs: at paper noise on both back-ends, the chain
+/// measured before its first gate, after one gate, and after six (a prefix
+/// just under half its operations) must give the per-shot bytes and the
+/// same sharing statistics on any number of workers.
+#[test]
+fn early_measured_programs_share_their_prefix() {
+    const EARLY_SHOTS: usize = 240;
+    let observables = [Observable::QubitExcitation(1)];
+    for backend in [BackendKind::DecisionDiagram, BackendKind::Statevector] {
+        for k in [0, 1, 6] {
+            let paper = NoiseModel::paper_defaults();
+            let circuit = early_measured_chain(k);
+            let engine = ShotEngine::new(&circuit, backend, paper, 2021, OptLevel::O0);
+            let stats = compare_engine(&engine, EARLY_SHOTS, &observables);
+            let case = format!("{backend} measured after {k} gates");
+            assert!(stats.iter().all(|s| *s == stats[0]), "{case}: {stats:?}");
+            // The no-error group holds most shots: several member runs.
+            assert!(
+                stats[0].unique_trajectories < EARLY_SHOTS as u64 / 4,
+                "{case}: {:?} shares little",
+                stats[0]
             );
         }
     }

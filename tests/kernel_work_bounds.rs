@@ -436,7 +436,8 @@ fn measured_bv12_shots_share_the_no_error_measurement_chain() {
     assert!(bv12.complex_inserts <= 11_200, "{bv12:?}");
     // Its kept block products only break even (51 626 misses, 55 882 nodes
     // created and 91 000 counted taking every step alone; now 48 829,
-    // 45 540 and 77 147, in 587 block steps).
+    // 45 540 and 69 976, in 587 block steps — 77 147 counted while a walk
+    // that members resume from also counted its end state).
     assert!(bv12.block_steps > 0, "{bv12:?}");
     assert!(bv12.compute_misses <= 51_626, "{bv12:?}");
     assert!(bv12.nodes_created <= 48_000, "{bv12:?}");
@@ -554,4 +555,30 @@ fn dense_ghz14_shots_share_their_evolution() {
     eprintln!("{SHOTS} dense shots: {serial:?}");
     assert!(serial.unique_trajectories <= 30, "{serial:?}");
     assert_eq!(serial, threaded);
+}
+
+/// A 12-qubit CX chain measured after its first gate shares a one-gate
+/// prefix: almost every shot resumes live past it, in member runs that
+/// each walk the prefix again — on the recorded trajectory, so the runs
+/// add no table work to what the shots' live tails cost. The same job run
+/// per shot costs the same 82 038 misses and 702 nodes, with 24 000 nodes
+/// counted.
+#[test]
+fn early_measured_cx_chain_resumes_in_member_runs() {
+    let mut chain = Circuit::new(12);
+    chain.h(0).measure(0, 0);
+    for qubit in 1..12 {
+        chain.cx(qubit - 1, qubit);
+    }
+    chain.measure_all();
+    let job = workload_job(&chain, 2_000);
+    let DedupStats {
+        unique_trajectories,
+        serving,
+        live_shots,
+    } = job.stats;
+    assert!(unique_trajectories <= 3 && serving <= 3, "{job:?}");
+    assert!(live_shots <= 2, "{job:?}");
+    assert!(job.compute_misses <= 82_038, "{job:?}");
+    assert!(job.nodes_created <= 702, "{job:?}");
 }
