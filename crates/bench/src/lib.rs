@@ -2,11 +2,10 @@
 //!
 //! The binaries in `src/bin/` regenerate the tables of the paper's
 //! evaluation section (Table Ia, Ib, Ic plus the thread-scaling
-//! ablation); the Criterion benchmarks in `benches/` cover what the
-//! repository benchmark (`qsdd_benchmark/`) does not time — the QASMBench
-//! suite and the transpiler. This library
-//! holds the shared machinery: per-cell execution with a wall-clock
-//! budget, the baseline/proposed pairing, and table formatting.
+//! ablation); every other timing is a workload of the repository
+//! benchmark (`qsdd_benchmark/`). This library holds the shared machinery:
+//! per-cell execution with a wall-clock budget, the baseline/proposed
+//! pairing, and table formatting.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

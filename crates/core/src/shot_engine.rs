@@ -159,9 +159,12 @@ impl ExecContext {
 ///     OptLevel::O0,
 /// );
 /// // Re-entrant: the same shot index always yields the same sample, and a
-/// // reused context gives the same results as one-off execution.
+/// // reused context gives the same results as a throwaway one.
 /// let mut ctx = engine.new_context();
-/// assert_eq!(engine.run_shot_in(&mut ctx, 3), engine.run_shot(3));
+/// assert_eq!(
+///     engine.run_shot_in(&mut ctx, 3),
+///     engine.run_shot_in(&mut engine.new_context(), 3)
+/// );
 /// // A noiseless GHZ shot lands on one of the two peaks.
 /// let sample = engine.run_shot_in(&mut ctx, 0);
 /// assert!(sample.outcome == 0 || sample.outcome == 0b1111);
@@ -311,17 +314,6 @@ impl ShotEngine {
         self.run_shot_with_observables_in(ctx, shot, &[]).0
     }
 
-    /// Executes shot `shot` in a throwaway context.
-    ///
-    /// Convenience for one-off shots; hot loops should create one context
-    /// per worker with [`new_context`](Self::new_context) and use
-    /// [`run_shot_in`](Self::run_shot_in) to amortise the per-context
-    /// setup.
-    pub fn run_shot(&self, shot: u64) -> ShotSample {
-        let mut ctx = self.new_context();
-        self.run_shot_in(&mut ctx, shot)
-    }
-
     /// Executes shot `shot` in the given context and additionally evaluates
     /// quadratic observables on the shot's final state.
     ///
@@ -367,17 +359,6 @@ impl ShotEngine {
             sample.outcome = layout::restore_outcome(sample.outcome, output_layout);
         }
         (sample, values)
-    }
-
-    /// Executes shot `shot` with observables in a throwaway context (see
-    /// [`run_shot_with_observables_in`](Self::run_shot_with_observables_in)).
-    pub fn run_shot_with_observables(
-        &self,
-        shot: u64,
-        observables: &[Observable],
-    ) -> (ShotSample, Vec<f64>) {
-        let mut ctx = self.new_context();
-        self.run_shot_with_observables_in(&mut ctx, shot, observables)
     }
 
     /// `true` when the compiled program supports weighted trajectory
@@ -783,7 +764,8 @@ mod tests {
         );
         let mut ctx = engine.new_context();
         for shot in 0..32 {
-            assert_eq!(engine.run_shot_in(&mut ctx, shot), engine.run_shot(shot));
+            let throwaway = engine.run_shot_in(&mut engine.new_context(), shot);
+            assert_eq!(engine.run_shot_in(&mut ctx, shot), throwaway);
         }
     }
 
@@ -807,8 +789,12 @@ mod tests {
         for shot in 0..8 {
             // Alternating engine kinds keeps both inner contexts warm;
             // results still match one-off execution.
-            assert_eq!(dd.run_shot_in(&mut ctx, shot), dd.run_shot(shot));
-            assert_eq!(dense.run_shot_in(&mut ctx, shot), dense.run_shot(shot));
+            let (dd_alone, dense_alone) = (
+                dd.run_shot_in(&mut ExecContext::new(), shot),
+                dense.run_shot_in(&mut ExecContext::new(), shot),
+            );
+            assert_eq!(dd.run_shot_in(&mut ctx, shot), dd_alone);
+            assert_eq!(dense.run_shot_in(&mut ctx, shot), dense_alone);
         }
     }
 
@@ -880,7 +866,7 @@ mod tests {
             1,
             OptLevel::O0,
         );
-        let sample = engine.run_shot(0);
+        let sample = engine.run_shot_in(&mut engine.new_context(), 0);
         assert_eq!(sample.dd_nodes, 0);
         assert_eq!(sample.dd_nodes_peak, 0);
         let dd = ShotEngine::new(
@@ -890,7 +876,7 @@ mod tests {
             1,
             OptLevel::O0,
         );
-        let sample = dd.run_shot(0);
+        let sample = dd.run_shot_in(&mut dd.new_context(), 0);
         assert!(sample.dd_nodes > 0);
         assert!(sample.dd_nodes_peak >= sample.dd_nodes);
     }

@@ -99,23 +99,16 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic service counters, all updated with relaxed atomics (the stats
-/// endpoint is informational, not a synchronisation point).
+/// The service counters `/v1/stats` reports that have no same-meaning twin
+/// in [`ServerMetrics`], updated with relaxed atomics (the stats endpoint is
+/// informational, not a synchronisation point).
 #[derive(Debug, Default)]
 struct Stats {
+    /// Parsed requests, counted before routing (the metrics page observes
+    /// `qsdd_http_requests_total` only after the response body renders).
     http_requests: AtomicU64,
-    /// Accepted submissions (new + coalesced + cache hits).
-    jobs_accepted: AtomicU64,
-    /// Submissions answered from a completed cache entry.
-    cache_hits: AtomicU64,
-    /// Submissions attached to an in-flight identical job.
-    coalesced: AtomicU64,
-    /// Submissions rejected with `429`.
-    rejected: AtomicU64,
     /// Simulations actually started by workers.
     simulations: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
 }
 
 /// Everything the acceptor, handlers and workers share.
@@ -178,7 +171,7 @@ impl Server {
         // publish become part of this server's `/v1/metrics` page.
         qsdd_telemetry::set_enabled(true);
         // Tracing defaults on while serving (coarse spans; `QSDD_TRACE=off`
-        // or `QSDD_TRACE_SAMPLE=<n>` tune it down for high-QPS fleets).
+        // turns it off).
         trace::configure_trace_from_env(true);
         // Arm the fault-injection seam from `QSDD_FAULTS` (a no-op outside
         // the robustness tests; the checks it leaves behind are two relaxed
@@ -502,7 +495,7 @@ fn submit_job(state: &Arc<ServerState>, body: &str) -> (u16, String) {
         // this thread runs again, and a record written without the parse
         // stage would make the restored envelope differ from the live one.
         cell.record_stage(Stage::Parse, parse_time);
-        // Start the job's trace (gated + sampled) with the request arrival
+        // Start the job's trace (when the gate is on) with the request arrival
         // as its epoch, so the parse span begins at offset zero. The
         // handler-side stages are recorded here and the tracer rides the
         // cell to the worker — all before the cell is queued, so the
@@ -538,24 +531,18 @@ fn submit_job(state: &Arc<ServerState>, body: &str) -> (u16, String) {
         true
     });
     record_stage(Stage::CacheLookup, lookup_started.elapsed());
-    let stats = &state.stats;
     let metrics = &state.metrics;
     match submission {
         Submission::New(cell) => {
-            stats.jobs_accepted.fetch_add(1, Ordering::Relaxed);
             metrics.cache_misses.inc();
             log_kv(Level::Info, "server.accept", &[("id", &cell.id)]);
             (202, submission_body(&cell, false))
         }
         Submission::Coalesced(cell) => {
-            stats.jobs_accepted.fetch_add(1, Ordering::Relaxed);
-            stats.coalesced.fetch_add(1, Ordering::Relaxed);
             metrics.coalesced.inc();
             (202, submission_body(&cell, false))
         }
         Submission::Hit(cell) => {
-            stats.jobs_accepted.fetch_add(1, Ordering::Relaxed);
-            stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             metrics.cache_hits.inc();
             (200, submission_body(&cell, true))
         }
@@ -563,7 +550,6 @@ fn submit_job(state: &Arc<ServerState>, body: &str) -> (u16, String) {
             (503, error_body("server is shutting down"))
         }
         Submission::Rejected => {
-            stats.rejected.fetch_add(1, Ordering::Relaxed);
             metrics.rejected.inc();
             log_kv(Level::Warn, "server.reject", &[("reason", "queue_full")]);
             (429, error_body("job queue is full, retry later"))
@@ -642,8 +628,8 @@ fn job_trace(state: &Arc<ServerState>, id: &str) -> (u16, String) {
         None => (
             404,
             error_body(&format!(
-                "no trace for job `{id}` (tracing off, sampled out, \
-                 not yet executed, or evicted from the ring buffer)"
+                "no trace for job `{id}` (tracing off, not yet executed, \
+                 or evicted from the ring buffer)"
             )),
         ),
     }
@@ -677,9 +663,14 @@ fn traces_body(state: &Arc<ServerState>) -> String {
 /// `GET /v1/stats`.
 fn stats_body(state: &Arc<ServerState>) -> String {
     let stats = &state.stats;
-    let accepted = stats.jobs_accepted.load(Ordering::Relaxed);
-    let served_from_cache =
-        stats.cache_hits.load(Ordering::Relaxed) + stats.coalesced.load(Ordering::Relaxed);
+    let metrics = &state.metrics;
+    let cache_hits = metrics.cache_hits.get();
+    let coalesced = metrics.coalesced.get();
+    let rejected = metrics.rejected.get();
+    // Every accepted submission is exactly one of a miss, a coalesce or a
+    // hit.
+    let accepted = metrics.cache_misses.get() + coalesced + cache_hits;
+    let served_from_cache = cache_hits + coalesced;
     let hit_rate = if accepted == 0 {
         0.0
     } else {
@@ -703,24 +694,15 @@ fn stats_body(state: &Arc<ServerState>) -> String {
             Value::from(stats.http_requests.load(Ordering::Relaxed)),
         ),
         ("jobs_accepted".to_string(), Value::from(accepted)),
-        (
-            "cache_hits".to_string(),
-            Value::from(stats.cache_hits.load(Ordering::Relaxed)),
-        ),
-        (
-            "coalesced".to_string(),
-            Value::from(stats.coalesced.load(Ordering::Relaxed)),
-        ),
+        ("cache_hits".to_string(), Value::from(cache_hits)),
+        ("coalesced".to_string(), Value::from(coalesced)),
         ("cache_hit_rate".to_string(), Value::from(hit_rate)),
-        (
-            "rejected".to_string(),
-            Value::from(stats.rejected.load(Ordering::Relaxed)),
-        ),
+        ("rejected".to_string(), Value::from(rejected)),
         (
             // The explicit name clients alert on; `rejected` above is the
             // original spelling, kept for compatibility.
             "rejected_jobs".to_string(),
-            Value::from(stats.rejected.load(Ordering::Relaxed)),
+            Value::from(rejected),
         ),
         (
             "simulations".to_string(),
@@ -728,11 +710,11 @@ fn stats_body(state: &Arc<ServerState>) -> String {
         ),
         (
             "jobs_completed".to_string(),
-            Value::from(stats.jobs_completed.load(Ordering::Relaxed)),
+            Value::from(metrics.jobs_completed.get()),
         ),
         (
             "jobs_failed".to_string(),
-            Value::from(stats.jobs_failed.load(Ordering::Relaxed)),
+            Value::from(metrics.jobs_failed.get()),
         ),
         (
             "shutting_down".to_string(),
@@ -911,7 +893,6 @@ fn execute_job(state: &Arc<ServerState>, cell: &Arc<ExecutionCell>, ctx: &mut Ex
             cell.merge_timings(&timings);
             let payload = Arc::new(payload);
             cell.complete(Arc::clone(&payload));
-            state.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
             state.metrics.jobs_completed.inc();
             state.metrics.job_duration.observe_duration(cell.age());
             log_kv(
@@ -958,7 +939,6 @@ fn execute_job(state: &Arc<ServerState>, cell: &Arc<ExecutionCell>, ctx: &mut Ex
         Ok(Err(TimedOut)) => {
             let budget = input.timeout_ms.unwrap_or(0);
             cell.fail(format!("timed_out: exceeded the {budget} ms deadline"));
-            state.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
             state.metrics.jobs_failed.inc();
             state.metrics.jobs_timed_out.inc();
             log_kv(
@@ -974,7 +954,6 @@ fn execute_job(state: &Arc<ServerState>, cell: &Arc<ExecutionCell>, ctx: &mut Ex
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "simulation panicked".to_string());
             cell.fail(format!("simulation failed: {message}"));
-            state.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
             state.metrics.jobs_failed.inc();
             log_kv(
                 Level::Error,

@@ -2,9 +2,9 @@
 //!
 //! Three small, orthogonal pieces:
 //!
-//! * **Metrics** ([`metrics`], [`registry`]) — sharded atomic counters,
-//!   gauges and fixed-bucket histograms, registered by name in a
-//!   [`Registry`] and rendered in Prometheus text exposition format.
+//! * **Metrics** ([`metrics`], [`registry`]) — atomic counters, gauges
+//!   and fixed-bucket histograms, registered by name in a [`Registry`]
+//!   and rendered in Prometheus text exposition format.
 //!   Registries are plain values: the server owns one per instance (so
 //!   tests can assert exact counts), while library layers share the
 //!   process-wide [`global()`] registry.
@@ -19,8 +19,8 @@
 //!   inside a traced job automatically carry `trace_id`/`job_id`.
 //! * **Tracing** ([`trace`]) — hierarchical per-job span trees
 //!   (request lifecycle → trajectory groups → worker lanes) behind an
-//!   independent gate with deterministic sampling, merged at job end
-//!   into a [`trace::Trace`] that renders as Chrome trace-event JSON.
+//!   independent gate, merged at job end into a [`trace::Trace`] that
+//!   renders as Chrome trace-event JSON.
 //!
 //! # The enabled gate
 //!
@@ -50,9 +50,7 @@ pub use log::{log_enabled, log_kv, Level};
 pub use metrics::{Counter, Gauge, Histogram, LATENCY_BOUNDS, SIZE_BOUNDS};
 pub use registry::Registry;
 pub use spans::{Stage, StageTimings};
-pub use trace::{
-    set_trace_enabled, set_trace_sample_rate, trace_enabled, Trace, TraceStore, Tracer,
-};
+pub use trace::{set_trace_enabled, trace_enabled, Trace, TraceStore, Tracer};
 
 /// Process-wide switch for recording into the [`global()`] registry.
 static ENABLED: AtomicBool = AtomicBool::new(false);

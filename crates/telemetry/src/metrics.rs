@@ -1,45 +1,15 @@
 //! The metric primitives: counters, gauges and histograms.
 //!
 //! All three are plain atomic structures safe to update from any thread
-//! without locking. Counters are **sharded** — increments land on one of a
-//! small set of cache-line-padded cells chosen per thread — so concurrent
-//! writers on different cores do not bounce a single line between caches;
-//! reads sum the shards.
+//! without locking. Counters and gauges are one atomic each: counters move
+//! per request, per chunk or per job, never per shot, so one cell is all
+//! the traffic needs.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-
-/// Number of counter shards. A small power of two: enough to spread the
-/// server's handful of worker threads, cheap enough to sum on every read.
-const SHARDS: usize = 8;
-
-/// One cache line worth of counter so adjacent shards never share a line.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedCell(AtomicU64);
-
-/// Returns this thread's shard slot, assigned round-robin on first use.
-#[inline]
-fn shard_index() -> usize {
-    use std::cell::Cell;
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    SLOT.with(|slot| {
-        let mut index = slot.get();
-        if index == usize::MAX {
-            index = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            slot.set(index);
-        }
-        index
-    })
-}
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Default)]
-pub struct Counter {
-    shards: [PaddedCell; SHARDS],
-}
+pub struct Counter(AtomicU64);
 
 impl Counter {
     /// Creates a counter at zero.
@@ -56,15 +26,12 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current total across all shards.
+    /// Current total.
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|cell| cell.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 

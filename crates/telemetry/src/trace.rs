@@ -26,12 +26,9 @@
 //! atomic load. When on, spans are coarse by design — per request
 //! stage, per trajectory group, per scheduler chunk — never per DD
 //! node, and each costs one short mutex lock on the owning tracer.
-//! A sampling knob ([`set_trace_sample_rate`]) keeps high-QPS serving
-//! cheap: 1-in-`n` jobs trace, chosen deterministically by a hash of
-//! the trace id.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -43,9 +40,6 @@ pub const ROOT_SPAN_ID: u64 = 1;
 /// Process-wide tracing switch, separate from the metrics gate so the
 /// two observability planes toggle independently.
 static TRACING: AtomicBool = AtomicBool::new(false);
-
-/// 1-in-`n` sampling rate for [`Tracer::start`]; `0`/`1` = every job.
-static SAMPLE_RATE: AtomicU64 = AtomicU64::new(1);
 
 /// Whether span recording is on (one relaxed load — the entire cost of
 /// an un-traced [`span`] call).
@@ -59,23 +53,10 @@ pub fn set_trace_enabled(on: bool) {
     TRACING.store(on, Ordering::Relaxed);
 }
 
-/// Sets the sampling rate: 1-in-`rate` jobs trace (`0` and `1` both
-/// mean every job). Selection hashes the trace id, so the same job is
-/// sampled (or not) consistently across runs and replicas.
-pub fn set_trace_sample_rate(rate: u64) {
-    SAMPLE_RATE.store(rate, Ordering::Relaxed);
-}
-
-/// The current 1-in-`n` sampling rate.
-pub fn trace_sample_rate() -> u64 {
-    SAMPLE_RATE.load(Ordering::Relaxed)
-}
-
-/// Seeds the gate and sampling rate from `QSDD_TRACE` (`0`/`off`/
-/// `false` disable, anything else — or unset — leaves `default_on`)
-/// and `QSDD_TRACE_SAMPLE` (a 1-in-`n` rate). The server calls this
-/// with `default_on = true` at startup; the CLI with the `--trace-out`
-/// decision.
+/// Seeds the gate from `QSDD_TRACE` (`0`/`off`/`false` disable,
+/// anything else — or unset — leaves `default_on`). The server calls
+/// this with `default_on = true` at startup; the CLI with the
+/// `--trace-out` decision.
 pub fn configure_trace_from_env(default_on: bool) {
     let on = match std::env::var("QSDD_TRACE") {
         Ok(value) => !matches!(
@@ -85,27 +66,6 @@ pub fn configure_trace_from_env(default_on: bool) {
         Err(_) => default_on,
     };
     set_trace_enabled(on);
-    if let Ok(value) = std::env::var("QSDD_TRACE_SAMPLE") {
-        if let Ok(rate) = value.trim().parse::<u64>() {
-            set_trace_sample_rate(rate);
-        }
-    }
-}
-
-/// Deterministic sampling decision for a trace id at the current rate.
-pub fn sampled(trace_id: &str) -> bool {
-    let rate = trace_sample_rate();
-    if rate <= 1 {
-        return true;
-    }
-    // FNV-1a: stable, dependency-free, and independent of the job
-    // content hash so sampling does not correlate with cache placement.
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in trace_id.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash.is_multiple_of(rate)
 }
 
 /// A span attribute value.
@@ -329,8 +289,7 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Starts a tracer if tracing is enabled and `trace_id` falls in
-    /// the sample; the epoch is now.
+    /// Starts a tracer if tracing is enabled; the epoch is now.
     pub fn start(trace_id: &str, job_id: &str) -> Option<Tracer> {
         Tracer::start_at(trace_id, job_id, Instant::now())
     }
@@ -338,13 +297,13 @@ impl Tracer {
     /// Like [`Tracer::start`] with an explicit epoch — the server uses
     /// the request-arrival instant so the parse span begins at offset 0.
     pub fn start_at(trace_id: &str, job_id: &str, epoch: Instant) -> Option<Tracer> {
-        if !trace_enabled() || !sampled(trace_id) {
+        if !trace_enabled() {
             return None;
         }
         Some(Tracer::forced_at(trace_id, job_id, epoch))
     }
 
-    /// Starts a tracer unconditionally (no gate, no sampling) — the CLI
+    /// Starts a tracer unconditionally (no gate) — the CLI
     /// uses this for an explicit `--trace-out` request. The caller must
     /// still [`set_trace_enabled`] for [`span`] to record.
     pub fn forced(trace_id: &str, job_id: &str) -> Tracer {
@@ -794,7 +753,6 @@ mod tests {
         static LOCK: Mutex<()> = Mutex::new(());
         let _guard = LOCK.lock().unwrap();
         set_trace_enabled(true);
-        set_trace_sample_rate(1);
         let out = body();
         set_trace_enabled(false);
         out
@@ -885,31 +843,6 @@ mod tests {
         attr("shots", 1usize);
         assert!(propagate().is_none());
         assert!(current_ids().is_none());
-    }
-
-    #[test]
-    fn sampling_is_deterministic_and_roughly_proportional() {
-        // Under the gate lock: the sampling rate is process-global, and
-        // every `with_tracing` test resets it to 1.
-        let sample_at_rate_4 = || {
-            with_tracing(|| {
-                set_trace_sample_rate(4);
-                let out = (0..256)
-                    .map(|n| sampled(&format!("j{n:016x}")))
-                    .collect::<Vec<_>>();
-                set_trace_sample_rate(1);
-                out
-            })
-        };
-        let decisions: Vec<bool> = sample_at_rate_4();
-        let repeat: Vec<bool> = sample_at_rate_4();
-        assert_eq!(decisions, repeat, "sampling must be deterministic");
-        let hits = decisions.iter().filter(|&&hit| hit).count();
-        assert!(
-            (16..=112).contains(&hits),
-            "1-in-4 sampling of 256 ids hit {hits} times"
-        );
-        assert!(sampled("anything"), "rate 1 samples everything");
     }
 
     #[test]

@@ -95,7 +95,11 @@ fn fresh_reference(
         let mut local = vec![0.0f64; observables.len()];
         let mut shot = worker;
         while shot < shots {
-            let (sample, values) = engine.run_shot_with_observables(shot as u64, &mapped);
+            let (sample, values) = engine.run_shot_with_observables_in(
+                &mut engine.new_context(),
+                shot as u64,
+                &mapped,
+            );
             *counts.entry(sample.outcome).or_insert(0) += 1;
             errors += sample.error_events;
             for (sum, v) in local.iter_mut().zip(&values) {
@@ -142,7 +146,7 @@ proptest! {
         let mut reused = engine.new_context();
         for shot in 0..SHOTS as u64 {
             let (fresh_sample, fresh_values) =
-                engine.run_shot_with_observables(shot, &mapped);
+                engine.run_shot_with_observables_in(&mut engine.new_context(), shot, &mapped);
             let (reused_sample, reused_values) =
                 engine.run_shot_with_observables_in(&mut reused, shot, &mapped);
             prop_assert_eq!(reused_sample, fresh_sample);
@@ -209,7 +213,7 @@ proptest! {
         let mut reused = engine.new_context();
         for shot in 0..SHOTS as u64 {
             let (fresh_sample, fresh_values) =
-                engine.run_shot_with_observables(shot, &mapped);
+                engine.run_shot_with_observables_in(&mut engine.new_context(), shot, &mapped);
             let (reused_sample, reused_values) =
                 engine.run_shot_with_observables_in(&mut reused, shot, &mapped);
             prop_assert_eq!(reused_sample, fresh_sample);

@@ -211,6 +211,15 @@ fn exact_hit_and_miss_counters_across_thread_counts() {
                 "{context}: stats `{field}`"
             );
         }
+        // Every accepted submission is one scraped hit, miss or coalesce.
+        let scraped = samples["qsdd_cache_hits_total"]
+            + samples["qsdd_cache_misses_total"]
+            + samples["qsdd_cache_coalesced_total"];
+        assert_eq!(
+            stats.get("jobs_accepted").and_then(Value::as_u64),
+            Some(scraped as u64),
+            "{context}: stats `jobs_accepted` against the scrape"
+        );
         server.shutdown_and_join();
     }
 }
@@ -309,6 +318,15 @@ fn deterministic_backpressure_counts_under_concurrent_load() {
         let stats = json::parse(&stats).unwrap();
         assert_eq!(stats.get("rejected").and_then(Value::as_u64), Some(3));
         assert_eq!(stats.get("rejected_jobs").and_then(Value::as_u64), Some(3));
+        // Both spellings equal the scraped rejection series.
+        let scraped = samples["qsdd_jobs_rejected_total"] as u64;
+        for field in ["rejected", "rejected_jobs"] {
+            assert_eq!(
+                stats.get(field).and_then(Value::as_u64),
+                Some(scraped),
+                "{context}: stats `{field}` against the scrape"
+            );
+        }
 
         // Shutdown drains the accepted blockers.
         server.shutdown_and_join();

@@ -1,12 +1,13 @@
 //! Tracing must be a pure observer: result payloads are byte-identical
-//! whether span recording is off, on, or sampled out — across shot-thread
-//! counts, both backends and every driver (per-shot, trajectory-dedup,
-//! weighted enumeration).
+//! whether span recording is off, on, or on with no tracer installed —
+//! across shot-thread counts, both backends and every driver (per-shot,
+//! trajectory-dedup, weighted enumeration).
 //!
 //! Each case runs the same job three times — tracing off (the baseline),
-//! tracing on with a live tracer installed, and tracing on but sampled
-//! out — and compares the histogram, the observable-estimate *bits* and
-//! the decision-diagram peak across all three.
+//! tracing on with a live tracer installed, and tracing on with no tracer
+//! installed (the state of every untraced thread) — and compares the
+//! histogram, the observable-estimate *bits* and the decision-diagram peak
+//! across all three.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -75,8 +76,8 @@ fn run_once(
     }
 }
 
-/// Serializes cases: the tracing gate and sampling rate are process
-/// globals, so concurrent flipping would blur which mode a run saw.
+/// Serializes cases: the tracing gate is a process global, so concurrent
+/// flipping would blur which mode a run saw.
 static GATE: Mutex<()> = Mutex::new(());
 
 fn assert_tracing_invisible(
@@ -94,7 +95,6 @@ fn assert_tracing_invisible(
 
     // Tracing on, tracer installed: every span the drivers emit records.
     trace::set_trace_enabled(true);
-    trace::set_trace_sample_rate(1);
     let tracer = trace::Tracer::forced("determinism", "determinism");
     let on = {
         let _install = tracer.install(0);
@@ -106,25 +106,26 @@ fn assert_tracing_invisible(
         "the traced run must actually record spans"
     );
 
-    // Tracing on but the job sampled out: the gate is hot, yet no tracer
-    // is installed anywhere, so `span` calls hit only the TLS check.
-    trace::set_trace_sample_rate(u64::MAX);
-    let sampled = run_once(qubits, shots, seed, threads, backend, driver);
-    trace::set_trace_sample_rate(1);
+    // Tracing on but no tracer installed: the gate is hot, yet `span`
+    // calls hit only the TLS check.
+    let untraced = run_once(qubits, shots, seed, threads, backend, driver);
     trace::set_trace_enabled(false);
 
     assert_eq!(off, on, "tracing on changed the result");
-    assert_eq!(off, sampled, "sampling state changed the result");
+    assert_eq!(
+        off, untraced,
+        "the hot gate without a tracer changed the result"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Histograms, observable bits and DD peaks are byte-identical with
-    /// tracing off / on / sampled, for every driver x backend x
+    /// tracing off / on / on without a tracer, for every driver x backend x
     /// parallelism combination the seed picks.
     #[test]
-    fn results_are_identical_with_tracing_off_on_and_sampled(
+    fn results_are_identical_with_tracing_off_on_and_without_a_tracer(
         seed in 1u64..10_000,
         threads_pick in 0usize..3,
         backend_pick in 0usize..2,
