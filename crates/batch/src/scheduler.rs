@@ -6,11 +6,13 @@
 //! different jobs interleave and a giant job cannot starve small ones.
 //!
 //! Each job's circuit is compiled once, into its [`ShotEngine`]'s program
-//! (the engines are built before the first chunk runs, on as many threads
-//! as the pool has workers); each worker keeps one long-lived
-//! [`ExecContext`] (which internally caches per-back-end-kind state) and
-//! reuses it across every chunk of every job it steals, so per-shot cost is
-//! pure execution — no operator rebuilding, no per-shot allocation churn.
+//! (the engines are built before the first chunk runs, on as many lanes
+//! as the pool has workers). Both the build and the pool start their
+//! threads through the library's one lane runner ([`run_lanes`]); each pool
+//! worker keeps one long-lived [`ExecContext`] (which internally caches
+//! per-back-end-kind state) and reuses it across every chunk of every job
+//! it steals, so per-shot cost is pure execution — no operator rebuilding,
+//! no per-shot allocation churn.
 //!
 //! Every sampled job releases its rounds as **pattern-group chunks**
 //! (trajectory deduplication): the releasing worker presamples the round's
@@ -20,17 +22,22 @@
 //! group, fanning its outcome samples across every member shot; a group
 //! whose members resume live past a shared prefix comes in member runs
 //! ([`ShotEngine::plan_range`]), so its live tails spread over the workers
-//! as chunks of their own. Deduplication is
-//! unobservable in the results — same histograms, error counts and node
-//! statistics, for every thread count — and reported per job as
-//! `unique_trajectories` / `dedup_hit_rate`.
+//! as chunks of their own. A chunk runs through the deduplicating driver's
+//! own item loop ([`ShotEngine::run_items_in`]) into a [`DedupPartial`],
+//! which is merged into the job's; the report takes every number —
+//! histogram, error events, node statistics, `unique_trajectories`,
+//! `dedup_hit_rate` — from the outcome the library merges that into
+//! ([`DedupPartial::into_outcome`]). Deduplication is unobservable in the
+//! results — same histograms, error counts and node statistics, for every
+//! thread count.
 //!
 //! Jobs with `weighted = true` bypass rounds entirely: the whole job is
 //! released as one **weighted chunk** and executed in a single piece by
 //! the worker that steals it, as an [`ExecMode::Weighted`] plan placed
-//! inline in the worker's context ([`qsdd_core::execute`]). Weighted jobs
-//! report `covered_mass` / `enumerated_trajectories` and never early-stop
-//! (the job file forbids combining `weighted` with `epsilon`).
+//! inline in the worker's context ([`qsdd_core::execute`]), whose outcome
+//! the job adopts. Weighted jobs report `covered_mass` /
+//! `enumerated_trajectories` and never early-stop (the job file forbids
+//! combining `weighted` with `epsilon`).
 //!
 //! Each job's shots are released in **rounds** of
 //! [`JobSpec::check_interval`] shots. When the last chunk of a round
@@ -53,7 +60,7 @@
 //!
 //! Only the wall-clock fields of the report vary between runs.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -61,8 +68,8 @@ use std::time::{Duration, Instant};
 
 use qsdd_core::dedup::CHUNK_SHOTS;
 use qsdd_core::{
-    execute, Deadline, ExecContext, ExecMode, ExecPlan, Placement, ShotEngine, TimedOut,
-    TrajectoryWork,
+    execute, run_lanes, Deadline, DedupPartial, DedupStats, ExecContext, ExecMode, ExecPlan,
+    Placement, ShotEngine, StochasticOutcome, TimedOut, TrajectoryWork,
 };
 use qsdd_telemetry::trace;
 use qsdd_telemetry::{Counter, Gauge, Stage, StageTimings};
@@ -144,22 +151,13 @@ struct Chunk {
 
 /// Mutable per-job aggregation state, guarded by one mutex per job so
 /// workers on different jobs never contend.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct JobProgress {
-    counts: BTreeMap<u64, u64>,
-    error_events: u64,
-    dd_nodes_sum: u64,
-    dd_nodes_peak: u64,
+    /// What the job's finished chunks reported, folded by the library.
+    share: DedupPartial,
+    /// A weighted job's whole result, adopted from its one chunk.
+    whole: Option<StochasticOutcome>,
     executed: u64,
-    /// Evolutions actually performed (pattern replays + shots run live).
-    unique_trajectories: u64,
-    /// The evolutions among them that served a shot: the hit rate's count.
-    serving: u64,
-    /// Probability mass covered by enumerated trajectories (weighted jobs
-    /// only; `0.0` otherwise).
-    covered_mass: f64,
-    /// Trajectories enumerated in probability order (weighted jobs only).
-    enumerated_trajectories: u64,
     /// Chunks of the current round still in flight.
     round_pending: usize,
     early_stopped: bool,
@@ -305,16 +303,17 @@ pub fn run_batch(specs: &[JobSpec], options: &BatchOptions) -> BatchReport {
     let next_spec = AtomicUsize::new(0);
     let built: Vec<OnceLock<Result<JobRuntime, String>>> =
         specs.iter().map(|_| OnceLock::new()).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(specs.len()) {
-            scope.spawn(|| loop {
-                // Relaxed: the counter hands out indices, nothing else.
-                let index = next_spec.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(index) else { break };
-                built[index].get_or_init(|| JobRuntime::build(spec));
-            });
-        }
-    });
+    run_lanes(
+        workers.min(specs.len()),
+        None,
+        || (),
+        |_, _| loop {
+            // Relaxed: the counter hands out indices, nothing else.
+            let index = next_spec.fetch_add(1, Ordering::Relaxed);
+            let Some(spec) = specs.get(index) else { break };
+            built[index].get_or_init(|| JobRuntime::build(spec));
+        },
+    );
     let runtimes: Vec<Result<JobRuntime, String>> = built
         .into_iter()
         .map(|slot| slot.into_inner().expect("every spec is claimed once"))
@@ -373,17 +372,8 @@ fn run_built(
         }
     }
 
-    let trace_handle = trace::propagate();
-    std::thread::scope(|scope| {
-        let shared = &shared;
-        let runtimes = &runtimes;
-        for worker in 0..workers {
-            let trace_handle = trace_handle.clone();
-            scope.spawn(move || {
-                let _lane = trace_handle.as_ref().map(|h| h.install(worker as u32 + 1));
-                worker_loop(shared, runtimes, worker)
-            });
-        }
+    run_lanes(workers, None, ExecContext::new, |worker, context| {
+        worker_loop(&shared, &runtimes, worker, context)
     });
 
     let jobs = specs
@@ -391,7 +381,7 @@ fn run_built(
         .zip(runtimes.iter())
         .map(|(spec, runtime)| match runtime {
             Ok(runtime) => {
-                let progress = runtime.progress.lock().expect("progress lock");
+                let mut progress = runtime.progress.lock().expect("progress lock");
                 // The engine that ran, `auto` resolved.
                 let backend = runtime.engine.backend_kind().to_string();
                 if let Some(message) = progress.panicked.clone() {
@@ -411,6 +401,12 @@ fn run_built(
                         ),
                     )
                 } else {
+                    let executed = progress.executed as usize;
+                    let outcome = match progress.whole.take() {
+                        Some(outcome) => outcome,
+                        None => std::mem::take(&mut progress.share).into_outcome(executed, 1),
+                    };
+                    let weighted = outcome.weighted.as_ref();
                     JobReport {
                         name: spec.name.clone(),
                         backend,
@@ -419,22 +415,15 @@ fn run_built(
                         shots_requested: spec.shots,
                         shots_executed: progress.executed,
                         early_stopped: progress.early_stopped,
-                        counts: progress.counts.clone(),
-                        error_events: progress.error_events,
-                        dd_nodes_avg: if progress.executed == 0 {
-                            0.0
-                        } else {
-                            progress.dd_nodes_sum as f64 / progress.executed as f64
-                        },
-                        dd_nodes_peak: progress.dd_nodes_peak,
-                        unique_trajectories: progress.unique_trajectories,
-                        dedup_hit_rate: if progress.executed == 0 {
-                            0.0
-                        } else {
-                            1.0 - progress.serving as f64 / progress.executed as f64
-                        },
-                        covered_mass: progress.covered_mass,
-                        enumerated_trajectories: progress.enumerated_trajectories,
+                        counts: outcome.counts.iter().map(|(&k, &v)| (k, v)).collect(),
+                        error_events: outcome.error_events,
+                        dd_nodes_avg: outcome.dd_nodes_avg,
+                        dd_nodes_peak: outcome.dd_nodes_peak,
+                        unique_trajectories: outcome.dedup.map_or(0, |s| s.unique_trajectories),
+                        dedup_hit_rate: outcome.dedup_hit_rate(),
+                        covered_mass: weighted.map_or(0.0, |stats| stats.covered_mass),
+                        enumerated_trajectories: weighted
+                            .map_or(0, |stats| stats.enumerated_trajectories),
                         wall_time: progress.wall_time,
                         stage_timings: progress.stage_timings,
                     }
@@ -509,15 +498,28 @@ fn build_round(runtime: &JobRuntime, job: usize, start: u64) -> Vec<Chunk> {
     chunks
 }
 
-fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker: usize) {
-    // One long-lived execution context (internally caching per-back-end
-    // state), reused across chunks *and* jobs: the context re-seats itself
-    // when the stolen chunk belongs to a different job's program, and
-    // merely rewinds when it belongs to the same one, so each worker
-    // compiles nothing and allocates almost nothing in steady state. Reuse
-    // is unobservable in the results (the ShotEngine contract), so the
-    // interleaving stays bit-deterministic.
-    let mut context = ExecContext::new();
+/// What a chunk executed: its share of a sampled job, or a weighted job's
+/// whole result.
+enum Executed {
+    Share(DedupPartial),
+    Whole(StochasticOutcome),
+}
+
+/// One pool worker: steals and executes chunks until every job finished.
+///
+/// `context` is the worker's one long-lived execution context (internally
+/// caching per-back-end state), reused across chunks *and* jobs: it
+/// re-seats itself when the stolen chunk belongs to a different job's
+/// program, and merely rewinds when it belongs to the same one, so each
+/// worker compiles nothing and allocates almost nothing in steady state.
+/// Reuse is unobservable in the results (the ShotEngine contract), so the
+/// interleaving stays bit-deterministic.
+fn worker_loop(
+    shared: &Shared,
+    runtimes: &[Result<JobRuntime, String>],
+    worker: usize,
+    context: &mut ExecContext,
+) {
     // Busy time accumulates locally and is flushed once at exit (one
     // labelled counter update per worker per batch, nothing per chunk).
     let worker_label = worker.to_string();
@@ -592,131 +594,78 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
         );
 
         // Execute the chunk without holding any lock, through the worker's
-        // long-lived context.
-        let mut local_counts: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut local_errors = 0u64;
-        let mut local_nodes_sum = 0u64;
-        let mut local_nodes_peak = 0u64;
-        let mut record = |sample: qsdd_core::ShotSample| {
-            *local_counts.entry(sample.outcome).or_insert(0) += 1;
-            local_errors += sample.error_events;
-            local_nodes_sum += sample.dd_nodes;
-            local_nodes_peak = local_nodes_peak.max(sample.dd_nodes_peak);
-        };
-        let mut weighted_outcome: Option<qsdd_core::StochasticOutcome> = None;
-        let mut chunk_timed_out = false;
-        // A panic fails this job alone (its partial aggregates are
-        // discarded); the context, whose rewind invariants cannot be
-        // trusted after an unwind, is replaced.
+        // long-lived context. A panic fails this job alone (its partial
+        // aggregates are discarded); the context, whose rewind invariants
+        // cannot be trusted after an unwind, is replaced.
         let executed = catch_unwind(AssertUnwindSafe(|| {
             if qsdd_store::fault::should_panic_worker() {
                 panic!("injected worker fault (QSDD_FAULTS worker_panic)");
             }
+            // The deadline rides along: evolutions, enumerated patterns and
+            // tail candidates are the cancellation points.
             match chunk.work {
                 ChunkWork::Weighted => {
                     // The whole job in one call: enumerate trajectories in
                     // probability order, simulate each once, tail-sample the
                     // residual. Falls back to deduplicated sampling when the
-                    // program does not support enumeration. The deadline rides
-                    // along because this chunk *is* the job — trajectory-level
-                    // checks inside the driver are its only cancellation
-                    // points.
+                    // program does not support enumeration.
                     let mode = ExecMode::Weighted(qsdd_core::WeightedOptions::default());
                     let plan = ExecPlan::new(mode, runtime.shots as usize, &[])
                         .with_deadline(runtime.deadline.clone());
-                    match execute(&runtime.engine, &plan, Placement::Inline(&mut context)) {
-                        Ok(outcome) => {
-                            let trajectories = match (&outcome.weighted, &outcome.dedup) {
-                                (Some(stats), _) => {
-                                    let simulated =
-                                        stats.enumerated_trajectories + stats.tail_shots;
-                                    (simulated, simulated)
-                                }
-                                (None, dedup) => dedup.map_or((0, 0), |stats| {
-                                    (stats.unique_trajectories, stats.serving)
-                                }),
-                            };
-                            weighted_outcome = Some(outcome);
-                            trajectories
-                        }
-                        Err(TimedOut) => {
-                            chunk_timed_out = true;
-                            (0, 0)
-                        }
+                    let mut outcome = execute(&runtime.engine, &plan, Placement::Inline(context))?;
+                    // Every enumerated pattern and tail shot is one evolution
+                    // serving shots.
+                    if let Some(stats) = &outcome.weighted {
+                        let simulated = stats.enumerated_trajectories + stats.tail_shots;
+                        outcome.dedup = Some(DedupStats {
+                            unique_trajectories: simulated,
+                            serving: simulated,
+                            live_shots: 0,
+                        });
                     }
+                    Ok(Executed::Whole(outcome))
                 }
                 ChunkWork::Groups(groups) => {
-                    // The deadline rides along: a bucket's evolutions are its
-                    // cancellation points.
-                    let mut trajectories = (0, 0);
-                    for group in groups {
-                        match runtime.engine.run_work_in(
-                            &mut context,
-                            group,
-                            &[],
-                            &runtime.deadline,
-                        ) {
-                            Ok((records, stats)) => {
-                                records
-                                    .into_iter()
-                                    .for_each(|(_, sample, _)| record(sample));
-                                trajectories.0 += stats.unique_trajectories;
-                                trajectories.1 += stats.serving;
-                            }
-                            Err(TimedOut) => {
-                                chunk_timed_out = true;
-                                break;
-                            }
-                        }
-                    }
-                    trajectories
+                    let mut share = DedupPartial::default();
+                    let engine = &runtime.engine;
+                    engine.run_items_in(context, groups, &[], &runtime.deadline, &mut share)?;
+                    Ok(Executed::Share(share))
                 }
             }
         }));
-        let ((local_trajectories, local_serving), panicked) = match executed {
-            Ok(trajectories) => (trajectories, None),
-            Err(panic) => {
-                context = ExecContext::new();
-                ((0, 0), Some(panic_message(panic)))
-            }
+        let executed = executed.map_err(|panic| {
+            *context = ExecContext::new();
+            panic_message(panic)
+        });
+        let trajectories = match &executed {
+            Ok(Ok(Executed::Share(share))) => share.stats().unique_trajectories,
+            Ok(Ok(Executed::Whole(outcome))) => outcome.dedup.map_or(0, |s| s.unique_trajectories),
+            _ => 0,
         };
-        trace::attr("trajectories", local_trajectories);
+        trace::attr("trajectories", trajectories);
         drop(chunk_span);
         let chunk_elapsed = chunk_started.elapsed();
         busy += chunk_elapsed;
 
         // Merge, and if this was the round's last chunk, decide what's next.
         let mut progress = runtime.progress.lock().expect("progress lock");
-        if let Some(outcome) = weighted_outcome {
+        match executed {
+            Ok(Ok(Executed::Share(share))) => {
+                progress.stage_timings.record(Stage::Execute, chunk_elapsed);
+                progress.share.merge(share);
+            }
             // The weighted driver produced the complete job result in one
-            // piece: adopt its histogram, statistics and stage breakdown
-            // wholesale (its timings already include the engine build).
-            progress.stage_timings = outcome.stage_timings;
-            for (value, count) in outcome.counts {
-                *progress.counts.entry(value).or_insert(0) += count;
+            // piece: adopt it wholesale, stage breakdown included (its
+            // timings already include the engine build).
+            Ok(Ok(Executed::Whole(outcome))) => {
+                progress.stage_timings = outcome.stage_timings;
+                progress.whole = Some(outcome);
             }
-            progress.error_events += outcome.error_events;
-            progress.dd_nodes_sum += (outcome.dd_nodes_avg * outcome.shots as f64).round() as u64;
-            progress.dd_nodes_peak = progress.dd_nodes_peak.max(outcome.dd_nodes_peak);
-            if let Some(stats) = outcome.weighted {
-                progress.covered_mass = stats.covered_mass;
-                progress.enumerated_trajectories = stats.enumerated_trajectories;
-            }
-        } else {
-            progress.stage_timings.record(Stage::Execute, chunk_elapsed);
-            for (outcome, count) in local_counts {
-                *progress.counts.entry(outcome).or_insert(0) += count;
-            }
-            progress.error_events += local_errors;
-            progress.dd_nodes_sum += local_nodes_sum;
-            progress.dd_nodes_peak = progress.dd_nodes_peak.max(local_nodes_peak);
+            Ok(Err(TimedOut)) => progress.timed_out = true,
+            Err(message) => progress.panicked = progress.panicked.take().or(Some(message)),
         }
         progress.executed += chunk.shots;
-        progress.unique_trajectories += local_trajectories;
-        progress.serving += local_serving;
         progress.round_pending -= 1;
-        progress.timed_out |= chunk_timed_out;
-        progress.panicked = progress.panicked.take().or(panicked);
         if progress.round_pending > 0 {
             continue;
         }
@@ -729,8 +678,7 @@ fn worker_loop(shared: &Shared, runtimes: &[Result<JobRuntime, String>], worker:
         let failed = progress.timed_out || progress.panicked.is_some();
         let converged = !failed
             && runtime.epsilon.is_some_and(|epsilon| {
-                let dominant = progress.counts.values().copied().max().unwrap_or(0);
-                wilson_half_width(dominant, progress.executed) <= epsilon
+                wilson_half_width(progress.share.top_count(), progress.executed) <= epsilon
             });
         if failed || converged || progress.executed >= runtime.shots {
             progress.early_stopped = converged && progress.executed < runtime.shots;
@@ -796,6 +744,7 @@ mod tests {
     use crate::jobfile::{CircuitSource, JobSpec};
     use qsdd_core::{execute, BackendKind, ExecMode, ExecPlan, Placement, StochasticOutcome};
     use qsdd_noise::NoiseModel;
+    use std::collections::BTreeMap;
 
     fn ghz_spec(name: &str, shots: u64, seed: u64) -> JobSpec {
         let mut spec = JobSpec::new(
@@ -968,6 +917,55 @@ mod tests {
     }
 
     #[test]
+    fn one_round_jobs_report_what_the_library_driver_reports() {
+        // With one round (`check_interval >= shots`) a job's work items are
+        // the library driver's, so every number of its report must be the
+        // driver's too: folded and merged by the library, never re-derived.
+        let deviating = ghz_spec("ghz-deviating", 600, 4);
+        let mut measured = ghz_spec("bv-measured", 400, 5);
+        measured.source = CircuitSource::Generator {
+            kind: "bv".to_string(),
+            qubits: 8,
+        };
+        let mut dense = ghz_spec("ghz-dense", 300, 6);
+        dense.backend = BackendKind::Statevector;
+        for mut spec in [deviating, measured, dense] {
+            spec.check_interval = spec.shots;
+            let plan = ExecPlan::new(ExecMode::Dedup, spec.shots as usize, &[]);
+            let reference = execute(&engine(&spec), &plan, Placement::Threads(1)).unwrap();
+            let stats = reference.dedup.expect("the dedup driver ran");
+            assert!(stats.live_shots > 0, "{}: {stats:?}", spec.name);
+            for threads in [1, 2, 3] {
+                let report = run_batch(&[spec.clone()], &BatchOptions::with_threads(threads));
+                let job = &report.jobs[0];
+                assert_matches_per_shot(job, &reference);
+                assert_eq!(job.dd_nodes_avg.to_bits(), reference.dd_nodes_avg.to_bits());
+                assert_eq!(job.unique_trajectories, stats.unique_trajectories);
+                let rate = reference.dedup_hit_rate();
+                assert_eq!(
+                    job.dedup_hit_rate.to_bits(),
+                    rate.to_bits(),
+                    "{}",
+                    spec.name
+                );
+            }
+        }
+        // A weighted job adopts the weighted driver's outcome, whose node
+        // mean is over the trajectories it simulated, not over its shots.
+        let mut weighted = ghz_spec("weighted", 3000, 21);
+        weighted.weighted = true;
+        let mode = ExecMode::Weighted(qsdd_core::WeightedOptions::default());
+        let plan = ExecPlan::new(mode, weighted.shots as usize, &[]);
+        let reference = execute(&engine(&weighted), &plan, Placement::Threads(1)).unwrap();
+        let stats = reference.weighted.as_ref().expect("the job enumerates");
+        let job = &run_batch(&[weighted], &BatchOptions::with_threads(2)).jobs[0];
+        assert_matches_per_shot(job, &reference);
+        assert_eq!(job.dd_nodes_avg.to_bits(), reference.dd_nodes_avg.to_bits());
+        assert_eq!(job.covered_mass.to_bits(), stats.covered_mass.to_bits());
+        assert_eq!(job.enumerated_trajectories, stats.enumerated_trajectories);
+    }
+
+    #[test]
     fn early_measured_programs_share_their_prefix_in_member_runs() {
         // Measured after its first gate: the prefix its shots share is one
         // gate, and almost every shot resumes live past it.
@@ -999,10 +997,12 @@ mod tests {
         for start in (0..spec.shots).step_by(spec.check_interval as usize) {
             let end = (start + spec.check_interval).min(spec.shots);
             for work in engine.plan_range(start..end) {
-                let (records, stats) = (engine.run_work_in(&mut ctx, work, &[], &unbounded))
-                    .expect("an unbounded deadline never expires");
+                let (members, mut share) = (work.shots(), DedupPartial::default());
+                (engine.run_items_in(&mut ctx, [work], &[], &unbounded, &mut share))
+                    .expect("no deadline is set");
+                let stats = share.stats();
                 evolutions += stats.unique_trajectories;
-                later_runs += u64::from(stats.unique_trajectories == 0 && !records.is_empty());
+                later_runs += u64::from(stats.unique_trajectories == 0 && members > 0);
             }
         }
         assert!(later_runs >= 2, "the no-error group spans member runs");

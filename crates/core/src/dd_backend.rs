@@ -790,8 +790,10 @@ impl DecisionPoints for DdSimulator {
         Walk::start(seat.program)
     }
 
-    fn empty_prefix(program: &DdProgram) -> bool {
-        program.dedup_prefix == 0
+    /// An empty prefix, or a walk still on the recorded trajectory: its
+    /// states are the template's.
+    fn restarts(program: &DdProgram, walk: &Walk) -> bool {
+        program.dedup_prefix == 0 || !walk.live
     }
 
     fn point(seat: &mut Seat<'_, Self>, walk: &mut Walk) -> Option<(u32, DdPoint)> {

@@ -57,7 +57,9 @@
 //! measurement or an uncovered state-dependent exposure ahead), the group's
 //! or bucket's walk ends at the prefix and every member resumes live from
 //! there in the same context — from a checkpoint, rolled back after it (from
-//! the seated template when the prefix is empty). Such a group runs in
+//! the re-seated template when the walk refers to nothing else: the prefix
+//! is empty, or a decision-diagram walk never left the recorded trajectory).
+//! Such a group runs in
 //! *member runs* of at most [`CHUNK_SHOTS`], each walking the prefix itself.
 //!
 //! # Determinism
@@ -75,7 +77,6 @@
 //! non-deduplicated runner.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -86,11 +87,11 @@ use rand::rngs::StdRng;
 use crate::backend::{SingleRun, StochasticBackend};
 use crate::deadline::{Deadline, TimedOut};
 use crate::decisions::{Decisions, Process, Replayed, Sampled};
-use crate::estimator::Observable;
+use crate::estimator::{Observable, ObservableAccumulator};
 use crate::fxhash::FxHashMap;
-use crate::shot_engine::{ShotEngine, ShotSample};
+use crate::shot_engine::{ExecContext, ShotEngine, ShotSample};
 use crate::stochastic::{
-    merge_partials, shot_rng, trace_dd_attrs, trace_dd_stats, trace_dd_totals, ExecPlan,
+    merge_partials, run_lanes, shot_rng, trace_dd_attrs, trace_dd_stats, trace_dd_totals, ExecPlan,
     StochasticOutcome, WorkerPartial,
 };
 
@@ -125,6 +126,14 @@ pub struct DedupStats {
     /// Shots that executed live on their own: the only member of their
     /// deviation bucket.
     pub live_shots: u64,
+}
+
+impl std::ops::AddAssign for DedupStats {
+    fn add_assign(&mut self, other: DedupStats) {
+        self.unique_trajectories += other.unique_trajectories;
+        self.serving += other.serving;
+        self.live_shots += other.live_shots;
+    }
 }
 
 /// One member shot of a work item: its index, its generator and the Z
@@ -347,8 +356,9 @@ impl<'a> Evolutions<'a> {
     /// the shots that followed it there: each samples its outcome from the
     /// shared final state or — when the prefix is not the whole program —
     /// resumes live from it, all but the last from a checkpoint there: the
-    /// context a per-shot execution holds (the seated template, with no
-    /// checkpoint, when the prefix is empty).
+    /// context a per-shot execution holds (each from the re-seated template,
+    /// with no checkpoint, when the walk holds nothing but the template:
+    /// [`DecisionPoints::restarts`]).
     pub(crate) fn finish<B: DecisionPoints>(
         &mut self,
         backend: &B,
@@ -360,13 +370,13 @@ impl<'a> Evolutions<'a> {
         if !self.support.full {
             B::settle(seat, &mut walk);
             let next = self.support.plan.site_count() as u32;
-            let empty = B::empty_prefix(program);
+            let restart = B::restarts(program, &walk);
             for index in 0..members.len() {
-                if empty {
-                    walk = B::start(seat);
+                if restart {
+                    B::start(seat);
                 }
                 let last = index + 1 == members.len();
-                let checkpoint = (!empty && !last).then(|| B::checkpoint(seat.ctx));
+                let checkpoint = (!restart && !last).then(|| B::checkpoint(seat.ctx));
                 let (shot, rng, absorbed) = &mut members[index];
                 let run = B::finish_live(seat, walk, (next, rng, *absorbed));
                 self.emit_live(backend, program, seat.ctx, run, *shot);
@@ -429,8 +439,10 @@ pub(crate) trait DecisionPoints: StochasticBackend + Sized {
 
     /// Seats the context: a walk entering the program's first step.
     fn start(seat: &mut Seat<'_, Self>) -> Self::Walk;
-    /// Whether the deduplicable prefix of `program` holds no step.
-    fn empty_prefix(program: &Self::Program) -> bool;
+    /// Whether `walk`, at the end of the deduplicable prefix of `program`,
+    /// refers to nothing in the context but the seated template, so members
+    /// resume live from it in a re-seated context instead of a checkpoint.
+    fn restarts(program: &Self::Program, walk: &Self::Walk) -> bool;
     /// Moves `walk` to its next decision point in the deduplicable prefix,
     /// returned with the first site past it; `None` at the prefix's end.
     fn point(seat: &mut Seat<'_, Self>, walk: &mut Self::Walk) -> Option<(u32, Self::Point)>;
@@ -741,33 +753,93 @@ impl<B: DecisionPoints> Tree<'_, '_, B> {
     }
 }
 
-/// Where a worker of the deduplicating driver puts its records.
+/// What one worker of the deduplicating driver folds the shots it reports
+/// into — a driver lane's share of a job, or a batch job's over its chunks
+/// — with the [`DedupStats`] of its evolutions.
 ///
-/// Without observables every aggregate is an integer merge
-/// (order-independent), so workers fold their records straight into a
-/// partial and the final phase is a plain merge. With observables the
-/// floating-point summation order matters: records are kept per shot and
-/// the final phase replays the strided per-worker order of the
-/// non-deduplicated runner, so every bit of the sums matches it.
-enum Sink {
-    Partial(WorkerPartial),
-    Records(Vec<(u64, ShotSample, Vec<f64>)>),
+/// Every integer aggregate merges in any order, so shots fold straight into
+/// a partial. Observable sums are floating-point, so their summation order
+/// matters: a shot's values are kept, and
+/// [`into_outcome`](Self::into_outcome) sums them in the strided per-worker
+/// order of the per-shot driver, so every bit of the sums matches it.
+#[derive(Default)]
+pub struct DedupPartial {
+    partial: WorkerPartial,
+    /// Each shot's observable values, while the job estimates any.
+    values: Vec<(u64, Vec<f64>)>,
+    pub(crate) stats: DedupStats,
+    /// The absorbed Z errors of the shots reported.
+    pub(crate) absorbed: u64,
+}
+
+impl DedupPartial {
+    pub(crate) fn record(&mut self, shot: u64, sample: ShotSample, values: &[f64]) {
+        self.partial.record(&sample, &[]);
+        if !values.is_empty() {
+            self.values.push((shot, values.to_vec()));
+        }
+    }
+
+    /// The statistics of the evolutions run so far.
+    pub fn stats(&self) -> DedupStats {
+        self.stats
+    }
+
+    /// The most shots any one outcome drew so far.
+    pub fn top_count(&self) -> u64 {
+        self.partial.top_count()
+    }
+
+    /// Adds another share of the same job to this one.
+    pub fn merge(&mut self, other: DedupPartial) {
+        self.partial.merge(other.partial);
+        self.values.extend(other.values);
+        self.stats += other.stats;
+        self.absorbed += other.absorbed;
+    }
+
+    /// The outcome of a job whose `shots` shots this share holds, its
+    /// observable sums taken as `threads` per-shot workers take them.
+    pub fn into_outcome(mut self, shots: usize, threads: usize) -> StochasticOutcome {
+        let mut outcome = merge_partials([self.partial], 0, shots, threads);
+        if let Some((_, first)) = self.values.first() {
+            let observables = first.len();
+            self.values.sort_unstable_by_key(|&(shot, _)| shot);
+            let covered =
+                (self.values.iter().enumerate()).all(|(at, &(shot, _))| shot == at as u64);
+            assert!(
+                covered && self.values.len() == shots,
+                "every shot is covered by exactly one work item"
+            );
+            let mut sums = ObservableAccumulator::new(observables);
+            for worker in 0..threads {
+                let mut lane = ObservableAccumulator::new(observables);
+                for (_, values) in self.values.iter().skip(worker).step_by(threads) {
+                    lane.add(values);
+                }
+                sums.merge(&lane);
+            }
+            outcome.observable_estimates = sums.means();
+        }
+        outcome.dedup = Some(self.stats);
+        outcome
+    }
 }
 
 /// The deduplicating body of [`execute`](crate::execute): presample →
-/// group → replay, on `engine`'s concrete back-end.
+/// group → replay.
 ///
 /// `threads` must already be resolved (positive, capped at the shot count).
 /// The plan's observables are mapped onto the executed circuit and every
 /// outcome is restored to the original qubit order (the transpiler's
-/// elided-SWAP relabeling) here. The result is byte-identical to the
-/// per-shot body for the same seed and thread count, including the bit
-/// patterns of the observable sums.
+/// elided-SWAP relabeling). The result is byte-identical to the per-shot
+/// body for the same seed and thread count, including the bit patterns of
+/// the observable sums.
 ///
-/// With `inline` — the caller's own context — the whole job runs on the
-/// calling thread (`threads` must be 1) and no worker is spawned: the entry
-/// long-lived server workers execute through, so state from previous jobs
-/// is rewound, not rebuilt. Otherwise every worker builds a fresh context.
+/// The work items run in lanes ([`run_lanes`]): with `inline` — the
+/// caller's own context — the whole job runs on the calling thread
+/// (`threads` must be 1), the entry long-lived server workers execute
+/// through, so state from previous jobs is rewound, not rebuilt.
 ///
 /// Memory: the driver holds one presampled generator per shot (tens of
 /// bytes each), so its transient footprint is `O(shots)` where the per-shot
@@ -778,24 +850,20 @@ enum Sink {
 /// The plan's deadline is checked between evolutions (one pattern replay,
 /// member run or live shot); on expiry the whole run returns [`TimedOut`]
 /// before the aggregation phase, which requires complete shot coverage.
-pub(crate) fn run_dedup<B: DecisionPoints>(
+pub(crate) fn run_dedup(
     engine: &ShotEngine,
-    backend: &B,
-    program: &B::Program,
     plan: &ExecPlan<'_>,
     threads: usize,
-    inline: Option<&mut B::Context>,
+    inline: Option<&mut ExecContext>,
 ) -> Result<StochasticOutcome, TimedOut> {
-    debug_assert!(inline.is_none() || threads == 1);
-    let (shots, seed, deadline) = (plan.shots, engine.seed(), &plan.deadline);
-    let support = &engine.dedup;
-    let absorbing = engine.absorbing(plan.observables);
+    let (shots, deadline) = (plan.shots, &plan.deadline);
     let observables = &engine.map_observables(plan.observables)[..];
-    let output_layout = engine.output_layout();
     // Phase 1 + 2: presample every shot, group by pattern.
     let presample_started = Instant::now();
     let presample_span = trace::span("presample");
-    let (work, uniforms, absorbed) = plan_range(support, 0..shots as u64, seed, absorbing);
+    let absorbing = engine.absorbing(observables);
+    let (work, uniforms, absorbed) =
+        plan_range(&engine.dedup, 0..shots as u64, engine.seed(), absorbing);
     trace::attr("shots", shots);
     trace::attr("uniforms", uniforms);
     trace::attr("absorbed", absorbed);
@@ -809,121 +877,44 @@ pub(crate) fn run_dedup<B: DecisionPoints>(
     // leave the others idle; assignment does not influence any result
     // (every record is a deterministic function of the program and the
     // shot index alone).
-    let keep_records = !observables.is_empty();
     let queue = Mutex::new(work.into_iter());
-    let mut sinks: Vec<(Sink, DedupStats)> = (0..threads)
-        .map(|_| {
-            let sink = if keep_records {
-                Sink::Records(Vec::new())
-            } else {
-                Sink::Partial(WorkerPartial::new(0))
-            };
-            (sink, DedupStats::default())
-        })
-        .collect();
-    let aborted = AtomicBool::new(false);
-    // One worker's share, in the context it is handed.
-    let run_worker =
-        |worker: usize, (sink, stats): &mut (Sink, DedupStats), ctx: &mut B::Context| {
-            let _span = trace::span("worker_trajectories");
-            trace::attr("worker", worker);
-            let dd_before = trace_dd_stats(|| backend.table_stats(ctx));
-            let mut emit = |shot: u64, mut sample: ShotSample, values: &[f64]| {
-                if let Some(output_layout) = output_layout {
-                    sample.outcome =
-                        qsdd_transpile::layout::restore_outcome(sample.outcome, output_layout);
-                }
-                match sink {
-                    Sink::Partial(partial) => partial.record(&sample, &[]),
-                    Sink::Records(records) => records.push((shot, sample, values.to_vec())),
-                }
-            };
-            let mut out = Evolutions::new(support, observables, seed, deadline, &mut emit);
-            out.absorbing = absorbing;
-            // The guard is a temporary of the closure body: items run unlocked.
-            let claim = || queue.lock().expect("claiming cannot panic").next();
-            let (mut items, mut counted) = (0usize, 0u64);
-            while let Some(item) = claim() {
-                (items, counted) = (items + 1, counted + u64::from(item.counted));
-                if let Err(TimedOut) = run_work(backend, program, ctx, item, &mut out) {
-                    return aborted.store(true, Ordering::Relaxed);
-                }
-            }
-            *stats = out.stats;
-            trace::attr("items", items);
-            trace::attr("evolutions", stats.unique_trajectories);
-            trace::attr("live_shots", stats.live_shots);
-            trace::attr("absorbed", out.absorbed);
-            // Every evolution but the work items' own is a child bucket.
-            trace::attr("forks", stats.unique_trajectories - counted);
-            trace_dd_totals(dd_before, || backend.table_stats(ctx));
-        };
     let execute_started = Instant::now();
-    match inline {
-        Some(ctx) => run_worker(0, &mut sinks[0], ctx),
-        None => {
-            let trace_handle = trace::propagate();
-            let run_worker = &run_worker;
-            std::thread::scope(|scope| {
-                for (worker, sink) in sinks.iter_mut().enumerate() {
-                    let trace_handle = trace_handle.clone();
-                    scope.spawn(move || {
-                        let _lane = trace_handle.as_ref().map(|h| h.install(worker as u32 + 1));
-                        let mut ctx = backend.new_context();
-                        run_worker(worker, sink, &mut ctx);
-                    });
-                }
-            });
-        }
-    }
-
+    let lanes = run_lanes(threads, inline, ExecContext::new, |worker, ctx| {
+        let _span = trace::span("worker_trajectories");
+        trace::attr("worker", worker);
+        let dd_before = trace_dd_stats(|| ctx.dd_table_stats());
+        let mut share = DedupPartial::default();
+        let (mut items, mut counted) = (0usize, 0u64);
+        // The guard is a temporary of the closure body: items run unlocked.
+        let claim = std::iter::from_fn(|| queue.lock().expect("claiming cannot panic").next());
+        let claimed =
+            claim.inspect(|item| (items, counted) = (items + 1, counted + u64::from(item.counted)));
+        engine.run_items_in(ctx, claimed, observables, deadline, &mut share)?;
+        let stats = share.stats;
+        trace::attr("items", items);
+        trace::attr("evolutions", stats.unique_trajectories);
+        trace::attr("live_shots", stats.live_shots);
+        trace::attr("absorbed", share.absorbed);
+        // Every evolution but the work items' own is a child bucket.
+        trace::attr("forks", stats.unique_trajectories - counted);
+        trace_dd_totals(dd_before, || ctx.dd_table_stats());
+        Ok(share)
+    });
     let execute_time = execute_started.elapsed();
-    // A timed-out run must bail here: the replay below expects every shot
+    // A timed-out run must bail here: the aggregation expects every shot
     // to be covered, and partial aggregates are never exposed.
-    if aborted.load(Ordering::Relaxed) {
-        return Err(TimedOut);
-    }
+    let lanes = lanes.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     // Phase 4: merge. Integer-only aggregates merge directly; observable
     // runs replay the strided per-worker summation order first.
     let aggregate_started = Instant::now();
     let aggregate_span = trace::span("aggregate");
-    let mut dedup = DedupStats::default();
-    let mut records: Vec<Option<(ShotSample, Vec<f64>)>> = Vec::new();
-    if keep_records {
-        records.resize_with(shots, || None);
+    let mut job = DedupPartial::default();
+    for share in lanes {
+        job.merge(share);
     }
-    let mut partials: Vec<Option<WorkerPartial>> = Vec::with_capacity(threads);
-    for (sink, stats) in sinks {
-        dedup.unique_trajectories += stats.unique_trajectories;
-        dedup.serving += stats.serving;
-        dedup.live_shots += stats.live_shots;
-        match sink {
-            Sink::Partial(partial) => partials.push(Some(partial)),
-            Sink::Records(list) => {
-                for (shot, sample, values) in list {
-                    let slot = &mut records[shot as usize];
-                    debug_assert!(slot.is_none(), "shot {shot} recorded twice");
-                    *slot = Some((sample, values));
-                }
-            }
-        }
-    }
-    if keep_records {
-        partials.extend((0..threads).map(|worker| {
-            let mut partial = WorkerPartial::new(observables.len());
-            for record in records.iter().skip(worker).step_by(threads) {
-                let (sample, values) = record
-                    .as_ref()
-                    .expect("every shot is covered by exactly one work item");
-                partial.record(sample, values);
-            }
-            Some(partial)
-        }));
-    }
-    let mut outcome = merge_partials(partials, shots, observables.len(), threads);
+    let mut outcome = job.into_outcome(shots, threads);
     drop(aggregate_span);
-    outcome.dedup = Some(dedup);
     outcome
         .stage_timings
         .record(qsdd_telemetry::Stage::Presample, presample_time);

@@ -482,7 +482,7 @@ impl DecisionPoints for DenseSimulator {
         Position::default()
     }
 
-    fn empty_prefix(program: &DenseProgram) -> bool {
+    fn restarts(program: &DenseProgram, _: &Position) -> bool {
         program.prefix == 0
     }
 

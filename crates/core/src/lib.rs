@@ -72,12 +72,14 @@ pub mod weighted;
 pub use backend::{SingleRun, StochasticBackend};
 pub use dd_backend::{DdContext, DdProgram, DdRunState, DdSimulator, Handoff};
 pub use deadline::{Deadline, TimedOut};
-pub use dedup::{DedupStats, DedupSupport, TrajectoryWork};
+pub use dedup::{DedupPartial, DedupStats, DedupSupport, TrajectoryWork};
 pub use dense_backend::{DenseContext, DenseProgram, DenseSimulator};
 pub use estimator::{Observable, ObservableAccumulator};
 pub use shot_engine::{ExecContext, ShotEngine, ShotSample};
 pub use simulator::{BackendKind, StochasticSimulator};
-pub use stochastic::{execute, resolve_threads, ExecMode, ExecPlan, Placement, StochasticOutcome};
+pub use stochastic::{
+    execute, resolve_threads, run_lanes, ExecMode, ExecPlan, Placement, StochasticOutcome,
+};
 pub use weighted::{WeightedOptions, WeightedStats, MAX_WEIGHTED_QUBITS};
 // Re-exported so `StochasticSimulator::with_opt_level` is usable without a
 // direct `qsdd-transpile` dependency.

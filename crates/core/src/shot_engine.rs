@@ -23,9 +23,12 @@
 //! * the job driver [`crate::execute`] — behind
 //!   [`StochasticSimulator`](crate::StochasticSimulator), the CLI and the
 //!   server's workers — runs whole jobs on one engine;
-//! * the `qsdd-batch` scheduler builds one engine per job and lets its
-//!   worker pool pull arbitrary `(job, shot)` pairs from a global queue,
-//!   each worker reusing one long-lived context per back-end kind.
+//! * the `qsdd-batch` scheduler builds one engine per job, presamples each
+//!   round of a job's shots into work items ([`ShotEngine::plan_range`])
+//!   and lets its worker pool pull chunks of them, from any job, off a
+//!   global queue; each worker runs a chunk through the same item loop as
+//!   the driver's lanes ([`ShotEngine::run_items_in`]), in one long-lived
+//!   context that caches one inner context per back-end kind.
 //!
 //! Outcomes are always reported in the *original* circuit's qubit order: if
 //! the transpiler elided trailing SWAPs into an output relabeling, the
@@ -45,13 +48,13 @@ use crate::backend::{SingleRun, StochasticBackend};
 use crate::dd_backend::{DdContext, DdProgram, DdSimulator, Handoff};
 use crate::deadline::{Deadline, TimedOut};
 use crate::dedup::{
-    plan_range, run_dedup, run_group, run_pattern, run_work, DecisionPoints, DedupStats,
+    plan_range, run_group, run_pattern, run_work, DecisionPoints, DedupPartial, DedupStats,
     DedupSupport, Evolutions, TrajectoryWork,
 };
 use crate::dense_backend::{DenseContext, DenseProgram, DenseSimulator};
 use crate::estimator::Observable;
 use crate::simulator::BackendKind;
-use crate::stochastic::{shot_rng, ExecPlan, StochasticOutcome};
+use crate::stochastic::shot_rng;
 
 /// The aggregate-relevant result of one stochastic shot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -436,6 +439,7 @@ impl ShotEngine {
     }
 
     /// Presamples a contiguous shot range into work items for
+    /// [`run_items_in`](Self::run_items_in) or
     /// [`run_work_in`](Self::run_work_in), in first-appearance order with
     /// members in shot order: one trajectory group per distinct pattern —
     /// in member runs of at most [`CHUNK_SHOTS`](crate::dedup::CHUNK_SHOTS)
@@ -451,18 +455,44 @@ impl ShotEngine {
         plan_range(&self.dedup, range, self.seed, self.absorbing(&[])).0
     }
 
-    /// A replay sink collecting one record per member shot into `out`,
-    /// outcomes restored to the original qubit order.
-    fn collect_into<'a>(
+    /// The replay sink `sink` (shot index, sample, observable values) with
+    /// every outcome restored to the original qubit order first.
+    fn restoring<'a>(
         &'a self,
-        out: &'a mut Vec<(u64, ShotSample, Vec<f64>)>,
+        mut sink: impl FnMut(u64, ShotSample, &[f64]) + 'a,
     ) -> impl FnMut(u64, ShotSample, &[f64]) + 'a {
         move |shot, mut sample, values| {
             if let Some(output_layout) = &self.output_layout {
                 sample.outcome = layout::restore_outcome(sample.outcome, output_layout);
             }
-            out.push((shot, sample, values.to_vec()));
+            sink(shot, sample, values)
         }
+    }
+
+    /// Runs `items` in `ctx`, reporting every shot to `sink` through
+    /// [`restoring`](Self::restoring); returns the evolutions' statistics
+    /// and the Z errors the reported shots absorbed.
+    fn evolve(
+        &self,
+        ctx: &mut ExecContext,
+        items: impl IntoIterator<Item = TrajectoryWork>,
+        observables: &[Observable],
+        deadline: &Deadline,
+        sink: impl FnMut(u64, ShotSample, &[f64]),
+    ) -> Result<(DedupStats, u64), TimedOut> {
+        let mut sink = self.restoring(sink);
+        let (support, seed) = (&self.dedup, self.seed);
+        let mut out = Evolutions::new(support, observables, seed, deadline, &mut sink);
+        out.absorbing = self.absorbing(observables);
+        let mut items = items.into_iter();
+        match &self.backend {
+            EngineBackend::DecisionDiagram { backend, program } => {
+                items.try_for_each(|item| run_work(backend, program, ctx.dd_mut(), item, &mut out))
+            }
+            EngineBackend::Statevector { backend, program } => items
+                .try_for_each(|item| run_work(backend, program, ctx.dense_mut(), item, &mut out)),
+        }?;
+        Ok((out.stats, out.absorbed))
     }
 
     /// Executes one trajectory group: the shared `pattern` is simulated
@@ -483,7 +513,9 @@ impl ShotEngine {
         observables: &[Observable],
     ) -> Vec<(u64, ShotSample, Vec<f64>)> {
         let mut records = Vec::with_capacity(shots.len());
-        let mut sink = self.collect_into(&mut records);
+        let mut sink = self.restoring(|shot, sample, values: &[f64]| {
+            records.push((shot, sample, values.to_vec()))
+        });
         let unbounded = Deadline::unbounded();
         let (support, seed) = (&self.dedup, self.seed);
         let mut out = Evolutions::new(support, observables, seed, &unbounded, &mut sink);
@@ -523,21 +555,34 @@ impl ShotEngine {
         deadline: &Deadline,
     ) -> Result<(Vec<(u64, ShotSample, Vec<f64>)>, DedupStats), TimedOut> {
         let mut records = Vec::with_capacity(work.shots());
-        let mut sink = self.collect_into(&mut records);
-        let (support, seed) = (&self.dedup, self.seed);
-        let mut out = Evolutions::new(support, observables, seed, deadline, &mut sink);
-        out.absorbing = self.absorbing(&[]);
-        match &self.backend {
-            EngineBackend::DecisionDiagram { backend, program } => {
-                run_work(backend, program.as_ref(), ctx.dd_mut(), work, &mut out)
-            }
-            EngineBackend::Statevector { backend, program } => {
-                run_work(backend, program.as_ref(), ctx.dense_mut(), work, &mut out)
-            }
-        }?;
-        let stats = out.stats;
-        drop(sink); // it borrows `records`
+        let record = |shot, sample, values: &[f64]| records.push((shot, sample, values.to_vec()));
+        let (stats, _) = self.evolve(ctx, [work], observables, deadline, record)?;
         Ok((records, stats))
+    }
+
+    /// Runs `items` in `ctx`, folding the shots they report into `share`
+    /// with outcomes restored to the original qubit order: the item loop of
+    /// every worker of the deduplicating driver, and of every batch chunk.
+    ///
+    /// `observables` must already be mapped through
+    /// [`map_observables`](Self::map_observables) and be those the items
+    /// were planned for: they decide the sites where Z errors are absorbed,
+    /// and [`plan_range`](Self::plan_range) plans for observables that read
+    /// populations. The `deadline` is checked between evolutions; an item is
+    /// claimed only when the one before has finished.
+    pub fn run_items_in(
+        &self,
+        ctx: &mut ExecContext,
+        items: impl IntoIterator<Item = TrajectoryWork>,
+        observables: &[Observable],
+        deadline: &Deadline,
+        share: &mut DedupPartial,
+    ) -> Result<(), TimedOut> {
+        let record = |shot, sample, values: &[f64]| share.record(shot, sample, values);
+        let (stats, absorbed) = self.evolve(ctx, items, observables, deadline, record)?;
+        share.stats += stats;
+        share.absorbed += absorbed;
+        Ok(())
     }
 
     /// The absorbing sites a job with `observables` runs with: the
@@ -549,33 +594,6 @@ impl ShotEngine {
         match &self.backend {
             EngineBackend::DecisionDiagram { program, .. } => &program.absorbing,
             EngineBackend::Statevector { program, .. } => &program.absorbing,
-        }
-    }
-
-    /// The transpiler's output layout, unless it is the identity.
-    pub(crate) fn output_layout(&self) -> Option<&[usize]> {
-        self.output_layout.as_deref()
-    }
-
-    /// The deduplicating body of [`execute`](crate::execute): [`run_dedup`]
-    /// on this engine's concrete back-end. `threads` must already be
-    /// resolved and capped at the shot count; with `inline` the job runs on
-    /// the calling thread in that context (`threads` must be 1).
-    pub(crate) fn dedup_outcome(
-        &self,
-        plan: &ExecPlan<'_>,
-        threads: usize,
-        inline: Option<&mut ExecContext>,
-    ) -> Result<StochasticOutcome, TimedOut> {
-        match &self.backend {
-            EngineBackend::DecisionDiagram { backend, program } => {
-                let inline = inline.map(ExecContext::dd_mut);
-                run_dedup(self, backend, program, plan, threads, inline)
-            }
-            EngineBackend::Statevector { backend, program } => {
-                let inline = inline.map(ExecContext::dense_mut);
-                run_dedup(self, backend, program, plan, threads, inline)
-            }
         }
     }
 

@@ -40,7 +40,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::deadline::{Deadline, TimedOut};
-use crate::dedup::DedupStats;
+use crate::dedup::{run_dedup, DedupStats};
 use crate::estimator::{Observable, ObservableAccumulator};
 use crate::shot_engine::{ExecContext, ShotEngine};
 use crate::simulator::BackendKind;
@@ -233,6 +233,7 @@ impl StochasticOutcome {
 /// histogram uses the fast in-process hasher (one entry per shot is the
 /// single hottest map operation of the loop); the merged result is
 /// converted to the outcome's ordinary map.
+#[derive(Default)]
 pub(crate) struct WorkerPartial {
     counts: crate::fxhash::FxHashMap<u64, u64>,
     observables: ObservableAccumulator,
@@ -261,41 +262,48 @@ impl WorkerPartial {
             self.observables.add(values);
         }
     }
+
+    /// Adds `other`'s shots to these, its observable sums after these.
+    pub(crate) fn merge(&mut self, other: WorkerPartial) {
+        for (outcome, count) in other.counts {
+            *self.counts.entry(outcome).or_insert(0) += count;
+        }
+        self.observables.merge(&other.observables);
+        self.errors += other.errors;
+        self.nodes_sum += other.nodes_sum;
+        self.nodes_peak = self.nodes_peak.max(other.nodes_peak);
+    }
+
+    /// The most shots any one outcome drew.
+    pub(crate) fn top_count(&self) -> u64 {
+        self.counts.values().copied().max().unwrap_or(0)
+    }
 }
 
-/// Merges per-worker partials **in worker-index order** (bit-stable
-/// floating-point sums for a fixed thread count) into an outcome.
+/// Merges per-worker partials of `observables` observables **in
+/// worker-index order** (bit-stable floating-point sums for a fixed thread
+/// count) into the outcome of `shots` shots on `threads` workers.
 pub(crate) fn merge_partials(
-    partials: Vec<Option<WorkerPartial>>,
-    shots: usize,
+    partials: impl IntoIterator<Item = WorkerPartial>,
     observables: usize,
+    shots: usize,
     threads: usize,
 ) -> StochasticOutcome {
-    let mut counts: HashMap<u64, u64> = HashMap::new();
-    let mut merged = ObservableAccumulator::new(observables);
-    let mut errors = 0u64;
-    let mut nodes_sum = 0u64;
-    let mut nodes_peak = 0u64;
-    for partial in partials.into_iter().flatten() {
-        for (outcome, count) in partial.counts {
-            *counts.entry(outcome).or_insert(0) += count;
-        }
-        merged.merge(&partial.observables);
-        errors += partial.errors;
-        nodes_sum += partial.nodes_sum;
-        nodes_peak = nodes_peak.max(partial.nodes_peak);
+    let mut merged = WorkerPartial::new(observables);
+    for partial in partials {
+        merged.merge(partial);
     }
     StochasticOutcome {
-        counts,
+        counts: merged.counts.into_iter().collect(),
         shots,
-        observable_estimates: merged.means(),
-        error_events: errors,
+        observable_estimates: merged.observables.means(),
+        error_events: merged.errors,
         dd_nodes_avg: if shots == 0 {
             0.0
         } else {
-            nodes_sum as f64 / shots as f64
+            merged.nodes_sum as f64 / shots as f64
         },
-        dd_nodes_peak: nodes_peak,
+        dd_nodes_peak: merged.nodes_peak,
         // The driver's epilogue stamps the wall time.
         ..StochasticOutcome::empty(0, threads, Duration::ZERO)
     }
@@ -352,7 +360,7 @@ pub fn execute(
     let mut outcome = match (mode, inline.as_deref_mut()) {
         (ExecMode::Weighted(options), Some(ctx)) => run_weighted(engine, ctx, plan, options),
         (ExecMode::Weighted(_), None) => unreachable!("weighted jobs were given a context above"),
-        (ExecMode::Dedup, ctx) => engine.dedup_outcome(plan, workers, ctx),
+        (ExecMode::Dedup, ctx) => run_dedup(engine, plan, workers, ctx),
         (ExecMode::PerShot, ctx) => run_per_shot(engine, plan, workers, ctx),
     }?;
 
@@ -365,9 +373,7 @@ pub fn execute(
 }
 
 /// The per-shot body of [`execute`]: lane `l` of `workers` runs shots `l`,
-/// `l + workers`, … — inline that is the one lane `0..shots` in the
-/// caller's context, threaded each lane is a scoped worker with a fresh
-/// context.
+/// `l + workers`, … in its context ([`run_lanes`]).
 fn run_per_shot(
     engine: &ShotEngine,
     plan: &ExecPlan<'_>,
@@ -377,10 +383,13 @@ fn run_per_shot(
     let shots = plan.shots;
     let mapped = &engine.map_observables(plan.observables);
     let bounded = !plan.deadline.is_unbounded();
-    let run_lane = |lane: usize, ctx: &mut ExecContext| {
+    let execute_started = Instant::now();
+    let lanes = run_lanes(workers, inline, ExecContext::new, |lane, ctx| {
+        let _span = trace::span("worker_shots");
+        trace::attr("worker", lane);
+        let dd_before = trace_dd_stats(|| ctx.dd_table_stats());
         let mut partial = WorkerPartial::new(mapped.len());
-        let mut shot = lane;
-        while shot < shots {
+        for shot in (lane..shots).step_by(workers) {
             if bounded && plan.deadline.expired() {
                 // `expired` latched the shared flag, so sibling lanes exit
                 // on their next check too.
@@ -388,53 +397,52 @@ fn run_per_shot(
             }
             let (sample, values) = engine.run_shot_with_observables_in(ctx, shot as u64, mapped);
             partial.record(&sample, &values);
-            shot += workers;
         }
+        trace::attr("shots", (lane..shots).step_by(workers).len());
+        trace_dd_totals(dd_before, || ctx.dd_table_stats());
         Ok(partial)
-    };
-    let mut partials: Vec<Option<WorkerPartial>> = (0..workers).map(|_| None).collect();
-    let execute_started = Instant::now();
-    match inline {
-        Some(ctx) => {
-            let _span = trace::span("shots");
-            trace::attr("shots", shots);
-            let dd_before = trace_dd_stats(|| ctx.dd_table_stats());
-            partials[0] = Some(run_lane(0, ctx)?);
-            trace_dd_totals(dd_before, || ctx.dd_table_stats());
-        }
-        None => {
-            let trace_handle = trace::propagate();
-            let run_lane = &run_lane;
-            std::thread::scope(|scope| {
-                for (worker, slot) in partials.iter_mut().enumerate() {
-                    let trace_handle = trace_handle.clone();
-                    scope.spawn(move || {
-                        let _lane = trace_handle.as_ref().map(|h| h.install(worker as u32 + 1));
-                        let _span = trace::span("worker_shots");
-                        trace::attr("worker", worker);
-                        let mut ctx = engine.new_context();
-                        if let Ok(partial) = run_lane(worker, &mut ctx) {
-                            trace::attr("shots", (worker..shots).step_by(workers).len());
-                            *slot = Some(partial);
-                        }
-                    });
-                }
-            });
-            // A lane without a partial saw the deadline expire.
-            if partials.iter().any(Option::is_none) {
-                return Err(TimedOut);
-            }
-        }
-    }
+    });
+    let partials = lanes.into_iter().collect::<Result<Vec<_>, _>>()?;
     let execute_time = execute_started.elapsed();
 
     let aggregate_started = Instant::now();
-    let mut outcome = merge_partials(partials, shots, mapped.len(), workers);
+    let mut outcome = merge_partials(partials, mapped.len(), shots, workers);
     outcome.stage_timings.record(Stage::Execute, execute_time);
     outcome
         .stage_timings
         .record(Stage::Aggregate, aggregate_started.elapsed());
     Ok(outcome)
+}
+
+/// Runs `lane` once for each of `lanes` lanes and returns what each
+/// returned, in lane order: the one place shot workers start. Given the
+/// caller's context (`inline`, one lane), the lane runs on the calling
+/// thread in it; otherwise every lane `w` runs on a scoped thread of its
+/// own, in a `fresh` context, traced on lane `w + 1`.
+pub fn run_lanes<C, T: Send>(
+    lanes: usize,
+    inline: Option<&mut C>,
+    fresh: impl Fn() -> C + Sync,
+    lane: impl Fn(usize, &mut C) -> T + Sync,
+) -> Vec<T> {
+    if let Some(ctx) = inline {
+        debug_assert_eq!(lanes, 1, "a caller's context runs one lane");
+        return vec![lane(0, ctx)];
+    }
+    let trace_handle = trace::propagate();
+    let (fresh, lane) = (&fresh, &lane);
+    let mut results: Vec<Option<T>> = (0..lanes).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        for (w, slot) in results.iter_mut().enumerate() {
+            let trace_handle = trace_handle.clone();
+            scope.spawn(move || {
+                let _lane = trace_handle.as_ref().map(|h| h.install(w as u32 + 1));
+                *slot = Some(lane(w, &mut fresh()));
+            });
+        }
+    });
+    // A panicking lane panicked the scope: every slot is filled here.
+    results.into_iter().flatten().collect()
 }
 
 /// Snapshot of a context's decision-diagram table counters (`stats`), taken

@@ -582,3 +582,45 @@ fn early_measured_cx_chain_resumes_in_member_runs() {
     assert!(job.compute_misses <= 82_038, "{job:?}");
     assert!(job.nodes_created <= 702, "{job:?}");
 }
+
+/// A per-shot job traces one `worker_shots` span per lane — on the
+/// calling thread's lane for an inline job, on a worker's otherwise — each
+/// carrying the table work its lane did. Every shot re-seats its context,
+/// so the work summed over the lanes does not depend on the placement.
+#[test]
+fn per_shot_lanes_carry_their_table_work_at_every_placement() {
+    // Never switched off again (see `traced_job`).
+    trace::set_trace_enabled(true);
+    let engine = ShotEngine::new(
+        &qft(8),
+        BackendKind::DecisionDiagram,
+        NoiseModel::paper_defaults(),
+        2021,
+        OptLevel::O0,
+    );
+    let lanes = |on: Placement<'_>| -> Vec<u64> {
+        let tracer = Tracer::forced("per-shot", "per-shot");
+        {
+            let _install = tracer.install(0);
+            let plan = ExecPlan::new(ExecMode::PerShot, 300, &[]);
+            execute(&engine, &plan, on).unwrap();
+        }
+        let spans = tracer.finish("job").spans;
+        let lanes = spans.iter().filter(|span| span.name == "worker_shots");
+        let misses = lanes.map(|span| {
+            let attr = span.attrs.iter().find_map(|(key, value)| match value {
+                AttrValue::U64(count) if *key == "dd_compute_misses" => Some(*count),
+                _ => None,
+            });
+            attr.expect("a lane carries its table work")
+        });
+        misses.collect()
+    };
+    let inline = lanes(Placement::Inline(&mut engine.new_context()));
+    let (one, two) = (lanes(Placement::Threads(1)), lanes(Placement::Threads(2)));
+    eprintln!("compute misses per lane: inline {inline:?}, 1 thread {one:?}, 2 threads {two:?}");
+    assert_eq!((inline.len(), one.len(), two.len()), (1, 1, 2));
+    assert!(inline[0] > 0);
+    assert_eq!(one, inline);
+    assert_eq!(two.iter().sum::<u64>(), inline[0]);
+}
