@@ -138,13 +138,7 @@ impl JobSpec {
     /// parsing the QASM file).
     pub fn load_circuit(&self) -> Result<Circuit, String> {
         match &self.source {
-            CircuitSource::Generator { kind, qubits } => generators::by_name(kind, *qubits)
-                .ok_or_else(|| match generators::min_qubits(kind) {
-                    Some(min) => {
-                        format!("generator `{kind}` needs at least {min} qubit(s), got {qubits}")
-                    }
-                    None => format!("unknown generator `{kind}`"),
-                }),
+            CircuitSource::Generator { kind, qubits } => generators::by_name(kind, *qubits),
             CircuitSource::Qasm(path) => {
                 let source = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;

@@ -63,7 +63,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use qsdd_core::dedup::CHUNK_SHOTS;
@@ -72,7 +72,7 @@ use qsdd_core::{
     Placement, ShotEngine, StochasticOutcome, TimedOut, TrajectoryWork,
 };
 use qsdd_telemetry::trace;
-use qsdd_telemetry::{Counter, Gauge, Stage, StageTimings};
+use qsdd_telemetry::{Stage, StageTimings};
 
 use crate::jobfile::JobSpec;
 use crate::report::{BatchReport, JobReport, JobStatus};
@@ -226,66 +226,6 @@ struct Shared {
     /// the queue is empty.
     active: AtomicUsize,
     started: Instant,
-    /// Global-registry handles, resolved once per batch; `None` while
-    /// telemetry is disabled so the hot path pays nothing.
-    metrics: Option<BatchMetrics>,
-}
-
-/// Pre-resolved telemetry handles for the scheduler's shared structures
-/// (looking up a metric by name takes the registry lock, so it happens
-/// once per batch here, never per chunk).
-struct BatchMetrics {
-    /// Chunks executed, labelled by work kind (`groups`/`weighted`).
-    chunks_groups: Arc<Counter>,
-    chunks_weighted: Arc<Counter>,
-    /// Member shots those chunks accounted for.
-    shots: Arc<Counter>,
-    /// Instantaneous chunk-queue depth (sampled at push/pop under the
-    /// queue lock) and its high-water mark.
-    queue_depth: Arc<Gauge>,
-    queue_depth_peak: Arc<Gauge>,
-}
-
-impl BatchMetrics {
-    /// Resolves the handles from the global registry when telemetry is on.
-    fn resolve() -> Option<BatchMetrics> {
-        if !qsdd_telemetry::enabled() {
-            return None;
-        }
-        let registry = qsdd_telemetry::global();
-        let chunks = "Chunks executed by the batch worker pool";
-        Some(BatchMetrics {
-            chunks_groups: registry.counter_with(
-                "qsdd_batch_chunks_total",
-                chunks,
-                &[("kind", "groups")],
-            ),
-            chunks_weighted: registry.counter_with(
-                "qsdd_batch_chunks_total",
-                chunks,
-                &[("kind", "weighted")],
-            ),
-            shots: registry.counter(
-                "qsdd_batch_shots_total",
-                "Member shots accounted for by executed batch chunks",
-            ),
-            queue_depth: registry.gauge(
-                "qsdd_batch_queue_depth",
-                "Chunks currently waiting in the batch scheduler queue",
-            ),
-            queue_depth_peak: registry.gauge(
-                "qsdd_batch_queue_depth_peak",
-                "Deepest the batch chunk queue has been",
-            ),
-        })
-    }
-
-    /// Samples the queue depth (call with the queue lock held).
-    fn observe_depth(&self, depth: usize) {
-        let depth = depth as i64;
-        self.queue_depth.set(depth);
-        self.queue_depth_peak.set_max(depth);
-    }
 }
 
 /// Runs all jobs of a batch on a shared worker pool and aggregates a
@@ -334,7 +274,6 @@ fn run_built(
         wake: Condvar::new(),
         active: AtomicUsize::new(0),
         started,
-        metrics: BatchMetrics::resolve(),
     };
     // Seed the queue with round 1 of every runnable job, in file order, so
     // every job makes progress from the first instant. No worker is running
@@ -367,13 +306,10 @@ fn run_built(
             progress.round_pending = chunks.len();
             queue.extend(chunks);
         }
-        if let Some(metrics) = &shared.metrics {
-            metrics.observe_depth(queue.len());
-        }
     }
 
-    run_lanes(workers, None, ExecContext::new, |worker, context| {
-        worker_loop(&shared, &runtimes, worker, context)
+    run_lanes(workers, None, ExecContext::new, |_, context| {
+        worker_loop(&shared, &runtimes, context)
     });
 
     let jobs = specs
@@ -517,29 +453,14 @@ enum Executed {
 fn worker_loop(
     shared: &Shared,
     runtimes: &[Result<JobRuntime, String>],
-    worker: usize,
     context: &mut ExecContext,
 ) {
-    // Busy time accumulates locally and is flushed once at exit (one
-    // labelled counter update per worker per batch, nothing per chunk).
-    let worker_label = worker.to_string();
-    let busy_counter = shared.metrics.as_ref().map(|_| {
-        qsdd_telemetry::global().counter_with(
-            "qsdd_batch_worker_busy_usec_total",
-            "Microseconds each batch worker spent executing chunks",
-            &[("worker", worker_label.as_str())],
-        )
-    });
-    let mut busy = Duration::ZERO;
     loop {
         // Steal the next chunk, or exit once every job has finished.
         let chunk = {
             let mut queue = shared.queue.lock().expect("queue lock");
             loop {
                 if let Some(chunk) = queue.pop_front() {
-                    if let Some(metrics) = &shared.metrics {
-                        metrics.observe_depth(queue.len());
-                    }
                     break Some(chunk);
                 }
                 if shared.active.load(Ordering::SeqCst) == 0 {
@@ -548,12 +469,7 @@ fn worker_loop(
                 queue = shared.wake.wait(queue).expect("queue lock");
             }
         };
-        let Some(chunk) = chunk else {
-            if let Some(counter) = &busy_counter {
-                counter.add(u64::try_from(busy.as_micros()).unwrap_or(u64::MAX));
-            }
-            return;
-        };
+        let Some(chunk) = chunk else { return };
         let runtime = runtimes[chunk.job]
             .as_ref()
             .expect("only runnable jobs are enqueued");
@@ -574,13 +490,6 @@ fn worker_loop(
             continue;
         }
         drop(progress);
-        if let Some(metrics) = &shared.metrics {
-            match &chunk.work {
-                ChunkWork::Groups(_) => metrics.chunks_groups.inc(),
-                ChunkWork::Weighted => metrics.chunks_weighted.inc(),
-            }
-            metrics.shots.add(chunk.shots);
-        }
         let chunk_started = Instant::now();
         let chunk_span = trace::span("chunk");
         trace::attr("job", chunk.job);
@@ -645,7 +554,6 @@ fn worker_loop(
         trace::attr("trajectories", trajectories);
         drop(chunk_span);
         let chunk_elapsed = chunk_started.elapsed();
-        busy += chunk_elapsed;
 
         // Merge, and if this was the round's last chunk, decide what's next.
         let mut progress = runtime.progress.lock().expect("progress lock");
@@ -703,9 +611,6 @@ fn worker_loop(
         progress.round_pending = chunks.len();
         let mut queue = shared.queue.lock().expect("queue lock");
         queue.extend(chunks);
-        if let Some(metrics) = &shared.metrics {
-            metrics.observe_depth(queue.len());
-        }
         drop(queue);
         drop(progress);
         shared.wake.notify_all();
@@ -970,7 +875,7 @@ mod tests {
         // Measured after its first gate: the prefix its shots share is one
         // gate, and almost every shot resumes live past it.
         let path = std::env::temp_dir().join(format!(
-            "qsdd_batch_early_measure_{}.qasm",
+            "qsdd-batch-early-measure-{}.qasm",
             std::process::id()
         ));
         std::fs::write(

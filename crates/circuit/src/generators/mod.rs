@@ -51,9 +51,10 @@ pub fn min_qubits(name: &str) -> Option<usize> {
 /// Builds a generator circuit from its command-line / job-file name.
 ///
 /// This is the single lookup shared by `qsdd_cli generate` and the
-/// `qsdd-batch` job-file parser, so both front-ends accept exactly the same
-/// spellings. Returns `None` for unknown names **and** for qubit counts
-/// below the generator's minimum ([`min_qubits`]) — it never panics.
+/// `qsdd-batch` job-file parser and the server's job bodies, so every
+/// front-end accepts exactly the same spellings and reports the same
+/// message for an unknown name or a qubit count below the generator's
+/// minimum ([`min_qubits`]) — it never panics.
 ///
 /// | Name | Circuit |
 /// |------|---------|
@@ -71,23 +72,28 @@ pub fn min_qubits(name: &str) -> Option<usize> {
 ///
 /// let circuit = by_name("ghz", 8).expect("known generator");
 /// assert_eq!(circuit.num_qubits(), 8);
-/// assert!(by_name("nope", 8).is_none());
-/// assert!(by_name("grover", 1).is_none()); // below the minimum, no panic
+/// assert_eq!(by_name("nope", 8).unwrap_err(), "unknown generator `nope`");
+/// // Below the minimum: an error, no panic.
+/// assert_eq!(
+///     by_name("grover", 1).unwrap_err(),
+///     "generator `grover` needs at least 2 qubit(s), got 1"
+/// );
 /// ```
-pub fn by_name(name: &str, qubits: usize) -> Option<Circuit> {
-    if qubits < min_qubits(name)? {
-        return None;
+pub fn by_name(name: &str, qubits: usize) -> Result<Circuit, String> {
+    let min = min_qubits(name).ok_or_else(|| format!("unknown generator `{name}`"))?;
+    if qubits < min {
+        return Err(format!(
+            "generator `{name}` needs at least {min} qubit(s), got {qubits}"
+        ));
     }
-    let circuit = match name {
+    Ok(match name {
         "ghz" | "entanglement" => ghz(qubits),
         "qft" => qft(qubits),
         "grover" => grover(qubits, 1, None),
         "bv" => bernstein_vazirani(qubits, 0x5555_5555_5555_5555),
         "wstate" => w_state(qubits),
-        "qaoa" => qaoa_maxcut_ring(qubits, &[(0.4, 0.9), (0.7, 0.3)]),
-        _ => return None,
-    };
-    Some(circuit)
+        _ => qaoa_maxcut_ring(qubits, &[(0.4, 0.9), (0.7, 0.3)]),
+    })
 }
 
 /// A named benchmark entry of the QASMBench-style suite (Table Ic).

@@ -169,8 +169,11 @@ const TRAJECTORY_NODE_BUDGET: usize = 1 << 19;
 /// state at its first step inside a checkpoint that is rolled back after
 /// it, and the block is kept only when that costs fewer compute misses than
 /// its best split: its halves' trials, or for a block of two steps the
-/// misses the steps' own kernels took while recording. Nothing else bounds
-/// a block. A job `auto` hands to the statevector engine builds none.
+/// misses the steps' own kernels took while recording. A rejected block's
+/// matrix nodes are dropped from the template again
+/// ([`DdPackage::drop_matrices`]); the weights they interned stay, as the
+/// walks find many of them later. Nothing else bounds a block. A job `auto`
+/// hands to the statevector engine builds none.
 ///
 /// A live walk takes them on a **chain** fixed by its pattern alone: from
 /// each fired event, or the start of a walk segment (the program's start,
@@ -669,6 +672,7 @@ fn build_blocks(program: &mut DdProgram, base: &mut DdPackage, misses: &[u64]) {
                 let [Some((first, a)), Some((second, b))] = *halves else {
                     return None;
                 };
+                let mark = base.matrix_mark();
                 let block = base.mat_mat_mul(second, first);
                 let start = pair * width;
                 let entering = match start {
@@ -680,9 +684,14 @@ fn build_blocks(program: &mut DdProgram, base: &mut DdPackage, misses: &[u64]) {
                 let finished = base.mat_vec_mul_within(block, entering, a + b).is_some();
                 let trial = base.table_stats().compute_misses - before;
                 // A trim inside the trial leaves its nodes and entries, which
-                // nothing refers to.
-                let _ = base.rollback(checkpoint);
+                // nothing refers to but which may name the product.
+                let exact = base.rollback(checkpoint);
                 if !finished {
+                    // A rejected product leaves no node or value behind in
+                    // the template every worker context copies.
+                    if exact {
+                        base.drop_matrices(mark);
+                    }
                     return None;
                 }
                 let DdStep::Apply { blocks, .. } = &mut program.steps[start] else {

@@ -440,8 +440,8 @@ impl ShotEngine {
 
     /// Presamples a contiguous shot range into work items for
     /// [`run_items_in`](Self::run_items_in) or
-    /// [`run_work_in`](Self::run_work_in), in first-appearance order with
-    /// members in shot order: one trajectory group per distinct pattern —
+    /// [`run_items_with`](Self::run_items_with), in first-appearance order
+    /// with members in shot order: one trajectory group per distinct pattern —
     /// in member runs of at most [`CHUNK_SHOTS`](crate::dedup::CHUNK_SHOTS)
     /// when its members resume live past a shared prefix — and one
     /// deviation bucket per distinct first event of the shots that left the
@@ -467,32 +467,6 @@ impl ShotEngine {
             }
             sink(shot, sample, values)
         }
-    }
-
-    /// Runs `items` in `ctx`, reporting every shot to `sink` through
-    /// [`restoring`](Self::restoring); returns the evolutions' statistics
-    /// and the Z errors the reported shots absorbed.
-    fn evolve(
-        &self,
-        ctx: &mut ExecContext,
-        items: impl IntoIterator<Item = TrajectoryWork>,
-        observables: &[Observable],
-        deadline: &Deadline,
-        sink: impl FnMut(u64, ShotSample, &[f64]),
-    ) -> Result<(DedupStats, u64), TimedOut> {
-        let mut sink = self.restoring(sink);
-        let (support, seed) = (&self.dedup, self.seed);
-        let mut out = Evolutions::new(support, observables, seed, deadline, &mut sink);
-        out.absorbing = self.absorbing(observables);
-        let mut items = items.into_iter();
-        match &self.backend {
-            EngineBackend::DecisionDiagram { backend, program } => {
-                items.try_for_each(|item| run_work(backend, program, ctx.dd_mut(), item, &mut out))
-            }
-            EngineBackend::Statevector { backend, program } => items
-                .try_for_each(|item| run_work(backend, program, ctx.dense_mut(), item, &mut out)),
-        }?;
-        Ok((out.stats, out.absorbed))
     }
 
     /// Executes one trajectory group: the shared `pattern` is simulated
@@ -534,35 +508,16 @@ impl ShotEngine {
         records
     }
 
-    /// Executes one work item of [`plan_range`](Self::plan_range): a
-    /// trajectory group (or one of its member runs) like
-    /// [`run_group_in`](Self::run_group_in), or a deviation bucket with the
-    /// tree of child buckets its members drop into (see [`crate::dedup`]).
+    /// Runs `items` in `ctx` and reports every member shot to `sink` as
+    /// `(shot index, sample, observable values)`, its outcome restored to
+    /// the original qubit order: the item loop of every worker of the
+    /// deduplicating driver, and of every batch chunk.
     ///
-    /// Returns one record per member shot, byte-identical to what
-    /// [`run_shot_in`](Self::run_shot_in) produces for that shot index,
-    /// plus the evolutions performed and the shots run live — none for a
-    /// group's later member runs, whose evolution its first run counts. The
-    /// `deadline` is checked between evolutions; `observables` must already
-    /// be mapped through [`map_observables`](Self::map_observables) and,
-    /// like the work's, read populations only.
-    #[allow(clippy::type_complexity)]
-    pub fn run_work_in(
-        &self,
-        ctx: &mut ExecContext,
-        work: TrajectoryWork,
-        observables: &[Observable],
-        deadline: &Deadline,
-    ) -> Result<(Vec<(u64, ShotSample, Vec<f64>)>, DedupStats), TimedOut> {
-        let mut records = Vec::with_capacity(work.shots());
-        let record = |shot, sample, values: &[f64]| records.push((shot, sample, values.to_vec()));
-        let (stats, _) = self.evolve(ctx, [work], observables, deadline, record)?;
-        Ok((records, stats))
-    }
-
-    /// Runs `items` in `ctx`, folding the shots they report into `share`
-    /// with outcomes restored to the original qubit order: the item loop of
-    /// every worker of the deduplicating driver, and of every batch chunk.
+    /// A reported shot is byte-identical to what
+    /// [`run_shot_in`](Self::run_shot_in) produces for that shot index.
+    /// Returns the evolutions performed and the shots run live — none for a
+    /// group's later member runs, whose evolution its first run counts —
+    /// and the number of Z errors the reported shots absorbed.
     ///
     /// `observables` must already be mapped through
     /// [`map_observables`](Self::map_observables) and be those the items
@@ -570,6 +525,31 @@ impl ShotEngine {
     /// and [`plan_range`](Self::plan_range) plans for observables that read
     /// populations. The `deadline` is checked between evolutions; an item is
     /// claimed only when the one before has finished.
+    pub fn run_items_with(
+        &self,
+        ctx: &mut ExecContext,
+        items: impl IntoIterator<Item = TrajectoryWork>,
+        observables: &[Observable],
+        deadline: &Deadline,
+        sink: impl FnMut(u64, ShotSample, &[f64]),
+    ) -> Result<(DedupStats, u64), TimedOut> {
+        let mut sink = self.restoring(sink);
+        let (support, seed) = (&self.dedup, self.seed);
+        let mut out = Evolutions::new(support, observables, seed, deadline, &mut sink);
+        out.absorbing = self.absorbing(observables);
+        let mut items = items.into_iter();
+        match &self.backend {
+            EngineBackend::DecisionDiagram { backend, program } => {
+                items.try_for_each(|item| run_work(backend, program, ctx.dd_mut(), item, &mut out))
+            }
+            EngineBackend::Statevector { backend, program } => items
+                .try_for_each(|item| run_work(backend, program, ctx.dense_mut(), item, &mut out)),
+        }?;
+        Ok((out.stats, out.absorbed))
+    }
+
+    /// [`run_items_with`](Self::run_items_with), folding the shots into
+    /// `share`.
     pub fn run_items_in(
         &self,
         ctx: &mut ExecContext,
@@ -579,7 +559,7 @@ impl ShotEngine {
         share: &mut DedupPartial,
     ) -> Result<(), TimedOut> {
         let record = |shot, sample, values: &[f64]| share.record(shot, sample, values);
-        let (stats, absorbed) = self.evolve(ctx, items, observables, deadline, record)?;
+        let (stats, absorbed) = self.run_items_with(ctx, items, observables, deadline, record)?;
         share.stats += stats;
         share.absorbed += absorbed;
         Ok(())

@@ -159,9 +159,8 @@ pub struct StochasticOutcome {
     /// [`WeightedStats::distribution`](crate::weighted::WeightedStats).
     pub weighted: Option<crate::weighted::WeightedStats>,
     /// Wall-time breakdown by pipeline stage (transpile, compile,
-    /// presample, group, execute, aggregate). Always filled — reading a
-    /// few `Instant`s per *job* costs nothing measurable — so callers can
-    /// render a profile without enabling global telemetry.
+    /// presample, execute, aggregate). Always filled — reading a few
+    /// `Instant`s per *job* costs nothing measurable.
     pub stage_timings: StageTimings,
     /// The engine that ran the job ([`ShotEngine::backend_kind`]: never
     /// [`BackendKind::Auto`] once [`execute`] returns).
@@ -338,7 +337,7 @@ pub fn execute(
         mode => mode,
     };
     let mut own;
-    let (threads, mut inline) = match (on, mode) {
+    let (threads, inline) = match (on, mode) {
         (Placement::Inline(ctx), _) => (1, Some(ctx)),
         // The weighted body is serial, so it gets a context of its own.
         (Placement::Threads(_), ExecMode::Weighted(_)) => {
@@ -355,9 +354,7 @@ pub fn execute(
         return Ok(StochasticOutcome { backend, ..empty });
     }
     let workers = threads.min(plan.shots);
-    let dd_before = inline.as_deref().map(ExecContext::dd_table_stats);
-
-    let mut outcome = match (mode, inline.as_deref_mut()) {
+    let mut outcome = match (mode, inline) {
         (ExecMode::Weighted(options), Some(ctx)) => run_weighted(engine, ctx, plan, options),
         (ExecMode::Weighted(_), None) => unreachable!("weighted jobs were given a context above"),
         (ExecMode::Dedup, ctx) => run_dedup(engine, plan, workers, ctx),
@@ -366,9 +363,6 @@ pub fn execute(
 
     (outcome.wall_time, outcome.backend) = (started.elapsed(), engine.backend_kind());
     outcome.stage_timings.merge(&engine.stage_timings());
-    if let Some((ctx, dd_before)) = inline.zip(dd_before) {
-        publish_job_metrics(&outcome, ctx.dd_table_stats().since(&dd_before));
-    }
     Ok(outcome)
 }
 
@@ -496,97 +490,6 @@ fn table_attrs(delta: &qsdd_dd::TableStats) {
     );
     trace::attr("dd_count_nodes", delta.count_nodes);
     trace::attr("dd_threshold_walks", delta.threshold_walks);
-}
-
-/// Publishes a finished job's stage timings and decision-diagram table
-/// traffic to the global telemetry registry. A no-op while telemetry is
-/// disabled — one relaxed atomic load — so the per-job cost off the
-/// serving path is negligible.
-pub(crate) fn publish_job_metrics(outcome: &StochasticOutcome, dd_delta: qsdd_dd::TableStats) {
-    if !qsdd_telemetry::enabled() {
-        return;
-    }
-    outcome.stage_timings.publish();
-    let registry = qsdd_telemetry::global();
-    let counters: [(&str, &str, u64); 10] = [
-        (
-            "qsdd_dd_vec_unique_hits_total",
-            "Vector unique-table lookups that found an existing node",
-            dd_delta.vec_unique_hits,
-        ),
-        (
-            "qsdd_dd_vec_unique_misses_total",
-            "Vector unique-table lookups that created a new node",
-            dd_delta.vec_unique_misses,
-        ),
-        (
-            "qsdd_dd_mat_unique_hits_total",
-            "Matrix unique-table lookups that found an existing node",
-            dd_delta.mat_unique_hits,
-        ),
-        (
-            "qsdd_dd_mat_unique_misses_total",
-            "Matrix unique-table lookups that created a new node",
-            dd_delta.mat_unique_misses,
-        ),
-        (
-            "qsdd_dd_compute_hits_total",
-            "Compute-table lookups that hit a cached result",
-            dd_delta.compute_hits,
-        ),
-        (
-            "qsdd_dd_compute_misses_total",
-            "Compute-table lookups that missed and computed",
-            dd_delta.compute_misses,
-        ),
-        (
-            "qsdd_dd_complex_lookups_total",
-            "Complex-table tolerance-ball searches (values not near 0 or 1)",
-            dd_delta.complex_lookups,
-        ),
-        (
-            "qsdd_dd_complex_inserts_total",
-            "Complex values interned",
-            dd_delta.complex_inserts,
-        ),
-        (
-            "qsdd_jobs_shots_total",
-            "Stochastic shots aggregated into finished jobs",
-            outcome.shots as u64,
-        ),
-        (
-            "qsdd_jobs_error_events_total",
-            "Stochastic error events over all finished jobs",
-            outcome.error_events,
-        ),
-    ];
-    for (name, help, value) in counters {
-        if value > 0 {
-            registry.counter(name, help).add(value);
-        }
-    }
-    if outcome.dd_nodes_peak > 0 {
-        registry
-            .gauge(
-                "qsdd_dd_peak_nodes",
-                "Highest decision-diagram node count any job reached",
-            )
-            .set_max(outcome.dd_nodes_peak as i64);
-    }
-    if let Some(stats) = &outcome.dedup {
-        registry
-            .counter(
-                "qsdd_dedup_unique_trajectories_total",
-                "Distinct trajectories actually simulated by deduplicated jobs",
-            )
-            .add(stats.unique_trajectories);
-        registry
-            .counter(
-                "qsdd_dedup_live_shots_total",
-                "Shots that fell back to live execution in deduplicated jobs",
-            )
-            .add(stats.live_shots);
-    }
 }
 
 /// Derives the per-shot random number generator from the master seed.

@@ -64,7 +64,9 @@ pub use complex_table::{ComplexId, ComplexTable, DEFAULT_TOLERANCE};
 pub use matrix2::Matrix2;
 pub use measure::SamplePlan;
 pub use node::{MatEdge, MatNode, MatNodeId, VecEdge, VecNode, VecNodeId};
-pub use package::{Checkpoint, DdPackage, PackageStats, TableStats, DEFAULT_CACHE_LIMIT};
+pub use package::{
+    Checkpoint, DdPackage, MatrixMark, PackageStats, TableStats, DEFAULT_CACHE_LIMIT,
+};
 
 #[cfg(test)]
 mod crate_tests {

@@ -117,6 +117,11 @@ impl TableStats {
     }
 }
 
+/// A mark of a package's matrix arena: see [`DdPackage::matrix_mark`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[must_use = "a matrix mark is only useful to drop back to"]
+pub struct MatrixMark(usize);
+
 /// A nested mark on a package: see [`DdPackage::checkpoint`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[must_use = "a checkpoint is only useful to roll back to"]
@@ -540,6 +545,30 @@ impl DdPackage {
         self.ct_excited.unseal();
         self.ct_collapse.unseal();
         true
+    }
+
+    /// Marks the matrix arena, for [`drop_matrices`](Self::drop_matrices)
+    /// to return to.
+    pub fn matrix_mark(&self) -> MatrixMark {
+        MatrixMark(self.mat_nodes.len())
+    }
+
+    /// Forgets every matrix node built since `mark`, with its unique-table
+    /// entry: an operator built on trial that nothing will use. No table
+    /// entry made since the mark may name one (a checkpoint opened after it
+    /// was rolled back exactly). The complex values the nodes interned stay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a checkpoint is open or the mark lies inside the
+    /// persistent region.
+    pub fn drop_matrices(&mut self, mark: MatrixMark) {
+        assert_eq!(self.ct_mat_vec.depth(), 0, "a checkpoint is open");
+        assert!(mark.0 >= self.mat_watermark, "the mark is persistent");
+        let kept = mark.0 as u32;
+        self.mat_unique.live.retain(|_, id| id.0 < kept);
+        Arc::make_mut(&mut self.mat_nodes).truncate(mark.0);
+        Arc::make_mut(&mut self.mat_identity).truncate(mark.0);
     }
 
     /// Whether an id lies in the persistent region (the terminal does): one
@@ -1900,6 +1929,28 @@ mod tests {
         assert_eq!(dd.mat_mat_mul(identity, product), product);
         assert_eq!(dd.mat_mat_mul(product, identity), product);
         assert_eq!(dd.stats().mat_nodes, nodes);
+    }
+
+    #[test]
+    fn dropped_matrices_leave_the_arena_and_table_as_they_were() {
+        let n = 4;
+        let mut dd = DdPackage::new();
+        let h = dd.single_qubit_op(n, 0, Matrix2::hadamard());
+        let cx = dd.controlled_op(n, 3, &[0], Matrix2::pauli_x());
+        let mark = dd.matrix_mark();
+        let nodes = dd.stats().mat_nodes;
+        let trial = dd.mat_mat_mul(cx, h);
+        let expected = dd.to_matrix(trial, n);
+        assert!(dd.stats().mat_nodes > nodes, "the product built nodes");
+        dd.drop_matrices(mark);
+        assert_eq!(dd.stats().mat_nodes, nodes);
+        // Built again, the product is the same operator, and the factors'
+        // nodes are still found.
+        let again = dd.mat_mat_mul(cx, h);
+        assert_eq!(dd.to_matrix(again, n), expected);
+        let misses = dd.table_stats().mat_unique_misses;
+        assert_eq!(dd.controlled_op(n, 3, &[0], Matrix2::pauli_x()), cx);
+        assert_eq!(dd.table_stats().mat_unique_misses, misses);
     }
 
     #[test]

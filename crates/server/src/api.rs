@@ -352,13 +352,7 @@ fn parse_circuit(value: &Value) -> Result<Circuit, String> {
                     "{qubits} qubits exceed the limit of {MAX_DD_QUBITS}"
                 ));
             }
-            let qubits = qubits as usize;
-            generators::by_name(name, qubits).ok_or_else(|| match generators::min_qubits(name) {
-                Some(min) => {
-                    format!("generator `{name}` needs at least {min} qubit(s), got {qubits}")
-                }
-                None => format!("unknown generator `{name}`"),
-            })
+            generators::by_name(name, qubits as usize)
         }
         (None, Some(source)) => {
             let source = source.as_str().ok_or("`qasm` must be a string")?;

@@ -149,12 +149,12 @@ impl ExecutionCell {
     pub fn mark_running(&self) -> Duration {
         *self.state.lock().expect("cell lock") = CellState::Running;
         let waited = self.created_at.elapsed();
-        self.record_stage(Stage::QueueWait, waited);
+        self.record_timing(Stage::QueueWait, waited);
         waited
     }
 
     /// Adds `elapsed` to one stage of the job's timing breakdown.
-    pub fn record_stage(&self, stage: Stage, elapsed: Duration) {
+    pub fn record_timing(&self, stage: Stage, elapsed: Duration) {
         self.timings
             .lock()
             .expect("cell lock")

@@ -1,16 +1,19 @@
 //! Per-server-instance Prometheus metrics.
 //!
 //! Each [`Server`](crate::Server) owns its own
-//! [`Registry`](qsdd_telemetry::Registry) rather than sharing the
-//! process-global one, so several servers in one process (the test suite
-//! boots them side by side) never mix counters, and `GET /v1/metrics` can
-//! assert exact values against a scripted workload. The rendered page
-//! concatenates this registry with the global one (stage histograms,
-//! decision-diagram table traffic), whose metric names do not overlap.
+//! [`Registry`](qsdd_telemetry::Registry), the only one in the process:
+//! several servers in one process (the test suite boots them side by side)
+//! never mix series, and `GET /v1/metrics` can assert exact values against
+//! a scripted workload. The library layers publish nothing; they return
+//! counts (the job's [`StochasticOutcome`], the worker context's
+//! [`TableStats`]), and [`ServerMetrics::record_job`] records them here.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use qsdd_telemetry::{Counter, Gauge, Histogram, Registry, LATENCY_BOUNDS};
+use qsdd_core::StochasticOutcome;
+use qsdd_dd::TableStats;
+use qsdd_telemetry::{Counter, Gauge, Histogram, Registry, Stage, LATENCY_BOUNDS};
 
 /// Pre-resolved handles into the server's private registry (resolving a
 /// metric by name takes the registry lock, so the fixed-name series are
@@ -49,8 +52,21 @@ pub(crate) struct ServerMetrics {
     pub store_restore_millis: Arc<Gauge>,
     /// Records replayed from the durable store at the last boot.
     pub store_restored_records: Arc<Gauge>,
-    /// Seconds jobs spent queued before a worker picked them up.
-    pub queue_wait: Arc<Histogram>,
+    /// Seconds per pipeline stage, in [`Stage::ALL`] order.
+    stage_seconds: Vec<Arc<Histogram>>,
+    /// Decision-diagram table traffic of executed jobs, in
+    /// [`dd_counts`] order.
+    dd_tables: Vec<Arc<Counter>>,
+    /// Shots aggregated into executed jobs.
+    jobs_shots: Arc<Counter>,
+    /// Error events over executed jobs.
+    jobs_error_events: Arc<Counter>,
+    /// The highest node count any executed job reached.
+    dd_peak_nodes: Arc<Gauge>,
+    /// Trajectories simulated by deduplicated jobs.
+    dedup_unique_trajectories: Arc<Counter>,
+    /// Shots of deduplicated jobs that ran live.
+    dedup_live_shots: Arc<Counter>,
     /// Seconds from submission to published result (end-to-end).
     pub job_duration: Arc<Histogram>,
     /// Jobs currently waiting in the bounded execution queue.
@@ -121,10 +137,38 @@ impl ServerMetrics {
             "qsdd_store_restored_records",
             "Records replayed from the durable store at the last boot",
         );
-        let queue_wait = registry.histogram(
-            "qsdd_queue_wait_seconds",
-            "Time jobs spent queued before a worker picked them up",
-            LATENCY_BOUNDS,
+        let stage_seconds = (Stage::ALL.iter())
+            .map(|stage| {
+                registry.histogram_with(
+                    "qsdd_stage_seconds",
+                    "Time spent per pipeline stage",
+                    &[("stage", stage.name())],
+                    LATENCY_BOUNDS,
+                )
+            })
+            .collect();
+        let dd_tables = (dd_counts(&TableStats::default()).iter())
+            .map(|&(name, help, _)| registry.counter(name, help))
+            .collect();
+        let jobs_shots = registry.counter(
+            "qsdd_jobs_shots_total",
+            "Stochastic shots aggregated into finished jobs",
+        );
+        let jobs_error_events = registry.counter(
+            "qsdd_jobs_error_events_total",
+            "Stochastic error events over all finished jobs",
+        );
+        let dd_peak_nodes = registry.gauge(
+            "qsdd_dd_peak_nodes",
+            "Highest decision-diagram node count any job reached",
+        );
+        let dedup_unique_trajectories = registry.counter(
+            "qsdd_dedup_unique_trajectories_total",
+            "Distinct trajectories actually simulated by deduplicated jobs",
+        );
+        let dedup_live_shots = registry.counter(
+            "qsdd_dedup_live_shots_total",
+            "Shots that fell back to live execution in deduplicated jobs",
         );
         let job_duration = registry.histogram(
             "qsdd_job_duration_seconds",
@@ -152,7 +196,13 @@ impl ServerMetrics {
             store_append,
             store_restore_millis,
             store_restored_records,
-            queue_wait,
+            stage_seconds,
+            dd_tables,
+            jobs_shots,
+            jobs_error_events,
+            dd_peak_nodes,
+            dedup_unique_trajectories,
+            dedup_live_shots,
             job_duration,
             queue_depth,
         }
@@ -174,10 +224,84 @@ impl ServerMetrics {
             .inc();
     }
 
+    /// Observes `elapsed` in the stage's `qsdd_stage_seconds` histogram.
+    pub fn observe_stage(&self, stage: Stage, elapsed: Duration) {
+        // `Stage::ALL` lists the stages in declaration order.
+        self.stage_seconds[stage as usize].observe_duration(elapsed);
+    }
+
+    /// Records one executed job: the stages its run timed, the `dd` table
+    /// traffic of its worker context, and its shot, error-event, node-peak
+    /// and trajectory counts.
+    pub fn record_job(&self, outcome: &StochasticOutcome, dd: &TableStats) {
+        for (stage, elapsed) in outcome.stage_timings.iter() {
+            if !elapsed.is_zero() {
+                self.observe_stage(stage, elapsed);
+            }
+        }
+        for (counter, (_, _, value)) in self.dd_tables.iter().zip(dd_counts(dd)) {
+            counter.add(value);
+        }
+        self.jobs_shots.add(outcome.shots as u64);
+        self.jobs_error_events.add(outcome.error_events);
+        self.dd_peak_nodes.set_max(outcome.dd_nodes_peak as i64);
+        if let Some(stats) = &outcome.dedup {
+            self.dedup_unique_trajectories
+                .add(stats.unique_trajectories);
+            self.dedup_live_shots.add(stats.live_shots);
+        }
+    }
+
     /// Renders this server's registry as Prometheus text.
     pub fn render(&self) -> String {
         self.registry.render()
     }
+}
+
+/// The `qsdd_dd_*_total` series: name, help text and value in `stats`.
+fn dd_counts(stats: &TableStats) -> [(&'static str, &'static str, u64); 8] {
+    [
+        (
+            "qsdd_dd_vec_unique_hits_total",
+            "Vector unique-table lookups that found an existing node",
+            stats.vec_unique_hits,
+        ),
+        (
+            "qsdd_dd_vec_unique_misses_total",
+            "Vector unique-table lookups that created a new node",
+            stats.vec_unique_misses,
+        ),
+        (
+            "qsdd_dd_mat_unique_hits_total",
+            "Matrix unique-table lookups that found an existing node",
+            stats.mat_unique_hits,
+        ),
+        (
+            "qsdd_dd_mat_unique_misses_total",
+            "Matrix unique-table lookups that created a new node",
+            stats.mat_unique_misses,
+        ),
+        (
+            "qsdd_dd_compute_hits_total",
+            "Compute-table lookups that hit a cached result",
+            stats.compute_hits,
+        ),
+        (
+            "qsdd_dd_compute_misses_total",
+            "Compute-table lookups that missed and computed",
+            stats.compute_misses,
+        ),
+        (
+            "qsdd_dd_complex_lookups_total",
+            "Complex-table tolerance-ball searches (values not near 0 or 1)",
+            stats.complex_lookups,
+        ),
+        (
+            "qsdd_dd_complex_inserts_total",
+            "Complex values interned",
+            stats.complex_inserts,
+        ),
+    ]
 }
 
 /// Collapses request paths onto a bounded endpoint label set, so an
@@ -265,7 +389,10 @@ mod tests {
             "qsdd_store_append_seconds_count",
             "qsdd_store_restore_millis",
             "qsdd_store_restored_records",
-            "qsdd_queue_wait_seconds_count",
+            "qsdd_stage_seconds_count{stage=\"queue_wait\"}",
+            "qsdd_dd_compute_misses_total",
+            "qsdd_jobs_shots_total",
+            "qsdd_dedup_live_shots_total",
             "qsdd_job_duration_seconds_count",
             "qsdd_queue_depth",
         ] {

@@ -35,10 +35,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qsdd_core::{
-    execute, Deadline, ExecContext, ExecMode, ExecPlan, Placement, ShotEngine, TimedOut,
+    execute, Deadline, ExecContext, ExecMode, ExecPlan, Placement, ShotEngine, StochasticOutcome,
+    TimedOut,
 };
+use qsdd_dd::TableStats;
 use qsdd_json::Value;
-use qsdd_telemetry::spans::record_stage;
 use qsdd_telemetry::trace::{self, AttrValue, TraceStore, Tracer};
 use qsdd_telemetry::{log_kv, Level, Stage, StageTimings};
 
@@ -166,10 +167,6 @@ impl Server {
     /// Binds the listener, spawns the worker pool and the acceptor, and
     /// returns the running server.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
-        // Serving mode turns the process-global telemetry on: the per-stage
-        // histograms and decision-diagram counters the simulation layers
-        // publish become part of this server's `/v1/metrics` page.
-        qsdd_telemetry::set_enabled(true);
         // Tracing defaults on while serving (coarse spans; `QSDD_TRACE=off`
         // turns it off).
         trace::configure_trace_from_env(true);
@@ -489,12 +486,17 @@ fn submit_job(state: &Arc<ServerState>, body: &str) -> (u16, String) {
     let parse_time = parse_started.elapsed();
     let lookup_started = Instant::now();
     let body_bytes = body.len() as u64;
+    // The lookup ends where a new cell is handed to the queue, or where the
+    // cache answers: one interval for the cell, the trace and the metrics.
+    let mut lookup_time = None;
     let submission = state.cache.submit_with(input, |cell| {
-        // Stamp the parse time before the cell becomes visible to a
-        // worker: a fast worker can complete (and persist) the job before
-        // this thread runs again, and a record written without the parse
-        // stage would make the restored envelope differ from the live one.
-        cell.record_stage(Stage::Parse, parse_time);
+        let lookup = *lookup_time.insert(lookup_started.elapsed());
+        // Stamp the handler-side stages before the cell becomes visible to
+        // a worker: a fast worker can complete (and persist) the job before
+        // this thread runs again, and a record written without them would
+        // make the restored envelope differ from the live one.
+        cell.record_timing(Stage::Parse, parse_time);
+        cell.record_timing(Stage::CacheLookup, lookup);
         // Start the job's trace (when the gate is on) with the request arrival
         // as its epoch, so the parse span begins at offset zero. The
         // handler-side stages are recorded here and the tracer rides the
@@ -508,11 +510,12 @@ fn submit_job(state: &Arc<ServerState>, body: &str) -> (u16, String) {
                 parse_time,
                 vec![("bytes", AttrValue::U64(body_bytes))],
             );
+            let lookup_offset = lookup_started.saturating_duration_since(parse_started);
             tracer.record_span_at(
                 0,
                 "cache_lookup",
-                lookup_started.saturating_duration_since(parse_started),
-                parse_started.elapsed(),
+                lookup_offset,
+                lookup_offset + lookup,
                 Vec::new(),
             );
             cell.attach_tracer(tracer);
@@ -530,8 +533,12 @@ fn submit_job(state: &Arc<ServerState>, body: &str) -> (u16, String) {
         state.queue_wake.notify_one();
         true
     });
-    record_stage(Stage::CacheLookup, lookup_started.elapsed());
     let metrics = &state.metrics;
+    metrics.observe_stage(Stage::Parse, parse_time);
+    metrics.observe_stage(
+        Stage::CacheLookup,
+        lookup_time.unwrap_or_else(|| lookup_started.elapsed()),
+    );
     match submission {
         Submission::New(cell) => {
             metrics.cache_misses.inc();
@@ -756,17 +763,13 @@ fn store_stats(state: &Arc<ServerState>) -> Value {
     ])
 }
 
-/// `GET /v1/metrics`: Prometheus text — this instance's registry (request,
-/// cache and queue series) followed by the process-global one (stage
-/// histograms, decision-diagram table traffic). The name sets are disjoint.
+/// `GET /v1/metrics`: this instance's registry as Prometheus text.
 fn metrics_body(state: &Arc<ServerState>) -> String {
     // Refresh the depth gauge at scrape time so an idle server reports the
     // true (empty) queue even though no push/pop sampled it recently.
     let queue_len = state.queue.lock().expect("queue lock").len();
     state.metrics.queue_depth.set(queue_len as i64);
-    let mut page = state.metrics.render();
-    page.push_str(&qsdd_telemetry::global().render());
-    page
+    state.metrics.render()
 }
 
 /// The job envelope's `timings` object: every pipeline stage in order (in
@@ -809,7 +812,7 @@ fn worker_loop(state: &Arc<ServerState>) {
         };
         let Some(cell) = cell else { return };
         let waited = cell.mark_running();
-        state.metrics.queue_wait.observe_duration(waited);
+        state.metrics.observe_stage(Stage::QueueWait, waited);
         state.stats.simulations.fetch_add(1, Ordering::Relaxed);
         // Take the job's tracer (attached at submission): record the queue
         // wait retroactively, then trace the execution on lane 0 of this
@@ -863,7 +866,7 @@ fn execute_job(state: &Arc<ServerState>, cell: &Arc<ExecutionCell>, ctx: &mut Ex
         None => Deadline::unbounded(),
     };
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<(String, StageTimings), TimedOut> {
+        || -> Result<(String, StochasticOutcome, TableStats), TimedOut> {
             if qsdd_store::fault::should_panic_worker() {
                 panic!("injected worker fault (QSDD_FAULTS worker_panic)");
             }
@@ -882,15 +885,18 @@ fn execute_job(state: &Arc<ServerState>, cell: &Arc<ExecutionCell>, ctx: &mut Ex
             };
             let mode = (input.weighted.clone()).map_or(ExecMode::Dedup, ExecMode::Weighted);
             let plan = ExecPlan::new(mode, input.shots, &input.observables).with_deadline(deadline);
+            let dd_before = ctx.dd_table_stats();
             let outcome = execute(&engine, &plan, Placement::Inline(ctx))?;
+            let dd = ctx.dd_table_stats().since(&dd_before);
             // The payload is timing-free by contract (byte-identical cache
             // serving); the breakdown rides alongside into the job envelope.
-            Ok((api::result_payload(input, &outcome), outcome.stage_timings))
+            Ok((api::result_payload(input, &outcome), outcome, dd))
         },
     ));
     match result {
-        Ok(Ok((payload, timings))) => {
-            cell.merge_timings(&timings);
+        Ok(Ok((payload, outcome, dd))) => {
+            cell.merge_timings(&outcome.stage_timings);
+            state.metrics.record_job(&outcome, &dd);
             let payload = Arc::new(payload);
             cell.complete(Arc::clone(&payload));
             state.metrics.jobs_completed.inc();

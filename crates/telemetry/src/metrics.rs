@@ -77,11 +77,6 @@ pub const LATENCY_BOUNDS: &[f64] = &[
     5.0, 10.0, 30.0, 60.0,
 ];
 
-/// Default size buckets (node counts, queue lengths): powers of four.
-pub const SIZE_BOUNDS: &[f64] = &[
-    1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0,
-];
-
 /// A fixed-bucket histogram with a running sum and sample count.
 ///
 /// Bucket counts are **non-cumulative** internally; the Prometheus

@@ -1,9 +1,9 @@
 //! Named metric registration and Prometheus text rendering.
 //!
-//! A [`Registry`] is a plain value: the process shares one through
-//! [`crate::global()`] for library-layer metrics, and `qsdd-server` owns a
-//! private instance per server so integration tests can assert *exact*
-//! counter values even when several servers run in one test process.
+//! A [`Registry`] is a plain value with no process-wide instance:
+//! `qsdd-server` owns one per server, so integration tests can assert
+//! *exact* counter values even when several servers run in one test
+//! process.
 //!
 //! Handles returned by the registration methods are `Arc`s; callers keep
 //! them and update lock-free. The registry's own lock is touched only at

@@ -1,15 +1,12 @@
-//! Pipeline stages, stage histograms and per-job timing breakdowns.
+//! Pipeline stages and per-job timing breakdowns.
 //!
 //! The [`Stage`] enum is the shared vocabulary for "where did the time
 //! go": the simulation layers time their phases against it, the server
 //! adds its serving-path stages, and every consumer (the `/v1/jobs/<id>`
-//! `timings` object, the CLI `--profile` table, the global
+//! `timings` object, the CLI `--profile` table, the server's
 //! `qsdd_stage_seconds` histograms) renders the same names.
 
-use std::sync::Arc;
 use std::time::Duration;
-
-use crate::metrics::{Histogram, LATENCY_BOUNDS};
 
 /// One stage of the request/simulation pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -22,8 +19,6 @@ pub enum Stage {
     Compile,
     /// Presampling every shot's error decisions.
     Presample,
-    /// Grouping presampled shots by error pattern.
-    Group,
     /// Shot / trajectory execution.
     Execute,
     /// Merging worker partials into the final outcome.
@@ -36,12 +31,11 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 9] = [
+    pub const ALL: [Stage; 8] = [
         Stage::Parse,
         Stage::Transpile,
         Stage::Compile,
         Stage::Presample,
-        Stage::Group,
         Stage::Execute,
         Stage::Aggregate,
         Stage::CacheLookup,
@@ -55,7 +49,6 @@ impl Stage {
             Stage::Transpile => "transpile",
             Stage::Compile => "compile",
             Stage::Presample => "presample",
-            Stage::Group => "group",
             Stage::Execute => "execute",
             Stage::Aggregate => "aggregate",
             Stage::CacheLookup => "cache_lookup",
@@ -66,25 +59,6 @@ impl Stage {
     fn index(self) -> usize {
         self as usize
     }
-}
-
-/// Records `elapsed` into the global registry's per-stage latency
-/// histogram (`qsdd_stage_seconds{stage=...}`) when telemetry is enabled.
-pub fn record_stage(stage: Stage, elapsed: Duration) {
-    if !crate::enabled() {
-        return;
-    }
-    stage_histogram(stage).observe_duration(elapsed);
-}
-
-/// The global registry's `qsdd_stage_seconds{stage=...}` histogram.
-fn stage_histogram(stage: Stage) -> Arc<Histogram> {
-    crate::global().histogram_with(
-        "qsdd_stage_seconds",
-        "Time spent per pipeline stage",
-        &[("stage", stage.name())],
-        LATENCY_BOUNDS,
-    )
 }
 
 /// A per-job stage-timing breakdown: one duration per [`Stage`].
@@ -132,19 +106,6 @@ impl StageTimings {
             *slot = slot.saturating_add(add);
         }
     }
-
-    /// Records every stage of this breakdown into the global registry's
-    /// stage histograms (no-op while telemetry is disabled).
-    pub fn publish(&self) {
-        if !crate::enabled() {
-            return;
-        }
-        for (stage, elapsed) in self.iter() {
-            if !elapsed.is_zero() {
-                record_stage(stage, elapsed);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +115,7 @@ mod tests {
     #[test]
     fn stage_names_are_stable_and_distinct() {
         let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names.len(), 9);
+        assert_eq!(names.len(), 8);
         for (i, a) in names.iter().enumerate() {
             for b in &names[i + 1..] {
                 assert_ne!(a, b);
@@ -175,30 +136,6 @@ mod tests {
         other.record(Stage::Compile, Duration::from_millis(1));
         t.merge(&other);
         assert_eq!(t.get(Stage::Compile), Duration::from_millis(3));
-        assert_eq!(t.iter().count(), 9);
-    }
-
-    #[test]
-    fn stages_record_into_the_global_registry_when_enabled() {
-        crate::tests::with_gate(true, || {
-            record_stage(Stage::Group, Duration::from_millis(1));
-        });
-        let text = crate::global().render();
-        assert!(
-            text.contains("qsdd_stage_seconds_count{stage=\"group\"}"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn disabled_spans_do_not_touch_the_registry() {
-        // Under the gate's lock no other test can record while this one
-        // reads the count before and after.
-        let (before, after) = crate::tests::with_gate(false, || {
-            let before = stage_histogram(Stage::Parse).count();
-            record_stage(Stage::Parse, Duration::from_millis(1));
-            (before, stage_histogram(Stage::Parse).count())
-        });
-        assert_eq!(before, after, "a disabled gate recorded a stage");
+        assert_eq!(t.iter().count(), 8);
     }
 }

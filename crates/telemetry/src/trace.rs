@@ -37,8 +37,8 @@ use qsdd_json::Value;
 /// The synthesized root span's id (`parent == 0` marks the root).
 pub const ROOT_SPAN_ID: u64 = 1;
 
-/// Process-wide tracing switch, separate from the metrics gate so the
-/// two observability planes toggle independently.
+/// Process-wide tracing switch (metrics have none: they are recorded
+/// into the serving component's own registry).
 static TRACING: AtomicBool = AtomicBool::new(false);
 
 /// Whether span recording is on (one relaxed load — the entire cost of

@@ -265,11 +265,6 @@ fn run_batch_command(options: BatchCliOptions) -> ExitCode {
     eprintln!("batch: {} job(s) from `{}`", jobs.len(), options.jobfile);
     // As `serve` does: subprocess tests arm fault sites through QSDD_FAULTS.
     qsdd_store::fault::init_from_env();
-    if options.profile {
-        // Profiling opts into process-wide telemetry: the batch pool's
-        // chunk/queue/worker series publish to the global registry.
-        qsdd::telemetry::set_enabled(true);
-    }
     // --trace-out records the batch's scheduler chunks per worker lane.
     let tracer = options.trace_out.as_ref().map(|_| {
         qsdd::telemetry::trace::configure_trace_from_env(true);
@@ -459,7 +454,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 .ok_or_else(|| "missing qubit count".to_string())?
                 .parse()
                 .map_err(|_| "qubit count must be an integer".to_string())?;
-            build_generator(kind, qubits)?
+            generators::by_name(kind, qubits)?
         }
         other => return Err(format!("unknown command `{other}`")),
     };
@@ -566,13 +561,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
-fn build_generator(kind: &str, qubits: usize) -> Result<Circuit, String> {
-    generators::by_name(kind, qubits).ok_or_else(|| match generators::min_qubits(kind) {
-        Some(min) => format!("generator `{kind}` needs at least {min} qubit(s), got {qubits}"),
-        None => format!("unknown generator `{kind}`"),
-    })
-}
-
 fn parse_number(text: &str) -> Result<usize, String> {
     text.parse()
         .map_err(|_| format!("`{text}` is not a valid number"))
@@ -592,11 +580,6 @@ fn run(options: Options) -> ExitCode {
     if let Err(message) = options.backend.check_width(options.circuit.num_qubits()) {
         eprintln!("error: {message}");
         return ExitCode::FAILURE;
-    }
-    if options.profile {
-        // Profiling opts into process-wide telemetry (stage histograms,
-        // DD table counters); the per-job table works either way.
-        qsdd::telemetry::set_enabled(true);
     }
     // Everything up to the result is diagnostics and goes to stderr, so
     // `qsdd_cli run c.qasm --format json > out.json` captures only the

@@ -160,15 +160,15 @@ fn stage_vocabulary_matches_the_docs() {
             "docs/metrics.md drifted: missing stage `{name}`"
         );
     }
-    // The stage-count prose must match Stage::ALL's length ("nine-stage"
+    // The stage-count prose must match Stage::ALL's length ("eight-stage"
     // today): a changed stage list must update the docs, not drift apart.
-    assert_eq!(Stage::ALL.len(), 9);
+    assert_eq!(Stage::ALL.len(), 8);
     assert!(
-        cli_doc.contains("nine-stage") || cli_doc.contains("9-stage"),
+        cli_doc.contains("eight-stage") || cli_doc.contains("8-stage"),
         "docs/cli.md stage-count prose drifted"
     );
     assert!(
-        metrics_doc.contains("nine-stage") || metrics_doc.contains("9-stage"),
+        metrics_doc.contains("eight-stage") || metrics_doc.contains("8-stage"),
         "docs/metrics.md stage-count prose drifted"
     );
 }

@@ -365,8 +365,11 @@ fn every_bucket_shot_equals_its_live_execution() {
         let mut evolutions = 0;
         for work in engine.plan_range(0..DEEP_SHOTS as u64) {
             let members = work.shots();
-            let (records, stats) = engine
-                .run_work_in(&mut shared, work, &observables, &unbounded)
+            let mut records = Vec::new();
+            let record =
+                |shot, sample, values: &[f64]| records.push((shot, sample, values.to_vec()));
+            let (stats, _) = engine
+                .run_items_with(&mut shared, [work], &observables, &unbounded, record)
                 .expect("an unbounded deadline never expires");
             assert_eq!(records.len(), members, "{name}: one record per member");
             assert!(stats.unique_trajectories >= stats.live_shots);

@@ -161,7 +161,6 @@ fn http_report_is_byte_identical_to_direct_execution() {
         "transpile",
         "compile",
         "presample",
-        "group",
         "execute",
         "aggregate",
         "cache_lookup",
@@ -177,6 +176,11 @@ fn http_report_is_byte_identical_to_direct_execution() {
         timings.get("execute").and_then(Value::as_f64).unwrap() > 0.0,
         "a 400-shot job must report execute time"
     );
+    assert!(
+        timings.get("cache_lookup").and_then(Value::as_f64).unwrap() > 0.0,
+        "the submit path's cache lookup must be timed in the job"
+    );
+    assert!(timings.get("group").is_none(), "no stage is named `group`");
     assert!(
         timings.get("total").and_then(Value::as_f64).unwrap()
             >= timings.get("execute").and_then(Value::as_f64).unwrap()

@@ -25,8 +25,9 @@ fn boot(threads: usize, queue_depth: usize) -> Server {
     .expect("bind loopback")
 }
 
-/// Polls `GET /v1/jobs/<id>` until the job completes.
-fn wait_completed(addr: std::net::SocketAddr, id: &str) {
+/// Polls `GET /v1/jobs/<id>` until the job completes; returns its result
+/// payload.
+fn wait_completed(addr: std::net::SocketAddr, id: &str) -> Value {
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut session = client::Client::connect(addr).expect("connect");
     loop {
@@ -34,12 +35,9 @@ fn wait_completed(addr: std::net::SocketAddr, id: &str) {
             .request("GET", &format!("/v1/jobs/{id}"), None)
             .expect("poll");
         assert_eq!(status, 200, "poll failed: {body}");
-        match json::parse(&body)
-            .expect("envelope json")
-            .get("status")
-            .and_then(Value::as_str)
-        {
-            Some("completed") => return,
+        let envelope = json::parse(&body).expect("envelope json");
+        match envelope.get("status").and_then(Value::as_str) {
+            Some("completed") => return envelope.get("result").expect("a result").clone(),
             Some("failed") => panic!("job {id} failed: {body}"),
             _ => {
                 assert!(Instant::now() < deadline, "job {id} never finished");
@@ -92,26 +90,80 @@ fn assert_sample(samples: &HashMap<String, f64>, series: &str, expected: f64, co
     assert_eq!(*actual, expected, "{context}: `{series}`");
 }
 
+/// The decision-diagram table series, recorded from each job's table
+/// traffic in its worker's context.
+const DD_SERIES: [&str; 8] = [
+    "qsdd_dd_vec_unique_hits_total",
+    "qsdd_dd_vec_unique_misses_total",
+    "qsdd_dd_mat_unique_hits_total",
+    "qsdd_dd_mat_unique_misses_total",
+    "qsdd_dd_compute_hits_total",
+    "qsdd_dd_compute_misses_total",
+    "qsdd_dd_complex_lookups_total",
+    "qsdd_dd_complex_inserts_total",
+];
+
+/// `qsdd_stage_seconds_count` of one stage.
+fn stage_count(stage: &str) -> String {
+    format!("qsdd_stage_seconds_count{{stage=\"{stage}\"}}")
+}
+
+/// Asserts the job series of a page against the results of the jobs the
+/// server executed: shots, error events, trajectories and node peaks are
+/// the sums (the peak the maximum) of the results' own fields.
+fn assert_job_series(samples: &HashMap<String, f64>, results: &[Value], context: &str) {
+    let field = |result: &Value, name: &str| {
+        let value = result.get(name).and_then(Value::as_f64);
+        value.unwrap_or_else(|| panic!("{context}: result field `{name}`"))
+    };
+    let sum = |name: &str| {
+        results
+            .iter()
+            .map(|result| field(result, name))
+            .sum::<f64>()
+    };
+    let shots = sum("shots_executed");
+    assert_sample(samples, "qsdd_jobs_shots_total", shots, context);
+    let events = sum("error_events");
+    assert_sample(samples, "qsdd_jobs_error_events_total", events, context);
+    let unique = sum("unique_trajectories");
+    assert_sample(
+        samples,
+        "qsdd_dedup_unique_trajectories_total",
+        unique,
+        context,
+    );
+    let live = sum("live_shots");
+    assert_sample(samples, "qsdd_dedup_live_shots_total", live, context);
+    let peak = (results.iter()).fold(0.0, |peak: f64, result| {
+        peak.max(field(result, "dd_nodes_peak"))
+    });
+    assert_sample(samples, "qsdd_dd_peak_nodes", peak, context);
+}
+
 #[test]
 fn exact_hit_and_miss_counters_across_thread_counts() {
+    let mut dd_counts: Option<Vec<f64>> = None;
     for threads in [1usize, 2, 8] {
         let context = format!("{threads} threads");
         let server = boot(threads, 256);
         let addr = server.addr();
+        // On the decision-diagram engine, so that the table series count.
         let bodies: Vec<String> = (0..3)
             .map(|i| {
                 format!(
-                    r#"{{"circuit":{{"generator":"ghz","qubits":6}},"shots":300,"seed":{}}}"#,
+                    r#"{{"circuit":{{"generator":"ghz","qubits":6}},"backend":"dd","shots":300,"seed":{}}}"#,
                     100 + i
                 )
             })
             .collect();
 
         // 3 distinct submissions: all misses, each executed to completion.
+        let mut results = Vec::new();
         for body in &bodies {
             let (status, id) = submit(addr, body);
             assert_eq!(status, 202, "{context}");
-            wait_completed(addr, &id.unwrap());
+            results.push(wait_completed(addr, &id.unwrap()));
         }
         // The same 3 again: all served from the completed cache cells.
         for body in &bodies {
@@ -139,9 +191,32 @@ fn exact_hit_and_miss_counters_across_thread_counts() {
         assert_sample(&samples, "qsdd_jobs_completed_total", 3.0, &context);
         assert_sample(&samples, "qsdd_jobs_failed_total", 0.0, &context);
         assert_sample(&samples, "qsdd_queue_depth", 0.0, &context);
-        // Histograms saw one sample per executed job.
-        assert_sample(&samples, "qsdd_queue_wait_seconds_count", 3.0, &context);
+        // Histograms saw one sample per executed job, the submit path's
+        // stages one per submission.
         assert_sample(&samples, "qsdd_job_duration_seconds_count", 3.0, &context);
+        for (stage, count) in [
+            ("parse", 6.0),
+            ("cache_lookup", 6.0),
+            ("queue_wait", 3.0),
+            ("transpile", 0.0),
+            ("compile", 3.0),
+            ("presample", 3.0),
+            ("execute", 3.0),
+            ("aggregate", 3.0),
+        ] {
+            assert_sample(&samples, &stage_count(stage), count, &context);
+        }
+        // 900 shots, and the rest as the three results report them.
+        assert_sample(&samples, "qsdd_jobs_shots_total", 900.0, &context);
+        assert_job_series(&samples, &results, &context);
+        // The table traffic of the same three jobs is the same on any
+        // number of workers.
+        let dd: Vec<f64> = DD_SERIES.iter().map(|series| samples[*series]).collect();
+        assert!(dd[5] > 0.0, "{context}: no compute-table miss counted");
+        match &dd_counts {
+            None => dd_counts = Some(dd),
+            Some(first) => assert_eq!(&dd, first, "{context}: DD table series"),
+        }
         // Per-endpoint request counters (the poll endpoint's count depends
         // on scheduling, so only the deterministic series are asserted).
         assert_sample(
@@ -162,24 +237,16 @@ fn exact_hit_and_miss_counters_across_thread_counts() {
             "{context}"
         );
         assert!(
-            page.contains("# TYPE qsdd_queue_wait_seconds histogram"),
+            page.contains("# TYPE qsdd_stage_seconds histogram"),
             "{context}"
         );
         assert!(page.contains("# TYPE qsdd_queue_depth gauge"), "{context}");
         // The cumulative bucket invariant holds: +Inf bucket == _count.
         assert_sample(
             &samples,
-            "qsdd_queue_wait_seconds_bucket{le=\"+Inf\"}",
+            "qsdd_stage_seconds_bucket{stage=\"queue_wait\",le=\"+Inf\"}",
             3.0,
             &context,
-        );
-        // The process-global section (stage histograms, DD table traffic)
-        // is appended to the page. Values are process-wide, so only
-        // presence is asserted here: the submit path times its cache
-        // lookup.
-        assert!(
-            page.contains("qsdd_stage_seconds_count{stage=\"cache_lookup\"}"),
-            "{context}"
         );
 
         // A second scrape sees the first one's request counted (a request
@@ -264,7 +331,7 @@ fn deterministic_backpressure_counts_under_concurrent_load() {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             let (_, samples, _) = scrape(addr);
-            if samples["qsdd_queue_wait_seconds_count"] == threads as f64 {
+            if samples[&stage_count("queue_wait")] == threads as f64 {
                 break;
             }
             assert!(
@@ -297,7 +364,7 @@ fn deterministic_backpressure_counts_under_concurrent_load() {
         assert_sample(&samples, "qsdd_cache_hits_total", 0.0, &context);
         assert_sample(&samples, "qsdd_jobs_rejected_total", 3.0, &context);
         assert_sample(&samples, "qsdd_jobs_completed_total", 0.0, &context);
-        assert_sample(&samples, "qsdd_queue_wait_seconds_count", n, &context);
+        assert_sample(&samples, &stage_count("queue_wait"), n, &context);
         assert_sample(&samples, "qsdd_job_duration_seconds_count", 0.0, &context);
         assert_sample(&samples, "qsdd_queue_depth", 1.0, &context);
         assert_sample(
@@ -341,4 +408,34 @@ fn per_shot_qft(n: usize) -> String {
     circuit.measure(0, 0).append(&qft(n));
     let source = qasm::write_source(&circuit).expect("QFT is expressible in QASM");
     format!(r#"{{"qasm":{}}}"#, Value::from(source.as_str()))
+}
+
+#[test]
+fn two_servers_in_one_process_each_count_only_their_own_job() {
+    let jobs = [
+        r#"{"circuit":{"generator":"ghz","qubits":5},"backend":"dd","shots":200,"seed":11}"#,
+        r#"{"circuit":{"generator":"qft","qubits":4},"backend":"dd","shots":300,"seed":12}"#,
+    ];
+    let servers = [boot(1, 16), boot(2, 16)];
+    let ids: Vec<String> = (servers.iter().zip(jobs))
+        .map(|(server, body)| {
+            let (status, id) = submit(server.addr(), body);
+            assert_eq!(status, 202);
+            id.expect("a job id")
+        })
+        .collect();
+    for (index, (server, id)) in servers.iter().zip(&ids).enumerate() {
+        let context = format!("server {index}");
+        let result = wait_completed(server.addr(), id);
+        let (_, samples, _) = scrape(server.addr());
+        let shots = [200.0, 300.0][index];
+        assert_sample(&samples, "qsdd_jobs_shots_total", shots, &context);
+        assert_job_series(&samples, &[result], &context);
+        for stage in ["parse", "cache_lookup", "queue_wait", "compile", "execute"] {
+            assert_sample(&samples, &stage_count(stage), 1.0, &context);
+        }
+    }
+    for server in servers {
+        server.shutdown_and_join();
+    }
 }
